@@ -23,9 +23,9 @@ Benchmarks (per scale):
                           ``--compare`` checks it against the *baseline's*
                           plain ingest_live when the baseline predates the
                           journal (the journal-overhead gate)
-    cluster_kernel_batch  IncrementalClusterer.add rows/s, vectorized kernel
-    cluster_kernel_scalar IncrementalClusterer.add rows/s, row-at-a-time
-                          reference kernel (the pre-PR3 hot path)
+    cluster_kernel_scalar IncrementalClusterer.add rows/s over
+                          pre-extracted features (the key keeps its
+                          name so --compare pairs it with older files)
     query_p50_ms /        QueryEngine.query wall latency percentiles over
     query_p95_ms          the window's dominant classes
     checkpoint_s          first incremental docstore checkpoint of the live
@@ -104,7 +104,6 @@ keeps the best.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -193,10 +192,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-_CLUSTERER_HAS_KERNEL = (
-    "kernel" in inspect.signature(IncrementalClusterer.__init__).parameters
-)
 
 
 def _window(scale: str):
@@ -366,25 +361,22 @@ class Runner:
         model = self.config.model
         feats = model.feature_extractor().extract(self.table).astype(np.float64)
         suppressed = simulate_pixel_diff(self.table)
-        pre = np.where(suppressed, -2, -1).astype(np.int64)
         n = len(self.table)
-        kernels = ["batch", "scalar"] if _CLUSTERER_HAS_KERNEL else ["scalar"]
-        for kernel in kernels:
-            def run(kernel=kernel):
-                kw = {"kernel": kernel} if _CLUSTERER_HAS_KERNEL else {}
-                clusterer = IncrementalClusterer(
-                    threshold=CLUSTER_THRESHOLD, dim=model.feature_dim, **kw
-                )
-                for start in range(0, n, 16384):
-                    stop = min(start + 16384, n)
-                    clusterer.add(
-                        feats[start:stop],
-                        self.table.track_id[start:stop],
-                        pre[start:stop],
-                    )
 
-            took, _ = _best(run, self.repeats)
-            self.record("cluster_kernel_%s" % kernel, "rows_per_s", n / took)
+        def run():
+            clusterer = IncrementalClusterer(
+                threshold=CLUSTER_THRESHOLD, dim=model.feature_dim
+            )
+            for start in range(0, n, 16384):
+                stop = min(start + 16384, n)
+                clusterer.add(
+                    feats[start:stop],
+                    self.table.track_id[start:stop],
+                    suppressed=suppressed[start:stop],
+                )
+
+        took, _ = _best(run, self.repeats)
+        self.record("cluster_kernel_scalar", "rows_per_s", n / took)
 
     def bench_query(self, result):
         engine = QueryEngine(

@@ -1,11 +1,17 @@
-"""Setup shim.
+"""Package metadata for ``pip install -e . --no-build-isolation``.
 
-This environment has no ``wheel`` package, so PEP 517 editable installs
-(``pip install -e .``) cannot build. ``python setup.py develop`` and
-``pip install -e . --no-build-isolation`` (with wheel present) both
-work; all metadata lives in pyproject.toml.
+There is no ``pyproject.toml``: this file is the only metadata source.
+The environment has no ``wheel`` package, so PEP 517 isolated builds
+cannot run; ``--no-build-isolation`` (or ``PYTHONPATH=src``, which
+every script and test here uses) avoids them.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.2.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -27,26 +27,17 @@ Implementation notes beyond the paper's sketch:
   common case because the previous cluster is also the nearest one.
   ``strict=True`` disables the shortcut and always scans.
 
-Two execution kernels produce bit-identical assignments:
-
-* ``kernel="scalar"`` -- the row-at-a-time reference loop (the pre-PR3
-  hot path, kept as the semantic oracle for tests and benchmarks).
-* ``kernel="batch"`` (default) -- a vectorized speculative kernel.  It
-  groups a chunk's rows by track, *hypothesizes* that every row joins
-  its track's cached cluster (the shortcut), and verifies whole runs at
-  once: per-track prefix sums over the run's feature rows reproduce the
-  exact sequential centroid evolution (``cumsum`` adds in the same
-  order the scalar loop would), so the shortcut distance test for every
-  row of a run is evaluated in one vectorized pass.  Rows whose run
-  breaks -- shortcut miss, unknown track, retired cluster, new cluster,
-  retirement -- fall back to the ordered scalar step at exactly their
-  stream position, with all earlier rows committed first, so cluster
-  state at every scalar step matches the reference loop bit for bit.
+There is one execution kernel: a row-at-a-time loop over shared
+sum/count primitives (``_add_rows``).  ``strict=True`` runs the same
+loop without the shortcut -- the always-scan oracle the tests compare
+the fast path against.  Before adding a second kernel, read "Why there
+is no vectorized kernel" in ``docs/PERFORMANCE.md``: a speculative one
+was selected on 0 of 438 benchmark chunks and ran at 0.75-0.96x this
+loop on every shipped stream profile.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -152,48 +143,11 @@ class ClusterSummary:
         return out
 
 
-#: initial / maximum speculative run length the batch kernel verifies
-#: per cluster before committing to more (doubles on clean extension)
-_HORIZON_START = 64
-_HORIZON_MAX = 8192
-
-_EMPTY_I = np.zeros(0, dtype=np.int64)
-
-
-class _ClusterRun:
-    """Per-cluster speculation state for one batch-kernel invocation.
-
-    A run covers the pending rows of *every* track currently cached on
-    the cluster, merged in stream order -- so the prefix-sum chain
-    reproduces exactly the sequence of joins the reference loop would
-    apply, no matter how the member tracks interleave.
-    """
-
-    __slots__ = (
-        "cid", "rows", "sup", "ptr", "live",
-        "blk_dense", "blk_cpre", "verified_end", "fail_at", "horizon",
-    )
-
-    def __init__(self, cid: int, rows: np.ndarray, sup, live: bool):
-        self.cid = cid
-        self.rows = rows          # chunk positions, ascending
-        self.sup = sup            # aligned suppressed flags (or None)
-        self.ptr = 0              # rows[:ptr] are committed
-        self.live = live          # False once the cluster is retired
-        self.blk_dense = _EMPTY_I  # abs idx (into rows) of verified dense rows
-        self.blk_cpre = None      # prefix sums: [len(blk_dense)+1, dim]
-        self.verified_end = 0     # rows[ptr:verified_end] are verified OK
-        self.fail_at = None       # abs idx of known-failing row (== verified_end)
-        self.horizon = _HORIZON_START
-
-
 class IncrementalClusterer:
     """Online single-pass clusterer with a live-cluster cap."""
 
-    #: ``auto`` switches to the batch kernel below this break density
-    #: (full scans per row over the recent window): speculation only
-    #: pays once shortcut runs are a few dozen rows long
-    AUTO_BATCH_BREAK_RATE = 0.02
+    #: read by bench/layers.py (core.clustering.batch_kernel_chunk_share)
+    active_kernel = "scalar"
 
     def __init__(
         self,
@@ -201,25 +155,16 @@ class IncrementalClusterer:
         dim: int,
         max_live_clusters: int = 512,
         strict: bool = False,
-        kernel: str = "auto",
     ):
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
         if max_live_clusters < 1:
             raise ValueError("max_live_clusters must be >= 1")
-        if kernel not in ("auto", "batch", "scalar"):
-            raise ValueError("kernel must be 'auto', 'batch' or 'scalar'")
         self.threshold = threshold
         self._t2 = float(threshold) * float(threshold)
         self.dim = dim
         self.max_live = max_live_clusters
         self.strict = strict
-        self.kernel = kernel
-        #: the kernel auto mode last picked (informational)
-        self.active_kernel = "scalar"
-        #: decaying window of (full scans, rows) driving auto mode
-        self._recent_scans = 0
-        self._recent_rows = 0
 
         capacity = max(64, max_live_clusters)
         self._sums = np.zeros((capacity, dim), dtype=np.float64)
@@ -251,13 +196,14 @@ class IncrementalClusterer:
     def num_clusters(self) -> int:
         return self._next_id
 
-    # -- shared cluster-state primitives -----------------------------------
-    # Every kernel (batch, scalar, strict) funnels through these, with
-    # identical floating-point operation order -- the basis of the
+    # -- cluster-state primitives ------------------------------------------
+    # The fast path and the strict oracle both funnel through these, and
+    # from_state_dict recomputes centroids with the same expressions:
+    # identical floating-point operation order is the basis of the
     # bit-identical-assignments guarantee.
 
-    def _evict_smallest(self) -> int:
-        """Retire the smallest live cluster; returns its (valid) id."""
+    def _evict_smallest(self) -> None:
+        """Retire the smallest live cluster (its id stays valid)."""
         victim = int(np.argmin(self._counts[: self._n_live]))
         victim_id = int(self._live_ids[victim])
         last = self._n_live - 1
@@ -272,13 +218,11 @@ class IncrementalClusterer:
             self._slot_of_id[moved_id] = victim
         self._n_live = last
         del self._slot_of_id[victim_id]
-        return victim_id
 
-    def _new_cluster(self, vector: np.ndarray, vv: float, row: int):
-        """Open a cluster seeded by ``vector``; returns (slot, cid, evicted)."""
-        evicted = None
+    def _new_cluster(self, vector: np.ndarray, vv: float, row: int) -> int:
+        """Open a cluster seeded by ``vector``; returns its id."""
         if self._n_live >= self.max_live:
-            evicted = self._evict_smallest()
+            self._evict_smallest()
         slot = self._n_live
         self._sums[slot] = vector
         self._centroids[slot] = vector
@@ -292,7 +236,7 @@ class IncrementalClusterer:
         self._next_id += 1
         self._seed_rows.append(row)
         self._sizes.append(1)
-        return slot, cid, evicted
+        return cid
 
     def _join_dense(self, slot: int, vector: np.ndarray) -> int:
         self._sums[slot] += vector
@@ -358,11 +302,9 @@ class IncrementalClusterer:
         return cid
 
     def _row_dense(self, track: int, vector: np.ndarray, row: int,
-                   use_shortcut: bool):
-        """One dense row through shortcut -> scan -> join/new.
-
-        Returns ``(cid, created, evicted_id)``.
-        """
+                   use_shortcut: bool) -> int:
+        """One dense row through shortcut -> scan -> join/new; returns
+        its cluster id."""
         slot = None
         if use_shortcut:
             cached_cid = self._track_cache.get(track)
@@ -374,8 +316,7 @@ class IncrementalClusterer:
                     if d2 <= self._t2:
                         slot = cached_slot
                         self.shortcut_hits += 1
-        evicted = None
-        created = False
+        cid = None
         if slot is None:
             # |v|^2 is only needed by the scan and for a new cluster's
             # cached norm; the common shortcut-hit path skips it
@@ -386,19 +327,17 @@ class IncrementalClusterer:
                 if best_d2 <= self._t2:
                     slot = best
             if slot is None:
-                slot, cid, evicted = self._new_cluster(vector, vv, row)
-                created = True
-        if not created:
+                cid = self._new_cluster(vector, vv, row)
+        if cid is None:
             cid = self._join_dense(slot, vector)
         self._track_cache[track] = cid
-        return cid, created, evicted
+        return cid
 
     # -- ingest -------------------------------------------------------------
     def add(
         self,
         features: np.ndarray,
         track_ids: np.ndarray,
-        precomputed_assignments: Optional[np.ndarray] = None,
         *,
         suppressed: Optional[np.ndarray] = None,
         feature_valid: Optional[np.ndarray] = None,
@@ -412,8 +351,6 @@ class IncrementalClusterer:
                 cluster, so callers may leave them unset (see
                 ``feature_valid``).
             track_ids: [n] track id per row (the shortcut key).
-            precomputed_assignments: legacy mask: [n] of -1 (cluster
-                normally) or -2 (suppressed); prefer ``suppressed``.
             suppressed: [n] bool; suppressed rows join their track's
                 current cluster without a feature vector.
             feature_valid: [n] bool marking which ``features`` rows hold
@@ -425,13 +362,23 @@ class IncrementalClusterer:
 
         Returns:
             [n] cluster ids.
+
+        Raises:
+            ValueError: ``track_ids``, ``suppressed`` or ``feature_valid``
+                is not [n]; raised before any row is applied.
         """
         features = np.asarray(features, dtype=np.float64)
         n = len(features)
         if len(track_ids) != n:
             raise ValueError("features and track_ids must align")
-        if suppressed is None and precomputed_assignments is not None:
-            suppressed = np.asarray(precomputed_assignments) == -2
+        if suppressed is not None:
+            suppressed = np.asarray(suppressed, dtype=bool)
+            if len(suppressed) != n:
+                raise ValueError("features and suppressed must align")
+        if feature_valid is not None:
+            feature_valid = np.asarray(feature_valid, dtype=bool)
+            if len(feature_valid) != n:
+                raise ValueError("features and feature_valid must align")
         if self._rows_seen + n > len(self._assign_buf):
             capacity = max(1024, len(self._assign_buf))
             while capacity < self._rows_seen + n:
@@ -440,48 +387,11 @@ class IncrementalClusterer:
             grown[: self._rows_seen] = self._assign_buf[: self._rows_seen]
             self._assign_buf = grown
         out = np.empty(n, dtype=np.int64)
-        if n:
-            kernel = self.kernel
-            if kernel == "auto" and not self.strict:
-                # kernel choice is purely a performance knob: both
-                # kernels produce bit-identical state, so switching
-                # between chunks cannot change any assignment
-                kernel = self._auto_kernel()
-            scans_before = self.full_scans
-            if self.strict or kernel == "scalar":
-                self.active_kernel = "scalar"
-                self._add_scalar(
-                    features, track_ids, suppressed, feature_valid,
-                    feature_fill, out, use_shortcut=not self.strict,
-                )
-            else:
-                self.active_kernel = "batch"
-                self._add_batch(
-                    features, track_ids, suppressed, feature_valid,
-                    feature_fill, out,
-                )
-            self._recent_scans += self.full_scans - scans_before
-            self._recent_rows += n
+        self._add_rows(features, track_ids, suppressed, feature_valid,
+                       feature_fill, out)
         self._assign_buf[self._rows_seen: self._rows_seen + n] = out
         self._rows_seen += n
         return out
-
-    def _auto_kernel(self) -> str:
-        """Pick the kernel from the observed break density.
-
-        The batch kernel's speculation amortizes only when shortcut
-        runs are long (breaks -- full scans -- are rare); on churny
-        windows the row-at-a-time loop is faster.  Density is measured
-        over the most recent ~16k rows so a stream that calms down (or
-        heats up) switches kernels within a few chunks.
-        """
-        if self._recent_rows >= 16384:
-            self._recent_scans //= 2
-            self._recent_rows //= 2
-        if not self._recent_rows:
-            return "scalar"  # first chunk calibrates the density
-        rate = self._recent_scans / self._recent_rows
-        return "batch" if rate < self.AUTO_BATCH_BREAK_RATE else "scalar"
 
     @staticmethod
     def _fill_features(features, valid, fill, rows: np.ndarray) -> None:
@@ -493,12 +403,13 @@ class IncrementalClusterer:
         features[rows] = fill(rows)
         valid[rows] = True
 
-    # -- reference kernel ---------------------------------------------------
-    def _add_scalar(self, features, track_ids, sup, valid, fill, out,
-                    use_shortcut: bool) -> None:
-        """Row-at-a-time loop: the semantic reference for the batch kernel
-        (and the ``strict=True`` always-scan mode)."""
+    # -- the kernel ---------------------------------------------------------
+    def _add_rows(self, features, track_ids, sup, valid, fill, out) -> None:
+        """Row-at-a-time loop over the primitives above: suppressed rows
+        follow their track, dense rows go shortcut -> scan -> join/new
+        (``strict`` skips the shortcut and always scans)."""
         base = self._rows_seen
+        use_shortcut = not self.strict
         # plain-list row flags: ndarray scalar access costs ~5x a list
         # index, and this loop runs per observation
         track_list = np.asarray(track_ids, dtype=np.int64).tolist()
@@ -515,319 +426,8 @@ class IncrementalClusterer:
                 self._fill_features(features, valid, fill,
                                     np.asarray([i], dtype=np.int64))
                 valid_list[i] = True
-            cid, _, _ = self._row_dense(track, features[i], base + i,
-                                        use_shortcut)
-            out[i] = cid
-
-    # -- batch kernel -------------------------------------------------------
-    def _add_batch(self, features, track_ids, sup, valid, fill, out) -> None:
-        """Speculative vectorized kernel; see the module docstring.
-
-        Rows are grouped per *cluster* (all tracks currently cached on
-        it, merged in stream order); each group's joins are verified in
-        closed form against the exact sequential centroid evolution.
-        An ordered event loop resolves break rows one at a time with
-        every earlier row committed first, so state at each scalar step
-        -- and therefore every assignment -- matches the reference loop
-        bit for bit.
-        """
-        base = self._rows_seen
-        t2 = self._t2
-        n = len(out)
-        track_ids = np.asarray(track_ids)
-        track_cache = self._track_cache
-        slot_of_id = self._slot_of_id
-
-        # group the chunk's rows by track, preserving stream order
-        order = np.argsort(track_ids, kind="stable")
-        sorted_tracks = track_ids[order]
-        seg_breaks = np.nonzero(sorted_tracks[1:] != sorted_tracks[:-1])[0] + 1
-        bounds = [0] + seg_breaks.tolist() + [n]
-
-        track_rows: Dict[int, np.ndarray] = {}
-        track_ptr: Dict[int, int] = {}
-        #: cluster id -> tracks cached on it (with rows in this chunk)
-        members: Dict[int, set] = {}
-        events: list = []    # (chunk_pos, seq, kind, key, gen)
-        pending: list = []   # (chunk_pos, seq, cid, gen)
-        groups: Dict[int, Optional[_ClusterRun]] = {}
-        gen: Dict[int, int] = {}
-        horizon_hint: Dict[int, int] = {}
-        seq_counter = [0]
-        ar_i64 = np.arange(_HORIZON_MAX, dtype=np.int64)
-
-        def seq() -> int:
-            seq_counter[0] += 1
-            return seq_counter[0]
-
-        for a, b in zip(bounds, bounds[1:]):
-            track = int(sorted_tracks[a])
-            track_rows[track] = order[a:b]
-            track_ptr[track] = 0
-            cid = track_cache.get(track)
-            if cid is None:
-                # unknown track: its first row must take the scalar path
-                heapq.heappush(events, (int(order[a]), seq(), 1, track, 0))
-            else:
-                members.setdefault(cid, set()).add(track)
-
-        def first_pending(cid: int) -> Optional[int]:
-            best = None
-            for track in members.get(cid, ()):
-                rows = track_rows[track]
-                p = track_ptr[track]
-                if p < len(rows) and (best is None or rows[p] < best):
-                    best = rows[p]
-            return best
-
-        def mark_stale(cid: int) -> None:
-            """Invalidate a cluster's speculation; rebuild lazily at its
-            next pending row (coalesces repeated invalidations)."""
-            run = groups.get(cid)
-            if run is not None and run.ptr:
-                # remember how far speculation got before it was torn
-                # down: the next build verifies ~2x that, instead of a
-                # fixed window that is mostly thrown away again
-                horizon_hint[cid] = min(max(16, 2 * run.ptr), _HORIZON_MAX)
-            groups[cid] = None
-            gen[cid] = gen.get(cid, 0) + 1
-            pos = first_pending(cid)
-            if pos is not None:
-                heapq.heappush(events, (int(pos), seq(), 0, cid, gen[cid]))
-
-        def verify_next(run: _ClusterRun) -> None:
-            """Verify the run's next horizon window against current
-            state; requires the run's earlier rows to be committed."""
-            rows = run.rows
-            lo = run.verified_end
-            hi = min(lo + run.horizon, len(rows))
-            run.fail_at = None
-            if run.sup is not None:
-                dense_local = np.nonzero(~run.sup[lo:hi])[0]
-            else:
-                dense_local = None
-            if not run.live:
-                # retired cluster: suppressed rows still follow it, but
-                # the first dense row must scan
-                if dense_local is None:
-                    run.verified_end = lo
-                    run.fail_at = lo
-                elif len(dense_local):
-                    run.verified_end = lo + int(dense_local[0])
-                    run.fail_at = run.verified_end
-                else:
-                    run.verified_end = hi
-                run.blk_dense = _EMPTY_I
-                run.blk_cpre = None
-                return
-            if dense_local is None:
-                dense_abs = np.arange(lo, hi, dtype=np.int64)
-            else:
-                dense_abs = lo + dense_local
-            if not len(dense_abs):
-                run.blk_dense = _EMPTY_I
-                run.blk_cpre = None
-                run.verified_end = hi
-                run.horizon = min(run.horizon * 2, _HORIZON_MAX)
-                return
-            slot = slot_of_id[run.cid]
-            vectors = features[rows[dense_abs]]
-            k = len(dense_abs)
-            cpre = np.empty((k + 1, vectors.shape[1]), dtype=np.float64)
-            cpre[0] = self._sums[slot]
-            cpre[1:] = vectors
-            # in-place cumsum = the exact sequence of += the scalar loop
-            # would apply to this cluster's sum
-            np.cumsum(cpre, axis=0, out=cpre)
-            denom = self._dense[slot] + ar_i64[:k]
-            work = cpre[:-1] / denom[:, np.newaxis]   # prefix centroids
-            work -= vectors
-            np.square(work, out=work)
-            ok = work.sum(axis=1) <= t2
-            first_bad = int(np.argmin(ok))
-            if ok[first_bad]:  # argmin found no False: all rows passed
-                run.blk_dense = dense_abs
-                run.blk_cpre = cpre
-                run.verified_end = hi
-                run.horizon = min(run.horizon * 2, _HORIZON_MAX)
-            else:
-                run.blk_dense = dense_abs[:first_bad]
-                run.blk_cpre = cpre[: first_bad + 1]
-                run.verified_end = int(dense_abs[first_bad])
-                run.fail_at = run.verified_end
-
-        def build(cid: int) -> Optional[_ClusterRun]:
-            """(Re)build a cluster's run over its tracks' pending rows."""
-            arrays = []
-            for track in members.get(cid, ()):
-                pend = track_rows[track][track_ptr[track]:]
-                if len(pend):
-                    arrays.append(pend)
-            if not arrays:
-                return None
-            if len(arrays) == 1:
-                rows = arrays[0]
-            else:
-                rows = np.sort(np.concatenate(arrays))
-            run = _ClusterRun(cid, rows, sup[rows] if sup is not None else None,
-                              cid in slot_of_id)
-            run.horizon = horizon_hint.get(cid, _HORIZON_START)
-            groups[cid] = run
-            verify_next(run)
-            return run
-
-        def push_event(run: _ClusterRun) -> None:
-            if run.fail_at is not None:
-                pos = run.rows[run.fail_at]
-            elif run.verified_end < len(run.rows):
-                pos = run.rows[run.verified_end]
-            else:
-                return  # fully verified; committed by flushes / the drain
-            heapq.heappush(events, (int(pos), seq(), 0, run.cid,
-                                    gen.get(run.cid, 0)))
-
-        def push_pending(run: _ClusterRun) -> None:
-            if run.ptr < len(run.rows):
-                heapq.heappush(pending, (int(run.rows[run.ptr]), seq(),
-                                         run.cid, gen.get(run.cid, 0)))
-
-        def commit(run: _ClusterRun, upto: int) -> None:
-            """Apply the run's verified rows at chunk positions < upto."""
-            lo, hi = run.ptr, run.verified_end
-            if lo >= hi:
-                return
-            rows = run.rows
-            if upto > rows[hi - 1]:
-                stop = hi
-            else:
-                stop = lo + int(np.searchsorted(rows[lo:hi], upto))
-                if stop <= lo:
-                    return
-            k = stop - lo
-            cid = run.cid
-            committed = rows[lo:stop]
-            if run.live:
-                blk = run.blk_dense
-                nb = len(blk)
-                cd0 = int(np.searchsorted(blk, lo)) if lo else 0
-                if stop == hi or (nb and stop > blk[nb - 1]):
-                    cd1 = nb
-                else:
-                    cd1 = int(np.searchsorted(blk, stop))
-                kd = cd1 - cd0
-                slot = slot_of_id[cid]
-                if kd:
-                    self._sums[slot] = run.blk_cpre[cd1]
-                    d = self._dense[slot] + kd
-                    self._dense[slot] = d
-                    centroid = self._sums[slot] / d
-                    self._centroids[slot] = centroid
-                    self._cnorm2[slot] = float((centroid * centroid).sum())
-                    self.shortcut_hits += kd
-                self._counts[slot] += k
-            self._sizes[cid] += k
-            out[committed] = cid
-            mem = members.get(cid)
-            if mem is not None and len(mem) == 1:
-                for track in mem:
-                    track_ptr[track] += k
-            else:
-                # multi-track runs are rare and their commits small:
-                # a dict-increment walk beats np.unique here
-                for track in track_ids[committed].tolist():
-                    track_ptr[track] += 1
-            run.ptr = stop
-
-        def flush(upto: int) -> None:
-            """Commit every run's verified rows at positions < upto."""
-            while pending and pending[0][0] < upto:
-                pos, _, cid, g = heapq.heappop(pending)
-                if gen.get(cid, 0) != g:
-                    continue
-                run = groups.get(cid)
-                if (run is None or run.ptr >= len(run.rows)
-                        or run.rows[run.ptr] != pos):
-                    continue
-                commit(run, upto)
-                push_pending(run)
-
-        def ensure_valid(pos: int) -> None:
-            if valid is not None and not valid[pos]:
-                self._fill_features(features, valid, fill,
-                                    np.asarray([pos], dtype=np.int64))
-
-        def resolve_dense(track: int, pos: int, use_shortcut: bool):
-            """One scalar step; returns the set of clusters whose
-            speculation it invalidated."""
-            ensure_valid(pos)
-            old_cid = track_cache.get(track)
-            cid, created, evicted = self._row_dense(
-                track, features[pos], base + pos, use_shortcut)
-            out[pos] = cid
-            track_ptr[track] += 1
-            if cid != old_cid:
-                if old_cid is not None:
-                    mem = members.get(old_cid)
-                    if mem is not None:
-                        mem.discard(track)
-                members.setdefault(cid, set()).add(track)
-            stale = {cid}
-            if old_cid is not None:
-                stale.add(old_cid)
-            if evicted is not None:
-                stale.add(evicted)
-            return stale
-
-        # every cached cluster with rows in this chunk gets built (and
-        # verified) lazily when its first event pops
-        for cid in members:
-            mark_stale(cid)
-
-        # -- ordered event loop
-        while events:
-            pos, _, kind, key, g = heapq.heappop(events)
-            if kind == 1:
-                # first row of a track the clusterer has never seen
-                track = key
-                flush(pos)
-                if sup is not None and sup[pos]:
-                    cid = self._row_suppressed(track)
-                    if cid is not None:  # pragma: no cover - unreachable
-                        out[pos] = cid
-                        track_ptr[track] += 1
-                        continue
-                for cid in resolve_dense(track, int(pos), False):
-                    mark_stale(cid)
-                continue
-            if gen.get(key, 0) != g:
-                continue
-            run = groups.get(key)
-            if run is None:
-                run = build(key)
-                if run is not None:
-                    push_event(run)
-                    push_pending(run)
-                continue
-            if run.fail_at is not None and run.rows[run.fail_at] == pos:
-                flush(pos)
-                commit(run, int(pos))
-                # the breaking row is always dense: suppressed rows never
-                # fail while their track has a cluster
-                for cid in resolve_dense(int(track_ids[pos]), int(pos),
-                                         False):
-                    mark_stale(cid)
-                continue
-            if run.verified_end < len(run.rows) and \
-                    run.rows[run.verified_end] == pos:
-                # horizon reached cleanly: commit it, verify the next
-                # window from the updated state
-                commit(run, int(pos))
-                verify_next(run)
-                push_event(run)
-                push_pending(run)
-
-        # -- drain: everything left is verified
-        flush(n)
+            out[i] = self._row_dense(track, features[i], base + i,
+                                     use_shortcut)
 
     # -- durable state -------------------------------------------------------
     def state_dict(self) -> Dict:
@@ -835,8 +435,8 @@ class IncrementalClusterer:
 
         Everything :meth:`from_state_dict` needs to continue ingest
         exactly where this instance stands: live-slot arrays, the full
-        assignment history, per-track shortcuts, and the counters that
-        drive ``kernel="auto"``.  Centroids and their cached norms are
+        assignment history, per-track shortcuts, and the scan/shortcut
+        counters.  Centroids and their cached norms are
         *not* stored -- they are recomputed from (sum, dense count)
         with the identical floating-point expressions the join path
         uses, so the restored values are bit-identical.  Python's JSON
@@ -850,7 +450,6 @@ class IncrementalClusterer:
             "dim": int(self.dim),
             "max_live": int(self.max_live),
             "strict": bool(self.strict),
-            "kernel": self.kernel,
             "n_live": int(n),
             "sums": self._sums[:n].tolist(),
             "dense": self._dense[:n].tolist(),
@@ -864,20 +463,21 @@ class IncrementalClusterer:
             "track_cache": [[int(t), int(c)] for t, c in self._track_cache.items()],
             "full_scans": int(self.full_scans),
             "shortcut_hits": int(self.shortcut_hits),
-            "recent_scans": int(self._recent_scans),
-            "recent_rows": int(self._recent_rows),
-            "active_kernel": self.active_kernel,
         }
 
     @classmethod
     def from_state_dict(cls, state: Dict) -> "IncrementalClusterer":
-        """Rebuild a clusterer from :meth:`state_dict` output, bit-exact."""
+        """Rebuild a clusterer from :meth:`state_dict` output, bit-exact.
+
+        Checkpoints written before the batch kernel was deleted also
+        carry ``kernel``, ``recent_scans``, ``recent_rows`` and
+        ``active_kernel``; they are ignored.
+        """
         self = cls(
             threshold=state["threshold"],
             dim=state["dim"],
             max_live_clusters=state["max_live"],
             strict=state["strict"],
-            kernel=state["kernel"],
         )
         n = int(state["n_live"])
         dim = self.dim
@@ -907,9 +507,6 @@ class IncrementalClusterer:
         self._slot_of_id = {int(self._live_ids[i]): i for i in range(n)}
         self.full_scans = int(state["full_scans"])
         self.shortcut_hits = int(state["shortcut_hits"])
-        self._recent_scans = int(state["recent_scans"])
-        self._recent_rows = int(state["recent_rows"])
-        self.active_kernel = state["active_kernel"]
         return self
 
     def snapshot(self) -> ClusterSummary:
@@ -943,7 +540,6 @@ def cluster_table(
     suppressed: Optional[np.ndarray] = None,
     chunk_rows: int = 65536,
     strict: bool = False,
-    kernel: str = "auto",
 ) -> ClusterSummary:
     """Cluster all observations of ``table`` with ``model``'s features.
 
@@ -958,7 +554,6 @@ def cluster_table(
         dim=model.feature_dim,
         max_live_clusters=max_live_clusters,
         strict=strict,
-        kernel=kernel,
     )
     extractor = model.feature_extractor()
     n = len(table)

@@ -1,5 +1,7 @@
 """Unit tests for single-pass incremental clustering (Section 4.2)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,8 @@ def test_suppressed_rows_join_track_cluster():
     c = _clusterer(threshold=0.3, dim=4)
     a = _unit([1, 0, 0, 0])
     junk = _unit([0, 0, 0, 1])  # far away; must be ignored for suppressed row
-    pre = np.array([-1, -2], dtype=np.int64)
-    ids = c.add(np.stack([a, junk]), np.array([7, 7]), pre)
+    ids = c.add(np.stack([a, junk]), np.array([7, 7]),
+                suppressed=np.array([False, True]))
     assert ids[0] == ids[1]
 
 
@@ -135,6 +137,61 @@ def test_parameter_validation():
     c = _clusterer()
     with pytest.raises(ValueError):
         c.add(np.zeros((2, 4)), np.zeros(3))
+
+
+def _six_rows():
+    feats = np.stack([_unit(v) for v in (
+        [1, 0, 0, 0], [1, 0.01, 0, 0], [0, 1, 0, 0],
+        [0, 1, 0.01, 0], [0, 0, 1, 0], [0, 0, 1, 0.01],
+    )])
+    return feats, np.array([0, 0, 1, 1, 2, 2])
+
+
+@pytest.mark.parametrize("arg", ["suppressed", "feature_valid"])
+def test_misaligned_mask_rejected_before_any_row(arg):
+    """Regression: a short mask used to raise IndexError mid-loop with
+    half the chunk already applied (sizes ahead of rows_seen)."""
+    feats, tracks = _six_rows()
+    c = _clusterer()
+    c.add(feats[:2], tracks[:2])
+    before = json.dumps(c.state_dict(), sort_keys=True)
+    with pytest.raises(ValueError, match=arg):
+        c.add(feats, tracks, **{arg: [True, False, True]})
+    assert json.dumps(c.state_dict(), sort_keys=True) == before
+    assert c.snapshot().num_observations == 2
+
+
+def test_plain_list_masks_accepted():
+    feats, tracks = _six_rows()
+    sup = [False, True, False, True, False, True]
+    from_list = _clusterer().add(feats, tracks, suppressed=sup,
+                                 feature_valid=[not s for s in sup])
+    from_array = _clusterer().add(feats, tracks, suppressed=np.array(sup))
+    np.testing.assert_array_equal(from_list, from_array)
+
+
+def test_legacy_checkpoint_keys_ignored():
+    """State dicts written while the batch kernel and its selector
+    existed carry four extra keys; loading one continues bit-identically
+    to a clusterer that never stopped."""
+    rng = np.random.RandomState(5)
+    n, dim = 300, 8
+    tracks = rng.randint(0, 12, size=n)
+    anchors = rng.normal(size=(12, dim))
+    feats = anchors[tracks] + rng.normal(scale=0.05, size=(n, dim))
+    sup = rng.uniform(size=n) < 0.3
+    kw = dict(threshold=0.4, dim=dim, max_live_clusters=4)
+    whole = IncrementalClusterer(**kw)
+    whole.add(feats, tracks, suppressed=sup)
+
+    first = IncrementalClusterer(**kw)
+    first.add(feats[:140], tracks[:140], suppressed=sup[:140])
+    legacy = dict(first.state_dict(), kernel="auto", recent_scans=17,
+                  recent_rows=140, active_kernel="batch")
+    resumed = IncrementalClusterer.from_state_dict(
+        json.loads(json.dumps(legacy)))
+    resumed.add(feats[140:], tracks[140:], suppressed=sup[140:])
+    assert resumed.state_dict() == whole.state_dict()
 
 
 def test_empty_finalize():

@@ -1,11 +1,13 @@
-"""Equivalence guarantees of the vectorized ingest hot path (PR 3).
+"""Equivalence guarantees of the ingest hot path.
 
-The batch kernel speculates; the scalar loop is the semantic oracle.
-These tests pin the contract that makes kernel choice a pure
-performance knob: identical assignments, seed rows, sizes, and
-counters, bit for bit, across kernels, chunkings, thresholds,
-suppression masks, and eviction pressure.
+The clusterer has one kernel; what still has two sides is how a stream
+reaches it.  These tests pin identical assignments, seed rows, sizes,
+and counters, bit for bit, across chunkings and checkpoint round trips
+(over random thresholds, suppression masks, and eviction pressure), and
+the fast path against the ``strict=True`` always-scan oracle.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -45,15 +47,22 @@ def _tracky_workload(rng, n, dim, n_tracks, jump_prob=0.15, sup_prob=0.3):
     return feats, track_ids, sup
 
 
-def _run(kernel, feats, track_ids, sup, threshold, max_live, bounds):
+def _run(feats, track_ids, sup, threshold, max_live, bounds,
+         restore_at=None):
+    """Feed ``bounds``-delimited chunks; ``restore_at`` swaps the
+    clusterer for its own state_dict -> from_state_dict copy before the
+    chunk starting at that row."""
     clusterer = IncrementalClusterer(
         threshold=threshold, dim=feats.shape[1],
-        max_live_clusters=max_live, kernel=kernel,
+        max_live_clusters=max_live,
     )
-    outs = [
-        clusterer.add(feats[a:b], track_ids[a:b], suppressed=sup[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    outs = []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == restore_at:
+            clusterer = IncrementalClusterer.from_state_dict(
+                json.loads(json.dumps(clusterer.state_dict())))
+        outs.append(
+            clusterer.add(feats[a:b], track_ids[a:b], suppressed=sup[a:b]))
     summary = clusterer.finalize()
     return (
         np.concatenate(outs), summary,
@@ -61,11 +70,21 @@ def _run(kernel, feats, track_ids, sup, threshold, max_live, bounds):
     )
 
 
+def _assert_same_run(got, ref):
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1].assignments, ref[1].assignments)
+    np.testing.assert_array_equal(got[1].seed_rows, ref[1].seed_rows)
+    np.testing.assert_array_equal(got[1].sizes, ref[1].sizes)
+    assert got[2] == ref[2] and got[3] == ref[3]
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_batch_matches_scalar_randomized(self, seed):
+    def test_chunked_and_restored_match_whole_randomized(self, seed):
         """Assignments, seeds, sizes, and counters agree bit for bit on
-        adversarial data: shared clusters, evictions, suppression."""
+        adversarial data (shared clusters, evictions, suppression)
+        between one add of the whole input, a chunked feed, and a
+        chunked feed checkpointed and restored mid-stream."""
         rng = np.random.RandomState(1000 + seed)
         n = rng.randint(80, 500)
         dim = int(rng.choice([4, 8, 16]))
@@ -77,14 +96,13 @@ class TestKernelBitIdentity:
         )
         cuts = sorted(set(rng.choice(np.arange(1, n), size=3).tolist()))
         bounds = [0] + cuts + [n]
-        ref = _run("scalar", feats, track_ids, sup, threshold, max_live, bounds)
-        for kernel in ("batch", "auto"):
-            got = _run(kernel, feats, track_ids, sup, threshold, max_live,
-                       bounds)
-            np.testing.assert_array_equal(got[0], ref[0])
-            np.testing.assert_array_equal(got[1].seed_rows, ref[1].seed_rows)
-            np.testing.assert_array_equal(got[1].sizes, ref[1].sizes)
-            assert got[2] == ref[2] and got[3] == ref[3]
+        whole = _run(feats, track_ids, sup, threshold, max_live, [0, n])
+        chunked = _run(feats, track_ids, sup, threshold, max_live, bounds)
+        _assert_same_run(chunked, whole)
+        for cut in cuts:
+            restored = _run(feats, track_ids, sup, threshold, max_live,
+                            bounds, restore_at=cut)
+            _assert_same_run(restored, whole)
 
     @pytest.mark.parametrize("threshold", [0.1, 0.25, 0.5])
     def test_fast_path_matches_strict_on_dense_input(self, threshold):
@@ -97,15 +115,13 @@ class TestKernelBitIdentity:
         anchors = rng.normal(size=(n_tracks, dim))
         anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
         feats = anchors[track_ids] + rng.normal(scale=0.01, size=(n, dim))
-        for kernel in ("batch", "scalar", "auto"):
-            fast = IncrementalClusterer(threshold=threshold, dim=dim,
-                                        kernel=kernel)
-            strict = IncrementalClusterer(threshold=threshold, dim=dim,
-                                          strict=True)
-            np.testing.assert_array_equal(
-                fast.add(feats, track_ids), strict.add(feats, track_ids)
-            )
-            assert fast.shortcut_hits > 0
+        fast = IncrementalClusterer(threshold=threshold, dim=dim)
+        strict = IncrementalClusterer(threshold=threshold, dim=dim,
+                                      strict=True)
+        np.testing.assert_array_equal(
+            fast.add(feats, track_ids), strict.add(feats, track_ids)
+        )
+        assert fast.shortcut_hits > 0
 
     def test_fast_path_matches_strict_with_suppression(self):
         """Suppressed rows rejoin their track's cluster in both modes.
@@ -120,29 +136,27 @@ class TestKernelBitIdentity:
         anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
         feats = anchors[track_ids] + rng.normal(scale=0.01, size=(400, 8))
         sup = rng.uniform(size=400) < 0.4
-        for kernel in ("batch", "scalar"):
-            fast = IncrementalClusterer(threshold=0.3, dim=8, kernel=kernel)
-            strict = IncrementalClusterer(threshold=0.3, dim=8, strict=True)
-            np.testing.assert_array_equal(
-                fast.add(feats, track_ids, suppressed=sup),
-                strict.add(feats, track_ids, suppressed=sup),
-            )
+        fast = IncrementalClusterer(threshold=0.3, dim=8)
+        strict = IncrementalClusterer(threshold=0.3, dim=8, strict=True)
+        np.testing.assert_array_equal(
+            fast.add(feats, track_ids, suppressed=sup),
+            strict.add(feats, track_ids, suppressed=sup),
+        )
 
     def test_chunking_invariance(self, stream_table, model):
         """cluster_table gives identical assignments for any chunking
-        and any kernel (features are extracted dense-rows-only)."""
+        (features are extracted dense-rows-only)."""
         sup = simulate_pixel_diff(stream_table)
         whole = cluster_table(stream_table, model, threshold=0.25,
                               suppressed=sup, chunk_rows=10 ** 9)
         for chunk_rows in (97, 1024):
-            for kernel in ("batch", "scalar", "auto"):
-                chunked = cluster_table(
-                    stream_table, model, threshold=0.25, suppressed=sup,
-                    chunk_rows=chunk_rows, kernel=kernel,
-                )
-                np.testing.assert_array_equal(
-                    whole.assignments, chunked.assignments
-                )
+            chunked = cluster_table(
+                stream_table, model, threshold=0.25, suppressed=sup,
+                chunk_rows=chunk_rows,
+            )
+            np.testing.assert_array_equal(
+                whole.assignments, chunked.assignments
+            )
 
 
 class TestRetiredClusterSemantics:
@@ -151,7 +165,7 @@ class TestRetiredClusterSemantics:
         suppressed observation extends its track's cluster even after
         that cluster was retired (its id stays valid)."""
         clusterer = IncrementalClusterer(threshold=0.1, dim=4,
-                                         max_live_clusters=2, kernel="scalar")
+                                         max_live_clusters=2)
         eye = np.eye(4)
         # track 0 opens cluster 0; tracks 1..2 force it out of the live set
         clusterer.add(eye[:3], np.array([0, 1, 2]))
@@ -166,7 +180,7 @@ class TestRetiredClusterSemantics:
         """A dense row of the same track must re-scan: the retired
         cluster is out of the live set (matches pre-PR behaviour)."""
         clusterer = IncrementalClusterer(threshold=0.1, dim=4,
-                                         max_live_clusters=2, kernel="scalar")
+                                         max_live_clusters=2)
         eye = np.eye(4)
         clusterer.add(eye[:3], np.array([0, 1, 2]))
         ids = clusterer.add(eye[:1], np.array([0]))

@@ -27,7 +27,12 @@ from repro.core.streaming import StreamIngestor
 from repro.core.system import FocusSystem
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
-from repro.storage.journal import JOURNAL_PREFIX, IngestJournal
+from repro.storage.journal import (
+    JOURNAL_PREFIX,
+    STATE_PREFIX,
+    IngestJournal,
+    payload_digest,
+)
 
 N_CHUNKS = 4
 #: checkpoint every stream after this chunk round (plus a final round)
@@ -222,6 +227,30 @@ class TestSystemRecovery:
     """FocusSystem-level recovery: handles, engines, fan-out queries."""
 
     def test_recover_resumes_live_queryable_sessions(self, seeded_workload):
+        self._crash_recover_compare(seeded_workload)
+
+    def test_recover_checkpoint_with_legacy_clusterer_keys(self, seeded_workload):
+        """A checkpoint written while the clusterer still had a batch
+        kernel and an ``auto`` selector stores four extra keys in its
+        clusterer payload; it recovers and answers bit-identically."""
+
+        def as_written_by_parent(store, streams):
+            for s in streams:
+                states = store.collection(STATE_PREFIX + s)
+                doc = states.find_one({"stream": s})
+                payload = dict(doc["payload"])
+                payload["clusterer"] = dict(
+                    payload["clusterer"], kernel="auto", recent_scans=3,
+                    recent_rows=4096, active_kernel="scalar",
+                )
+                states.update_one(doc["_id"], {
+                    "payload": payload, "checksum": payload_digest(payload),
+                })
+
+        self._crash_recover_compare(seeded_workload, as_written_by_parent)
+
+    @staticmethod
+    def _crash_recover_compare(seeded_workload, rewrite_checkpoint=None):
         tables, config = seeded_workload
         streams = sorted(tables)
         chunks = {s: split_chunks(tables[s]) for s in streams}
@@ -237,6 +266,8 @@ class TestSystemRecovery:
             for s in streams:
                 crashed.append(s, chunks[s][i])
         crashed.checkpoint(store)
+        if rewrite_checkpoint is not None:
+            rewrite_checkpoint(store, streams)
         for s in streams:
             crashed.append(s, chunks[s][2])
         del crashed  # the process dies; only `store` survives
