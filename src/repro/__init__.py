@@ -34,7 +34,6 @@ from repro.fabric import (
     ShardClient,
     ShardNode,
     migrate_stream,
-    migrate_stream_remote,
 )
 from repro.serve import MultiStreamAnswer, QueryRequest, QueryService, VerificationCache
 from repro.storage.docstore import DocumentStore
@@ -53,7 +52,6 @@ __all__ = [
     "ShardClient",
     "ShardNode",
     "migrate_stream",
-    "migrate_stream_remote",
     "AccuracyTarget",
     "FocusConfig",
     "Policy",

@@ -27,6 +27,7 @@ is per-row deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -368,6 +369,12 @@ class StreamIngestor:
         the unacknowledged chunk, which the producer re-pushes.
         """
         self._validate_chunk(chunk)
+        if watermark_s is not None and not math.isfinite(watermark_s):
+            # checked before the WAL write: a journaled inf would pin the
+            # stream's watermark and duration at inf through every replay
+            raise ValueError(
+                "watermark_s must be a finite stream time, got %r" % (watermark_s,)
+            )
         if self.journal is not None:
             self._last_journal_seq = self.journal.append_chunk(chunk, watermark_s)
         return self._apply_chunk(chunk, watermark_s, dispatch=True)

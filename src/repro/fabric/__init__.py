@@ -9,7 +9,8 @@ one logical service (the ROADMAP's horizontal-scaling layer):
   add/remove, migrations recorded as pins).
 * :mod:`repro.fabric.shard` -- :class:`ShardNode`: one FocusSystem plus
   its own durable store (WAL journals, checkpoints, indexes) and GPU
-  cluster.
+  cluster; and ``ShardLeg``, the one contract the router and migration
+  are written against.
 * :mod:`repro.fabric.router` -- :class:`FabricRouter`: the full
   ``QueryService`` surface over the fleet, scatter-gathering per-shard
   plans and merging answers bit-identically to a single node.
@@ -20,7 +21,7 @@ one logical service (the ROADMAP's horizontal-scaling layer):
   :mod:`repro.fabric.codec` -- the *parallel* mode: each shard in its
   own worker process behind a serialized command protocol
   (:class:`FabricSupervisor` spawns and restarts the fleet,
-  :class:`ShardClient` duck-types the shard surface over queues), with
+  :class:`ShardClient` implements ``ShardLeg`` over queues), with
   answers still bit-identical to a single node.
 * :mod:`repro.fabric.shm` -- the zero-copy data plane under the
   parallel mode: bulk payloads ride pooled ``multiprocessing``
@@ -54,12 +55,7 @@ from repro.fabric.protocol import (
 from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, shm_available
 from repro.fabric.router import FabricRouter
 from repro.fabric.shard import ShardNode
-from repro.fabric.worker import (
-    FabricSupervisor,
-    FabricWatchdog,
-    ShardClient,
-    migrate_stream_remote,
-)
+from repro.fabric.worker import FabricSupervisor, FabricWatchdog, ShardClient
 
 __all__ = [
     "DEFAULT_DEADLINES",
@@ -84,7 +80,6 @@ __all__ = [
     "WIRE_COUNTER_KEYS",
     "WorkerCrashed",
     "migrate_stream",
-    "migrate_stream_remote",
     "rendezvous_shard",
     "shm_available",
 ]

@@ -2,31 +2,30 @@
 
 Moving a live, mid-ingest stream from one shard to another reuses the
 PR-4 durability machinery end to end -- no new serialization format,
-no state the WAL does not already cover:
+no state the WAL does not already cover.  :func:`migrate_stream`
+orchestrates any pair of :class:`~repro.fabric.shard.ShardLeg` legs
+(in-process, worker process, or one of each); each step is a leg
+method, written once on :class:`~repro.fabric.shard.ShardNode`:
 
-1. **Checkpoint (source, epoch-CAS).**  The source session commits an
-   atomic epoch-tagged checkpoint into its shard's store (optional but
-   default: it bounds the journal suffix the target must replay; the
-   WAL alone already carries everything).
-2. **Copy.**  The stream's committed collections plus the journal
-   suffix are cloned into the target shard's store
+1. ``target.import_precheck`` refuses before any source-side work.
+2. ``source.migrate_out`` commits an atomic epoch-tagged checkpoint
+   into the source shard's store (optional but default: it bounds the
+   journal suffix the target must replay; the WAL alone already
+   carries everything).  The source keeps serving.
+3. **Copy.**  The stream's committed collections plus the journal
+   suffix are cloned out of ``source.store`` into a staging store
    (:func:`~repro.storage.journal.copy_stream_state`).
-3. **Recover (target).**  The target shard recovers the session from
-   the copied state: committed checkpoint restored, journal suffix
-   replayed through the normal ingest stages.  The PR-4 recovery
-   contract makes the resumed session bit-identical to one that never
-   moved, in both index modes -- so query answers (frames *and*
-   segment metrics) are unchanged by the move, and ingest resumes on
-   the target with the next ``append``.  Recovery runs *before* any
-   irreversible source-side step: a failure here wipes the copy and
-   leaves the source serving.
-4. **Fence (source).**  The source store's checkpoint marker is
-   replaced by a fence tombstone one epoch ahead
-   (:func:`~repro.storage.journal.fence_stream`) and the stale
-   per-stream collections are dropped.  Any surviving source session
-   now loses the epoch compare-and-swap on its next checkpoint --
-   :class:`~repro.storage.journal.StaleEpochError` -- and the source
-   shard's crash recovery skips the stream instead of resurrecting it.
+4. ``target.import_stream`` installs the staging store and recovers
+   the session from it.  The PR-4 recovery contract makes the resumed
+   session bit-identical to one that never moved, in both index modes
+   -- so query answers (frames *and* segment metrics) are unchanged by
+   the move, and ingest resumes on the target with the next
+   ``append``.  A failure here wipes the copy and leaves the source
+   serving.
+5. ``source.finish_migration`` fences the source lineage and releases
+   its session.  Only now is the move irreversible; a crash between 4
+   and 5 leaves both copies durable but the source authoritative (its
+   fence has not moved).
 """
 
 from __future__ import annotations
@@ -34,18 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.storage.journal import (
-    CHECKPOINT_COLLECTION,
-    backing_store,
-    committed_checkpoint,
-    copy_stream_state,
-    fence_stream,
-    journaled_streams,
-    reset_stream,
-)
+from repro.obs.events import emit as _emit_event
+from repro.storage.docstore import DocumentStore
+from repro.storage.journal import copy_stream_state
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no cycle at runtime
-    from repro.fabric.shard import ShardNode
+    from repro.fabric.shard import ShardLeg
 
 
 class MigrationError(RuntimeError):
@@ -70,99 +63,59 @@ class MigrationReport:
 
 
 def migrate_stream(
-    source: "ShardNode",
-    target: "ShardNode",
+    source: "ShardLeg",
+    target: "ShardLeg",
     stream: str,
     checkpoint: bool = True,
 ) -> MigrationReport:
     """Move one live durable stream from ``source`` to ``target``.
 
-    Requires a live session journaled into the source shard's store
-    (``ShardNode.open_stream(durable=True)``): the WAL is what makes
-    the copy complete and the fence meaningful.  With
-    ``checkpoint=False`` the move ships the last committed checkpoint
-    plus the whole journal suffix instead of committing a fresh one --
-    slower target recovery, same bit-identical result.
+    With ``checkpoint=False`` the move ships the last committed
+    checkpoint plus the whole journal suffix instead of committing a
+    fresh one -- slower target recovery, same bit-identical result.
 
     On return the stream is live on the target (appendable, queryable)
     and gone from the source's serving set; the source store keeps only
     a fence tombstone.
     """
-    handle = source.system.handle(stream)
-    ingestor = handle.ingestor
-    if ingestor is None or ingestor.journal is None:
+    if source.shard_id == target.shard_id:
         raise MigrationError(
-            "stream %r is not a durable live session on shard %r; only "
-            "sessions opened with ShardNode.open_stream(durable=True) "
-            "carry the WAL state migration ships" % (stream, source.shard_id)
+            "stream %r already lives on shard %r" % (stream, target.shard_id)
         )
-    if backing_store(ingestor.journal.store) is not backing_store(source.store):
-        raise MigrationError(
-            "stream %r journals into a store that is not shard %r's own; "
-            "migration copies from the shard store, so the two must match"
-            % (stream, source.shard_id)
-        )
-    target_marker = committed_checkpoint(target.store, stream)
-    if stream in journaled_streams(target.store) or (
-        target_marker is not None and not target_marker.get("fenced")
-    ):
-        raise MigrationError(
-            "target shard %r already holds durable state for stream %r; "
-            "wipe it with repro.storage.journal.reset_stream before "
-            "migrating onto it" % (target.shard_id, stream)
-        )
-    if stream in target.system.streams():
-        raise MigrationError(
-            "target shard %r is already serving stream %r" % (target.shard_id, stream)
-        )
-
-    # 1. epoch-CAS checkpoint on the source (strict: a failure -- or a
-    # zombie losing the CAS -- aborts the migration before any copying)
-    if checkpoint:
-        source.system.checkpoint_outcomes(source.store, streams=[stream])
-    marker = committed_checkpoint(source.store, stream)
-    epoch = marker["epoch"] if marker else 0
-    committed_seq = marker["journal_seq"] if marker else -1
-    suffix = [
-        record
-        for record in ingestor.journal.records(after=committed_seq)
-        if record.kind == "chunk"
-    ]
-
-    # 2. copy committed docs + journal suffix to the target store
-    copy_stream_state(source.store, target.store, stream)
-
-    # 3. recover on the target: committed state + journal suffix replay.
-    # Deliberately *before* the irreversible source-side fence: if
-    # recovery fails, the copied state is wiped and the source keeps
-    # serving -- the stream is never left owned by no shard.  The live
-    # config is handed over so sessions whose model the zoo cannot
-    # rebuild (specialized CNNs) migrate too.
-    try:
-        target.system.recover(
-            target.store, streams=[stream], configs={stream: handle.config}
-        )
-    except BaseException:
-        reset_stream(target.store, stream)
-        if target_marker is not None:
-            # the copy replaced the target's own fence tombstone (a
-            # prior migration away); put it back, or the zombie that
-            # fence was holding off would win its epoch CAS again
-            restored = {k: v for k, v in target_marker.items() if k != "_id"}
-            target.store.collection(CHECKPOINT_COLLECTION).insert_one(restored)
-        raise
-
-    # 4. fence the source lineage and release its in-memory session
-    fence_epoch = fence_stream(source.store, stream, migrated_to=target.shard_id)
-    source.system.close_stream(stream)
-    recovered = target.system.handle(stream)
+    _emit_event(
+        "migration.start", shard=source.shard_id, stream=stream, target=target.shard_id
+    )
+    target.import_precheck(stream)
+    epoch, replayed_chunks, config = source.migrate_out(stream, checkpoint=checkpoint)
+    _emit_event(
+        "migration.exported",
+        shard=source.shard_id,
+        stream=stream,
+        epoch=epoch,
+        replayed_chunks=replayed_chunks,
+    )
+    # a worker leg's store is its supervisor-side mirror, which holds
+    # the checkpoint as soon as migrate_out is acknowledged
+    staging = DocumentStore()
+    copy_stream_state(source.store, staging, stream)
+    imported = target.import_stream(stream, staging, config)
+    _emit_event(
+        "migration.imported", shard=target.shard_id, stream=stream, rows=imported.rows
+    )
+    fence_epoch = source.finish_migration(stream, target.shard_id)
+    _emit_event(
+        "migration.finished",
+        shard=target.shard_id,
+        stream=stream,
+        fence_epoch=fence_epoch,
+    )
     return MigrationReport(
         stream=stream,
         source_shard=source.shard_id,
         target_shard=target.shard_id,
-        epoch=int(epoch),
-        fence_epoch=int(fence_epoch),
-        replayed_chunks=len(suffix),
-        rows=len(recovered.table),
-        watermark_s=float(recovered.watermark_s),
+        epoch=epoch,
+        fence_epoch=fence_epoch,
+        replayed_chunks=replayed_chunks,
+        rows=imported.rows,
+        watermark_s=imported.watermark_s,
     )

@@ -189,8 +189,9 @@ class PlacementTable:
 
         Every stream whose shard survives keeps it (its data lives
         there; only :func:`~repro.fabric.migration.migrate_stream`
-        moves data) -- but *new* streams rendezvous over the adopted
-        set, so an added shard starts receiving placements immediately.
+        moves data, for either kind of shard) -- but *new* streams
+        rendezvous over the adopted set, so an added shard starts
+        receiving placements immediately.
         Streams orphaned by a removed shard are re-placed by rendezvous
         and lose their pin.  Contrast :meth:`with_shards`, which also
         re-places existing unpinned streams (a rebalance that must be

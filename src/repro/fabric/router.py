@@ -8,17 +8,15 @@ Requests are split by the versioned placement table
 (:class:`~repro.fabric.placement.PlacementTable`), executed on the
 owning shards, and the per-shard answers merged.
 
-The router speaks only the shard *command surface* (the ``ShardNode``
-methods mirrored by the worker protocol), never ``shard.system``
-directly, so the same router runs over two kinds of shard:
+The router is written against one contract,
+:class:`~repro.fabric.shard.ShardLeg`, and never asks a leg which kind
+it is.  Scatter legs are *pipelined*: every shard's ``*_submit`` is
+called before any reply is gathered.  Two kinds of leg, in any mix:
 
-* in-process :class:`~repro.fabric.shard.ShardNode` objects -- scatter
-  legs execute serially in this interpreter;
+* in-process :class:`~repro.fabric.shard.ShardNode` objects -- a leg
+  executes at submit time, serially in this interpreter;
 * :class:`~repro.fabric.worker.ShardClient` handles -- each shard is
-  its own OS process, and scatter legs are *pipelined*: the router
-  submits every shard's leg before gathering any reply
-  (``query_batch_submit``/``append_submit``/``checkpoint_submit``), so
-  shards genuinely ingest and verify in parallel.
+  its own OS process, so shards ingest and verify in parallel.
 
 **Bit-identity.**  A stream's plan, verification verdicts, returned
 frames, and segment metrics are pure functions of that stream's own
@@ -42,15 +40,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.config import FocusConfig
 from repro.core.streaming import ChunkReport
 from repro.core.system import QueryAnswer, StreamHandle
-from repro.fabric.migration import MigrationError, MigrationReport, migrate_stream
+from repro.fabric.migration import MigrationReport, migrate_stream
 from repro.fabric.placement import PlacementTable, rendezvous_shard
-from repro.fabric.protocol import (
-    DeadlineExceeded,
-    ShardFailed,
-    WorkerCrashed,
-)
-from repro.fabric.shard import ShardNode
-from repro.fabric.worker import ShardClient, migrate_stream_remote
+from repro.fabric.protocol import DeadlineExceeded, WorkerCrashed
+from repro.fabric.shard import ShardLeg
 from repro.obs.events import emit as _emit_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import finish_span, get_tracer, span, start_span
@@ -72,20 +65,6 @@ from repro.video.synthesis import ObservationTable
 #: acknowledged replies), so a restart-and-retry is idempotent -- see
 #: docs/RESILIENCE.md's retry matrix
 _RETRYABLE = (WorkerCrashed, DeadlineExceeded)
-
-
-class _Ready:
-    """An already-computed scatter leg, shaped like a ``PendingReply``.
-
-    In-process shards execute their leg at submit time; wrapping the
-    answer lets the gather loop treat both shard kinds identically.
-    """
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
 
 
 class _FailedLeg:
@@ -120,17 +99,16 @@ class FabricRouter:
     Over worker shards the router self-heals (``docs/RESILIENCE.md``):
     idempotent legs that die with ``WorkerCrashed``/``DeadlineExceeded``
     are transparently retried up to ``max_retries`` times against the
-    worker ``FabricSupervisor.ensure_alive`` respawns
-    (``recover_configs`` feeds the restart's WAL replay).  ``query_all``
-    and ``query_batch`` additionally accept ``allow_partial=True`` to
-    degrade instead of raising when a shard stays down -- the default
-    everywhere is strict, and strict answers are bit-identical to a
-    single node's.
+    worker the leg's ``ensure_alive`` respawns (``recover_configs``
+    feeds the restart's WAL replay).  ``query_all`` and ``query_batch``
+    additionally accept ``allow_partial=True`` to degrade instead of
+    raising when a shard stays down -- the default everywhere is strict,
+    and strict answers are bit-identical to a single node's.
     """
 
     def __init__(
         self,
-        shards: Sequence[Union[ShardNode, ShardClient]],
+        shards: Sequence[ShardLeg],
         placement: Optional[PlacementTable] = None,
         meta_store: Optional[DocumentStore] = None,
         max_retries: int = 2,
@@ -157,9 +135,7 @@ class FabricRouter:
         ids = [s.shard_id for s in shards]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate shard ids: %s" % ids)
-        self._shards: Dict[str, Union[ShardNode, ShardClient]] = {
-            s.shard_id: s for s in shards
-        }
+        self._shards: Dict[str, ShardLeg] = {s.shard_id: s for s in shards}
         self.meta_store = meta_store
         if placement is None and meta_store is not None:
             # a restarted router adopts the persisted authoritative
@@ -225,7 +201,7 @@ class FabricRouter:
     def shard_ids(self) -> List[str]:
         return sorted(self._shards)
 
-    def shard(self, shard_id: str) -> ShardNode:
+    def shard(self, shard_id: str) -> ShardLeg:
         try:
             return self._shards[shard_id]
         except KeyError:
@@ -234,7 +210,7 @@ class FabricRouter:
                 % (shard_id, ", ".join(self.shard_ids()))
             )
 
-    def shard_of(self, stream: str) -> ShardNode:
+    def shard_of(self, stream: str) -> ShardLeg:
         """The shard serving ``stream`` (KeyError when unplaced)."""
         return self.shard(self._placement.shard_of(stream))
 
@@ -269,23 +245,10 @@ class FabricRouter:
         return grouped
 
     # -- self-healing --------------------------------------------------------
-    def _failover(self, shard) -> bool:
-        """Heal one failed worker shard via its supervisor's respawn
-        door.  False when there is nothing to heal (in-process shard:
-        its exceptions are never :data:`_RETRYABLE` anyway) or the
-        shard's crash-loop breaker is tripped."""
-        supervisor = getattr(shard, "_supervisor", None)
-        if supervisor is None:
-            return False
-        try:
-            supervisor.ensure_alive(
-                shard.shard_id, configs=self._recover_configs
-            )
-        except ShardFailed:
-            return False
-        except _RETRYABLE:
-            return False
-        return True
+    def _failover(self, shard: ShardLeg) -> bool:
+        """Heal one failed leg.  False when a retry is pointless: an
+        in-process shard, or a worker whose breaker is tripped."""
+        return shard.ensure_alive(self._recover_configs)
 
     def _retry_leg(self, shard, fn):
         """Run one idempotent leg, transparently retried (up to
@@ -330,7 +293,7 @@ class FabricRouter:
         self._update_placement(placed)
         return handle
 
-    def _place(self, stream: str) -> Tuple[ShardNode, PlacementTable]:
+    def _place(self, stream: str) -> Tuple[ShardLeg, PlacementTable]:
         """The stream's (owning shard, placement-after) -- computed but
         NOT committed: callers install the returned table only after the
         shard call succeeds, so a failed open/ingest never leaves a
@@ -364,8 +327,8 @@ class FabricRouter:
         ``chunks`` is ``(stream, chunk)`` pairs; reports come back in
         input order.  Per stream the input order is preserved (a shard
         executes its legs FIFO); across *shards* the appends overlap --
-        with worker-process shards every chunk is submitted before any
-        report is gathered, which is the fabric's parallel ingest path.
+        every chunk is submitted before any report is gathered, which
+        over worker-process shards is the fabric's parallel ingest path.
 
         Mirror deltas are coalesced per round: every pipelined leg
         except a shard's last is submitted with ``defer_delta`` so the
@@ -381,40 +344,31 @@ class FabricRouter:
         for stream, _ in chunks:
             self._resolve_streams([stream])
         plan = []
-        last_leg: Dict[int, int] = {}
         shard_legs: Dict[int, List[int]] = {}
         for i, (stream, chunk) in enumerate(chunks):
             shard = self.shard_of(stream)
             watermark_s = watermarks.get(stream) if watermarks else None
-            submit = getattr(shard, "append_submit", None)
-            if submit is not None:
-                last_leg[id(shard)] = i
-                shard_legs.setdefault(id(shard), []).append(i)
-            plan.append((stream, chunk, shard, watermark_s, submit))
+            shard_legs.setdefault(id(shard), []).append(i)
+            plan.append((stream, chunk, shard, watermark_s))
         legs = []
         #: id(shard) -> (shard, first failure) for rounds that died
-        failed: Dict[int, Tuple[Union[ShardNode, ShardClient], BaseException]] = {}
-        for i, (stream, chunk, shard, watermark_s, submit) in enumerate(plan):
+        failed: Dict[int, Tuple[ShardLeg, BaseException]] = {}
+        for i, (stream, chunk, shard, watermark_s) in enumerate(plan):
             if id(shard) in failed:
                 legs.append(None)  # round already poisoned; replayed below
                 continue
-            if submit is not None:
-                try:
-                    legs.append(
-                        submit(
-                            stream,
-                            chunk,
-                            watermark_s=watermark_s,
-                            defer_delta=i != last_leg[id(shard)],
-                        )
-                    )
-                except _RETRYABLE as exc:
-                    failed[id(shard)] = (shard, exc)
-                    legs.append(None)
-            else:
+            try:
                 legs.append(
-                    _Ready(shard.append(stream, chunk, watermark_s=watermark_s))
+                    shard.append_submit(
+                        stream,
+                        chunk,
+                        watermark_s=watermark_s,
+                        defer_delta=i != shard_legs[id(shard)][-1],
+                    )
                 )
+            except _RETRYABLE as exc:
+                failed[id(shard)] = (shard, exc)
+                legs.append(None)
         reports: List[Optional[ChunkReport]] = [None] * len(plan)
         for i, leg in enumerate(legs):
             shard = plan[i][2]
@@ -429,7 +383,7 @@ class FabricRouter:
                 raise exc
             self._fault_counters["retries"] += 1
             for i in shard_legs[key]:
-                stream, chunk, _, watermark_s, _ = plan[i]
+                stream, chunk, _, watermark_s = plan[i]
                 reports[i] = shard.append(stream, chunk, watermark_s=watermark_s)
         return reports
 
@@ -581,7 +535,9 @@ class FabricRouter:
                     ]
                 started = time.perf_counter()
                 try:
-                    leg = self._submit_query_batch(self.shard(sid), entries)
+                    leg = self.shard(sid).query_batch_submit(
+                        [request for _, request in entries]
+                    )
                 except _RETRYABLE as exc:
                     leg = _FailedLeg(exc)
                 legs.append((sid, entries, leg, handle, started))
@@ -677,14 +633,6 @@ class FabricRouter:
         )
 
     @staticmethod
-    def _submit_query_batch(shard, entries):
-        sub_requests = [request for _, request in entries]
-        submit = getattr(shard, "query_batch_submit", None)
-        if submit is not None:
-            return submit(sub_requests)
-        return _Ready(shard.query_batch(sub_requests))
-
-    @staticmethod
     def _merge_answers(
         parts: List[MultiStreamAnswer],
         degraded: Optional[DegradedScope] = None,
@@ -717,16 +665,10 @@ class FabricRouter:
         shard's store under its own epoch; outcomes sorted by stream."""
         wanted = self._resolve_streams(streams)
         grouped = self._group_by_shard(wanted)
-        legs = []
-        for sid in sorted(grouped):
-            shard = self.shard(sid)
-            submit = getattr(shard, "checkpoint_submit", None)
-            if submit is not None:
-                legs.append(submit(streams=grouped[sid], strict=strict))
-            else:
-                legs.append(
-                    _Ready(shard.checkpoint(streams=grouped[sid], strict=strict))
-                )
+        legs = [
+            self.shard(sid).checkpoint_submit(streams=grouped[sid], strict=strict)
+            for sid in sorted(grouped)
+        ]
         outcomes: List[StreamCheckpoint] = []
         for leg in legs:
             outcomes.extend(leg.result())
@@ -751,30 +693,16 @@ class FabricRouter:
         """Move a live stream to another shard, then re-pin placement.
 
         The data-plane move is :func:`~repro.fabric.migration.migrate_stream`
-        (checkpoint -> copy -> fence -> recover); on success the
-        placement table pins the stream to its new shard under a new
-        version, persisted to ``meta_store`` when configured.
+        (checkpoint -> copy -> recover -> fence) between any two legs;
+        on success the placement table pins the stream to its new shard
+        under a new version, persisted to ``meta_store`` when configured.
         """
-        source = self.shard_of(stream)
-        target = self.shard(target_shard_id)
-        if source is target:
-            raise MigrationError(
-                "stream %r already lives on shard %r" % (stream, target_shard_id)
-            )
-        source_remote = isinstance(source, ShardClient)
-        target_remote = isinstance(target, ShardClient)
-        if source_remote != target_remote:
-            raise MigrationError(
-                "cannot migrate stream %r between fabric modes: source %r and "
-                "target %r must both be in-process shards or both be worker "
-                "processes" % (stream, source.shard_id, target.shard_id)
-            )
-        if source_remote:
-            report = migrate_stream_remote(
-                source, target, stream, checkpoint=checkpoint
-            )
-        else:
-            report = migrate_stream(source, target, stream, checkpoint=checkpoint)
+        report = migrate_stream(
+            self.shard_of(stream),
+            self.shard(target_shard_id),
+            stream,
+            checkpoint=checkpoint,
+        )
         # pin only when the move disagrees with rendezvous: a migration
         # onto the stream's natural winner leaves it rebalance-eligible
         # (same invariant as construction-time adoption and recover())

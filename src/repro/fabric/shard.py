@@ -10,15 +10,22 @@ or siblings; the router (``repro.fabric.router``) owns the mapping and
 scatter-gathers across shards, and migration
 (``repro.fabric.migration``) moves a stream's durable state between
 shard stores.
+
+:class:`ShardLeg` is the contract both of those callers are written
+against.  :class:`ShardNode` implements it here, and
+:class:`~repro.fabric.worker.ShardClient` implements it by speaking
+the same verbs to a ``ShardNode`` in a worker process; no caller can
+tell the two apart.  The four migration steps are written once, here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.core.config import FocusConfig
 from repro.core.streaming import ChunkReport
 from repro.core.system import FocusSystem, QueryAnswer, StreamHandle
+from repro.fabric.migration import MigrationError
 from repro.fabric.protocol import (
     FAULT_COUNTER_KEYS,
     WIRE_COUNTER_KEYS,
@@ -27,7 +34,17 @@ from repro.fabric.protocol import (
 from repro.serve.planner import QueryRequest
 from repro.serve.service import MultiStreamAnswer, StreamCheckpoint
 from repro.storage.docstore import DocumentStore
-from repro.storage.journal import JOURNAL_PREFIX, fenced_streams, journaled_streams
+from repro.storage.journal import (
+    CHECKPOINT_COLLECTION,
+    JOURNAL_PREFIX,
+    backing_store,
+    committed_checkpoint,
+    copy_stream_state,
+    fence_stream,
+    fenced_streams,
+    journaled_streams,
+    reset_stream,
+)
 from repro.obs.metrics import register_counters
 from repro.video.synthesis import ObservationTable
 
@@ -36,6 +53,55 @@ from repro.video.synthesis import ObservationTable
 JOURNAL_COUNTER_KEYS = register_counters(
     "sum", "journal-appends", "journal-records"
 )
+
+
+class ShardLeg(Protocol):
+    """Exactly the members ``repro.fabric.router`` and
+    ``repro.fabric.migration`` call on a shard (its wider command
+    surface -- ``handle_info``, ``fenced``, chaos hooks -- is not part
+    of the contract).  A ``*_submit`` starts a command and returns a
+    reply whose ``result()`` returns the outcome or raises; one leg's
+    replies are gathered in submission order.  ``tests/test_fabric_legs``
+    holds both implementations to these names and parameter names.
+    """
+
+    shard_id: str
+    #: durable state as of the last acknowledged command: callers read
+    #: it (migration copies out of it) and never write it
+    store: DocumentStore
+
+    def streams(self) -> List[str]: ...
+    def ingest_stream(self, stream, **kwargs): ...
+    def open_stream(self, stream, durable=True, wal_reset=False, **kwargs): ...
+    def append(self, stream, chunk, watermark_s=None) -> ChunkReport: ...
+    def append_submit(self, stream, chunk, watermark_s=None, defer_delta=False): ...
+    def query(self, stream, clazz, kx=None, time_range=None) -> QueryAnswer: ...
+    def query_batch(self, requests) -> List[MultiStreamAnswer]: ...
+    def query_batch_submit(self, requests): ...
+    def checkpoint(self, streams=None, strict=True) -> List[StreamCheckpoint]: ...
+    def checkpoint_submit(self, streams=None, strict=True): ...
+    def recover(self, streams=None, configs=None) -> List[str]: ...
+    def ensure_alive(self, configs=None) -> bool: ...
+    # the migration steps, in call order (target, source, target, source)
+    def import_precheck(self, stream) -> None: ...
+    def migrate_out(self, stream, checkpoint=True) -> Tuple[int, int, FocusConfig]: ...
+    def import_stream(self, stream, staging_store, config) -> StreamHandleInfo: ...
+    def finish_migration(self, stream, target_shard) -> int: ...
+    def cost_summary(self) -> Dict[str, float]: ...
+    def cache_stats(self) -> Dict[str, float]: ...
+    def serving_counters(self) -> Dict[str, float]: ...
+    def metrics_snapshot(self) -> Dict[str, object]: ...
+    def counters(self) -> Dict[str, object]: ...
+
+
+class CompletedReply:
+    """The reply of a command that ran at submit time (in-process legs)."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
 
 
 class ShardNode:
@@ -135,6 +201,13 @@ class ShardNode:
     ) -> ChunkReport:
         return self.system.append(stream, chunk, watermark_s=watermark_s)
 
+    def append_submit(
+        self, stream, chunk, watermark_s=None, defer_delta=False
+    ) -> CompletedReply:
+        """:meth:`append`, run now.  ``defer_delta`` is accepted and
+        ignored: there is no mirror to coalesce deltas for."""
+        return CompletedReply(self.append(stream, chunk, watermark_s=watermark_s))
+
     # -- serving -------------------------------------------------------------
     def query(
         self,
@@ -158,6 +231,9 @@ class ShardNode:
         """One verification round over this shard's sub-batch."""
         return self.system.query_batch(requests)
 
+    def query_batch_submit(self, requests) -> CompletedReply:
+        return CompletedReply(self.query_batch(requests))
+
     def cache_stats(self) -> Dict[str, float]:
         """This shard's verification-cache statistics."""
         return self.system.service.cache_stats()
@@ -179,6 +255,9 @@ class ShardNode:
             self.store, streams=streams, strict=strict
         )
 
+    def checkpoint_submit(self, streams=None, strict=True) -> CompletedReply:
+        return CompletedReply(self.checkpoint(streams=streams, strict=strict))
+
     def recover(
         self,
         streams: Optional[Sequence[str]] = None,
@@ -199,6 +278,99 @@ class ShardNode:
             if not streams:
                 return []
         return self.system.recover(self.store, streams=streams, configs=configs)
+
+    def ensure_alive(self, configs=None) -> bool:
+        """False: there is no worker to respawn, so a retry is pointless."""
+        return False
+
+    # -- migration (orchestrated by repro.fabric.migration) ------------------
+    def import_precheck(self, stream: str) -> None:
+        """Target: refuse, before any source-side work, a stream this
+        shard holds durable state for or serves (a fence tombstone is
+        neither: a stream may move back)."""
+        marker = committed_checkpoint(self.store, stream)
+        if stream in journaled_streams(self.store) or (
+            marker is not None and not marker.get("fenced")
+        ):
+            raise MigrationError(
+                "target shard %r already holds durable state for stream %r; "
+                "wipe it with repro.storage.journal.reset_stream before "
+                "migrating onto it" % (self.shard_id, stream)
+            )
+        if stream in self.streams():
+            raise MigrationError(
+                "target shard %r is already serving stream %r"
+                % (self.shard_id, stream)
+            )
+
+    def migrate_out(
+        self, stream: str, checkpoint: bool = True
+    ) -> Tuple[int, int, FocusConfig]:
+        """Source: make the shard store hold all the target needs, and
+        keep serving.  Requires a live session journaled into that store
+        (the WAL makes the copy complete and the fence meaningful);
+        ``checkpoint`` commits a strict epoch-CAS checkpoint first, so a
+        zombie losing the CAS aborts before anything is copied.  Returns
+        ``(committed epoch, journal chunk records past it, live config)``
+        -- the config so that models the zoo cannot rebuild move too."""
+        handle = self.handle(stream)
+        ingestor = handle.ingestor
+        if ingestor is None or ingestor.journal is None:
+            raise MigrationError(
+                "stream %r is not a durable live session on shard %r; only "
+                "sessions opened with ShardNode.open_stream(durable=True) "
+                "carry the WAL state migration ships" % (stream, self.shard_id)
+            )
+        if backing_store(ingestor.journal.store) is not backing_store(self.store):
+            raise MigrationError(
+                "stream %r journals into a store that is not shard %r's own; "
+                "migration copies from the shard store, so the two must match"
+                % (stream, self.shard_id)
+            )
+        if checkpoint:
+            self.checkpoint(streams=[stream])
+        marker = committed_checkpoint(self.store, stream)
+        epoch = marker["epoch"] if marker else 0
+        committed_seq = marker["journal_seq"] if marker else -1
+        replayed_chunks = sum(
+            record.kind == "chunk"
+            for record in ingestor.journal.records(after=committed_seq)
+        )
+        return int(epoch), replayed_chunks, handle.config
+
+    def import_stream(
+        self, stream: str, staging_store: DocumentStore, config: FocusConfig
+    ) -> StreamHandleInfo:
+        """Target: install the copied state and recover from it
+        (checkpoint restored, journal suffix replayed).  This precedes
+        the source's irreversible step: a failure wipes the copy and
+        re-raises, so the stream is never owned by no shard."""
+        prior_fence = committed_checkpoint(self.store, stream)
+        self.import_precheck(stream)
+        copy_stream_state(staging_store, self.store, stream)
+        try:
+            self.system.recover(
+                self.store, streams=[stream], configs={stream: config}
+            )
+        except BaseException:
+            reset_stream(self.store, stream)
+            if prior_fence is not None:
+                # the copy replaced this shard's own fence tombstone (a
+                # prior migration away); put it back, or the zombie that
+                # fence was holding off would win its epoch CAS again
+                restored = {k: v for k, v in prior_fence.items() if k != "_id"}
+                self.store.collection(CHECKPOINT_COLLECTION).insert_one(restored)
+            raise
+        return self.handle_info(stream)
+
+    def finish_migration(self, stream: str, target_shard: str) -> int:
+        """Source, the one irreversible step: fence the lineage one
+        epoch ahead and release the session.  A surviving session now
+        loses its next checkpoint's epoch CAS (``StaleEpochError``) and
+        crash recovery here skips the stream.  Returns the fence epoch."""
+        fence_epoch = fence_stream(self.store, stream, migrated_to=target_shard)
+        self.system.close_stream(stream)
+        return int(fence_epoch)
 
     def fenced(self) -> List[str]:
         """Streams migrated off this shard (fence tombstones in its store)."""

@@ -12,8 +12,9 @@ command protocol of ``repro.fabric.protocol``/``codec``:
   changed, whole) back with the reply so the supervisor's mirror always
   reflects the worker's durable state as of the last acknowledged
   command.
-* :class:`ShardClient` -- duck-types the ``ShardNode`` command surface
-  over the queues.  Commands can be pipelined (``*_submit`` returning a
+* :class:`ShardClient` -- the :class:`~repro.fabric.shard.ShardLeg`
+  contract (and the rest of the ``ShardNode`` command surface) over
+  the queues.  Commands can be pipelined (``*_submit`` returning a
   :class:`PendingReply`); a worker executes strictly in order, so
   replies gather FIFO and per-stream ordering is preserved while
   different shards' legs genuinely run concurrently.
@@ -23,11 +24,10 @@ command protocol of ``repro.fabric.protocol``/``codec``:
   acknowledged replies, a command in flight when the worker died simply
   never happened durably (at-most-once), and the recovered shard is
   bit-identical to its state at the last acknowledged command.
-* :func:`migrate_stream_remote` -- live migration between two worker
-  shards, parent-orchestrated over four commands (precheck ->
-  checkpoint+suffix on the source -> install+recover on the target ->
-  fence+close on the source) with the same irreversibility order as the
-  in-process :func:`~repro.fabric.migration.migrate_stream`.
+
+Migration has no code of its own here: each migration op decodes its
+payload, calls the ``ShardNode`` step of the same name and encodes the
+result (``repro.fabric.migration`` drives them like any other leg).
 
 See ``docs/SHARDING.md`` for the message table and restart/fencing
 interaction.
@@ -51,7 +51,6 @@ from repro.fabric import codec
 from repro.obs.events import emit as _emit_event
 from repro.obs.trace import SpanSink, get_sink, install_sink, span
 from repro.fabric import shm as shm_plane
-from repro.fabric.migration import MigrationError, MigrationReport
 from repro.fabric.protocol import (
     DEFAULT_DEADLINES,
     FAULT_COUNTER_KEYS,
@@ -69,15 +68,7 @@ from repro.fabric.protocol import (
 )
 from repro.fabric.shard import ShardNode
 from repro.storage.docstore import Collection, DocumentStore
-from repro.storage.journal import (
-    CHECKPOINT_COLLECTION,
-    backing_store,
-    committed_checkpoint,
-    copy_stream_state,
-    fence_stream,
-    journaled_streams,
-    reset_stream,
-)
+from repro.video.synthesis import ObservationTable
 
 #: fallback wait when a command carries no deadline (direct
 #: ``_await_reply`` calls in tests; per-op deadlines from
@@ -168,24 +159,6 @@ def _store_delta(
         return None, drops
     blob = pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
     return codec.encode_blob(blob, sink), drops
-
-
-def _import_precheck(node: ShardNode, stream: str) -> None:
-    """Target-side migration guards (mirrors ``migrate_stream``'s)."""
-    marker = committed_checkpoint(node.store, stream)
-    if stream in journaled_streams(node.store) or (
-        marker is not None and not marker.get("fenced")
-    ):
-        raise MigrationError(
-            "target shard %r already holds durable state for stream %r; "
-            "wipe it with repro.storage.journal.reset_stream before "
-            "migrating onto it" % (node.shard_id, stream)
-        )
-    if stream in node.system.streams():
-        raise MigrationError(
-            "target shard %r is already serving stream %r"
-            % (node.shard_id, stream)
-        )
 
 
 def _arm_crash_after_journal(node: ShardNode, stream: str) -> None:
@@ -309,84 +282,33 @@ def _dispatch(
         return node.counters()
     if op == "metrics_snapshot":
         return node.metrics_snapshot()
-    # -- migration legs (parent-orchestrated; see migrate_stream_remote) --
+    # -- migration steps (decode -> the ShardNode step -> encode) --
     if op == "import_precheck":
-        _import_precheck(node, payload["stream"])
-        return None
+        return node.import_precheck(payload["stream"])
     if op == "migrate_out":
-        stream = payload["stream"]
-        handle = node.system.handle(stream)
-        ingestor = handle.ingestor
-        if ingestor is None or ingestor.journal is None:
-            raise MigrationError(
-                "stream %r is not a durable live session on shard %r; only "
-                "sessions opened with ShardNode.open_stream(durable=True) "
-                "carry the WAL state migration ships" % (stream, node.shard_id)
-            )
-        if backing_store(ingestor.journal.store) is not backing_store(node.store):
-            raise MigrationError(
-                "stream %r journals into a store that is not shard %r's own; "
-                "migration copies from the shard store, so the two must match"
-                % (stream, node.shard_id)
-            )
-        if payload.get("checkpoint", True):
-            node.system.checkpoint_outcomes(node.store, streams=[stream])
-        marker = committed_checkpoint(node.store, stream)
-        epoch = marker["epoch"] if marker else 0
-        committed_seq = marker["journal_seq"] if marker else -1
-        suffix = [
-            record
-            for record in ingestor.journal.records(after=committed_seq)
-            if record.kind == "chunk"
-        ]
+        epoch, replayed_chunks, config = node.migrate_out(
+            payload["stream"], checkpoint=payload["checkpoint"]
+        )
         return {
-            "epoch": int(epoch),
-            "replayed_chunks": len(suffix),
-            # deliberately NOT sunk: the parent forwards this envelope
-            # verbatim into the target's import_stream request, and the
-            # source's reply segment is unlinked at gather -- a shm
-            # descriptor here would dangle
-            "config": codec.encode_config(handle.config),
+            "epoch": epoch,
+            "replayed_chunks": replayed_chunks,
+            # inline, not sunk: the v4 reply shape, decoded client-side
+            "config": codec.encode_config(config),
         }
     if op == "import_stream":
-        stream = payload["stream"]
-        snapshot = payload["snapshot"]
-        if isinstance(snapshot, dict) and snapshot.get("kind") == "blob":
-            snapshot = pickle.loads(codec.decode_blob(snapshot, reader))
-        staging = DocumentStore.from_json_obj(snapshot)
-        target_marker = committed_checkpoint(node.store, stream)
-        _import_precheck(node, stream)
-        copy_stream_state(staging, node.store, stream)
-        config = codec.decode_config(payload.get("config"), reader)
-        try:
-            node.system.recover(
-                node.store,
-                streams=[stream],
-                configs={stream: config} if config is not None else None,
-            )
-        except BaseException:
-            # same failure contract as in-process migration: wipe the
-            # copy and put back the fence tombstone it replaced, so the
-            # source keeps serving and old zombies stay fenced
-            reset_stream(node.store, stream)
-            if target_marker is not None:
-                restored = {
-                    k: v for k, v in target_marker.items() if k != "_id"
-                }
-                node.store.collection(CHECKPOINT_COLLECTION).insert_one(restored)
-            raise
-        handle = node.system.handle(stream)
-        return {
-            "rows": len(handle.table),
-            "watermark_s": float(handle.watermark_s),
-        }
-    if op == "finish_migration":
-        stream = payload["stream"]
-        fence_epoch = fence_stream(
-            node.store, stream, migrated_to=payload["target_shard"]
+        staging = DocumentStore.from_json_obj(
+            pickle.loads(codec.decode_blob(payload["snapshot"], reader))
         )
-        node.system.close_stream(stream)
-        return {"fence_epoch": int(fence_epoch)}
+        config = codec.decode_config(payload["config"], reader)
+        return codec.encode_handle_info(
+            node.import_stream(payload["stream"], staging, config)
+        )
+    if op == "finish_migration":
+        return {
+            "fence_epoch": node.finish_migration(
+                payload["stream"], payload["target_shard"]
+            )
+        }
     # -- chaos hooks (tests only) --
     if op == "inject_crash_after_journal":
         _arm_crash_after_journal(node, payload["stream"])
@@ -680,11 +602,10 @@ class PendingReply:
 class ShardClient:
     """The ``ShardNode`` command surface, spoken over a worker's queues.
 
-    Duck-types every shard method the :class:`~repro.fabric.router.
-    FabricRouter` touches, so a router built over clients behaves
-    identically to one built over in-process nodes -- same placement,
-    same merges, same bit-identical answers -- while its scatter legs
-    run in genuinely parallel processes.  Lifecycle calls return
+    Implements :class:`~repro.fabric.shard.ShardLeg`, so a router or a
+    migration over clients behaves identically to one over in-process
+    nodes -- same placement, merges and bit-identical answers -- while
+    its scatter legs run in parallel processes.  Lifecycle calls return
     :class:`~repro.fabric.protocol.StreamHandleInfo` (live handles are
     worker-local).  ``store`` is the supervisor-side mirror: read it
     freely, never write it.
@@ -914,8 +835,10 @@ class ShardClient:
             "handle_info", {"stream": stream}, codec.decode_handle_info
         )
 
-    def open_stream(self, stream: str, **kwargs):
-        payload_kwargs = dict(kwargs)
+    def open_stream(
+        self, stream: str, durable: bool = True, wal_reset: bool = False, **kwargs
+    ):
+        payload_kwargs = dict(kwargs, durable=durable, wal_reset=wal_reset)
         sink = self._supervisor._request_sink()
         if "config" in payload_kwargs:
             payload_kwargs["config"] = codec.encode_config(
@@ -940,7 +863,7 @@ class ShardClient:
             payload_kwargs["config"] = codec.encode_config(
                 payload_kwargs["config"], sink
             )
-        if hasattr(stream, "observation_seeds"):  # an ObservationTable
+        if isinstance(stream, ObservationTable):
             payload["table"] = codec.encode_table(stream, sink)
             payload["stream"] = stream.stream
         else:
@@ -1035,6 +958,52 @@ class ShardClient:
             },
             sink=sink,
         )
+
+    def ensure_alive(self, configs=None) -> bool:
+        """Respawn the worker if it is dead or condemned.  False when
+        the crash-loop breaker is tripped or the respawn itself failed:
+        a retry would meet the same failure."""
+        try:
+            self._supervisor.ensure_alive(self.shard_id, configs=configs)
+        except (ShardFailed, WorkerCrashed, DeadlineExceeded):
+            return False
+        return True
+
+    # -- migration (the ShardNode steps of the same names) ---------------------
+    def import_precheck(self, stream: str) -> None:
+        self._call("import_precheck", {"stream": stream})
+
+    def migrate_out(self, stream: str, checkpoint: bool = True):
+        return self._call(
+            "migrate_out",
+            {"stream": stream, "checkpoint": checkpoint},
+            lambda value, reader=None: (
+                value["epoch"],
+                value["replayed_chunks"],
+                codec.decode_config(value["config"], reader),
+            ),
+        )
+
+    def import_stream(self, stream: str, staging_store: DocumentStore, config):
+        sink = self._supervisor._request_sink()
+        snapshot = pickle.dumps(
+            staging_store.to_json_obj(), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        return self._call(
+            "import_stream",
+            {
+                "stream": stream,
+                "snapshot": codec.encode_blob(snapshot, sink),
+                "config": codec.encode_config(config, sink),
+            },
+            codec.decode_handle_info,
+            sink=sink,
+        )
+
+    def finish_migration(self, stream: str, target_shard: str) -> int:
+        return self._call(
+            "finish_migration", {"stream": stream, "target_shard": target_shard}
+        )["fence_epoch"]
 
     # -- observability -------------------------------------------------------
     def cache_stats(self) -> Dict[str, float]:
@@ -1648,103 +1617,3 @@ class FabricWatchdog:
                     _emit_event("watchdog.respawn", shard=shard_id)
         finally:
             worker.lock.release()
-
-
-# ---------------------------------------------------------------------------
-# cross-process migration
-# ---------------------------------------------------------------------------
-
-def migrate_stream_remote(
-    source: ShardClient,
-    target: ShardClient,
-    stream: str,
-    checkpoint: bool = True,
-) -> MigrationReport:
-    """Move one live durable stream between two *worker* shards.
-
-    The parent orchestrates the same protocol as the in-process
-    :func:`~repro.fabric.migration.migrate_stream`, split into four
-    commands with the identical irreversibility order:
-
-    1. ``import_precheck`` (target): refuse before any source-side work
-       when the target already holds the stream's durable state.
-    2. ``migrate_out`` (source): guards, optional epoch-CAS checkpoint,
-       journal-suffix count, and the live config -- the source keeps
-       serving.  Its reply's delta lands the checkpoint in the source
-       mirror, from which the parent cuts the copy
-       (:func:`~repro.storage.journal.copy_stream_state` into a scratch
-       store -- exactly the collections the stream owns, plus its
-       checkpoint marker).
-    3. ``import_stream`` (target): install the copy and recover.  A
-       failure wipes the copy and restores the target's prior fence
-       tombstone *inside the worker*, then propagates -- the stream is
-       still owned and served by the source.
-    4. ``finish_migration`` (source): fence the source lineage one
-       epoch ahead and release the in-memory session.  Only now is the
-       move irreversible; a crash between 3 and 4 leaves both copies
-       durable but the source authoritative (its fence has not moved),
-       and the target's copy is wiped by the next precheck's guard
-       instruction.
-    """
-    if source.shard_id == target.shard_id:
-        raise MigrationError(
-            "stream %r already lives on shard %r" % (stream, target.shard_id)
-        )
-    _emit_event(
-        "migration.start",
-        shard=source.shard_id,
-        stream=stream,
-        target=target.shard_id,
-    )
-    target._call("import_precheck", {"stream": stream})
-    out = source._call(
-        "migrate_out", {"stream": stream, "checkpoint": checkpoint}
-    )
-    _emit_event(
-        "migration.exported",
-        shard=source.shard_id,
-        stream=stream,
-        epoch=int(out["epoch"]),
-        replayed_chunks=int(out["replayed_chunks"]),
-    )
-    scratch = DocumentStore()
-    copy_stream_state(source.store, scratch, stream)
-    sink = target._supervisor._request_sink()
-    snapshot = codec.encode_blob(
-        pickle.dumps(scratch.to_json_obj(), protocol=pickle.HIGHEST_PROTOCOL),
-        sink,
-    )
-    imported = target._call(
-        "import_stream",
-        {
-            "stream": stream,
-            "snapshot": snapshot,
-            "config": out["config"],
-        },
-        sink=sink,
-    )
-    _emit_event(
-        "migration.imported",
-        shard=target.shard_id,
-        stream=stream,
-        rows=int(imported["rows"]),
-    )
-    finished = source._call(
-        "finish_migration", {"stream": stream, "target_shard": target.shard_id}
-    )
-    _emit_event(
-        "migration.finished",
-        shard=target.shard_id,
-        stream=stream,
-        fence_epoch=int(finished["fence_epoch"]),
-    )
-    return MigrationReport(
-        stream=stream,
-        source_shard=source.shard_id,
-        target_shard=target.shard_id,
-        epoch=int(out["epoch"]),
-        fence_epoch=int(finished["fence_epoch"]),
-        replayed_chunks=int(out["replayed_chunks"]),
-        rows=int(imported["rows"]),
-        watermark_s=float(imported["watermark_s"]),
-    )

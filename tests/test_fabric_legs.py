@@ -1,0 +1,370 @@
+"""One suite for every kind -- and every pair -- of shard legs.
+
+``repro.fabric.shard.ShardLeg`` is the contract the router and the
+migration orchestrator are written against; ``ShardNode`` (in-process)
+and ``ShardClient`` (worker process) implement it.  This suite holds
+both to it: the two classes define every protocol member with the same
+parameter names, ``migrate_stream`` behaves identically over all four
+source/target kind pairs (same report, same events, answers
+bit-identical to a stream that never moved, same guard refusals, same
+failure contract), a router over a mixed fleet migrates in both
+directions, and a non-finite ``watermark_s`` is refused before the WAL
+write through every front end.
+"""
+
+import contextlib
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.core.system import FocusSystem
+from repro.fabric import (
+    FabricRouter,
+    FabricSupervisor,
+    MigrationError,
+    ShardClient,
+    ShardNode,
+    migrate_stream,
+)
+from repro.fabric.shard import ShardLeg
+from repro.obs.events import EventLog, default_events, set_default_events
+from repro.storage.docstore import DocumentStore
+from repro.storage.journal import JOURNAL_PREFIX, JournalCorruption, copy_stream_state
+from test_fabric import frame_aligned_chunks
+
+STREAM = "auburn_c"
+CLASSES = ("car", "pedestrian")
+KINDS = ["node", "worker"]
+PAIRS = [
+    ("node", "node"),
+    ("worker", "worker"),
+    ("node", "worker"),
+    ("worker", "node"),
+]
+
+
+@pytest.fixture(scope="module")
+def chunks(table_factory):
+    return frame_aligned_chunks(table_factory(STREAM, 30.0, 10.0), pieces=6)
+
+
+@contextlib.contextmanager
+def legs(*kinds, stores=None):
+    """One leg per kind, named ``leg-0``, ``leg-1``, ...; the worker
+    ones share a supervisor whose leak check runs on the way out.
+    ``stores`` seeds a leg's durable store (nothing is recovered)."""
+    ids = ["leg-%d" % i for i in range(len(kinds))]
+    stores = stores or {}
+    worker_ids = [sid for sid, kind in zip(ids, kinds) if kind == "worker"]
+    supervisor = (
+        FabricSupervisor(worker_ids, stores=stores) if worker_ids else None
+    )
+    try:
+        yield [
+            supervisor.client(sid)
+            if kind == "worker"
+            else ShardNode(sid, store=stores.get(sid))
+            for sid, kind in zip(ids, kinds)
+        ]
+    finally:
+        if supervisor is not None:
+            supervisor.shutdown()
+            assert supervisor.leaked_segments == []
+
+
+@contextlib.contextmanager
+def captured_events():
+    previous = default_events()
+    log = set_default_events(EventLog())
+    try:
+        yield log
+    finally:
+        set_default_events(previous)
+
+
+def open_live(leg, config, **kwargs):
+    leg.open_stream(
+        STREAM, fps=10.0, config=config, index_mode="materialized", **kwargs
+    )
+
+
+def assert_answers_like(leg, control):
+    """Frames and segment metrics bit-identical to the control's."""
+    for clazz in CLASSES:
+        moved, never_moved = leg.query(STREAM, clazz), control.query(STREAM, clazz)
+        np.testing.assert_array_equal(moved.frames, never_moved.frames)
+        assert moved.metrics == never_moved.metrics
+
+
+# ---------------------------------------------------------------------------
+# the contract
+# ---------------------------------------------------------------------------
+
+def protocol_members():
+    return sorted(
+        name
+        for name in set(vars(ShardLeg)) | set(ShardLeg.__annotations__)
+        if not name.startswith("_")
+    )
+
+
+def test_both_leg_kinds_define_every_protocol_member_alike():
+    members = protocol_members()
+    assert {"shard_id", "store", "append_submit", "ensure_alive",
+            "import_stream", "finish_migration"} <= set(members)
+    with legs("node", "worker") as (node, client):
+        assert isinstance(node, ShardNode) and isinstance(client, ShardClient)
+        for name in members:
+            assert hasattr(node, name), "ShardNode lacks %s" % name
+            assert hasattr(client, name), "ShardClient lacks %s" % name
+            declared = getattr(ShardLeg, name, None)
+            if not callable(declared):
+                continue  # a data member: presence is the contract
+            wanted = list(inspect.signature(declared).parameters)
+            for cls in (ShardNode, ShardClient):
+                have = list(inspect.signature(getattr(cls, name)).parameters)
+                assert have == wanted, "%s.%s%r != ShardLeg's %r" % (
+                    cls.__name__, name, have, wanted
+                )
+
+
+# ---------------------------------------------------------------------------
+# migration, every pair
+# ---------------------------------------------------------------------------
+
+def run_hops(source_kind, target_kind, chunks, config):
+    """There and back again, alternating with appends, checked against
+    a never-moved control after every step.  Returns the two reports
+    and the events the two migrations emitted."""
+    control = FocusSystem()
+    control.open_stream(STREAM, fps=10.0, config=config, index_mode="materialized")
+    with legs(source_kind, target_kind) as (source, target), captured_events() as log:
+        open_live(source, config)
+        holder, other = source, target
+        reports = []
+        for step, chunk in enumerate(chunks):
+            holder.append(STREAM, chunk)
+            control.append(STREAM, chunk)
+            if step in (1, 3):
+                reports.append(migrate_stream(holder, other, STREAM))
+                holder, other = other, holder
+                assert holder.streams() == [STREAM]
+                assert other.streams() == [] and other.fenced() == [STREAM]
+                assert_answers_like(holder, control)
+        assert_answers_like(holder, control)
+        info = holder.handle_info(STREAM)
+        assert info.live and info.rows == len(control.handle(STREAM).table)
+        assert info.watermark_s == control.handle(STREAM).watermark_s
+        return reports, [e for e in log.events() if e["kind"].startswith("migration.")]
+
+
+@pytest.fixture(scope="module")
+def reference_hops(chunks, live_config):
+    return run_hops("node", "node", chunks, live_config)
+
+
+@pytest.mark.parametrize("source_kind,target_kind", PAIRS)
+def test_migration_identical_over_every_leg_pair(
+    source_kind, target_kind, chunks, live_config, reference_hops
+):
+    reports, events = run_hops(source_kind, target_kind, chunks, live_config)
+    assert reports == reference_hops[0]  # same dataclass, every field
+    there, back = reports
+    assert (there.source_shard, there.target_shard) == ("leg-0", "leg-1")
+    assert (back.source_shard, back.target_shard) == ("leg-1", "leg-0")
+    assert there.rows < back.rows and there.fence_epoch == there.epoch + 1
+    # the four documented events per migration, in order, with their fields
+    assert [e["kind"] for e in events] == 2 * [
+        "migration.start",
+        "migration.exported",
+        "migration.imported",
+        "migration.finished",
+    ]
+    for report, (start, exported, imported, finished) in zip(
+        reports, (events[:4], events[4:])
+    ):
+        assert start["shard"] == exported["shard"] == report.source_shard
+        assert imported["shard"] == finished["shard"] == report.target_shard
+        assert start["target"] == report.target_shard
+        assert {e["stream"] for e in (start, exported, imported, finished)} == {STREAM}
+        assert exported["epoch"] == report.epoch
+        assert exported["replayed_chunks"] == report.replayed_chunks
+        assert imported["rows"] == report.rows
+        assert finished["fence_epoch"] == report.fence_epoch
+
+
+@pytest.mark.parametrize("source_kind,target_kind", PAIRS)
+def test_journal_suffix_replay_over_every_leg_pair(
+    source_kind, target_kind, chunks, live_config
+):
+    """checkpoint=False ships the last committed epoch plus the suffix."""
+    with legs(source_kind, target_kind) as (source, target):
+        open_live(source, live_config)
+        source.append(STREAM, chunks[0])
+        source.checkpoint(streams=[STREAM])
+        for chunk in chunks[1:3]:
+            source.append(STREAM, chunk)
+        report = migrate_stream(source, target, STREAM, checkpoint=False)
+        assert (report.epoch, report.replayed_chunks) == (1, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestGuardsOnBothKinds:
+    def test_non_durable_session_refused(self, kind, live_config):
+        with legs(kind, kind) as (source, target):
+            open_live(source, live_config, durable=False)
+            with pytest.raises(
+                MigrationError,
+                match="stream 'auburn_c' is not a durable live session on "
+                "shard 'leg-0'",
+            ):
+                migrate_stream(source, target, STREAM)
+            assert source.streams() == [STREAM]
+
+    def test_target_holding_durable_state_refused(self, kind, chunks, live_config):
+        # durable state for the stream in the target's store, not served
+        seed = ShardNode("seed")
+        open_live(seed, live_config)
+        seed.append(STREAM, chunks[0])
+        with legs(kind, kind, stores={"leg-1": seed.store}) as (source, target):
+            open_live(source, live_config)
+            source.append(STREAM, chunks[0])
+            assert target.streams() == []
+            with pytest.raises(
+                MigrationError,
+                match="target shard 'leg-1' already holds durable state for "
+                "stream 'auburn_c'",
+            ):
+                migrate_stream(source, target, STREAM)
+            assert source.streams() == [STREAM] and source.fenced() == []
+
+    def test_same_shard_refused(self, kind, live_config):
+        with legs(kind) as (only,):
+            open_live(only, live_config)
+            with pytest.raises(
+                MigrationError,
+                match="stream 'auburn_c' already lives on shard 'leg-0'",
+            ):
+                migrate_stream(only, only, STREAM)
+
+
+@pytest.mark.parametrize("source_kind,target_kind", PAIRS)
+def test_failed_recovery_onto_fenced_target_restores_its_fence(
+    source_kind, target_kind, chunks, live_config, monkeypatch
+):
+    """The failure contract of ``import_stream``, wherever the target
+    lives: migrating back onto a shard that holds a fence tombstone and
+    failing during recovery wipes the copy AND puts the fence back, and
+    the holder keeps serving.  (``test_fabric`` pins the in-process leg
+    by stubbing ``system.recover``; a worker's system cannot be stubbed
+    from here, so the copy is torn in flight instead.)"""
+    import repro.fabric.migration as migration
+
+    def torn_copy(source_store, staging, stream):
+        written = copy_stream_state(source_store, staging, stream)
+        journal = staging.collection(JOURNAL_PREFIX + stream)
+        last = max(journal.find(), key=lambda doc: doc["seq"])
+        journal.update_one(last["_id"], {"checksum": "torn"})
+        return written
+
+    with legs(source_kind, target_kind) as (first, second):
+        open_live(first, live_config)
+        first.append(STREAM, chunks[0])
+        migrate_stream(first, second, STREAM)  # first is now fenced
+        second.append(STREAM, chunks[1])
+        fence = dict(first.store.collection("checkpoints").find_one({"stream": STREAM}))
+        assert fence["fenced"]
+        before = second.query(STREAM, "car")
+        monkeypatch.setattr(migration, "copy_stream_state", torn_copy)
+        with pytest.raises(JournalCorruption, match="fails its checksum"):
+            migrate_stream(second, first, STREAM, checkpoint=False)
+        monkeypatch.undo()
+        # the fence survived (same epoch), the copy is gone, nothing serves there
+        restored = first.store.collection("checkpoints").find_one({"stream": STREAM})
+        assert {k: v for k, v in restored.items() if k != "_id"} == {
+            k: v for k, v in fence.items() if k != "_id"
+        }
+        assert first.fenced() == [STREAM] and first.streams() == []
+        assert JOURNAL_PREFIX + STREAM not in first.store.collection_names()
+        # the holder keeps serving, unfenced, and a clean retry succeeds
+        assert second.streams() == [STREAM] and second.fenced() == []
+        np.testing.assert_array_equal(second.query(STREAM, "car").frames, before.frames)
+        migrate_stream(second, first, STREAM)
+        assert first.streams() == [STREAM] and second.fenced() == [STREAM]
+        first.append(STREAM, chunks[2])
+
+
+# ---------------------------------------------------------------------------
+# a mixed fleet behind one router
+# ---------------------------------------------------------------------------
+
+def test_router_over_mixed_fleet_migrates_both_ways(chunks, live_config):
+    control = FocusSystem()
+    control.open_stream(STREAM, fps=10.0, config=live_config, index_mode="materialized")
+    with legs("worker", "node") as fleet:
+        router = FabricRouter(fleet)
+        router.open_stream(
+            STREAM, fps=10.0, config=live_config, index_mode="materialized"
+        )
+        seen = []
+        for chunk in chunks:
+            router.append(STREAM, chunk)
+            control.append(STREAM, chunk)
+            holder = router.placement.shard_of(STREAM)
+            other = next(sid for sid in router.shard_ids() if sid != holder)
+            report = router.migrate(STREAM, other)
+            assert (report.source_shard, report.target_shard) == (holder, other)
+            assert router.placement.shard_of(STREAM) == other
+            seen.append((type(router.shard(holder)), type(router.shard(other))))
+            for clazz in CLASSES:
+                moved = router.query_all(clazz).slices[STREAM]
+                never_moved = control.query_all(clazz).slices[STREAM]
+                np.testing.assert_array_equal(moved.frames, never_moved.frames)
+                assert moved.metrics == never_moved.metrics
+        assert {(ShardClient, ShardNode), (ShardNode, ShardClient)} == set(seen)
+
+
+# ---------------------------------------------------------------------------
+# non-finite watermarks never reach the WAL
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def front_end(kind):
+    """``(open_stream, append, state)`` of one front end; ``state()`` is
+    the journal's record count plus the stream's handle summary."""
+    if kind == "system":
+        system, store = FocusSystem(), DocumentStore()
+        view = ShardNode("view", store=store, system=system)
+        yield (
+            lambda **kw: system.open_stream(STREAM, wal_store=store, **kw),
+            system.append,
+            lambda: _state(view),
+        )
+        return
+    with legs("node" if kind == "router" else "worker") as (leg,):
+        router = FabricRouter([leg])
+        yield (
+            lambda **kw: router.open_stream(STREAM, **kw),
+            router.append,
+            lambda: _state(leg),
+        )
+
+
+def _state(leg):
+    return len(leg.store.collection(JOURNAL_PREFIX + STREAM)), leg.handle_info(STREAM)
+
+
+@pytest.mark.parametrize("kind", ["system", "router", "worker-router"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_watermark_refused_before_the_wal(kind, bad, chunks, live_config):
+    with front_end(kind) as (open_stream, append, state):
+        open_stream(fps=10.0, config=live_config, index_mode="materialized")
+        append(STREAM, chunks[0])
+        before = state()
+        with pytest.raises(ValueError, match="watermark_s must be a finite"):
+            append(STREAM, chunks[1], watermark_s=bad)
+        assert state() == before  # nothing journaled, handle untouched
+        # the session is unharmed: the same chunk goes in with a sane watermark
+        ahead = before[1].watermark_s + 60.0
+        assert append(STREAM, chunks[1], watermark_s=ahead).watermark_s == ahead

@@ -355,20 +355,6 @@ class TestWorkerFailureModes:
         with pytest.raises(ValueError, match="duplicate"):
             FabricSupervisor(["a", "a"])
 
-    def test_mixed_mode_migration_refused(self, live_config):
-        from repro.fabric.migration import MigrationError
-
-        with FabricSupervisor(["w0"]) as supervisor:
-            shards = [supervisor.client("w0"), ShardNode("n1")]
-            router = FabricRouter(shards)
-            router.open_stream(
-                "auburn_c", fps=10.0, config=live_config, durable=True
-            )
-            holder = router.placement.shard_of("auburn_c")
-            other = [s for s in ("w0", "n1") if s != holder][0]
-            with pytest.raises(MigrationError, match="fabric modes"):
-                router.migrate("auburn_c", other)
-
 
 class TestSupervisorLifecycle:
     def test_shutdown_is_idempotent_and_kills_workers(self):
