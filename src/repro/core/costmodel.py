@@ -29,8 +29,8 @@ class CostCategory(enum.Enum):
     BASELINE_QUERY = "baseline-query"    # Query-all's GT-CNN work
 
 
-#: every ledger category is a summable fleet counter (they ride
-#: ``cost_summary`` across the wire and the router sums them per key)
+#: every ledger category is a summable fleet counter (they ride a
+#: shard's ``cost`` section across the wire; the router sums per key)
 LEDGER_COUNTER_KEYS = register_counters(
     "sum", *(category.value for category in CostCategory)
 )

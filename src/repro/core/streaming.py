@@ -342,11 +342,20 @@ class StreamIngestor:
                 "chunk fps %.3f differs from the stream's %.3f"
                 % (chunk.fps, self.fps)
             )
-        if len(chunk) and float(chunk.time_s.min()) < self._last_time:
+        if not len(chunk):
+            return
+        first, last = float(chunk.time_s.min()), float(chunk.time_s.max())
+        if not (math.isfinite(first) and math.isfinite(last)):
+            # NaN compares False against everything, so the order check
+            # below would wave it through to the WAL
+            raise ValueError(
+                "chunk time_s must be finite stream times, got a range of "
+                "%r..%r" % (first, last)
+            )
+        if first < self._last_time:
             raise ValueError(
                 "chunks must arrive in stream order: chunk starts at "
-                "%.3fs but %.3fs was already ingested"
-                % (float(chunk.time_s.min()), self._last_time)
+                "%.3fs but %.3fs was already ingested" % (first, self._last_time)
             )
 
     def push(

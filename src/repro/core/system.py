@@ -146,8 +146,8 @@ class FocusSystem:
         self._streams: Dict[str, StreamHandle] = {}
         #: the system-wide metrics registry: scheduler dispatch, journal
         #: append, and checkpoint-commit latency histograms all record
-        #: here (``repro.obs.metrics``; surfaced per shard through
-        #: ``ShardNode.metrics_snapshot`` and the router's fleet merge)
+        #: here (``repro.obs.metrics``; surfaced per shard in the
+        #: ``metrics`` section of ``ShardNode.counters``)
         self.metrics = MetricsRegistry()
         self.service = QueryService(
             engines=self._live_engines,

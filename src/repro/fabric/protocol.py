@@ -15,6 +15,9 @@ The wire discipline between a :class:`~repro.fabric.worker.ShardClient`
   per shard and a client that pipelines N requests gathers N replies in
   submission order -- no reordering, no windowing.
 
+The op vocabulary is :data:`OP_DEADLINE_KINDS`; a shard's observability
+is one op in it, ``counters`` (its whole snapshot document).
+
 Version skew between a client and a worker (e.g. a supervisor restarted
 onto newer code while old workers linger) is refused up front: a worker
 rejects any request whose ``version`` is not its own
@@ -48,13 +51,14 @@ from repro.obs.metrics import register_counters
 #: payloads carry the QoS fields ``priority``/``deadline_s`` used for
 #: deadline-aware verification batch formation; v4: query-request
 #: payloads may carry an optional ``trace`` context, replies may carry
-#: worker-side ``spans``, and the ``metrics_snapshot`` control op
-#: returns the shard registry's histogram snapshot)
-PROTOCOL_VERSION = 4
+#: worker-side ``spans``; v5: the five per-section observability ops
+#: are gone; ``counters`` is the one snapshot op)
+PROTOCOL_VERSION = 5
 
-#: the client-side wire counters every shard surfaces through
-#: ``cost_summary`` (summable across shards; in-process ShardNodes
-#: report them as zeros so the two fabric modes stay key-compatible).
+#: the client-side wire counters every shard surfaces in the ``cost``
+#: section of its ``counters()`` document (summable across shards;
+#: in-process ShardNodes report them as zeros so the two fabric modes
+#: stay key-compatible).
 #: Registered into the shared kind registry (``COUNTER_KINDS``) here,
 #: the owning module.
 WIRE_COUNTER_KEYS = register_counters(
@@ -66,8 +70,8 @@ WIRE_COUNTER_KEYS = register_counters(
     "delta_skipped_readonly",
 )
 
-#: the fault-tolerance counters every shard surfaces through
-#: ``cost_summary`` (same key-parity rule as :data:`WIRE_COUNTER_KEYS`:
+#: the fault-tolerance counters every shard surfaces in the same
+#: section (same key-parity rule as :data:`WIRE_COUNTER_KEYS`:
 #: in-process ShardNodes report zeros).  ``worker_restarts`` and
 #: ``deadline_exceeded`` are tracked per shard by the supervisor;
 #: ``retries`` and ``partial_answers`` are router-side and land in the
@@ -93,12 +97,7 @@ OP_DEADLINE_KINDS: Dict[str, str] = {
     "live_streams": "control",
     "fenced": "control",
     "handle_info": "control",
-    "cache_stats": "control",
-    "serving_counters": "control",
-    "cost_summary": "control",
-    "journal_counters": "control",
     "counters": "control",
-    "metrics_snapshot": "control",
     "shutdown": "control",
     "inject_crash_after_journal": "control",
     "inject_crash_before_reply": "control",

@@ -18,6 +18,11 @@ called before any reply is gathered.  Two kinds of leg, in any mix:
 * :class:`~repro.fabric.worker.ShardClient` handles -- each shard is
   its own OS process, so shards ingest and verify in parallel.
 
+**Observability.**  Every surface (``cost_summary``, ``cache_stats``,
+``counters``, ``metrics_snapshot``, ``load_report``, ``gpu_depths``) is
+a view over one gather of the legs' ``counters()`` documents: one call,
+and over a worker leg one wire op, per shard.
+
 **Bit-identity.**  A stream's plan, verification verdicts, returned
 frames, and segment metrics are pure functions of that stream's own
 state -- sibling streams only share verification *batching*, which
@@ -50,6 +55,7 @@ from repro.obs.trace import finish_span, get_tracer, span, start_span
 from repro.serve.cache import VerificationCache
 from repro.serve.planner import QueryRequest
 from repro.serve.service import (
+    SERVING_COUNTER_KEYS,
     DegradedScope,
     MultiStreamAnswer,
     StreamCheckpoint,
@@ -715,34 +721,42 @@ class FabricRouter:
         return report
 
     # -- observability -------------------------------------------------------
+    def _gather_counters(self) -> Dict[str, Dict[str, object]]:
+        """Every shard's ``counters()`` document, one call per leg.  All
+        six public surfaces below are projections or merges of this."""
+        return {
+            sid: self._retry_leg(shard, shard.counters)
+            for sid, shard in sorted(self._shards.items())
+        }
+
+    def _metrics_view(self, docs) -> Dict[str, object]:
+        """``metrics_snapshot(per_shard=True)`` of gathered documents."""
+        per = {sid: doc["metrics"] for sid, doc in docs.items()}
+        total = MetricsRegistry.merge_snapshots(
+            [*per.values(), self.metrics.snapshot()]
+        )
+        return {"total": total, "per_shard": per}
+
     def cost_summary(self, per_shard: bool = False):
         """The fleet's merged cost/serving totals.
 
-        Every ``ShardNode.cost_summary`` key is a summable total
-        (GPU-seconds per ledger category, serving counters, journal
-        counters), so the fleet view is a per-key sum.  With
-        ``per_shard=True`` the answer is ``{"total": ..., "per_shard":
-        {shard_id: ...}}`` -- the breakdown operators page shards with.
+        Every key of a shard's ``cost`` section is a summable total
+        (GPU-seconds per ledger category, serving counters, journal,
+        wire and fault counters), so the fleet view is a per-key sum.
+        With ``per_shard=True`` the answer is ``{"total": ...,
+        "per_shard": {shard_id: ...}, "histograms": ...}`` -- the
+        breakdown operators page shards with.
         """
-        per = {
-            sid: self._retry_leg(
-                self.shard(sid), lambda sid=sid: self.shard(sid).cost_summary()
-            )
-            for sid in self.shard_ids()
-        }
-        total: Dict[str, float] = {}
-        for summary in per.values():
-            for key, value in summary.items():
-                total[key] = total.get(key, 0.0) + float(value)
+        docs = self._gather_counters()
+        per = {sid: doc["cost"] for sid, doc in docs.items()}
         # router-side incidents (fleet-scoped, not attributable to one
         # shard) land in the total on top of the shards' zeros
-        for key, value in self._fault_counters.items():
-            total[key] = total.get(key, 0.0) + float(value)
+        total = merge_counters([*per.values(), self._fault_counters])
         if per_shard:
             # histograms ride as a sibling section: "total"/"per_shard"
             # stay flat float dicts (summable totals, the shape the
             # fleet-sum invariant is tested against)
-            snaps = self.metrics_snapshot(per_shard=True)
+            snaps = self._metrics_view(docs)
             return {
                 "total": total,
                 "per_shard": per,
@@ -763,12 +777,7 @@ class FabricRouter:
         across shards; the hit rate is recomputed from the merged
         totals (:meth:`VerificationCache.merge_stats`).
         """
-        per = {
-            sid: self._retry_leg(
-                self.shard(sid), lambda sid=sid: self.shard(sid).cache_stats()
-            )
-            for sid in self.shard_ids()
-        }
+        per = {sid: doc["cache"] for sid, doc in self._gather_counters().items()}
         total = VerificationCache.merge_stats(per.values())
         if per_shard:
             return {"total": total, "per_shard": per}
@@ -779,11 +788,8 @@ class FabricRouter:
         summed under their declared semantics)."""
         return merge_counters(
             [
-                self._retry_leg(
-                    self.shard(sid),
-                    lambda sid=sid: self.shard(sid).serving_counters(),
-                )
-                for sid in self.shard_ids()
+                {key: doc["cost"][key] for key in SERVING_COUNTER_KEYS}
+                for doc in self._gather_counters().values()
             ]
         )
 
@@ -798,49 +804,26 @@ class FabricRouter:
         ``per_shard=True`` the answer also carries the raw per-shard
         snapshots.
         """
-        per = {
-            sid: self._retry_leg(
-                self.shard(sid),
-                lambda sid=sid: self.shard(sid).metrics_snapshot(),
-            )
-            for sid in self.shard_ids()
-        }
-        total = MetricsRegistry.merge_snapshots(
-            list(per.values()) + [self.metrics.snapshot()]
-        )
-        if per_shard:
-            return {"total": total, "per_shard": per}
-        return total
+        view = self._metrics_view(self._gather_counters())
+        return view if per_shard else view["total"]
 
     def load_report(self) -> Dict[str, Dict[str, float]]:
         """Per-shard load snapshot -- the rebalancer's input signal.
 
-        One flat float dict per shard, built from the shard's counters
-        and its metrics registry: placement weight (streams), committed
-        GPU work and queue depth, and the count/p95 of its dispatch and
-        journal-append histograms.  Identical over both fabric modes
-        (the worker fabric serves ``metrics_snapshot`` as a wire op).
+        One flat float dict per shard: placement weight (streams),
+        committed GPU work and queue depth, and the count/p95 of its
+        dispatch and journal-append histograms.
         """
         report: Dict[str, Dict[str, float]] = {}
-        for sid in self.shard_ids():
-            shard = self.shard(sid)
-            counters = self._retry_leg(
-                shard, lambda shard=shard: shard.counters()
-            )
-            summaries = MetricsRegistry.summarize(
-                self._retry_leg(
-                    shard, lambda shard=shard: shard.metrics_snapshot()
-                )
-            )
+        for sid, doc in self._gather_counters().items():
+            summaries = MetricsRegistry.summarize(doc["metrics"])
             dispatch = summaries.get("scheduler.dispatch_s", {})
             append = summaries.get("journal.append_s", {})
             report[sid] = {
-                "streams": float(counters["streams"]),
-                "live_streams": float(counters["live-streams"]),
-                "busy_gpu_seconds": float(
-                    counters["gpu"]["busy-gpu-seconds"]
-                ),
-                "gpu_queue_depth": float(counters["gpu"]["queue-depth"]),
+                "streams": float(doc["streams"]),
+                "live_streams": float(doc["live-streams"]),
+                "busy_gpu_seconds": float(doc["gpu"]["busy-gpu-seconds"]),
+                "gpu_queue_depth": float(doc["gpu"]["queue-depth"]),
                 "dispatches": float(dispatch.get("count", 0.0)),
                 "dispatch_p95_s": float(dispatch.get("p95_s", 0.0)),
                 "journal_appends": float(append.get("count", 0.0)),
@@ -859,13 +842,6 @@ class FabricRouter:
         per admission).
         """
         return {
-            sid: float(
-                self._retry_leg(
-                    self.shard(sid),
-                    lambda sid=sid: self.shard(sid).counters()["gpu"][
-                        "busy-gpu-seconds"
-                    ],
-                )
-            )
-            for sid in self.shard_ids()
+            sid: float(doc["gpu"]["busy-gpu-seconds"])
+            for sid, doc in self._gather_counters().items()
         }

@@ -16,6 +16,10 @@ against.  :class:`ShardNode` implements it here, and
 :class:`~repro.fabric.worker.ShardClient` implements it by speaking
 the same verbs to a ``ShardNode`` in a worker process; no caller can
 tell the two apart.  The four migration steps are written once, here.
+
+Observability is one member, ``counters()``: the shard's whole snapshot
+in one document, which every router surface is a view over
+(``docs/OBSERVABILITY.md``, "Snapshot surfaces").
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from repro.storage.journal import (
 from repro.obs.metrics import register_counters
 from repro.video.synthesis import ObservationTable
 
-#: WAL totals every shard publishes in ``cost_summary`` (summable
-#: across shards, like everything else in that document)
+#: WAL totals every shard publishes in its ``cost`` section (summable
+#: across shards, like everything else in that section)
 JOURNAL_COUNTER_KEYS = register_counters(
     "sum", "journal-appends", "journal-records"
 )
@@ -87,10 +91,7 @@ class ShardLeg(Protocol):
     def migrate_out(self, stream, checkpoint=True) -> Tuple[int, int, FocusConfig]: ...
     def import_stream(self, stream, staging_store, config) -> StreamHandleInfo: ...
     def finish_migration(self, stream, target_shard) -> int: ...
-    def cost_summary(self) -> Dict[str, float]: ...
-    def cache_stats(self) -> Dict[str, float]: ...
-    def serving_counters(self) -> Dict[str, float]: ...
-    def metrics_snapshot(self) -> Dict[str, object]: ...
+    # the one observability member: the shard's whole snapshot
     def counters(self) -> Dict[str, object]: ...
 
 
@@ -234,15 +235,6 @@ class ShardNode:
     def query_batch_submit(self, requests) -> CompletedReply:
         return CompletedReply(self.query_batch(requests))
 
-    def cache_stats(self) -> Dict[str, float]:
-        """This shard's verification-cache statistics."""
-        return self.system.service.cache_stats()
-
-    def serving_counters(self) -> Dict[str, float]:
-        """This shard's ``QueryService.counters()`` (every key classified
-        in :data:`~repro.serve.service.COUNTER_KINDS` for fleet merges)."""
-        return self.system.service.counters()
-
     # -- durability ----------------------------------------------------------
     def checkpoint(
         self,
@@ -377,10 +369,17 @@ class ShardNode:
         return fenced_streams(self.store)
 
     # -- observability -------------------------------------------------------
-    def journal_counters(self) -> Dict[str, float]:
-        """This shard's WAL totals: appends by its live sessions plus
-        records currently resident in its journal collections (both
-        summable across shards)."""
+    def counters(self) -> Dict[str, object]:
+        """The shard's whole observability snapshot, one document.
+
+        ``cost`` is ``FocusSystem.cost_summary`` (GPU-seconds per ledger
+        category plus the serving counters) and this shard's WAL totals:
+        appends by its live sessions and records resident in its journal
+        collections.  Every ``cost`` key is a summable total, so the
+        router's fleet view is a plain per-key sum.  ``metrics`` is the
+        registry snapshot, histograms in their mergeable wire encoding
+        (``repro.obs.metrics``).
+        """
         appends = 0
         for name in self.streams():
             ingestor = self.system.handle(name).ingestor
@@ -391,45 +390,20 @@ class ShardNode:
             for name in self.store.collection_names()
             if name.startswith(JOURNAL_PREFIX)
         )
-        return {
-            "journal-appends": float(appends),
-            "journal-records": float(resident),
-        }
-
-    def cost_summary(self) -> Dict[str, float]:
-        """``FocusSystem.cost_summary`` plus this shard's WAL counters.
-
-        Every key is a summable total, so the router's fleet view is a
-        plain per-key sum of the shards'.
-        """
-        out = self.system.cost_summary()
-        out.update(self.journal_counters())
-        # in-process shards have no wire and no worker to crash: report
-        # the data-plane and fault counters as zeros so both fabric
-        # modes stay key-compatible and the router's per-key sum never
-        # KeyErrors on a mixed fleet
-        out.update({key: 0.0 for key in WIRE_COUNTER_KEYS})
-        out.update({key: 0.0 for key in FAULT_COUNTER_KEYS})
-        return out
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """This shard's metrics-registry snapshot (histograms in their
-        mergeable wire encoding -- ``repro.obs.metrics``).
-
-        Part of the shard command surface: the worker fabric serves the
-        same shape over the wire (``metrics_snapshot`` control op), so
-        ``FabricRouter.metrics_snapshot``/``load_report`` read one
-        contract from both fabric modes.
-        """
-        return self.system.metrics.snapshot()
-
-    def counters(self) -> Dict[str, object]:
-        """The shard's full observability snapshot (per-shard view)."""
+        cost = self.system.cost_summary()
+        cost["journal-appends"] = float(appends)
+        cost["journal-records"] = float(resident)
+        # an in-process shard has no wire and no worker to crash: zeros,
+        # so both leg kinds publish the same keys and the router's
+        # per-key sum never KeyErrors on a mixed fleet
+        # (``ShardClient.counters`` adds the real values on its side)
+        cost.update(dict.fromkeys(WIRE_COUNTER_KEYS + FAULT_COUNTER_KEYS, 0.0))
         return {
             "shard": self.shard_id,
             "streams": float(len(self.streams())),
             "live-streams": float(len(self.live_streams())),
-            "cost": self.cost_summary(),
+            "cost": cost,
             "cache": self.system.service.cache_stats(),
             "gpu": self.system.cluster.counters(),
+            "metrics": self.system.metrics.snapshot(),
         }

@@ -17,7 +17,9 @@ command protocol of ``repro.fabric.protocol``/``codec``:
   the queues.  Commands can be pipelined (``*_submit`` returning a
   :class:`PendingReply`); a worker executes strictly in order, so
   replies gather FIFO and per-stream ordering is preserved while
-  different shards' legs genuinely run concurrently.
+  different shards' legs genuinely run concurrently.  Its ``counters()``
+  is the one place the supervisor-side wire and fault ledgers join the
+  shard's snapshot document.
 * :class:`FabricSupervisor` -- spawns/joins/restarts the workers.  A
   restart reseeds the worker from the supervisor's mirror and replays
   the WAL via ``ShardNode.recover``: because deltas only land with
@@ -53,7 +55,6 @@ from repro.obs.trace import SpanSink, get_sink, install_sink, span
 from repro.fabric import shm as shm_plane
 from repro.fabric.protocol import (
     DEFAULT_DEADLINES,
-    FAULT_COUNTER_KEYS,
     PROTOCOL_VERSION,
     WIRE_COUNTER_KEYS,
     DeadlineExceeded,
@@ -96,12 +97,7 @@ READONLY_OPS = frozenset(
         "handle_info",
         "query",
         "query_batch",
-        "cache_stats",
-        "serving_counters",
-        "cost_summary",
-        "journal_counters",
         "counters",
-        "metrics_snapshot",
     }
 )
 
@@ -270,18 +266,8 @@ def _dispatch(
             streams=payload.get("streams"),
             configs=codec.decode_config(payload.get("configs"), reader),
         )
-    if op == "cache_stats":
-        return node.cache_stats()
-    if op == "serving_counters":
-        return node.serving_counters()
-    if op == "cost_summary":
-        return node.cost_summary()
-    if op == "journal_counters":
-        return node.journal_counters()
     if op == "counters":
         return node.counters()
-    if op == "metrics_snapshot":
-        return node.metrics_snapshot()
     # -- migration steps (decode -> the ShardNode step -> encode) --
     if op == "import_precheck":
         return node.import_precheck(payload["stream"])
@@ -1006,38 +992,20 @@ class ShardClient:
         )["fence_epoch"]
 
     # -- observability -------------------------------------------------------
-    def cache_stats(self) -> Dict[str, float]:
-        return self._call("cache_stats", {})
-
-    def serving_counters(self) -> Dict[str, float]:
-        return self._call("serving_counters", {})
-
-    def cost_summary(self) -> Dict[str, float]:
-        out = dict(self._call("cost_summary", {}))
-        worker = self._worker()
-        for key in WIRE_COUNTER_KEYS:
-            out[key] = float(out.get(key, 0.0)) + float(worker.wire[key])
-        for key in FAULT_COUNTER_KEYS:
-            # the shard reports zeros (key parity with ShardNode); the
-            # supervisor-side fault ledger fills in the real values.
-            # Router-side keys (retries/partial_answers) stay zero here
-            # and land in FabricRouter.cost_summary's fleet total.
-            out[key] = float(out.get(key, 0.0)) + float(
-                worker.faults.get(key, 0.0)
-            )
-        return out
-
-    def journal_counters(self) -> Dict[str, float]:
-        return self._call("journal_counters", {})
-
     def counters(self) -> Dict[str, Any]:
-        return self._call("counters", {})
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The worker shard's metrics-registry snapshot (same shape as
-        ``ShardNode.metrics_snapshot``: histograms in their mergeable
-        wire encoding)."""
-        return self._call("metrics_snapshot", {})
+        """The worker shard's ``ShardNode.counters`` document, with the
+        supervisor-side ledgers folded into ``cost``: the shard reports
+        zeros for the wire and fault keys (it sees neither its own wire
+        nor its own crashes), and this is the one place the real values
+        are added.  Router-side fault keys (``retries`` /
+        ``partial_answers``) stay zero here and land in
+        ``FabricRouter.cost_summary``'s fleet total."""
+        doc = self._call("counters", {})
+        worker = self._worker()
+        for ledger in (worker.wire, worker.faults):
+            for key, value in ledger.items():
+                doc["cost"][key] += value
+        return doc
 
     def ping(self, deadline_s: Optional[float] = None) -> None:
         """Liveness probe.  ``deadline_s`` overrides the control-kind

@@ -63,7 +63,8 @@ from repro.video.classes import class_name
 #: module imports.
 COUNTER_KINDS: Dict[str, str] = counter_kinds()
 
-register_counters(
+#: the keys of :meth:`QueryService.counters`
+SERVING_COUNTER_KEYS = register_counters(
     "sum",
     "verification-cache-hits",
     "verification-cache-misses",

@@ -8,8 +8,8 @@ parameter names, ``migrate_stream`` behaves identically over all four
 source/target kind pairs (same report, same events, answers
 bit-identical to a stream that never moved, same guard refusals, same
 failure contract), a router over a mixed fleet migrates in both
-directions, and a non-finite ``watermark_s`` is refused before the WAL
-write through every front end.
+directions, and a non-finite ``watermark_s`` or chunk ``time_s`` is
+refused before the WAL write through every front end.
 """
 
 import contextlib
@@ -326,7 +326,7 @@ def test_router_over_mixed_fleet_migrates_both_ways(chunks, live_config):
 
 
 # ---------------------------------------------------------------------------
-# non-finite watermarks never reach the WAL
+# non-finite stream times (a watermark, a chunk's time_s) never reach the WAL
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -355,15 +355,27 @@ def _state(leg):
     return len(leg.store.collection(JOURNAL_PREFIX + STREAM)), leg.handle_info(STREAM)
 
 
+def _with_last_time(chunk, value):
+    """``chunk`` with its last observation's ``time_s`` replaced."""
+    bad = chunk.slice(0, len(chunk))
+    bad.time_s = bad.time_s.copy()
+    bad.time_s[-1] = value
+    return bad
+
+
 @pytest.mark.parametrize("kind", ["system", "router", "worker-router"])
+@pytest.mark.parametrize("field", ["watermark_s", "time_s"])
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-def test_non_finite_watermark_refused_before_the_wal(kind, bad, chunks, live_config):
+def test_non_finite_time_refused_before_the_wal(kind, field, bad, chunks, live_config):
     with front_end(kind) as (open_stream, append, state):
         open_stream(fps=10.0, config=live_config, index_mode="materialized")
         append(STREAM, chunks[0])
         before = state()
-        with pytest.raises(ValueError, match="watermark_s must be a finite"):
-            append(STREAM, chunks[1], watermark_s=bad)
+        with pytest.raises(ValueError, match="%s must be.* finite" % field):
+            if field == "watermark_s":
+                append(STREAM, chunks[1], watermark_s=bad)
+            else:
+                append(STREAM, _with_last_time(chunks[1], bad))
         assert state() == before  # nothing journaled, handle untouched
         # the session is unharmed: the same chunk goes in with a sane watermark
         ahead = before[1].watermark_s + 60.0

@@ -27,6 +27,7 @@ from repro.fabric import (
     WorkerCrashed,
 )
 from repro.fabric.protocol import PROTOCOL_VERSION, Request
+from repro.fabric.shard import JOURNAL_COUNTER_KEYS
 from repro.serve.planner import QueryRequest
 from test_fabric import (
     FABRIC_STREAMS,
@@ -222,10 +223,10 @@ class TestModeEquivalence:
         assert fabrics.remote.checkpoint() == fabrics.local.checkpoint()
         # and the WAL footprint matches shard by shard
         for sid in fabrics.remote.shard_ids():
-            assert (
-                fabrics.remote.shard(sid).journal_counters()
-                == fabrics.local.shard(sid).journal_counters()
-            )
+            remote_cost = fabrics.remote.shard(sid).counters()["cost"]
+            local_cost = fabrics.local.shard(sid).counters()["cost"]
+            for key in JOURNAL_COUNTER_KEYS:
+                assert remote_cost[key] == local_cost[key]
 
     def test_migrate_equivalent(self, fabrics):
         """Moves the first stream to its non-owning shard in *both*
@@ -419,18 +420,18 @@ class TestDataPlane:
                 name: mirror.collection(name).fingerprint()
                 for name in mirror.collection_names()
             }
-            baseline = client.cost_summary()
+            baseline = client.counters()["cost"]
             queries = 0
             for _ in range(3):
                 client.query("jacksonh", 1)
                 client.query("jacksonh", 2, kx=2, time_range=(0.0, 10.0))
                 client.handle_info("jacksonh")
                 queries += 3
-            after = client.cost_summary()
+            after = client.counters()["cost"]
             assert (
                 after["delta_docs_shipped"] == baseline["delta_docs_shipped"]
             )
-            # every query + the two cost_summary reads counted as skips
+            # every query + the two counters() reads counted as skips
             assert (
                 after["delta_skipped_readonly"]
                 >= baseline["delta_skipped_readonly"] + queries

@@ -102,7 +102,7 @@ class TestDeadlines:
     def test_stalled_worker_trips_deadline_then_heals(self):
         """The tentpole sequence: stall -> DeadlineExceeded (well before
         the stall ends) -> condemned -> ensure_alive respawns -> healthy,
-        with both fault counters visible in cost_summary."""
+        with both fault counters visible in the leg's cost section."""
         with FabricSupervisor(
             ["solo"], use_shm=False, deadlines={"control": 0.75}
         ) as supervisor:
@@ -125,7 +125,7 @@ class TestDeadlines:
             client.ping()
             assert supervisor.healthy("solo")
             assert supervisor.health("solo")["consecutive_failures"] == 0
-            costs = client.cost_summary()
+            costs = client.counters()["cost"]
             assert costs["deadline_exceeded"] == 1.0
             assert costs["worker_restarts"] == 1.0
 
@@ -149,7 +149,7 @@ class TestDeadlines:
             client.ping()
             assert client.streams() == []
             assert supervisor.healthy("solo")
-            costs = client.cost_summary()
+            costs = client.counters()["cost"]
             assert costs["deadline_exceeded"] == 0.0
             assert costs["worker_restarts"] == 0.0
 
@@ -269,7 +269,7 @@ class TestWatchdog:
             solo.client.query("jacksonh", 1),
             solo.reference.query("jacksonh", 1),
         )
-        assert solo.client.cost_summary()["deadline_exceeded"] >= 1.0
+        assert solo.client.counters()["cost"]["deadline_exceeded"] >= 1.0
 
     @pytest.mark.parametrize("index_mode", ["lazy"])
     def test_start_watchdog_idempotent(self, solo, index_mode):
@@ -625,7 +625,7 @@ class TestFaultObservability:
             assert COUNTER_KINDS[key] == "sum"
 
     def test_in_process_shard_reports_zeroed_fault_keys(self):
-        costs = ShardNode("solo").cost_summary()
+        costs = ShardNode("solo").counters()["cost"]
         for key in FAULT_COUNTER_KEYS:
             assert costs[key] == 0.0
 

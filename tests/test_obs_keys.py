@@ -1,13 +1,15 @@
 """Observability integration: key parity, tracing identity, stitching.
 
-Three contracts the obs layer makes to operators:
+Four contracts the obs layer makes to operators:
 
-* **Key parity** -- every counter/histogram key published by any
-  snapshot surface (``ShardNode.counters``, ``ShardClient`` over the
-  wire, ``FabricRouter.metrics_snapshot``/``load_report``,
-  ``FrontDoor.metrics_snapshot``) is declared in the single kind
-  registry, is identical between the in-process and worker-process
-  fabrics, and survives a worker restart.
+* **Key parity** -- a shard leg answers one observability question,
+  ``counters()``; its document has the same sections and keys from a
+  ``ShardNode`` and from a ``ShardClient`` over the wire, every ``cost``
+  key is declared in the single kind registry, and the keys survive a
+  worker restart.
+* **One snapshot** -- every ``FabricRouter`` surface is a view over one
+  gather of those documents: one wire op per worker leg, and the
+  per-shard cost breakdown is the leg's own ``cost`` section.
 * **Tracing identity** -- enabling tracing (even at 100% sampling) is
   invisible to answers: bit-identical frames and segment metrics in
   both index modes and both fabric modes.
@@ -19,7 +21,7 @@ Three contracts the obs layer makes to operators:
 import pytest
 
 from repro.core.costmodel import LEDGER_COUNTER_KEYS
-from repro.fabric import FabricRouter, FabricSupervisor
+from repro.fabric import FabricRouter, FabricSupervisor, ShardClient
 from repro.fabric.protocol import FAULT_COUNTER_KEYS, WIRE_COUNTER_KEYS
 from repro.fabric.shard import JOURNAL_COUNTER_KEYS
 from repro.obs.metrics import counter_kinds, kind_registry
@@ -46,6 +48,11 @@ from test_fabric import (
 
 #: every registry snapshot has exactly these sections, on every surface
 SNAPSHOT_SECTIONS = {"counters", "gauges", "histograms"}
+
+#: the one per-shard document both leg kinds answer ``counters()`` with
+DOCUMENT_SECTIONS = {
+    "shard", "streams", "live-streams", "cost", "cache", "gpu", "metrics"
+}
 
 #: the per-shard flat keys FabricRouter.load_report promises the
 #: rebalancer (docs/OBSERVABILITY.md)
@@ -132,27 +139,28 @@ class TestKeyParity:
     def test_inproc_vs_worker_key_parity(
         self, fabric_tables, live_config, worker_fabric
     ):
-        """Both fabric modes publish the same keys from every surface."""
+        """A node and a client answer ``counters()`` with the same
+        sections and the same keys in each: the one document every
+        router surface is a view over."""
         inproc = build_fabric(fabric_tables, live_config, "materialized")
         _, remote = worker_fabric
         inproc.query_all("car")
         remote.query_all("car")
 
         for shard_id in inproc.shard_ids():
-            node, client = inproc.shard(shard_id), remote.shard(shard_id)
-            # the full per-shard counters document, shape and key sets
-            nc, cc = node.counters(), client.counters()
-            assert set(nc) == set(cc)
-            # cost keys match across modes and are all registered
-            # (ledger categories appear as they are observed, so the
-            # registry is the superset, not an exact match)
-            assert set(nc["cost"]) == set(cc["cost"]) <= set(COUNTER_KINDS)
-            assert set(nc["cache"]) == set(cc["cache"]) == set(STAT_KINDS)
-            assert set(nc["gpu"]) == set(cc["gpu"])
-            # the registry snapshot: same sections, same histogram names
-            ns, cs = node.metrics_snapshot(), client.metrics_snapshot()
-            assert set(ns) == set(cs) == SNAPSHOT_SECTIONS
-            assert set(ns["histograms"]) == set(cs["histograms"])
+            nc = inproc.shard(shard_id).counters()
+            cc = remote.shard(shard_id).counters()
+            assert set(nc) == set(cc) == DOCUMENT_SECTIONS
+            for section in ("cost", "cache", "gpu", "metrics"):
+                assert set(nc[section]) == set(cc[section]), section
+            # ledger categories appear as they are observed, so the
+            # registry is the superset, not an exact match
+            assert set(nc["cost"]) <= set(COUNTER_KINDS)
+            assert set(nc["cache"]) == set(STAT_KINDS)
+            assert set(nc["metrics"]) == SNAPSHOT_SECTIONS
+            assert set(nc["metrics"]["histograms"]) == set(
+                cc["metrics"]["histograms"]
+            )
 
         for router in (inproc, remote):
             snap = router.metrics_snapshot(per_shard=True)
@@ -190,10 +198,8 @@ class TestRestartKeyParity:
     ):
         supervisor, router = worker_fabric
         router.query_all("car")  # populate the query-side ledger keys
-        client = supervisor.client("shard-0")
-        before_cost = set(client.cost_summary())
-        before_hists = set(client.metrics_snapshot()["histograms"])
-        assert before_cost <= set(COUNTER_KINDS)
+        before = supervisor.client("shard-0").counters()
+        assert set(before["cost"]) <= set(COUNTER_KINDS)
 
         recovered = supervisor.restart(
             "shard-0",
@@ -202,20 +208,86 @@ class TestRestartKeyParity:
         assert recovered  # the shard owned at least one stream
         router.query_all("car")  # replay re-ingested; re-observe queries
 
-        fresh = supervisor.client("shard-0")
-        after = fresh.cost_summary()
-        assert set(after) == before_cost
-        assert after["worker_restarts"] >= 1.0
-        snap = fresh.metrics_snapshot()
-        assert set(snap) == SNAPSHOT_SECTIONS
+        after = supervisor.client("shard-0").counters()
+        assert set(after) == set(before) == DOCUMENT_SECTIONS
+        for section in ("cost", "cache", "gpu"):
+            assert set(after[section]) == set(before[section]), section
+        assert after["cost"]["worker_restarts"] >= 1.0
+        assert set(after["metrics"]) == SNAPSHOT_SECTIONS
         # the fresh worker re-observes histograms as it serves: the
         # post-restart query re-populates the dispatch timings, while
         # journal.append_s waits for the next live append (recovery
         # *reads* the WAL, it never appends) -- so the name set can
         # only shrink to a subset, never grow unregistered names
-        assert set(snap["histograms"]) <= before_hists
-        assert "scheduler.dispatch_s" in snap["histograms"]
+        assert set(after["metrics"]["histograms"]) <= set(
+            before["metrics"]["histograms"]
+        )
+        assert "scheduler.dispatch_s" in after["metrics"]["histograms"]
         assert set(router.cost_summary()) <= set(COUNTER_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# one snapshot per leg
+# ---------------------------------------------------------------------------
+
+#: the six router surfaces (``cost_summary`` in both its shapes), each a
+#: view over one ``counters()`` gather
+ROUTER_SURFACES = {
+    "cost_summary": lambda r: r.cost_summary(),
+    "cost_summary(per_shard)": lambda r: r.cost_summary(per_shard=True),
+    "cache_stats": lambda r: r.cache_stats(per_shard=True),
+    "counters": lambda r: r.counters(),
+    "metrics_snapshot": lambda r: r.metrics_snapshot(per_shard=True),
+    "load_report": lambda r: r.load_report(),
+    "gpu_depths": lambda r: r.gpu_depths(),
+}
+
+
+class TestOneSnapshot:
+    def test_per_shard_cost_is_the_legs_cost_section(
+        self, worker_fabric, monkeypatch
+    ):
+        """The router's per-shard breakdown *is* each leg's ``cost``
+        section, wire and fault ledgers included (a worker leg's
+        ``counters()["cost"]`` used to read zeros there)."""
+        _, router = worker_fabric
+        answered = {}
+        leg_counters = ShardClient.counters
+
+        def recording(client):
+            answered[client.shard_id] = leg_counters(client)
+            return answered[client.shard_id]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ShardClient, "counters", recording)
+            per_shard = router.cost_summary(per_shard=True)["per_shard"]
+        for sid in router.shard_ids():
+            assert per_shard[sid] == answered[sid]["cost"]
+            assert per_shard[sid]["wire_bytes_sent"] > 0
+            # asking again costs wire (the observer is on the ledger);
+            # nothing else in the section moves
+            again = router.shard(sid).counters()["cost"]
+            for key, value in per_shard[sid].items():
+                if key in WIRE_COUNTER_KEYS:
+                    assert again[key] >= value
+                else:
+                    assert again[key] == value, key
+
+    @pytest.mark.parametrize("surface", sorted(ROUTER_SURFACES))
+    def test_each_router_surface_is_one_wire_op_per_leg(
+        self, worker_fabric, monkeypatch, surface
+    ):
+        _, router = worker_fabric
+        ops = []
+        call = ShardClient._call
+
+        def counting(client, op, *args, **kwargs):
+            ops.append((client.shard_id, op))
+            return call(client, op, *args, **kwargs)
+
+        monkeypatch.setattr(ShardClient, "_call", counting)
+        ROUTER_SURFACES[surface](router)
+        assert sorted(ops) == [(sid, "counters") for sid in router.shard_ids()]
 
 
 # ---------------------------------------------------------------------------
