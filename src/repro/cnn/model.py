@@ -101,10 +101,6 @@ class ClassifierModel:
             self.num_classes,
         )
 
-    def top1_correct(self, table: ObservationTable) -> np.ndarray:
-        """Whether the model's most-confident class is the true class."""
-        return self.ranks(table) == 1
-
     def predicted_top1(self, table: ObservationTable) -> np.ndarray:
         """The model's top-most class per observation.
 

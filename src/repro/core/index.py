@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cnn.model import ClassifierModel
 from repro.core.clustering import ClusterSummary, grouped_min_max
-from repro.storage.docstore import DocumentStore
+from repro.storage.docstore import DocumentStore, IndexSink
 from repro.video.synthesis import ObservationTable
 
 
@@ -71,7 +71,7 @@ class IndexReader(Protocol):
         time_range: Optional[Tuple[float, float]] = None,
     ) -> List[int]: ...
 
-    def to_docstore(self, store: DocumentStore, incremental: bool = False) -> None: ...
+    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None: ...
 
 
 def _cluster_doc(
@@ -107,76 +107,113 @@ def _entry_from_doc(doc: Dict) -> ClusterEntry:
     )
 
 
-def _upsert_cluster_delta(
-    store: DocumentStore,
-    stream: str,
-    model_name: str,
-    k: int,
-    epoch: str,
-    num_clusters: int,
-    dirty: Set[int],
-    doc_of,
-    full_writer,
-) -> None:
-    """Write only the dirty clusters of a stream's index (checkpoint).
+class _ClusterCheckpoints:
+    """The checkpoint bookkeeping both index variants share: which
+    clusters are unpersisted, which lineage the persisted snapshot
+    belongs to, and the keyed writes that move one into the other."""
 
-    Shared by both index variants: ensures the meta document and the
-    cluster-id/top-K indexes exist, then upserts ``doc_of(cid)`` for
-    every dirty cluster.  Unchanged cluster documents are untouched.
+    stream: str
+    model_name: str
+    k: int
 
-    A delta is only sound on top of this index's own earlier
-    checkpoints.  The meta document records the index's ``epoch`` (a
-    per-lineage token, carried across save/load), so a snapshot written
-    by any other session -- even one with the same model/K and a
-    compatible shape but a different clustering -- is detected and
-    replaced wholesale via ``full_writer``.  The same fallback covers a
-    store that is missing clusters the delta would not write (e.g. a
-    fresh store after the dirty cursor was already cleared by a
-    checkpoint elsewhere), which would otherwise end up partial.
-    """
-    meta_doc = store.collection("index-meta").find_one({"stream": stream})
-    clusters = store.collection("clusters:%s" % stream)
-    stale = (
-        (meta_doc is None and len(clusters) > 0)
-        or (
-            meta_doc is not None
-            and (
-                meta_doc["model"] != model_name
-                or meta_doc["k"] != k
-                or meta_doc.get("epoch") != epoch
+    def _start_lineage(self, dirty: Iterable[int] = ()) -> None:
+        #: clusters added or extended since the last docstore write
+        self._dirty: Set[int] = set(dirty)
+        #: lineage token persisted with the meta doc; incremental
+        #: checkpoints refuse to merge onto another lineage's snapshot
+        self._epoch = uuid.uuid4().hex
+
+    @property
+    def dirty_clusters(self) -> Set[int]:
+        """Cluster ids mutated since the last docstore write (read-only)."""
+        return set(self._dirty)
+
+    def adopt_lineage(self, epoch: str, clean: bool = True) -> None:
+        """Adopt a persisted snapshot's lineage token (crash recovery).
+
+        A recovered index rebuilt over a committed checkpoint must
+        checkpoint *onto* that snapshot rather than replace it
+        wholesale; adopting the stored epoch makes later incremental
+        deltas merge cleanly.  ``clean=True`` additionally marks the
+        current state as already persisted (it *is* the committed
+        snapshot) so only post-recovery mutations are dirty.
+        """
+        self._epoch = epoch
+        if clean:
+            self._dirty.clear()
+
+    def mark_dirty(self, cluster_ids: Iterable[int]) -> None:
+        """Re-flag clusters as unpersisted.
+
+        Incremental writes clear the dirty set as they stage documents;
+        a durable checkpoint whose atomic commit then *fails* must put
+        the flags back, or the next checkpoint would skip those
+        clusters and commit stale documents.
+        """
+        self._dirty.update(int(c) for c in cluster_ids)
+
+    def _write_meta(self, store: IndexSink) -> None:
+        store.collection("index-meta").upsert(
+            {"stream": self.stream},
+            {
+                "stream": self.stream,
+                "model": self.model_name,
+                "k": self.k,
+                "epoch": self._epoch,
+            },
+        )
+
+    def _write_delta(self, store: IndexSink, doc_of) -> None:
+        """Write only the dirty clusters of the index (checkpoint):
+        upsert ``doc_of(cid)`` for each; unchanged cluster documents
+        are untouched.
+
+        A delta is only sound on top of this index's own earlier
+        checkpoints.  The meta document records the index's ``epoch``
+        (a per-lineage token, carried across save/load), so a snapshot
+        written by any other session -- even one with the same model/K
+        and a compatible shape but a different clustering -- is
+        detected and replaced wholesale (``to_docstore(store)``).  The
+        same fallback covers a store that is missing clusters the delta
+        would not write (e.g. a fresh store after the dirty cursor was
+        already cleared by a checkpoint elsewhere), which would
+        otherwise end up partial.
+        """
+        meta_doc = store.collection("index-meta").find_one({"stream": self.stream})
+        clusters = store.collection("clusters:%s" % self.stream)
+        stale = (
+            (meta_doc is None and len(clusters) > 0)
+            or (
+                meta_doc is not None
+                and (
+                    meta_doc["model"] != self.model_name
+                    or meta_doc["k"] != self.k
+                    or meta_doc.get("epoch") != self._epoch
+                )
             )
+            or len(clusters) > self.num_clusters
         )
-        or len(clusters) > num_clusters
-    )
-    if not stale:
-        # the delta writes S_store ∪ dirty; that covers all clusters
-        # only if every non-dirty id is already stored
-        if not clusters.has_index("cluster_id"):
+        if not stale:
+            # the delta writes S_store ∪ dirty; that covers all clusters
+            # only if every non-dirty id is already stored
             clusters.create_index("cluster_id")
-        stored_dirty = sum(
-            1 for cid in dirty if clusters.find_one({"cluster_id": cid})
-        )
-        stale = len(clusters) - stored_dirty + len(dirty) < num_clusters
-    if stale:
-        full_writer()
-        return
-    if meta_doc is None:
-        store.collection("index-meta").insert_one(
-            {"stream": stream, "model": model_name, "k": k, "epoch": epoch}
-        )
-    if not clusters.has_index("top_k"):
-        clusters.create_index("top_k")
-    for cid in sorted(dirty):
-        doc = doc_of(cid)
-        existing = clusters.find_one({"cluster_id": cid})
-        if existing is None:
-            clusters.insert_one(doc)
-        else:
-            clusters.update_one(existing["_id"], doc)
-    dirty.clear()
+            stored_dirty = sum(
+                1 for cid in self._dirty if clusters.find_one({"cluster_id": cid})
+            )
+            stale = (
+                len(clusters) - stored_dirty + len(self._dirty) < self.num_clusters
+            )
+        if stale:
+            self.to_docstore(store)
+            return
+        if meta_doc is None:
+            self._write_meta(store)
+        for cid in sorted(self._dirty):
+            clusters.upsert({"cluster_id": cid}, doc_of(cid))
+        self._dirty.clear()
 
 
-class TopKIndex:
+class TopKIndex(_ClusterCheckpoints):
     """Class-token -> clusters mapping with per-entry rank positions."""
 
     def __init__(self, stream: str, model_name: str, k: int):
@@ -187,11 +224,7 @@ class TopKIndex:
         self._by_class: Dict[int, List[Tuple[int, int]]] = {}  # token -> [(cluster, pos)]
         self._members: Dict[int, np.ndarray] = {}
         self._frames: Dict[int, np.ndarray] = {}
-        #: clusters added or extended since the last docstore checkpoint
-        self._dirty: Set[int] = set()
-        #: lineage token persisted with the meta doc; incremental
-        #: checkpoints refuse to merge onto another lineage's snapshot
-        self._epoch = uuid.uuid4().hex
+        self._start_lineage()
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -354,36 +387,7 @@ class TopKIndex:
         return self._clusters.values()
 
     # -- persistence --------------------------------------------------------
-    @property
-    def dirty_clusters(self) -> Set[int]:
-        """Cluster ids mutated since the last docstore write (read-only)."""
-        return set(self._dirty)
-
-    def adopt_lineage(self, epoch: str, clean: bool = True) -> None:
-        """Adopt a persisted snapshot's lineage token (crash recovery).
-
-        A recovered index rebuilt over a committed checkpoint must
-        checkpoint *onto* that snapshot rather than replace it
-        wholesale; adopting the stored epoch makes later incremental
-        deltas merge cleanly.  ``clean=True`` additionally marks the
-        current state as already persisted (it *is* the committed
-        snapshot) so only post-recovery mutations are dirty.
-        """
-        self._epoch = epoch
-        if clean:
-            self._dirty.clear()
-
-    def mark_dirty(self, cluster_ids: Iterable[int]) -> None:
-        """Re-flag clusters as unpersisted.
-
-        Incremental writes clear the dirty set as they stage documents;
-        a durable checkpoint whose atomic commit then *fails* must put
-        the flags back, or the next checkpoint would skip those
-        clusters and commit stale documents.
-        """
-        self._dirty.update(int(c) for c in cluster_ids)
-
-    def to_docstore(self, store: DocumentStore, incremental: bool = False) -> None:
+    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None:
         """Persist the index into a document store (MongoDB stand-in).
 
         ``incremental=False`` replaces the stream's previous snapshot
@@ -393,47 +397,18 @@ class TopKIndex:
         rewritten and a long-lived stream checkpoints in O(delta).
         """
         if incremental:
-            self._checkpoint_docstore(store)
+            self._write_delta(store, self._doc_of)
             return
         store.drop("clusters:%s" % self.stream)
         clusters = store.collection("clusters:%s" % self.stream)
         self._write_meta(store)
-        for entry in self._clusters.values():
-            clusters.insert_one(
-                _cluster_doc(entry, self._members[entry.cluster_id],
-                             self._frames[entry.cluster_id])
-            )
-        clusters.create_index("top_k")  # multikey: one entry per token
+        for cid in self._clusters:
+            clusters.insert_one(self._doc_of(cid))
         clusters.create_index("cluster_id")
         self._dirty.clear()
 
-    def _write_meta(self, store: DocumentStore) -> None:
-        meta = store.collection("index-meta")
-        meta.delete_many({"stream": self.stream})
-        meta.insert_one(
-            {
-                "stream": self.stream,
-                "model": self.model_name,
-                "k": self.k,
-                "epoch": self._epoch,
-            }
-        )
-
-    def _checkpoint_docstore(self, store: DocumentStore) -> None:
-        """Append the cluster delta since the last checkpoint."""
-        _upsert_cluster_delta(
-            store,
-            self.stream,
-            self.model_name,
-            self.k,
-            self._epoch,
-            self.num_clusters,
-            self._dirty,
-            lambda cid: _cluster_doc(
-                self._clusters[cid], self._members[cid], self._frames[cid]
-            ),
-            lambda: self.to_docstore(store),
-        )
+    def _doc_of(self, cid: int) -> Dict:
+        return _cluster_doc(self._clusters[cid], self._members[cid], self._frames[cid])
 
     @classmethod
     def from_docstore(cls, store: DocumentStore, stream: str) -> "TopKIndex":
@@ -461,7 +436,7 @@ class TopKIndex:
         return index
 
 
-class LazyTopKIndex:
+class LazyTopKIndex(_ClusterCheckpoints):
     """Top-K index evaluated lazily per query token.
 
     Materializing explicit top-K lists costs O(clusters * K) at ingest;
@@ -481,8 +456,7 @@ class LazyTopKIndex:
         self.k = k
         self._model = model
         self._lookup_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._dirty: Set[int] = set(range(clusters.num_clusters))
-        self._epoch = uuid.uuid4().hex
+        self._start_lineage(dirty=range(clusters.num_clusters))
         self._rebuild(table, clusters)
 
     def _rebuild(self, table, clusters: ClusterSummary) -> None:
@@ -636,10 +610,6 @@ class LazyTopKIndex:
             for i, cid in enumerate(cluster_ids)
         ]
 
-    def _materialize_entry(self, cluster_id: int) -> ClusterEntry:
-        """One cluster's explicit entry, top-K list included."""
-        return self._materialize_entries([cluster_id])[0]
-
     def materialize(self) -> "TopKIndex":
         """Write out an explicit :class:`TopKIndex` (e.g. for persistence)."""
         explicit = TopKIndex(stream=self.stream, model_name=self.model_name, k=self.k)
@@ -649,29 +619,7 @@ class LazyTopKIndex:
             explicit.add_cluster(entry, self._members[cid], self.frames(cid))
         return explicit
 
-    @property
-    def dirty_clusters(self) -> Set[int]:
-        """Cluster ids mutated since the last docstore write (read-only)."""
-        return set(self._dirty)
-
-    def adopt_lineage(self, epoch: str, clean: bool = True) -> None:
-        """Adopt a persisted snapshot's lineage token (crash recovery).
-
-        Mirrors :meth:`TopKIndex.adopt_lineage`: a lazy index rebuilt
-        over a committed checkpoint's clustering state shares that
-        snapshot's lineage, so its later incremental checkpoints merge
-        as deltas instead of falling back to a wholesale rewrite.
-        """
-        self._epoch = epoch
-        if clean:
-            self._dirty.clear()
-
-    def mark_dirty(self, cluster_ids: Iterable[int]) -> None:
-        """Re-flag clusters as unpersisted (see
-        :meth:`TopKIndex.mark_dirty`)."""
-        self._dirty.update(int(c) for c in cluster_ids)
-
-    def to_docstore(self, store: DocumentStore, incremental: bool = False) -> None:
+    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None:
         """Persist by materializing entries (full snapshot or dirty delta).
 
         The incremental path mirrors :meth:`TopKIndex.to_docstore`:
@@ -685,18 +633,11 @@ class LazyTopKIndex:
             entry.cluster_id: entry
             for entry in self._materialize_entries(sorted(self._dirty))
         }
-        _upsert_cluster_delta(
+        self._write_delta(
             store,
-            self.stream,
-            self.model_name,
-            self.k,
-            self._epoch,
-            self.num_clusters,
-            self._dirty,
             lambda cid: _cluster_doc(
                 entries[cid], self._members[cid], self.frames(cid)
             ),
-            lambda: self.to_docstore(store),
         )
 
 

@@ -331,7 +331,11 @@ class StreamIngestor:
         )
 
     # -- ingest ------------------------------------------------------------
-    def _validate_chunk(self, chunk: ObservationTable) -> None:
+    def _validate_chunk(
+        self, chunk: ObservationTable, watermark_s: Optional[float]
+    ) -> None:
+        """Refuse a malformed chunk or watermark -- before the WAL write
+        on a push, and again on replay."""
         if chunk.stream != self.stream:
             raise ValueError(
                 "chunk belongs to stream %r, ingestor is %r"
@@ -342,15 +346,26 @@ class StreamIngestor:
                 "chunk fps %.3f differs from the stream's %.3f"
                 % (chunk.fps, self.fps)
             )
+        if watermark_s is not None and not (
+            math.isfinite(watermark_s) and watermark_s >= 0.0
+        ):
+            # a journaled inf would pin the stream's watermark and
+            # duration at inf through every replay; a negative one is
+            # silently swallowed by the max() in _apply_chunk
+            raise ValueError(
+                "watermark_s must be a finite, non-negative stream time, "
+                "got %r" % (watermark_s,)
+            )
         if not len(chunk):
             return
         first, last = float(chunk.time_s.min()), float(chunk.time_s.max())
-        if not (math.isfinite(first) and math.isfinite(last)):
+        if not (math.isfinite(first) and math.isfinite(last)) or first < 0.0:
             # NaN compares False against everything, so the order check
-            # below would wave it through to the WAL
+            # below would wave it through to the WAL -- as it does rows
+            # before time zero on a stream's first chunk
             raise ValueError(
-                "chunk time_s must be finite stream times, got a range of "
-                "%r..%r" % (first, last)
+                "chunk time_s must be finite, non-negative stream times, "
+                "got a range of %r..%r" % (first, last)
             )
         if first < self._last_time:
             raise ValueError(
@@ -377,13 +392,7 @@ class StreamIngestor:
         is a single atomic record, so a crash mid-push loses at most
         the unacknowledged chunk, which the producer re-pushes.
         """
-        self._validate_chunk(chunk)
-        if watermark_s is not None and not math.isfinite(watermark_s):
-            # checked before the WAL write: a journaled inf would pin the
-            # stream's watermark and duration at inf through every replay
-            raise ValueError(
-                "watermark_s must be a finite stream time, got %r" % (watermark_s,)
-            )
+        self._validate_chunk(chunk, watermark_s)
         if self.journal is not None:
             self._last_journal_seq = self.journal.append_chunk(chunk, watermark_s)
         return self._apply_chunk(chunk, watermark_s, dispatch=True)
@@ -611,9 +620,9 @@ class StreamIngestor:
             self._index.to_docstore(writer, incremental=True)
             writer.write_state(self._state_payload())
             if stream_meta is not None:
-                meta = writer.collection("stream-meta")
-                meta.delete_many({"stream": self.stream})
-                meta.insert_one(dict(stream_meta))
+                writer.collection("stream-meta").upsert(
+                    {"stream": self.stream}, stream_meta
+                )
             epoch = writer.commit(
                 extra={"rows": self.num_rows, "watermark_s": float(self._watermark)}
             )
@@ -733,8 +742,9 @@ class StreamIngestor:
             if record.kind != "chunk":
                 continue
             chunk = chunk_from_payload(record.payload)
-            self._validate_chunk(chunk)
-            self._apply_chunk(chunk, record.payload.get("watermark_s"), dispatch=False)
+            watermark_s = record.payload.get("watermark_s")
+            self._validate_chunk(chunk, watermark_s)
+            self._apply_chunk(chunk, watermark_s, dispatch=False)
         # journaling resumes where the lineage stands -- the max of the
         # committed cursor and any surviving records (compaction can
         # leave the journal empty); dispatch resumes live

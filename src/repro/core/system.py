@@ -503,9 +503,9 @@ class FocusSystem:
 
     def _write_stream_meta(self, store: DocumentStore, handle: StreamHandle) -> None:
         """Upsert the stream metadata ``load_indexes`` cold-starts from."""
-        meta = store.collection("stream-meta")
-        meta.delete_many({"stream": handle.stream})
-        meta.insert_one(self._stream_meta_doc(handle))
+        store.collection("stream-meta").upsert(
+            {"stream": handle.stream}, self._stream_meta_doc(handle)
+        )
 
     def save_indexes(self, store: DocumentStore) -> None:
         """Persist every stream's index plus the stream metadata a

@@ -40,9 +40,3 @@ def _fmt(value) -> str:
 def factor(value: float) -> str:
     """Render an improvement factor the way the paper does (e.g. 58x)."""
     return "%.0fx" % value
-
-
-def paper_vs_measured(
-    label: str, paper_value: str, measured_value: str
-) -> str:
-    return "%-46s paper: %-14s measured: %s" % (label, paper_value, measured_value)

@@ -70,24 +70,6 @@ _ALIGN = 64
 _availability: Optional[bool] = None
 
 
-def tracker_unregister(name: str) -> None:
-    """Drop a segment from the resource tracker without unlinking it.
-
-    Escape hatch for code that must attach to a segment owned by an
-    *unrelated* process tree (a different tracker).  Inside the fabric
-    everything shares one tracker whose name cache is a set, so attach
-    registrations dedupe against the create and no manual unregister is
-    needed -- or wanted: a spurious one orphans the entry the eventual
-    ``unlink`` consumes.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-
-
 def shm_available() -> bool:
     """Can this host create, attach, and unlink a shared segment?"""
     global _availability

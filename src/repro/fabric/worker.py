@@ -85,7 +85,7 @@ LIVENESS_PROBE_INTERVAL_S = 0.25
 DEATH_DRAIN_GRACE_S = 0.2
 
 #: commands that cannot mutate the shard's durable store: the worker
-#: skips the store-delta scan entirely (no fingerprint sweep, no
+#: skips the store-delta scan entirely (no dirty-set sweep, no
 #: serialization) and the client counts the skip in
 #: ``delta_skipped_readonly``
 READONLY_OPS = frozenset(
@@ -118,34 +118,30 @@ def _default_context():
 
 def _store_delta(
     store: DocumentStore,
-    shadow: Dict[str, Tuple[Tuple[int, ...], Optional[int]]],
+    shadow: Dict[str, int],
     sink: Optional[shm_plane.ShmSink] = None,
 ) -> Tuple[Optional[Dict[str, Any]], Tuple[str, ...]]:
     """Collections changed/removed since the last *shipped* command, as
     one pickled blob envelope, updating the shadow in place.
 
-    The shadow maps collection name to ``(fingerprint, delta_token)``
-    of the last shipped baseline.  An unchanged collection (same
-    fingerprint, same baseline object lineage) ships nothing; a changed
-    one ships a doc-level ``"cdelta"`` when its token still matches the
-    shadow's (the mirror was built from that exact baseline, so only
-    dirty docs need to travel) and a whole ``"cfull"`` otherwise
-    (fresh collections, ``from_json_obj`` rebuilds, wholesale staged
-    replacements).  The write counters inside
-    :meth:`Collection.fingerprint` are monotonic, so any mutation --
-    even delete+reinsert at equal length -- is caught.
+    The shadow maps collection name to the delta token of the last
+    shipped baseline.  An unchanged collection (same baseline lineage,
+    nothing dirty) ships nothing; a changed one ships a doc-level
+    ``"cdelta"`` when its token still matches the shadow's (the mirror
+    was built from that exact baseline, so only dirty docs need to
+    travel) and a whole ``"cfull"`` otherwise (fresh collections,
+    ``from_json_obj`` rebuilds, wholesale staged replacements).  Every
+    write marks its document dirty, so any mutation -- even
+    delete+reinsert at equal length -- is caught.
     """
     names = store.collection_names()
     parts: List[Dict[str, Any]] = []
     for name in names:
         coll = store.collection(name)
-        fp = coll.fingerprint()
-        prev = shadow.get(name)
-        token = coll.delta_token
-        if prev is not None and token is not None and prev == (fp, token):
+        basis = shadow.get(name)
+        if coll.unchanged_since(basis):
             continue
-        envelope, new_token = coll.delta_snapshot(prev[1] if prev else None)
-        shadow[name] = (coll.fingerprint(), new_token)
+        envelope, shadow[name] = coll.delta_snapshot(basis)
         parts.append(envelope)
     live = set(names)
     drops = tuple(sorted(n for n in shadow if n not in live))
@@ -350,10 +346,7 @@ def _worker_main(
     # every seeded collection starts a delta baseline the supervisor's
     # mirror shares by construction (it sent the snapshot)
     shadow = {
-        name: (
-            store.collection(name).fingerprint(),
-            store.collection(name).mark_delta_clean(),
-        )
+        name: store.collection(name).mark_delta_clean()
         for name in store.collection_names()
     }
 
@@ -458,7 +451,7 @@ def _worker_main(
                 time.sleep(stall)
             if request.op in READONLY_OPS:
                 # read-only commands cannot move durable state: no
-                # fingerprint sweep, no delta, no mirror traffic
+                # dirty-set sweep, no delta, no mirror traffic
                 delta, drops = None, ()
             elif request.payload.get("defer_delta"):
                 # a pipelined scatter leg with later legs behind it on

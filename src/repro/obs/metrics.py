@@ -288,12 +288,6 @@ class MetricsRegistry:
             },
         }
 
-    def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: hist.summary()
-            for name, hist in sorted(self._histograms.items())
-        }
-
     @staticmethod
     def merge_snapshots(
         snapshots: Iterable[Mapping[str, Any]],

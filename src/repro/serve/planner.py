@@ -109,9 +109,6 @@ class QueryPlanner:
     def __init__(self, engines: Callable[[], Mapping[str, QueryEngine]]):
         self._engines = engines
 
-    def available_streams(self) -> List[str]:
-        return sorted(self._engines())
-
     def plan(self, request: QueryRequest) -> QueryPlan:
         """Fan one request out into per-stream shard plans."""
         engines = self._engines()

@@ -199,9 +199,6 @@ class MultiStreamAnswer:
     def total_frames(self) -> int:
         return sum(len(s.frames) for s in self.slices.values())
 
-    def frames_by_stream(self) -> Dict[str, np.ndarray]:
-        return {name: s.frames for name, s in self.slices.items()}
-
     @property
     def precision(self) -> float:
         return self._aggregate(lambda m: m.precision, lambda m: m.returned_segments)
@@ -399,9 +396,7 @@ class QueryService:
                 else:
                     handle.index.to_docstore(store, incremental=True)
                     if meta is not None:
-                        coll = store.collection("stream-meta")
-                        coll.delete_many({"stream": name})
-                        coll.insert_one(meta)
+                        store.collection("stream-meta").upsert({"stream": name}, meta)
                     epoch = None
                 outcomes.append(
                     StreamCheckpoint(stream=name, epoch=epoch, durable=durable)

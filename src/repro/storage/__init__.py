@@ -3,8 +3,9 @@
 The paper's ingest workers persist the top-K index in MongoDB for
 efficient retrieval at query time (Section 5).  Offline, we substitute
 a small embedded document store with the same operational surface:
-named collections, document insertion, equality/range queries,
-secondary indexes, JSON persistence to disk -- plus the durability
+named collections, document insertion and keyed upserts,
+equality/``$lte`` queries, scalar hash indexes, JSON persistence to
+disk (the contract is stated in ``docstore.py``) -- plus the durability
 layer live ingest needs: an append-only checksummed ingest journal,
 atomic epoch-tagged checkpoints (staged collections swapped on
 commit), and a deterministic fault-injection wrapper for chaos drills.

@@ -1,14 +1,28 @@
-"""A small embedded document store (MongoDB stand-in).
+"""The embedded document store (MongoDB stand-in) and its contract.
 
-Supports the subset of operations Focus's index needs:
+Every durable byte of the system -- WAL, checkpoints, placement, the
+supervisor's mirror -- lives in named collections of JSON-serializable
+dict documents.  The store is exactly the interface the program calls,
+stated as three ``typing.Protocol``s a second backend would implement:
 
-* ``insert_one`` / ``insert_many`` with auto-assigned ``_id``
-* ``find`` / ``find_one`` with equality and ``$in`` / ``$gte`` / ``$lt``
-  operators
-* hash-based secondary indexes on single fields (``create_index``)
-* ``save`` / ``load`` JSON persistence
+* :class:`StoredCollection` -- auto-``_id`` inserts, one keyed write
+  (:meth:`Collection.upsert`), copy-on-write updates, range/wipe
+  deletes, and three query shapes: *scan* (``find()``), *equality*
+  (``{"stream": s}``) and ``{"seq": {"$lte": n}}``.  Any other
+  operator raises :class:`DocStoreError`.  ``create_index`` ensures a
+  hash index over one scalar field; equality queries use it.
+* :class:`IndexSink` -- ``collection`` / ``drop``: all that index
+  persistence writes through (``CheckpointWriter`` is one).
+* :class:`CheckpointStore` -- the sink plus ``collection_names`` and
+  the staged commit (``stage`` / ``drop_staged`` / ``commit_staged`` /
+  ``discard_staged``) that ingest, checkpoint and recovery call;
+  :class:`DocumentStore` and ``FaultyStore`` both satisfy it.
 
-Documents are plain dicts whose values must be JSON-serializable.
+The mirror/migration members (``copy_collection_to``,
+``replace_collection``, ``to_json_obj`` / ``from_json_obj``, the
+doc-level delta calls) and ``save`` / ``load`` are
+:class:`DocumentStore`-only: they move whole collections between
+in-memory stores and are not part of what a backend must provide.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 
 class DocStoreError(Exception):
@@ -25,42 +39,65 @@ class DocStoreError(Exception):
 
 #: process-unique tokens naming delta-snapshot baselines (see
 #: :meth:`Collection.delta_snapshot`); only ever compared within one
-#: process, like fingerprints
+#: process
 _DELTA_TOKENS = itertools.count(1)
 
-
-def _in_op(value, arg):
-    """$in: matches scalar membership, or any-element overlap for
-    list-valued (multikey) fields, as MongoDB does."""
-    if isinstance(value, list):
-        return any(v in arg for v in value)
-    return value in arg
+#: index declarations persisted by earlier versions that no longer
+#: exist (the never-read multikey index over cluster top-K lists);
+#: ignored -- never built, never hashed -- when a collection is loaded
+_RETIRED_INDEXES = frozenset({"top_k"})
 
 
-_OPERATORS = {
-    "$in": _in_op,
-    "$gte": lambda value, arg: value is not None and value >= arg,
-    "$gt": lambda value, arg: value is not None and value > arg,
-    "$lte": lambda value, arg: value is not None and value <= arg,
-    "$lt": lambda value, arg: value is not None and value < arg,
-    "$ne": lambda value, arg: value != arg,
-}
+class StoredCollection(Protocol):
+    """What ingest, checkpoint and recovery call on a collection."""
+
+    def __len__(self) -> int: ...
+    def find(self, query=None) -> List[Dict[str, Any]]: ...
+    def find_one(self, query=None) -> Optional[Dict[str, Any]]: ...
+    def insert_one(self, doc) -> int: ...
+    def upsert(self, match, doc) -> int: ...
+    def update_one(self, doc_id, fields) -> None: ...
+    def delete_many(self, query=None) -> int: ...
+    def create_index(self, field) -> None: ...
+
+
+class IndexSink(Protocol):
+    """The two store members index persistence (``to_docstore``)
+    writes through."""
+
+    def collection(self, name) -> StoredCollection: ...
+    def drop(self, name) -> None: ...
+
+
+class CheckpointStore(IndexSink, Protocol):
+    """The store contract of live ingest, atomic checkpoints and
+    recovery.  ``tests/test_storage_contract`` holds every
+    implementation to these names and parameter names."""
+
+    def collection_names(self) -> List[str]: ...
+    def stage(self, name) -> StoredCollection: ...
+    def drop_staged(self, name) -> None: ...
+    def commit_staged(self, names=None) -> List[str]: ...
+    def discard_staged(self, names=None) -> List[str]: ...
+
+
+def _check_query(query: Dict[str, Any]) -> None:
+    for condition in query.values():
+        if isinstance(condition, dict) and list(condition) != ["$lte"]:
+            raise DocStoreError(
+                "unsupported query condition %r (equality and "
+                "{'$lte': n} only)" % (condition,)
+            )
 
 
 def _matches(doc: Dict[str, Any], query: Dict[str, Any]) -> bool:
     for field, condition in query.items():
         value = doc.get(field)
         if isinstance(condition, dict):
-            for op, arg in condition.items():
-                try:
-                    fn = _OPERATORS[op]
-                except KeyError:
-                    raise DocStoreError("unsupported operator %r" % op)
-                if not fn(value, arg):
-                    return False
-        else:
-            if value != condition:
+            if value is None or not value <= condition["$lte"]:
                 return False
+        elif value != condition:
+            return False
     return True
 
 
@@ -77,59 +114,92 @@ class Collection:
         self.inserts = 0
         self.updates = 0
         self.deletes = 0
-        #: doc ids touched since the last delta snapshot -- the basis of
-        #: doc-level mirror deltas (membership in ``_docs`` at snapshot
-        #: time tells upsert from remove)
+        #: doc ids touched since the last delta snapshot -- the one
+        #: change tracker (membership in ``_docs`` at snapshot time
+        #: tells upsert from remove)
         self._dirty: set = set()
         #: names the baseline the dirty set is relative to; None until
         #: the first snapshot (ships whole)
         self._delta_token: Optional[int] = None
-        #: fingerprint-keyed cache of the docs list ``to_json_obj``
-        #: returns, so repeated snapshots of an unchanged collection
-        #: cost O(1) instead of O(docs)
-        self._snapshot: Optional[Tuple[Tuple[int, int, int, int, int], List[Dict[str, Any]]]] = None
 
     def __len__(self) -> int:
         return len(self._docs)
 
-    # -- index maintenance --------------------------------------------------
-    @staticmethod
-    def _index_keys(value: Any) -> Iterable[Any]:
-        """Keys a value contributes to a hash index (multikey for lists)."""
-        if isinstance(value, list):
-            return value
-        return (value,)
-
-    def _index_add(self, index: Dict[Any, set], value: Any, doc_id: int) -> None:
-        for key in self._index_keys(value):
-            index.setdefault(key, set()).add(doc_id)
-
-    def _index_remove(self, index: Dict[Any, set], value: Any, doc_id: int) -> None:
-        for key in self._index_keys(value):
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                if not bucket:
-                    del index[key]
-
     # -- writes -----------------------------------------------------------
+    def _install(self, doc_id: int, stored: Dict[str, Any]) -> None:
+        """Put ``stored`` in slot ``doc_id`` (new, or replacing in
+        place), indexes in step.
+
+        Stored document dicts are never mutated, only swapped, so
+        clones sharing them (staged checkpoints) never see a write.
+        Index keys are hashed first: an unhashable value faults before
+        any stored state moves.
+        """
+        stored["_id"] = doc_id
+        if self._indexes:
+            for field in self._indexes:
+                if field in stored:
+                    hash(stored[field])
+            old = self._docs.get(doc_id)
+            for field, index in self._indexes.items():
+                if old is not None and field in old:
+                    self._index_remove(index, old[field], doc_id)
+                if field in stored:
+                    index.setdefault(stored[field], set()).add(doc_id)
+        self._docs[doc_id] = stored
+        self._dirty.add(doc_id)
+
+    @staticmethod
+    def _index_remove(index: Dict[Any, set], key: Any, doc_id: int) -> None:
+        bucket = index.get(key)
+        if bucket is not None:
+            bucket.discard(doc_id)
+            if not bucket:
+                del index[key]
+
     def insert_one(self, doc: Dict[str, Any]) -> int:
         if not isinstance(doc, dict):
             raise DocStoreError("documents must be dicts")
         doc_id = self._next_id
+        self._install(doc_id, dict(doc))
         self._next_id += 1
-        stored = dict(doc)
-        stored["_id"] = doc_id
-        self._docs[doc_id] = stored
-        for field, index in self._indexes.items():
-            if field in stored:
-                self._index_add(index, stored[field], doc_id)
         self.inserts += 1
-        self._dirty.add(doc_id)
         return doc_id
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
         return [self.insert_one(d) for d in docs]
+
+    def upsert(self, match: Dict[str, Any], doc: Dict[str, Any]) -> int:
+        """The keyed write: make ``doc`` *the* document equal on
+        ``match``; returns its ``_id``.
+
+        The first match is replaced wholesale in place (same ``_id``,
+        same scan position), any further matches are removed, and with
+        no match the document is inserted.  One logical write: the
+        document lands whole or not at all.
+        """
+        if not isinstance(doc, dict):
+            raise DocStoreError("documents must be dicts")
+        found = self.find(match)
+        if not found:
+            return self.insert_one(doc)
+        doc_id = found[0]["_id"]
+        self._install(doc_id, dict(doc))
+        self.updates += 1
+        for surplus in found[1:]:
+            self.delete(surplus["_id"])
+        return doc_id
+
+    def update_one(self, doc_id: int, fields: Dict[str, Any]) -> None:
+        """Merge ``fields`` into a document (copy-on-write, see
+        :meth:`_install`)."""
+        doc = self._docs.get(doc_id)
+        if doc is None:
+            raise DocStoreError("no document with _id=%r" % doc_id)
+        if "_id" in fields and fields["_id"] != doc_id:
+            raise DocStoreError("_id is immutable")
+        self._install(doc_id, {**doc, **fields})
+        self.updates += 1
 
     def delete(self, doc_id: int) -> None:
         doc = self._docs.pop(doc_id, None)
@@ -151,59 +221,18 @@ class Collection:
             self.delete(doc_id)
         return len(doomed)
 
-    def update_one(self, doc_id: int, fields: Dict[str, Any]) -> None:
-        """Merge ``fields`` into a document, copy-on-write.
-
-        The stored document dict is never mutated: a merged copy is
-        built, the index keys it will contribute are validated (dry
-        run), and only then are the indexes and the document slot
-        swapped to the new version.  A fault anywhere before the final
-        installation leaves both the document and every index exactly
-        as they were -- and clones sharing document dicts (staged
-        checkpoints) never see a half-applied update.
-        """
-        doc = self._docs.get(doc_id)
-        if doc is None:
-            raise DocStoreError("no document with _id=%r" % doc_id)
-        if "_id" in fields and fields["_id"] != doc_id:
-            raise DocStoreError("_id is immutable")
-        updated = dict(doc)
-        updated.update(fields)
-        updated["_id"] = doc_id
-        # dry-run the new index keys: an unhashable value must fault
-        # before any stored state moves
-        staged_adds = []
-        for field, index in self._indexes.items():
-            if field in fields:
-                for key in self._index_keys(updated[field]):
-                    hash(key)
-                staged_adds.append((index, updated[field]))
-        for field, index in self._indexes.items():
-            if field in fields and field in doc:
-                self._index_remove(index, doc[field], doc_id)
-        for index, value in staged_adds:
-            self._index_add(index, value, doc_id)
-        self._docs[doc_id] = updated
-        self.updates += 1
-        self._dirty.add(doc_id)
-
     # -- indexes ------------------------------------------------------------
     def create_index(self, field: str) -> None:
-        """Build (or rebuild) a hash index over a single field.
+        """Ensure a hash index over one field (a no-op when it exists).
 
-        List-valued fields are multikey-indexed, as in MongoDB: each
-        element points back at the document.
+        Values must be hashable scalars; writes keep the index in step.
         """
+        if field in self._indexes:
+            return
         index: Dict[Any, set] = {}
         for doc_id, doc in self._docs.items():
-            if field not in doc:
-                continue
-            value = doc[field]
-            if isinstance(value, list):
-                for element in value:
-                    index.setdefault(element, set()).add(doc_id)
-            else:
-                index.setdefault(value, set()).add(doc_id)
+            if field in doc:
+                index.setdefault(doc[field], set()).add(doc_id)
         self._indexes[field] = index
 
     def has_index(self, field: str) -> bool:
@@ -217,46 +246,31 @@ class Collection:
             raise DocStoreError("no document with _id=%r" % doc_id)
 
     def find(self, query: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
+        """Documents matching ``query`` in insertion order: a scan
+        (empty query), equality per field, or ``{"$lte": n}``."""
         query = query or {}
-        candidates = self._candidate_ids(query)
-        if candidates is None:
-            docs = self._docs.values()
-        else:
-            docs = (self._docs[i] for i in sorted(candidates))
+        _check_query(query)
+        docs: Iterable[Dict[str, Any]] = self._docs.values()
+        for field, condition in query.items():
+            index = self._indexes.get(field)
+            if index is not None and not isinstance(condition, dict):
+                # the first indexed equality narrows the scan
+                docs = [self._docs[i] for i in sorted(index.get(condition, ()))]
+                break
         return [d for d in docs if _matches(d, query)]
 
     def find_one(self, query: Optional[Dict[str, Any]] = None) -> Optional[Dict[str, Any]]:
         results = self.find(query)
         return results[0] if results else None
 
-    def count(self, query: Optional[Dict[str, Any]] = None) -> int:
-        return len(self.find(query))
-
-    def _candidate_ids(self, query: Dict[str, Any]) -> Optional[set]:
-        """Use the first applicable equality/$in index to narrow the scan."""
-        for field, condition in query.items():
-            index = self._indexes.get(field)
-            if index is None:
-                continue
-            if isinstance(condition, dict):
-                if "$in" in condition:
-                    ids: set = set()
-                    for value in condition["$in"]:
-                        ids |= index.get(value, set())
-                    return ids
-                continue
-            return set(index.get(condition, set()))
-        return None
-
     # -- cloning -------------------------------------------------------------
     def clone(self) -> "Collection":
         """A structural copy sharing (immutable) document dicts.
 
         The basis of staged checkpoints: the clone starts with the same
-        documents and indexes, but inserts, deletes, and (copy-on-write)
-        updates applied to either side never leak to the other.  Cost is
-        O(docs + index entries) pointer copies -- no document content is
-        duplicated.
+        documents and indexes, but writes applied to either side never
+        leak to the other.  Cost is O(docs + index entries) pointer
+        copies -- no document content is duplicated.
         """
         twin = Collection(self.name)
         twin._docs = dict(self._docs)
@@ -273,36 +287,17 @@ class Collection:
         # doc-level delta against the same shipped baseline
         twin._dirty = set(self._dirty)
         twin._delta_token = self._delta_token
-        twin._snapshot = self._snapshot
         return twin
 
-    def fingerprint(self) -> Tuple[int, int, int, int, int]:
-        """A cheap change detector: ``(docs, next_id, inserts, updates,
-        deletes)``.
-
-        The write counters are monotonic, so *any* mutation -- including
-        a delete/re-insert pair that restores the document count --
-        changes the tuple.  The fabric's worker processes diff these
-        fingerprints after every command to decide which collections to
-        ship back to the supervisor's mirror; the comparison is only
-        ever between fingerprints taken inside one process, so the fact
-        that :meth:`from_json_obj` restarts the counters at zero does
-        not matter.
-        """
+    # -- doc-level deltas (DocumentStore-only: the fabric's mirror) ----------
+    def unchanged_since(self, basis_token: Optional[int]) -> bool:
+        """True when nothing was written since the snapshot that issued
+        ``basis_token`` -- same baseline lineage, empty dirty set."""
         return (
-            len(self._docs),
-            self._next_id,
-            self.inserts,
-            self.updates,
-            self.deletes,
+            basis_token is not None
+            and basis_token == self._delta_token
+            and not self._dirty
         )
-
-    # -- doc-level deltas ----------------------------------------------------
-    @property
-    def delta_token(self) -> Optional[int]:
-        """The baseline the dirty set is relative to (None = never
-        snapshotted; the next delta ships the collection whole)."""
-        return self._delta_token
 
     def mark_delta_clean(self) -> int:
         """Start a fresh delta baseline (dirty set cleared); returns the
@@ -318,12 +313,11 @@ class Collection:
         """One shippable change set since ``basis_token``, plus the new
         baseline token.
 
-        When ``basis_token`` matches this collection's current
-        :attr:`delta_token` (the caller's mirror was built from that
-        exact baseline -- clones carry the token across staged
-        commits), the envelope is *doc-level*: only dirty documents
-        travel, as upserts (still present) and removes (gone).  Any
-        mismatch -- a fresh collection, a ``from_json_obj`` rebuild, a
+        When ``basis_token`` names this collection's current baseline
+        (the caller's mirror was built from exactly it -- clones carry
+        the token across staged commits), the envelope is *doc-level*:
+        only dirty documents travel, as upserts (still present) and
+        removes (gone).  Any mismatch -- a fresh collection, a ``from_json_obj`` rebuild, a
         wholesale ``drop_staged`` replacement -- falls back to shipping
         the collection whole.  Either way the dirty set resets and a
         new baseline begins.
@@ -355,50 +349,28 @@ class Collection:
             raise DocStoreError(
                 "not a %r delta envelope: %r" % (self.name, envelope.get("kind"))
             )
+        for field in envelope.get("indexes", []):
+            self.create_index(field)
         for doc_id in envelope["removes"]:
             if doc_id in self._docs:
                 self.delete(doc_id)
         for doc in envelope["upserts"]:
-            stored = dict(doc)
-            doc_id = stored["_id"]
-            old = self._docs.get(doc_id)
-            if old is not None:
-                for field, index in self._indexes.items():
-                    if field in old:
-                        self._index_remove(index, old[field], doc_id)
+            if doc["_id"] in self._docs:
                 self.updates += 1
             else:
                 self.inserts += 1
-            self._docs[doc_id] = stored
-            for field, index in self._indexes.items():
-                if field in stored:
-                    self._index_add(index, stored[field], doc_id)
-            self._dirty.add(doc_id)
+            self._install(doc["_id"], dict(doc))
         self._next_id = int(envelope["next_id"])
-        for field in envelope.get("indexes", []):
-            if field not in self._indexes:
-                self.create_index(field)
         return len(envelope["upserts"]) + len(envelope["removes"])
 
     # -- persistence --------------------------------------------------------
     def to_json_obj(self) -> Dict[str, Any]:
-        """The collection as one JSON-serializable object.
-
-        The docs list is cached under the collection's fingerprint:
-        snapshotting an unchanged collection (supervisor mirrors are
-        re-serialized on every worker respawn) is O(1), and any write
-        invalidates the cache because the fingerprint's counters are
-        monotonic.  Callers must treat the returned object as frozen.
-        """
-        fp = self.fingerprint()
-        cached = self._snapshot
-        if cached is None or cached[0] != fp:
-            cached = (fp, list(self._docs.values()))
-            self._snapshot = cached
+        """The collection as one JSON-serializable object; callers must
+        treat the (shared) document dicts as frozen."""
         return {
             "name": self.name,
             "next_id": self._next_id,
-            "docs": cached[1],
+            "docs": list(self._docs.values()),
             "indexes": list(self._indexes),
         }
 
@@ -409,7 +381,8 @@ class Collection:
         for doc in obj["docs"]:
             coll._docs[doc["_id"]] = dict(doc)
         for field in obj.get("indexes", []):
-            coll.create_index(field)
+            if field not in _RETIRED_INDEXES:
+                coll.create_index(field)
         return coll
 
 
@@ -441,9 +414,7 @@ class DocumentStore:
     def collection_names(self) -> List[str]:
         return sorted(self._collections)
 
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
+    # -- mirror / migration (DocumentStore-only) -----------------------------
     def copy_collection_to(self, name: str, target: "DocumentStore") -> bool:
         """Install a clone of collection ``name`` into ``target``.
 
@@ -527,6 +498,7 @@ class DocumentStore:
         dropped = [n for n in wanted if self._staged.pop(n, None) is not None]
         return dropped
 
+    # -- persistence (DocumentStore-only) ------------------------------------
     def to_json_obj(self) -> Dict[str, Any]:
         """The store's whole committed state as one JSON-serializable
         object (staged clones excluded -- staging is private to an

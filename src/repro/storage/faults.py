@@ -4,8 +4,8 @@
 and injects storage failures at exact, reproducible points:
 
 * **crash after N writes** -- every mutating operation (document
-  insert/update/delete, collection drop, staged commit) increments a
-  write counter; once the budget is exhausted, further writes raise
+  insert/upsert/update/delete, collection drop, staged commit)
+  increments a write counter; once the budget is exhausted, further writes raise
   :class:`FaultInjected` *before* touching the store.  Because
   ``insert_many`` decomposes into per-document inserts, a budget that
   runs out mid-batch produces a genuinely *torn* multi-document write.
@@ -19,9 +19,9 @@ The wrapper is a product feature, not test scaffolding: point a chaos
 drill at a live store, give it a write budget, and verify the service
 recovers -- the new recovery test suite is simply the first consumer.
 
-The atomicity model matches real storage: a single document insert and
-a staged-commit swap are indivisible (a crash lands before or after,
-never inside), everything larger can tear.
+The atomicity model matches real storage: a single document insert or
+keyed upsert and a staged-commit swap are indivisible (a crash lands
+before or after, never inside), everything larger can tear.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ class FaultyCollection:
         # per-document inserts: an exhausted budget tears the batch
         return [self.insert_one(d) for d in docs]
 
+    def upsert(self, match: Dict[str, Any], doc: Dict[str, Any]) -> int:
+        # one write however many documents matched: the keyed document
+        # lands whole or not at all
+        self._store._spend("upsert", self._inner.name)
+        return self._inner.upsert(match, doc)
+
     def update_one(self, doc_id: int, fields: Dict[str, Any]) -> None:
         self._store._spend("update_one", self._inner.name)
         self._inner.update_one(doc_id, fields)
@@ -85,7 +91,7 @@ class FaultyCollection:
         return len(self._inner)
 
     def __getattr__(self, name: str):
-        # reads (find, find_one, get, count, ...) and index maintenance
+        # reads (find, find_one, get, ...) and index maintenance
         # pass through unmetered; only mutations above can fault
         return getattr(self._inner, name)
 

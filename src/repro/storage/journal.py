@@ -37,7 +37,12 @@ from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.storage.docstore import Collection, DocStoreError, DocumentStore
+from repro.storage.docstore import (
+    CheckpointStore,
+    Collection,
+    DocStoreError,
+    DocumentStore,
+)
 
 
 class JournalError(DocStoreError):
@@ -374,9 +379,9 @@ def copy_stream_state(
     """Copy one stream's complete durable state between stores.
 
     Clones the stream's wholesale collections (journal, ingest state,
-    index clusters) into ``target`` and re-inserts its documents from
-    the shared collections (checkpoint marker, index meta, stream
-    meta), replacing whatever ``target`` previously held for the
+    index clusters) into ``target`` and upserts its documents of the
+    shared collections (checkpoint marker, index meta, stream meta),
+    replacing whatever ``target`` previously held for the
     stream.  The copy is everything :meth:`StreamIngestor.recover`
     needs: committed checkpoint plus journal suffix.  Returns the
     collection names that were written.
@@ -390,16 +395,18 @@ def copy_stream_state(
         name = prefix + stream
         if source.copy_collection_to(name, target):
             touched.append(name)
+    match = {"stream": stream}
     for name in _SHARED_STREAM_COLLECTIONS:
-        docs = source.collection(name).find({"stream": stream})
-        coll = target.collection(name)
-        coll.delete_many({"stream": stream})
-        for doc in docs:
-            clean = dict(doc)
-            clean.pop("_id", None)
-            coll.insert_one(clean)
-        if docs:
-            touched.append(name)
+        doc = source.collection(name).find_one(match)
+        if doc is None:
+            # nothing to copy: what the target held for the stream (a
+            # fence tombstone from an earlier move away) still goes
+            target.collection(name).delete_many(match)
+            continue
+        target.collection(name).upsert(
+            match, {k: v for k, v in doc.items() if k != "_id"}
+        )
+        touched.append(name)
     return touched
 
 
@@ -456,8 +463,8 @@ def committed_checkpoint(store: DocumentStore, stream: str) -> Optional[Dict]:
 class CheckpointWriter:
     """One stream's atomic checkpoint: staged writes, epoch-CAS commit.
 
-    Duck-types the two store methods the index layer's persistence path
-    uses (``collection`` / ``drop``), so
+    An :class:`~repro.storage.docstore.IndexSink` (``collection`` /
+    ``drop``, all the index layer's persistence path uses), so
     ``TopKIndex.to_docstore(writer, incremental=True)`` streams its
     delta straight into staging.  :meth:`commit` then validates the
     epoch compare-and-swap and swaps every staged collection -- plus
@@ -472,7 +479,7 @@ class CheckpointWriter:
 
     def __init__(
         self,
-        store: DocumentStore,
+        store: CheckpointStore,
         stream: str,
         expected_epoch: int,
         journal_seq: int,
@@ -501,16 +508,15 @@ class CheckpointWriter:
     # -- protocol ------------------------------------------------------------
     def write_state(self, payload: Dict[str, Any]) -> None:
         """Stage the stream's resumable ingest state (one checksummed doc)."""
-        state = self.collection(STATE_PREFIX + self.stream)
-        state.delete_many({})
-        state.insert_one(
+        self.collection(STATE_PREFIX + self.stream).upsert(
+            {"stream": self.stream},
             {
                 "stream": self.stream,
                 "epoch": self.epoch,
                 "journal_seq": self.journal_seq,
                 "payload": payload,
                 "checksum": payload_digest(payload),
-            }
+            },
         )
 
     def commit(self, extra: Optional[Dict[str, Any]] = None) -> int:
@@ -532,8 +538,6 @@ class CheckpointWriter:
                 "checkpointed); discard this session and recover"
                 % (self.stream, self.epoch, self.expected_epoch, current)
             )
-        marker = self.collection(CHECKPOINT_COLLECTION)
-        marker.delete_many({"stream": self.stream})
         doc = {
             "stream": self.stream,
             "epoch": self.epoch,
@@ -541,7 +545,7 @@ class CheckpointWriter:
         }
         if extra:
             doc.update(extra)
-        marker.insert_one(doc)
+        self.collection(CHECKPOINT_COLLECTION).upsert({"stream": self.stream}, doc)
         self.store.commit_staged(sorted(self._staged))
         self._done = True
         return self.epoch

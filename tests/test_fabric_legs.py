@@ -9,7 +9,8 @@ source/target kind pairs (same report, same events, answers
 bit-identical to a stream that never moved, same guard refusals, same
 failure contract), a router over a mixed fleet migrates in both
 directions, and a non-finite ``watermark_s`` or chunk ``time_s`` is
-refused before the WAL write through every front end.
+refused before the WAL write through every front end, as are
+negative ones (and again on replay).
 """
 
 import contextlib
@@ -380,3 +381,42 @@ def test_non_finite_time_refused_before_the_wal(kind, field, bad, chunks, live_c
         # the session is unharmed: the same chunk goes in with a sane watermark
         ahead = before[1].watermark_s + 60.0
         assert append(STREAM, chunks[1], watermark_s=ahead).watermark_s == ahead
+
+
+@pytest.mark.parametrize("kind", ["system", "router", "worker-router"])
+@pytest.mark.parametrize("field", ["watermark_s", "time_s"])
+def test_negative_time_refused_before_the_wal(kind, field, chunks, live_config):
+    """Rows before time zero pass the order check on a stream's first
+    chunk and a negative watermark is swallowed by a ``max``: both are
+    refused like the non-finite ones -- nothing journaled, nothing
+    charged, the session unharmed."""
+    with front_end(kind) as (open_stream, append, state):
+        open_stream(fps=10.0, config=live_config, index_mode="materialized")
+        before = state()
+        with pytest.raises(ValueError, match="%s must be.* non-negative" % field):
+            if field == "watermark_s":
+                append(STREAM, chunks[0], watermark_s=-5.0)
+            else:
+                append(STREAM, _with_last_time(chunks[0], -100.0))
+        assert state() == before and before[1].rows == 0
+        report = append(STREAM, chunks[0], watermark_s=0.0)
+        assert report.watermark_s == float(chunks[0].time_s.max())
+
+
+@pytest.mark.parametrize("field", ["watermark_s", "time_s"])
+def test_negative_time_in_the_journal_is_refused_on_replay(field, chunks, live_config):
+    """A WAL that already holds such a chunk (journaled before the
+    check existed) does not replay into a wrong state."""
+    store = DocumentStore()
+    system = FocusSystem()
+    system.open_stream(
+        STREAM, fps=10.0, config=live_config, index_mode="materialized",
+        wal_store=store,
+    )
+    journal = system.handle(STREAM).ingestor.journal
+    if field == "watermark_s":
+        journal.append_chunk(chunks[0], watermark_s=-5.0)
+    else:
+        journal.append_chunk(_with_last_time(chunks[0], -100.0))
+    with pytest.raises(ValueError, match="%s must be.* non-negative" % field):
+        FocusSystem().recover(store, configs={STREAM: live_config})

@@ -436,20 +436,6 @@ class TestIncrementalCheckpoints:
         for cid in range(loaded.num_clusters):
             np.testing.assert_array_equal(loaded.members(cid), live.members(cid))
 
-    def test_multikey_docstore_updates(self):
-        """Inserting/updating list-valued indexed fields keeps the
-        multikey index consistent (the incremental checkpoint path)."""
-        store = DocumentStore()
-        coll = store.collection("c")
-        coll.create_index("top_k")
-        doc_id = coll.insert_one({"cluster_id": 0, "top_k": [3, 5]})
-        assert [d["_id"] for d in coll.find({"top_k": {"$in": [5]}})] == [doc_id]
-        coll.update_one(doc_id, {"top_k": [3, 7]})
-        assert not coll.find({"top_k": {"$in": [5]}})
-        assert [d["_id"] for d in coll.find({"top_k": {"$in": [7]}})] == [doc_id]
-        coll.delete(doc_id)
-        assert not coll.find({"top_k": {"$in": [3]}})
-
 
 class TestVerificationCacheStreams:
     def test_invalidate_stream_uses_key_sets(self):
