@@ -25,9 +25,8 @@ one logical service (the ROADMAP's horizontal-scaling layer):
   answers still bit-identical to a single node.
 * :mod:`repro.fabric.shm` -- the zero-copy data plane under the
   parallel mode: bulk payloads ride pooled ``multiprocessing``
-  shared-memory segments referenced by descriptors, with a transparent
-  pickle-inline fallback (``FabricSupervisor(use_shm=False)`` or small
-  payloads).
+  shared-memory segments referenced by descriptors; small messages
+  (and every message on a host without shared memory) inline.
 
 See ``docs/SHARDING.md`` for the placement table format, routing flow,
 migration protocol, and the worker process model.

@@ -10,8 +10,12 @@ owning shards, and the per-shard answers merged.
 
 The router is written against one contract,
 :class:`~repro.fabric.shard.ShardLeg`, and never asks a leg which kind
-it is.  Scatter legs are *pipelined*: every shard's ``*_submit`` is
-called before any reply is gathered.  Two kinds of leg, in any mix:
+it is.  Scatter legs are *pipelined* by one primitive, ``_scatter``:
+every shard's ``*_submit`` is called before any reply is gathered, and
+every reply is gathered -- value or exception -- before any failure is
+acted on (``append_many``, ``query_batch`` and ``checkpoint_streams``
+are policies over its outcomes; ``_retry_leg`` is the one healing
+loop).  Two kinds of leg, in any mix:
 
 * in-process :class:`~repro.fabric.shard.ShardNode` objects -- a leg
   executes at submit time, serially in this interpreter;
@@ -71,21 +75,6 @@ from repro.video.synthesis import ObservationTable
 #: acknowledged replies), so a restart-and-retry is idempotent -- see
 #: docs/RESILIENCE.md's retry matrix
 _RETRYABLE = (WorkerCrashed, DeadlineExceeded)
-
-
-class _FailedLeg:
-    """A scatter leg that already failed at submit time (dead worker).
-
-    Carrying the exception into the gather phase keeps the scatter loop
-    uniform: surviving shards' legs still gather, and the failure is
-    handled (retried, degraded, or raised) where results are collected.
-    """
-
-    def __init__(self, exc: BaseException):
-        self._exc = exc
-
-    def result(self):
-        raise self._exc
 
 
 class FabricRouter:
@@ -240,8 +229,6 @@ class FabricRouter:
                 raise KeyError(
                     "streams not ingested: %s" % ", ".join(missing)
                 )
-        if not wanted:
-            raise ValueError("no streams to query; ingest or open some first")
         return wanted
 
     def _group_by_shard(self, streams: Sequence[str]) -> Dict[str, List[str]]:
@@ -250,26 +237,67 @@ class FabricRouter:
             grouped.setdefault(self._placement.shard_of(stream), []).append(stream)
         return grouped
 
-    # -- self-healing --------------------------------------------------------
+    # -- scatter-gather + self-healing ----------------------------------------
+    def _scatter(self, legs, healable=(), opened=None):
+        """Run ``(shard, op, kwargs)`` legs pipelined: every leg's
+        ``{op}_submit`` is called before any reply is gathered, then
+        every reply is gathered in submission order -- a raise at submit
+        or at ``result()`` becomes that leg's error, so no reply is
+        abandoned and every acknowledged delta reaches the mirror.
+        After the drain, the first error in submission order that is
+        not ``healable`` is re-raised (an application error is never
+        retried); otherwise one ``(value, error)`` per leg comes back.
+        ``opened(shard, kwargs)`` runs just before a leg's submit and
+        returns what to call just after its gather (a per-leg span)."""
+        flights = []
+        for shard, op, kwargs in legs:
+            closed = opened(shard, kwargs) if opened is not None else None
+            reply = error = None
+            try:
+                reply = getattr(shard, op + "_submit")(**kwargs)
+            except Exception as exc:
+                error = exc
+            flights.append((reply, error, closed))
+        outcomes = []
+        for reply, error, closed in flights:
+            value = None
+            if error is None:
+                try:
+                    value = reply.result()
+                except Exception as exc:
+                    error = exc
+            if closed is not None:
+                closed()
+            outcomes.append((value, error))
+        for _, error in outcomes:
+            if error is not None and not isinstance(error, healable):
+                raise error
+        return outcomes
+
     def _failover(self, shard: ShardLeg) -> bool:
         """Heal one failed leg.  False when a retry is pointless: an
         in-process shard, or a worker whose breaker is tripped."""
         return shard.ensure_alive(self._recover_configs)
 
-    def _retry_leg(self, shard, fn):
+    def _retry_leg(self, shard, fn, failed=None):
         """Run one idempotent leg, transparently retried (up to
         ``max_retries``) against the respawned worker when it dies or
         blows its deadline.  Both failures guarantee the command never
-        happened durably, so the retry cannot double-apply."""
+        happened durably, so the retry cannot double-apply.  ``failed``
+        is such a failure a scatter already met on this leg: running
+        ``fn`` at all is then the first retry."""
         attempt = 0
         while True:
-            try:
-                return fn()
-            except _RETRYABLE:
-                attempt += 1
-                if attempt > self.max_retries or not self._failover(shard):
-                    raise
-                self._fault_counters["retries"] += 1
+            if failed is None:
+                try:
+                    return fn()
+                except _RETRYABLE as exc:
+                    failed = exc
+            attempt += 1
+            if attempt > self.max_retries or not self._failover(shard):
+                raise failed
+            self._fault_counters["retries"] += 1
+            failed = None
 
     # -- stream lifecycle ----------------------------------------------------
     def ingest_stream(
@@ -314,14 +342,10 @@ class FabricRouter:
         chunk: ObservationTable,
         watermark_s: Optional[float] = None,
     ) -> ChunkReport:
-        """Append one chunk, retried after failover: an unacknowledged
-        append never reached the mirror (and the WAL's journal dedup
-        collapses a same-seq duplicate), so the retry is at-most-once."""
-        shard = self.shard_of(stream)
-        return self._retry_leg(
-            shard,
-            lambda: shard.append(stream, chunk, watermark_s=watermark_s),
-        )
+        """Append one chunk: :meth:`append_many` of one, so retried
+        after failover and at-most-once like every round."""
+        watermarks = None if watermark_s is None else {stream: watermark_s}
+        return self.append_many([(stream, chunk)], watermarks)[0]
 
     def append_many(
         self,
@@ -342,55 +366,57 @@ class FabricRouter:
         per chunk (worker-shard wire tax; reports are still per chunk).
 
         Failover granularity is a shard's *whole round*: deferred legs
-        ship no delta, so a failure anywhere in a shard's round means
-        the mirror holds none of it -- after the respawn every one of
-        that shard's legs is replayed (in order, plain appends), and
-        the reports land at their original indices.
+        ship no delta, so a worker death anywhere in a shard's round
+        means the mirror holds none of it -- after the respawn every one
+        of that shard's legs is replayed (in order, plain appends) and
+        the reports land at their original indices; an unacknowledged
+        append never reached the mirror (and the WAL's journal dedup
+        collapses a same-seq duplicate), so that is at-most-once.  A
+        refused chunk is never retried: every round is drained first,
+        so the other shards' chunks are applied and mirrored.
         """
-        for stream, _ in chunks:
-            self._resolve_streams([stream])
-        plan = []
-        shard_legs: Dict[int, List[int]] = {}
-        for i, (stream, chunk) in enumerate(chunks):
-            shard = self.shard_of(stream)
-            watermark_s = watermarks.get(stream) if watermarks else None
-            shard_legs.setdefault(id(shard), []).append(i)
-            plan.append((stream, chunk, shard, watermark_s))
-        legs = []
-        #: id(shard) -> (shard, first failure) for rounds that died
-        failed: Dict[int, Tuple[ShardLeg, BaseException]] = {}
-        for i, (stream, chunk, shard, watermark_s) in enumerate(plan):
-            if id(shard) in failed:
-                legs.append(None)  # round already poisoned; replayed below
+        self._resolve_streams([stream for stream, _ in chunks])
+        #: per chunk: (owning shard, its ``append`` keywords)
+        plan = [
+            (
+                self.shard_of(stream),
+                {
+                    "stream": stream,
+                    "chunk": chunk,
+                    "watermark_s": watermarks.get(stream) if watermarks else None,
+                },
+            )
+            for stream, chunk in chunks
+        ]
+        #: shard id -> the indices of its round, in submission order
+        rounds: Dict[str, List[int]] = {}
+        for i, (shard, _) in enumerate(plan):
+            rounds.setdefault(shard.shard_id, []).append(i)
+        final = {indices[-1] for indices in rounds.values()}
+        outcomes = self._scatter(
+            [
+                (shard, "append", dict(kwargs, defer_delta=i not in final))
+                for i, (shard, kwargs) in enumerate(plan)
+            ],
+            healable=_RETRYABLE,
+        )
+        reports = [report for report, _ in outcomes]
+        for indices in rounds.values():
+            died = [outcomes[i][1] for i in indices if outcomes[i][1] is not None]
+            if not died:
                 continue
-            try:
-                legs.append(
-                    shard.append_submit(
-                        stream,
-                        chunk,
-                        watermark_s=watermark_s,
-                        defer_delta=i != shard_legs[id(shard)][-1],
-                    )
-                )
-            except _RETRYABLE as exc:
-                failed[id(shard)] = (shard, exc)
-                legs.append(None)
-        reports: List[Optional[ChunkReport]] = [None] * len(plan)
-        for i, leg in enumerate(legs):
-            shard = plan[i][2]
-            if id(shard) in failed or leg is None:
-                continue
-            try:
-                reports[i] = leg.result()
-            except _RETRYABLE as exc:
-                failed[id(shard)] = (shard, exc)
-        for key, (shard, exc) in failed.items():
-            if self.max_retries < 1 or not self._failover(shard):
-                raise exc
-            self._fault_counters["retries"] += 1
-            for i in shard_legs[key]:
-                stream, chunk, _, watermark_s = plan[i]
-                reports[i] = shard.append(stream, chunk, watermark_s=watermark_s)
+            shard = plan[indices[0]][0]
+            for i in indices:
+                reports[i] = None
+
+            def replay():
+                # each acknowledged plain append is mirrored, so a
+                # replay that dies too resumes after it
+                for i in indices:
+                    if reports[i] is None:
+                        reports[i] = shard.append(**plan[i][1])
+
+            self._retry_leg(shard, replay, failed=died[0])
         return reports
 
     def recover(
@@ -485,33 +511,23 @@ class FabricRouter:
             ctx = get_tracer().sample()
             if ctx is not None:
                 requests = [_dc_replace(r, trace=ctx) for r in requests]
-        resolved = [self._resolve_streams(r.streams) for r in requests]
-        # scatter: per shard, the sub-requests whose streams it owns
-        per_shard: Dict[str, List[Tuple[int, QueryRequest]]] = {}
-        for idx, (request, wanted) in enumerate(zip(requests, resolved)):
+        # scatter: per shard, (request indices, the sub-requests whose
+        # streams it owns); every other field rides to the leg as is --
+        # QoS, so each shard's round batches in the same priority-then-
+        # deadline order, and the trace context (over workers, the wire)
+        per_shard: Dict[str, Tuple[List[int], List[QueryRequest]]] = {}
+        for idx, request in enumerate(requests):
+            wanted = self._resolve_streams(request.streams)
+            if not wanted:
+                raise ValueError("no streams to query; ingest or open some first")
             for sid, subset in self._group_by_shard(wanted).items():
-                per_shard.setdefault(sid, []).append(
-                    (
-                        idx,
-                        QueryRequest(
-                            clazz=request.clazz,
-                            streams=subset,
-                            kx=request.kx,
-                            time_range=request.time_range,
-                            # QoS fields ride to every leg so each
-                            # shard's verification round forms batches
-                            # in the same priority-then-deadline order
-                            priority=request.priority,
-                            deadline_s=request.deadline_s,
-                            # the trace context crosses the scatter (and,
-                            # over worker shards, the wire) with the leg
-                            trace=request.trace,
-                        ),
-                    )
-                )
-        # execute + gather: every shard's leg is submitted before any
-        # reply is gathered, so worker-process shards verify their
-        # sub-batches concurrently (in-process shards run at submit)
+                idxs, subs = per_shard.setdefault(sid, ([], []))
+                idxs.append(idx)
+                subs.append(_dc_replace(request, streams=subset))
+        legs = [
+            (self.shard(sid), "query_batch", {"requests": subs})
+            for sid, (_, subs) in sorted(per_shard.items())
+        ]
         partial: List[List[MultiStreamAnswer]] = [[] for _ in requests]
         #: per request: lost shard -> the streams it owed that request
         lost_by_idx: List[Dict[str, Tuple[str, ...]]] = [{} for _ in requests]
@@ -519,58 +535,53 @@ class FabricRouter:
             (r.trace for r in requests if r.trace is not None), None
         )
         with span("router:query_batch", batch_ctx, n=len(requests)) as root:
-            legs = []
-            for sid in sorted(per_shard):
-                entries = per_shard[sid]
+
+            def opened(shard, kwargs):
                 # one manual span per scatter leg (started at submit,
                 # finished at gather -- the pipelined window a `with`
                 # block cannot bracket); sub-requests carry its child
                 # context so worker-side spans parent under the leg
+                subs = kwargs["requests"]
                 handle, leg_ctx = start_span(
-                    "router:scatter", root, shard=sid, n=len(entries)
+                    "router:scatter", root, shard=shard.shard_id, n=len(subs)
                 )
                 if leg_ctx is not None:
-                    entries = [
-                        (
-                            idx,
-                            _dc_replace(req, trace=leg_ctx)
-                            if req.trace is not None
-                            else req,
-                        )
-                        for idx, req in entries
+                    kwargs["requests"] = [
+                        _dc_replace(sub, trace=leg_ctx)
+                        if sub.trace is not None
+                        else sub
+                        for sub in subs
                     ]
                 started = time.perf_counter()
-                try:
-                    leg = self.shard(sid).query_batch_submit(
-                        [request for _, request in entries]
-                    )
-                except _RETRYABLE as exc:
-                    leg = _FailedLeg(exc)
-                legs.append((sid, entries, leg, handle, started))
-            for sid, entries, leg, handle, started in legs:
-                shard = self.shard(sid)
-                try:
-                    try:
-                        answers = leg.result()
-                    except _RETRYABLE as exc:
-                        answers = self._regather_query_batch(
-                            shard,
-                            [request for _, request in entries],
-                            exc,
-                            allow_partial,
-                        )
-                finally:
+
+                def closed():
                     finish_span(handle)
                     self.metrics.observe(
                         "router.scatter_s", time.perf_counter() - started
                     )
-                if answers is None:
-                    # leg dropped (allow_partial): record exactly what
-                    # each touched request lost; survivors still gather
-                    for idx, sub_request in entries:
-                        lost_by_idx[idx][sid] = tuple(sub_request.streams)
-                    continue
-                for (idx, _), answer in zip(entries, answers):
+
+                return closed
+
+            outcomes = self._scatter(legs, healable=_RETRYABLE, opened=opened)
+            for (shard, _, kwargs), (answers, died) in zip(legs, outcomes):
+                sid, subs = shard.shard_id, kwargs["requests"]
+                idxs = per_shard[sid][0]
+                if died is not None:
+                    # a dead worker or a blown deadline: re-run the leg
+                    # on the respawned worker (a plain call: nothing is
+                    # left to pipeline against), or drop it
+                    try:
+                        answers = self._retry_leg(
+                            shard, lambda: shard.query_batch(subs), failed=died
+                        )
+                    except _RETRYABLE:
+                        if not allow_partial:
+                            raise
+                        # record exactly what each touched request lost
+                        for idx, sub in zip(idxs, subs):
+                            lost_by_idx[idx][sid] = tuple(sub.streams)
+                        continue
+                for idx, answer in zip(idxs, answers):
                     partial[idx].append(answer)
         out: List[MultiStreamAnswer] = []
         for idx, parts in enumerate(partial):
@@ -597,25 +608,6 @@ class FabricRouter:
                 # well-shaped degraded answer (class resolved locally)
                 out.append(self._empty_answer(requests[idx], degraded))
         return out
-
-    def _regather_query_batch(
-        self, shard, sub_requests, exc: BaseException, allow_partial: bool
-    ) -> Optional[List[MultiStreamAnswer]]:
-        """Retry one dead query-batch leg after failover (plain call:
-        there is nothing left to pipeline against).  Returns ``None``
-        when the leg is dropped under ``allow_partial`` after the retry
-        budget; re-raises the last failure in strict mode."""
-        attempt = 0
-        while attempt < self.max_retries and self._failover(shard):
-            attempt += 1
-            self._fault_counters["retries"] += 1
-            try:
-                return shard.query_batch(sub_requests)
-            except _RETRYABLE as retry_exc:
-                exc = retry_exc
-        if allow_partial:
-            return None
-        raise exc
 
     @staticmethod
     def _empty_answer(
@@ -668,17 +660,21 @@ class FabricRouter:
         strict: bool = True,
     ) -> List[StreamCheckpoint]:
         """Checkpoint streams across the fleet, each into its own
-        shard's store under its own epoch; outcomes sorted by stream."""
-        wanted = self._resolve_streams(streams)
-        grouped = self._group_by_shard(wanted)
-        legs = [
-            self.shard(sid).checkpoint_submit(streams=grouped[sid], strict=strict)
-            for sid in sorted(grouped)
-        ]
-        outcomes: List[StreamCheckpoint] = []
-        for leg in legs:
-            outcomes.extend(leg.result())
-        return sorted(outcomes, key=lambda o: o.stream)
+        shard's store under its own epoch; outcomes sorted by stream
+        (none on a fleet with no streams yet).  Fail-loud: no leg is
+        retried, and the first error is re-raised once every shard's
+        leg has been gathered."""
+        grouped = self._group_by_shard(self._resolve_streams(streams))
+        outcomes = self._scatter(
+            [
+                (self.shard(sid), "checkpoint", {"streams": names, "strict": strict})
+                for sid, names in sorted(grouped.items())
+            ]
+        )
+        return sorted(
+            (o for committed, _ in outcomes for o in committed),
+            key=lambda o: o.stream,
+        )
 
     def checkpoint(
         self,
@@ -796,7 +792,7 @@ class FabricRouter:
     def metrics_snapshot(self, per_shard: bool = False):
         """The fleet's merged metrics-registry snapshot.
 
-        Counters and gauges sum; latency histograms merge by bucket
+        Latency histograms merge by bucket
         counts (:meth:`MetricsRegistry.merge_snapshots`), so fleet
         p50/p95/p99 come from the *combined* distribution, not an
         average of per-shard quantiles.  The router's own registry

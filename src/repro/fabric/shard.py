@@ -65,8 +65,12 @@ class ShardLeg(Protocol):
     surface -- ``handle_info``, ``fenced``, chaos hooks -- is not part
     of the contract).  A ``*_submit`` starts a command and returns a
     reply whose ``result()`` returns the outcome or raises; one leg's
-    replies are gathered in submission order.  ``tests/test_fabric_legs``
-    holds both implementations to these names and parameter names.
+    replies are gathered in submission order.  A submitted reply must
+    be gathered (an abandoned one wedges a worker leg's FIFO), and a
+    ``*_submit`` never raises an application error: what the command
+    itself raises comes out of ``result()``, only a dead worker out of
+    the submit.  ``tests/test_fabric_legs`` holds both implementations
+    to these names and parameter names.
     """
 
     shard_id: str
@@ -96,12 +100,20 @@ class ShardLeg(Protocol):
 
 
 class CompletedReply:
-    """The reply of a command that ran at submit time (in-process legs)."""
+    """The reply of a command that ran at submit time (in-process legs):
+    ``fn(*args, **kwargs)`` runs now, and its value or its exception
+    comes out of :meth:`result`, like a worker leg's reply."""
 
-    def __init__(self, value):
-        self._value = value
+    def __init__(self, fn, *args, **kwargs):
+        self._value = self._error = None
+        try:
+            self._value = fn(*args, **kwargs)
+        except Exception as exc:
+            self._error = exc
 
     def result(self):
+        if self._error is not None:
+            raise self._error
         return self._value
 
 
@@ -207,7 +219,7 @@ class ShardNode:
     ) -> CompletedReply:
         """:meth:`append`, run now.  ``defer_delta`` is accepted and
         ignored: there is no mirror to coalesce deltas for."""
-        return CompletedReply(self.append(stream, chunk, watermark_s=watermark_s))
+        return CompletedReply(self.append, stream, chunk, watermark_s=watermark_s)
 
     # -- serving -------------------------------------------------------------
     def query(
@@ -233,7 +245,7 @@ class ShardNode:
         return self.system.query_batch(requests)
 
     def query_batch_submit(self, requests) -> CompletedReply:
-        return CompletedReply(self.query_batch(requests))
+        return CompletedReply(self.query_batch, requests)
 
     # -- durability ----------------------------------------------------------
     def checkpoint(
@@ -248,7 +260,7 @@ class ShardNode:
         )
 
     def checkpoint_submit(self, streams=None, strict=True) -> CompletedReply:
-        return CompletedReply(self.checkpoint(streams=streams, strict=strict))
+        return CompletedReply(self.checkpoint, streams=streams, strict=strict)
 
     def recover(
         self,

@@ -130,21 +130,20 @@ class ShmSink:
       ``"shm"``, or
     * inlines each payload as ``bytes`` under ``"data"`` -- the
       fallback when the message totals below the crossover threshold,
-      shared memory is disabled, or allocation fails.
+      there is no allocator, or allocation fails.
 
     ``alloc(nbytes)`` supplies the segment (pool lease or fresh named
-    segment) and may return None to force the fallback.
+    segment) and may return None to force the fallback; ``alloc=None``
+    (a host without shared memory) always inlines.
     """
 
     def __init__(
         self,
         alloc: Optional[Callable[[int], Any]] = None,
         threshold: int = DEFAULT_SHM_THRESHOLD,
-        enabled: bool = True,
     ):
         self._alloc = alloc
         self._threshold = threshold
-        self._enabled = enabled and alloc is not None
         self._items: List[Tuple[Dict[str, Any], Any]] = []
         self._total = 0
         self._sealed = False
@@ -153,10 +152,6 @@ class ShmSink:
         #: bulk bytes that went through shared memory (0 when inlined)
         self.sealed_nbytes = 0
         self._segment: Optional[Any] = None
-
-    @property
-    def nbytes(self) -> int:
-        return self._total
 
     def add_array(self, envelope: Dict[str, Any], arr: np.ndarray) -> None:
         contiguous = np.ascontiguousarray(arr)
@@ -182,7 +177,7 @@ class ShmSink:
         self._sealed = True
         if not self._items:
             return None
-        if not self._enabled or self._total < self._threshold:
+        if self._alloc is None or self._total < self._threshold:
             self._inline_all()
             return None
         offsets = []

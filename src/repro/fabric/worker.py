@@ -313,13 +313,12 @@ def _worker_main(
     reply_q,
     store_snapshot: Dict[str, Any],
     system_kwargs: Dict[str, Any],
-    data_plane: Optional[Dict[str, Any]] = None,
+    shm_threshold: int,
+    reply_prefix: str,
 ) -> None:
-    """The worker process loop: one shard, one command at a time."""
-    dp = data_plane or {}
-    use_shm = bool(dp.get("use_shm"))
-    threshold = int(dp.get("threshold", shm_plane.DEFAULT_SHM_THRESHOLD))
-    reply_prefix = dp.get("reply_prefix") or ""
+    """The worker process loop: one shard, one command at a time.
+    ``reply_prefix`` names this incarnation's reply segments; empty (a
+    host without shared memory) inlines every reply."""
     #: long-lived attachments to the supervisor's pooled request
     #: segments (same names recur command after command)
     attach_cache: Dict[str, Any] = {}
@@ -352,10 +351,10 @@ def _worker_main(
 
     def make_sink(corr_id: int) -> shm_plane.ShmSink:
         alloc = None
-        if use_shm and reply_prefix:
+        if reply_prefix:
             name = _reply_segment_name(reply_prefix, corr_id)
             alloc = lambda nbytes: shm_plane.create_segment(name, nbytes)
-        return shm_plane.ShmSink(alloc=alloc, threshold=threshold, enabled=use_shm)
+        return shm_plane.ShmSink(alloc=alloc, threshold=shm_threshold)
 
     def send(reply: Reply, sink: shm_plane.ShmSink) -> None:
         sink.seal()
@@ -1063,13 +1062,12 @@ class FabricSupervisor:
     :class:`~repro.fabric.shard.ShardNode` (e.g. ``num_query_gpus``).
     Use as a context manager to guarantee the fleet is torn down.
 
-    ``use_shm`` governs the data plane: when True (and the host can
-    serve POSIX shared memory), bulk payloads whose message totals at
-    least ``shm_threshold`` bytes travel through shared segments --
-    requests through a supervisor-owned :class:`~repro.fabric.shm.
-    ShmPool`, replies through per-command deterministic segments.  When
-    False everything inlines through the queues (the PR-6 wire),
-    bit-identically.
+    The data plane: bulk payloads whose message totals at least
+    ``shm_threshold`` bytes travel through shared segments -- requests
+    through a supervisor-owned :class:`~repro.fabric.shm.ShmPool`,
+    replies through per-command deterministic segments.  Smaller
+    messages, a host that cannot serve shared memory and a failed
+    allocation inline through the queues, bit-identically.
 
     Self-healing (see ``docs/RESILIENCE.md``): every command carries a
     per-op-kind reply deadline (``deadlines`` overrides the
@@ -1089,7 +1087,6 @@ class FabricSupervisor:
         shard_ids: Sequence[str],
         stores: Optional[Mapping[str, DocumentStore]] = None,
         mp_context=None,
-        use_shm: bool = True,
         shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD,
         deadlines: Optional[Mapping[str, float]] = None,
         max_consecutive_failures: int = 5,
@@ -1104,7 +1101,6 @@ class FabricSupervisor:
             raise ValueError("duplicate shard ids: %s" % list(shard_ids))
         self._ctx = mp_context or _default_context()
         self._system_kwargs = dict(system_kwargs)
-        self._use_shm = bool(use_shm) and shm_plane.shm_available()
         self._threshold = int(shm_threshold)
         self._deadlines = dict(DEFAULT_DEADLINES)
         if deadlines:
@@ -1133,8 +1129,11 @@ class FabricSupervisor:
         self._watchdog: Optional["FabricWatchdog"] = None
         self._prefix = "fab%x-%d" % (os.getpid(), next(_SUPERVISOR_SEQ))
         self._incarnations = itertools.count()
+        #: None on a host without shared memory: every payload inlines
         self._pool = (
-            shm_plane.ShmPool(self._prefix + "q") if self._use_shm else None
+            shm_plane.ShmPool(self._prefix + "q")
+            if shm_plane.shm_available()
+            else None
         )
         #: request segments still leased when :meth:`shutdown` closed
         #: the pool -- the leak check the tests assert empty
@@ -1151,11 +1150,10 @@ class FabricSupervisor:
     # -- the data plane ------------------------------------------------------
     def _request_sink(self) -> shm_plane.ShmSink:
         """A sink for one outbound command's bulk payloads, backed by
-        the pooled allocator (or the inline fallback when shm is off)."""
-        if self._pool is None:
-            return shm_plane.ShmSink(alloc=None, enabled=False)
+        the pooled allocator (inline when there is no pool)."""
         return shm_plane.ShmSink(
-            alloc=self._pool.allocate, threshold=self._threshold, enabled=True
+            alloc=self._pool.allocate if self._pool is not None else None,
+            threshold=self._threshold,
         )
 
     def _release_lease(self, name: str) -> None:
@@ -1190,17 +1188,12 @@ class FabricSupervisor:
         # per-incarnation prefix: a restarted worker can never collide
         # with (or resurrect) its dead predecessor's reply segments
         reply_prefix = ""
-        if self._use_shm:
+        if self._pool is not None:
             reply_prefix = "%s-%s-i%d" % (
                 self._prefix,
                 shard_id,
                 next(self._incarnations),
             )
-        data_plane = {
-            "use_shm": self._use_shm,
-            "threshold": self._threshold,
-            "reply_prefix": reply_prefix,
-        }
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -1209,7 +1202,8 @@ class FabricSupervisor:
                 reply_q,
                 mirror.to_json_obj(),
                 self._system_kwargs,
-                data_plane,
+                self._threshold,
+                reply_prefix,
             ),
             name="shard-worker-%s" % shard_id,
             daemon=True,

@@ -3,8 +3,8 @@
 The three concerns live in three leaf modules (no imports from the
 rest of ``repro``, so every layer can depend on them without cycles):
 
-* :mod:`repro.obs.metrics` -- counters, gauges, and fixed-log-bucket
-  latency histograms in a :class:`~repro.obs.metrics.MetricsRegistry`,
+* :mod:`repro.obs.metrics` -- fixed-log-bucket latency histograms
+  in a :class:`~repro.obs.metrics.MetricsRegistry`,
   plus the single kind registry behind ``COUNTER_KINDS`` /
   ``WIRE_COUNTER_KEYS`` / ``FAULT_COUNTER_KEYS`` / admission keys.
 * :mod:`repro.obs.trace` -- sampling per-request trace/span ids that

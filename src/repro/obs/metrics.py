@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, log-bucket latency histograms, key kinds.
+"""Metrics: log-bucket latency histograms and counter-key kinds.
 
 Two things live here:
 
@@ -248,7 +248,8 @@ class LatencyHistogram:
 # ---------------------------------------------------------------------------
 
 class MetricsRegistry:
-    """Per-component metrics: counters, gauges, latency histograms.
+    """Per-component latency histograms, by name (counters live in the
+    kind registry above and in each component's own ledger).
 
     Always-on and cheap -- recording a histogram point is one log and a
     few dict/list operations.  Snapshots are plain dicts (histograms in
@@ -257,17 +258,9 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     # -- recording -----------------------------------------------------------
-    def counter(self, name: str, delta: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + float(delta)
-
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = float(value)
-
     def histogram(self, name: str) -> LatencyHistogram:
         hist = self._histograms.get(name)
         if hist is None:
@@ -280,8 +273,6 @@ class MetricsRegistry:
     # -- reading -------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "histograms": {
                 name: hist.to_dict()
                 for name, hist in self._histograms.items()
@@ -292,17 +283,11 @@ class MetricsRegistry:
     def merge_snapshots(
         snapshots: Iterable[Mapping[str, Any]],
     ) -> Dict[str, Any]:
-        """Fleet view of per-shard snapshots: counters and gauges sum
-        (a fleet gauge is the sum of per-shard levels), histograms
-        merge by bucket counts."""
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
+        """Fleet view of per-shard snapshots: histograms merge by bucket
+        counts.  Any other section (older snapshots carried always-empty
+        ``counters``/``gauges``) is ignored."""
         histograms: Dict[str, LatencyHistogram] = {}
         for snapshot in snapshots:
-            for name, value in snapshot.get("counters", {}).items():
-                counters[name] = counters.get(name, 0.0) + float(value)
-            for name, value in snapshot.get("gauges", {}).items():
-                gauges[name] = gauges.get(name, 0.0) + float(value)
             for name, payload in snapshot.get("histograms", {}).items():
                 incoming = LatencyHistogram.from_dict(payload)
                 existing = histograms.get(name)
@@ -311,8 +296,6 @@ class MetricsRegistry:
                 else:
                     existing.merge(incoming)
         return {
-            "counters": counters,
-            "gauges": gauges,
             "histograms": {
                 name: hist.to_dict() for name, hist in histograms.items()
             },

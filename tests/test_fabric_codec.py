@@ -364,13 +364,12 @@ needs_shm = pytest.mark.skipif(
 _seg_counter = iter(range(10_000))
 
 
-def _named_sink(threshold=0, enabled=True):
+def _named_sink(threshold=0):
     """A sink backed by a fresh named segment (reply-plane shape)."""
     name = "codec-test-%d" % next(_seg_counter)
     return shm_plane.ShmSink(
         alloc=lambda nbytes: shm_plane.create_segment(name, nbytes),
         threshold=threshold,
-        enabled=enabled,
     )
 
 
@@ -443,9 +442,9 @@ class TestShmDataPlane:
             _consume(lambda r: codec.decode_array(envelope, r)), big
         )
 
-    def test_disabled_sink_forces_inline_fallback(self):
+    def test_sink_without_allocator_forces_inline_fallback(self):
         arr = np.arange(4096, dtype=np.float64)
-        sink = shm_plane.ShmSink(alloc=None, threshold=1, enabled=False)
+        sink = shm_plane.ShmSink(alloc=None, threshold=1)
         envelope = codec.encode_array(arr, sink)
         assert sink.seal() is None
         np.testing.assert_array_equal(codec.decode_array(envelope), arr)

@@ -10,7 +10,9 @@ bit-identical to a stream that never moved, same guard refusals, same
 failure contract), a router over a mixed fleet migrates in both
 directions, and a non-finite ``watermark_s`` or chunk ``time_s`` is
 refused before the WAL write through every front end, as are
-negative ones (and again on replay).
+negative ones (and again on replay).  The router's one scatter-gather
+is held to the contract's other half: every submitted reply is
+gathered, so an application error on one leg never wedges a sibling.
 """
 
 import contextlib
@@ -28,11 +30,13 @@ from repro.fabric import (
     ShardNode,
     migrate_stream,
 )
+from repro.fabric.protocol import WorkerCrashed
 from repro.fabric.shard import ShardLeg
 from repro.obs.events import EventLog, default_events, set_default_events
 from repro.storage.docstore import DocumentStore
+from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import JOURNAL_PREFIX, JournalCorruption, copy_stream_state
-from test_fabric import frame_aligned_chunks
+from test_fabric import assert_same_slices, frame_aligned_chunks
 
 STREAM = "auburn_c"
 CLASSES = ("car", "pedestrian")
@@ -324,6 +328,244 @@ def test_router_over_mixed_fleet_migrates_both_ways(chunks, live_config):
                 np.testing.assert_array_equal(moved.frames, never_moved.frames)
                 assert moved.metrics == never_moved.metrics
         assert {(ShardClient, ShardNode), (ShardNode, ShardClient)} == set(seen)
+
+
+# ---------------------------------------------------------------------------
+# one scatter-gather: every submitted reply is gathered, whatever fails
+# ---------------------------------------------------------------------------
+
+class _FakeLeg:
+    """Just enough ``ShardLeg`` for the router's three scatter surfaces:
+    holds one stream, logs every submit and gather, and fails where
+    told (``fail_at`` is ``"submit"`` or ``"result"``)."""
+
+    def __init__(self, index, log, fail_at=None, error=None):
+        self.shard_id = "fake-%d" % index
+        self.stream = "stream-%d" % index
+        self._log, self._fail_at, self._error = log, fail_at, error
+
+    def streams(self):
+        return [self.stream]
+
+    def ensure_alive(self, configs=None):
+        return False
+
+    def _submit(self, *args, **kwargs):
+        self._log.append(("submit", self.shard_id))
+        if self._fail_at == "submit":
+            raise self._error
+        return self
+
+    append_submit = query_batch_submit = checkpoint_submit = _submit
+
+    def result(self):
+        self._log.append(("gather", self.shard_id))
+        if self._fail_at == "result":
+            raise self._error
+        return []
+
+
+SURFACES = {
+    "append_many": lambda router: router.append_many(
+        [(stream, object()) for stream in router.streams()]
+    ),
+    "query_batch": lambda router: router.query_all("car"),
+    "checkpoint_streams": lambda router: router.checkpoint_streams(),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+@pytest.mark.parametrize(
+    "failures",
+    [
+        {0: "submit"},
+        {0: "result"},
+        {1: "submit"},
+        {2: "result"},
+        {0: "result", 1: "submit", 2: "result"},
+        {1: "result", 2: "submit"},
+    ],
+    ids=lambda failures: "+".join(
+        "%d@%s" % item for item in sorted(failures.items())
+    ),
+)
+def test_scatter_gathers_every_submitted_leg(surface, failures):
+    log = []
+    errors = {i: ValueError("leg %d refused" % i) for i in failures}
+    fleet = [_FakeLeg(i, log, failures.get(i), errors.get(i)) for i in range(3)]
+    with pytest.raises(ValueError) as raised:
+        SURFACES[surface](FabricRouter(fleet))
+    assert raised.value is errors[min(failures)]  # first in submission order
+    ids = [leg.shard_id for leg in fleet]
+    submitted = [sid for sid, at in zip(ids, map(failures.get, range(3))) if at != "submit"]
+    # every leg is submitted before any is gathered; every leg whose
+    # submit returned a reply is gathered exactly once, in that order
+    assert log == [("submit", sid) for sid in ids] + [
+        ("gather", sid) for sid in submitted
+    ]
+
+
+def test_application_error_outranks_a_dead_leg_except_on_checkpoint():
+    """A dead leg is healable, a refused command is not: append and
+    query drain, then raise the application error without touching the
+    dead leg's failover; checkpoint is fail-loud about the first error."""
+    for surface, wanted in [
+        ("append_many", ValueError),
+        ("query_batch", ValueError),
+        ("checkpoint_streams", WorkerCrashed),
+    ]:
+        log = []
+        fleet = [
+            _FakeLeg(0, log, "submit", WorkerCrashed("leg 0 is dead")),
+            _FakeLeg(1, log),
+            _FakeLeg(2, log, "result", ValueError("leg 2 refused")),
+        ]
+        router = FabricRouter(fleet)
+        with pytest.raises(wanted):
+            SURFACES[surface](router)
+        assert [sid for what, sid in log if what == "gather"] == ["fake-1", "fake-2"]
+        assert router._fault_counters["retries"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the wedge: an application error on one leg must not strand a sibling's reply
+# ---------------------------------------------------------------------------
+
+WEDGE_STREAMS = ("lausanne", "auburn_c")  # rendezvous: leg-0, leg-1
+
+
+@pytest.fixture(scope="module")
+def wedge_chunks(table_factory):
+    return {
+        name: frame_aligned_chunks(table_factory(name, 20.0, 10.0), pieces=4)
+        for name in WEDGE_STREAMS
+    }
+
+
+def _loaded_router(fleet, wedge_chunks, config):
+    router = FabricRouter(fleet)
+    for name in WEDGE_STREAMS:
+        router.open_stream(name, fps=10.0, config=config, index_mode="materialized")
+    assert [router.placement.shard_of(s) for s in WEDGE_STREAMS] == ["leg-0", "leg-1"]
+    router.append_many([(name, wedge_chunks[name][0]) for name in WEDGE_STREAMS])
+    return router
+
+
+def _refused_class(router, control, wedge_chunks):
+    with pytest.raises(KeyError, match="no-such-class"):
+        router.query_all("no-such-class")
+
+
+def _refused_chunk(bad):
+    """``append_many`` of an already-ingested chunk of ``bad`` beside the
+    other stream's next chunk: the round of the healthy shard is applied
+    (the control appends just that chunk)."""
+    good = next(s for s in WEDGE_STREAMS if s != bad)
+
+    def call(router, control, wedge_chunks):
+        feed = {bad: wedge_chunks[bad][0], good: wedge_chunks[good][1]}
+        with pytest.raises(ValueError, match="chunks must arrive in stream order"):
+            router.append_many([(name, feed[name]) for name in WEDGE_STREAMS])
+        control.append(good, feed[good])
+        return dict(wedge_chunks, **{good: wedge_chunks[good][1:]})
+
+    return call
+
+
+def _refused_commit(router, control, wedge_chunks):
+    """Strict checkpoint whose in-process leg (submitted second) cannot
+    write; the worker leg's commit is acknowledged and mirrored."""
+    store = router.shard("leg-1").store
+    store.fail_after_writes = store.writes_applied
+    with pytest.raises(FaultInjected):
+        router.checkpoint_streams()
+    store.fail_after_writes = None
+    assert router.shard("leg-0").store.collection("checkpoints").find_one(
+        {"stream": "lausanne"}
+    )["epoch"] == 1
+
+
+@pytest.mark.parametrize(
+    "kinds,failing_call",
+    [
+        (("worker", "worker"), _refused_class),
+        (("worker", "node"), _refused_class),
+        # the refused chunk sits on the leg whose failure, at the parent,
+        # left the other leg's reply behind: the first gathered of two
+        # workers, the in-process leg (raising at submit) of a mixed fleet
+        (("worker", "worker"), _refused_chunk("lausanne")),
+        (("worker", "node"), _refused_chunk("auburn_c")),
+        (("worker", "node"), _refused_commit),
+    ],
+    ids=["class-2w", "class-mixed", "chunk-2w", "chunk-mixed", "commit-mixed"],
+)
+def test_application_error_on_one_leg_wedges_no_shard(
+    kinds, failing_call, wedge_chunks, live_config
+):
+    faulty = {}
+    if failing_call is _refused_commit:
+        faulty["leg-1"] = FaultyStore(DocumentStore())
+    with legs(*kinds, stores=faulty) as fleet, legs(*kinds) as control_fleet:
+        router = _loaded_router(fleet, wedge_chunks, live_config)
+        control = _loaded_router(control_fleet, wedge_chunks, live_config)
+        remaining = failing_call(router, control, wedge_chunks) or wedge_chunks
+        workers = [leg for leg in fleet if isinstance(leg, ShardClient)]
+        assert all(not leg._worker().pending for leg in workers)
+        # every shard still serves every surface, like the control
+        for name in WEDGE_STREAMS:
+            assert_same_slices(
+                router.query_all("car", streams=[name]),
+                control.query_all("car", streams=[name]),
+            )
+        feed = [(name, remaining[name][1]) for name in WEDGE_STREAMS]
+        assert [r.total_rows for r in router.append_many(feed)] == [
+            r.total_rows for r in control.append_many(feed)
+        ]
+        assert router.checkpoint() == control.checkpoint() == sorted(WEDGE_STREAMS)
+        assert all(not leg._worker().pending for leg in workers)
+        # the mirror got every acknowledged delta: a restart recovers
+        # each worker shard to the control's answers, bit for bit
+        configs = {name: live_config for name in WEDGE_STREAMS}
+        for leg in workers:
+            leg._supervisor.restart(leg.shard_id, configs=configs)
+        for clazz in CLASSES:
+            assert_same_slices(router.query_all(clazz), control.query_all(clazz))
+        for name in WEDGE_STREAMS:
+            assert router.shard_of(name).handle_info(name) == control.shard_of(
+                name
+            ).handle_info(name)
+
+
+def test_router_append_retried_after_a_kill_applies_at_most_once(
+    chunks, live_config
+):
+    """``router.append`` is ``append_many`` of one chunk: killed between
+    appends, the leg is healed and replayed once, never doubled."""
+    control = ShardNode("control")
+    open_live(control, live_config)
+    with legs("worker") as (leg,):
+        router = FabricRouter([leg], recover_configs={STREAM: live_config})
+        router.open_stream(STREAM, fps=10.0, config=live_config, index_mode="materialized")
+        for step, chunk in enumerate(chunks[:4]):
+            if step in (1, 3):
+                leg._supervisor.kill(leg.shard_id)
+            report = router.append(STREAM, chunk)
+            assert report.total_rows == control.append(STREAM, chunk).total_rows
+        assert router.cost_summary()["retries"] == 2.0
+        assert leg.handle_info(STREAM) == control.handle_info(STREAM)
+        assert_answers_like(leg, control)
+
+
+def test_checkpoint_of_a_fleet_with_no_streams_commits_nothing():
+    """Like ``FocusSystem().checkpoint(store) == []``: a periodic
+    checkpointer may start before the first ``open_stream``."""
+    router = FabricRouter([ShardNode("leg-0"), ShardNode("leg-1")])
+    assert router.checkpoint_streams() == [] and router.checkpoint() == []
+    assert router.checkpoint_streams(streams=[]) == []
+    with pytest.raises(KeyError, match="streams not ingested: nope, zilch"):
+        router.checkpoint(streams=["zilch", "nope"])
+    with pytest.raises(ValueError, match="no streams to query"):
+        router.query_all("car")
 
 
 # ---------------------------------------------------------------------------

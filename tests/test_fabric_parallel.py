@@ -105,27 +105,15 @@ class _Fabrics:
         return reports
 
 
-@pytest.fixture(
-    scope="module",
-    params=[
-        "lazy-shm",
-        "materialized-shm",
-        "lazy-inline",
-        "materialized-inline",
-    ],
-)
+@pytest.fixture(scope="module", params=["lazy", "materialized"])
 def fabrics(request, fabric_tables, live_config):
-    """index mode x wire mode: every equivalence must hold with the
-    shared-memory data plane forced on (threshold 1: every bulk payload
-    through segments) AND with the inline pickle fallback forced."""
-    index_mode, wire = request.param.rsplit("-", 1)
-    wire_kwargs = (
-        {"use_shm": True, "shm_threshold": 1}
-        if wire == "shm"
-        else {"use_shm": False}
-    )
-    with FabricSupervisor(["shard-0", "shard-1"], **wire_kwargs) as supervisor:
-        yield _Fabrics(fabric_tables, live_config, index_mode, supervisor)
+    """Both index modes over the shared-memory data plane forced on
+    (threshold 1: every bulk payload through segments).  The inline
+    fallback the wire picks on its own -- small messages, no shared
+    memory on the host -- is held to the same answers by
+    ``test_host_without_shm_inlines_identically``."""
+    with FabricSupervisor(["shard-0", "shard-1"], shm_threshold=1) as supervisor:
+        yield _Fabrics(fabric_tables, live_config, request.param, supervisor)
     assert supervisor.leaked_segments == []
 
 
@@ -291,6 +279,32 @@ class TestModeEquivalence:
         assert remote_costs["journal-records"] == local_costs["journal-records"]
 
 
+def test_host_without_shm_inlines_identically(
+    fabric_tables, live_config, monkeypatch
+):
+    """On a host that cannot serve shared memory every payload inlines
+    through the queues: no segment bytes move, and appends, queries and
+    checkpoints equal the in-process fabric's."""
+    import repro.fabric.shm as shm_plane
+
+    monkeypatch.setattr(shm_plane, "shm_available", lambda: False)
+    with FabricSupervisor(["shard-0", "shard-1"], shm_threshold=1) as supervisor:
+        fabrics = _Fabrics(fabric_tables, live_config, "materialized", supervisor)
+        fabrics.open_all()
+        reports = fabrics.append_all()
+        for remote_report, local_report in zip(reports["remote"], reports["local"]):
+            for field in CHUNK_REPORT_FIELDS:
+                assert getattr(remote_report, field) == getattr(local_report, field)
+        for clazz in CLASSES:
+            remote_answer = fabrics.remote.query_all(clazz)
+            assert_same_slices(remote_answer, fabrics.local.query_all(clazz))
+            assert_same_slices(remote_answer, fabrics.single.query_all(clazz))
+        assert fabrics.remote.checkpoint_streams() == fabrics.local.checkpoint_streams()
+        costs = fabrics.remote.cost_summary()
+        assert costs["shm_bytes"] == 0.0 and costs["wire_bytes_sent"] > 0.0
+    assert supervisor.leaked_segments == []
+
+
 class TestWorkerFailureModes:
     def test_dead_worker_raises_worker_crashed(self, live_config):
         with FabricSupervisor(["solo"]) as supervisor:
@@ -408,7 +422,7 @@ class TestDataPlane:
         mirror-delta bytes -- no docs shipped, every command counted as
         a readonly skip, mirror bit-identical before and after."""
         with FabricSupervisor(
-            ["solo"], use_shm=True, shm_threshold=1
+            ["solo"], shm_threshold=1
         ) as supervisor:
             client, chunks = self._loaded_solo(
                 supervisor, table_factory, live_config
@@ -450,7 +464,7 @@ class TestDataPlane:
     ):
         """Protocol-level: the raw Reply of a readonly command has
         ``store_delta is None`` -- zero bytes, not just zero docs."""
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             client, chunks = self._loaded_solo(
                 supervisor, table_factory, live_config
             )
@@ -476,7 +490,7 @@ class TestDataPlane:
     ):
         """A pipelined append round ships exactly one cumulative delta
         per shard: deferred legs' raw replies carry none."""
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             client, chunks = self._loaded_solo(
                 supervisor, table_factory, live_config, pieces=3
             )
@@ -501,7 +515,7 @@ class TestDataPlane:
         cumulative delta really carried every chunk's durable state."""
         tables = {s: table_factory(s, 20.0, 10.0) for s in FABRIC_STREAMS[:2]}
         with FabricSupervisor(
-            ["shard-0", "shard-1"], use_shm=True, shm_threshold=1
+            ["shard-0", "shard-1"], shm_threshold=1
         ) as supervisor:
             router = FabricRouter(supervisor.clients())
             feed = []

@@ -91,10 +91,10 @@ class TestDeadlines:
         # an op this table has never heard of gets the most generous
         # budget rather than a spurious kill
         assert deadline_kind("some_future_op") == "slow"
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             assert supervisor.deadline_for("query") == DEFAULT_DEADLINES["query"]
         with FabricSupervisor(
-            ["solo"], use_shm=False, deadlines={"query": 7.5}
+            ["solo"], deadlines={"query": 7.5}
         ) as supervisor:
             assert supervisor.deadline_for("query") == 7.5
             assert supervisor.deadline_for("ping") == DEFAULT_DEADLINES["control"]
@@ -104,7 +104,7 @@ class TestDeadlines:
         the stall ends) -> condemned -> ensure_alive respawns -> healthy,
         with both fault counters visible in the leg's cost section."""
         with FabricSupervisor(
-            ["solo"], use_shm=False, deadlines={"control": 0.75}
+            ["solo"], deadlines={"control": 0.75}
         ) as supervisor:
             client = supervisor.client("solo")
             client.inject_stall(30.0)
@@ -130,7 +130,7 @@ class TestDeadlines:
             assert costs["worker_restarts"] == 1.0
 
     def test_per_call_deadline_override(self):
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             client = supervisor.client("solo")
             client.inject_stall(30.0)
             started = time.monotonic()
@@ -142,7 +142,7 @@ class TestDeadlines:
         """Latency injection short of the deadline is absorbed: no
         condemn, no restart, no fault counters."""
         with FabricSupervisor(
-            ["solo"], use_shm=False, deadlines={"control": 5.0}
+            ["solo"], deadlines={"control": 5.0}
         ) as supervisor:
             client = supervisor.client("solo")
             client.inject_slow(0.1)
@@ -184,7 +184,7 @@ class _RacingProcess:
 
 class TestReplyLivenessRace:
     def test_reply_landing_at_death_is_drained_not_lost(self):
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             client = supervisor.client("solo")
             reply_q = pyqueue.Queue()
             reply = Reply(corr_id=0, ok=True, value="pong")
@@ -196,7 +196,7 @@ class TestReplyLivenessRace:
             assert not worker.condemned  # the command was NOT lost
 
     def test_dead_worker_with_no_reply_is_condemned(self):
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             client = supervisor.client("solo")
             worker = _Worker(
                 _RacingProcess(pyqueue.Queue()), None, pyqueue.Queue(),
@@ -287,7 +287,6 @@ class TestCircuitBreaker:
     def test_trips_after_consecutive_failures_and_rearms(self, monkeypatch):
         with FabricSupervisor(
             ["solo"],
-            use_shm=False,
             max_consecutive_failures=2,
             backoff_base_s=0.01,
             backoff_max_s=0.05,
@@ -326,7 +325,7 @@ class TestCircuitBreaker:
             }
 
     def test_manual_kill_does_not_charge_breaker(self):
-        with FabricSupervisor(["solo"], use_shm=False) as supervisor:
+        with FabricSupervisor(["solo"]) as supervisor:
             supervisor.kill("solo")
             assert supervisor.health("solo")["consecutive_failures"] == 0
             assert supervisor.ensure_alive("solo") is True

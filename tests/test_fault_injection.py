@@ -630,7 +630,7 @@ class TestDataPlaneReclamation:
         table, config, chunks = stream_setup
         stream = table.stream
         with FabricSupervisor(
-            ["chaos"], use_shm=True, shm_threshold=1
+            ["chaos"], shm_threshold=1
         ) as supervisor:
             client = supervisor.client("chaos")
             client.open_stream(
@@ -664,7 +664,7 @@ class TestDataPlaneReclamation:
         table, config, chunks = stream_setup
         stream = table.stream
         with FabricSupervisor(
-            ["chaos"], use_shm=True, shm_threshold=1
+            ["chaos"], shm_threshold=1
         ) as supervisor:
             client = supervisor.client("chaos")
             client.open_stream(
