@@ -17,12 +17,14 @@ one logical service (the ROADMAP's horizontal-scaling layer):
 * :mod:`repro.fabric.migration` -- live stream migration built on the
   WAL/epoch machinery: checkpoint -> copy -> recover -> fence, answers
   identical before and after, zombies fenced by ``StaleEpochError``.
-* :mod:`repro.fabric.worker` / :mod:`repro.fabric.protocol` /
+* :mod:`repro.fabric.worker` / :mod:`repro.fabric.client` /
+  :mod:`repro.fabric.supervisor` over :mod:`repro.fabric.protocol` /
   :mod:`repro.fabric.codec` -- the *parallel* mode: each shard in its
-  own worker process behind a serialized command protocol
-  (:class:`FabricSupervisor` spawns and restarts the fleet,
-  :class:`ShardClient` implements ``ShardLeg`` over queues), with
-  answers still bit-identical to a single node.
+  own worker process behind a serialized command protocol whose ops
+  are declared once, in ``protocol.OPS`` (:class:`FabricSupervisor`
+  spawns and restarts the fleet, :class:`ShardClient` implements
+  ``ShardLeg`` over queues), with answers still bit-identical to a
+  single node.
 * :mod:`repro.fabric.shm` -- the zero-copy data plane under the
   parallel mode: bulk payloads ride pooled ``multiprocessing``
   shared-memory segments referenced by descriptors; small messages
@@ -54,7 +56,8 @@ from repro.fabric.protocol import (
 from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, shm_available
 from repro.fabric.router import FabricRouter
 from repro.fabric.shard import ShardNode
-from repro.fabric.worker import FabricSupervisor, FabricWatchdog, ShardClient
+from repro.fabric.client import ShardClient
+from repro.fabric.supervisor import FabricSupervisor, FabricWatchdog
 
 __all__ = [
     "DEFAULT_DEADLINES",

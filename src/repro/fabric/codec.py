@@ -36,6 +36,11 @@ Every envelope is tagged with its ``kind`` and the module's
 :data:`~repro.fabric.protocol.PROTOCOL_VERSION`; a decoder handed the
 wrong kind or a foreign version raises :class:`CodecError` instead of
 misreading the payload.
+
+Every codec has one shape, ``encode(value, sink=None)`` /
+``decode(obj, reader=None)``, and is registered once, by kind, in
+:data:`CODECS`; the op table (``protocol.OPS``) names codecs by kind
+and both ends of the wire resolve them (:func:`wire_codec`) at import.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from repro.core.system import QueryAnswer
 from repro.fabric.protocol import PROTOCOL_VERSION, StreamHandleInfo
 from repro.serve.planner import QueryRequest
 from repro.serve.service import MultiStreamAnswer, StreamCheckpoint, StreamSlice
+from repro.storage.docstore import DocumentStore
 from repro.video.synthesis import ObservationTable
 
 #: the observation-table columns, in constructor order
@@ -211,7 +217,7 @@ def decode_config(obj: Optional[Dict[str, Any]], reader=None) -> Optional[Any]:
 
 # -- query plans -------------------------------------------------------------
 
-def encode_query_request(request: QueryRequest) -> Dict[str, Any]:
+def encode_query_request(request: QueryRequest, sink=None) -> Dict[str, Any]:
     return _envelope(
         "query_request",
         clazz=request.clazz,
@@ -271,7 +277,9 @@ def decode_query_result(obj: Dict[str, Any], reader=None) -> QueryResult:
     )
 
 
-def encode_metrics(metrics: Optional[SegmentMetrics]) -> Optional[Dict[str, Any]]:
+def encode_metrics(
+    metrics: Optional[SegmentMetrics], sink=None
+) -> Optional[Dict[str, Any]]:
     if metrics is None:
         return None
     return _envelope(
@@ -367,7 +375,7 @@ def decode_multi_answer(obj: Dict[str, Any], reader=None) -> MultiStreamAnswer:
 
 # -- ingest / durability reports ---------------------------------------------
 
-def encode_chunk_report(report: ChunkReport) -> Dict[str, Any]:
+def encode_chunk_report(report: ChunkReport, sink=None) -> Dict[str, Any]:
     """``dispatch`` (worker-local GPU placement) does not cross the wire."""
     return _envelope(
         "chunk_report",
@@ -397,7 +405,7 @@ def decode_chunk_report(obj: Dict[str, Any], reader=None) -> ChunkReport:
     )
 
 
-def encode_checkpoint(outcome: StreamCheckpoint) -> Dict[str, Any]:
+def encode_checkpoint(outcome: StreamCheckpoint, sink=None) -> Dict[str, Any]:
     return _envelope(
         "stream_checkpoint",
         stream=outcome.stream,
@@ -419,7 +427,7 @@ def decode_checkpoint(obj: Dict[str, Any], reader=None) -> StreamCheckpoint:
     )
 
 
-def encode_handle_info(info: StreamHandleInfo) -> Dict[str, Any]:
+def encode_handle_info(info: StreamHandleInfo, sink=None) -> Dict[str, Any]:
     return _envelope(
         "handle_info",
         stream=info.stream,
@@ -442,4 +450,65 @@ def decode_handle_info(obj: Dict[str, Any], reader=None) -> StreamHandleInfo:
         rows=obj["rows"],
         duration_s=obj["duration_s"],
         fps=obj["fps"],
+    )
+
+
+# -- ingest sources, migration staging stores ---------------------------------
+
+def encode_source(source, sink=None):
+    """What ``ingest_stream`` ingests: a recorded table, or a Table-1
+    stream name (a plain string, as is)."""
+    if isinstance(source, ObservationTable):
+        return encode_table(source, sink)
+    return source
+
+
+def decode_source(obj, reader=None):
+    return decode_table(obj, reader) if isinstance(obj, dict) else obj
+
+
+def encode_store(store: DocumentStore, sink=None) -> Dict[str, Any]:
+    """A whole document store (a migration's staging copy), as the
+    pickle of its JSON form."""
+    return encode_config(store.to_json_obj(), sink)
+
+
+def decode_store(obj: Dict[str, Any], reader=None) -> DocumentStore:
+    return DocumentStore.from_json_obj(decode_config(obj, reader))
+
+
+# -- the registry ------------------------------------------------------------
+
+#: codec kind -> ``(encode, decode)``.  A kind is the tag its envelope
+#: carries, except the three riding another kind's: ``pickled`` (value
+#: objects the caller already holds -- configs, ``migrate_out``'s
+#: triple) and ``store`` are pickles in a ``blob``, ``source`` is a
+#: ``table`` or a name
+CODECS = {
+    "array": (encode_array, decode_array),
+    "blob": (encode_blob, decode_blob),
+    "table": (encode_table, decode_table),
+    "source": (encode_source, decode_source),
+    "pickled": (encode_config, decode_config),
+    "store": (encode_store, decode_store),
+    "query_request": (encode_query_request, decode_query_request),
+    "query_result": (encode_query_result, decode_query_result),
+    "segment_metrics": (encode_metrics, decode_metrics),
+    "query_answer": (encode_query_answer, decode_query_answer),
+    "multi_answer": (encode_multi_answer, decode_multi_answer),
+    "chunk_report": (encode_chunk_report, decode_chunk_report),
+    "stream_checkpoint": (encode_checkpoint, decode_checkpoint),
+    "handle_info": (encode_handle_info, decode_handle_info),
+}
+
+
+def wire_codec(spec: str):
+    """``(encode, decode)`` for one op-table codec spec: a
+    :data:`CODECS` kind, or ``"[kind]"`` for a list of that kind."""
+    if not spec.startswith("["):
+        return CODECS[spec]
+    encode, decode = CODECS[spec[1:-1]]
+    return (
+        lambda values, sink=None: [encode(value, sink) for value in values],
+        lambda objs, reader=None: [decode(obj, reader) for obj in objs],
     )

@@ -1,6 +1,6 @@
 """Request/reply envelopes for the fabric's worker processes.
 
-The wire discipline between a :class:`~repro.fabric.worker.ShardClient`
+The wire discipline between a :class:`~repro.fabric.client.ShardClient`
 (in the supervisor process) and its shard worker is deliberately tiny:
 
 * every command travels as one :class:`Request` carrying a correlation
@@ -15,8 +15,13 @@ The wire discipline between a :class:`~repro.fabric.worker.ShardClient`
   per shard and a client that pipelines N requests gathers N replies in
   submission order -- no reordering, no windowing.
 
-The op vocabulary is :data:`OP_DEADLINE_KINDS`; a shard's observability
-is one op in it, ``counters`` (its whole snapshot document).
+**Where an op is declared:** once, as a row of :data:`OPS`.  The
+worker's generic dispatch (``repro.fabric.worker``), the ``ShardClient``
+method generated for it (``repro.fabric.client``), deadlines, the
+readonly delta skip and the message table of ``docs/SHARDING.md`` all
+read that row.  Adding an op is one row plus the ``ShardNode`` method of
+the same name (the single source of its parameter list);
+``tests/test_fabric_ops.py`` fails if either half is missing.
 
 Version skew between a client and a worker (e.g. a supervisor restarted
 onto newer code while old workers linger) is refused up front: a worker
@@ -40,7 +45,7 @@ from __future__ import annotations
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.obs.metrics import register_counters
 
@@ -52,8 +57,12 @@ from repro.obs.metrics import register_counters
 #: deadline-aware verification batch formation; v4: query-request
 #: payloads may carry an optional ``trace`` context, replies may carry
 #: worker-side ``spans``; v5: the five per-section observability ops
-#: are gone; ``counters`` is the one snapshot op)
-PROTOCOL_VERSION = 5
+#: are gone; ``counters`` is the one snapshot op; v6: a request payload
+#: is exactly the op's keyword arguments -- ``open_stream`` /
+#: ``ingest_stream`` kwargs flattened in, ``defer_delta`` moved to the
+#: envelope -- and ``migrate_out`` / ``finish_migration`` answer a
+#: pickled triple / a bare epoch)
+PROTOCOL_VERSION = 6
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;
@@ -84,40 +93,72 @@ FAULT_COUNTER_KEYS = register_counters(
     "partial_answers",
 )
 
-#: every command op classified into a deadline kind.  Queries and
-#: control chatter must fail fast (they block scatter-gather rounds);
-#: ingest moves real data; recovery/migration legs replay WALs and ship
-#: snapshots, so they get the long leash.  Unknown ops (new chaos
-#: hooks, future commands) default to ``"slow"`` -- a too-long deadline
-#: degrades latency, a too-short one kills healthy workers.
-OP_DEADLINE_KINDS: Dict[str, str] = {
-    # control chatter
-    "ping": "control",
-    "streams": "control",
-    "live_streams": "control",
-    "fenced": "control",
-    "handle_info": "control",
-    "counters": "control",
-    "shutdown": "control",
-    "inject_crash_after_journal": "control",
-    "inject_crash_before_reply": "control",
-    "inject_stall": "control",
-    "inject_slow": "control",
-    "inject_drop_reply": "control",
+
+@dataclass(frozen=True)
+class Op:
+    """One row of :data:`OPS`: all the wire knows about one op.
+
+    ``kind`` is its deadline kind, a key of :data:`DEFAULT_DEADLINES`:
+    queries and control chatter must fail fast (they block
+    scatter-gather rounds), ingest moves real data, recovery/migration
+    legs replay WALs and ship snapshots.  ``args`` maps each parameter
+    that crosses encoded to its codec spec (a ``codec.CODECS`` kind, or
+    ``"[kind]"`` for a list of it); the rest travel as the primitives
+    they are, as does a declared one that is ``None``.  ``result`` is
+    the answer's codec spec (``None``: primitives).  A ``readonly`` op
+    cannot move the durable store: the worker skips the store-delta
+    sweep and the client counts it in ``delta_skipped_readonly``.  A
+    ``loop`` op is the worker loop's own (``worker._LoopHooks``),
+    acknowledged bare; every other op is the ``ShardNode`` method of
+    its name.
+    """
+
+    kind: str
+    args: Mapping[str, str] = field(default_factory=dict)
+    result: Optional[str] = None
+    readonly: bool = False
+    loop: bool = False
+
+
+#: the op vocabulary, closed: each wire op is declared here, once
+OPS: Dict[str, Op] = {
+    # inspection
+    "ping": Op("control", readonly=True),
+    "streams": Op("control", readonly=True),
+    "live_streams": Op("control", readonly=True),
+    "fenced": Op("control", readonly=True),
+    "handle_info": Op("control", result="handle_info", readonly=True),
+    "counters": Op("control", readonly=True),
+    # stream lifecycle and ingest
+    "open_stream": Op(
+        "ingest", {"config": "pickled", "tune_on": "table"}, "handle_info"
+    ),
+    "ingest_stream": Op(
+        "ingest", {"stream": "source", "config": "pickled"}, "handle_info"
+    ),
+    "append": Op("ingest", {"chunk": "table"}, "chunk_report"),
     # serving
-    "query": "query",
-    "query_batch": "query",
-    # ingest / durability
-    "open_stream": "ingest",
-    "ingest_stream": "ingest",
-    "append": "ingest",
-    "checkpoint": "ingest",
-    # recovery and migration legs
-    "recover": "slow",
-    "import_precheck": "control",
-    "migrate_out": "slow",
-    "import_stream": "slow",
-    "finish_migration": "ingest",
+    "query": Op("query", result="query_answer", readonly=True),
+    "query_batch": Op(
+        "query", {"requests": "[query_request]"}, "[multi_answer]", readonly=True
+    ),
+    # durability
+    "checkpoint": Op("ingest", result="[stream_checkpoint]"),
+    "recover": Op("slow", {"configs": "pickled"}),
+    # the migration steps, in call order (target, source, target, source)
+    "import_precheck": Op("control", readonly=True),
+    "migrate_out": Op("slow", result="pickled"),
+    "import_stream": Op(
+        "slow", {"staging_store": "store", "config": "pickled"}, "handle_info"
+    ),
+    "finish_migration": Op("ingest"),
+    # the loop's own: goodbye, and chaos drill arming (tests only)
+    "shutdown": Op("control", loop=True),
+    "inject_crash_after_journal": Op("control", loop=True),
+    "inject_crash_before_reply": Op("control", loop=True),
+    "inject_stall": Op("control", loop=True),
+    "inject_slow": Op("control", loop=True),
+    "inject_drop_reply": Op("control", loop=True),
 }
 
 #: default per-kind deadlines (seconds); override per supervisor via
@@ -132,8 +173,8 @@ DEFAULT_DEADLINES: Dict[str, float] = {
 
 
 def deadline_kind(op: str) -> str:
-    """The deadline kind of one op (unknown ops get the long leash)."""
-    return OP_DEADLINE_KINDS.get(op, "slow")
+    """The deadline kind of one op of the table."""
+    return OPS[op].kind
 
 
 class ProtocolError(RuntimeError):
@@ -181,8 +222,12 @@ class Request:
 
     corr_id: int
     op: str
+    #: the op's keyword arguments, declared ones encoded (:class:`Op`)
     payload: Dict[str, Any] = field(default_factory=dict)
     version: int = PROTOCOL_VERSION
+    #: a non-final leg of one pipelined round on its shard: the worker
+    #: ships no store delta with this reply, the round's last leg does
+    defer_delta: bool = False
 
 
 @dataclass(frozen=True)

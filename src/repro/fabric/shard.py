@@ -13,7 +13,7 @@ shard stores.
 
 :class:`ShardLeg` is the contract both of those callers are written
 against.  :class:`ShardNode` implements it here, and
-:class:`~repro.fabric.worker.ShardClient` implements it by speaking
+:class:`~repro.fabric.client.ShardClient` implements it by speaking
 the same verbs to a ``ShardNode`` in a worker process; no caller can
 tell the two apart.  The four migration steps are written once, here.
 
@@ -149,6 +149,10 @@ class ShardNode:
 
     def __repr__(self) -> str:
         return "ShardNode(%r, streams=%d)" % (self.shard_id, len(self.streams()))
+
+    def ping(self) -> None:
+        """Liveness probe: answering is the whole job (a worker leg's
+        heartbeat; in-process, a shard that can be called is alive)."""
 
     # -- stream lifecycle ----------------------------------------------------
     def streams(self) -> List[str]:

@@ -344,6 +344,18 @@ def reset_stream(store: DocumentStore, stream: str) -> None:
     store.collection("stream-meta").delete_many({"stream": stream})
 
 
+def _checkpoint_markers(
+    store: DocumentStore, query: Optional[Dict] = None
+) -> List[Dict]:
+    """The marker documents matching ``query``, looked up without
+    creating the collection: reads must not write (``store.collection``
+    gets *or creates*, which would diverge a worker's store from its
+    mirror on a command that ships no delta).  Absent means no markers."""
+    if CHECKPOINT_COLLECTION not in store.collection_names():
+        return []
+    return store.collection(CHECKPOINT_COLLECTION).find(query)
+
+
 def journaled_streams(store: DocumentStore) -> List[str]:
     """Streams with recoverable durable state in ``store``: a journal or
     a committed checkpoint.  Fence tombstones left behind by a stream
@@ -356,7 +368,7 @@ def journaled_streams(store: DocumentStore) -> List[str]:
         if name.startswith(JOURNAL_PREFIX)
     }
     fenced = set()
-    for doc in store.collection(CHECKPOINT_COLLECTION).find():
+    for doc in _checkpoint_markers(store):
         if doc.get("fenced"):
             fenced.add(doc["stream"])
         else:
@@ -442,9 +454,7 @@ def fence_stream(
 def fenced_streams(store: DocumentStore) -> List[str]:
     """Streams whose marker in ``store`` is a migration fence tombstone."""
     return sorted(
-        doc["stream"]
-        for doc in store.collection(CHECKPOINT_COLLECTION).find()
-        if doc.get("fenced")
+        doc["stream"] for doc in _checkpoint_markers(store) if doc.get("fenced")
     )
 
 
@@ -457,7 +467,8 @@ def committed_checkpoint(store: DocumentStore, stream: str) -> Optional[Dict]:
     staged swap as the checkpoint's collections, so its ``epoch`` and
     ``journal_seq`` always describe a complete, consistent snapshot.
     """
-    return store.collection(CHECKPOINT_COLLECTION).find_one({"stream": stream})
+    markers = _checkpoint_markers(store, {"stream": stream})
+    return markers[0] if markers else None
 
 
 class CheckpointWriter:

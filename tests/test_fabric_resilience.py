@@ -88,9 +88,6 @@ class TestDeadlines:
         assert deadline_kind("query_batch") == "query"
         assert deadline_kind("append") == "ingest"
         assert deadline_kind("recover") == "slow"
-        # an op this table has never heard of gets the most generous
-        # budget rather than a spurious kill
-        assert deadline_kind("some_future_op") == "slow"
         with FabricSupervisor(["solo"]) as supervisor:
             assert supervisor.deadline_for("query") == DEFAULT_DEADLINES["query"]
         with FabricSupervisor(
