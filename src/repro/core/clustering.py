@@ -143,6 +143,31 @@ class ClusterSummary:
         return out
 
 
+def feature_rows_needed(track_ids: np.ndarray, suppressed: np.ndarray,
+                         known_tracks=()) -> np.ndarray:
+    """Which rows' feature vectors :meth:`IncrementalClusterer.add` reads.
+
+    Suppressed rows join their track's cluster without features; the
+    only suppressed rows needing a vector are first occurrences of
+    tracks not in ``known_tracks`` (a window truncated mid-track).
+    Callers can skip feature extraction -- the dominant ingest CPU
+    cost -- for every other suppressed row.  The mask depends on the
+    tracks and the suppression alone, never on the threshold.
+    """
+    need = ~np.asarray(suppressed, dtype=bool)
+    if need.all():
+        return need
+    uniq, first_idx, inverse = np.unique(
+        track_ids, return_index=True, return_inverse=True
+    )
+    unknown = np.fromiter(
+        (int(t) not in known_tracks for t in uniq), dtype=bool, count=len(uniq)
+    )
+    first_mask = np.zeros(len(need), dtype=bool)
+    first_mask[first_idx] = True
+    return need | (first_mask & unknown[inverse])
+
+
 class IncrementalClusterer:
     """Online single-pass clusterer with a live-cluster cap."""
 
@@ -171,6 +196,9 @@ class IncrementalClusterer:
         self._centroids = np.zeros((capacity, dim), dtype=np.float64)
         self._cnorm2 = np.zeros(capacity, dtype=np.float64)
         self._scan_buf = np.empty(capacity, dtype=np.float64)
+        #: dim-sized scratch the per-row kernels write differences and
+        #: squares into (out=), instead of allocating per dense row
+        self._scratch = np.empty(dim, dtype=np.float64)
         self._dense = np.zeros(capacity, dtype=np.int64)
         self._counts = np.zeros(capacity, dtype=np.int64)
         self._live_ids = np.full(capacity, -1, dtype=np.int64)
@@ -239,16 +267,24 @@ class IncrementalClusterer:
         return cid
 
     def _join_dense(self, slot: int, vector: np.ndarray) -> int:
-        self._sums[slot] += vector
+        sums = self._sums[slot]
+        np.add(sums, vector, out=sums)
         d = self._dense[slot] + 1
         self._dense[slot] = d
         self._counts[slot] += 1
-        centroid = self._sums[slot] / d
-        self._centroids[slot] = centroid
-        self._cnorm2[slot] = float((centroid * centroid).sum())
+        self._set_centroid(slot, sums, d)
         cid = int(self._live_ids[slot])
         self._sizes[cid] += 1
         return cid
+
+    def _set_centroid(self, slot: int, sums: np.ndarray, dense) -> None:
+        """``centroid = sums / dense`` and its cached squared norm, written
+        in place (``np.add.reduce`` is the pairwise sum ``.sum()`` runs)."""
+        centroid = self._centroids[slot]
+        np.divide(sums, dense, out=centroid)
+        scratch = self._scratch
+        np.multiply(centroid, centroid, out=scratch)
+        self._cnorm2[slot] = np.add.reduce(scratch)
 
     def _scan(self, vector: np.ndarray, vv: float):
         """Distance-squared scan over all live centroids.
@@ -267,27 +303,8 @@ class IncrementalClusterer:
 
     def feature_rows_needed(self, track_ids: np.ndarray,
                             suppressed: np.ndarray) -> np.ndarray:
-        """Which rows' feature vectors :meth:`add` will actually read.
-
-        Suppressed rows join their track's cluster without features;
-        the only suppressed rows needing a vector are first occurrences
-        of tracks this clusterer has never seen (a window truncated
-        mid-track).  Callers can skip feature extraction -- the
-        dominant ingest CPU cost -- for every other suppressed row.
-        """
-        need = ~np.asarray(suppressed, dtype=bool)
-        if need.all():
-            return need
-        uniq, first_idx, inverse = np.unique(
-            track_ids, return_index=True, return_inverse=True
-        )
-        cache = self._track_cache
-        unknown = np.fromiter(
-            (int(t) not in cache for t in uniq), dtype=bool, count=len(uniq)
-        )
-        first_mask = np.zeros(len(need), dtype=bool)
-        first_mask[first_idx] = True
-        return need | (first_mask & unknown[inverse])
+        """:func:`feature_rows_needed` against the tracks seen so far."""
+        return feature_rows_needed(track_ids, suppressed, self._track_cache)
 
     def _row_suppressed(self, track: int) -> Optional[int]:
         """Suppressed row: join the track's cluster (live or retired) by
@@ -311,16 +328,18 @@ class IncrementalClusterer:
             if cached_cid is not None:
                 cached_slot = self._slot_of_id.get(cached_cid)
                 if cached_slot is not None:
-                    delta = self._centroids[cached_slot] - vector
-                    d2 = float((delta * delta).sum())
-                    if d2 <= self._t2:
+                    delta = self._scratch
+                    np.subtract(self._centroids[cached_slot], vector, out=delta)
+                    np.multiply(delta, delta, out=delta)
+                    if np.add.reduce(delta) <= self._t2:
                         slot = cached_slot
                         self.shortcut_hits += 1
         cid = None
         if slot is None:
             # |v|^2 is only needed by the scan and for a new cluster's
             # cached norm; the common shortcut-hit path skips it
-            vv = float((vector * vector).sum())
+            vv = float(np.add.reduce(
+                np.multiply(vector, vector, out=self._scratch)))
             if self._n_live > 0:
                 self.full_scans += 1
                 best, best_d2 = self._scan(vector, vv)
@@ -354,7 +373,8 @@ class IncrementalClusterer:
             suppressed: [n] bool; suppressed rows join their track's
                 current cluster without a feature vector.
             feature_valid: [n] bool marking which ``features`` rows hold
-                real data.  ``None`` means all rows are valid.
+                real data.  ``None`` means all rows are valid.  Copied
+                on entry: filling a row never writes the caller's mask.
             feature_fill: callback ``rows -> [len(rows), dim]`` invoked
                 for the rare suppressed row whose track has no cluster
                 yet (e.g. a table truncated mid-track); fills
@@ -376,7 +396,7 @@ class IncrementalClusterer:
             if len(suppressed) != n:
                 raise ValueError("features and suppressed must align")
         if feature_valid is not None:
-            feature_valid = np.asarray(feature_valid, dtype=bool)
+            feature_valid = np.array(feature_valid, dtype=bool)
             if len(feature_valid) != n:
                 raise ValueError("features and feature_valid must align")
         if self._rows_seen + n > len(self._assign_buf):
@@ -486,13 +506,11 @@ class IncrementalClusterer:
         self._counts[:n] = np.asarray(state["counts"], dtype=np.int64)
         self._live_ids[:n] = np.asarray(state["live_ids"], dtype=np.int64)
         self._n_live = n
-        # recompute centroid / |centroid|^2 per slot with the exact
-        # expressions _join_dense uses -- same operands, same order,
-        # same results, so no rounding drift versus the live instance
+        # recompute centroid / |centroid|^2 per slot through the primitive
+        # _join_dense uses -- same operands, same order, same results,
+        # so no rounding drift versus the live instance
         for slot in range(n):
-            centroid = self._sums[slot] / self._dense[slot]
-            self._centroids[slot] = centroid
-            self._cnorm2[slot] = float((centroid * centroid).sum())
+            self._set_centroid(slot, self._sums[slot], self._dense[slot])
         self._next_id = int(state["next_id"])
         self._seed_rows = [int(x) for x in state["seed_rows"]]
         self._sizes = [int(x) for x in state["sizes"]]
@@ -532,6 +550,64 @@ class IncrementalClusterer:
         return self.snapshot()
 
 
+def _extract_needed(extractor, chunk: ObservationTable, need: np.ndarray,
+                    dim: int):
+    """``(features, feature_valid)`` for :meth:`IncrementalClusterer.add`
+    with only the ``need`` rows extracted (``feature_valid`` is None
+    when that is every row)."""
+    feats = np.empty((len(chunk), dim), dtype=np.float64)
+    if need.all():
+        feats[:] = extractor.extract(chunk)
+        return feats, None
+    feats[need] = extractor.extract(chunk.select(need))
+    return feats, need
+
+
+def feature_chunks(
+    table: ObservationTable,
+    model: ClassifierModel,
+    suppressed: Optional[np.ndarray] = None,
+    chunk_rows: int = 65536,
+):
+    """``model``'s features for ``table``, as :func:`cluster_features` input.
+
+    Yields ``(track_ids, suppressed, features, feature_valid)`` per
+    ``chunk_rows`` rows (chunked to bound memory).  Suppressed rows
+    (pixel differencing) skip feature extraction entirely; only a
+    suppressed row whose track first appears at that row (a table
+    truncated mid-track) still gets a vector.  Nothing here depends on
+    the clustering threshold, so one pass serves a whole T sweep.
+    """
+    extractor = model.feature_extractor()
+    if suppressed is None:
+        need = np.ones(len(table), dtype=bool)
+    else:
+        need = feature_rows_needed(table.track_id, suppressed)
+    for start in range(0, len(table), chunk_rows):
+        stop = min(start + chunk_rows, len(table))
+        chunk = table.slice(start, stop)
+        sup = None if suppressed is None else suppressed[start:stop]
+        feats, valid = _extract_needed(
+            extractor, chunk, need[start:stop], model.feature_dim
+        )
+        yield chunk.track_id, sup, feats, valid
+
+
+def cluster_features(
+    chunks,
+    dim: int,
+    threshold: float,
+    max_live_clusters: int = 512,
+    strict: bool = False,
+) -> ClusterSummary:
+    """Run a fresh clusterer at ``threshold`` over :func:`feature_chunks`
+    output; the chunks are only read, so a list of them can be reused."""
+    clusterer = IncrementalClusterer(threshold, dim, max_live_clusters, strict)
+    for track_ids, sup, feats, valid in chunks:
+        clusterer.add(feats, track_ids, suppressed=sup, feature_valid=valid)
+    return clusterer.finalize()
+
+
 def cluster_table(
     table: ObservationTable,
     model: ClassifierModel,
@@ -541,34 +617,12 @@ def cluster_table(
     chunk_rows: int = 65536,
     strict: bool = False,
 ) -> ClusterSummary:
-    """Cluster all observations of ``table`` with ``model``'s features.
-
-    Features are generated in chunks to bound memory.  Suppressed rows
-    (pixel differencing) skip feature extraction entirely and join
-    their track's current cluster; only a suppressed row whose track
-    first appears at that row (a table truncated mid-track) still needs
-    a feature vector, which is extracted up front.
-    """
-    clusterer = IncrementalClusterer(
-        threshold=threshold,
-        dim=model.feature_dim,
-        max_live_clusters=max_live_clusters,
-        strict=strict,
+    """Cluster all observations of ``table`` with ``model``'s features:
+    :func:`cluster_features` over :func:`feature_chunks`."""
+    return cluster_features(
+        feature_chunks(table, model, suppressed, chunk_rows),
+        model.feature_dim, threshold, max_live_clusters, strict,
     )
-    extractor = model.feature_extractor()
-    n = len(table)
-    for start in range(0, max(n, 1), chunk_rows):
-        stop = min(start + chunk_rows, n)
-        if stop <= start:
-            break
-        chunk = table.slice(start, stop)
-        if suppressed is None:
-            feats = extractor.extract(chunk).astype(np.float64)
-            clusterer.add(feats, chunk.track_id)
-            continue
-        sup = suppressed[start:stop]
-        extract_and_cluster_chunk(clusterer, extractor, chunk, sup)
-    return clusterer.finalize()
 
 
 def extract_and_cluster_chunk(
@@ -578,17 +632,12 @@ def extract_and_cluster_chunk(
     suppressed: np.ndarray,
 ) -> np.ndarray:
     """Extract features only for the rows the clusterer will read, then
-    cluster the chunk.  Shared by one-shot and live (streaming) ingest:
-    skipping suppressed rows cuts feature synthesis -- the dominant
-    ingest CPU cost -- by the suppression ratio."""
+    cluster the chunk -- the live (streaming) ingest step, on a clusterer
+    that already knows some tracks.  Skipping suppressed rows cuts
+    feature synthesis -- the dominant ingest CPU cost -- by the
+    suppression ratio."""
     need = clusterer.feature_rows_needed(chunk.track_id, suppressed)
-    feats = np.empty((len(chunk), clusterer.dim), dtype=np.float64)
-    if need.all():
-        feats[:] = extractor.extract(chunk)
-        feature_valid = None
-    else:
-        feats[need] = extractor.extract(chunk.select(need))
-        feature_valid = need.copy()
+    feats, feature_valid = _extract_needed(extractor, chunk, need, clusterer.dim)
 
     def fill(rows: np.ndarray) -> np.ndarray:
         mask = np.zeros(len(chunk), dtype=bool)

@@ -51,9 +51,13 @@ def _segments_from_rows(
     if len(rows) == 0:
         return set()
     seconds = np.floor(table.time_s[rows]).astype(np.int64)
-    frames = table.frame_idx[rows]
-    pairs = np.unique(np.stack([seconds, frames], axis=1), axis=0)
-    secs, counts = np.unique(pairs[:, 0], return_counts=True)
+    frames = np.asarray(table.frame_idx[rows], dtype=np.int64)
+    # one int64 key per (second, frame) pair: a 1-D unique sorts machine
+    # words, where unique(axis=0) over stacked pairs sorts structured rows
+    lo = int(frames.min())
+    span = int(frames.max()) - lo + 1
+    pairs = np.unique(seconds * span + (frames - lo))
+    secs, counts = np.unique(pairs // span, return_counts=True)
     return {int(s) for s, c in zip(secs, counts) if c >= threshold_frames}
 
 

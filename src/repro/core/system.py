@@ -169,13 +169,15 @@ class FocusSystem:
         fps: float = 30.0,
         config: Optional[FocusConfig] = None,
     ) -> StreamHandle:
-        """Tune (unless ``config`` is given) and ingest one stream.
+        """Tune and ingest one stream.
 
         Args:
             stream: a stream name from Table 1, or a pre-generated
                 observation table.
             duration_s / fps: synthesis window when a name is given.
-            config: skip tuning and use this configuration.
+            config: ingest under this configuration instead of the
+                tuner's choice.  The sweep still runs on the sample
+                and ``StreamHandle.tuning`` is always populated.
         """
         if isinstance(stream, ObservationTable):
             table = stream

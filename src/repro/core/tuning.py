@@ -16,14 +16,14 @@ Opt-Query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.cnn.model import ClassifierModel
 from repro.cnn.specialize import SpecializedClassifier, specialization_ladder
 from repro.cnn.zoo import cheap_cnn, generic_candidates
-from repro.core.clustering import ClusterSummary, cluster_table
+from repro.core.clustering import ClusterSummary, cluster_features, feature_chunks
 from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
 from repro.core.ingest import simulate_pixel_diff
 from repro.core.metrics import StreamAccuracy, SegmentMetrics, gt_segments, result_segments
@@ -178,37 +178,35 @@ class ParameterTuner:
         sample: ObservationTable,
         clusters: ClusterSummary,
         suppressed: np.ndarray,
-        dominant: Sequence[int],
+        truth: Dict[int, Set[int]],
+        in_topk: Dict[int, np.ndarray],
     ) -> CandidateConfig:
-        """Simulate the full pipeline for one (model, K, T) on the sample."""
-        seed_mask = np.zeros(len(sample), dtype=bool)
-        seed_mask[clusters.seed_rows] = True
-        centroid_sub = sample.select(seed_mask)
+        """Simulate the full pipeline for one (model, K, T) on the sample.
+
+        ``truth`` maps each dominant class to its ground-truth segments
+        and ``in_topk`` to its top-K membership over *every* sample row
+        (a pure per-row function, so the centroid objects' verdicts are
+        a gather at ``clusters.seed_rows``); neither depends on T.
+        """
         centroid_classes = sample.class_id[clusters.seed_rows]
         members = clusters.members_by_cluster()
 
         per_class: Dict[int, SegmentMetrics] = {}
         candidate_counts: List[int] = []
-        for cls in dominant:
-            token = (
-                model.query_token(cls)
-                if isinstance(model, SpecializedClassifier)
-                else cls
-            )
-            member_mask = model.topk_membership(centroid_sub, token, k)
+        for cls, segments in truth.items():
+            member_mask = in_topk[cls][clusters.seed_rows]
             candidate_counts.append(int(member_mask.sum()))
             matched = member_mask & (centroid_classes == cls)
             if matched.any():
                 rows = np.concatenate([members[c] for c in np.nonzero(matched)[0]])
             else:
                 rows = np.zeros(0, dtype=np.int64)
-            truth = gt_segments(sample, cls)
             reported = result_segments(sample, rows)
             per_class[cls] = SegmentMetrics(
                 class_id=cls,
-                true_segments=len(truth),
+                true_segments=len(segments),
                 returned_segments=len(reported),
-                correct_segments=len(truth & reported),
+                correct_segments=len(segments & reported),
             )
 
         accuracy = StreamAccuracy(per_class=per_class)
@@ -235,7 +233,13 @@ class ParameterTuner:
         )
 
     def tune(self, sample: ObservationTable, stream: Optional[str] = None) -> TuningResult:
-        """Run the two-step sweep on a GT-labelled sample slice."""
+        """Run the two-step sweep on a GT-labelled sample slice.
+
+        Each thing is paid for at the level it depends on: pixel-diff
+        suppression and ground-truth segments once per sweep, feature
+        rows and top-K membership once per model (one model's features
+        held at a time), and only the clustering itself once per T.
+        """
         stream = stream or sample.stream
         if len(sample) == 0:
             raise ValueError("sample is empty; widen the sample window")
@@ -244,18 +248,29 @@ class ParameterTuner:
 
         candidates: List[CandidateConfig] = []
         suppressed = simulate_pixel_diff(sample)
+        truth = {cls: gt_segments(sample, cls) for cls in dominant}
         for model in self.candidate_models(histogram, stream):
             ks = self._viable_ks(model, sample, dominant)
             if not ks:
                 continue
+            specialized = isinstance(model, SpecializedClassifier)
+            in_topk = {
+                k: {
+                    cls: model.topk_membership(
+                        sample, model.query_token(cls) if specialized else cls, k
+                    )
+                    for cls in dominant
+                }
+                for k in ks
+            }
+            chunks = list(feature_chunks(sample, model, suppressed))
             for threshold in self.settings.t_grid:
-                clusters = cluster_table(
-                    sample, model, threshold=threshold, suppressed=suppressed
-                )
+                clusters = cluster_features(chunks, model.feature_dim, threshold)
                 for k in ks:
                     candidates.append(
                         self._measure(
-                            model, k, threshold, sample, clusters, suppressed, dominant
+                            model, k, threshold, sample, clusters, suppressed,
+                            truth, in_topk[k],
                         )
                     )
         return TuningResult(

@@ -223,6 +223,58 @@ class TestFeatureRowsNeeded:
         assert need.tolist() == [False]
 
 
+class TestBuffersAreOwned:
+    """``add`` marks filled rows valid in its *own* copy of
+    ``feature_valid`` (one mask can be handed to many clusterers), and
+    a restored clusterer shares no scratch with its source."""
+
+    def _chunk(self):
+        # row 0 is suppressed, first sight of track 7, and marked
+        # invalid: add must call feature_fill for it
+        feats = np.zeros((3, 4))
+        feats[1:] = np.eye(4)[1:3]
+        return feats, np.array([7, 7, 8]), np.array([True, False, False])
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_callers_mask_survives_a_fill(self, read_only):
+        feats, tracks, sup = self._chunk()
+        valid = np.array([False, True, True])
+        valid.setflags(write=not read_only)
+        filled = []
+
+        def fill(rows):
+            filled.append(rows.tolist())
+            return np.eye(4)[:1]
+
+        for _ in range(2):  # the second run must see the same mask
+            clusterer = IncrementalClusterer(threshold=0.3, dim=4)
+            out = clusterer.add(feats.copy(), tracks, suppressed=sup,
+                                feature_valid=valid, feature_fill=fill)
+            assert out.tolist() == [0, 1, 2]
+        assert filled == [[0], [0]]
+        assert valid.tolist() == [False, True, True]
+
+    def test_restored_clusterer_has_its_own_scratch(self):
+        rng = np.random.RandomState(5)
+        feats, tracks, sup = _tracky_workload(rng, 200, 8, 6)
+        source = IncrementalClusterer(threshold=0.4, dim=8)
+        source.add(feats[:100], tracks[:100], suppressed=sup[:100])
+        restored = IncrementalClusterer.from_state_dict(
+            json.loads(json.dumps(source.state_dict())))
+        assert not np.shares_memory(source._scratch, restored._scratch)
+        assert not np.shares_memory(source._centroids, restored._centroids)
+        np.testing.assert_array_equal(
+            source._centroids[: source._n_live],
+            restored._centroids[: restored._n_live])
+        np.testing.assert_array_equal(
+            source._cnorm2[: source._n_live],
+            restored._cnorm2[: restored._n_live])
+        # interleave the two: neither's rows may leak through a buffer
+        a = source.add(feats[100:], tracks[100:], suppressed=sup[100:])
+        b = restored.add(feats[100:], tracks[100:], suppressed=sup[100:])
+        np.testing.assert_array_equal(a, b)
+
+
 class TestBatchedTopK:
     def test_topk_lists_match_topk_list(self, model, stream_table):
         rng = np.random.RandomState(3)

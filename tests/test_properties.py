@@ -9,11 +9,12 @@ from repro.cnn.hashing import combine, hash_uniform, mix64, stable_salt
 from repro.cnn.costs import ArchSpec, inference_seconds
 from repro.cnn.noise import true_class_ranks
 from repro.core.clustering import IncrementalClusterer
-from repro.core.metrics import SegmentMetrics
+from repro.core.metrics import SegmentMetrics, _segments_from_rows
 from repro.core.tuning import CandidateConfig, pareto_front
 from repro.core.config import FocusConfig
 from repro.cnn.zoo import cheap_cnn
 from repro.storage.docstore import Collection
+from repro.video.synthesis import ObservationTable
 
 _slow = settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
@@ -145,6 +146,45 @@ def test_segment_metrics_bounds(true_n, ret_n, correct_n):
     assert 0.0 <= m.precision <= 1.0
     assert 0.0 <= m.recall <= 1.0
     assert 0.0 <= m.f1 <= 1.0
+
+
+@st.composite
+def _segment_rows(draw):
+    """(table, rows): observations as (second, frame, track) triples --
+    duplicate pairs from different tracks included -- a large frame
+    base, and an unsorted, repeating (possibly empty) row selection."""
+    obs = draw(st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 35), st.integers(0, 3)),
+        max_size=80,
+    ))
+    base = draw(st.integers(min_value=0, max_value=2 ** 40))
+    n = len(obs)
+    seconds = np.asarray([o[0] for o in obs], dtype=np.float64)
+    fractions = np.asarray(
+        draw(st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n)), dtype=np.float64)
+    table = ObservationTable(
+        stream="prop", fps=30.0, duration_s=41.0,
+        track_id=np.asarray([o[2] for o in obs], dtype=np.int64),
+        class_id=np.zeros(n, dtype=np.int64),
+        time_s=seconds + fractions,
+        frame_idx=base + np.asarray([o[1] for o in obs], dtype=np.int64),
+        difficulty=np.ones(n), appearance_seed=np.zeros(n, dtype=np.int64),
+        obs_in_track=np.zeros(n, dtype=np.int64),
+    )
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=120)) if n else []
+    return table, np.asarray(rows, dtype=np.int64)
+
+
+@_slow
+@given(_segment_rows(), st.floats(min_value=0.5, max_value=20.0))
+def test_segments_from_rows_matches_definition(case, threshold):
+    table, rows = case
+    frames_by_second = {}
+    for r in rows.tolist():
+        second = int(np.floor(table.time_s[r]))
+        frames_by_second.setdefault(second, set()).add(int(table.frame_idx[r]))
+    expected = {s for s, f in frames_by_second.items() if len(f) >= threshold}
+    assert _segments_from_rows(table, rows, threshold) == expected
 
 
 # -- pareto front ----------------------------------------------------------------
