@@ -96,6 +96,11 @@ class FeatureExtractor:
         self.model_salt = model_salt
         self.noise_multiplier = noise_multiplier
         self.calibration = calibration
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
+        """Empty the four memo caches: pure-function memoization,
+        rebuilt on demand, so dropping them never changes a feature."""
         #: dense class -> prototype row matrix (grown on demand), so
         #: the per-block prototype lookup is a single fancy gather
         self._proto_matrix = None
@@ -107,6 +112,19 @@ class FeatureExtractor:
         #: pure functions of the track, recomputed per chunk before --
         #: live ingest pushes the same tracks every chunk
         self._track_cache: dict = {}
+
+    def __getstate__(self) -> dict:
+        """Pickle the parameters only: a config sent over the worker
+        wire must not drag the sender's memo caches along."""
+        return {
+            "model_salt": self.model_salt,
+            "noise_multiplier": self.noise_multiplier,
+            "calibration": self.calibration,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._reset_memos()
+        self.__dict__.update(state)
 
     @property
     def dim(self) -> int:

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.cnn.model import ClassifierModel
+from repro.storage.journal import pack_array, unpack_array
 from repro.video.synthesis import ObservationTable
 
 
@@ -451,18 +452,28 @@ class IncrementalClusterer:
 
     # -- durable state -------------------------------------------------------
     def state_dict(self) -> Dict:
-        """The clusterer's complete resumable state, JSON-serializable.
+        """The clusterer's complete resumable state, JSON-serializable:
+        :meth:`bounded_state` plus ``assignments``, the one per-row
+        entry.  Everything :meth:`from_state_dict` needs to continue
+        ingest exactly where this instance stands."""
+        return dict(
+            self.bounded_state(),
+            assignments=pack_array(self._assign_buf[: self._rows_seen], np.int64),
+        )
 
-        Everything :meth:`from_state_dict` needs to continue ingest
-        exactly where this instance stands: live-slot arrays, the full
-        assignment history, per-track shortcuts, and the scan/shortcut
-        counters.  Centroids and their cached norms are
-        *not* stored -- they are recomputed from (sum, dense count)
-        with the identical floating-point expressions the join path
-        uses, so the restored values are bit-identical.  Python's JSON
-        round-trips float64 exactly (shortest-repr), which is what
-        makes a journal replay on top of a restored clusterer
-        reproduce uninterrupted ingest bit for bit.
+    def bounded_state(self) -> Dict:
+        """:meth:`state_dict` without the per-row assignment history:
+        live-slot arrays, per-cluster seeds and sizes, per-track
+        shortcuts and the scan/shortcut counters -- O(live clusters +
+        clusters + tracks), never O(rows).  What a durable checkpoint's
+        head holds; the assignments go into its row segments.
+
+        Arrays are packed (``repro.storage.journal.pack_array``: raw
+        bytes, bit-exact).  Centroids and their cached norms are *not*
+        stored -- they are recomputed from (sum, dense count) with the
+        identical floating-point expressions the join path uses, so a
+        journal replay on top of a restored clusterer reproduces
+        uninterrupted ingest bit for bit.
         """
         n = self._n_live
         return {
@@ -471,16 +482,15 @@ class IncrementalClusterer:
             "max_live": int(self.max_live),
             "strict": bool(self.strict),
             "n_live": int(n),
-            "sums": self._sums[:n].tolist(),
-            "dense": self._dense[:n].tolist(),
-            "counts": self._counts[:n].tolist(),
-            "live_ids": self._live_ids[:n].tolist(),
+            "sums": pack_array(self._sums[:n], np.float64),
+            "dense": pack_array(self._dense[:n], np.int64),
+            "counts": pack_array(self._counts[:n], np.int64),
+            "live_ids": pack_array(self._live_ids[:n], np.int64),
             "next_id": int(self._next_id),
-            "seed_rows": list(self._seed_rows),
-            "sizes": list(self._sizes),
-            "assignments": self._assign_buf[: self._rows_seen].tolist(),
+            "seed_rows": pack_array(self._seed_rows, np.int64),
+            "sizes": pack_array(self._sizes, np.int64),
             "rows_seen": int(self._rows_seen),
-            "track_cache": [[int(t), int(c)] for t, c in self._track_cache.items()],
+            "track_cache": pack_array(list(self._track_cache.items()), np.int64),
             "full_scans": int(self.full_scans),
             "shortcut_hits": int(self.shortcut_hits),
         }
@@ -489,6 +499,8 @@ class IncrementalClusterer:
     def from_state_dict(cls, state: Dict) -> "IncrementalClusterer":
         """Rebuild a clusterer from :meth:`state_dict` output, bit-exact.
 
+        ``assignments`` must cover every row seen.  Arrays may be packed
+        strings, lists (checkpoints written before packing) or arrays.
         Checkpoints written before the batch kernel was deleted also
         carry ``kernel``, ``recent_scans``, ``recent_rows`` and
         ``active_kernel``; they are ignored.
@@ -501,10 +513,10 @@ class IncrementalClusterer:
         )
         n = int(state["n_live"])
         dim = self.dim
-        self._sums[:n] = np.asarray(state["sums"], dtype=np.float64).reshape(n, dim)
-        self._dense[:n] = np.asarray(state["dense"], dtype=np.int64)
-        self._counts[:n] = np.asarray(state["counts"], dtype=np.int64)
-        self._live_ids[:n] = np.asarray(state["live_ids"], dtype=np.int64)
+        self._sums[:n] = unpack_array(state["sums"], np.float64).reshape(n, dim)
+        self._dense[:n] = unpack_array(state["dense"], np.int64)
+        self._counts[:n] = unpack_array(state["counts"], np.int64)
+        self._live_ids[:n] = unpack_array(state["live_ids"], np.int64)
         self._n_live = n
         # recompute centroid / |centroid|^2 per slot through the primitive
         # _join_dense uses -- same operands, same order, same results,
@@ -512,16 +524,18 @@ class IncrementalClusterer:
         for slot in range(n):
             self._set_centroid(slot, self._sums[slot], self._dense[slot])
         self._next_id = int(state["next_id"])
-        self._seed_rows = [int(x) for x in state["seed_rows"]]
-        self._sizes = [int(x) for x in state["sizes"]]
+        self._seed_rows = unpack_array(state["seed_rows"], np.int64).tolist()
+        self._sizes = unpack_array(state["sizes"], np.int64).tolist()
         rows = int(state["rows_seen"])
         capacity = 1024
         while capacity < rows:
             capacity *= 2
         self._assign_buf = np.zeros(capacity, dtype=np.int64)
-        self._assign_buf[:rows] = np.asarray(state["assignments"], dtype=np.int64)
+        self._assign_buf[:rows] = unpack_array(state["assignments"], np.int64)
         self._rows_seen = rows
-        self._track_cache = {int(t): int(c) for t, c in state["track_cache"]}
+        self._track_cache = dict(
+            unpack_array(state["track_cache"], np.int64).reshape(-1, 2).tolist()
+        )
         self._slot_of_id = {int(self._live_ids[i]): i for i in range(n)}
         self.full_scans = int(state["full_scans"])
         self.shortcut_hits = int(state["shortcut_hits"])

@@ -53,7 +53,6 @@ from repro.core.ingest import IngestResult, simulate_pixel_diff
 from repro.sched.cluster import DispatchReport, IngestDispatcher
 from repro.storage.docstore import DocumentStore
 from repro.storage.journal import (
-    CHUNK_COLUMNS,
     CheckpointWriter,
     IngestJournal,
     JournalError,
@@ -61,6 +60,7 @@ from repro.storage.journal import (
     chunk_from_payload,
     committed_checkpoint,
     load_ingest_state,
+    load_state_rows,
 )
 from repro.video.synthesis import ObservationTable
 
@@ -237,6 +237,9 @@ class StreamIngestor:
         #: committed durable-checkpoint epoch (0: none); advances only
         #: when a checkpoint's atomic commit succeeds
         self.committed_epoch = 0
+        #: rows the committed checkpoint's segments already hold; like
+        #: the epoch, it moves only when a commit succeeds
+        self._persisted_rows = 0
         self._last_journal_seq = -1
         self.journal = None
         if index_mode == "materialized":
@@ -618,7 +621,11 @@ class StreamIngestor:
         dirty_before = self._index.dirty_clusters
         try:
             self._index.to_docstore(writer, incremental=True)
-            writer.write_state(self._state_payload())
+            # only the rows past the last *committed* checkpoint are
+            # encoded; the cursor moves at commit, so a failed attempt's
+            # retry writes the same range
+            start = self._persisted_rows
+            writer.write_state(self._state_payload(), start, self._rows_from(start))
             if stream_meta is not None:
                 writer.collection("stream-meta").upsert(
                     {"stream": self.stream}, stream_meta
@@ -630,18 +637,19 @@ class StreamIngestor:
             self._index.mark_dirty(dirty_before)
             raise
         self.committed_epoch = epoch
+        self._persisted_rows = self.num_rows
         if compact:
             self.journal.truncate_through(writer.journal_seq)
         return epoch
 
     def _state_payload(self) -> Dict:
-        """Everything :meth:`recover` needs to resume this session
-        exactly: session descriptor, watermark cursors, accumulated
-        columns, and the clusterer's bit-exact state."""
-        columns = self._columns
-        payload = {
+        """The head of the resumable state: session descriptor,
+        watermark cursors, counters and the clusterer's bounded state.
+        Nothing here grows with the rows -- those are in the
+        checkpoint's row segments."""
+        return {
             "descriptor": self._descriptor(),
-            "rows": int(columns.rows),
+            "rows": int(self._columns.rows),
             "watermark_s": float(self._watermark),
             "last_time_s": (
                 None if self._last_time == float("-inf") else float(self._last_time)
@@ -649,14 +657,16 @@ class StreamIngestor:
             "cnn_inferences": int(self.cnn_inferences),
             "ingest_gpu_seconds": float(self.ingest_gpu_seconds),
             "chunks_pushed": int(self.chunks_pushed),
-            "clusterer": self._clusterer.state_dict(),
-            "suppressed": [int(v) for v in columns.suppressed()],
-            "columns": {
-                name: np.asarray(getattr(self._table, name), dtype=dtype).tolist()
-                for name, dtype in CHUNK_COLUMNS
-            },
+            "clusterer": self._clusterer.bounded_state(),
         }
-        return payload
+
+    def _rows_from(self, start: int) -> Dict[str, np.ndarray]:
+        """Views of every per-row column from row ``start`` on (a
+        checkpoint's ``SEGMENT_COLUMNS``); nothing is copied here."""
+        columns = {name: getattr(self._table, name)[start:] for name in _COLUMNS}
+        columns["suppressed"] = self._columns.suppressed()[start:]
+        columns["assignments"] = self._snapshot.assignments[start:]
+        return columns
 
     @classmethod
     def recover(
@@ -756,13 +766,11 @@ class StreamIngestor:
     def _restore_state(self, store: DocumentStore, state_doc: Dict) -> None:
         """Load a committed checkpoint's ingest state into this session."""
         payload = state_doc["payload"]
-        self._clusterer = IncrementalClusterer.from_state_dict(payload["clusterer"])
-        columns = {
-            name: np.asarray(payload["columns"][name], dtype=dtype)
-            for name, dtype in CHUNK_COLUMNS
-        }
-        suppressed = np.asarray(payload["suppressed"], dtype=bool)
-        self._columns.restore(columns, suppressed)
+        columns, self._persisted_rows = load_state_rows(store, self.stream, payload)
+        self._clusterer = IncrementalClusterer.from_state_dict(
+            dict(payload["clusterer"], assignments=columns["assignments"])
+        )
+        self._columns.restore(columns, columns["suppressed"].astype(bool))
         self._watermark = float(payload["watermark_s"])
         last = payload["last_time_s"]
         self._last_time = float("-inf") if last is None else float(last)

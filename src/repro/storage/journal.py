@@ -29,11 +29,12 @@ uninterrupted in-memory state bit for bit (see ``docs/DURABILITY.md``).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +85,13 @@ CHUNK_COLUMNS = (
     ("obs_in_track", np.int64),
 )
 
+#: the per-row columns a checkpoint's row segment carries: the chunk
+#: columns, the pixel-diff suppression mask and the cluster assignments
+SEGMENT_COLUMNS = CHUNK_COLUMNS + (
+    ("suppressed", np.uint8),
+    ("assignments", np.int64),
+)
+
 
 # -- checksums ---------------------------------------------------------------
 
@@ -93,14 +101,18 @@ def payload_digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()
 
 
-def chunk_digest(seq: int, payload: Dict[str, Any]) -> str:
+def chunk_digest(
+    seq: int, payload: Dict[str, Any], arrays: Optional[List[np.ndarray]] = None
+) -> str:
     """Fast checksum of a chunk record: hashes raw column bytes.
 
     Journal appends sit on the live ingest hot path, so the digest
     avoids a canonical-JSON round trip of every row: column data is
     hashed as fixed-dtype array bytes.  Readers recompute the digest
     from the deserialized lists -- ``np.asarray(list, dtype)`` restores
-    the exact bytes, so verification is deterministic.
+    the exact bytes, so verification is deterministic; the write path
+    passes ``arrays``, the ``CHUNK_COLUMNS`` arrays the lists were made
+    from, and skips that rebuild.
     """
     h = hashlib.sha1()
     h.update(
@@ -114,16 +126,62 @@ def chunk_digest(seq: int, payload: Dict[str, Any]) -> str:
             )
         ).encode("utf-8")
     )
-    columns = payload["columns"]
-    for name, dtype in CHUNK_COLUMNS:
-        h.update(np.asarray(columns[name], dtype=dtype).tobytes())
+    if arrays is None:
+        columns = payload["columns"]
+        arrays = [np.asarray(columns[name], dtype=dtype) for name, dtype in CHUNK_COLUMNS]
+    for column in arrays:
+        h.update(column.tobytes())
     return h.hexdigest()
 
 
-def _record_digest(seq: int, kind: str, payload: Dict[str, Any]) -> str:
+def _record_digest(
+    seq: int, kind: str, payload: Dict[str, Any], arrays=None
+) -> str:
     if kind == "chunk":
-        return chunk_digest(seq, payload)
+        return chunk_digest(seq, payload, arrays)
     return payload_digest({"seq": int(seq), "kind": kind, "payload": payload})
+
+
+# -- packed arrays -------------------------------------------------------------
+
+def pack_array(values, dtype, digest=None) -> str:
+    """``values`` as base64 of its ``dtype`` little-endian bytes.
+
+    How checkpoint state stores an array: one ``str`` (documents stay
+    JSON-serializable), encoded once and never re-marshalled element by
+    element.  ``digest``, a running ``hashlib`` object, is fed the raw
+    bytes -- the checksum the way :func:`chunk_digest` takes it.
+    """
+    raw = np.ascontiguousarray(
+        values, dtype=np.dtype(dtype).newbyteorder("<")
+    ).tobytes()
+    if digest is not None:
+        digest.update(raw)
+    return base64.b64encode(raw).decode("ascii")
+
+
+def unpack_array(data, dtype, digest=None) -> np.ndarray:
+    """The array :func:`pack_array` stored, bit-exact (read-only).
+
+    Also accepts a list -- what checkpoints held before arrays were
+    packed -- or an array.  Raises :class:`JournalCorruption` when a
+    packed string does not decode to whole ``dtype`` items.
+    """
+    if not isinstance(data, str):
+        return np.asarray(data, dtype=dtype)
+    try:
+        raw = base64.b64decode(data, validate=True)
+        values = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
+    except ValueError as exc:
+        raise JournalCorruption("packed array is torn: %s" % exc)
+    if digest is not None:
+        digest.update(raw)
+    return values.astype(dtype, copy=False)
+
+
+def _segment_hasher(start: int, rows: int):
+    """The running checksum of a row segment, primed with its range."""
+    return hashlib.sha1(repr((int(start), int(rows))).encode("utf-8"))
 
 
 # -- chunk (de)serialization -------------------------------------------------
@@ -230,14 +288,14 @@ class IngestJournal:
         return self.store.collection(self.collection_name)
 
     # -- writes --------------------------------------------------------------
-    def append(self, kind: str, payload: Dict[str, Any]) -> int:
+    def append(self, kind: str, payload: Dict[str, Any], arrays=None) -> int:
         """Append one record; returns its sequence number.
 
         The record is checksummed over (seq, kind, payload), so any
         later truncation or mutation of the stored document is
         detectable.  The insert either lands whole or not at all; a
         crash mid-append therefore loses at most the unacknowledged
-        record, never a prefix.
+        record, never a prefix.  ``arrays``: see :func:`chunk_digest`.
         """
         started = time.perf_counter() if self.metrics is not None else 0.0
         seq = self._next_seq
@@ -245,7 +303,7 @@ class IngestJournal:
             "seq": seq,
             "kind": kind,
             "payload": payload,
-            "checksum": _record_digest(seq, kind, payload),
+            "checksum": _record_digest(seq, kind, payload, arrays),
         }
         self.collection.insert_one(doc)
         self._next_seq = seq + 1
@@ -257,8 +315,15 @@ class IngestJournal:
         return seq
 
     def append_chunk(self, chunk, watermark_s: Optional[float] = None) -> int:
-        """Journal one observation chunk (the WAL step of a push)."""
-        return self.append("chunk", chunk_to_payload(chunk, watermark_s))
+        """Journal one observation chunk (the WAL step of a push).
+
+        Each column is hashed once, from the chunk's own array, instead
+        of being rebuilt from the list just made of it."""
+        arrays = [
+            np.asarray(getattr(chunk, name), dtype=dtype)
+            for name, dtype in CHUNK_COLUMNS
+        ]
+        return self.append("chunk", chunk_to_payload(chunk, watermark_s), arrays)
 
     def truncate_through(self, seq: int) -> int:
         """Drop records with sequence <= ``seq`` (post-checkpoint
@@ -517,9 +582,37 @@ class CheckpointWriter:
         self.store.drop_staged(name)
 
     # -- protocol ------------------------------------------------------------
-    def write_state(self, payload: Dict[str, Any]) -> None:
-        """Stage the stream's resumable ingest state (one checksummed doc)."""
-        self.collection(STATE_PREFIX + self.stream).upsert(
+    def write_state(
+        self, payload: Dict[str, Any], start: int, columns: Dict[str, np.ndarray]
+    ) -> None:
+        """Stage the stream's resumable ingest state.
+
+        ``columns`` holds rows ``[start, ...)`` of every
+        ``SEGMENT_COLUMNS`` column: the rows ingested since the last
+        committed checkpoint.  They are staged as one write-once
+        *segment* document, each column packed and checksummed once
+        (:func:`pack_array`); the earlier segments ride the staged clone
+        untouched.  ``payload`` -- descriptor, cursors, counters, the
+        clusterer's bounded state; nothing per row -- then replaces the
+        *head* document, the only one matching ``{"stream": stream}``.
+        """
+        states = self.collection(STATE_PREFIX + self.stream)
+        rows = len(columns["track_id"])
+        if rows:
+            digest = _segment_hasher(start, rows)
+            packed = {
+                name: pack_array(columns[name], dtype, digest)
+                for name, dtype in SEGMENT_COLUMNS
+            }
+            states.insert_one(
+                {
+                    "start": int(start),
+                    "rows": rows,
+                    "columns": packed,
+                    "checksum": digest.hexdigest(),
+                }
+            )
+        states.upsert(
             {"stream": self.stream},
             {
                 "stream": self.stream,
@@ -569,7 +662,8 @@ class CheckpointWriter:
 
 
 def load_ingest_state(store: DocumentStore, stream: str) -> Optional[Dict]:
-    """The committed resumable-state document for ``stream``, verified.
+    """The committed resumable-state *head* document for ``stream``,
+    verified (its rows: :func:`load_state_rows`).
 
     Returns None when the stream has no committed durable checkpoint.
     Raises :class:`JournalCorruption` when the state document's
@@ -615,3 +709,68 @@ def load_ingest_state(store: DocumentStore, stream: str) -> Optional[Dict]:
             "corrupted state payload)" % stream
         )
     return doc
+
+
+def load_state_rows(
+    store: DocumentStore, stream: str, payload: Dict[str, Any]
+) -> Tuple[Dict[str, np.ndarray], int]:
+    """The accumulated rows under a verified head ``payload``: every
+    ``SEGMENT_COLUMNS`` column over ``[0, payload["rows"])``, and how
+    many of those rows sit in segments.
+
+    The segments must tile the range exactly, each with whole columns
+    and a matching checksum; a torn, missing, overlapping or surplus
+    segment raises :class:`JournalCorruption`.  A head that still holds
+    its rows inline as lists (written before segments existed) is read
+    through the same :func:`unpack_array` and reports zero segment
+    rows, so the next checkpoint writes them out as one segment.
+    """
+    total = int(payload["rows"])
+    segments = sorted(
+        (doc for doc in store.collection(STATE_PREFIX + stream).find() if "start" in doc),
+        key=lambda doc: (doc["start"], doc["rows"]),
+    )
+    inline = None
+    if "columns" in payload:
+        # covered by the head's checksum, so it carries none of its own
+        inline = {
+            "start": 0,
+            "rows": total,
+            "columns": dict(
+                payload["columns"],
+                suppressed=payload["suppressed"],
+                assignments=payload["clusterer"]["assignments"],
+            ),
+        }
+        segments.insert(0, inline)
+    out = {name: np.empty(total, dtype=dtype) for name, dtype in SEGMENT_COLUMNS}
+    cursor = 0
+    for segment in segments:
+        start, rows = int(segment["start"]), int(segment["rows"])
+        if start != cursor or start + rows > total:
+            raise JournalCorruption(
+                "stream %r: row segment [%d, %d) does not continue the "
+                "committed rows at %d of %d (missing or overlapping segment)"
+                % (stream, start, start + rows, cursor, total)
+            )
+        digest = _segment_hasher(start, rows)
+        for name, dtype in SEGMENT_COLUMNS:
+            values = unpack_array(segment["columns"].get(name, ()), dtype, digest)
+            if len(values) != rows:
+                raise JournalCorruption(
+                    "stream %r: row segment [%d, %d) column %r is truncated "
+                    "(%d rows)" % (stream, start, start + rows, name, len(values))
+                )
+            out[name][start : start + rows] = values
+        if segment is not inline and segment.get("checksum") != digest.hexdigest():
+            raise JournalCorruption(
+                "stream %r: row segment [%d, %d) fails its checksum"
+                % (stream, start, start + rows)
+            )
+        cursor += rows
+    if cursor != total:
+        raise JournalCorruption(
+            "stream %r: ingest-state head records %d rows but its segments "
+            "hold %d" % (stream, total, cursor)
+        )
+    return out, (0 if inline is not None else total)

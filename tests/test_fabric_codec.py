@@ -396,3 +396,32 @@ class TestShmDataPlane:
         # the segment survives the reader: the pool still owns it
         pool.release(name)
         assert pool.close() == []
+
+
+class TestConfigs:
+    """A config on the wire is its parameters: the model's shared
+    ``FeatureExtractor`` memo caches (prototypes, neighbours, track
+    profiles) are rebuilt on demand by whoever receives it."""
+
+    @staticmethod
+    def _config():
+        from repro.cnn.zoo import cheap_cnn
+        from repro.core.config import FocusConfig
+
+        return FocusConfig(model=cheap_cnn(1), k=2, cluster_threshold=0.12)
+
+    def test_pickle_size_is_the_same_after_an_ingest(self, table_factory):
+        from repro.core.streaming import StreamIngestor
+
+        config = self._config()
+        fresh = len(pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL))
+        table = table_factory("auburn_c", 20.0, 10.0)
+        StreamIngestor(config, table.stream, fps=table.fps).push(table)
+        extractor = config.model.feature_extractor()
+        assert extractor._track_cache and extractor._proto_known.any()
+        warm = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(warm) == fresh
+        assert codec.encode_config(config)["n"] == fresh
+        received = pickle.loads(warm).model.feature_extractor()
+        assert received._proto_matrix is None and not received._track_cache
+        assert np.array_equal(received.extract(table), extractor.extract(table))

@@ -537,3 +537,28 @@ class TestDataPlane:
             for name in tables:
                 assert_answers_equal(before[name], router.query(name, 1))
         assert supervisor.leaked_segments == []
+
+
+def test_worker_opened_from_a_warm_config_answers_identically(table_factory):
+    """A config whose model already ingested in this process pickles
+    without the extractor's memo caches; the worker that receives it
+    rebuilds them on demand and answers bit-identically."""
+    from repro.cnn.zoo import cheap_cnn
+    from repro.core.config import FocusConfig
+    from repro.core.system import FocusSystem
+
+    table = table_factory("auburn_c", 20.0, 10.0)
+    config = FocusConfig(model=cheap_cnn(1), k=2, cluster_threshold=0.12)
+    local = FocusSystem()
+    local.open_stream(table.stream, fps=table.fps, config=config)
+    local.append(table.stream, table)  # warms the config's caches
+    assert config.model.feature_extractor()._track_cache
+    with FabricSupervisor(["solo"]) as supervisor:
+        client = supervisor.client("solo")
+        client.open_stream(table.stream, fps=table.fps, config=config)
+        client.append(table.stream, table)
+        for clazz in CLASSES:
+            assert_answers_equal(
+                client.query(table.stream, clazz), local.query(table.stream, clazz)
+            )
+    assert supervisor.leaked_segments == []

@@ -6,6 +6,8 @@ journal appends, stale-epoch zombie checkpoints, and checksum guards
 over truncated or tampered journals and state documents.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.storage.journal import (
     IngestJournal,
     JournalCorruption,
     StaleEpochError,
+    chunk_digest,
+    chunk_to_payload,
     committed_checkpoint,
     load_ingest_state,
     reset_stream,
@@ -100,6 +104,25 @@ class TestFaultyStoreUnit:
 
 
 class TestJournalIntegrity:
+    def test_write_path_checksum_is_the_readers(self, stream_setup):
+        """``append_chunk`` hashes the chunk's own arrays; the stored
+        checksum is the one readers recompute from the stored lists --
+        also after the JSON round trip and for a non-native dtype."""
+        table, config, chunks = stream_setup
+        store = DocumentStore()
+        journal = IngestJournal(store, table.stream)
+        narrow = chunks[1].select(np.ones(len(chunks[1]), dtype=bool))
+        narrow.class_id = narrow.class_id.astype(np.int32)
+        for chunk in (chunks[0], narrow):
+            seq = journal.append_chunk(chunk, watermark_s=123.5)
+            doc = store.collection(JOURNAL_PREFIX + table.stream).find({"seq": seq})[0]
+            assert doc["payload"] == chunk_to_payload(chunk, 123.5)
+            assert doc["checksum"] == chunk_digest(seq, doc["payload"])
+            assert doc["checksum"] == chunk_digest(
+                seq, json.loads(json.dumps(doc["payload"]))
+            )
+        assert [r.seq for r in journal.records()] == [0, 1]
+
     def test_checksum_fires_on_truncated_record(self, stream_setup):
         table, config, chunks = stream_setup
         store = DocumentStore()

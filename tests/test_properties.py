@@ -257,3 +257,93 @@ def test_docstore_find_matches_linear_scan(docs, probe):
     assert [d["_id"] for d in coll.find(query)] == [
         d["_id"] for d in indexed.find(query)
     ]
+
+
+# -- durable ingest: any schedule, any checkpoints, any crash point ------------
+@st.composite
+def _crash_schedule(draw):
+    """Frame-aligned chunk cuts, the chunks to checkpoint after, the
+    write the store dies at, and the index mode."""
+    table = _durable_table()
+    aligned = (np.flatnonzero(np.diff(table.frame_idx)) + 1).tolist()
+    cuts = sorted(draw(st.lists(st.sampled_from(aligned), unique=True, max_size=6)))
+    bounds = [0] + cuts + [len(table)]
+    checkpoints = draw(st.sets(st.integers(0, len(bounds) - 2), max_size=4))
+    return (
+        bounds,
+        checkpoints,
+        draw(st.integers(min_value=0, max_value=80)),
+        draw(st.sampled_from(["materialized", "lazy"])),
+    )
+
+
+def _durable_table(cache={}):
+    if not cache:
+        from repro.video.synthesis import generate_observations
+
+        cache["table"] = generate_observations("auburn_c", 20.0, 10.0)
+    return cache["table"]
+
+
+@_slow
+@given(_crash_schedule())
+def test_recovery_equals_oneshot_for_any_schedule_and_crash(case):
+    """Chunk schedule x checkpoint positions x one crash point: the
+    recovered, finished session equals one-shot ingest of the window,
+    and its checkpoint's row segments tile ``[0, rows)``."""
+    from repro.core.ingest import IngestPipeline
+    from repro.core.streaming import StreamIngestor
+    from repro.storage.docstore import DocumentStore
+    from repro.storage.faults import FaultInjected, FaultyStore
+    from repro.storage.journal import STATE_PREFIX, IngestJournal
+
+    bounds, checkpoints, budget, index_mode = case
+    table = _durable_table()
+    config = FocusConfig(model=cheap_cnn(1), k=2, cluster_threshold=0.12)
+    chunks = [table.slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def fresh(store):
+        return StreamIngestor(
+            config, table.stream, fps=table.fps, index_mode=index_mode,
+            journal=IngestJournal(store, table.stream),
+        )
+
+    def feed(ingestor, store, start):
+        for i in range(start, len(chunks)):
+            ingestor.push(chunks[i])
+            if i in checkpoints:
+                ingestor.checkpoint(store)
+
+    inner = DocumentStore()
+    faulty = FaultyStore(inner, fail_after_writes=budget)
+    try:
+        session = fresh(faulty)
+        feed(session, faulty, 0)
+        session.checkpoint(faulty)
+    except FaultInjected:
+        try:
+            session = StreamIngestor.recover(inner, table.stream, config=config)
+        except KeyError:  # died before the "open" record
+            session = fresh(inner)
+        # appends are atomic: the recovered rows sit on a chunk boundary
+        feed(session, inner, bounds.index(session.num_rows))
+        session.checkpoint(inner)
+
+    oneshot = IngestPipeline(config, index_mode=index_mode).run(table)
+    for ingestor in (session, StreamIngestor.recover(inner, table.stream, config=config)):
+        assert ingestor.num_rows == len(table)
+        np.testing.assert_array_equal(
+            ingestor.clusters.assignments, oneshot.clusters.assignments)
+        np.testing.assert_array_equal(
+            ingestor.clusters.seed_rows, oneshot.clusters.seed_rows)
+        np.testing.assert_array_equal(ingestor.clusters.sizes, oneshot.clusters.sizes)
+        np.testing.assert_array_equal(ingestor.result.suppressed, oneshot.suppressed)
+        assert ingestor.cnn_inferences == oneshot.cnn_inferences
+    segments = sorted(
+        (doc["start"], doc["rows"])
+        for doc in inner.collection(STATE_PREFIX + table.stream).find()
+        if "start" in doc
+    )
+    assert [s for s, _ in segments] == list(
+        np.cumsum([0] + [n for _, n in segments[:-1]]))
+    assert sum(n for _, n in segments) == len(table)
