@@ -84,6 +84,11 @@ class ConfusionModel:
     def _build_pools(num_classes: int) -> List[List[int]]:
         return [confusable_pool(cid) for cid in range(num_classes)]
 
+    def __reduce__(self):
+        # the pools are a pure function of the two parameters (and 99.7 %
+        # of a pickled config): ship the parameters, rebuild on arrival
+        return _restore_confusion, (self.pool_mass, self.num_classes)
+
     def slot_probability(self, true_classes: np.ndarray, query_class: int) -> np.ndarray:
         """P(one spurious slot == query_class) per observation."""
         true_classes = np.asarray(true_classes)
@@ -253,3 +258,13 @@ def default_confusion() -> ConfusionModel:
     if _DEFAULT_CONFUSION is None:
         _DEFAULT_CONFUSION = ConfusionModel()
     return _DEFAULT_CONFUSION
+
+
+def _restore_confusion(pool_mass: float, num_classes: int) -> ConfusionModel:
+    """What a pickled :class:`ConfusionModel` loads as: this process's
+    shared default when the parameters are the default's, else a new
+    model built from them."""
+    default = default_confusion()
+    if (pool_mass, num_classes) == (default.pool_mass, default.num_classes):
+        return default
+    return ConfusionModel(pool_mass, num_classes)

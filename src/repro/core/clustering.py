@@ -27,10 +27,11 @@ Implementation notes beyond the paper's sketch:
   common case because the previous cluster is also the nearest one.
   ``strict=True`` disables the shortcut and always scans.
 
-There is one execution kernel: a row-at-a-time loop over shared
-sum/count primitives (``_add_rows``).  ``strict=True`` runs the same
-loop without the shortcut -- the always-scan oracle the tests compare
-the fast path against.  Before adding a second kernel, read "Why there
+There is one execution kernel: a row-at-a-time loop (``_add_rows``)
+with the suppressed join, the shortcut test and the dense join inlined
+on hoisted locals.  ``strict=True`` runs the same loop without the
+shortcut -- the always-scan oracle the tests compare the fast path
+against.  Before adding a second kernel, read "Why there
 is no vectorized kernel" in ``docs/PERFORMANCE.md``: a speculative one
 was selected on 0 of 438 benchmark chunks and ran at 0.75-0.96x this
 loop on every shipped stream profile.
@@ -195,14 +196,25 @@ class IncrementalClusterer:
         capacity = max(64, max_live_clusters)
         self._sums = np.zeros((capacity, dim), dtype=np.float64)
         self._centroids = np.zeros((capacity, dim), dtype=np.float64)
+        #: |centroid|^2 per slot, read by scans only: a join marks its
+        #: slot in ``_stale`` and ``_refresh_norms`` catches up before a read
         self._cnorm2 = np.zeros(capacity, dtype=np.float64)
+        self._stale: set = set()
+        #: one view per slot, made when the slot is first used:
+        #: ``rows[slot]`` is a list index where ``array[slot]`` builds a
+        #: view per dense row
+        self._sum_rows: List[np.ndarray] = []
+        self._centroid_rows: List[np.ndarray] = []
         self._scan_buf = np.empty(capacity, dtype=np.float64)
-        #: dim-sized scratch the per-row kernels write differences and
-        #: squares into (out=), instead of allocating per dense row
+        #: dim-sized scratch the row loop writes differences and squares
+        #: into (out=), instead of allocating per dense row
         self._scratch = np.empty(dim, dtype=np.float64)
-        self._dense = np.zeros(capacity, dtype=np.int64)
+        # per-slot dense counts and cluster ids are Python ints: the row
+        # loop reads them per hit, and a numpy scalar costs ~5x an int.
+        # _counts stays an array so eviction is one argmin.
+        self._dense = [0] * capacity
         self._counts = np.zeros(capacity, dtype=np.int64)
-        self._live_ids = np.full(capacity, -1, dtype=np.int64)
+        self._live_ids = [-1] * capacity
         self._n_live = 0
 
         self._next_id = 0
@@ -226,15 +238,27 @@ class IncrementalClusterer:
         return self._next_id
 
     # -- cluster-state primitives ------------------------------------------
-    # The fast path and the strict oracle both funnel through these, and
-    # from_state_dict recomputes centroids with the same expressions:
-    # identical floating-point operation order is the basis of the
+    # The miss path of _add_rows.  The loop's inlined join, these and
+    # from_state_dict compute sums, centroids and norms with the same
+    # expressions in the same order: that is the basis of the
     # bit-identical-assignments guarantee.
+
+    def _refresh_norms(self) -> None:
+        """Recompute ``_cnorm2`` for the slots joined since the last call
+        (few: the tracks in view between two scans)."""
+        scratch = self._scratch
+        for slot in self._stale:
+            row = self._centroid_rows[slot]
+            self._cnorm2[slot] = np.add.reduce(np.multiply(row, row, out=scratch))
+        self._stale.clear()
 
     def _evict_smallest(self) -> None:
         """Retire the smallest live cluster (its id stays valid)."""
-        victim = int(np.argmin(self._counts[: self._n_live]))
-        victim_id = int(self._live_ids[victim])
+        # no slot may be stale when a row moves (none is today: the
+        # scan that precedes every eviction has just refreshed them)
+        self._refresh_norms()
+        victim = int(self._counts[: self._n_live].argmin())
+        victim_id = self._live_ids[victim]
         last = self._n_live - 1
         if victim != last:
             self._sums[victim] = self._sums[last]
@@ -242,7 +266,7 @@ class IncrementalClusterer:
             self._cnorm2[victim] = self._cnorm2[last]
             self._dense[victim] = self._dense[last]
             self._counts[victim] = self._counts[last]
-            moved_id = int(self._live_ids[last])
+            moved_id = self._live_ids[last]
             self._live_ids[victim] = moved_id
             self._slot_of_id[moved_id] = victim
         self._n_live = last
@@ -253,6 +277,9 @@ class IncrementalClusterer:
         if self._n_live >= self.max_live:
             self._evict_smallest()
         slot = self._n_live
+        if slot == len(self._sum_rows):
+            self._sum_rows.append(self._sums[slot])
+            self._centroid_rows.append(self._centroids[slot])
         self._sums[slot] = vector
         self._centroids[slot] = vector
         self._cnorm2[slot] = vv
@@ -267,91 +294,26 @@ class IncrementalClusterer:
         self._sizes.append(1)
         return cid
 
-    def _join_dense(self, slot: int, vector: np.ndarray) -> int:
-        sums = self._sums[slot]
-        np.add(sums, vector, out=sums)
-        d = self._dense[slot] + 1
-        self._dense[slot] = d
-        self._counts[slot] += 1
-        self._set_centroid(slot, sums, d)
-        cid = int(self._live_ids[slot])
-        self._sizes[cid] += 1
-        return cid
-
-    def _set_centroid(self, slot: int, sums: np.ndarray, dense) -> None:
-        """``centroid = sums / dense`` and its cached squared norm, written
-        in place (``np.add.reduce`` is the pairwise sum ``.sum()`` runs)."""
-        centroid = self._centroids[slot]
-        np.divide(sums, dense, out=centroid)
-        scratch = self._scratch
-        np.multiply(centroid, centroid, out=scratch)
-        self._cnorm2[slot] = np.add.reduce(scratch)
-
     def _scan(self, vector: np.ndarray, vv: float):
         """Distance-squared scan over all live centroids.
 
         ``d2[i] = |c_i|^2 - 2 c_i.v + |v|^2``, evaluated into a reused
         buffer: one BLAS matvec plus in-place arithmetic, no temporaries.
         """
+        self._refresh_norms()
         n = self._n_live
         buf = self._scan_buf[:n]
         np.dot(self._centroids[:n], vector, out=buf)
         buf *= -2.0
         buf += self._cnorm2[:n]
         buf += vv
-        best = int(np.argmin(buf))
+        best = int(buf.argmin())
         return best, float(buf[best])
 
     def feature_rows_needed(self, track_ids: np.ndarray,
                             suppressed: np.ndarray) -> np.ndarray:
         """:func:`feature_rows_needed` against the tracks seen so far."""
         return feature_rows_needed(track_ids, suppressed, self._track_cache)
-
-    def _row_suppressed(self, track: int) -> Optional[int]:
-        """Suppressed row: join the track's cluster (live or retired) by
-        count only.  Returns None when the track has no cluster yet."""
-        cid = self._track_cache.get(track)
-        if cid is None:
-            return None
-        slot = self._slot_of_id.get(cid)
-        if slot is not None:
-            self._counts[slot] += 1
-        self._sizes[cid] += 1
-        return cid
-
-    def _row_dense(self, track: int, vector: np.ndarray, row: int,
-                   use_shortcut: bool) -> int:
-        """One dense row through shortcut -> scan -> join/new; returns
-        its cluster id."""
-        slot = None
-        if use_shortcut:
-            cached_cid = self._track_cache.get(track)
-            if cached_cid is not None:
-                cached_slot = self._slot_of_id.get(cached_cid)
-                if cached_slot is not None:
-                    delta = self._scratch
-                    np.subtract(self._centroids[cached_slot], vector, out=delta)
-                    np.multiply(delta, delta, out=delta)
-                    if np.add.reduce(delta) <= self._t2:
-                        slot = cached_slot
-                        self.shortcut_hits += 1
-        cid = None
-        if slot is None:
-            # |v|^2 is only needed by the scan and for a new cluster's
-            # cached norm; the common shortcut-hit path skips it
-            vv = float(np.add.reduce(
-                np.multiply(vector, vector, out=self._scratch)))
-            if self._n_live > 0:
-                self.full_scans += 1
-                best, best_d2 = self._scan(vector, vv)
-                if best_d2 <= self._t2:
-                    slot = best
-            if slot is None:
-                cid = self._new_cluster(vector, vv, row)
-        if cid is None:
-            cid = self._join_dense(slot, vector)
-        self._track_cache[track] = cid
-        return cid
 
     # -- ingest -------------------------------------------------------------
     def add(
@@ -426,29 +388,75 @@ class IncrementalClusterer:
 
     # -- the kernel ---------------------------------------------------------
     def _add_rows(self, features, track_ids, sup, valid, fill, out) -> None:
-        """Row-at-a-time loop over the primitives above: suppressed rows
-        follow their track, dense rows go shortcut -> scan -> join/new
-        (``strict`` skips the shortcut and always scans)."""
+        """The row loop.  A suppressed row follows its track by count
+        only; a dense row tests its track's cluster (``strict`` skips
+        the test), scans on a miss, then joins or opens a cluster.  A
+        shortcut hit is five ufunc calls: subtract, multiply, add.reduce
+        (the test), add, divide (the join)."""
         base = self._rows_seen
         use_shortcut = not self.strict
+        t2 = self._t2
+        track_cache, slot_of_id = self._track_cache, self._slot_of_id
+        centroids, sums, scratch = self._centroid_rows, self._sum_rows, self._scratch
+        dense, counts, live_ids = self._dense, self._counts, self._live_ids
+        sizes, stale = self._sizes, self._stale
+        subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
+        reduce_sum = np.add.reduce
         # plain-list row flags: ndarray scalar access costs ~5x a list
         # index, and this loop runs per observation
         track_list = np.asarray(track_ids, dtype=np.int64).tolist()
         sup_list = sup.tolist() if sup is not None else None
         valid_list = valid.tolist() if valid is not None else None
+        hits = 0
         for i in range(len(out)):
             track = track_list[i]
-            if sup_list is not None and sup_list[i]:
-                cid = self._row_suppressed(track)
-                if cid is not None:
-                    out[i] = cid
-                    continue
+            cid = track_cache.get(track)
+            if cid is not None and sup_list is not None and sup_list[i]:
+                slot = slot_of_id.get(cid)
+                if slot is not None:
+                    counts[slot] += 1
+                sizes[cid] += 1
+                out[i] = cid
+                continue
             if valid_list is not None and not valid_list[i]:
                 self._fill_features(features, valid, fill,
                                     np.asarray([i], dtype=np.int64))
-                valid_list[i] = True
-            out[i] = self._row_dense(track, features[i], base + i,
-                                     use_shortcut)
+            vector = features[i]
+            slot = None
+            if use_shortcut and cid is not None:
+                slot = slot_of_id.get(cid)
+                if slot is not None:
+                    subtract(centroids[slot], vector, scratch)
+                    multiply(scratch, scratch, scratch)
+                    if reduce_sum(scratch) <= t2:
+                        hits += 1
+                    else:
+                        slot = None
+            if slot is None:
+                # |v|^2 is only needed by the scan and for a new cluster's
+                # norm; the common shortcut-hit path never computes it
+                vv = float(reduce_sum(multiply(vector, vector, scratch)))
+                if self._n_live > 0:
+                    self.full_scans += 1
+                    best, best_d2 = self._scan(vector, vv)
+                    if best_d2 <= t2:
+                        slot = best
+            if slot is None:
+                cid = self._new_cluster(vector, vv, base + i)
+            else:
+                total = sums[slot]
+                add(total, vector, total)
+                d = dense[slot] + 1
+                dense[slot] = d
+                counts[slot] += 1
+                # a Python float is the cheapest scalar np.divide takes
+                divide(total, float(d), centroids[slot])
+                stale.add(slot)
+                cid = live_ids[slot]
+                sizes[cid] += 1
+            track_cache[track] = cid
+            out[i] = cid
+        self.shortcut_hits += hits
 
     # -- durable state -------------------------------------------------------
     def state_dict(self) -> Dict:
@@ -514,15 +522,19 @@ class IncrementalClusterer:
         n = int(state["n_live"])
         dim = self.dim
         self._sums[:n] = unpack_array(state["sums"], np.float64).reshape(n, dim)
-        self._dense[:n] = unpack_array(state["dense"], np.int64)
+        dense = unpack_array(state["dense"], np.int64)
+        self._dense[:n] = dense.tolist()
         self._counts[:n] = unpack_array(state["counts"], np.int64)
-        self._live_ids[:n] = unpack_array(state["live_ids"], np.int64)
+        self._live_ids[:n] = unpack_array(state["live_ids"], np.int64).tolist()
         self._n_live = n
-        # recompute centroid / |centroid|^2 per slot through the primitive
-        # _join_dense uses -- same operands, same order, same results,
-        # so no rounding drift versus the live instance
-        for slot in range(n):
-            self._set_centroid(slot, self._sums[slot], self._dense[slot])
+        self._sum_rows = list(self._sums[:n])
+        self._centroid_rows = list(self._centroids[:n])
+        # recompute centroid = sum / dense and |centroid|^2 per slot with
+        # the row loop's expressions -- same operands, same results, so
+        # no rounding drift versus the live instance
+        np.divide(self._sums[:n], dense[:, None], out=self._centroids[:n])
+        self._stale.update(range(n))
+        self._refresh_norms()
         self._next_id = int(state["next_id"])
         self._seed_rows = unpack_array(state["seed_rows"], np.int64).tolist()
         self._sizes = unpack_array(state["sizes"], np.int64).tolist()
@@ -536,7 +548,7 @@ class IncrementalClusterer:
         self._track_cache = dict(
             unpack_array(state["track_cache"], np.int64).reshape(-1, 2).tolist()
         )
-        self._slot_of_id = {int(self._live_ids[i]): i for i in range(n)}
+        self._slot_of_id = {self._live_ids[i]: i for i in range(n)}
         self.full_scans = int(state["full_scans"])
         self.shortcut_hits = int(state["shortcut_hits"])
         return self

@@ -97,17 +97,21 @@ def segment_metrics_in_range(
     class_id: int,
     returned_rows: np.ndarray,
     time_range: Optional[tuple] = None,
+    truth: Optional[Set[int]] = None,
 ) -> SegmentMetrics:
     """Like :func:`segment_metrics`, with ground truth restricted to a
     [start, end) window when ``time_range`` is given.
 
     The returned rows are expected to already be window-filtered (the
-    query engine drops out-of-range rows in QT4).
+    query engine drops out-of-range rows in QT4).  ``truth`` is
+    ``gt_segments(table, class_id)`` when the caller already holds it
+    (:meth:`repro.core.query.QueryEngine.metrics` does); it is only read.
     """
-    if time_range is None:
-        return segment_metrics(table, class_id, returned_rows)
-    start, end = time_range
-    truth = {s for s in gt_segments(table, class_id) if start <= s < end}
+    if truth is None:
+        truth = gt_segments(table, class_id)
+    if time_range is not None:
+        start, end = time_range
+        truth = {s for s in truth if start <= s < end}
     reported = result_segments(table, returned_rows)
     return SegmentMetrics(
         class_id=class_id,

@@ -11,7 +11,7 @@ shrink the candidate set at query time (Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.cnn.model import ClassifierModel
 from repro.cnn.specialize import SpecializedClassifier
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import IndexReader
+from repro.core.metrics import SegmentMetrics, gt_segments, segment_metrics_in_range
 from repro.video.synthesis import ObservationTable
 
 
@@ -73,6 +74,10 @@ class QueryEngine:
         self.gt_model = gt_model
         self.ledger = ledger or GPULedger()
         self._query_token_fn = query_token_fn
+        #: ground-truth segments per class over ``table``, valid while
+        #: the table has ``_truth_rows`` rows (tables only ever grow)
+        self._truth: Dict[int, Set[int]] = {}
+        self._truth_rows = -1
 
     def _token_for(self, class_id: int) -> int:
         if self._query_token_fn is not None:
@@ -122,6 +127,28 @@ class QueryEngine:
             rows = rows[(times >= start) & (times < end)]
         frames = np.unique(self.table.frame_idx[rows])
         return rows, frames
+
+    def metrics(
+        self,
+        class_id: int,
+        returned_rows: np.ndarray,
+        time_range: Optional[Tuple[float, float]] = None,
+    ) -> SegmentMetrics:
+        """Segment accuracy of an answer's rows against ground truth.
+
+        The class's ground-truth segments are a scan of the whole table;
+        they are computed on the first answer for a class and held until
+        the table grows.
+        """
+        table = self.table
+        if len(table) != self._truth_rows:
+            self._truth, self._truth_rows = {}, len(table)
+        truth = self._truth.get(class_id)
+        if truth is None:
+            truth = self._truth[class_id] = gt_segments(table, class_id)
+        return segment_metrics_in_range(
+            table, class_id, returned_rows, time_range, truth=truth
+        )
 
     def query(
         self,

@@ -23,7 +23,7 @@ from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import TopKIndex, stored_streams
 from repro.core.ingest import IngestPipeline, IngestResult
-from repro.core.metrics import SegmentMetrics, segment_metrics_in_range
+from repro.core.metrics import SegmentMetrics
 from repro.core.query import QueryEngine, QueryResult
 from repro.core.streaming import ChunkReport, StreamIngestor
 from repro.core.tuning import ParameterTuner, TuningResult
@@ -437,9 +437,7 @@ class FocusSystem:
         handle = self.handle(stream)
         cid = class_id_of(clazz) if isinstance(clazz, str) else int(clazz)
         result = handle.engine.query(cid, kx=kx, time_range=time_range)
-        metrics = segment_metrics_in_range(
-            handle.table, cid, result.returned_rows, time_range=time_range
-        )
+        metrics = handle.engine.metrics(cid, result.returned_rows, time_range)
         latency = self.coordinator.latency(self.gt_model, result.gt_inferences)
         return QueryAnswer(
             stream=stream,

@@ -200,9 +200,10 @@ def decode_table(obj: Dict[str, Any], reader=None) -> ObservationTable:
 def encode_config(config: Optional[Any], sink=None) -> Optional[Dict[str, Any]]:
     """Config objects as pickled blob envelopes.
 
-    Calibrated stream configs carry model state and run to hundreds of
-    kilobytes -- with a sink they ride the data plane like any other
-    bulk payload instead of the control-plane queue.
+    A config pickles to its parameters -- under 4 kB, generic or
+    specialized: ``ConfusionModel`` and ``FeatureExtractor`` leave their
+    derived tables out -- and with a sink it rides the data plane like
+    any other payload instead of the control-plane queue.
     """
     if config is None:
         return None

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.cnn.model import ClassifierModel
 from repro.core.costmodel import GPULedger
-from repro.core.metrics import SegmentMetrics, segment_metrics_in_range
+from repro.core.metrics import SegmentMetrics
 from repro.core.query import QueryEngine, QueryResult
 from repro.obs.metrics import MetricsRegistry, counter_kinds, register_counters
 from repro.obs.trace import get_tracer, span
@@ -333,12 +333,9 @@ class QueryService:
                 gt_inferences=len(shard_fresh),
                 gpu_seconds=len(shard_fresh) * per_inference,
             )
-            table = shard.engine.table
             metrics = (
-                segment_metrics_in_range(
-                    table, plan.class_id, rows, time_range=shard.time_range
-                )
-                if table is not None
+                shard.engine.metrics(plan.class_id, rows, shard.time_range)
+                if shard.engine.table is not None
                 else None
             )
             slices[shard.stream] = StreamSlice(

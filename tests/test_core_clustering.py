@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.clustering import ClusterSummary, IncrementalClusterer, cluster_table
+from repro.core.clustering import (
+    ClusterSummary,
+    IncrementalClusterer,
+    cluster_features,
+    cluster_table,
+    feature_rows_needed,
+)
+from repro.core.ingest import simulate_pixel_diff
 
 
 def _unit(v):
@@ -192,6 +199,36 @@ def test_legacy_checkpoint_keys_ignored():
         json.loads(json.dumps(legacy)))
     resumed.add(feats[140:], tracks[140:], suppressed=sup[140:])
     assert resumed.state_dict() == whole.state_dict()
+
+
+@pytest.mark.parametrize("threshold", [0.4, 0.04])
+def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold):
+    """Rows ``feature_valid`` leaves out are ``np.empty`` on the real
+    ingest paths: the clusterer may not read them, not even to square
+    them into a buffer it then ignores."""
+    features = cheap_model.feature_extractor().extract(small_table).astype(np.float64)
+    tracks, dim = small_table.track_id, features.shape[1]
+    suppressed = simulate_pixel_diff(small_table)
+    expected = IncrementalClusterer(threshold, dim).add(
+        features, tracks, suppressed=suppressed)
+
+    need = feature_rows_needed(tracks, suppressed)
+    assert 0 < need.sum() < len(need)
+    poisoned = features.copy()
+    poisoned[~need] = np.resize([np.nan, 1e308, -1e308], (int((~need).sum()), 1))
+    with np.errstate(all="raise"):
+        # one-shot path: whole-table mask, no fill callback
+        one_shot = cluster_features([(tracks, suppressed, poisoned, need)], dim, threshold)
+        np.testing.assert_array_equal(one_shot.assignments, expected)
+        # live path: per-chunk masks against the tracks seen so far
+        live = IncrementalClusterer(threshold, dim)
+        for a in range(0, len(tracks), 257):
+            b = a + 257
+            mask = live.feature_rows_needed(tracks[a:b], suppressed[a:b])
+            chunk = features[a:b].copy()
+            chunk[~mask] = -1e308
+            live.add(chunk, tracks[a:b], suppressed=suppressed[a:b], feature_valid=mask)
+        np.testing.assert_array_equal(live.finalize().assignments, expected)
 
 
 def test_empty_finalize():

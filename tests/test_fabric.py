@@ -883,3 +883,105 @@ class TestScatterMergeSemantics:
         assert repeat.cache_hits == sum(l.cache_hits for l in repeat_legs)
         assert repeat.gt_inferences == sum(l.gt_inferences for l in repeat_legs)
         assert repeat.latency_seconds <= fleet.latency_seconds
+
+
+# ---------------------------------------------------------------------------
+# ground truth is held per (stream, class), not recomputed per answer
+# ---------------------------------------------------------------------------
+
+class TestGroundTruthIsHeld:
+    """An answer's metrics compare its rows with the class's
+    ground-truth segments -- a scan of the stream's whole table.  The
+    stream's engine holds them until the table grows; what an answer
+    reports must not depend on that."""
+
+    CLASSES = ("car", "pedestrian")
+
+    @staticmethod
+    def _requests():
+        return [
+            QueryRequest("car"),
+            QueryRequest("pedestrian", time_range=(2.0, 12.0)),
+            QueryRequest("car", streams=FABRIC_STREAMS[:2], kx=1),
+        ]
+
+    def test_gt_segments_runs_once_per_stream_and_class(
+        self, fabric_tables, live_config, monkeypatch
+    ):
+        from repro.core import query as query_module
+        from repro.video.classes import class_id as class_id_of
+
+        calls = []
+        real = query_module.gt_segments
+
+        def counted(table, class_id):
+            calls.append((table.stream, class_id))
+            return real(table, class_id)
+
+        monkeypatch.setattr(query_module, "gt_segments", counted)
+        system = FocusSystem()
+        chunks = {n: frame_aligned_chunks(t) for n, t in fabric_tables.items()}
+        for name in FABRIC_STREAMS:
+            system.open_stream(name, fps=10.0, config=live_config)
+            for chunk in chunks[name][:-1]:
+                system.append(name, chunk)
+        served = 0
+        while served < 100:
+            for clazz in self.CLASSES:
+                system.query_all(clazz)
+                system.query(FABRIC_STREAMS[0], clazz, time_range=(1.0, 9.0))
+            served += 2 * len(self.CLASSES) + len(system.query_batch(self._requests()))
+        ids = [class_id_of(c) for c in self.CLASSES]
+        assert sorted(calls) == sorted((n, c) for n in FABRIC_STREAMS for c in ids)
+        # an append grows one table: that stream's segments, and only
+        # those, are computed again
+        del calls[:]
+        grown = FABRIC_STREAMS[1]
+        system.append(grown, chunks[grown][-1])
+        for _ in range(3):
+            for clazz in self.CLASSES:
+                system.query_all(clazz)
+        assert sorted(calls) == sorted((grown, c) for c in ids)
+
+    def test_answers_equal_the_unmemoized_metrics_between_chunks(
+        self, fabric_tables, live_config
+    ):
+        from repro.core.metrics import segment_metrics_in_range
+
+        system = FocusSystem()
+        router = FabricRouter([ShardNode("shard-0"), ShardNode("shard-1")])
+        for name in FABRIC_STREAMS:
+            system.open_stream(name, fps=10.0, config=live_config)
+            router.open_stream(name, fps=10.0, config=live_config, durable=False)
+        rows = dict.fromkeys(FABRIC_STREAMS, 0)
+        checked = 0
+
+        def check(stream, clazz_id, result, metrics, time_range):
+            nonlocal checked
+            so_far = fabric_tables[stream].slice(0, rows[stream])
+            assert metrics == segment_metrics_in_range(
+                so_far, clazz_id, result.returned_rows, time_range
+            )
+            checked += 1
+
+        pieces = zip(*(frame_aligned_chunks(fabric_tables[n]) for n in FABRIC_STREAMS))
+        for round_chunks in pieces:
+            for name, chunk in zip(FABRIC_STREAMS, round_chunks):
+                system.append(name, chunk)
+                router.append(name, chunk)
+                rows[name] += len(chunk)
+            for _ in range(2):  # the second pass reads held segments
+                for front in (system, router):
+                    for clazz in self.CLASSES:
+                        answer = front.query_all(clazz)
+                        for name, piece in answer.slices.items():
+                            check(name, answer.class_id, piece.result, piece.metrics, None)
+                        single = front.query(FABRIC_STREAMS[2], clazz, time_range=(3.0, 20.0))
+                        check(FABRIC_STREAMS[2], single.class_id, single.result,
+                              single.metrics, (3.0, 20.0))
+                    requests = self._requests()
+                    for request, answer in zip(requests, front.query_batch(requests)):
+                        for name, piece in answer.slices.items():
+                            check(name, answer.class_id, piece.result, piece.metrics,
+                                  request.time_range)
+        assert checked > 100

@@ -425,3 +425,32 @@ class TestConfigs:
         received = pickle.loads(warm).model.feature_extractor()
         assert received._proto_matrix is None and not received._track_cache
         assert np.array_equal(received.extract(table), extractor.extract(table))
+
+    @pytest.mark.parametrize("specialized", [False, True])
+    def test_config_crosses_the_wire_as_its_parameters(self, table_factory, specialized):
+        from repro.cnn.noise import default_confusion
+        from repro.cnn.specialize import specialize
+        from repro.core.config import FocusConfig
+
+        table = table_factory("auburn_c", 20.0, 10.0)
+        config = self._config()
+        if specialized:
+            model = specialize(config.model, table.class_histogram(), 5, table.stream)
+            config = FocusConfig(model=model, k=2, cluster_threshold=0.12)
+        assert codec.encode_config(config)["n"] < 4096  # was 318 kB of derived pools
+        received = codec.decode_config(codec.encode_config(config))
+        assert received.model.confusion is default_confusion()
+        tokens = config.model.space_tokens() if specialized else np.unique(table.class_id)[:3]
+        for token in tokens:
+            assert np.array_equal(
+                received.model.topk_membership(table, int(token), 4),
+                config.model.topk_membership(table, int(token), 4))
+
+    def test_non_default_confusion_rebuilds_from_its_parameters(self):
+        from repro.cnn.noise import ConfusionModel
+
+        model = ConfusionModel(pool_mass=0.2, num_classes=50)
+        received = pickle.loads(pickle.dumps(model))
+        assert received is not model
+        assert (received.pool_mass, received.num_classes) == (0.2, 50)
+        assert received._pools == model._pools

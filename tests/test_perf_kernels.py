@@ -266,6 +266,9 @@ class TestBuffersAreOwned:
         np.testing.assert_array_equal(
             source._centroids[: source._n_live],
             restored._centroids[: restored._n_live])
+        # norms are lazy: a restore refreshes them, the source catches
+        # up before its next scan
+        source._refresh_norms()
         np.testing.assert_array_equal(
             source._cnorm2[: source._n_live],
             restored._cnorm2[: restored._n_live])

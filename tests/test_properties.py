@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,8 @@ from repro.core.config import FocusConfig
 from repro.cnn.zoo import cheap_cnn
 from repro.storage.docstore import Collection
 from repro.video.synthesis import ObservationTable
+
+from reference_clusterer import ReferenceClusterer
 
 _slow = settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
@@ -129,6 +133,72 @@ def test_clustering_threshold_monotonicity(stream):
         counts.append(c.finalize().num_clusters)
     assert counts[0] >= counts[1] >= counts[2]
     assert counts[2] >= 1
+
+
+@st.composite
+def _kernel_case(draw):
+    """A tracky stream with suppression, cut into chunks, for a
+    clusterer small enough to evict; ``hop`` is the chunk before which
+    the clusterer is swapped for its own ``state_dict`` round trip."""
+    rng = np.random.RandomState(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    dim = draw(st.integers(min_value=1, max_value=19))
+    n = draw(st.integers(min_value=8, max_value=160))
+    n_tracks = draw(st.integers(min_value=1, max_value=10))
+    threshold = draw(st.sampled_from([0.04, 0.09, 0.16, 0.4]))
+    # spread set against T so a run holds hits, scans that join and
+    # scans that open a cluster
+    spread = threshold * draw(st.sampled_from([0.1, 0.3, 0.6])) / np.sqrt(dim)
+    tracks = rng.randint(0, n_tracks, size=n)
+    anchors = rng.normal(size=(n_tracks, dim)) * threshold
+    feats = anchors[tracks] + rng.normal(scale=spread, size=(n, dim))
+    jump = rng.uniform(size=n) < 0.1
+    feats[jump] += rng.normal(scale=2 * threshold, size=(int(jump.sum()), dim))
+    sup = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    cuts = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=4))
+    bounds = [0] + sorted(set(cuts)) + [n]
+    return dict(
+        feats=feats, tracks=tracks, sup=sup, threshold=threshold, bounds=bounds,
+        max_live=draw(st.sampled_from([1, 2, 3, 5, 64])),
+        strict=draw(st.booleans()),
+        hop=draw(st.integers(min_value=0, max_value=len(bounds) - 2)),
+    )
+
+
+@_slow
+@given(_kernel_case())
+def test_row_loop_matches_reference_primitives(case):
+    """The inlined row loop (lazy norms, int-held counts, hoisted
+    locals) against the straight-line primitives it replaced: identical
+    assignments *and* identical live state after every chunk -- through
+    eviction, ``strict``, a checkpoint hop, and rows the caller never
+    extracted (suppressed rows hold NaN; a track first seen suppressed
+    goes through ``feature_fill``)."""
+    feats, tracks, sup = case["feats"], case["tracks"], case["sup"]
+    dim = feats.shape[1]
+    args = (case["threshold"], dim, case["max_live"], case["strict"])
+    real, ref = IncrementalClusterer(*args), ReferenceClusterer(*args)
+    for chunk, (a, b) in enumerate(zip(case["bounds"], case["bounds"][1:])):
+        if chunk == case["hop"]:
+            real = IncrementalClusterer.from_state_dict(
+                json.loads(json.dumps(real.state_dict())))
+        given_feats = np.where(sup[a:b, None], np.nan, feats[a:b])
+        with np.errstate(all="raise"):
+            ids = real.add(
+                given_feats, tracks[a:b], suppressed=sup[a:b], feature_valid=~sup[a:b],
+                feature_fill=lambda rows, a=a: feats[a + rows])
+        np.testing.assert_array_equal(ids, ref.add(feats[a:b], tracks[a:b], sup[a:b]))
+        n = ref.n_live
+        assert real._n_live == n
+        assert (real.full_scans, real.shortcut_hits) == (ref.full_scans, ref.shortcut_hits)
+        assert real._sizes == ref.sizes and real._seed_rows == ref.seed_rows
+        assert real._track_cache == ref.track_cache
+        real._refresh_norms()
+        for mine, theirs in (
+            (real._sums, ref.sums), (real._centroids, ref.centroids),
+            (real._cnorm2, ref.cnorm2), (real._dense, ref.dense),
+            (real._counts, ref.counts), (real._live_ids, ref.live_ids),
+        ):
+            assert np.asarray(mine[:n]).tobytes() == theirs[:n].tobytes()
 
 
 # -- metrics ----------------------------------------------------------------
