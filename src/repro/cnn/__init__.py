@@ -22,7 +22,7 @@ these three interfaces exercises every Focus mechanism and trade-off.
 """
 
 from repro.cnn.costs import ArchSpec, GPUSpec, K80, TITAN_X, inference_seconds
-from repro.cnn.model import ClassifierModel, ClassificationResult
+from repro.cnn.model import ClassifierModel
 from repro.cnn.zoo import (
     GROUND_TRUTH,
     resnet152,
@@ -31,7 +31,6 @@ from repro.cnn.zoo import (
     CHEAP_CNN_FAMILY,
     generic_candidates,
 )
-from repro.cnn.compression import compress, compression_ladder
 from repro.cnn.specialize import SpecializedClassifier, specialize, OTHER_CLASS
 from repro.cnn.features import FeatureExtractor
 
@@ -42,15 +41,12 @@ __all__ = [
     "TITAN_X",
     "inference_seconds",
     "ClassifierModel",
-    "ClassificationResult",
     "GROUND_TRUTH",
     "resnet152",
     "resnet18",
     "cheap_cnn",
     "CHEAP_CNN_FAMILY",
     "generic_candidates",
-    "compress",
-    "compression_ladder",
     "SpecializedClassifier",
     "specialize",
     "OTHER_CLASS",

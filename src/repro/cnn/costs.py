@@ -15,7 +15,7 @@ on an NVIDIA K80 (Section 2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 
@@ -60,20 +60,6 @@ class ArchSpec:
             return self.gflops_override
         scale = (self.input_px / REFERENCE_INPUT_PX) ** RESOLUTION_EXPONENT
         return _FAMILY_COEFF[self.family] * self.conv_layers * scale
-
-    def with_layers_removed(self, n: int) -> "ArchSpec":
-        """Compression: drop ``n`` convolutional layers (Section 2.1)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if self.conv_layers - n < 1:
-            raise ValueError(
-                "cannot remove %d layers from a %d-layer model" % (n, self.conv_layers)
-            )
-        return replace(self, conv_layers=self.conv_layers - n, gflops_override=None)
-
-    def with_input_px(self, px: int) -> "ArchSpec":
-        """Compression: rescale the input image (Section 2.1)."""
-        return replace(self, input_px=px, gflops_override=None)
 
 
 @dataclass(frozen=True)

@@ -358,14 +358,3 @@ class FeatureExtractor:
                 vectors[hard] = 0.80 * proto[hard] + 1.00 * junk
 
         return _unit_rows(vectors).astype(np.float32)
-
-    def extract_chunked(self, table: ObservationTable, chunk_rows: int = 65536):
-        """Yield ``(start, stop, features)`` chunks to bound peak memory.
-
-        Chunks are zero-copy row slices (no per-chunk mask build or
-        column copies); per-track state is cached across chunks.
-        """
-        n = len(table)
-        for start in range(0, n, chunk_rows):
-            stop = min(start + chunk_rows, n)
-            yield start, stop, self.extract(table.slice(start, stop))

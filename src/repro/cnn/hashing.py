@@ -64,21 +64,6 @@ def hash_uniform(seeds: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def hash_normal(seeds: np.ndarray) -> np.ndarray:
-    """Deterministic standard normals from uint64 seeds (inverse CDF)."""
-    u = hash_uniform(seeds)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return ndtri(u)
-
-
-def hash_randint(seeds: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic integers in [0, n) from uint64 seeds."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    z = mix64(np.asarray(seeds, dtype=np.uint64))
-    return (z % np.uint64(n)).astype(np.int64)
-
-
 def hash_normal_matrix(seeds: np.ndarray, dim: int, salt: int = 0) -> np.ndarray:
     """Deterministic [len(seeds), dim] standard-normal matrix.
 

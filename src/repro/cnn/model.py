@@ -9,35 +9,16 @@ behaviour is a pure function of (model, observation), vectorized over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.cnn.costs import ArchSpec, GPUSpec, DEFAULT_GPU, inference_seconds
 from repro.cnn.features import FeatureExtractor
-from repro.cnn.hashing import combine, hash_uniform, mix64, stable_salt
+from repro.cnn.hashing import stable_salt
 from repro.cnn.noise import ConfusionModel, default_confusion, true_class_ranks
 from repro.video.classes import NUM_CLASSES
 from repro.video.synthesis import ObservationTable
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Ranked output of one model on one object (single-object API)."""
-
-    model_name: str
-    ranked_classes: List[int]
-    true_class: int
-    true_rank: int
-
-    @property
-    def top1(self) -> int:
-        return self.ranked_classes[0]
-
-    def contains(self, class_id: int, k: Optional[int] = None) -> bool:
-        prefix = self.ranked_classes if k is None else self.ranked_classes[:k]
-        return class_id in prefix
 
 
 class ClassifierModel:
@@ -100,26 +81,6 @@ class ClassifierModel:
             self.dispersion,
             self.num_classes,
         )
-
-    def predicted_top1(self, table: ObservationTable) -> np.ndarray:
-        """The model's top-most class per observation.
-
-        The ground-truth model always answers the true class; cheap
-        models answer a confusion draw whenever their true-class rank
-        slipped below 1.
-        """
-        ranks = self.ranks(table)
-        predicted = table.class_id.copy()
-        wrong = ranks > 1
-        if wrong.any():
-            idx = np.nonzero(wrong)[0]
-            seeds = table.observation_seeds()[idx]
-            for j, row in enumerate(idx):
-                slots = self.confusion.sample_slots(
-                    self.salt, int(seeds[j]), int(table.class_id[row]), 1
-                )
-                predicted[row] = slots[0]
-        return predicted
 
     def topk_membership(
         self, table: ObservationTable, query_class: int, k: int
@@ -203,24 +164,6 @@ class ClassifierModel:
             out.append(ranked)
         return out
 
-    def classify_one(
-        self, obs_seed: int, true_class: int, difficulty: float, k: int = 5
-    ) -> ClassificationResult:
-        """Single-object classification (examples / interactive use)."""
-        ranked = self.topk_list(obs_seed, true_class, difficulty, k)
-        seeds = np.asarray([obs_seed], dtype=np.uint64)
-        rank = int(
-            true_class_ranks(
-                self.salt, seeds, np.asarray([difficulty]), self.dispersion, self.num_classes
-            )[0]
-        )
-        return ClassificationResult(
-            model_name=self.name,
-            ranked_classes=ranked,
-            true_class=true_class,
-            true_rank=rank,
-        )
-
     # -- features -------------------------------------------------------------
     @property
     def feature_dim(self) -> int:
@@ -232,22 +175,6 @@ class ClassifierModel:
 
     def feature_extractor(self) -> FeatureExtractor:
         return self._extractor
-
-    # -- misc --------------------------------------------------------------
-    def expected_recall_at_k(self, k: int, difficulty: float = 1.0) -> float:
-        """Analytic recall@K under the rank-dispersion model."""
-        if self.dispersion == 0:
-            return 1.0
-        return 1.0 - float(np.exp(-k / (self.dispersion * difficulty)))
-
-    def k_for_recall(self, recall: float, difficulty: float = 1.0) -> int:
-        """Smallest K achieving ``recall`` under the analytic model."""
-        if not 0.0 < recall < 1.0:
-            raise ValueError("recall must be in (0, 1)")
-        if self.dispersion == 0:
-            return 1
-        k = -self.dispersion * difficulty * np.log(1.0 - recall)
-        return max(1, int(np.ceil(k)))
 
     def __repr__(self) -> str:
         return "ClassifierModel(name=%r, gflops=%.3f, dispersion=%.2f)" % (

@@ -102,9 +102,6 @@ class SpecializedClassifier(ClassifierModel):
         mapped = np.where(in_head, class_ids, OTHER_CLASS)
         return mapped
 
-    def knows(self, class_id: int) -> bool:
-        return class_id in self.head_set or class_id == OTHER_CLASS
-
     def query_token(self, class_id: int) -> int:
         """The index token used to query for a class: itself if in the
         head, otherwise OTHER (Section 4.3, '"OTHER" class')."""
@@ -160,17 +157,6 @@ class SpecializedClassifier(ClassifierModel):
             member |= others & (u < p_member)
         return member
 
-    def topk_list(
-        self, obs_seed: int, true_class: int, difficulty: float, k: int
-    ) -> List[int]:
-        """Materialized ranked top-K token list for one observation."""
-        return self.topk_lists(
-            np.asarray([obs_seed], dtype=np.uint64),
-            np.asarray([true_class], dtype=np.int64),
-            np.asarray([difficulty], dtype=np.float64),
-            k,
-        )[0]
-
     def topk_lists(
         self,
         obs_seeds: np.ndarray,
@@ -221,21 +207,6 @@ class SpecializedClassifier(ClassifierModel):
                         break
             out.append(ranked)
         return out
-
-    def predicted_top1(self, table: ObservationTable) -> np.ndarray:
-        """Top-most token per observation (in-space)."""
-        mapped = self.map_to_space(table.class_id)
-        ranks = self.ranks(table)
-        predicted = mapped.copy()
-        wrong = ranks > 1
-        if wrong.any():
-            idx = np.nonzero(wrong)[0]
-            seeds = table.observation_seeds()[idx]
-            tokens = np.asarray(self.space_tokens(), dtype=np.int64)
-            picks = (mix64(combine(seeds, np.uint64(self.salt), np.uint64(_SLOT_SALT)))
-                     % np.uint64(len(tokens))).astype(np.int64)
-            predicted[idx] = tokens[picks]
-        return predicted
 
 
 def head_classes_from_histogram(histogram: Mapping[int, int], ls: int) -> List[int]:

@@ -22,7 +22,6 @@ from repro.core.metrics import (
     gt_segments,
     result_segments,
     segment_metrics,
-    evaluate_query,
 )
 from repro.core.tuning import CandidateConfig, ParameterTuner, TuningResult, pareto_front
 from repro.core.system import FocusSystem, StreamHandle, QueryAnswer
@@ -51,7 +50,6 @@ __all__ = [
     "gt_segments",
     "result_segments",
     "segment_metrics",
-    "evaluate_query",
     "CandidateConfig",
     "ParameterTuner",
     "TuningResult",

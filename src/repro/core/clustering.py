@@ -40,12 +40,12 @@ loop on every shipped stream profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cnn.model import ClassifierModel
-from repro.storage.journal import pack_array, unpack_array
+from repro.storage.packing import pack_array, unpack_array
 from repro.video.synthesis import ObservationTable
 
 
@@ -323,7 +323,6 @@ class IncrementalClusterer:
         *,
         suppressed: Optional[np.ndarray] = None,
         feature_valid: Optional[np.ndarray] = None,
-        feature_fill: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> np.ndarray:
         """Cluster a chunk of observations (in stream order).
 
@@ -336,19 +335,16 @@ class IncrementalClusterer:
             suppressed: [n] bool; suppressed rows join their track's
                 current cluster without a feature vector.
             feature_valid: [n] bool marking which ``features`` rows hold
-                real data.  ``None`` means all rows are valid.  Copied
-                on entry: filling a row never writes the caller's mask.
-            feature_fill: callback ``rows -> [len(rows), dim]`` invoked
-                for the rare suppressed row whose track has no cluster
-                yet (e.g. a table truncated mid-track); fills
-                ``features`` in place.
+                real data (:meth:`feature_rows_needed` says which must).
+                ``None`` means all rows are valid.
 
         Returns:
             [n] cluster ids.
 
         Raises:
             ValueError: ``track_ids``, ``suppressed`` or ``feature_valid``
-                is not [n]; raised before any row is applied.
+                is not [n] (raised before any row is applied), or the
+                loop reached a row ``feature_valid`` marks unset.
         """
         features = np.asarray(features, dtype=np.float64)
         n = len(features)
@@ -359,7 +355,7 @@ class IncrementalClusterer:
             if len(suppressed) != n:
                 raise ValueError("features and suppressed must align")
         if feature_valid is not None:
-            feature_valid = np.array(feature_valid, dtype=bool)
+            feature_valid = np.asarray(feature_valid, dtype=bool)
             if len(feature_valid) != n:
                 raise ValueError("features and feature_valid must align")
         if self._rows_seen + n > len(self._assign_buf):
@@ -370,24 +366,13 @@ class IncrementalClusterer:
             grown[: self._rows_seen] = self._assign_buf[: self._rows_seen]
             self._assign_buf = grown
         out = np.empty(n, dtype=np.int64)
-        self._add_rows(features, track_ids, suppressed, feature_valid,
-                       feature_fill, out)
+        self._add_rows(features, track_ids, suppressed, feature_valid, out)
         self._assign_buf[self._rows_seen: self._rows_seen + n] = out
         self._rows_seen += n
         return out
 
-    @staticmethod
-    def _fill_features(features, valid, fill, rows: np.ndarray) -> None:
-        if fill is None:
-            raise ValueError(
-                "feature row(s) %s are marked invalid and no feature_fill "
-                "callback was provided" % rows
-            )
-        features[rows] = fill(rows)
-        valid[rows] = True
-
     # -- the kernel ---------------------------------------------------------
-    def _add_rows(self, features, track_ids, sup, valid, fill, out) -> None:
+    def _add_rows(self, features, track_ids, sup, valid, out) -> None:
         """The row loop.  A suppressed row follows its track by count
         only; a dense row tests its track's cluster (``strict`` skips
         the test), scans on a miss, then joins or opens a cluster.  A
@@ -419,8 +404,10 @@ class IncrementalClusterer:
                 out[i] = cid
                 continue
             if valid_list is not None and not valid_list[i]:
-                self._fill_features(features, valid, fill,
-                                    np.asarray([i], dtype=np.int64))
+                raise ValueError(
+                    "feature row %d is read but was not extracted "
+                    "(see feature_rows_needed)" % i
+                )
             vector = features[i]
             slot = None
             if use_shortcut and cid is not None:
@@ -476,7 +463,7 @@ class IncrementalClusterer:
         clusters + tracks), never O(rows).  What a durable checkpoint's
         head holds; the assignments go into its row segments.
 
-        Arrays are packed (``repro.storage.journal.pack_array``: raw
+        Arrays are packed (``repro.storage.packing.pack_array``: raw
         bytes, bit-exact).  Centroids and their cached norms are *not*
         stored -- they are recomputed from (sum, dense count) with the
         identical floating-point expressions the join path uses, so a
@@ -508,7 +495,7 @@ class IncrementalClusterer:
         """Rebuild a clusterer from :meth:`state_dict` output, bit-exact.
 
         ``assignments`` must cover every row seen.  Arrays may be packed
-        strings, lists (checkpoints written before packing) or arrays.
+        strings or arrays (recovery passes ``assignments`` unpacked).
         Checkpoints written before the batch kernel was deleted also
         carry ``kernel``, ``recent_scans``, ``recent_rows`` and
         ``active_kernel``; they are ignored.
@@ -664,16 +651,6 @@ def extract_and_cluster_chunk(
     suppression ratio."""
     need = clusterer.feature_rows_needed(chunk.track_id, suppressed)
     feats, feature_valid = _extract_needed(extractor, chunk, need, clusterer.dim)
-
-    def fill(rows: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(chunk), dtype=bool)
-        mask[rows] = True
-        return extractor.extract(chunk.select(mask)).astype(np.float64)
-
     return clusterer.add(
-        feats,
-        chunk.track_id,
-        suppressed=suppressed,
-        feature_valid=feature_valid,
-        feature_fill=fill,
+        feats, chunk.track_id, suppressed=suppressed, feature_valid=feature_valid
     )

@@ -41,9 +41,6 @@ class AccuracyTarget:
             if not 0.0 < value <= 1.0:
                 raise ValueError("%s target must be in (0, 1], got %r" % (name, value))
 
-    def met_by(self, precision: float, recall: float) -> bool:
-        return precision >= self.precision and recall >= self.recall
-
 
 @dataclass(frozen=True)
 class FocusConfig:

@@ -121,13 +121,6 @@ def segment_metrics_in_range(
     )
 
 
-def evaluate_query(
-    table: ObservationTable, class_id: int, returned_rows: np.ndarray
-) -> SegmentMetrics:
-    """Alias of :func:`segment_metrics` with the query-centric name."""
-    return segment_metrics(table, class_id, returned_rows)
-
-
 @dataclass(frozen=True)
 class StreamAccuracy:
     """Accuracy aggregated over a stream's dominant classes.

@@ -10,8 +10,9 @@ shrink the candidate set at query time (Section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +21,30 @@ from repro.cnn.specialize import SpecializedClassifier
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import IndexReader
 from repro.core.metrics import SegmentMetrics, gt_segments, segment_metrics_in_range
+from repro.video.classes import NUM_CLASSES, class_id as class_id_of
 from repro.video.synthesis import ObservationTable
+
+
+def resolve_query(
+    clazz: Union[int, str], time_range: Optional[Tuple[float, float]] = None
+) -> int:
+    """The class id a query names, checked before any engine work.
+
+    Raises ``KeyError`` for an unknown class name and ``ValueError`` for
+    a class id outside ``[0, NUM_CLASSES)`` or a ``time_range`` that is
+    not two finite numbers with start <= end.
+    """
+    cid = class_id_of(clazz) if isinstance(clazz, str) else int(clazz)
+    if not 0 <= cid < NUM_CLASSES:
+        raise ValueError("class id %r out of range [0, %d)" % (cid, NUM_CLASSES))
+    if time_range is not None:
+        start, end = time_range
+        if not (math.isfinite(start) and math.isfinite(end) and start <= end):
+            raise ValueError(
+                "time_range must be two finite numbers with start <= end, "
+                "got %r" % (time_range,)
+            )
+    return cid
 
 
 @dataclass

@@ -766,7 +766,8 @@ class StreamIngestor:
     def _restore_state(self, store: DocumentStore, state_doc: Dict) -> None:
         """Load a committed checkpoint's ingest state into this session."""
         payload = state_doc["payload"]
-        columns, self._persisted_rows = load_state_rows(store, self.stream, payload)
+        columns = load_state_rows(store, self.stream, payload)
+        self._persisted_rows = int(payload["rows"])
         self._clusterer = IncrementalClusterer.from_state_dict(
             dict(payload["clusterer"], assignments=columns["assignments"])
         )

@@ -24,7 +24,7 @@ from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import TopKIndex, stored_streams
 from repro.core.ingest import IngestPipeline, IngestResult
 from repro.core.metrics import SegmentMetrics
-from repro.core.query import QueryEngine, QueryResult
+from repro.core.query import QueryEngine, QueryResult, resolve_query
 from repro.core.streaming import ChunkReport, StreamIngestor
 from repro.core.tuning import ParameterTuner, TuningResult
 from repro.obs.metrics import MetricsRegistry
@@ -33,7 +33,7 @@ from repro.serve.planner import QueryRequest
 from repro.serve.service import MultiStreamAnswer, QueryService
 from repro.storage.docstore import DocumentStore
 from repro.storage.journal import IngestJournal, journaled_streams, reset_stream
-from repro.video.classes import class_id as class_id_of, class_name
+from repro.video.classes import class_name
 from repro.video.profiles import get_profile
 from repro.video.synthesis import ObservationTable, generate_observations
 
@@ -103,10 +103,6 @@ class StreamHandle:
         if self.ingestor is not None:
             return self.ingestor.watermark_s
         return self.table.duration_s
-
-    @property
-    def ingest_gpu_seconds(self) -> float:
-        return self.ingest.ingest_gpu_seconds if self.ingest else 0.0
 
 
 def _table_checksum(table: ObservationTable) -> int:
@@ -435,14 +431,14 @@ class FocusSystem:
         ``clazz`` may be a class id or a class name (e.g. ``"car"``).
         """
         handle = self.handle(stream)
-        cid = class_id_of(clazz) if isinstance(clazz, str) else int(clazz)
+        cid = resolve_query(clazz, time_range)
         result = handle.engine.query(cid, kx=kx, time_range=time_range)
         metrics = handle.engine.metrics(cid, result.returned_rows, time_range)
         latency = self.coordinator.latency(self.gt_model, result.gt_inferences)
         return QueryAnswer(
             stream=stream,
             class_id=cid,
-            class_name=class_name(cid) if cid >= 0 else "OTHER",
+            class_name=class_name(cid),
             frames=result.returned_frames,
             latency_seconds=latency,
             gt_inferences=result.gt_inferences,

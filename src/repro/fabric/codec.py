@@ -454,19 +454,7 @@ def decode_handle_info(obj: Dict[str, Any], reader=None) -> StreamHandleInfo:
     )
 
 
-# -- ingest sources, migration staging stores ---------------------------------
-
-def encode_source(source, sink=None):
-    """What ``ingest_stream`` ingests: a recorded table, or a Table-1
-    stream name (a plain string, as is)."""
-    if isinstance(source, ObservationTable):
-        return encode_table(source, sink)
-    return source
-
-
-def decode_source(obj, reader=None):
-    return decode_table(obj, reader) if isinstance(obj, dict) else obj
-
+# -- migration staging stores ---------------------------------------------------
 
 def encode_store(store: DocumentStore, sink=None) -> Dict[str, Any]:
     """A whole document store (a migration's staging copy), as the
@@ -481,15 +469,13 @@ def decode_store(obj: Dict[str, Any], reader=None) -> DocumentStore:
 # -- the registry ------------------------------------------------------------
 
 #: codec kind -> ``(encode, decode)``.  A kind is the tag its envelope
-#: carries, except the three riding another kind's: ``pickled`` (value
+#: carries, except the two riding a ``blob``: ``pickled`` (value
 #: objects the caller already holds -- configs, ``migrate_out``'s
-#: triple) and ``store`` are pickles in a ``blob``, ``source`` is a
-#: ``table`` or a name
+#: triple) and ``store`` are pickles in one
 CODECS = {
     "array": (encode_array, decode_array),
     "blob": (encode_blob, decode_blob),
     "table": (encode_table, decode_table),
-    "source": (encode_source, decode_source),
     "pickled": (encode_config, decode_config),
     "store": (encode_store, decode_store),
     "query_request": (encode_query_request, decode_query_request),

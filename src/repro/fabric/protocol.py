@@ -61,8 +61,9 @@ from repro.obs.metrics import register_counters
 #: is exactly the op's keyword arguments -- ``open_stream`` /
 #: ``ingest_stream`` kwargs flattened in, ``defer_delta`` moved to the
 #: envelope -- and ``migrate_out`` / ``finish_migration`` answer a
-#: pickled triple / a bare epoch)
-PROTOCOL_VERSION = 6
+#: pickled triple / a bare epoch; v7: ``ingest_stream`` and the
+#: ``source`` codec are gone)
+PROTOCOL_VERSION = 7
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;
@@ -132,9 +133,6 @@ OPS: Dict[str, Op] = {
     # stream lifecycle and ingest
     "open_stream": Op(
         "ingest", {"config": "pickled", "tune_on": "table"}, "handle_info"
-    ),
-    "ingest_stream": Op(
-        "ingest", {"stream": "source", "config": "pickled"}, "handle_info"
     ),
     "append": Op("ingest", {"chunk": "table"}, "chunk_report"),
     # serving

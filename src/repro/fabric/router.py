@@ -47,6 +47,7 @@ from dataclasses import replace as _dc_replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import FocusConfig
+from repro.core.query import resolve_query
 from repro.core.streaming import ChunkReport
 from repro.core.system import QueryAnswer, StreamHandle
 from repro.fabric.migration import MigrationReport, migrate_stream
@@ -66,7 +67,6 @@ from repro.serve.service import (
     merge_counters,
 )
 from repro.storage.docstore import DocumentStore
-from repro.video.classes import class_id as class_id_of
 from repro.video.classes import class_name
 from repro.video.synthesis import ObservationTable
 
@@ -300,22 +300,6 @@ class FabricRouter:
             failed = None
 
     # -- stream lifecycle ----------------------------------------------------
-    def ingest_stream(
-        self, stream: Union[str, ObservationTable], **kwargs
-    ) -> StreamHandle:
-        """Place (rendezvous) and one-shot ingest a stream on its shard.
-
-        Over in-process shards this returns the live ``StreamHandle``;
-        over worker shards it returns the wire-safe
-        :class:`~repro.fabric.protocol.StreamHandleInfo` summary (live
-        handles are worker-local).
-        """
-        name = stream.stream if isinstance(stream, ObservationTable) else stream
-        shard, placed = self._place(name)
-        handle = shard.ingest_stream(stream, **kwargs)
-        self._update_placement(placed)
-        return handle
-
     def open_stream(self, stream: str, **kwargs) -> StreamHandle:
         """Place (rendezvous) and open a live session on the owning shard.
 
@@ -505,6 +489,8 @@ class FabricRouter:
         """
         if not requests:
             return []
+        for request in requests:  # refused before any leg runs
+            resolve_query(request.clazz, request.time_range)
         if self.trace_walkins and all(r.trace is None for r in requests):
             # walk-in batch at a fabric entry point: consult the
             # process-global sampler exactly once for the whole batch
@@ -613,14 +599,10 @@ class FabricRouter:
     def _empty_answer(
         request: QueryRequest, degraded: Optional[DegradedScope]
     ) -> MultiStreamAnswer:
-        cid = (
-            class_id_of(request.clazz)
-            if isinstance(request.clazz, str)
-            else int(request.clazz)
-        )
+        cid = resolve_query(request.clazz)
         return MultiStreamAnswer(
             class_id=cid,
-            class_name=class_name(cid) if cid >= 0 else "OTHER",
+            class_name=class_name(cid),
             slices={},
             latency_seconds=0.0,
             gt_inferences=0,

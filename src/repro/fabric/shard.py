@@ -79,7 +79,6 @@ class ShardLeg(Protocol):
     store: DocumentStore
 
     def streams(self) -> List[str]: ...
-    def ingest_stream(self, stream, **kwargs): ...
     def open_stream(self, stream, durable=True, wal_reset=False, **kwargs): ...
     def append(self, stream, chunk, watermark_s=None) -> ChunkReport: ...
     def append_submit(self, stream, chunk, watermark_s=None, defer_delta=False): ...
@@ -182,14 +181,6 @@ class ShardNode:
             duration_s=float(handle.table.duration_s),
             fps=float(handle.table.fps),
         )
-
-    def ingest_stream(
-        self,
-        stream: Union[str, ObservationTable],
-        **kwargs,
-    ) -> StreamHandle:
-        """One-shot ingest on this shard (``FocusSystem.ingest_stream``)."""
-        return self.system.ingest_stream(stream, **kwargs)
 
     def open_stream(
         self,

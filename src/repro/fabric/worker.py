@@ -188,8 +188,8 @@ def _call_node(node: ShardNode, op: str, params: Dict[str, Any]) -> Any:
 
 
 def _answer_handle_info(node: ShardNode, op: str, params: Dict[str, Any]):
-    """``open_stream`` / ``ingest_stream`` return a live handle, which
-    is worker-local: answer its wire-safe summary instead."""
+    """``open_stream`` returns a live handle, which is worker-local:
+    answer its wire-safe summary instead."""
     return node.handle_info(_call_node(node, op, params).stream)
 
 
@@ -214,7 +214,6 @@ def _query_batch_in_span(node: ShardNode, op: str, params: Dict[str, Any]):
 #: the ops whose serving genuinely differs from call-and-encode
 _WRAPPERS = {
     "open_stream": _answer_handle_info,
-    "ingest_stream": _answer_handle_info,
     "query_batch": _query_batch_in_span,
 }
 

@@ -84,9 +84,6 @@ class EventLog:
             return list(self._ring)
         return [event for event in self._ring if event["kind"] == kind]
 
-    def clear(self) -> None:
-        self._ring.clear()
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()

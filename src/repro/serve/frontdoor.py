@@ -64,7 +64,7 @@ class AdmissionRejected(RuntimeError):
     """A request the front door refused to run.
 
     Carries enough structure for a well-behaved client to back off:
-    ``tenant``, the ``op`` it tried ("query" / "ingest" / "control"),
+    ``tenant``, the ``op`` it tried ("query" / "ingest"),
     the ``reason`` ("rate" | "inflight" | "backpressure") and
     ``retry_after_s`` -- the earliest moment a retry could be admitted
     (0.0 when it depends on other requests completing).
@@ -289,8 +289,8 @@ class FrontDoor:
         self.clock = clock
         self.default_budget = default_budget
         #: per-door registry: admitted-op wall-latency histograms
-        #: (``frontdoor.query_s`` / ``frontdoor.ingest_s`` /
-        #: ``frontdoor.control_s``) feeding ``metrics_snapshot``
+        #: (``frontdoor.query_s`` / ``frontdoor.ingest_s``) feeding
+        #: ``metrics_snapshot``
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._events = events
         self._tracer = tracer
@@ -468,17 +468,6 @@ class FrontDoor:
             self._release(state)
             self.metrics.observe(
                 "frontdoor.ingest_s", time.perf_counter() - started
-            )
-
-    def open_stream(self, tenant: str, stream: str, **kwargs: Any) -> Any:
-        state = self._admit(tenant, "control")
-        started = time.perf_counter()
-        try:
-            return self.service.open_stream(stream, **kwargs)
-        finally:
-            self._release(state)
-            self.metrics.observe(
-                "frontdoor.control_s", time.perf_counter() - started
             )
 
     # -- observability -----------------------------------------------------

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.query import QueryEngine
-from repro.video.classes import class_id as class_id_of
+from repro.core.query import QueryEngine, resolve_query
 
 
 #: default QoS class for requests that never met a front door: between
@@ -89,10 +88,6 @@ class QueryPlan:
     trace: Optional[Dict] = field(default=None, compare=False)
 
     @property
-    def streams(self) -> List[str]:
-        return [s.stream for s in self.shards]
-
-    @property
     def num_candidates(self) -> int:
         """Total candidate centroids before dedup/caching."""
         return sum(len(s.candidates) for s in self.shards)
@@ -109,28 +104,13 @@ class QueryPlanner:
     def __init__(self, engines: Callable[[], Mapping[str, QueryEngine]]):
         self._engines = engines
 
-    def plan(self, request: QueryRequest) -> QueryPlan:
-        """Fan one request out into per-stream shard plans."""
-        engines = self._engines()
-        if request.streams is None:
-            streams = sorted(engines)
-        else:
-            streams = list(request.streams)
-            missing = [s for s in streams if s not in engines]
-            if missing:
-                raise KeyError(
-                    "streams not ingested: %s" % ", ".join(sorted(missing))
-                )
-        if not streams:
-            raise ValueError("no streams to query; ingest or load some first")
-        cid = (
-            class_id_of(request.clazz)
-            if isinstance(request.clazz, str)
-            else int(request.clazz)
-        )
-        if request.kx is not None and request.kx < 1:
-            raise ValueError("kx must be >= 1")
-
+    @staticmethod
+    def _plan(
+        request: QueryRequest, engines: Mapping[str, QueryEngine], cid: int
+    ) -> QueryPlan:
+        """Fan one checked request (its class resolved to ``cid``) out
+        into per-stream shard plans."""
+        streams = sorted(engines) if request.streams is None else list(request.streams)
         shards: List[ShardPlan] = []
         for stream in streams:
             engine = engines[stream]
@@ -166,10 +146,11 @@ class QueryPlanner:
     def plan_batch(self, requests: Sequence[QueryRequest]) -> List[QueryPlan]:
         """Plan several concurrent queries (verification is batched later).
 
-        Unknown stream names anywhere in the batch are rejected up
-        front with one ``KeyError`` naming *all* missing streams across
-        all requests -- not just the first request's, and never from a
-        lookup deep inside per-shard planning.
+        Every request is checked before any index is read.  Unknown
+        stream names anywhere in the batch are rejected with one
+        ``KeyError`` naming *all* missing streams across all requests;
+        a bad class, time range (:func:`~repro.core.query.resolve_query`)
+        or ``kx`` raises ``ValueError``.
         """
         engines = self._engines()
         missing = sorted(
@@ -183,4 +164,11 @@ class QueryPlanner:
         )
         if missing:
             raise KeyError("streams not ingested: %s" % ", ".join(missing))
-        return [self.plan(r) for r in requests]
+        cids = []
+        for request in requests:
+            if not (engines if request.streams is None else request.streams):
+                raise ValueError("no streams to query; ingest or load some first")
+            cids.append(resolve_query(request.clazz, request.time_range))
+            if request.kx is not None and request.kx < 1:
+                raise ValueError("kx must be >= 1")
+        return [self._plan(r, engines, cid) for r, cid in zip(requests, cids)]

@@ -134,14 +134,6 @@ class StreamSlice:
     def frames(self) -> np.ndarray:
         return self.result.returned_frames
 
-    @property
-    def precision(self) -> float:
-        return self.metrics.precision if self.metrics else float("nan")
-
-    @property
-    def recall(self) -> float:
-        return self.metrics.recall if self.metrics else float("nan")
-
 
 @dataclass(frozen=True)
 class DegradedScope:
@@ -343,7 +335,7 @@ class QueryService:
             )
         return MultiStreamAnswer(
             class_id=plan.class_id,
-            class_name=class_name(plan.class_id) if plan.class_id >= 0 else "OTHER",
+            class_name=class_name(plan.class_id),
             slices=slices,
             latency_seconds=report.latency_seconds,
             gt_inferences=plan_fresh,

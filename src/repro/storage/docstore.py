@@ -42,11 +42,6 @@ class DocStoreError(Exception):
 #: process
 _DELTA_TOKENS = itertools.count(1)
 
-#: index declarations persisted by earlier versions that no longer
-#: exist (the never-read multikey index over cluster top-K lists);
-#: ignored -- never built, never hashed -- when a collection is loaded
-_RETIRED_INDEXES = frozenset({"top_k"})
-
 
 class StoredCollection(Protocol):
     """What ingest, checkpoint and recovery call on a collection."""
@@ -381,8 +376,7 @@ class Collection:
         for doc in obj["docs"]:
             coll._docs[doc["_id"]] = dict(doc)
         for field in obj.get("indexes", []):
-            if field not in _RETIRED_INDEXES:
-                coll.create_index(field)
+            coll.create_index(field)
         return coll
 
 

@@ -167,9 +167,6 @@ class FaultyStore:
     def drop_staged(self, name: str) -> None:
         self.inner.drop_staged(name)
 
-    def staged_names(self) -> List[str]:
-        return self.inner.staged_names()
-
     def commit_staged(self, names: Optional[Iterable[str]] = None) -> List[str]:
         # one indivisible write: the fault (if due) fires before the
         # swap, so a crash never lands between two collection swaps
@@ -178,7 +175,3 @@ class FaultyStore:
 
     def discard_staged(self, names: Optional[Iterable[str]] = None) -> List[str]:
         return self.inner.discard_staged(names)
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path: str) -> None:
-        self.inner.save(path)

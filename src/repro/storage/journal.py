@@ -29,12 +29,11 @@ uninterrupted in-memory state bit for bit (see ``docs/DURABILITY.md``).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from repro.storage.docstore import (
     DocStoreError,
     DocumentStore,
 )
+from repro.storage.packing import pack_array, unpack_array
 
 
 class JournalError(DocStoreError):
@@ -142,42 +142,7 @@ def _record_digest(
     return payload_digest({"seq": int(seq), "kind": kind, "payload": payload})
 
 
-# -- packed arrays -------------------------------------------------------------
-
-def pack_array(values, dtype, digest=None) -> str:
-    """``values`` as base64 of its ``dtype`` little-endian bytes.
-
-    How checkpoint state stores an array: one ``str`` (documents stay
-    JSON-serializable), encoded once and never re-marshalled element by
-    element.  ``digest``, a running ``hashlib`` object, is fed the raw
-    bytes -- the checksum the way :func:`chunk_digest` takes it.
-    """
-    raw = np.ascontiguousarray(
-        values, dtype=np.dtype(dtype).newbyteorder("<")
-    ).tobytes()
-    if digest is not None:
-        digest.update(raw)
-    return base64.b64encode(raw).decode("ascii")
-
-
-def unpack_array(data, dtype, digest=None) -> np.ndarray:
-    """The array :func:`pack_array` stored, bit-exact (read-only).
-
-    Also accepts a list -- what checkpoints held before arrays were
-    packed -- or an array.  Raises :class:`JournalCorruption` when a
-    packed string does not decode to whole ``dtype`` items.
-    """
-    if not isinstance(data, str):
-        return np.asarray(data, dtype=dtype)
-    try:
-        raw = base64.b64decode(data, validate=True)
-        values = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
-    except ValueError as exc:
-        raise JournalCorruption("packed array is torn: %s" % exc)
-    if digest is not None:
-        digest.update(raw)
-    return values.astype(dtype, copy=False)
-
+# -- row segments ----------------------------------------------------------------
 
 def _segment_hasher(start: int, rows: int):
     """The running checksum of a row segment, primed with its range."""
@@ -713,36 +678,19 @@ def load_ingest_state(store: DocumentStore, stream: str) -> Optional[Dict]:
 
 def load_state_rows(
     store: DocumentStore, stream: str, payload: Dict[str, Any]
-) -> Tuple[Dict[str, np.ndarray], int]:
+) -> Dict[str, np.ndarray]:
     """The accumulated rows under a verified head ``payload``: every
-    ``SEGMENT_COLUMNS`` column over ``[0, payload["rows"])``, and how
-    many of those rows sit in segments.
+    ``SEGMENT_COLUMNS`` column over ``[0, payload["rows"])``.
 
     The segments must tile the range exactly, each with whole columns
     and a matching checksum; a torn, missing, overlapping or surplus
-    segment raises :class:`JournalCorruption`.  A head that still holds
-    its rows inline as lists (written before segments existed) is read
-    through the same :func:`unpack_array` and reports zero segment
-    rows, so the next checkpoint writes them out as one segment.
+    segment raises :class:`JournalCorruption`.
     """
     total = int(payload["rows"])
     segments = sorted(
         (doc for doc in store.collection(STATE_PREFIX + stream).find() if "start" in doc),
         key=lambda doc: (doc["start"], doc["rows"]),
     )
-    inline = None
-    if "columns" in payload:
-        # covered by the head's checksum, so it carries none of its own
-        inline = {
-            "start": 0,
-            "rows": total,
-            "columns": dict(
-                payload["columns"],
-                suppressed=payload["suppressed"],
-                assignments=payload["clusterer"]["assignments"],
-            ),
-        }
-        segments.insert(0, inline)
     out = {name: np.empty(total, dtype=dtype) for name, dtype in SEGMENT_COLUMNS}
     cursor = 0
     for segment in segments:
@@ -755,14 +703,20 @@ def load_state_rows(
             )
         digest = _segment_hasher(start, rows)
         for name, dtype in SEGMENT_COLUMNS:
-            values = unpack_array(segment["columns"].get(name, ()), dtype, digest)
+            try:
+                values = unpack_array(segment["columns"].get(name, ""), dtype, digest)
+            except ValueError as exc:
+                raise JournalCorruption(
+                    "stream %r: row segment [%d, %d) column %r is torn: %s"
+                    % (stream, start, start + rows, name, exc)
+                )
             if len(values) != rows:
                 raise JournalCorruption(
                     "stream %r: row segment [%d, %d) column %r is truncated "
                     "(%d rows)" % (stream, start, start + rows, name, len(values))
                 )
             out[name][start : start + rows] = values
-        if segment is not inline and segment.get("checksum") != digest.hexdigest():
+        if segment.get("checksum") != digest.hexdigest():
             raise JournalCorruption(
                 "stream %r: row segment [%d, %d) fails its checksum"
                 % (stream, start, start + rows)
@@ -773,4 +727,4 @@ def load_state_rows(
             "stream %r: ingest-state head records %d rows but its segments "
             "hold %d" % (stream, total, cursor)
         )
-    return out, (0 if inline is not None else total)
+    return out

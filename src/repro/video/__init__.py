@@ -15,9 +15,9 @@ shown to have in Section 2.2 of the paper:
 Every Focus mechanism downstream consumes objects, labels, feature
 vectors and GPU-time costs -- never raw pixels -- so a generator that
 matches these statistics exercises the same code paths and trade-offs
-as the paper's real videos.  A small pixel-level rendering path
-(:mod:`repro.video.frames`) exists so the background-subtraction
-detector substrate can be exercised end-to-end on short clips.
+as the paper's real videos.  Object detection (IT1) is therefore
+modelled, not executed: the observation table *is* the detector's
+output (see ``docs/ARCHITECTURE.md``).
 """
 
 from repro.video.classes import (
@@ -31,7 +31,6 @@ from repro.video.profiles import StreamProfile, STREAMS, get_profile, stream_nam
 from repro.video.tracks import Track, TrackGenerator
 from repro.video.synthesis import ObservationTable, SceneGenerator, generate_observations
 from repro.video.sampling import resample_fps
-from repro.video.frames import FrameRenderer, RenderedClip
 
 __all__ = [
     "NUM_CLASSES",
@@ -49,6 +48,4 @@ __all__ = [
     "SceneGenerator",
     "generate_observations",
     "resample_fps",
-    "FrameRenderer",
-    "RenderedClip",
 ]

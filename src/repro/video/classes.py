@@ -10,7 +10,7 @@ inter-stream Jaccard indexes can be measured exactly as in Figure 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 NUM_CLASSES = 1000
 
@@ -215,12 +215,6 @@ def domain_pool(domain: str) -> List[int]:
     except KeyError:
         raise ValueError("unknown domain %r; expected one of %s" % (domain, DOMAINS))
     return [_NAME_TO_ID[n] for n in names]
-
-
-def tail_pool(exclude: Sequence[int] = ()) -> List[int]:
-    """All class ids outside ``exclude`` -- the rare-class tail."""
-    excluded = set(exclude)
-    return [i for i in range(NUM_CLASSES) if i not in excluded]
 
 
 #: Tail classes are confusable within contiguous id blocks of this size.

@@ -67,10 +67,6 @@ class ObservationTable:
         return len(self.track_id)
 
     @property
-    def num_observations(self) -> int:
-        return len(self)
-
-    @property
     def num_tracks(self) -> int:
         return int(len(np.unique(self.track_id)))
 
@@ -209,16 +205,6 @@ class ObservationTable:
             start = i * stride
             end = min(start + chunk_seconds, self.duration_s)
             mask |= (self.time_s >= start) & (self.time_s < end)
-        return self.select(mask)
-
-    def sample_fraction(self, fraction: float, seed: int = 0) -> "ObservationTable":
-        """Uniform row sample; used by the tuner's ground-truth sampling."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if fraction == 1.0:
-            return self
-        rng = np.random.RandomState(seed % (2 ** 31))
-        mask = rng.uniform(size=len(self)) < fraction
         return self.select(mask)
 
     def observation_seeds(self) -> np.ndarray:

@@ -4,9 +4,7 @@ Pins the layout of ``ingest-state:<stream>`` with counts, not clocks:
 a checkpoint encodes only the rows past the last *committed* one, the
 earlier segments are never rewritten (the stored dicts stay the very
 same objects), a worker leg ships only the new documents, and a
-checkpoint in the layout the previous format wrote -- one state
-document with inline list columns -- recovers bit for bit and is
-converted by the next checkpoint.
+damaged or missing segment refuses to recover.
 """
 
 import json
@@ -14,24 +12,21 @@ import json
 import numpy as np
 import pytest
 
-import test_recovery
 from repro.core.streaming import StreamIngestor
 from repro.fabric.worker import FabricSupervisor
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import (
     CHECKPOINT_COLLECTION,
-    CHUNK_COLUMNS,
     SEGMENT_COLUMNS,
     STATE_PREFIX,
     JournalCorruption,
     committed_checkpoint,
     load_ingest_state,
     load_state_rows,
-    pack_array,
     payload_digest,
-    unpack_array,
 )
+from repro.storage.packing import pack_array, unpack_array
 from test_fault_injection import open_journaled
 from test_recovery import split_chunks, state_fingerprint
 
@@ -56,40 +51,6 @@ def head_of(store, stream=STREAM):
     return store.collection(STATE_PREFIX + stream).find_one({"stream": stream})
 
 
-def rewrite_in_parent_layout(store, streams):
-    """Rewrite each stream's committed checkpoint into the layout the
-    previous format wrote: one state document holding every column, the
-    suppression mask and the clusterer's arrays as inline lists, and no
-    segment documents."""
-    for stream in streams:
-        states = store.collection(STATE_PREFIX + stream)
-        head = head_of(store, stream)
-        payload = head["payload"]
-        rows, _ = load_state_rows(store, stream, payload)
-        clusterer = dict(payload["clusterer"])
-        shape = {"sums": (clusterer["n_live"], clusterer["dim"]), "track_cache": (-1, 2)}
-        for key, dtype in (
-            ("sums", np.float64), ("dense", np.int64), ("counts", np.int64),
-            ("live_ids", np.int64), ("seed_rows", np.int64), ("sizes", np.int64),
-            ("track_cache", np.int64),
-        ):
-            values = unpack_array(clusterer[key], dtype)
-            clusterer[key] = values.reshape(shape.get(key, (-1,))).tolist()
-        clusterer["assignments"] = rows["assignments"].tolist()
-        legacy = dict(
-            payload,
-            clusterer=clusterer,
-            suppressed=[int(v) for v in rows["suppressed"]],
-            columns={name: rows[name].tolist() for name, _ in CHUNK_COLUMNS},
-        )
-        for doc in segments_of(store, stream):
-            states.delete(doc["_id"])
-        states.update_one(
-            head["_id"], {"payload": legacy, "checksum": payload_digest(legacy)}
-        )
-        assert len(states) == 1
-
-
 # -- the packing rule ----------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint8])
@@ -101,15 +62,15 @@ def test_pack_array_round_trips_bit_exact(dtype):
     out = unpack_array(packed, dtype)
     assert out.dtype == np.dtype(dtype)
     assert out.tobytes() == values.tobytes()
-    # the list form the previous format stored reads through the same call
-    assert unpack_array(values.tolist(), dtype).tobytes() == values.tobytes()
+    # an array passes through (recovery hands the clusterer its rows so)
+    assert unpack_array(values, dtype).tobytes() == values.tobytes()
     assert len(unpack_array(pack_array([], dtype), dtype)) == 0
 
 
 def test_unpack_array_rejects_torn_strings():
     packed = pack_array(np.arange(5), np.int64)
     for torn in (packed[:-3], packed[:-4], "!" + packed[1:]):
-        with pytest.raises(JournalCorruption):
+        with pytest.raises(ValueError):
             unpack_array(torn, np.int64)
 
 
@@ -311,6 +272,25 @@ def _strip_checksum(store):
     states.insert_one(stripped)
 
 
+def _pre_segment_layout(store):
+    """The layout from before row segments, older than the read-compat
+    horizon (docs/DURABILITY.md): rows inline in a self-consistent head,
+    no segments.  The inline rows are not read."""
+    states = store.collection(STATE_PREFIX + STREAM)
+    head = head_of(store)
+    rows = load_state_rows(store, STREAM, head["payload"])
+    payload = dict(
+        head["payload"],
+        suppressed=rows["suppressed"].tolist(),
+        columns={name: rows[name].tolist() for name, _ in SEGMENT_COLUMNS},
+    )
+    for doc in segments_of(store):
+        states.delete(doc["_id"])
+    states.update_one(
+        head["_id"], {"payload": payload, "checksum": payload_digest(payload)}
+    )
+
+
 @pytest.mark.parametrize(
     "damage, match",
     [
@@ -321,6 +301,7 @@ def _strip_checksum(store):
         (_drop_last_segment, "segments hold"),
         (_duplicate_segment, "missing or overlapping"),
         (_head_rows_disagree, "missing or overlapping|segments hold"),
+        (_pre_segment_layout, "segments hold 0"),
     ],
 )
 def test_damaged_segments_refuse_to_recover(workload, damage, match):
@@ -396,76 +377,3 @@ def test_crash_between_segment_head_and_commit(workload, index_mode):
         ]
         assert segments[0] is committed[2][0]
         assert StreamIngestor.recover(store, STREAM).num_rows == ingestor.num_rows
-
-
-# -- the previous format ---------------------------------------------------------
-
-@pytest.mark.parametrize("index_mode", ["materialized", "lazy"])
-def test_parent_layout_recovers_and_next_checkpoint_converts(workload, index_mode):
-    table, config, chunks = workload
-    uninterrupted = open_journaled(DocumentStore(), table, config, index_mode)
-    fingerprints = []
-    for chunk in chunks:
-        uninterrupted.push(chunk)
-        fingerprints.append(state_fingerprint(uninterrupted))
-
-    store = DocumentStore()
-    ingestor = open_journaled(store, table, config, index_mode)
-    ingestor.push(chunks[0])
-    ingestor.checkpoint(store)
-    ingestor.push(chunks[1])
-    ingestor.checkpoint(store)
-    rewrite_in_parent_layout(store, [STREAM])
-    assert segments_of(store) == []
-    assert isinstance(head_of(store)["payload"]["columns"]["time_s"], list)
-    ingestor.push(chunks[2])  # in the WAL only
-    del ingestor
-
-    # first recovery: from the parent's layout plus the journal suffix
-    first = StreamIngestor.recover(store, STREAM)
-    assert state_fingerprint(first) == fingerprints[2]
-
-    # its next checkpoint converts: one segment over [0, rows), lean head
-    first.checkpoint(store)
-    (segment,) = segments_of(store)
-    assert (segment["start"], segment["rows"]) == (0, first.num_rows)
-    payload = head_of(store)["payload"]
-    assert not {"columns", "suppressed"} & set(payload)
-    assert "assignments" not in payload["clusterer"]
-    assert isinstance(payload["clusterer"]["sums"], str)
-    assert len(store.collection(STATE_PREFIX + STREAM)) == 2
-
-    # second recovery: from the converted checkpoint
-    second = StreamIngestor.recover(store, STREAM)
-    assert state_fingerprint(second) == fingerprints[2]
-    second.push(chunks[3])
-    second.checkpoint(store)
-    assert [(s["start"], s["rows"]) for s in segments_of(store)] == [
-        (0, first.num_rows), (first.num_rows, len(chunks[3])),
-    ]
-
-    # third recovery: mixed lineage (converted segment + a native one)
-    third = StreamIngestor.recover(store, STREAM)
-    assert state_fingerprint(third) == fingerprints[3]
-
-
-def test_focus_system_recovers_parent_layout(seeded_workload):
-    """``FocusSystem.recover`` over a three-stream store whose
-    checkpoints are all in the parent's layout answers like a system
-    that never crashed."""
-    test_recovery.TestSystemRecovery._crash_recover_compare(
-        seeded_workload, rewrite_in_parent_layout
-    )
-
-
-def test_parent_layout_with_segments_is_corruption(workload):
-    """An inline head claims rows [0, rows) itself: a segment beside it
-    overlaps."""
-    store = _two_checkpoints(workload)
-    spare = segments_of(store)[1]
-    rewrite_in_parent_layout(store, [STREAM])
-    store.collection(STATE_PREFIX + STREAM).insert_one(
-        {k: v for k, v in spare.items() if k != "_id"}
-    )
-    with pytest.raises(JournalCorruption, match="missing or overlapping"):
-        StreamIngestor.recover(store, STREAM)

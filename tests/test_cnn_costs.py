@@ -37,23 +37,16 @@ def test_titan_x_faster_than_k80():
 
 def test_fewer_layers_cheaper():
     deep = ArchSpec(family="resnet", conv_layers=152)
-    shallow = deep.with_layers_removed(100)
+    shallow = ArchSpec(family="resnet", conv_layers=52)
     assert shallow.gflops < deep.gflops
-    assert shallow.conv_layers == 52
 
 
 def test_smaller_input_cheaper():
     full = ArchSpec(family="resnet", conv_layers=18, input_px=224)
-    half = full.with_input_px(112)
+    half = ArchSpec(family="resnet", conv_layers=18, input_px=112)
     assert half.gflops < full.gflops
     # sub-quadratic scaling: halving resolution doesn't halve cost twice
     assert half.gflops > full.gflops / 4.0
-
-
-def test_cannot_remove_all_layers():
-    arch = ArchSpec(family="resnet", conv_layers=5)
-    with pytest.raises(ValueError):
-        arch.with_layers_removed(5)
 
 
 def test_unknown_family():
@@ -71,8 +64,6 @@ def test_invalid_dimensions():
 def test_override_wins():
     arch = ArchSpec(family="resnet", conv_layers=18, gflops_override=3.0)
     assert arch.gflops == 3.0
-    # compression clears the override
-    assert arch.with_layers_removed(2).gflops != 3.0
 
 
 def test_vgg_more_expensive_than_resnet18():

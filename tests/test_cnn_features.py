@@ -34,6 +34,19 @@ def test_deterministic(extractor, small_table):
     )
 
 
+def test_extract_chunked_matches_full(extractor, tiny_table):
+    """Live ingest extracts chunk by chunk, and only the rows the
+    clusterer reads: any row slice or subset extracts as in the whole."""
+    full = extractor.extract(tiny_table)
+    n = len(tiny_table)
+    parts = [extractor.extract(tiny_table.slice(a, min(a + 100, n)))
+             for a in range(0, n, 100)]
+    np.testing.assert_allclose(np.vstack(parts), full, atol=1e-6)
+    odd = np.arange(n) % 2 == 1
+    np.testing.assert_allclose(
+        extractor.extract(tiny_table.select(odd)), full[odd], atol=1e-6)
+
+
 def test_empty_table(extractor, small_table):
     empty = small_table.select(np.zeros(len(small_table), dtype=bool))
     assert extractor.extract(empty).shape == (0, extractor.dim)
@@ -114,9 +127,3 @@ def test_noise_multiplier_spreads_features(small_table):
 def test_negative_noise_rejected():
     with pytest.raises(ValueError):
         FeatureExtractor(model_salt=1, noise_multiplier=-1)
-
-
-def test_extract_chunked_matches_full(extractor, tiny_table):
-    full = extractor.extract(tiny_table)
-    parts = [f for _, _, f in extractor.extract_chunked(tiny_table, chunk_rows=100)]
-    np.testing.assert_allclose(np.vstack(parts), full, atol=1e-6)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cnn.costs import ArchSpec
 from repro.cnn.model import ClassifierModel
+from repro.cnn.noise import true_class_ranks
 
 
 @pytest.fixture(scope="module")
@@ -22,22 +23,28 @@ def test_gt_always_rank_one(gt_model, small_table):
     assert (gt_model.ranks(small_table) == 1).all()
 
 
-def test_gt_top1_is_truth(gt_model, small_table):
-    np.testing.assert_array_equal(
-        gt_model.predicted_top1(small_table), small_table.class_id
+def top1(model, table):
+    """The head of each observation's materialized ranked list."""
+    lists = model.topk_lists(
+        table.observation_seeds(), table.class_id, table.difficulty, 1
     )
+    return np.asarray([ranked[0] for ranked in lists])
+
+
+def test_gt_top1_is_truth(gt_model, small_table):
+    np.testing.assert_array_equal(top1(gt_model, small_table), small_table.class_id)
 
 
 def test_cheap_top1_sometimes_wrong(model, small_table):
-    import numpy as np
-
     mask = np.zeros(len(small_table), dtype=bool)
     mask[:200] = True
     sub = small_table.select(mask)
-    predicted = model.predicted_top1(sub)
+    predicted = top1(model, sub)
     truth = sub.class_id
     assert (predicted != truth).any()
-    # wrong answers are still valid class ids
+    # wrong answers are exactly the rows whose true class slipped, and
+    # are still valid class ids
+    np.testing.assert_array_equal(predicted != truth, model.ranks(sub) > 1)
     assert (predicted >= 0).all() and (predicted < 1000).all()
 
 
@@ -76,16 +83,17 @@ def test_topk_membership_invalid_k(model, small_table):
 
 
 def test_topk_list_contains_true_class_at_its_rank(model):
-    found_rank_gt1 = False
-    for seed in range(200):
-        result = model.classify_one(seed, true_class=8, difficulty=1.0, k=50)
-        if result.true_rank <= 50:
-            assert result.ranked_classes[result.true_rank - 1] == 8
-            if result.true_rank > 1:
-                found_rank_gt1 = True
+    seeds = np.arange(200, dtype=np.uint64)
+    ranks = true_class_ranks(
+        model.salt, seeds, np.ones(200), model.dispersion, model.num_classes
+    )
+    for seed, rank in zip(seeds, ranks.tolist()):
+        ranked = model.topk_list(int(seed), true_class=8, difficulty=1.0, k=50)
+        if rank <= 50:
+            assert ranked[rank - 1] == 8
         else:
-            assert 8 not in result.ranked_classes
-    assert found_rank_gt1
+            assert 8 not in ranked
+    assert ((ranks > 1) & (ranks <= 50)).any()
 
 
 def test_topk_list_distinct(model):
@@ -96,25 +104,6 @@ def test_topk_list_distinct(model):
 def test_topk_list_invalid_k(model):
     with pytest.raises(ValueError):
         model.topk_list(1, 1, 1.0, 0)
-
-
-def test_classification_result_api(model):
-    result = model.classify_one(7, true_class=8, difficulty=1.0, k=10)
-    assert result.top1 == result.ranked_classes[0]
-    assert result.contains(result.ranked_classes[-1])
-    assert not result.contains(result.ranked_classes[-1], k=1) or len(result.ranked_classes) == 1
-
-
-def test_expected_recall_and_k_inverse(model):
-    k = model.k_for_recall(0.9)
-    assert model.expected_recall_at_k(k) >= 0.9
-    assert model.expected_recall_at_k(k - 5) < 0.9 or k <= 5
-
-
-def test_k_for_recall_validation(model, gt_model):
-    assert gt_model.k_for_recall(0.99) == 1
-    with pytest.raises(ValueError):
-        model.k_for_recall(1.5)
 
 
 def test_dispersion_validation():

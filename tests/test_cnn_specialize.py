@@ -38,11 +38,11 @@ def test_specialized_cost_floor():
     assert tiny.cheaper_than(resnet152()) <= 150
 
 
-def test_small_k_suffices(spec_model):
+def test_small_k_suffices(spec_model, small_table):
     """Specialized models reach high recall at K=2-4 vs 60-200 generic
     (Section 4.3)."""
-    assert spec_model.expected_recall_at_k(4) > 0.95
-    assert cheap_cnn(1).expected_recall_at_k(4) < 0.5
+    assert (spec_model.ranks(small_table) <= 4).mean() > 0.95
+    assert (cheap_cnn(1).ranks(small_table) <= 4).mean() < 0.5
 
 
 def test_space_tokens(spec_model):
@@ -99,8 +99,14 @@ def test_topk_list_tokens_only(spec_model):
 
 
 def test_predicted_top1_in_space(spec_model, tiny_table):
-    predicted = spec_model.predicted_top1(tiny_table)
+    lists = spec_model.topk_lists(
+        tiny_table.observation_seeds(), tiny_table.class_id, tiny_table.difficulty, 1
+    )
+    predicted = np.asarray([ranked[0] for ranked in lists])
     assert set(np.unique(predicted)) <= set(spec_model.space_tokens())
+    right = spec_model.ranks(tiny_table) == 1
+    mapped = spec_model.map_to_space(tiny_table.class_id)
+    np.testing.assert_array_equal(predicted[right], mapped[right])
 
 
 def test_duplicate_head_rejected():

@@ -217,10 +217,11 @@ def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold)
     poisoned = features.copy()
     poisoned[~need] = np.resize([np.nan, 1e308, -1e308], (int((~need).sum()), 1))
     with np.errstate(all="raise"):
-        # one-shot path: whole-table mask, no fill callback
+        # one-shot path (feature_chunks): one whole-table mask
         one_shot = cluster_features([(tracks, suppressed, poisoned, need)], dim, threshold)
         np.testing.assert_array_equal(one_shot.assignments, expected)
-        # live path: per-chunk masks against the tracks seen so far
+        # live path (extract_and_cluster_chunk): per-chunk masks against
+        # the tracks seen so far
         live = IncrementalClusterer(threshold, dim)
         for a in range(0, len(tracks), 257):
             b = a + 257
@@ -229,6 +230,13 @@ def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold)
             chunk[~mask] = -1e308
             live.add(chunk, tracks[a:b], suppressed=suppressed[a:b], feature_valid=mask)
         np.testing.assert_array_equal(live.finalize().assignments, expected)
+    # a mask that leaves out a row the loop reads (row 0 opens the
+    # first cluster) is refused, not filled
+    short = need.copy()
+    short[0] = False
+    with pytest.raises(ValueError, match="not extracted"):
+        IncrementalClusterer(threshold, dim).add(
+            poisoned, tracks, suppressed=suppressed, feature_valid=short)
 
 
 def test_empty_finalize():

@@ -132,6 +132,9 @@ def test_both_leg_kinds_define_every_protocol_member_alike():
                 assert have == wanted, "%s.%s%r != ShardLeg's %r" % (
                     cls.__name__, name, have, wanted
                 )
+        # a live worker is alive; an in-process leg has nothing to respawn
+        assert client.ensure_alive() is True
+        assert node.ensure_alive() is False
 
 
 # ---------------------------------------------------------------------------

@@ -333,9 +333,6 @@ SAMPLES = {
     "array": lambda rng, table: random_array(rng),
     "blob": lambda rng, table: rng.bytes(int(rng.integers(0, 4_096))),
     "table": random_table,
-    "source": lambda rng, table: (
-        "lausanne" if rng.random() < 0.5 else random_table(rng, table)
-    ),
     "pickled": lambda rng, table: random_pickled(rng),
     "store": lambda rng, table: random_store(rng),
     "query_request": lambda rng, table: random_request(rng),

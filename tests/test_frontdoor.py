@@ -54,10 +54,6 @@ class StubService:
         self.calls.append(("append_many", list(chunks)))
         return "appended-many"
 
-    def open_stream(self, stream, **kwargs):
-        self.calls.append(("open_stream", stream))
-        return "opened"
-
 
 def make_door(budget=None, clock=None, **door_kwargs):
     clock = clock or FakeClock()

@@ -224,35 +224,41 @@ class TestFeatureRowsNeeded:
 
 
 class TestBuffersAreOwned:
-    """``add`` marks filled rows valid in its *own* copy of
-    ``feature_valid`` (one mask can be handed to many clusterers), and
-    a restored clusterer shares no scratch with its source."""
+    """``add`` only reads the caller's ``feature_valid`` (one mask can be
+    handed to many clusterers), and a restored clusterer shares no
+    scratch with its source."""
 
-    def _chunk(self):
-        # row 0 is suppressed, first sight of track 7, and marked
-        # invalid: add must call feature_fill for it
+    def test_reading_an_unextracted_row_raises(self):
+        # row 0 is suppressed and the first sight of track 7, so
+        # feature_rows_needed asks for it; this mask leaves it out
         feats = np.zeros((3, 4))
         feats[1:] = np.eye(4)[1:3]
-        return feats, np.array([7, 7, 8]), np.array([True, False, False])
+        tracks, sup = np.array([7, 7, 8]), np.array([True, False, False])
+        valid = np.array([False, True, True])
+        valid.setflags(write=False)
+        clusterer = IncrementalClusterer(threshold=0.3, dim=4)
+        assert clusterer.feature_rows_needed(tracks, sup)[0]
+        with pytest.raises(ValueError, match="not extracted"):
+            clusterer.add(feats, tracks, suppressed=sup, feature_valid=valid)
 
     @pytest.mark.parametrize("read_only", [False, True])
-    def test_callers_mask_survives_a_fill(self, read_only):
-        feats, tracks, sup = self._chunk()
-        valid = np.array([False, True, True])
+    def test_callers_mask_survives_an_add(self, read_only):
+        # row 3 is a suppressed later sight of track 7: not needed, so
+        # left unextracted (NaN) and out of the mask
+        feats = np.vstack([np.eye(4)[:3], np.full((1, 4), np.nan)])
+        tracks, sup = np.array([7, 7, 8, 7]), np.array([True, False, False, True])
+        valid = np.array([True, True, True, False])
         valid.setflags(write=not read_only)
-        filled = []
-
-        def fill(rows):
-            filled.append(rows.tolist())
-            return np.eye(4)[:1]
-
-        for _ in range(2):  # the second run must see the same mask
+        runs = []
+        for _ in range(2):  # the second clusterer must see the same mask
             clusterer = IncrementalClusterer(threshold=0.3, dim=4)
-            out = clusterer.add(feats.copy(), tracks, suppressed=sup,
-                                feature_valid=valid, feature_fill=fill)
-            assert out.tolist() == [0, 1, 2]
-        assert filled == [[0], [0]]
-        assert valid.tolist() == [False, True, True]
+            np.testing.assert_array_equal(
+                clusterer.feature_rows_needed(tracks, sup), valid)
+            with np.errstate(all="raise"):
+                runs.append(clusterer.add(
+                    feats, tracks, suppressed=sup, feature_valid=valid).tolist())
+        assert runs[0] == runs[1] and runs[0][:3] == [0, 1, 2]
+        assert valid.tolist() == [True, True, True, False]
 
     def test_restored_clusterer_has_its_own_scratch(self):
         rng = np.random.RandomState(5)

@@ -58,7 +58,7 @@ def test_cost_monotone_in_layers_and_batch(layers, px, batch):
     arch = ArchSpec(family="resnet", conv_layers=layers, input_px=px)
     assert arch.gflops > 0
     if layers > 1:
-        smaller = arch.with_layers_removed(1)
+        smaller = ArchSpec(family="resnet", conv_layers=layers - 1, input_px=px)
         assert smaller.gflops < arch.gflops
     assert inference_seconds(arch, batch=batch) == pytest.approx(
         batch * inference_seconds(arch, batch=1)
@@ -171,8 +171,8 @@ def test_row_loop_matches_reference_primitives(case):
     locals) against the straight-line primitives it replaced: identical
     assignments *and* identical live state after every chunk -- through
     eviction, ``strict``, a checkpoint hop, and rows the caller never
-    extracted (suppressed rows hold NaN; a track first seen suppressed
-    goes through ``feature_fill``)."""
+    extracted (every row ``feature_rows_needed`` leaves out holds NaN,
+    as on the live ingest path)."""
     feats, tracks, sup = case["feats"], case["tracks"], case["sup"]
     dim = feats.shape[1]
     args = (case["threshold"], dim, case["max_live"], case["strict"])
@@ -181,11 +181,11 @@ def test_row_loop_matches_reference_primitives(case):
         if chunk == case["hop"]:
             real = IncrementalClusterer.from_state_dict(
                 json.loads(json.dumps(real.state_dict())))
-        given_feats = np.where(sup[a:b, None], np.nan, feats[a:b])
+        need = real.feature_rows_needed(tracks[a:b], sup[a:b])
+        given_feats = np.where(need[:, None], feats[a:b], np.nan)
         with np.errstate(all="raise"):
             ids = real.add(
-                given_feats, tracks[a:b], suppressed=sup[a:b], feature_valid=~sup[a:b],
-                feature_fill=lambda rows, a=a: feats[a + rows])
+                given_feats, tracks[a:b], suppressed=sup[a:b], feature_valid=need)
         np.testing.assert_array_equal(ids, ref.add(feats[a:b], tracks[a:b], sup[a:b]))
         n = ref.n_live
         assert real._n_live == n

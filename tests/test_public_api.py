@@ -32,12 +32,11 @@ def test_subpackages_importable():
     import repro.baselines
     import repro.cnn
     import repro.core
-    import repro.detect
     import repro.eval
     import repro.fabric
     import repro.sched
     import repro.storage
     import repro.video
 
-    for pkg in (repro.cnn, repro.core, repro.video, repro.detect):
+    for pkg in (repro.cnn, repro.core, repro.video):
         assert pkg.__doc__

@@ -5,19 +5,14 @@ Protocols: ``CheckpointStore`` (ingest, checkpoint, recovery),
 ``IndexSink`` (index persistence) and ``StoredCollection`` under them.
 This suite holds ``DocumentStore`` / ``FaultyStore`` /
 ``CheckpointWriter`` and ``Collection`` / ``FaultyCollection`` to those
-names and parameter names, pins the one keyed write (``upsert``) and
-its fault model, the closed set of query shapes, and that stores
-written before the multikey ``top_k`` index was retired still load,
-recover and cold-start frame for frame.
+names and parameter names, and pins the one keyed write (``upsert``),
+its fault model and the closed set of query shapes.
 """
 
 import inspect
-import json
 
-import numpy as np
 import pytest
 
-from repro.core.system import FocusSystem
 from repro.storage.docstore import (
     CheckpointStore,
     Collection,
@@ -28,10 +23,6 @@ from repro.storage.docstore import (
 )
 from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import CheckpointWriter
-from test_fabric import frame_aligned_chunks
-
-STREAM = "auburn_c"
-CLASSES = ("car", "pedestrian", "traffic_light")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +160,22 @@ def test_faulty_upsert_with_no_budget_leaves_the_old_document_intact():
     assert faulty.writes_applied == 0
 
 
+def test_faulty_store_meters_durable_writes_only():
+    """``update_one`` and ``drop`` are durable writes and spend one each;
+    dropping a staged clone is not, until the commit that publishes it."""
+    faulty = FaultyStore(DocumentStore())
+    meta = faulty.collection("meta")
+    doc_id = meta.insert_one({"stream": "a", "epoch": 1})
+    meta.update_one(doc_id, {"epoch": 2})
+    faulty.drop_staged("meta")
+    assert faulty.write_log == [("insert_one", "meta"), ("update_one", "meta")]
+    faulty.commit_staged(["meta"])
+    assert len(faulty.collection("meta")) == 0
+    faulty.drop("meta")
+    assert faulty.write_log[2:] == [("commit_staged", "meta"), ("drop", "meta")]
+    assert faulty.collection_names() == []
+
+
 # ---------------------------------------------------------------------------
 # the closed set of query shapes
 # ---------------------------------------------------------------------------
@@ -196,71 +203,3 @@ def test_indexes_are_scalar_only():
     c.create_index("cluster_id")
     c.create_index("cluster_id")  # ensure semantics: a no-op the second time
     assert c.find_one({"cluster_id": 0})["top_k"] == [3, 5]
-
-
-# ---------------------------------------------------------------------------
-# stores written before the top_k index was retired
-# ---------------------------------------------------------------------------
-
-def with_legacy_index_declarations(store):
-    """``store`` as the parent commit would have saved it: every
-    cluster collection declaring the multikey ``top_k`` index."""
-    obj = json.loads(json.dumps(store.to_json_obj()))
-    injected = 0
-    for cobj in obj["collections"]:
-        if cobj["name"].startswith("clusters:"):
-            cobj["indexes"] = ["cluster_id", "top_k"]
-            injected += 1
-    assert injected
-    return obj
-
-
-def assert_answers_alike(restored, live):
-    for clazz in CLASSES:
-        got, want = restored.query(STREAM, clazz), live.query(STREAM, clazz)
-        np.testing.assert_array_equal(got.frames, want.frames)
-        assert got.metrics == want.metrics
-
-
-@pytest.mark.parametrize("index_mode", ["materialized", "lazy"])
-def test_legacy_top_k_index_declarations_load_and_recover(
-    index_mode, table_factory, live_config
-):
-    chunks = frame_aligned_chunks(table_factory(STREAM, 30.0, 10.0), pieces=4)
-    live, store = FocusSystem(), DocumentStore()
-    live.open_stream(
-        STREAM, fps=10.0, config=live_config, index_mode=index_mode, wal_store=store
-    )
-    for chunk in chunks[:2]:
-        live.append(STREAM, chunk)
-    live.checkpoint(store)
-    live.append(STREAM, chunks[2])  # a journal suffix past the checkpoint
-
-    legacy = DocumentStore.from_json_obj(with_legacy_index_declarations(store))
-    clusters = legacy.collection("clusters:%s" % STREAM)
-    assert clusters.has_index("cluster_id") and not clusters.has_index("top_k")
-
-    recovered = FocusSystem()
-    assert recovered.recover(legacy, configs={STREAM: live_config}) == [STREAM]
-    assert_answers_alike(recovered, live)
-    # the recovered session keeps checkpointing onto the legacy snapshot
-    # as a delta, and keeps matching the live one
-    live.append(STREAM, chunks[3])
-    recovered.append(STREAM, chunks[3])
-    dirty = recovered.handle(STREAM).index.dirty_clusters
-    recovered.checkpoint(legacy)
-    clusters = legacy.collection("clusters:%s" % STREAM)
-    assert 0 < len(dirty) < len(clusters)
-    assert clusters.inserts + clusters.updates == len(dirty)  # no wholesale rewrite
-    assert_answers_alike(recovered, live)
-
-
-def test_legacy_top_k_index_declarations_cold_start(table_factory, live_config):
-    table = table_factory(STREAM, 30.0, 10.0)
-    live, store = FocusSystem(), DocumentStore()
-    live.ingest_stream(table, config=live_config)
-    live.save_indexes(store)
-    legacy = DocumentStore.from_json_obj(with_legacy_index_declarations(store))
-    cold = FocusSystem()
-    assert cold.load_indexes(legacy, tables={STREAM: table}) == [STREAM]
-    assert_answers_alike(cold, live)

@@ -49,12 +49,6 @@ def test_domain_pools_overlap():
     assert traffic & surveillance
 
 
-def test_tail_pool_excludes():
-    pool = classes.tail_pool(exclude=[0, 1, 2])
-    assert 0 not in pool and 1 not in pool and 2 not in pool
-    assert len(pool) == 997
-
-
 def test_confusable_pool_contains_self():
     for cid in (0, 50, 500, 999):
         assert cid in classes.confusable_pool(cid)

@@ -69,14 +69,6 @@ def test_scattered_sample_validates():
         table.scattered_sample(0.0)
 
 
-def test_sample_fraction():
-    table = generate_observations("auburn_c", 60.0, 30.0)
-    sub = table.sample_fraction(0.5, seed=1)
-    assert 0.3 * len(table) <= len(sub) <= 0.7 * len(table)
-    with pytest.raises(ValueError):
-        table.sample_fraction(1.5)
-
-
 def test_observation_seeds_unique_within_track(small_table):
     """Each observation gets a distinct deterministic seed."""
     seeds = small_table.observation_seeds()
