@@ -97,7 +97,7 @@ class _TenantLoop:
     spec: TenantSpec
     next_fire: float
     #: admitted-op wall latency -- the same fixed log-bucket histogram
-    #: the registry and bench use, so quantiles come from one code path
+    #: the metrics registry uses, so quantiles come from one code path
     #: and memory stays bounded however long the run
     hist: LatencyHistogram = field(default_factory=LatencyHistogram)
     admitted: int = 0

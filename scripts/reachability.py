@@ -70,13 +70,15 @@ CONSUMERS: Tuple[Tuple[str, str, List[str]], ...] = tuple(
                                     "--duration", "3", "--trace-out",
                                     "{tmp}/loadgen_trace.json",
                                     "--trace-sample-rate", "1.0", "--json"]),
-    ("ci", "bench --quick", ["scripts/bench.py", "--quick", "--output",
-                             "{tmp}/bench_quick.json"]),
     ("ci", "readme quickstart", ["scripts/check_readme_quickstart.py"]),
     ("tests", "tier-1", PYTEST),
 )
 
 _FAULT = "stays: a fault path (no consumer crashes, kills or stalls a worker)"
+_FAILOVER = (
+    "stays: the failover path (a fault path); its last consumer was the"
+    " retired MTTR drill, which returns when ROADMAP 1(a) ports it to `bench/`"
+)
 _SCALAR = "stays: the scalar reference tests compare the batched draw against"
 _WORKER_MIGRATION = "stays: migration over a worker leg, which no consumer performs"
 _EVAL = "stays: figure-harness helper, decided when eval/ is reworked"
@@ -90,6 +92,12 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/worker.py:_LoopHooks.inject_*", "stays: chaos-drill arming, a fault path"),
     ("fabric/supervisor.py:FabricWatchdog.*", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.kill", _FAULT),
+    ("fabric/supervisor.py:FabricSupervisor.ensure_alive", _FAILOVER),
+    ("fabric/supervisor.py:FabricSupervisor.restart", _FAILOVER),
+    ("fabric/supervisor.py:FabricSupervisor._condemn", _FAILOVER),
+    ("fabric/shard.py:ShardNode.recover", _FAILOVER),
+    ("fabric/client.py:ShardClient.ensure_alive", _FAILOVER),
+    ("fabric/router.py:FabricRouter._failover", _FAILOVER),
     ("fabric/supervisor.py:FabricSupervisor.reset_failed", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.start_watchdog", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.alive", _FAULT),
@@ -137,7 +145,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/router.py:FabricRouter.metrics_snapshot", "stays: a router observability surface (docs/OBSERVABILITY.md)"),
     ("obs/events.py:*", "stays: reading and redirecting the event log (docs/OBSERVABILITY.md)"),
     ("obs/trace.py:*", "stays: span inspection and JSONL dump / load (docs/OBSERVABILITY.md, scripts/trace_export.py)"),
-    ("sched/*", "stays: GPU-cluster utilization statistics (Section 5) the scheduling tests read"),
     ("serve/cache.py:*", "stays: verdict-cache inspection and eviction bookkeeping the cache tests drive"),
     ("serve/frontdoor.py:*", "stays: front-door surface documented in docs/QOS.md"),
     ("serve/service.py:MultiStreamAnswer.*", "stays: answer accessors (the degraded marker, fleet precision and recall)"),

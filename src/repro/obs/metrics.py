@@ -16,9 +16,9 @@ Two things live here:
    log-bucket latency histograms (p50/p95/p99 computed exactly from the
    bucket counts, mergeable shard-wise by summing buckets, wire-safe
    via ``to_dict``/``from_dict``) plus the registry every layer records
-   into.  Buckets grow by ``2**(1/8)`` (~9% max relative error), well
-   inside the bench harness's 10% regression tolerance, covering 1 us
-   to 100 s; observations outside clamp into the edge buckets.
+   into.  Buckets grow by ``2**(1/8)`` (~9% max relative error),
+   covering 1 us to 100 s; observations outside clamp into the edge
+   buckets.
 
 This module is an import leaf: it must not import anything from the
 rest of ``repro``.
@@ -98,7 +98,7 @@ def counter_kinds() -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 #: bucket upper edges grow by this factor; 2**(1/8) keeps the maximum
-#: relative quantile error ~9%, inside the bench gate's 10% tolerance
+#: relative quantile error ~9%
 GROWTH = 2.0 ** 0.125
 MIN_LATENCY_S = 1e-6
 MAX_LATENCY_S = 100.0

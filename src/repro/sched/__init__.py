@@ -2,10 +2,11 @@
 
 The paper runs ingest workers per stream and parallelizes query work
 across machines with idle GPUs (Section 5).  This package models the
-cluster: GPU devices with calibrated throughput, a work scheduler that
-turns GPU-seconds of classification work into wall-clock makespan, and
-worker processes that pipeline CPU stages (detection, clustering) with
-GPU stages (CNN inference).
+cluster: GPU devices with calibrated throughput, a scheduler with
+per-device work queues that turns GPU-seconds of classification work
+into wall-clock time, and the two dispatchers that share it -- ingest
+CNN batches (:class:`IngestDispatcher`) and query-time GT verification
+(:class:`QueryCoordinator`), which contend for the same queues.
 """
 
 from repro.sched.gpu import GPUDevice
@@ -13,7 +14,6 @@ from repro.sched.cluster import (
     DispatchReport,
     GPUCluster,
     IngestDispatcher,
-    IngestWorker,
     QueryCoordinator,
     ScheduledWork,
     WorkItem,
@@ -26,6 +26,5 @@ __all__ = [
     "ScheduledWork",
     "DispatchReport",
     "IngestDispatcher",
-    "IngestWorker",
     "QueryCoordinator",
 ]

@@ -1,20 +1,19 @@
-"""Multi-GPU cluster scheduling and worker processes.
+"""Multi-GPU cluster scheduling.
 
 Models the paper's query-time cluster (Section 5: "We parallelize a
 query's work across many worker processes if resources are idle") with
 real per-GPU work queues: every submitted :class:`WorkItem` is assigned
 to the earliest-free device, appended to that device's queue with its
 start/end times, and advances the cluster clock.  A batch of items
-dispatched together reports its makespan -- the wall-clock latency the
-paper measures.  Ingest workers model the one-worker-per-stream
-deployment where CPU stages pipeline with the GPU.
+dispatched together reports when it started and when its last item
+ends -- the wall-clock latency the paper measures.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence
 
 from repro.cnn.costs import GPUSpec, DEFAULT_GPU
 from repro.cnn.model import ClassifierModel
@@ -48,17 +47,8 @@ class DispatchReport:
     end: float
 
     @property
-    def makespan(self) -> float:
-        """Wall-clock seconds from dispatch to last item completion."""
-        return self.end - self.start
-
-    @property
     def gpu_seconds(self) -> float:
         return sum(s.item.gpu_seconds for s in self.scheduled)
-
-    @property
-    def devices_used(self) -> int:
-        return len({s.device_id for s in self.scheduled})
 
 
 def batch_work_items(
@@ -109,8 +99,8 @@ class GPUCluster:
     def clone_idle(self) -> "GPUCluster":
         """A fresh, idle cluster with this cluster's exact shape.
 
-        Non-mutating what-if scheduling (:meth:`makespan`,
-        :meth:`QueryCoordinator.latency`) runs on a clone so the live
+        Non-mutating what-if scheduling
+        (:meth:`QueryCoordinator.latency`) runs on a clone so the live
         queues stay untouched; the clone must carry *every* configured
         knob -- ``num_gpus``, ``spec`` and ``max_queue_history`` -- or a
         tuned bound silently reverts to the default mid-estimate.
@@ -179,22 +169,6 @@ class GPUCluster:
             end = max(end, done)
         return end
 
-    def makespan(self, total_gpu_seconds: float, batches: int = 64) -> float:
-        """Wall-clock time to chew through divisible work.
-
-        Splitting into ``batches`` work items models the query
-        coordinator fanning centroid batches out to idle workers.
-        Runs on a fresh clone, leaving this cluster's queues untouched.
-        """
-        if total_gpu_seconds < 0:
-            raise ValueError("total_gpu_seconds must be non-negative")
-        if total_gpu_seconds == 0:
-            return 0.0
-        batches = max(1, min(batches, int(total_gpu_seconds * 1000) or 1))
-        per = total_gpu_seconds / batches
-        items = [WorkItem(gpu_seconds=per, label="batch-%d" % i) for i in range(batches)]
-        return self.clone_idle().run(items)
-
     @property
     def total_busy_seconds(self) -> float:
         return sum(d.busy_seconds for d in self.devices)
@@ -230,33 +204,6 @@ class GPUCluster:
         if horizon <= 0:
             return 0.0
         return self.total_busy_seconds / (horizon * self.num_gpus)
-
-
-@dataclass
-class IngestWorker:
-    """One per-stream ingest worker (Section 5, Worker Processes).
-
-    CPU stages (decode, background subtraction, clustering, index
-    writes) pipeline with the GPU stage (cheap CNN), so the worker keeps
-    up with the live stream as long as the GPU stage does: the paper's
-    clustering "comes with negligible cost ... fully pipelined with the
-    GPUs" (Section 6.3).
-    """
-
-    stream: str
-    model: ClassifierModel
-    gpu: GPUDevice
-
-    def ingest_lag(self, objects_per_second: float) -> float:
-        """GPU occupancy needed to keep up with the live stream.
-
-        Returns the fraction of one GPU this stream's ingest consumes;
-        values > 1 mean ingest falls behind realtime.
-        """
-        if objects_per_second < 0:
-            raise ValueError("objects_per_second must be non-negative")
-        per_object = self.model.cost_seconds(1, self.gpu.spec)
-        return objects_per_second * per_object
 
 
 class IngestDispatcher:

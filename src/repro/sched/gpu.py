@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cnn.costs import GPUSpec, DEFAULT_GPU
 
@@ -29,9 +29,3 @@ class GPUDevice:
         self.busy_until = start + gpu_seconds
         self.busy_seconds += gpu_seconds
         return self.busy_until
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``horizon`` seconds this device spent busy."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        return min(self.busy_seconds / horizon, 1.0)

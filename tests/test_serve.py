@@ -308,8 +308,8 @@ class TestClusterWorkQueues:
     def test_dispatch_records_queues(self):
         cluster = GPUCluster(2)
         report = cluster.dispatch([WorkItem(1.0) for _ in range(4)])
-        assert report.makespan == pytest.approx(2.0)
-        assert report.devices_used == 2
+        assert report.end - report.start == pytest.approx(2.0)
+        assert {s.device_id for s in report.scheduled} == {0, 1}
         assert sum(len(q) for q in cluster.queues.values()) == 4
 
     def test_consecutive_dispatches_contend(self):
