@@ -126,7 +126,7 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("core/index.py:TopKIndex.frames", "stays: `IndexReader` member (the lazy index's is the one consumers reach)"),
     ("core/index.py:TopKIndex.entries", "stays: iterates a materialized index's entries; the index tests audit them"),
     ("fabric/client.py:ShardClient.store", _WORKER_MIGRATION),
-    ("fabric/codec.py:*_store", _WORKER_MIGRATION),
+    ("storage/docstore.py:DocumentStore.__reduce__", _WORKER_MIGRATION),
     ("fabric/placement.py:PlacementTable.streams", "stays: the placed streams, the table's listing verb"),
     ("fabric/placement.py:*", "stays: placement changes (recovery pins, shard add/remove) no consumer makes; the tests pin minimal movement"),
     # read-side API a user or an operator calls

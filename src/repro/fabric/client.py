@@ -10,7 +10,6 @@ methods that add behaviour to their row are written out.
 from __future__ import annotations
 
 import inspect
-import pickle
 import queue as _queue
 import time
 from typing import TYPE_CHECKING, Any, Dict, Optional
@@ -52,11 +51,11 @@ DEATH_DRAIN_GRACE_S = 0.2
 
 def _stub(op: str, submit: bool = False):
     """The ``ShardClient`` method of one table row: bind the call to the
-    served method's own parameter list, encode what the row declares,
-    cross the wire, decode the declared answer.  Codecs resolve here,
-    once.  ``submit`` makes the pipelined twin, with the parameters of
-    the ``ShardNode`` twin; its ``defer_delta``, where declared, is the
-    request envelope's flag, not an argument of the op."""
+    served method's own parameter list and cross the wire with the
+    keyword arguments.  ``submit`` makes the pipelined twin, with the
+    parameters of the ``ShardNode`` twin; its ``defer_delta``, where
+    declared, is the request envelope's flag, not an argument of the
+    op."""
     row = OPS[op]
     name = op + "_submit" if submit else op
     served = getattr(_LoopHooks if row.loop else ShardNode, name)
@@ -65,24 +64,18 @@ def _stub(op: str, submit: bool = False):
         (p.name for p in signature.parameters.values() if p.kind is p.VAR_KEYWORD),
         None,
     )
-    encoders = [(arg, codec.wire_codec(spec)[0]) for arg, spec in row.args.items()]
-    decode = codec.wire_codec(row.result)[1] if row.result else None
 
     def stub(self, *args, **kwargs):
         bound = signature.bind(self, *args, **kwargs)
         bound.apply_defaults()
-        payload = dict(bound.arguments)
-        del payload["self"]
+        arguments = dict(bound.arguments)
+        del arguments["self"]
         if var_keyword is not None:
-            payload.update(payload.pop(var_keyword))
-        sink = self._supervisor._request_sink() if encoders else None
-        for arg, encode in encoders:
-            if payload.get(arg) is not None:
-                payload[arg] = encode(payload[arg], sink)
+            arguments.update(arguments.pop(var_keyword))
         if not submit:
-            return self._call(op, payload, decode, sink=sink)
-        defer_delta = payload.pop("defer_delta", False)
-        return self._submit(op, payload, decode, sink=sink, defer_delta=defer_delta)
+            return self._call(op, arguments)
+        defer_delta = arguments.pop("defer_delta", False)
+        return self._submit(op, arguments, defer_delta=defer_delta)
 
     stub.__name__ = name
     stub.__qualname__ = "ShardClient." + name
@@ -102,16 +95,13 @@ class PendingReply:
     of misreading the new worker's stream.
     """
 
-    def __init__(
-        self, client: "ShardClient", corr_id: int, decode, worker=None
-    ):
+    def __init__(self, client: "ShardClient", corr_id: int, worker=None):
         self._client = client
         self._corr_id = corr_id
-        self._decode = decode
         self._worker = worker
 
     def result(self) -> Any:
-        return self._client._gather(self._corr_id, self._decode, self._worker)
+        return self._client._gather(self._corr_id, self._worker)
 
 
 class ShardClient:
@@ -144,12 +134,13 @@ class ShardClient:
     def _submit(
         self,
         op: str,
-        payload: Dict[str, Any],
-        decode=None,
-        sink=None,
+        kwargs: Dict[str, Any],
         deadline_s: Optional[float] = None,
         defer_delta: bool = False,
     ) -> PendingReply:
+        """Send one command: ``kwargs`` cross as one encoded payload
+        (none when empty) whose parts seal into a pooled request segment
+        or inline, by the data plane's rule."""
         row = OPS.get(op)
         if row is None:
             # refused before anything is consumed: no corr id, no queue
@@ -158,6 +149,10 @@ class ShardClient:
                 "unknown op %r (the vocabulary is repro.fabric.protocol.OPS)"
                 % op
             )
+        sink = payload = None
+        if kwargs:
+            sink = self._supervisor._request_sink()
+            payload = codec.encode(kwargs, sink)
         worker = self._worker()
         with worker.lock:
             if worker.condemned or not worker.process.is_alive():
@@ -178,13 +173,13 @@ class ShardClient:
             corr_id = worker.next_corr
             worker.next_corr += 1
             if sink is not None:
-                # resolve the payload's bulk fields NOW (inline or pooled
-                # segment descriptors) -- the envelopes are patched in place
+                # resolve the payload's parts NOW (inline or pooled
+                # segment descriptors) -- the envelope is patched in place
                 sink.seal()
                 if sink.segment_name is not None:
                     worker.request_leases[corr_id] = sink.segment_name
                 worker.wire["shm_bytes"] += sink.sealed_nbytes
-            worker.wire["wire_bytes_sent"] += codec.payload_nbytes(payload)
+            worker.wire["wire_bytes_sent"] += codec.inline_nbytes(payload)
             if row.readonly:
                 worker.wire["delta_skipped_readonly"] += 1
             worker.request_q.put(
@@ -205,21 +200,14 @@ class ShardClient:
                 else self._supervisor.deadline_for(op)
             )
             worker.pending.append(corr_id)
-            return PendingReply(self, corr_id, decode, worker)
+            return PendingReply(self, corr_id, worker)
 
     def _call(
-        self,
-        op: str,
-        payload: Dict[str, Any],
-        decode=None,
-        sink=None,
-        deadline_s: Optional[float] = None,
+        self, op: str, kwargs: Dict[str, Any], deadline_s: Optional[float] = None
     ) -> Any:
-        return self._submit(
-            op, payload, decode, sink=sink, deadline_s=deadline_s
-        ).result()
+        return self._submit(op, kwargs, deadline_s=deadline_s).result()
 
-    def _gather(self, corr_id: int, decode=None, worker: Optional[_Worker] = None) -> Any:
+    def _gather(self, corr_id: int, worker: Optional[_Worker] = None) -> Any:
         if worker is None:
             worker = self._worker()
         with worker.lock:
@@ -255,41 +243,39 @@ class ShardClient:
             self._supervisor._note_healthy(self.shard_id)
             reader = shm_plane.ShmReader(owns=True)
             try:
-                return self._apply(worker, reply, reader, decode)
+                return self._apply(worker, reply, reader)
             finally:
                 # consume-once contract: unlink the reply's segment (if
                 # any) whether the command succeeded or raised
                 worker.wire["shm_bytes"] += reader.total_nbytes
                 reader.close()
 
-    def _apply(self, worker: _Worker, reply: Reply, reader, decode) -> Any:
-        worker.wire["wire_bytes_received"] += codec.payload_nbytes(
+    def _apply(self, worker: _Worker, reply: Reply, reader) -> Any:
+        worker.wire["wire_bytes_received"] += codec.inline_nbytes(
             reply.value
-        ) + codec.payload_nbytes(reply.store_delta)
+        ) + codec.inline_nbytes(reply.store_delta)
         if reply.spans:
             # stitch the worker's spans into this process's sink: the
             # trace exporter then sees one tree across both processes
             get_sink().absorb(reply.spans)
         if reply.store_delta is not None:
-            parts = pickle.loads(codec.decode_blob(reply.store_delta, reader))
-            for envelope in parts:
-                name = envelope["name"]
-                if envelope["kind"] == "cfull":
-                    coll = Collection.from_json_obj(envelope["coll"])
+            for delta in codec.decode(reply.store_delta, reader):
+                name = delta["name"]
+                if delta["kind"] == "cfull":
+                    coll = Collection.from_json_obj(delta["coll"])
                     worker.mirror.replace_collection(name, coll)
                     worker.wire["delta_docs_shipped"] += len(coll)
                 else:
                     worker.wire["delta_docs_shipped"] += worker.mirror.collection(
                         name
-                    ).apply_delta(envelope)
+                    ).apply_delta(delta)
         for name in reply.store_drops:
             worker.mirror.drop(name)
         if not reply.ok:
             raise_remote(reply.error)
-        value = reply.value
-        if decode is not None:
-            value = decode(value, reader)
-        return value
+        if reply.value is None:
+            return None  # a loop op's bare acknowledgement
+        return codec.decode(reply.value, reader)
 
     def _await_reply(
         self, worker: _Worker, corr_id: Optional[int] = None

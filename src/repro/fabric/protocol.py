@@ -4,13 +4,13 @@ The wire discipline between a :class:`~repro.fabric.client.ShardClient`
 (in the supervisor process) and its shard worker is deliberately tiny:
 
 * every command travels as one :class:`Request` carrying a correlation
-  id, an operation name, and a payload of already-encoded primitives
-  (``repro.fabric.codec``);
+  id, an operation name, and its keyword arguments as one
+  ``repro.fabric.codec.encode`` payload;
 * every command produces exactly one :class:`Reply` echoing the
   correlation id, carrying either an encoded value or a marshalled
-  error, plus the *store delta* -- the shard store collections the
-  command changed, shipped whole so the supervisor's mirror tracks the
-  worker's durable state (see ``docs/SHARDING.md``);
+  error, plus the encoded *store delta* -- the shard store collections
+  the command changed, so the supervisor's mirror tracks the worker's
+  durable state (see ``docs/SHARDING.md``);
 * a worker processes requests strictly in order, so replies are FIFO
   per shard and a client that pipelines N requests gathers N replies in
   submission order -- no reordering, no windowing.
@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import pickle
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import register_counters
 
@@ -62,8 +62,10 @@ from repro.obs.metrics import register_counters
 #: ``ingest_stream`` kwargs flattened in, ``defer_delta`` moved to the
 #: envelope -- and ``migrate_out`` / ``finish_migration`` answer a
 #: pickled triple / a bare epoch; v7: ``ingest_stream`` and the
-#: ``source`` codec are gone)
-PROTOCOL_VERSION = 7
+#: ``source`` codec are gone; v8: every payload -- a request's keyword
+#: arguments, a reply's value, a store delta -- is one protocol-5 pickle
+#: whose stream and out-of-band buffers are its parts; no kind tags)
+PROTOCOL_VERSION = 8
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;
@@ -102,11 +104,7 @@ class Op:
     ``kind`` is its deadline kind, a key of :data:`DEFAULT_DEADLINES`:
     queries and control chatter must fail fast (they block
     scatter-gather rounds), ingest moves real data, recovery/migration
-    legs replay WALs and ship snapshots.  ``args`` maps each parameter
-    that crosses encoded to its codec spec (a ``codec.CODECS`` kind, or
-    ``"[kind]"`` for a list of it); the rest travel as the primitives
-    they are, as does a declared one that is ``None``.  ``result`` is
-    the answer's codec spec (``None``: primitives).  A ``readonly`` op
+    legs replay WALs and ship snapshots.  A ``readonly`` op
     cannot move the durable store: the worker skips the store-delta
     sweep and the client counts it in ``delta_skipped_readonly``.  A
     ``loop`` op is the worker loop's own (``worker._LoopHooks``),
@@ -115,8 +113,6 @@ class Op:
     """
 
     kind: str
-    args: Mapping[str, str] = field(default_factory=dict)
-    result: Optional[str] = None
     readonly: bool = False
     loop: bool = False
 
@@ -128,27 +124,21 @@ OPS: Dict[str, Op] = {
     "streams": Op("control", readonly=True),
     "live_streams": Op("control", readonly=True),
     "fenced": Op("control", readonly=True),
-    "handle_info": Op("control", result="handle_info", readonly=True),
+    "handle_info": Op("control", readonly=True),
     "counters": Op("control", readonly=True),
     # stream lifecycle and ingest
-    "open_stream": Op(
-        "ingest", {"config": "pickled", "tune_on": "table"}, "handle_info"
-    ),
-    "append": Op("ingest", {"chunk": "table"}, "chunk_report"),
+    "open_stream": Op("ingest"),
+    "append": Op("ingest"),
     # serving
-    "query": Op("query", result="query_answer", readonly=True),
-    "query_batch": Op(
-        "query", {"requests": "[query_request]"}, "[multi_answer]", readonly=True
-    ),
+    "query": Op("query", readonly=True),
+    "query_batch": Op("query", readonly=True),
     # durability
-    "checkpoint": Op("ingest", result="[stream_checkpoint]"),
-    "recover": Op("slow", {"configs": "pickled"}),
+    "checkpoint": Op("ingest"),
+    "recover": Op("slow"),
     # the migration steps, in call order (target, source, target, source)
     "import_precheck": Op("control", readonly=True),
-    "migrate_out": Op("slow", result="pickled"),
-    "import_stream": Op(
-        "slow", {"staging_store": "store", "config": "pickled"}, "handle_info"
-    ),
+    "migrate_out": Op("slow"),
+    "import_stream": Op("slow"),
     "finish_migration": Op("ingest"),
     # the loop's own: goodbye, and chaos drill arming (tests only)
     "shutdown": Op("control", loop=True),
@@ -220,8 +210,9 @@ class Request:
 
     corr_id: int
     op: str
-    #: the op's keyword arguments, declared ones encoded (:class:`Op`)
-    payload: Dict[str, Any] = field(default_factory=dict)
+    #: the op's keyword arguments as one ``codec.encode`` envelope
+    #: (None: no arguments)
+    payload: Optional[Dict[str, Any]] = None
     version: int = PROTOCOL_VERSION
     #: a non-final leg of one pipelined round on its shard: the worker
     #: ships no store delta with this reply, the round's last leg does
@@ -232,9 +223,10 @@ class Request:
 class Reply:
     """One command's outcome: worker -> supervisor.
 
-    ``store_delta`` is a ``"blob"`` codec envelope (inline bytes or a
-    shared-memory descriptor) holding the pickled list of per-collection
-    delta envelopes -- doc-level ``"cdelta"`` change sets when the
+    ``value`` is the answer as one ``codec.encode`` envelope (None for
+    an error or a loop op's bare acknowledgement).  ``store_delta`` is
+    one envelope too, of the list of per-collection delta documents --
+    doc-level ``"cdelta"`` change sets when the
     mirror shares the collection's baseline, whole-collection
     ``"cfull"`` snapshots otherwise (see
     :meth:`repro.storage.docstore.Collection.delta_snapshot`);

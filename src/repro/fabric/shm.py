@@ -1,28 +1,24 @@
 """Shared-memory data plane for the fabric's worker protocol.
 
-PR 6's wire moved *everything* through ``mp.Queue`` -- every
-ObservationTable chunk, answer frame array, and store-mirror delta was
-pickled whole, copied into a pipe, copied out, and unpickled.  This
-module splits that wire in two:
+The wire is split in two:
 
 * the **control plane** stays on the queues: small
-  :class:`~repro.fabric.protocol.Request`/``Reply`` envelopes of plain
-  primitives;
+  :class:`~repro.fabric.protocol.Request`/``Reply`` envelopes;
 * the **data plane** moves bulk bytes through POSIX shared memory
-  (``multiprocessing.shared_memory``): an envelope's payload field is
-  replaced by a ``(segment, offset, nbytes)`` descriptor and the bytes
-  themselves are written once into a mapped segment the peer reads
-  directly -- no pickling of the bulk, no kernel-mediated copies
-  through a pipe.
+  (``multiprocessing.shared_memory``): each part of an encoded payload
+  (``repro.fabric.codec``: the pickle stream and its out-of-band
+  buffers) is replaced by a ``(segment, offset, nbytes)`` descriptor
+  and the bytes themselves are written once into a mapped segment the
+  peer reads directly -- no kernel-mediated copies through a pipe.
 
 Three cooperating pieces:
 
-* :class:`ShmSink` -- collects every bulk payload of ONE message
-  (arrays, pickled blobs), then :meth:`ShmSink.seal` packs them into a
-  single segment when their total crosses the crossover threshold.
-  Below the threshold -- or when shared memory is unavailable, or
-  allocation fails -- it transparently falls back to inlining the bytes
-  in the envelope, so every consumer handles both shapes.
+* :class:`ShmSink` -- collects every part of ONE message (one or more
+  encoded payloads), then :meth:`ShmSink.seal` packs them into a single
+  segment when their total crosses the crossover threshold.  Below the
+  threshold -- or when shared memory is unavailable, or allocation
+  fails -- it inlines the parts as ``bytes`` instead, so every consumer
+  handles both shapes.
 * :class:`ShmReader` -- resolves descriptors back to bytes.  Attachments
   can be cached across messages (workers re-read the supervisor's
   pooled segments) or owned-and-unlinked (the supervisor consumes each
@@ -58,13 +54,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: per-message crossover: messages whose bulk payloads total fewer
-#: bytes than this are inlined in the envelope (a queue round trip on a
-#: few KB beats a segment create/attach)
+#: per-message crossover: messages whose parts total fewer bytes than
+#: this are inlined in the envelope (a queue round trip on a few KB
+#: beats a segment create/attach)
 DEFAULT_SHM_THRESHOLD = 32 * 1024
 
-#: descriptor alignment inside a packed segment (decoded arrays keep
-#: natural alignment for every dtype the tables use)
+#: part alignment inside a packed segment
 _ALIGN = 64
 
 _availability: Optional[bool] = None
@@ -118,19 +113,19 @@ def unlink_segment(name: str) -> bool:
 
 
 class ShmSink:
-    """Collects one message's bulk payloads; seals them into one segment.
+    """Collects one message's payload parts; seals them into one segment.
 
-    Codec encoders hand each bulk payload (a contiguous ndarray or a
-    ``bytes`` blob) to the sink together with the envelope dict it
-    belongs to.  The envelope leaves the encoder *unresolved*;
-    :meth:`seal` then either
+    :func:`repro.fabric.codec.encode` hands each payload's parts (its
+    pickle stream and out-of-band buffers) to the sink together with
+    the envelope they belong to.  The envelope leaves the encoder
+    *unresolved*; :meth:`seal` then either
 
-    * packs every payload into a single shared segment and patches each
-      envelope with a ``{"seg", "off", "n"}`` descriptor under
-      ``"shm"``, or
-    * inlines each payload as ``bytes`` under ``"data"`` -- the
-      fallback when the message totals below the crossover threshold,
-      there is no allocator, or allocation fails.
+    * packs every part of every envelope into a single shared segment
+      at 64-byte-aligned offsets and sets each envelope's ``"parts"``
+      to ``{"seg", "off", "n"}`` descriptors, or
+    * inlines each part as ``bytes`` -- the fallback when the message
+      totals below the crossover threshold, there is no allocator, or
+      allocation fails.
 
     ``alloc(nbytes)`` supplies the segment (pool lease or fresh named
     segment) and may return None to force the fallback; ``alloc=None``
@@ -144,34 +139,27 @@ class ShmSink:
     ):
         self._alloc = alloc
         self._threshold = threshold
-        self._items: List[Tuple[Dict[str, Any], Any]] = []
+        self._items: List[Tuple[Dict[str, Any], List[Any]]] = []
         self._total = 0
         self._sealed = False
         #: set by seal(): the packed segment's name (None = inlined)
         self.segment_name: Optional[str] = None
-        #: bulk bytes that went through shared memory (0 when inlined)
+        #: bytes that went through shared memory (0 when inlined)
         self.sealed_nbytes = 0
         self._segment: Optional[Any] = None
 
-    def add_array(self, envelope: Dict[str, Any], arr: np.ndarray) -> None:
-        contiguous = np.ascontiguousarray(arr)
-        self._items.append((envelope, contiguous))
-        self._total += contiguous.nbytes
-
-    def add_bytes(self, envelope: Dict[str, Any], data: bytes) -> None:
-        self._items.append((envelope, data))
-        self._total += len(data)
+    def add(self, envelope: Dict[str, Any], parts: List[Any]) -> None:
+        """Defer one envelope's parts (``bytes`` or byte memoryviews)."""
+        self._items.append((envelope, parts))
+        self._total += sum(len(part) for part in parts)
 
     def _inline_all(self) -> None:
-        for envelope, payload in self._items:
-            if isinstance(payload, np.ndarray):
-                envelope["data"] = payload.tobytes()
-            else:
-                envelope["data"] = payload
+        for envelope, parts in self._items:
+            envelope["parts"] = [bytes(part) for part in parts]
 
     def seal(self) -> Optional[str]:
         """Resolve every collected envelope; returns the segment name
-        when the payloads went to shared memory, else None."""
+        when the parts went to shared memory, else None."""
         if self._sealed:
             return self.segment_name
         self._sealed = True
@@ -182,10 +170,11 @@ class ShmSink:
             return None
         offsets = []
         cursor = 0
-        for _, payload in self._items:
-            cursor = (cursor + _ALIGN - 1) // _ALIGN * _ALIGN
-            offsets.append(cursor)
-            cursor += payload.nbytes if isinstance(payload, np.ndarray) else len(payload)
+        for _, parts in self._items:
+            for part in parts:
+                cursor = (cursor + _ALIGN - 1) // _ALIGN * _ALIGN
+                offsets.append(cursor)
+                cursor += len(part)
         segment = None
         try:
             segment = self._alloc(max(cursor, 1))
@@ -195,17 +184,14 @@ class ShmSink:
             self._inline_all()
             return None
         buf = segment.buf
-        for (envelope, payload), offset in zip(self._items, offsets):
-            if isinstance(payload, np.ndarray):
-                nbytes = payload.nbytes
-                if nbytes:
-                    dest = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
-                    dest[:] = payload.reshape(-1).view(np.uint8)
-            else:
-                nbytes = len(payload)
-                if nbytes:
-                    buf[offset : offset + nbytes] = payload
-            envelope["shm"] = {"seg": segment.name, "off": offset, "n": nbytes}
+        places = iter(offsets)
+        for envelope, parts in self._items:
+            descriptors = []
+            for part in parts:
+                offset, nbytes = next(places), len(part)
+                buf[offset : offset + nbytes] = part
+                descriptors.append({"seg": segment.name, "off": offset, "n": nbytes})
+            envelope["parts"] = descriptors
         self.segment_name = segment.name
         self.sealed_nbytes = self._total
         self._segment = segment
@@ -246,7 +232,7 @@ class ShmReader:
         self._cache = {} if cache is None else cache
         self._owns = owns
         self._opened: List[str] = []
-        #: bulk bytes resolved through shared memory by this reader
+        #: bytes resolved through shared memory by this reader
         self.total_nbytes = 0
 
     def _segment(self, name: str) -> shared_memory.SharedMemory:
@@ -260,19 +246,13 @@ class ShmReader:
             self._opened.append(name)
         return seg
 
-    def bytes_at(self, desc: Dict[str, Any]) -> bytes:
+    def array_at(self, desc: Dict[str, Any]) -> np.ndarray:
+        """The described bytes as a uint8 array that owns its memory:
+        writable, and valid after the segment is closed or reused."""
         seg = self._segment(desc["seg"])
         off, n = desc["off"], desc["n"]
         self.total_nbytes += n
-        return bytes(seg.buf[off : off + n])
-
-    def array_at(self, desc: Dict[str, Any], dtype: np.dtype, shape) -> np.ndarray:
-        seg = self._segment(desc["seg"])
-        off, n = desc["off"], desc["n"]
-        self.total_nbytes += n
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(seg.buf, dtype=dtype, count=count, offset=off)
-        return arr.reshape(shape).copy()  # owns its memory; segment is reusable
+        return np.frombuffer(seg.buf, dtype=np.uint8, count=n, offset=off).copy()
 
     def close(self) -> None:
         """Release this reader's attachments (and unlink them when this

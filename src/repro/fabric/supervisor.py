@@ -132,7 +132,7 @@ class FabricSupervisor:
     :class:`~repro.fabric.shard.ShardNode` (e.g. ``num_query_gpus``).
     Use as a context manager to guarantee the fleet is torn down.
 
-    The data plane: bulk payloads whose message totals at least
+    The data plane: messages whose encoded parts total at least
     ``shm_threshold`` bytes travel through shared segments -- requests
     through a supervisor-owned :class:`~repro.fabric.shm.ShmPool`,
     replies through per-command deterministic segments.  Smaller
@@ -219,7 +219,7 @@ class FabricSupervisor:
 
     # -- the data plane ------------------------------------------------------
     def _request_sink(self) -> shm_plane.ShmSink:
-        """A sink for one outbound command's bulk payloads, backed by
+        """A sink for one outbound command's payload, backed by
         the pooled allocator (inline when there is no pool)."""
         return shm_plane.ShmSink(
             alloc=self._pool.allocate if self._pool is not None else None,

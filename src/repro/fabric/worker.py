@@ -22,13 +22,13 @@ worker <- client <- supervisor):
 
 **Where an op is declared, and how to add one:** once, as a row of
 ``repro.fabric.protocol.OPS``, plus the ``ShardNode`` method of the same
-name.  :func:`_dispatch` serves every row the same way -- decode the
-parameters the row declares, call the method with the payload as
-keyword arguments, encode the declared answer -- and ``ShardClient``
-grows the mirror-image method from the same row and the method's own
-signature; no branch here, no stub there.  The few ops whose serving
-differs register a wrapper in :data:`_WRAPPERS`, and the loop's own
-verbs (goodbye, chaos drills) are :class:`_LoopHooks` methods.
+name.  The loop serves every row the same way -- decode the keyword
+arguments (one ``codec.decode``), call the method with them, encode the
+answer (one ``codec.encode``) -- and ``ShardClient`` grows the
+mirror-image method from the same row and the method's own signature;
+no branch here, no stub there.  The few ops whose serving differs
+register a wrapper in :data:`_WRAPPERS`, and the loop's own verbs
+(goodbye, chaos drills) are :class:`_LoopHooks` methods.
 Migration has no code of its own here.
 
 See ``docs/SHARDING.md`` for the message table and restart/fencing
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import importlib
 import os
-import pickle
 import time
 from dataclasses import replace as _dc_replace
 from typing import Any, Dict, List, Optional, Tuple
@@ -81,7 +80,7 @@ def _store_delta(
     sink: Optional[shm_plane.ShmSink] = None,
 ) -> Tuple[Optional[Dict[str, Any]], Tuple[str, ...]]:
     """Collections changed/removed since the last *shipped* command, as
-    one pickled blob envelope, updating the shadow in place.
+    one encoded envelope, updating the shadow in place.
 
     The shadow maps collection name to the delta token of the last
     shipped baseline.  An unchanged collection (same baseline lineage,
@@ -94,22 +93,21 @@ def _store_delta(
     delete+reinsert at equal length -- is caught.
     """
     names = store.collection_names()
-    parts: List[Dict[str, Any]] = []
+    deltas: List[Dict[str, Any]] = []
     for name in names:
         coll = store.collection(name)
         basis = shadow.get(name)
         if coll.unchanged_since(basis):
             continue
-        envelope, shadow[name] = coll.delta_snapshot(basis)
-        parts.append(envelope)
+        delta, shadow[name] = coll.delta_snapshot(basis)
+        deltas.append(delta)
     live = set(names)
     drops = tuple(sorted(n for n in shadow if n not in live))
     for name in drops:
         del shadow[name]
-    if not parts:
+    if not deltas:
         return None, drops
-    blob = pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
-    return codec.encode_blob(blob, sink), drops
+    return codec.encode(deltas, sink), drops
 
 
 class _LoopHooks:
@@ -187,6 +185,12 @@ def _call_node(node: ShardNode, op: str, params: Dict[str, Any]) -> Any:
     return getattr(node, op)(**params)
 
 
+def _report_without_dispatch(node: ShardNode, op: str, params: Dict[str, Any]):
+    """``dispatch`` (the GPU placement of the chunk's batches) describes
+    the worker's cluster: it does not cross the wire."""
+    return _dc_replace(_call_node(node, op, params), dispatch=None)
+
+
 def _answer_handle_info(node: ShardNode, op: str, params: Dict[str, Any]):
     """``open_stream`` returns a live handle, which is worker-local:
     answer its wire-safe summary instead."""
@@ -213,44 +217,18 @@ def _query_batch_in_span(node: ShardNode, op: str, params: Dict[str, Any]):
 
 #: the ops whose serving genuinely differs from call-and-encode
 _WRAPPERS = {
+    "append": _report_without_dispatch,
     "open_stream": _answer_handle_info,
     "query_batch": _query_batch_in_span,
 }
 
-#: op -> (decoders of its declared parameters, the call, the encoder of
-#: its declared answer), resolved from the table once at import
-_SERVE = {
-    op: (
-        [(name, codec.wire_codec(spec)[1]) for name, spec in row.args.items()],
-        _WRAPPERS.get(op, _call_node),
-        codec.wire_codec(row.result)[0] if row.result else None,
-    )
-    for op, row in OPS.items()
-    if not row.loop
-}
 
-
-def _dispatch(
-    node: ShardNode,
-    op: str,
-    payload: Dict[str, Any],
-    sink: Optional[shm_plane.ShmSink] = None,
-    reader: Optional[shm_plane.ShmReader] = None,
-) -> Any:
-    """Execute one table op against the worker's ShardNode: decode the
-    declared parameters, call, encode the declared answer.
-
-    Bulk request payloads (table chunks, migration snapshots) resolve
-    through ``reader``; bulk reply values (answer frames, per-stream
-    results) defer into ``sink`` and resolve when the reply seals.
-    """
-    decoders, call, encode = _SERVE[op]
-    params = dict(payload)
-    for name, decode in decoders:
-        if params.get(name) is not None:
-            params[name] = decode(params[name], reader)
-    value = call(node, op, params)
-    return value if encode is None else encode(value, sink)
+def _arguments(request: Request, reader: shm_plane.ShmReader) -> Dict[str, Any]:
+    """A request's keyword arguments (its payload resolves through
+    ``reader``; None is no arguments)."""
+    if request.payload is None:
+        return {}
+    return codec.decode(request.payload, reader)
 
 
 def _reply_segment_name(prefix: str, corr_id: int) -> str:
@@ -373,22 +351,25 @@ def _worker_main(
             refusal = ProtocolError("unknown op %r" % request.op)
             reply_q.put(make_reply(request.corr_id, refusal))
             continue
+        reader = shm_plane.ShmReader(cache=attach_cache, owns=False)
         if row.loop:
             # acknowledged bare: no sink, no delta sweep, and none of
             # the chaos the hook may arm (that starts with the NEXT one)
             try:
-                getattr(hooks, request.op)(**request.payload)
+                getattr(hooks, request.op)(**_arguments(request, reader))
                 reply_q.put(make_reply(request.corr_id))
             except Exception as exc:
                 reply_q.put(make_reply(request.corr_id, exc))
             continue
         if hooks.slow_s:
             time.sleep(hooks.slow_s)
-        reader = shm_plane.ShmReader(cache=attach_cache, owns=False)
         sink = make_sink(request.corr_id)
         try:
-            value = _dispatch(
-                node, request.op, request.payload, sink=sink, reader=reader
+            serve = _WRAPPERS.get(request.op, _call_node)
+            # the answer defers into the reply's sink, which seals it
+            # with the store delta as one message
+            value = codec.encode(
+                serve(node, request.op, _arguments(request, reader)), sink
             )
             stall = hooks.stall_s
             if stall:

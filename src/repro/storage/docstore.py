@@ -508,6 +508,10 @@ class DocumentStore:
             store._collections[cobj["name"]] = Collection.from_json_obj(cobj)
         return store
 
+    def __reduce__(self):
+        # pickles as its JSON form: a copy starts a fresh delta lineage
+        return (type(self).from_json_obj, (self.to_json_obj(),))
+
     def save(self, path: str) -> None:
         tmp = path + ".tmp"
         with open(tmp, "w") as f:

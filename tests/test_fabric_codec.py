@@ -1,132 +1,380 @@
-"""Kind-specific properties of the fabric wire codec.
+"""The fabric wire codec and its shared-memory data plane.
 
-That every codec kind round-trips, inline and through a segment, is one
-table-driven case in ``tests/test_fabric_ops.py``.  Here: what a single
-kind promises beyond that -- array dtypes/shapes/ownership,
-observation-table slices (empty and zero-copy views) encoding like the
-copies they alias, ``dispatch`` dropped from a chunk report -- plus the
-guard rails: marshalled error envelopes re-raise with their original
-type, and a wrong kind or a foreign protocol version is refused instead
-of misread.
+One property holds the codec to its contract, per record type and per
+transport (inline; a reply's named segment; a pooled request segment
+that is recycled after reading): every record a wire op carries --
+observation-table slices (empty, whole, one column strided), arrays of
+every layout, and a sample of each record type in :data:`SAMPLES` --
+comes back bit-identical, with writable arrays that share no memory
+with the source and outlive the segment, moving only the bytes it
+holds; a reply's value and store delta seal into one message; and a
+foreign protocol version is refused.  Around it: the data plane's rules
+(the crossover threshold, fallbacks, pool size classes and reader
+lifetimes), error envelopes, and configs crossing as their parameters.
 """
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.metrics import SegmentMetrics
+from repro.core.query import QueryResult
 from repro.core.streaming import ChunkReport
+from repro.core.system import QueryAnswer
 from repro.fabric import codec
+from repro.fabric import shm as shm_plane
 from repro.fabric.codec import CodecError
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     RemoteShardError,
+    StreamHandleInfo,
     encode_error,
     raise_remote,
 )
+from repro.serve.planner import QueryRequest
+from repro.serve.service import MultiStreamAnswer, StreamCheckpoint, StreamSlice
+from repro.storage.docstore import DocumentStore
 from repro.storage.journal import StaleEpochError
+from repro.video.synthesis import ObservationTable
+
+needs_shm = pytest.mark.skipif(
+    not shm_plane.shm_available(), reason="host cannot serve POSIX shm"
+)
+#: ``reply``: a named segment an owning reader unlinks; ``pool``: a
+#: pooled request segment a worker-shaped reader attaches through its
+#: cache, overwritten by the next command once the lease is released
+SEGMENTS = ["reply", "pool"] if shm_plane.shm_available() else []
+TRANSPORTS = ["inline"] + SEGMENTS
+_examples = settings(
+    deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
+)
+_seg_counter = iter(range(100_000))
+
+
+def _named_sink(threshold=0):
+    """A sink backed by a fresh named segment (reply-plane shape)."""
+    name = "codec-test-%d" % next(_seg_counter)
+    return shm_plane.ShmSink(
+        alloc=lambda nbytes: shm_plane.create_segment(name, nbytes),
+        threshold=threshold,
+    )
+
+
+def _pool():
+    return shm_plane.ShmPool("codec-pool-%d" % next(_seg_counter))
 
 
 def assert_tables_equal(left, right):
-    assert left.stream == right.stream
-    assert left.fps == right.fps
-    assert left.duration_s == right.duration_s
+    assert (left.stream, left.fps, left.duration_s) == (right.stream, right.fps, right.duration_s)
     assert len(left) == len(right)
     for name in codec.TABLE_COLUMNS:
         a, b = getattr(left, name), getattr(right, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-class TestArrays:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_round_trip_dtypes_and_shapes(self, seed):
-        rng = np.random.default_rng(seed)
-        for dtype in ("int64", "int32", "float64", "float32", "bool"):
-            shape = tuple(
-                int(n) for n in rng.integers(0, 6, rng.integers(1, 3))
-            )
-            arr = (rng.random(shape) * 100).astype(dtype)
-            out = codec.decode_array(codec.encode_array(arr))
-            assert out.dtype == arr.dtype
-            assert out.shape == arr.shape
-            assert np.array_equal(out, arr)
-
-    def test_decoded_array_is_writable_and_owns_memory(self):
-        arr = np.arange(12)
-        out = codec.decode_array(codec.encode_array(arr))
-        out[0] = 99  # np.frombuffer views are read-only; the copy is not
-        assert arr[0] == 0
-
-    def test_non_contiguous_view_encodes_like_its_copy(self):
-        base = np.arange(40).reshape(8, 5)
-        view = base[::2, 1:]
-        assert not view.flags["C_CONTIGUOUS"]
-        out = codec.decode_array(codec.encode_array(view))
-        assert np.array_equal(out, view.copy())
-
-    def test_wrong_kind_refused(self):
-        env = codec.encode_array(np.arange(3))
-        with pytest.raises(CodecError, match="expected a 'table'"):
-            codec.decode_table(env)
+def assert_same(left, right):
+    """Deep bit-identity that knows arrays, tables and stores; a decoded
+    array must also be writable and share no memory with its source."""
+    assert type(left) is type(right)
+    if isinstance(left, np.ndarray):
+        assert left.dtype == right.dtype and left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
+        assert right.flags.writeable and not np.shares_memory(left, right)
+    elif isinstance(left, ObservationTable):
+        assert_tables_equal(left, right)
+        for name in codec.TABLE_COLUMNS:
+            assert_same(getattr(left, name), getattr(right, name))
+    elif isinstance(left, DocumentStore):
+        assert left.to_json_obj() == right.to_json_obj()
+    elif isinstance(left, dict):
+        assert sorted(left) == sorted(right)
+        for key in left:
+            assert_same(left[key], right[key])
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            assert_same(a, b)
+    elif hasattr(left, "__dataclass_fields__"):
+        for name in left.__dataclass_fields__:
+            assert_same(getattr(left, name), getattr(right, name))
+    else:
+        assert left == right
 
 
-class TestTables:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_slices_round_trip(self, table_factory, seed):
-        rng = np.random.default_rng(100 + seed)
-        stream = ["auburn_c", "jacksonh", "lausanne"][seed % 3]
-        table = table_factory(stream, 20.0, 10.0)
-        for _ in range(8):
-            a = int(rng.integers(0, len(table)))
-            b = int(rng.integers(a, len(table) + 1))
-            view = table.slice(a, b)  # zero-copy view of the parent
-            assert_tables_equal(
-                view, codec.decode_table(codec.encode_table(view))
-            )
+def through(values, transport):
+    """``(decoded, envelopes)`` after ``values`` crossed as ONE message
+    (one sink); every segment is gone or rewritten before this returns."""
+    if transport == "inline":
+        envelopes = [codec.encode(value) for value in values]
+        wire = pickle.loads(pickle.dumps(envelopes))  # what the queue does
+        return [codec.decode(envelope) for envelope in wire], envelopes
+    pool = _pool()
+    sink = _named_sink() if transport == "reply" else shm_plane.ShmSink(pool.allocate, 0)
+    envelopes = [codec.encode(value, sink) for value in values]
+    name = sink.seal()
+    assert {p["seg"] for e in envelopes for p in e["parts"]} == {name}
+    sink.close_handoff()
+    cache = {}
+    reader = shm_plane.ShmReader(cache, owns=False) if transport == "pool" else shm_plane.ShmReader()
+    try:
+        decoded = [codec.decode(envelope, reader) for envelope in envelopes]
+        for seg in cache.values():  # the next command reuses the segment
+            seg.buf[:] = b"\xff" * len(seg.buf)
+    finally:
+        reader.close()
+        pool.release(name)
+        assert pool.close() == []
+    assert not shm_plane.unlink_segment(name)  # consumed or pooled: never leaked
+    return decoded, envelopes
 
-    def test_empty_slice_round_trips(self, table_factory):
-        table = table_factory("auburn_c", 20.0, 10.0)
-        empty = table.slice(5, 5)
-        assert len(empty) == 0
-        out = codec.decode_table(codec.encode_table(empty))
-        assert_tables_equal(empty, out)
 
-    def test_full_table_round_trips(self, table_factory):
-        table = table_factory("auburn_c", 20.0, 10.0)
-        assert_tables_equal(
-            table, codec.decode_table(codec.encode_table(table))
-        )
+def part_sizes(envelope):
+    return [p["n"] if isinstance(p, dict) else len(p) for p in envelope["parts"]]
 
 
-class TestReports:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_chunk_report_round_trip_drops_dispatch(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        report = ChunkReport(
-            chunk_rows=int(rng.integers(0, 500)),
-            total_rows=int(rng.integers(500, 5_000)),
-            watermark_s=float(rng.random() * 100),
-            suppressed=int(rng.integers(0, 50)),
-            cnn_inferences=int(rng.integers(0, 500)),
-            gpu_seconds=float(rng.random()),
-            new_clusters=[int(c) for c in rng.integers(0, 30, rng.integers(0, 5))],
-            grown_clusters=[int(c) for c in rng.integers(0, 30, rng.integers(0, 5))],
-            dispatch=object(),  # worker-local; must not cross the wire
-        )
-        out = codec.decode_chunk_report(codec.encode_chunk_report(report))
-        assert out.dispatch is None
-        for field in (
-            "chunk_rows",
-            "total_rows",
-            "watermark_s",
-            "suppressed",
-            "cnn_inferences",
-            "gpu_seconds",
-            "new_clusters",
-            "grown_clusters",
-        ):
-            assert getattr(out, field) == getattr(report, field)
+def assert_round_trip(value, transport, *company):
+    """``value`` (sharing its message with ``company``) crosses intact."""
+    tokens = {}
+    if isinstance(value, DocumentStore):
+        tokens = {n: value.collection(n).mark_delta_clean() for n in value.collection_names()}
+    (out, *others), (envelope, *_) = through([value, *company], transport)
+    assert_same(value, out)
+    for sent, received in zip(company, others):
+        assert_same(sent, received)
+    # a store arrives with a fresh delta lineage, never its source's
+    for name, token in tokens.items():
+        assert not out.collection(name).unchanged_since(token), name
+    assert set(envelope) == {"v", "parts"} and envelope["v"] == PROTOCOL_VERSION
+    shape = bytes if transport == "inline" else dict
+    assert all(isinstance(part, shape) for part in envelope["parts"])
+    assert codec.inline_nbytes(envelope) == (sum(part_sizes(envelope)) if shape is bytes else 0)
+    with pytest.raises(CodecError, match="version mismatch"):
+        codec.decode(dict(envelope, v=PROTOCOL_VERSION + 1))
+    return envelope
+
+
+# -- the samples: one builder per record type a wire op carries ---------------
+
+def ints(rng, high, most):
+    return [int(c) for c in rng.integers(0, high, rng.integers(0, most))]
+
+
+def random_result(rng):
+    return QueryResult(
+        int(rng.integers(0, 50)), int(rng.integers(0, 10_000)), ints(rng, 100, 8),
+        ints(rng, 100, 8), rng.integers(0, 10_000, rng.integers(0, 64)),
+        rng.integers(0, 3_000, rng.integers(0, 64)), int(rng.integers(0, 500)),
+        float(rng.random()),
+    )
+
+
+def random_metrics(rng):
+    true, returned = (int(n) for n in rng.integers(0, 20, 2))
+    return SegmentMetrics(
+        int(rng.integers(0, 50)), true, returned, int(rng.integers(0, min(true, returned) + 1))
+    )
+
+
+def maybe_metrics(rng):
+    return None if rng.random() < 0.25 else random_metrics(rng)
+
+
+def random_array(rng):
+    dtype = rng.choice(["int64", "int32", "float64", "float32", "bool"])
+    shape = tuple(int(n) for n in rng.integers(0, 6, rng.integers(1, 3)))
+    arr = (rng.random(shape) * 100).astype(dtype)
+    return arr[::2] if arr.ndim == 1 and rng.random() < 0.3 else arr
+
+
+def random_request(rng):
+    return QueryRequest(
+        clazz=int(rng.integers(0, 50)) if rng.random() < 0.5 else "person",
+        streams=None if rng.random() < 0.3 else ["s%d" % i for i in range(rng.integers(1, 4))],
+        kx=None if rng.random() < 0.5 else int(rng.integers(1, 10)),
+        time_range=None if rng.random() < 0.5 else (float(rng.random()), 10 + float(rng.random())),
+        trace=None if rng.random() < 0.5 else {"trace_id": "t1", "span_id": "s1"},
+    )
+
+
+def random_answer(rng):
+    return QueryAnswer(
+        "s%d" % rng.integers(0, 9), int(rng.integers(0, 50)), "class-%d" % rng.integers(0, 9),
+        rng.integers(0, 3_000, rng.integers(0, 40)), float(rng.random()),
+        int(rng.integers(0, 100)), maybe_metrics(rng), random_result(rng),
+    )
+
+
+def random_multi_answer(rng):
+    slices = {
+        "s%d" % i: StreamSlice("s%d" % i, random_result(rng), maybe_metrics(rng))
+        for i in range(int(rng.integers(1, 5)))
+    }
+    counts = (int(n) for n in rng.integers(0, 200, 4))
+    return MultiStreamAnswer(
+        int(rng.integers(0, 50)), "class-%d" % rng.integers(0, 9), slices, float(rng.random()), *counts
+    )
+
+
+def random_report(rng):
+    # ``dispatch`` is worker-local: the append path clears it (test_fabric_ops)
+    return ChunkReport(
+        int(rng.integers(0, 500)), int(rng.integers(500, 5_000)), float(rng.random() * 100),
+        int(rng.integers(0, 50)), int(rng.integers(0, 500)), float(rng.random()),
+        ints(rng, 30, 5), ints(rng, 30, 5), dispatch=None,
+    )
+
+
+def random_checkpoint(rng):
+    if rng.random() < 0.5:
+        return StreamCheckpoint(stream="a", epoch=int(rng.integers(0, 9)), durable=True)
+    return StreamCheckpoint(stream="b", epoch=0, durable=False, error="boom", landed=False)
+
+
+def random_handle_info(rng):
+    flags = (bool(b) for b in rng.random(2) < 0.5)
+    return StreamHandleInfo(
+        "auburn_c", *flags, float(rng.random() * 100), int(rng.integers(0, 5_000)),
+        float(rng.random() * 100), 10.0,
+    )
+
+
+def random_store(rng):
+    store = DocumentStore()
+    for name in ("checkpoints", "journal:s")[: rng.integers(1, 3)]:
+        for i in range(int(rng.integers(1, 5))):
+            store.collection(name).insert_one({"stream": "s", "n": i})
+    return store
+
+
+def random_delta(rng):
+    """A store delta as ``_store_delta`` ships it."""
+    store = random_store(rng)
+    return [store.collection(n).delta_snapshot()[0] for n in store.collection_names()]
+
+
+#: record type -> sample(rng); ``tuple`` is ``migrate_out``'s answer,
+#: ``list`` a ``query_batch`` answer, ``dict`` a config-bearing payload
+SAMPLES = {
+    np.ndarray: random_array,
+    bytes: lambda rng: rng.bytes(int(rng.integers(0, 4_096))),
+    dict: lambda rng: {"k": int(rng.integers(1, 9)), "threshold": float(rng.random())},
+    tuple: lambda rng: (int(rng.integers(0, 9)), 2, {"k": 2}),
+    list: lambda rng: [random_multi_answer(rng) for _ in range(int(rng.integers(0, 4)))],
+    DocumentStore: random_store,
+    QueryRequest: random_request,
+    QueryResult: random_result,
+    SegmentMetrics: random_metrics,
+    QueryAnswer: random_answer,
+    MultiStreamAnswer: random_multi_answer,
+    ChunkReport: random_report,
+    StreamCheckpoint: random_checkpoint,
+    StreamHandleInfo: random_handle_info,
+}
+KINDS = pytest.mark.parametrize("kind", SAMPLES, ids=lambda t: t.__name__)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@KINDS
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@_examples
+@given(seed=SEEDS)
+def test_every_record_round_trips(kind, transport, seed):
+    value = SAMPLES[kind](np.random.default_rng(seed))
+    assert type(value) is kind
+    assert_round_trip(value, transport)
+
+
+@KINDS
+@pytest.mark.parametrize("transport", SEGMENTS)
+@_examples
+@given(seed=SEEDS)
+def test_a_reply_value_and_its_store_delta_seal_as_one_message(kind, transport, seed):
+    rng = np.random.default_rng(seed)
+    assert_round_trip(SAMPLES[kind](rng), transport, random_delta(rng))
+
+
+#: arrays of every layout a payload may hold
+ARRAYS = {
+    "int8": np.arange(-5, 5, dtype=np.int8),
+    "uint16": np.arange(9, dtype=np.uint16),
+    "float16": np.linspace(0, 1, 7).astype(np.float16),
+    "complex128": np.arange(6) * (1 + 2j),
+    "bool": np.arange(5) % 2 == 0,
+    "big-endian": np.arange(6, dtype=">i4"),
+    "fortran-2d": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "c-3d": np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+    "transposed": np.arange(12.0).reshape(3, 4).T[1:],
+    "0-d": np.array(7.5),
+    "empty-2d": np.zeros((0, 3)),
+    "structured": np.array([(1, 2.5), (3, 4.5)], dtype=[("a", "<i4"), ("b", "<f8")]),
+    "datetime64": np.arange(3).astype("datetime64[s]"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_arrays_of_every_layout_round_trip(name, transport):
+    assert_round_trip(ARRAYS[name], transport)
+
+
+def with_strided_column(table):
+    """The table with ``time_s`` a strided view (it pickles in band)."""
+    columns = {name: getattr(table, name) for name in codec.TABLE_COLUMNS}
+    columns["time_s"] = np.repeat(columns["time_s"], 2)[::2]
+    return ObservationTable(table.stream, table.fps, table.duration_s, **columns)
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@_examples
+@given(offset=st.integers(0, 10_000), length=st.integers(0, 10_000))
+def test_table_slices_round_trip_moving_only_their_rows(
+    table_factory, strided, transport, offset, length
+):
+    table = table_factory("auburn_c", 20.0, 10.0)
+    start = offset % (len(table) + 1)
+    view = table.slice(start, min(len(table), start + length))
+    if strided:
+        view = with_strided_column(view)
+    stream, *buffers = part_sizes(assert_round_trip(view, transport))
+    columns = [getattr(view, name) for name in codec.TABLE_COLUMNS]
+    contiguous = [c for c in columns if c.flags.c_contiguous]
+    # k rows of column bytes, not the base buffer the view aliases
+    assert buffers == [c.nbytes for c in contiguous]
+    assert stream < 1024 + sum(c.nbytes for c in columns)
+
+
+#: what a skewed or broken peer might hand the decoder
+FOREIGN = {
+    "unversioned": {"parts": [b""]},
+    "older": {"v": PROTOCOL_VERSION - 1, "parts": [b""]},
+    "newer": {"v": PROTOCOL_VERSION + 1, "parts": [b""]},
+    "list": [b""],
+    "none": None,
+    "bytes": pickle.dumps(None, protocol=5),
+}
+
+
+@pytest.mark.parametrize("obj", FOREIGN.values(), ids=FOREIGN)
+@pytest.mark.parametrize(
+    "decode", [codec.decode, codec.decode_table, codec.decode_multi_answer],
+    ids=lambda f: f.__name__,
+)
+def test_a_foreign_payload_is_refused(decode, obj):
+    with pytest.raises(CodecError, match="version mismatch"):
+        decode(obj)
+
+
+def test_typed_decoders_refuse_another_type(table_factory):
+    answer = random_multi_answer(np.random.default_rng(0))
+    with pytest.raises(CodecError, match="expected a ObservationTable"):
+        codec.decode_table(codec.encode_multi_answer(answer))
+    table = table_factory("auburn_c", 20.0, 10.0)
+    with pytest.raises(CodecError, match="expected a MultiStreamAnswer"):
+        codec.decode_multi_answer(codec.encode_table(table))
 
 
 class TestErrorEnvelopes:
@@ -168,229 +416,100 @@ class TestErrorEnvelopes:
         assert "pickled" not in env
 
 
-class TestVersionGuards:
-    def test_codec_refuses_foreign_version(self):
-        env = codec.encode_array(np.arange(3))
-        env["v"] = PROTOCOL_VERSION + 1
-        with pytest.raises(CodecError, match="version mismatch"):
-            codec.decode_array(env)
-
-    def test_every_envelope_carries_kind_and_version(self, table_factory):
-        table = table_factory("auburn_c", 20.0, 10.0)
-        env = codec.encode_table(table)
-        assert env["kind"] == "table"
-        assert env["v"] == PROTOCOL_VERSION
-        assert env["columns"]["time_s"]["v"] == PROTOCOL_VERSION
-
-    def test_envelopes_are_plain_primitives(self, table_factory):
-        """The whole point of the codec: what crosses the queue is
-        primitives + bytes, never live numpy/dataclass objects."""
-        table = table_factory("auburn_c", 20.0, 10.0)
-        env = codec.encode_table(table.slice(0, 7))
-
-        def walk(obj):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    assert isinstance(k, str)
-                    walk(v)
-            elif isinstance(obj, (list, tuple)):
-                for v in obj:
-                    walk(v)
-            else:
-                assert obj is None or isinstance(
-                    obj, (str, int, float, bool, bytes)
-                ), type(obj)
-
-        walk(env)
-        pickle.dumps(env)  # and therefore queue-safe
-
-
 # -- the shared-memory data plane --------------------------------------------
-
-from repro.fabric import shm as shm_plane  # noqa: E402
-
-needs_shm = pytest.mark.skipif(
-    not shm_plane.shm_available(), reason="host cannot serve POSIX shm"
-)
-
-_seg_counter = iter(range(10_000))
-
-
-def _named_sink(threshold=0):
-    """A sink backed by a fresh named segment (reply-plane shape)."""
-    name = "codec-test-%d" % next(_seg_counter)
-    return shm_plane.ShmSink(
-        alloc=lambda nbytes: shm_plane.create_segment(name, nbytes),
-        threshold=threshold,
-    )
-
-
-def _consume(envelope_decode):
-    """Run a decode against an owning reader; unlink on the way out."""
-    reader = shm_plane.ShmReader(owns=True)
-    try:
-        return envelope_decode(reader)
-    finally:
-        reader.close()
-
 
 @needs_shm
 class TestShmDataPlane:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_seeded_table_slices_round_trip_through_segments(
-        self, table_factory, seed
-    ):
-        rng = np.random.default_rng(700 + seed)
-        stream = ["auburn_c", "jacksonh", "lausanne"][seed % 3]
-        table = table_factory(stream, 20.0, 10.0)
-        lo = int(rng.integers(0, len(table) - 1))
-        hi = int(rng.integers(lo + 1, len(table) + 1))  # >= 1 row
-        view = table.slice(lo, hi)
-        sink = _named_sink(threshold=1)
-        envelope = codec.encode_table(view, sink)
-        assert sink.seal() is not None  # everything crossed the plane
+    @pytest.mark.parametrize("alloc", ["none", "failing", "named", "pool"])
+    @pytest.mark.parametrize("total", ["below", "at", "above"])
+    def test_a_message_ships_at_the_threshold_when_it_can_allocate(self, total, alloc):
+        value = np.arange(2048, dtype=np.uint8)
+        nbytes = sum(part_sizes(codec.encode(value)))
+        threshold = nbytes + {"below": 1, "at": 0, "above": -1}[total]
+        pool = _pool()
+        allocs = {"none": None, "failing": lambda n: None, "pool": pool.allocate}
+        sink = _named_sink(threshold) if alloc == "named" else shm_plane.ShmSink(allocs[alloc], threshold)
+        envelope = codec.encode(value, sink)
+        name = sink.seal()
+        assert (name is not None) == (alloc in ("named", "pool") and total != "below")
+        assert sink.sealed_nbytes == (nbytes if name else 0)
         sink.close_handoff()
-        decoded = _consume(lambda r: codec.decode_table(envelope, r))
-        assert_tables_equal(view, decoded)
-
-    def test_empty_slice_round_trips_inline(self, table_factory):
-        # an empty message never crosses the threshold: it inlines even
-        # at threshold 1 (zero payload bytes), and decodes identically
-        table = table_factory("auburn_c", 10.0, 10.0)
-        empty = table.slice(5, 5)
-        sink = _named_sink(threshold=1)
-        envelope = codec.encode_table(empty, sink)
-        sink.seal()
-        sink.close_handoff()
-        decoded = _consume(lambda r: codec.decode_table(envelope, r))
-        assert_tables_equal(empty, decoded)
-
-    def test_non_contiguous_view_round_trips(self):
-        base = np.arange(64, dtype=np.float32).reshape(8, 8)
-        view = base[::2, ::3]  # strided, non-contiguous
-        sink = _named_sink(threshold=1)
-        envelope = codec.encode_array(view, sink)
-        assert sink.seal() is not None
-        sink.close_handoff()
-        decoded = _consume(lambda r: codec.decode_array(envelope, r))
-        np.testing.assert_array_equal(decoded, view)
-        assert decoded.flags["C_CONTIGUOUS"]
-
-    def test_below_threshold_inlines_above_ships(self):
-        small = np.arange(4, dtype=np.uint8)
-        sink = _named_sink(threshold=1024)
-        envelope = codec.encode_array(small, sink)
-        assert sink.seal() is None  # 4 bytes < 1024: inline fallback
-        assert "data" in envelope and "shm" not in envelope
-        np.testing.assert_array_equal(codec.decode_array(envelope), small)
-
-        big = np.arange(2048, dtype=np.uint8)
-        sink = _named_sink(threshold=1024)
-        envelope = codec.encode_array(big, sink)
-        assert sink.seal() is not None
-        assert "shm" in envelope and "data" not in envelope
-        sink.close_handoff()
-        np.testing.assert_array_equal(
-            _consume(lambda r: codec.decode_array(envelope, r)), big
-        )
-
-    def test_sink_without_allocator_forces_inline_fallback(self):
-        arr = np.arange(4096, dtype=np.float64)
-        sink = shm_plane.ShmSink(alloc=None, threshold=1)
-        envelope = codec.encode_array(arr, sink)
-        assert sink.seal() is None
-        np.testing.assert_array_equal(codec.decode_array(envelope), arr)
-
-    def test_failed_allocation_forces_inline_fallback(self):
-        arr = np.arange(4096, dtype=np.float64)
-        sink = shm_plane.ShmSink(alloc=lambda n: None, threshold=1)
-        envelope = codec.encode_array(arr, sink)
-        assert sink.seal() is None
-        np.testing.assert_array_equal(codec.decode_array(envelope), arr)
+        reader = shm_plane.ShmReader(owns=alloc != "pool")
+        np.testing.assert_array_equal(codec.decode(envelope, reader), value)
+        reader.close()
+        pool.release(name)
+        assert pool.close() == [] and not shm_plane.unlink_segment(name or "codec-none")
 
     def test_descriptor_without_reader_refused(self):
-        arr = np.arange(1024, dtype=np.uint8)
         sink = _named_sink(threshold=1)
-        envelope = codec.encode_array(arr, sink)
+        envelope = codec.encode(np.arange(1024, dtype=np.uint8), sink)
         sink.seal()
         with pytest.raises(CodecError, match="no reader"):
-            codec.decode_array(envelope)
+            codec.decode(envelope)
         # clean up the segment the refused decode left behind
         sink.close_handoff()
-        assert shm_plane.unlink_segment(envelope["shm"]["seg"])
+        assert shm_plane.unlink_segment(envelope["parts"][0]["seg"])
 
-    def test_blob_round_trips_and_reader_unlinks_on_close(self):
-        payload = pickle.dumps({"docs": list(range(500))})
+    def test_owning_reader_counts_and_unlinks_on_close(self):
+        value = {"docs": list(range(500))}
         sink = _named_sink(threshold=1)
-        envelope = codec.encode_blob(payload, sink)
+        envelope = codec.encode(value, sink)
         name = sink.seal()
-        assert name is not None
+        assert name is not None and sink.sealed_nbytes == sum(part_sizes(envelope))
         sink.close_handoff()
         reader = shm_plane.ShmReader(owns=True)
-        assert codec.decode_blob(envelope, reader) == payload
-        assert reader.total_nbytes == len(payload)
+        assert codec.decode(envelope, reader) == value
+        assert reader.total_nbytes == sink.sealed_nbytes
         reader.close()
         # the owning reader consumed the segment: it is gone
         assert not shm_plane.unlink_segment(name)
 
-    def test_multiple_payloads_pack_into_one_aligned_segment(self):
+    def test_parts_pack_at_aligned_offsets(self):
         sink = _named_sink(threshold=1)
-        envelopes = []
-        arrays = [
-            np.arange(7, dtype=np.uint8),
-            np.arange(33, dtype=np.float64),
-            np.arange(5, dtype=np.int32),
-        ]
-        for arr in arrays:
-            envelopes.append(codec.encode_array(arr, sink))
-        name = sink.seal()
-        assert name is not None
-        segs = {e["shm"]["seg"] for e in envelopes}
-        assert segs == {name}  # one segment for the whole message
-        for e in envelopes:
-            assert e["shm"]["off"] % 64 == 0
+        envelopes = [codec.encode(np.arange(n, dtype=np.uint8), sink) for n in (7, 33, 5)]
+        sink.seal()
+        assert all(p["off"] % 64 == 0 for e in envelopes for p in e["parts"])
         sink.close_handoff()
-        reader = shm_plane.ShmReader(owns=True)
-        for envelope, arr in zip(envelopes, arrays):
-            np.testing.assert_array_equal(
-                codec.decode_array(envelope, reader), arr
-            )
+        reader = shm_plane.ShmReader()
+        for n, envelope in zip((7, 33, 5), envelopes):
+            np.testing.assert_array_equal(codec.decode(envelope, reader), np.arange(n))
         reader.close()
 
+    @pytest.mark.parametrize("nbytes", [1, 4095, 4096, 4097, 65536, 65537, 1 << 20])
+    def test_pool_leases_power_of_two_size_classes(self, nbytes):
+        pool = _pool()
+        seg = pool.allocate(nbytes)
+        floor = max(nbytes, 4096)
+        assert floor <= seg.size < 2 * floor and seg.size & (seg.size - 1) == 0
+        pool.release(seg.name)
+        assert pool.allocate(nbytes).name == seg.name  # recycled within its class
+        assert pool.close() == [seg.name]  # still leased: the leak check
+
     def test_pool_recycles_and_leak_checks(self):
-        pool = shm_plane.ShmPool("codec-pool-%d" % next(_seg_counter))
+        pool = _pool()
         seg = pool.allocate(1000)
-        assert seg is not None
-        assert seg.size >= 4096  # power-of-two, page-multiple floor
         name = seg.name
         assert pool.leased_names() == [name]
         pool.release(name)
         assert pool.leased_names() == []
-        again = pool.allocate(2000)  # same size class: recycled
-        assert again.name == name
+        assert pool.allocate(2000).name == name  # same size class: recycled
         pool.release(name)
         pool.release(name)  # idempotent
-        leaked = pool.close()
-        assert leaked == []
+        assert pool.close() == []
+        assert pool.close() == []  # idempotent
         assert not shm_plane.unlink_segment(name)  # close unlinked it
         assert pool.allocate(100) is None  # closed pool refuses
-
-    def test_pool_close_reports_still_leased_segments(self):
-        pool = shm_plane.ShmPool("codec-pool-%d" % next(_seg_counter))
-        seg = pool.allocate(100)
-        assert pool.close() == [seg.name]
-        assert pool.close() == []  # idempotent
 
     def test_worker_shaped_reader_cache_does_not_own(self):
         # the worker attaches to pooled request segments through a
         # long-lived cache and must NOT unlink them on close
-        pool = shm_plane.ShmPool("codec-pool-%d" % next(_seg_counter))
+        pool = _pool()
         sink = shm_plane.ShmSink(alloc=pool.allocate, threshold=1)
-        envelope = codec.encode_blob(b"x" * 256, sink)
+        envelope = codec.encode(b"x" * 256, sink)
         name = sink.seal()
         cache = {}
         reader = shm_plane.ShmReader(cache=cache, owns=False)
-        assert codec.decode_blob(envelope, reader) == b"x" * 256
+        assert codec.decode(envelope, reader) == b"x" * 256
         assert name in cache
         reader.close()
         # the segment survives the reader: the pool still owns it
@@ -421,7 +540,6 @@ class TestConfigs:
         assert extractor._track_cache and extractor._proto_known.any()
         warm = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(warm) == fresh
-        assert codec.encode_config(config)["n"] == fresh
         received = pickle.loads(warm).model.feature_extractor()
         assert received._proto_matrix is None and not received._track_cache
         assert np.array_equal(received.extract(table), extractor.extract(table))
@@ -437,8 +555,9 @@ class TestConfigs:
         if specialized:
             model = specialize(config.model, table.class_histogram(), 5, table.stream)
             config = FocusConfig(model=model, k=2, cluster_threshold=0.12)
-        assert codec.encode_config(config)["n"] < 4096  # was 318 kB of derived pools
-        received = codec.decode_config(codec.encode_config(config))
+        envelope = codec.encode(config)
+        assert codec.inline_nbytes(envelope) < 4096  # was 318 kB of derived pools
+        received = codec.decode(envelope)
         assert received.model.confusion is default_confusion()
         tokens = config.model.space_tokens() if specialized else np.unique(table.class_id)[:3]
         for token in tokens:

@@ -11,8 +11,8 @@ derived from its rows.  This suite is table-driven the same way:
 * purity -- every row flagged ``readonly`` really leaves the durable
   store alone, on both leg kinds (a readonly op ships no delta, so one
   that writes silently diverges a worker's store from its mirror);
-* codecs -- every kind of ``codec.CODECS`` round-trips, inline and
-  through a shared-memory segment;
+* the wire -- an append's report leaves its GPU placement behind, and
+  the wire counters count the encoded payloads' inline parts;
 * an op outside the table is refused before anything is consumed;
 * the doc's message table names exactly the table's ops.
 """
@@ -21,23 +21,17 @@ import contextlib
 import inspect
 import os
 import re
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.core.metrics import SegmentMetrics
-from repro.core.query import QueryResult
-from repro.core.streaming import ChunkReport
-from repro.core.system import QueryAnswer
 from repro.fabric import FabricSupervisor, ProtocolError, ShardClient, ShardNode, codec
-from repro.fabric.protocol import DEFAULT_DEADLINES, OPS, StreamHandleInfo
+from repro.fabric.protocol import DEFAULT_DEADLINES, OPS
 from repro.fabric.shard import ShardLeg
+from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, shm_available
 from repro.fabric.worker import _LoopHooks
 from repro.serve.planner import QueryRequest
-from repro.serve.service import MultiStreamAnswer, StreamCheckpoint, StreamSlice
-from repro.storage.docstore import DocumentStore
 from test_fabric import frame_aligned_chunks
-from test_fabric_codec import _consume, _named_sink, assert_tables_equal, needs_shm
 from test_fabric_legs import legs
 
 STREAM = "auburn_c"
@@ -58,23 +52,14 @@ def served(op):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("op", sorted(OPS))
-def test_row_names_a_served_method_and_its_codecs_resolve(op):
+def test_row_names_a_served_method(op):
     row = OPS[op]
     assert row.kind in DEFAULT_DEADLINES
     owner = _LoopHooks if row.loop else ShardNode
     assert callable(getattr(owner, op, None)), (
         "row %r has no %s method" % (op, owner.__name__)
     )
-    signature = inspect.signature(served(op))
-    open_ended = any(
-        p.kind is p.VAR_KEYWORD for p in signature.parameters.values()
-    )
-    for name, spec in row.args.items():
-        assert open_ended or name in signature.parameters, (op, name)
-        codec.wire_codec(spec)
-    if row.result is not None:
-        codec.wire_codec(row.result)
-    assert not (row.loop and (row.readonly or row.args or row.result)), op
+    assert not (row.loop and row.readonly), op
 
 
 @pytest.mark.parametrize("op", sorted(set(OPS) - {"shutdown"}))
@@ -170,243 +155,115 @@ def test_readonly_op_leaves_the_store_alone(
         # changes nothing sweeps it, and must find nothing to ship
         assert leg.recover(streams=[]) == []
         swept = wire_ledger(leg)
-        assert swept["wire_bytes_received"] == after["wire_bytes_received"]
+        received = swept["wire_bytes_received"] - after["wire_bytes_received"]
+        assert received == codec.inline_nbytes(codec.encode([]))  # no delta rode along
         assert swept["delta_docs_shipped"] == before["delta_docs_shipped"]
         assert store.collection_names() == names
 
 
 def test_fresh_fleet_acceptance_drill():
     """``fenced`` then ``import_precheck`` on a fresh worker: the mirror
-    stays empty, nothing is received, both count as readonly skips."""
+    stays empty, nothing but the two answers is received, both count as
+    readonly skips."""
     with legs("worker") as (client,):
         before = wire_ledger(client)
         assert client.fenced() == []
-        client.import_precheck("x")
+        assert client.import_precheck("x") is None
         after = wire_ledger(client)
         assert client.store.collection_names() == []
-        assert after["wire_bytes_received"] == before["wire_bytes_received"]
+        answers = codec.inline_nbytes(codec.encode([])) + codec.inline_nbytes(codec.encode(None))
+        assert after["wire_bytes_received"] - before["wire_bytes_received"] == answers
         assert after["delta_docs_shipped"] == before["delta_docs_shipped"]
         assert after["delta_skipped_readonly"] == before["delta_skipped_readonly"] + 2
 
 
 # ---------------------------------------------------------------------------
-# (c) every codec kind round-trips, inline and through a segment
+# (c) what crosses the wire
 # ---------------------------------------------------------------------------
 
-def random_result(rng):
-    return QueryResult(
-        class_id=int(rng.integers(0, 50)),
-        token=int(rng.integers(0, 10_000)),
-        candidate_clusters=[int(c) for c in rng.integers(0, 100, rng.integers(0, 8))],
-        matched_clusters=[int(c) for c in rng.integers(0, 100, rng.integers(0, 8))],
-        returned_rows=rng.integers(0, 10_000, rng.integers(0, 64)),
-        returned_frames=rng.integers(0, 3_000, rng.integers(0, 64)),
-        gt_inferences=int(rng.integers(0, 500)),
-        gpu_seconds=float(rng.random()),
-    )
+def test_append_report_leaves_its_gpu_placement_behind(table_factory, live_config):
+    chunk = table_factory(STREAM, 20.0, 10.0).slice(0, 40)
+    reports = {}
+    for kind in ("node", "worker"):
+        with legs(kind) as (leg,):
+            leg.open_stream(STREAM, fps=10.0, config=live_config)
+            reports[kind] = leg.append(STREAM, chunk)
+    assert reports["node"].dispatch is not None
+    assert reports["worker"].dispatch is None
+    assert replace(reports["node"], dispatch=None) == reports["worker"]
 
 
-def random_metrics(rng):
-    if rng.random() < 0.25:
-        return None
-    true_segments = int(rng.integers(0, 20))
-    returned = int(rng.integers(0, 20))
-    return SegmentMetrics(
-        class_id=int(rng.integers(0, 50)),
-        true_segments=true_segments,
-        returned_segments=returned,
-        correct_segments=int(rng.integers(0, min(true_segments, returned) + 1)),
-    )
-
-
-def random_array(rng):
-    dtype = rng.choice(["int64", "int32", "float64", "float32", "bool"])
-    shape = tuple(int(n) for n in rng.integers(0, 6, rng.integers(1, 3)))
-    return (rng.random(shape) * 100).astype(dtype)
-
-
-def random_table(rng, table):
-    """The full table, an empty slice, or a random zero-copy view."""
-    pick = rng.integers(0, 4)
-    if pick == 0:
-        return table
-    lo = int(rng.integers(0, len(table)))
-    return table.slice(lo, lo if pick == 1 else int(rng.integers(lo, len(table) + 1)))
-
-
-def random_request(rng):
-    return QueryRequest(
-        clazz=int(rng.integers(0, 50)) if rng.random() < 0.5 else "person",
-        streams=None
-        if rng.random() < 0.3
-        else ["s%d" % i for i in range(rng.integers(1, 4))],
-        kx=None if rng.random() < 0.5 else int(rng.integers(1, 10)),
-        time_range=None
-        if rng.random() < 0.5
-        else (float(rng.random() * 10), float(10 + rng.random() * 10)),
-    )
-
-
-def random_answer(rng):
-    return QueryAnswer(
-        stream="s%d" % rng.integers(0, 9),
-        class_id=int(rng.integers(0, 50)),
-        class_name="class-%d" % rng.integers(0, 9),
-        frames=rng.integers(0, 3_000, rng.integers(0, 40)),
-        latency_seconds=float(rng.random()),
-        gt_inferences=int(rng.integers(0, 100)),
-        metrics=random_metrics(rng),
-        result=random_result(rng),
-    )
-
-
-def random_multi_answer(rng):
-    return MultiStreamAnswer(
-        class_id=int(rng.integers(0, 50)),
-        class_name="class-%d" % rng.integers(0, 9),
-        slices={
-            "s%d" % i: StreamSlice(
-                stream="s%d" % i,
-                result=random_result(rng),
-                metrics=random_metrics(rng),
-            )
-            for i in range(int(rng.integers(1, 5)))
-        },
-        latency_seconds=float(rng.random()),
-        gt_inferences=int(rng.integers(0, 200)),
-        candidates=int(rng.integers(0, 200)),
-        cache_hits=int(rng.integers(0, 200)),
-        duplicates_coalesced=int(rng.integers(0, 200)),
-    )
-
-
-def random_report(rng):
-    return ChunkReport(
-        chunk_rows=int(rng.integers(0, 500)),
-        total_rows=int(rng.integers(500, 5_000)),
-        watermark_s=float(rng.random() * 100),
-        suppressed=int(rng.integers(0, 50)),
-        cnn_inferences=int(rng.integers(0, 500)),
-        gpu_seconds=float(rng.random()),
-        new_clusters=[int(c) for c in rng.integers(0, 30, rng.integers(0, 5))],
-        grown_clusters=[int(c) for c in rng.integers(0, 30, rng.integers(0, 5))],
-        dispatch=None,  # worker-local: never crosses (test_fabric_codec)
-    )
-
-
-def random_checkpoint(rng):
-    if rng.random() < 0.5:
-        return StreamCheckpoint(stream="a", epoch=int(rng.integers(0, 9)), durable=True)
-    return StreamCheckpoint(
-        stream="b", epoch=0, durable=False, error="boom", landed=False
-    )
-
-
-def random_handle_info(rng):
-    return StreamHandleInfo(
-        stream="auburn_c",
-        live=bool(rng.random() < 0.5),
-        restored=bool(rng.random() < 0.5),
-        watermark_s=float(rng.random() * 100),
-        rows=int(rng.integers(0, 5_000)),
-        duration_s=float(rng.random() * 100),
-        fps=10.0,
-    )
-
-
-def random_store(rng):
-    store = DocumentStore()
-    for name in ("checkpoints", "journal:s")[: rng.integers(1, 3)]:
-        for i in range(int(rng.integers(1, 5))):
-            store.collection(name).insert_one({"stream": "s", "n": i})
-    return store
-
-
-def random_pickled(rng):
-    """A value object, ``migrate_out``'s triple, or nothing."""
-    config = {"k": int(rng.integers(1, 9)), "threshold": float(rng.random())}
-    return [config, (int(rng.integers(0, 9)), 2, config), None][rng.integers(0, 3)]
-
-
-#: kind -> sample(rng, table); a registered kind without one fails below
-SAMPLES = {
-    "array": lambda rng, table: random_array(rng),
-    "blob": lambda rng, table: rng.bytes(int(rng.integers(0, 4_096))),
-    "table": random_table,
-    "pickled": lambda rng, table: random_pickled(rng),
-    "store": lambda rng, table: random_store(rng),
-    "query_request": lambda rng, table: random_request(rng),
-    "query_result": lambda rng, table: random_result(rng),
-    "segment_metrics": lambda rng, table: random_metrics(rng),
-    "query_answer": lambda rng, table: random_answer(rng),
-    "multi_answer": lambda rng, table: random_multi_answer(rng),
-    "chunk_report": lambda rng, table: random_report(rng),
-    "stream_checkpoint": lambda rng, table: random_checkpoint(rng),
-    "handle_info": lambda rng, table: random_handle_info(rng),
+#: one call per op the wire-counter test drives, on a loaded durable stream
+WIRE_CALLS = {
+    "streams": lambda leg, chunk, config: leg.streams(),
+    "live_streams": lambda leg, chunk, config: leg.live_streams(),
+    "fenced": lambda leg, chunk, config: leg.fenced(),
+    "handle_info": lambda leg, chunk, config: leg.handle_info(STREAM),
+    "counters": lambda leg, chunk, config: leg._call("counters", {}),
+    "open_stream": lambda leg, chunk, config: leg.open_stream("jacksonh", fps=10.0, config=config),
+    "append": lambda leg, chunk, config: leg.append(STREAM, chunk),
+    "query": lambda leg, chunk, config: leg.query(STREAM, "car"),
+    "query_batch": lambda leg, chunk, config: leg.query_batch(
+        [QueryRequest("car"), QueryRequest("pedestrian", kx=2)]
+    ),
+    "checkpoint": lambda leg, chunk, config: leg.checkpoint(),
+    "recover": lambda leg, chunk, config: leg.recover(streams=[]),
+    "import_precheck": lambda leg, chunk, config: leg.import_precheck("never-seen"),
 }
 
 
-def assert_same(left, right):
-    """Deep equality that knows arrays (dtype, shape, values), tables
-    and stores; everything else compares by ``==`` field by field."""
-    assert type(left) is type(right)
-    if isinstance(left, np.ndarray):
-        assert left.dtype == right.dtype and left.shape == right.shape
-        assert np.array_equal(left, right)
-    elif hasattr(left, "frame_idx"):
-        assert_tables_equal(left, right)
-    elif isinstance(left, DocumentStore):
-        assert left.to_json_obj() == right.to_json_obj()
-    elif isinstance(left, dict):
-        assert sorted(left) == sorted(right)
-        for key in left:
-            assert_same(left[key], right[key])
-    elif isinstance(left, (list, tuple)):
-        assert len(left) == len(right)
-        for a, b in zip(left, right):
-            assert_same(a, b)
-    elif hasattr(left, "__dataclass_fields__"):
-        for name in left.__dataclass_fields__:
-            assert_same(getattr(left, name), getattr(right, name))
-    else:
-        assert left == right
+def queued(envelope, threshold):
+    """What one encoded payload puts on the queue by the data plane's rule."""
+    nbytes = codec.inline_nbytes(envelope)
+    return 0 if shm_available() and nbytes >= threshold else nbytes
 
 
-def test_every_registered_kind_has_a_sample():
-    assert set(SAMPLES) == set(codec.CODECS)
+@pytest.mark.parametrize("threshold", [DEFAULT_SHM_THRESHOLD, 1], ids=["default", "shm"])
+@pytest.mark.parametrize("op", sorted(WIRE_CALLS))
+def test_wire_counters_count_each_payloads_inline_parts(
+    op, threshold, table_factory, live_config, monkeypatch
+):
+    """``wire_bytes_sent`` is exactly the request's inline parts (pickle
+    stream and buffers; nothing for an op without arguments), and a
+    readonly op's ``wire_bytes_received`` exactly its answer's."""
+    chunks = frame_aligned_chunks(table_factory(STREAM, 20.0, 10.0), 8)
+    with FabricSupervisor(["solo"], shm_threshold=threshold) as supervisor:
+        client = supervisor.client("solo")
+        client.open_stream(STREAM, fps=10.0, config=live_config, durable=True)
+        client.append(STREAM, chunks[0])
+        sent, submit = [], client._submit
+        monkeypatch.setattr(
+            client, "_submit", lambda *a, **kw: sent.append(a[1]) or submit(*a, **kw)
+        )
+        before = wire_ledger(client)
+        value = WIRE_CALLS[op](client, chunks[1], live_config)
+        after = wire_ledger(client)
+    moved = {key: after[key] - before[key] for key in after}
+    (kwargs,) = sent
+    assert moved["wire_bytes_sent"] == queued(codec.encode(kwargs) if kwargs else None, threshold)
+    received = queued(codec.encode(value), threshold)
+    if OPS[op].readonly:
+        assert moved["wire_bytes_received"] == received
+    else:  # the store delta rides the same message
+        assert moved["wire_bytes_received"] == 0 or moved["wire_bytes_received"] >= received
+    if threshold == 1 and shm_available():
+        assert moved["wire_bytes_sent"] == moved["wire_bytes_received"] == 0
+        assert moved["shm_bytes"] >= codec.inline_nbytes(codec.encode(value))
 
 
-def through(transport, encode, decode, value):
-    if transport == "inline":
-        return decode(encode(value))
-    sink = _named_sink(threshold=1)
-    envelope = encode(value, sink)
-    sink.seal()
-    sink.close_handoff()
-    return _consume(lambda reader: decode(envelope, reader))
-
-
+@pytest.mark.parametrize("threshold", [DEFAULT_SHM_THRESHOLD, 1], ids=["default", "shm"])
 @pytest.mark.parametrize(
-    "transport", ["inline", pytest.param("shm", marks=needs_shm)]
+    "op, kwargs",
+    [("inject_slow", {"seconds": 0.0}), ("inject_stall", {"seconds": 0.0}),
+     ("inject_drop_reply", {"count": 0})],
+    ids=lambda v: v if isinstance(v, str) else "",
 )
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("kind", sorted(SAMPLES))
-def test_codec_kind_round_trips(kind, seed, transport, table_factory):
-    rng = np.random.default_rng(1_000 * seed + sorted(SAMPLES).index(kind))
-    value = SAMPLES[kind](rng, table_factory(STREAM, 20.0, 10.0))
-    encode, decode = codec.wire_codec(kind)
-    assert_same(value, through(transport, encode, decode, value))
-
-
-@pytest.mark.parametrize(
-    "transport", ["inline", pytest.param("shm", marks=needs_shm)]
-)
-def test_list_spec_round_trips(transport):
-    rng = np.random.default_rng(7)
-    answers = [random_multi_answer(rng) for _ in range(3)]
-    encode, decode = codec.wire_codec("[multi_answer]")
-    assert_same(answers, through(transport, encode, decode, answers))
-    assert decode(encode([])) == []
+def test_a_loop_op_decodes_its_arguments_and_acknowledges_bare(op, kwargs, threshold):
+    with FabricSupervisor(["solo"], shm_threshold=threshold) as supervisor:
+        client = supervisor.client("solo")
+        assert getattr(client, op)(**kwargs) is None
+        assert client.streams() == []  # disarmed: the next command is served
+    assert supervisor.leaked_segments == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the embedded document store."""
 
 import os
+import pickle
 
 import pytest
 
@@ -285,3 +286,22 @@ def test_store_staged_commit_keeps_doc_delta_eligibility():
     assert envelope["kind"] == "cdelta"
     mirror.apply_delta(envelope)
     assert mirror.to_json_obj()["docs"] == live.to_json_obj()["docs"]
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("shape", ["empty", "documents", "indexed", "staged"])
+def test_store_pickles_as_its_committed_json_form(shape, protocol):
+    """What a fabric wire payload does to a store: its committed state
+    crosses (staging never does) and the copy starts a fresh lineage."""
+    store = DocumentStore()
+    if shape != "empty":
+        store.collection("wal").insert_one({"seq": 0, "kind": "chunk"})
+    if shape == "indexed":
+        store.collection("wal").create_index("kind")
+    if shape == "staged":
+        store.stage("wal").insert_one({"seq": 1})
+    tokens = {n: store.collection(n).mark_delta_clean() for n in store.collection_names()}
+    copy = pickle.loads(pickle.dumps(store, protocol=protocol))
+    assert type(copy) is DocumentStore and copy.staged_names() == []
+    assert copy.to_json_obj() == store.to_json_obj()
+    assert not any(copy.collection(n).unchanged_since(t) for n, t in tokens.items())
