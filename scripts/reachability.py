@@ -87,10 +87,9 @@ _EVAL = "stays: figure-harness helper, decided when eval/ is reworked"
 #: consumer reaches (first match wins).  Protocol stubs and ``__repr__``
 #: are decided without an entry.
 DECISIONS: Tuple[Tuple[str, str], ...] = (
-    # fault paths: crash, restart, watchdog, breaker, chaos arming
+    # fault paths: crash, restart, breaker, chaos arming
     ("storage/faults.py:*", "stays: fault injection, the engine of the crash-point and chaos suites"),
     ("fabric/worker.py:_LoopHooks.inject_*", "stays: chaos-drill arming, a fault path"),
-    ("fabric/supervisor.py:FabricWatchdog.*", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.kill", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.ensure_alive", _FAILOVER),
     ("fabric/supervisor.py:FabricSupervisor.restart", _FAILOVER),
@@ -99,7 +98,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/client.py:ShardClient.ensure_alive", _FAILOVER),
     ("fabric/router.py:FabricRouter._failover", _FAILOVER),
     ("fabric/supervisor.py:FabricSupervisor.reset_failed", _FAULT),
-    ("fabric/supervisor.py:FabricSupervisor.start_watchdog", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.alive", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.health*", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.__e*", "stays: `with FabricSupervisor(...)` guarantees shutdown; tests use it"),
@@ -111,7 +109,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/router.py:FabricRouter._shard_holding", _FAULT),
     ("fabric/router.py:FabricRouter.append_many.replay", "stays: the at-most-once replay of a retried append (a fault path)"),
     ("fabric/router.py:FabricRouter._empty_answer", "stays: the partial answer when every leg of a request is lost (a fault path)"),
-    ("fabric/client.py:ShardClient.ping", "stays: the liveness probe the watchdog sends (a fault path)"),
     ("fabric/shard.py:ShardNode.ensure_alive", "stays: `ShardLeg` member; an in-process leg has nothing to respawn"),
     ("fabric/shard.py:ShardNode.ping", "stays: op-table verb served in-process, for parity with a worker leg"),
     ("fabric/shard.py:ShardNode.fenced", "stays: op-table verb served in-process, for parity with a worker leg"),

@@ -57,7 +57,7 @@ from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, shm_available
 from repro.fabric.router import FabricRouter
 from repro.fabric.shard import ShardNode
 from repro.fabric.client import ShardClient
-from repro.fabric.supervisor import FabricSupervisor, FabricWatchdog
+from repro.fabric.supervisor import FabricSupervisor
 
 __all__ = [
     "DEFAULT_DEADLINES",
@@ -66,7 +66,6 @@ __all__ = [
     "FAULT_COUNTER_KEYS",
     "FabricRouter",
     "FabricSupervisor",
-    "FabricWatchdog",
     "MigrationError",
     "MigrationReport",
     "PROTOCOL_VERSION",

@@ -35,11 +35,6 @@ from repro.storage.docstore import Collection, DocumentStore
 if TYPE_CHECKING:
     from repro.fabric.supervisor import FabricSupervisor, _Worker
 
-#: fallback wait when a command carries no deadline (direct
-#: ``_await_reply`` calls in tests; per-op deadlines from
-#: ``protocol.DEFAULT_DEADLINES`` normally override this)
-DEFAULT_REPLY_TIMEOUT_S = 300.0
-
 #: the longest a deadline wait sleeps before re-probing worker liveness
 #: (a crashed worker is declared dead within ~this, not the deadline)
 LIVENESS_PROBE_INTERVAL_S = 0.25
@@ -89,13 +84,13 @@ class PendingReply:
 
     Results of one shard must be gathered in submission order (replies
     are FIFO); :meth:`result` enforces it.  The reply is bound to the
-    worker *incarnation* the command was submitted to: if a watchdog
-    restart swaps in a fresh incarnation meanwhile, gathering raises
+    worker *incarnation* the command was submitted to: if a restart
+    swaps in a fresh incarnation meanwhile, gathering raises
     :class:`WorkerCrashed` (the command never happened durably) instead
     of misreading the new worker's stream.
     """
 
-    def __init__(self, client: "ShardClient", corr_id: int, worker=None):
+    def __init__(self, client: "ShardClient", corr_id: int, worker: _Worker):
         self._client = client
         self._corr_id = corr_id
         self._worker = worker
@@ -135,7 +130,6 @@ class ShardClient:
         self,
         op: str,
         kwargs: Dict[str, Any],
-        deadline_s: Optional[float] = None,
         defer_delta: bool = False,
     ) -> PendingReply:
         """Send one command: ``kwargs`` cross as one encoded payload
@@ -149,106 +143,101 @@ class ShardClient:
                 "unknown op %r (the vocabulary is repro.fabric.protocol.OPS)"
                 % op
             )
+        worker = self._worker()
         sink = payload = None
         if kwargs:
             sink = self._supervisor._request_sink()
             payload = codec.encode(kwargs, sink)
-        worker = self._worker()
-        with worker.lock:
-            if worker.condemned or not worker.process.is_alive():
-                if not worker.condemned:
-                    # noticed the death here: condemn the incarnation so
-                    # its shm leases are reclaimed NOW, not at restart
-                    self._supervisor._condemn(
-                        worker,
-                        self.shard_id,
-                        "found dead at submit (exitcode %r)"
-                        % worker.process.exitcode,
-                    )
-                raise WorkerCrashed(
-                    "shard worker %r is dead; restart it via "
-                    "FabricSupervisor.restart (or ensure_alive)"
-                    % self.shard_id
+        if worker.condemned or not worker.process.is_alive():
+            if not worker.condemned:
+                # noticed the death here: condemn the incarnation so
+                # its shm leases are reclaimed NOW, not at restart
+                self._supervisor._condemn(
+                    worker,
+                    self.shard_id,
+                    "found dead at submit (exitcode %r)"
+                    % worker.process.exitcode,
                 )
-            corr_id = worker.next_corr
-            worker.next_corr += 1
-            if sink is not None:
-                # resolve the payload's parts NOW (inline or pooled
-                # segment descriptors) -- the envelope is patched in place
-                sink.seal()
-                if sink.segment_name is not None:
-                    worker.request_leases[corr_id] = sink.segment_name
-                worker.wire["shm_bytes"] += sink.sealed_nbytes
-            worker.wire["wire_bytes_sent"] += codec.inline_nbytes(payload)
-            if row.readonly:
-                worker.wire["delta_skipped_readonly"] += 1
-            worker.request_q.put(
-                Request(
-                    corr_id=corr_id,
-                    op=op,
-                    payload=payload,
-                    defer_delta=defer_delta,
-                )
+            raise WorkerCrashed(
+                "shard worker %r is dead; restart it via "
+                "FabricSupervisor.restart (or ensure_alive)"
+                % self.shard_id
             )
-            # the deadline entry is registered only once the request is
-            # durably on the queue (and popped on *every* gather exit):
-            # an encode/submit-path failure must not leak an entry for
-            # the incarnation's lifetime
-            worker.deadline_s[corr_id] = (
-                float(deadline_s)
-                if deadline_s is not None
-                else self._supervisor.deadline_for(op)
+        corr_id = worker.next_corr
+        worker.next_corr += 1
+        if sink is not None:
+            # resolve the payload's parts NOW (inline or pooled
+            # segment descriptors) -- the envelope is patched in place
+            sink.seal()
+            if sink.segment_name is not None:
+                worker.request_leases[corr_id] = sink.segment_name
+            worker.wire["shm_bytes"] += sink.sealed_nbytes
+        worker.wire["wire_bytes_sent"] += codec.inline_nbytes(payload)
+        if row.readonly:
+            worker.wire["delta_skipped_readonly"] += 1
+        worker.request_q.put(
+            Request(
+                corr_id=corr_id,
+                op=op,
+                payload=payload,
+                defer_delta=defer_delta,
             )
-            worker.pending.append(corr_id)
-            return PendingReply(self, corr_id, worker)
+        )
+        # the deadline entry is registered only once the request is
+        # durably on the queue (and popped on *every* gather exit):
+        # an encode/submit-path failure must not leak an entry for
+        # the incarnation's lifetime
+        worker.deadline_s[corr_id] = self._supervisor.deadline_for(op)
+        worker.pending.append(corr_id)
+        return PendingReply(self, corr_id, worker)
 
-    def _call(
-        self, op: str, kwargs: Dict[str, Any], deadline_s: Optional[float] = None
-    ) -> Any:
-        return self._submit(op, kwargs, deadline_s=deadline_s).result()
+    def _call(self, op: str, kwargs: Dict[str, Any]) -> Any:
+        return self._submit(op, kwargs).result()
 
     def _gather(self, corr_id: int, worker: Optional[_Worker] = None) -> Any:
         if worker is None:
             worker = self._worker()
-        with worker.lock:
-            if worker.condemned:
-                # the command is dead with the incarnation: drop its
-                # deadline entry (normally cleared wholesale by
-                # ``_reclaim`` at condemn time) so no exit path leaks it
-                worker.deadline_s.pop(corr_id, None)
-                raise WorkerCrashed(
-                    "shard worker %r was condemned (crashed or "
-                    "deadline-killed); its unacknowledged commands never "
-                    "happened durably -- restart and retry" % self.shard_id
-                )
-            if not worker.pending or worker.pending[0] != corr_id:
-                raise ProtocolError(
-                    "shard %r replies must be gathered in submission order"
-                    % self.shard_id
-                )
-            reply = self._await_reply(worker, corr_id)
-            worker.pending.popleft()
+        else:
+            # a bound reply skips the lookup: run its owner-thread check
+            self._supervisor._check_thread()
+        if worker.condemned:
+            # the command is dead with the incarnation: drop its
+            # deadline entry (normally cleared wholesale by
+            # ``_reclaim`` at condemn time) so no exit path leaks it
             worker.deadline_s.pop(corr_id, None)
-            # a gathered reply proves the worker (strictly in-order) is done
-            # reading the request's segment: return the lease to the pool
-            lease = worker.request_leases.pop(corr_id, None)
-            if lease is not None:
-                self._supervisor._release_lease(lease)
-            if reply.corr_id != corr_id:
-                raise ProtocolError(
-                    "shard %r answered corr_id %r, expected %r"
-                    % (self.shard_id, reply.corr_id, corr_id)
-                )
-            # any reply -- even an error -- proves the worker responsive
-            self._supervisor._note_healthy(self.shard_id)
-            reader = shm_plane.ShmReader(owns=True)
-            try:
-                return self._apply(worker, reply, reader)
-            finally:
-                # consume-once contract: unlink the reply's segment (if
-                # any) whether the command succeeded or raised
-                worker.wire["shm_bytes"] += reader.total_nbytes
-                reader.close()
+            raise WorkerCrashed(
+                "shard worker %r was condemned (crashed or "
+                "deadline-killed); its unacknowledged commands never "
+                "happened durably -- restart and retry" % self.shard_id
+            )
+        if not worker.pending or worker.pending[0] != corr_id:
+            raise ProtocolError(
+                "shard %r replies must be gathered in submission order"
+                % self.shard_id
+            )
+        reply = self._await_reply(worker, corr_id)
+        worker.pending.popleft()
+        worker.deadline_s.pop(corr_id, None)
+        # a gathered reply proves the worker (strictly in-order) is done
+        # reading the request's segment: return the lease to the pool
+        lease = worker.request_leases.pop(corr_id, None)
+        if lease is not None:
+            self._supervisor._release_lease(lease)
+        if reply.corr_id != corr_id:
+            raise ProtocolError(
+                "shard %r answered corr_id %r, expected %r"
+                % (self.shard_id, reply.corr_id, corr_id)
+            )
+        # any reply -- even an error -- proves the worker responsive
+        self._supervisor._note_healthy(self.shard_id)
+        reader = shm_plane.ShmReader(owns=True)
+        try:
+            return self._apply(worker, reply, reader)
+        finally:
+            # consume-once contract: unlink the reply's segment (if
+            # any) whether the command succeeded or raised
+            worker.wire["shm_bytes"] += reader.total_nbytes
+            reader.close()
 
     def _apply(self, worker: _Worker, reply: Reply, reader) -> Any:
         worker.wire["wire_bytes_received"] += codec.inline_nbytes(
@@ -277,15 +266,12 @@ class ShardClient:
             return None  # a loop op's bare acknowledgement
         return codec.decode(reply.value, reader)
 
-    def _await_reply(
-        self, worker: _Worker, corr_id: Optional[int] = None
-    ) -> Reply:
-        """Deadline-aware reply wait: sleeps on the queue in liveness-
-        probe slices (no fixed busy-poll), and on expiry *condemns* the
-        worker (kill + lease reclamation) instead of waiting forever."""
-        deadline_s = DEFAULT_REPLY_TIMEOUT_S
-        if corr_id is not None:
-            deadline_s = worker.deadline_s.get(corr_id, DEFAULT_REPLY_TIMEOUT_S)
+    def _await_reply(self, worker: _Worker, corr_id: int) -> Reply:
+        """Deadline-aware reply wait (the deadline ``_submit`` registered
+        for ``corr_id``): sleeps on the queue in liveness-probe slices
+        (no fixed busy-poll), and on expiry *condemns* the worker (kill +
+        lease reclamation) instead of waiting forever."""
+        deadline_s = worker.deadline_s[corr_id]
         deadline = time.monotonic() + deadline_s
         while True:
             remaining = deadline - time.monotonic()
@@ -371,11 +357,6 @@ class ShardClient:
             for key, value in ledger.items():
                 doc["cost"][key] += value
         return doc
-
-    def ping(self, deadline_s: Optional[float] = None) -> None:
-        """Liveness probe.  ``deadline_s`` overrides the control-kind
-        deadline (the watchdog's heartbeat uses a short one)."""
-        self._call("ping", {}, deadline_s=deadline_s)
 
     # -- every other row of the table, generated -------------------------------
     # (``shutdown`` is the supervisor's own goodbye, enqueued without a

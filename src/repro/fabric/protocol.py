@@ -150,8 +150,7 @@ OPS: Dict[str, Op] = {
 }
 
 #: default per-kind deadlines (seconds); override per supervisor via
-#: ``FabricSupervisor(deadlines={"query": 5.0, ...})`` or per call via
-#: ``deadline_s=`` on the client
+#: ``FabricSupervisor(deadlines={"query": 5.0, ...})``
 DEFAULT_DEADLINES: Dict[str, float] = {
     "control": 30.0,
     "query": 60.0,

@@ -150,8 +150,9 @@ class ShardNode:
         return "ShardNode(%r, streams=%d)" % (self.shard_id, len(self.streams()))
 
     def ping(self) -> None:
-        """Liveness probe: answering is the whole job (a worker leg's
-        heartbeat; in-process, a shard that can be called is alive)."""
+        """Liveness probe: answering is the whole job (over a worker
+        leg, the cheapest round trip; in-process, a shard that can be
+        called is alive)."""
 
     # -- stream lifecycle ----------------------------------------------------
     def streams(self) -> List[str]:

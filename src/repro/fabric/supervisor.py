@@ -1,10 +1,10 @@
 """The supervisor side of the worker fabric (see ``repro.fabric.worker``
 for the map of its three modules): :class:`FabricSupervisor` spawns,
 mirrors, condemns and restarts the worker processes through its
-:class:`_Worker` handles, and :class:`FabricWatchdog` is the background
-health loop over it.  Division of labor: clients
+:class:`_Worker` handles.  Division of labor: clients
 (``repro.fabric.client``) enforce deadlines and condemn; this module
-reclaims, backs off, trips the breaker and respawns.
+reclaims, backs off, trips the breaker and respawns -- on demand, when
+a caller (the router's retry) asks for the shard again.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import ctypes
 import itertools
 import multiprocessing
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -24,10 +23,9 @@ from repro.fabric.client import ShardClient
 from repro.fabric.protocol import (
     DEFAULT_DEADLINES,
     WIRE_COUNTER_KEYS,
-    DeadlineExceeded,
+    ProtocolError,
     Request,
     ShardFailed,
-    WorkerCrashed,
     deadline_kind,
 )
 from repro.fabric.worker import _reply_segment_name, _worker_main
@@ -91,18 +89,6 @@ class _Worker:
         #: untrustworthy, so the client refuses to submit or gather
         #: against it until a restart swaps in a fresh incarnation
         self.condemned = False
-        #: serializes this incarnation's submit+gather pairs so the
-        #: watchdog's heartbeat never interleaves with a caller's
-        #: pipelined round (replies are strictly FIFO per worker)
-        self.lock = threading.RLock()
-
-    def close_queues(self) -> None:
-        for q in (self.request_q, self.reply_q):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
 
 
 class _ShardHealth:
@@ -144,12 +130,16 @@ class FabricSupervisor:
     ``protocol.DEFAULT_DEADLINES`` table); expiry *condemns* the worker
     -- killed on the spot, shm leases reclaimed, clients refused --
     and raises :class:`~repro.fabric.protocol.DeadlineExceeded`.
-    :meth:`ensure_alive` is the one respawn door (used by the router's
-    retries and by :meth:`start_watchdog`'s health loop), with
-    exponential backoff + jitter and a crash-loop breaker that marks a
-    shard ``FAILED`` (:class:`~repro.fabric.protocol.ShardFailed`)
+    :meth:`ensure_alive` is the one respawn door (the router's retries
+    call it), with exponential backoff and a crash-loop breaker that
+    marks a shard ``FAILED`` (:class:`~repro.fabric.protocol.ShardFailed`)
     after ``max_consecutive_failures`` failures with no healthy reply
     in between.
+
+    One thread drives a supervisor, its clients and any router over
+    them: the thread that built it.  Every verb called from another
+    thread raises :class:`~repro.fabric.protocol.ProtocolError` before
+    it touches a worker.
     """
 
     def __init__(
@@ -162,13 +152,14 @@ class FabricSupervisor:
         max_consecutive_failures: int = 5,
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
-        backoff_jitter: float = 0.25,
         **system_kwargs,
     ):
         if not shard_ids:
             raise ValueError("a fabric needs at least one shard worker")
         if len(set(shard_ids)) != len(shard_ids):
             raise ValueError("duplicate shard ids: %s" % list(shard_ids))
+        #: (ident, name) of the one thread allowed to drive this fabric
+        self._owner = (threading.get_ident(), threading.current_thread().name)
         self._ctx = mp_context or _default_context()
         self._system_kwargs = dict(system_kwargs)
         self._threshold = int(shm_threshold)
@@ -186,17 +177,9 @@ class FabricSupervisor:
         self.max_consecutive_failures = int(max_consecutive_failures)
         self._backoff_base_s = float(backoff_base_s)
         self._backoff_max_s = float(backoff_max_s)
-        self._backoff_jitter = float(backoff_jitter)
-        #: leaf lock for health-record flips (never held while taking
-        #: another lock -- breaks any cycle with worker/restart locks)
-        self._health_mutex = threading.Lock()
-        #: serializes ensure_alive/restart so the watchdog and a
-        #: retrying router never double-respawn one shard
-        self._restart_lock = threading.RLock()
         self._health: Dict[str, _ShardHealth] = {
             shard_id: _ShardHealth() for shard_id in shard_ids
         }
-        self._watchdog: Optional["FabricWatchdog"] = None
         self._prefix = "fab%x-%d" % (os.getpid(), next(_SUPERVISOR_SEQ))
         self._incarnations = itertools.count()
         #: None on a host without shared memory: every payload inlines
@@ -287,7 +270,27 @@ class FabricSupervisor:
         _emit_event("worker.spawn", shard=shard_id, worker_pid=process.pid)
         return _Worker(process, request_q, reply_q, mirror, reply_prefix)
 
+    def _check_thread(self) -> None:
+        """Refuse a caller on any thread but the owner's: the serving
+        tier is single-threaded (``docs/RESILIENCE.md``, "Concurrency
+        model"), and a second thread between one command's submit and
+        its gather would break the per-worker reply FIFO."""
+        if threading.get_ident() != self._owner[0]:
+            raise ProtocolError(
+                "this fabric is driven by thread %r (ident %d); thread %r "
+                "(ident %d) may not call it"
+                % (
+                    self._owner[1],
+                    self._owner[0],
+                    threading.current_thread().name,
+                    threading.get_ident(),
+                )
+            )
+
     def _worker(self, shard_id: str) -> _Worker:
+        """The shard's live incarnation: the lookup every verb goes
+        through, so it is where the owner-thread check runs."""
+        self._check_thread()
         try:
             return self._workers[shard_id]
         except KeyError:
@@ -325,6 +328,7 @@ class FabricSupervisor:
 
     def health(self, shard_id: str) -> Dict[str, Any]:
         """The shard's breaker record (state/failure streak/last error)."""
+        self._worker(shard_id)  # validate
         record = self._health[shard_id]
         return {
             "state": record.state,
@@ -336,32 +340,41 @@ class FabricSupervisor:
         """The reply deadline (seconds) one op gets on this fabric."""
         return self._deadlines[deadline_kind(op)]
 
-    def _condemn(self, worker: _Worker, shard_id: str, why: str) -> None:
-        """Write a worker incarnation off at failure-*detection* time:
-        kill it if still running (a hung worker must not keep mutating
-        past its deadline), reclaim its shm leases immediately -- not
-        at some later restart -- and mark it so clients refuse further
-        traffic until a fresh incarnation is swapped in.  Counts one
-        failure toward the shard's crash-loop breaker."""
-        with self._health_mutex:
-            if worker.condemned:
-                return
-            worker.condemned = True
-            record = self._health.get(shard_id)
-            if record is not None and record.state != "failed":
-                record.consecutive_failures += 1
-                record.last_error = why
+    def _stop(self, worker: _Worker) -> None:
+        """Write an incarnation off: clients refuse it from now on, it
+        is killed if still running (a hung worker must not keep mutating
+        past its deadline), and its data-plane remains and queues are
+        reclaimed."""
+        worker.condemned = True
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join()
         self._reclaim(worker)
+        for q in (worker.request_q, worker.reply_q):
+            try:
+                q.close()
+                q.cancel_join_thread()
+            except Exception:
+                pass
+
+    def _condemn(self, worker: _Worker, shard_id: str, why: str) -> None:
+        """Write a worker incarnation off at failure-*detection* time --
+        its shm leases come back now, not at some later restart -- and
+        count one failure toward the shard's crash-loop breaker."""
+        if worker.condemned:
+            return
+        record = self._health[shard_id]
+        if record.state != "failed":
+            record.consecutive_failures += 1
+            record.last_error = why
+        self._stop(worker)
         _emit_event("worker.condemn", shard=shard_id, why=why)
 
     def _note_healthy(self, shard_id: str) -> None:
         """A gathered reply proves the worker responsive: reset its
         failure streak (the breaker counts *consecutive* failures)."""
-        record = self._health.get(shard_id)
-        if record is not None and record.state != "failed":
+        record = self._health[shard_id]
+        if record.state != "failed":
             record.consecutive_failures = 0
 
     def ensure_alive(
@@ -371,125 +384,70 @@ class FabricSupervisor:
     ) -> bool:
         """Respawn the shard's worker if it is dead or condemned.
 
-        The self-healing entry point (watchdog and router retries both
-        funnel here): no-op on a healthy worker, otherwise
-        :meth:`restart` behind exponential backoff + jitter, and a
-        crash-loop circuit breaker that marks the shard ``FAILED``
-        (raising :class:`ShardFailed`, here and on every later call)
-        after ``max_consecutive_failures`` failures with no healthy
+        The self-healing entry point (router retries funnel here): no-op
+        on a healthy worker, otherwise :meth:`restart` behind exponential
+        backoff, and a crash-loop circuit breaker that marks the shard
+        ``FAILED`` (raising :class:`ShardFailed`, here and on every later
+        call) after ``max_consecutive_failures`` failures with no healthy
         reply in between.  Returns True when a restart happened.
         """
-        with self._restart_lock:
-            worker = self._worker(shard_id)
-            record = self._health[shard_id]
-            if worker.process.is_alive() and not worker.condemned:
-                return False
-            if record.state == "failed":
-                raise ShardFailed(
-                    "shard %r is FAILED after %d consecutive failures "
-                    "(last: %s); fix the cause and call reset_failed"
-                    % (shard_id, record.consecutive_failures, record.last_error)
-                )
-            if record.consecutive_failures >= self.max_consecutive_failures:
-                with self._health_mutex:
-                    record.state = "failed"
-                _emit_event(
-                    "breaker.trip",
-                    shard=shard_id,
-                    failures=record.consecutive_failures,
-                    last_error=record.last_error,
-                )
-                raise ShardFailed(
-                    "shard %r marked FAILED: %d consecutive failures "
-                    "without a healthy reply (last: %s)"
-                    % (shard_id, record.consecutive_failures, record.last_error)
-                )
+        worker = self._worker(shard_id)
+        record = self._health[shard_id]
+        if worker.process.is_alive() and not worker.condemned:
+            return False
+        if record.state == "failed":
+            raise ShardFailed(
+                "shard %r is FAILED after %d consecutive failures "
+                "(last: %s); fix the cause and call reset_failed"
+                % (shard_id, record.consecutive_failures, record.last_error)
+            )
+        cause = None
+        if record.consecutive_failures < self.max_consecutive_failures:
             if record.consecutive_failures > 1:
-                # repeated failures: back off exponentially (with
-                # jitter, so a fleet-wide outage does not respawn every
-                # shard in lockstep)
-                delay = min(
-                    self._backoff_max_s,
-                    self._backoff_base_s
-                    * (2.0 ** (record.consecutive_failures - 1)),
+                time.sleep(
+                    min(
+                        self._backoff_max_s,
+                        self._backoff_base_s
+                        * (2.0 ** (record.consecutive_failures - 1)),
+                    )
                 )
-                time.sleep(delay * (1.0 + self._backoff_jitter * random.random()))
             try:
                 self.restart(shard_id, configs=configs)
+                return True
             except Exception as exc:
-                with self._health_mutex:
-                    record.consecutive_failures += 1
-                    record.last_error = str(exc)
-                    tripped = (
-                        record.consecutive_failures
-                        >= self.max_consecutive_failures
-                    )
-                    if tripped:
-                        record.state = "failed"
-                if tripped:
-                    _emit_event(
-                        "breaker.trip",
-                        shard=shard_id,
-                        failures=record.consecutive_failures,
-                        last_error=str(exc),
-                    )
-                    raise ShardFailed(
-                        "shard %r marked FAILED after %d consecutive "
-                        "failures (last restart attempt: %s)"
-                        % (shard_id, record.consecutive_failures, exc)
-                    ) from exc
-                raise
-            return True
+                record.consecutive_failures += 1
+                record.last_error = str(exc)
+                if record.consecutive_failures < self.max_consecutive_failures:
+                    raise
+                cause = exc
+        record.state = "failed"
+        _emit_event(
+            "breaker.trip",
+            shard=shard_id,
+            failures=record.consecutive_failures,
+            last_error=record.last_error,
+        )
+        raise ShardFailed(
+            "shard %r marked FAILED: %d consecutive failures without a "
+            "healthy reply (last: %s)"
+            % (shard_id, record.consecutive_failures, record.last_error)
+        ) from cause
 
     def reset_failed(self, shard_id: str) -> None:
         """Re-arm a tripped crash-loop breaker (after fixing the cause);
         the next :meth:`ensure_alive` may restart the shard again."""
+        self._worker(shard_id)  # validate
         record = self._health[shard_id]
-        with self._health_mutex:
-            record.state = "healthy"
-            record.consecutive_failures = 0
-            record.last_error = None
+        record.state = "healthy"
+        record.consecutive_failures = 0
+        record.last_error = None
         _emit_event("breaker.rearm", shard=shard_id)
 
-    # -- the watchdog --------------------------------------------------------
-    def start_watchdog(
-        self,
-        interval_s: float = 0.5,
-        heartbeat_deadline_s: Optional[float] = None,
-        configs: Optional[Mapping[str, Any]] = None,
-    ) -> "FabricWatchdog":
-        """Start the background health loop (idempotent): it respawns
-        crashed/condemned workers and heartbeats idle ones so a shard
-        hung *between* commands is caught without any caller waiting on
-        it.  ``configs`` feed the restart-path ``recover`` (specialized
-        models the journaled descriptors cannot rebuild)."""
-        if self._watchdog is None:
-            self._watchdog = FabricWatchdog(
-                self,
-                interval_s=interval_s,
-                heartbeat_deadline_s=heartbeat_deadline_s,
-                configs=configs,
-            )
-            self._watchdog.start()
-        return self._watchdog
-
-    def stop_watchdog(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
-
     def kill(self, shard_id: str) -> None:
-        """SIGKILL the worker (chaos drills).  The mirror keeps the
-        state as of the last acknowledged command; :meth:`restart`
-        resumes from it."""
-        worker = self._worker(shard_id)
-        with self._health_mutex:
-            # deliberate kill: condemn without charging the breaker
-            worker.condemned = True
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join()
-        self._reclaim(worker)
+        """SIGKILL the worker (chaos drills) without charging the
+        breaker.  The mirror keeps the state as of the last acknowledged
+        command; :meth:`restart` resumes from it."""
+        self._stop(self._worker(shard_id))
 
     def restart(
         self,
@@ -504,34 +462,27 @@ class FabricSupervisor:
         supplies ingest configurations the journaled descriptor cannot
         rebuild -- specialized models).
         """
-        with self._restart_lock:
-            worker = self._worker(shard_id)
-            with self._health_mutex:
-                worker.condemned = True
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join()
-            self._reclaim(worker)
-            worker.close_queues()
-            fresh = self._spawn(shard_id, worker.mirror)
-            fresh.wire = worker.wire  # traffic totals are monotonic per shard
-            fresh.faults = worker.faults  # so is the fault ledger
-            fresh.faults["worker_restarts"] += 1
-            self._workers[shard_id] = fresh
-            _emit_event(
-                "worker.restart",
-                shard=shard_id,
-                restarts=fresh.faults["worker_restarts"],
-            )
-            if recover:
-                return self.client(shard_id).recover(configs=configs)
-            return []
+        worker = self._worker(shard_id)
+        self._stop(worker)
+        fresh = self._spawn(shard_id, worker.mirror)
+        fresh.wire = worker.wire  # traffic totals are monotonic per shard
+        fresh.faults = worker.faults  # so is the fault ledger
+        fresh.faults["worker_restarts"] += 1
+        self._workers[shard_id] = fresh
+        _emit_event(
+            "worker.restart",
+            shard=shard_id,
+            restarts=fresh.faults["worker_restarts"],
+        )
+        if recover:
+            return self.client(shard_id).recover(configs=configs)
+        return []
 
     def shutdown(self) -> None:
         """Stop every worker (graceful command, then kill) and close
         the queues.  Idempotent."""
-        self.stop_watchdog()
-        for shard_id, worker in list(self._workers.items()):
+        self._check_thread()
+        for worker in self._workers.values():
             if worker.process.is_alive():
                 try:
                     worker.request_q.put(
@@ -541,11 +492,7 @@ class FabricSupervisor:
                 except Exception:
                     pass
                 worker.process.join(timeout=5)
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join()
-            self._reclaim(worker)
-            worker.close_queues()
+            self._stop(worker)
         if self._pool is not None:
             # the leak check: anything still leased at teardown was
             # neither gathered nor reclaimed -- record it loudly
@@ -557,93 +504,3 @@ class FabricSupervisor:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-
-class FabricWatchdog:
-    """The supervisor's background health loop (one daemon thread).
-
-    Every ``interval_s`` it sweeps the fleet:
-
-    * a dead or condemned worker (crashed on its own, or deadline-killed
-      by a client) is respawned through
-      :meth:`FabricSupervisor.ensure_alive` -- mirror+WAL recovery,
-      backoff, breaker and all;
-    * an *idle* worker is heartbeated with a short-deadline ``ping``, so
-      a shard hung between commands (wedged GC, stuck syscall) is
-      detected and restarted even when no caller is waiting on it.
-
-    The heartbeat only runs when the worker's lock is free and it has
-    no in-flight commands: replies are strictly FIFO, so a ping behind
-    a busy round would just measure the round -- and a worker moving
-    its own traffic is evidently alive.  Division of labor: *clients*
-    enforce deadlines and condemn; the watchdog *restarts*.
-    """
-
-    def __init__(
-        self,
-        supervisor: FabricSupervisor,
-        interval_s: float = 0.5,
-        heartbeat_deadline_s: Optional[float] = None,
-        configs: Optional[Mapping[str, Any]] = None,
-    ):
-        self._supervisor = supervisor
-        self._interval_s = float(interval_s)
-        #: None -> the fabric's control-kind deadline
-        self._heartbeat_deadline_s = heartbeat_deadline_s
-        self._configs = configs
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="fabric-watchdog", daemon=True
-        )
-        #: restarts this watchdog performed (observability for drills)
-        self.restarts = 0
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=30.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            for shard_id in self._supervisor.shard_ids():
-                if self._stop.is_set():
-                    return
-                try:
-                    self._check(shard_id)
-                except ShardFailed:
-                    continue  # breaker tripped: stop poking this shard
-                except Exception:
-                    continue  # one shard's probe must never kill the loop
-
-    def _check(self, shard_id: str) -> None:
-        supervisor = self._supervisor
-        try:
-            worker = supervisor._worker(shard_id)
-        except KeyError:
-            return  # torn down under us
-        if supervisor._health[shard_id].state == "failed":
-            return
-        if worker.condemned or not worker.process.is_alive():
-            if supervisor.ensure_alive(shard_id, configs=self._configs):
-                self.restarts += 1
-                _emit_event("watchdog.respawn", shard=shard_id)
-            return
-        # idle heartbeat: non-blocking lock + empty pipeline, or skip
-        if not worker.lock.acquire(blocking=False):
-            return
-        try:
-            if worker.pending:
-                return
-            try:
-                supervisor.client(shard_id).ping(
-                    deadline_s=self._heartbeat_deadline_s
-                )
-            except (DeadlineExceeded, WorkerCrashed):
-                # the failed ping condemned the incarnation; respawn it
-                if supervisor.ensure_alive(shard_id, configs=self._configs):
-                    self.restarts += 1
-                    _emit_event("watchdog.respawn", shard=shard_id)
-        finally:
-            worker.lock.release()

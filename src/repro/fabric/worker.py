@@ -18,7 +18,7 @@ worker <- client <- supervisor):
   :class:`~repro.fabric.shard.ShardLeg` contract over the queues, and
   :class:`PendingReply`.
 * ``repro.fabric.supervisor`` -- :class:`FabricSupervisor` (spawn,
-  mirror, condemn, restart) and :class:`FabricWatchdog`.
+  mirror, condemn, restart).
 
 **Where an op is declared, and how to add one:** once, as a row of
 ``repro.fabric.protocol.OPS``, plus the ``ShardNode`` method of the same
@@ -57,14 +57,11 @@ from repro.fabric.shard import ShardNode
 from repro.obs.trace import SpanSink, get_sink, install_sink, span
 from repro.storage.docstore import DocumentStore
 
-#: names that moved to the modules above this one and still resolve
-#: here (``bench/boundaries.py`` and the tests import them from here)
+#: names that moved to the module above this one and still resolve
+#: here (``bench/boundaries.py`` patches them under this module)
 _MOVED = {
     "PendingReply": "repro.fabric.client",
     "ShardClient": "repro.fabric.client",
-    "_Worker": "repro.fabric.supervisor",
-    "FabricSupervisor": "repro.fabric.supervisor",
-    "FabricWatchdog": "repro.fabric.supervisor",
 }
 
 

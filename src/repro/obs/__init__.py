@@ -11,7 +11,7 @@ rest of ``repro``, so every layer can depend on them without cycles):
   propagate through ``QueryRequest`` and the fabric wire, exportable
   as Chrome-trace-event JSON (Perfetto-viewable).
 * :mod:`repro.obs.events` -- a bounded structured event log (in-memory
-  ring + optional JSONL sink) for worker/watchdog/migration lifecycle.
+  ring + optional JSONL sink) for worker/breaker/migration lifecycle.
 
 See ``docs/OBSERVABILITY.md`` for the full contract.
 """

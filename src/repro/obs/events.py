@@ -2,8 +2,8 @@
 
 Fault *counters* (PR 8) say how often something went wrong; the event
 log says **what happened, in order** -- the trail a human replays after
-a watchdog respawn.  Supervisor, watchdog, router, migration, and the
-front door emit here: worker spawn/condemn/respawn, deadline expiry,
+a failover.  Supervisor, router, migration, and the front door emit
+here: worker spawn/condemn/restart, deadline expiry,
 breaker trip/re-arm, migration phases, backpressure rejections.
 
 Every event carries a monotonic timestamp (``t_mono_s``, for intervals

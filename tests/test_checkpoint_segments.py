@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamIngestor
-from repro.fabric.worker import FabricSupervisor
+from repro.fabric.supervisor import FabricSupervisor
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import (

@@ -64,10 +64,7 @@ def test_row_names_a_served_method(op):
 
 @pytest.mark.parametrize("op", sorted(set(OPS) - {"shutdown"}))
 def test_client_stub_takes_the_served_methods_parameters(op):
-    have = parameters(getattr(ShardClient, op))
-    # ping is hand-kept for the one thing it adds: a per-call deadline
-    extra = ["deadline_s"] if op == "ping" else []
-    assert have == parameters(served(op)) + extra
+    assert parameters(getattr(ShardClient, op)) == parameters(served(op))
 
 
 def test_shutdown_is_not_a_client_verb():
@@ -293,6 +290,7 @@ def test_worker_refuses_an_op_its_table_lacks():
         client, worker = supervisor.client("solo"), supervisor._worker("solo")
         worker.request_q.put(Request(corr_id=worker.next_corr, op="no_such_op"))
         worker.pending.append(worker.next_corr)
+        worker.deadline_s[worker.next_corr] = 5.0
         worker.next_corr += 1
         with pytest.raises(ProtocolError, match="unknown op"):
             client._gather(worker.next_corr - 1)

@@ -342,6 +342,7 @@ class TestWorkerFailureModes:
                 )
             )
             worker.pending.append(worker.next_corr)
+            worker.deadline_s[worker.next_corr] = 5.0
             worker.next_corr += 1
             client = supervisor.client("solo")
             with pytest.raises(ProtocolError, match="version mismatch"):
@@ -479,8 +480,7 @@ class TestDataPlane:
                     "time_range": None,
                 },
             )
-            reply = client._await_reply(worker)
-            worker.pending.popleft()
+            reply = client._await_reply(worker, worker.pending.popleft())
             assert reply.ok
             assert reply.store_delta is None
             assert reply.store_drops == ()
@@ -500,8 +500,7 @@ class TestDataPlane:
             worker = supervisor._worker("solo")
             replies = []
             for _ in range(3):
-                replies.append(client._await_reply(worker))
-                worker.pending.popleft()
+                replies.append(client._await_reply(worker, worker.pending.popleft()))
             assert all(r.ok for r in replies)
             assert replies[0].store_delta is None
             assert replies[1].store_delta is None

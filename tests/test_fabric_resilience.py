@@ -1,20 +1,23 @@
-"""Self-healing fabric tests (PR 8): deadlines, watchdog, retries.
+"""Self-healing fabric tests: deadlines, failover, retries.
 
 Covers the robustness acceptance criteria: an ``inject_stall``'d
 worker never blocks a router call past its deadline (the client
 raises :class:`DeadlineExceeded`, the worker is condemned and its shm
-leases reclaimed at *detection* time), the watchdog auto-restarts both
+leases reclaimed at *detection* time), the router's failover restarts
 crashed and hung workers through the mirror+WAL path with answers
 bit-identical afterwards, the crash-loop breaker trips to ``FAILED``
 after ``max_consecutive_failures`` and re-arms via ``reset_failed``,
 router retries keep queries/appends bit-identical and at-most-once,
 and ``allow_partial=True`` answers name exactly the lost shards and
-streams while strict mode still raises.  Every fabric teardown asserts
-zero leaked shm segments.
+streams while strict mode still raises, and a fabric refuses every
+call from a thread other than its owner's.  Every fabric teardown
+asserts zero leaked shm segments.
 """
 
 import queue as pyqueue
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -25,12 +28,13 @@ from repro.fabric import (
     DeadlineExceeded,
     FabricRouter,
     FabricSupervisor,
+    ProtocolError,
     ShardFailed,
     ShardNode,
     WorkerCrashed,
 )
 from repro.fabric.protocol import Reply, deadline_kind
-from repro.fabric.worker import _Worker
+from repro.fabric.supervisor import _Worker
 from repro.serve.planner import QueryRequest
 from repro.serve.service import COUNTER_KINDS
 from repro.storage.docstore import DocumentStore
@@ -40,15 +44,6 @@ from test_fabric_parallel import assert_answers_equal
 #: deadlines small enough that a stalled worker trips in test time but
 #: roomy enough that honest work on a single-CPU runner never does
 TIGHT = {"control": 2.0, "query": 3.0, "ingest": 5.0, "slow": 60.0}
-
-
-def wait_until(predicate, timeout_s=30.0, interval_s=0.05, what="condition"):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval_s)
-    raise AssertionError("timed out waiting for %s" % what)
 
 
 def crash_worker(supervisor, shard_id):
@@ -126,15 +121,6 @@ class TestDeadlines:
             assert costs["deadline_exceeded"] == 1.0
             assert costs["worker_restarts"] == 1.0
 
-    def test_per_call_deadline_override(self):
-        with FabricSupervisor(["solo"]) as supervisor:
-            client = supervisor.client("solo")
-            client.inject_stall(30.0)
-            started = time.monotonic()
-            with pytest.raises(DeadlineExceeded):
-                client.ping(deadline_s=0.5)  # default control budget is 30s
-            assert time.monotonic() - started < 10.0
-
     def test_slow_worker_stays_within_deadline(self):
         """Latency injection short of the deadline is absorbed: no
         condemn, no restart, no fault counters."""
@@ -188,7 +174,8 @@ class TestReplyLivenessRace:
             worker = _Worker(
                 _RacingProcess(reply_q, reply), None, reply_q, DocumentStore()
             )
-            got = client._await_reply(worker)
+            worker.deadline_s[0] = 5.0
+            got = client._await_reply(worker, 0)
             assert got is reply
             assert not worker.condemned  # the command was NOT lost
 
@@ -199,81 +186,44 @@ class TestReplyLivenessRace:
                 _RacingProcess(pyqueue.Queue()), None, pyqueue.Queue(),
                 DocumentStore(),
             )
+            worker.deadline_s[0] = 5.0
             with pytest.raises(WorkerCrashed, match="died before replying"):
-                client._await_reply(worker)
+                client._await_reply(worker, 0)
             assert worker.condemned
 
 
 # ---------------------------------------------------------------------------
-# watchdog auto-restart
+# an idle crash heals on the next command, through the router's failover
 # ---------------------------------------------------------------------------
 
-class TestWatchdog:
-    @pytest.fixture()
-    def solo(self, table_factory, live_config, index_mode):
-        table = table_factory("jacksonh", 20.0, 10.0)
-        chunks = frame_aligned_chunks(table, pieces=2)
-        with FabricSupervisor(["solo"], deadlines=TIGHT) as supervisor:
-            client = supervisor.client("solo")
-            reference = ShardNode("solo-ref")
-            for node in (client, reference):
-                node.open_stream(
-                    "jacksonh", fps=10.0, config=live_config,
-                    index_mode=index_mode, durable=True,
-                )
-                for chunk in chunks:
-                    node.append("jacksonh", chunk)
-            yield SimpleNamespace(
-                supervisor=supervisor,
-                client=client,
-                reference=reference,
-                configs={"jacksonh": live_config},
+@pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+def test_idle_crash_heals_on_the_next_routed_command(
+    table_factory, live_config, index_mode
+):
+    """A worker that dies while nobody waits on it is found by the next
+    command; the router's retry respawns it from the mirror + WAL."""
+    chunks = frame_aligned_chunks(table_factory("jacksonh", 20.0, 10.0), pieces=2)
+    with FabricSupervisor(["solo"], deadlines=TIGHT) as supervisor:
+        client = supervisor.client("solo")
+        reference = ShardNode("solo-ref")
+        for node in (client, reference):
+            node.open_stream(
+                "jacksonh", fps=10.0, config=live_config,
+                index_mode=index_mode, durable=True,
             )
-            supervisor.stop_watchdog()
-            assert_no_leaked_deadlines(supervisor)
-        assert supervisor.leaked_segments == []
-
-    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_restarts_crashed_worker(self, solo, index_mode):
-        crash_worker(solo.supervisor, "solo")
-        watchdog = solo.supervisor.start_watchdog(
-            interval_s=0.1, configs=solo.configs
-        )
-        wait_until(
-            lambda: watchdog.restarts >= 1 and solo.supervisor.healthy("solo"),
-            what="watchdog restart after crash",
-        )
+            for chunk in chunks:
+                node.append("jacksonh", chunk)
+        router = FabricRouter([client], recover_configs={"jacksonh": live_config})
+        crash_worker(supervisor, "solo")
         for clazz in (1, 2):
             assert_answers_equal(
-                solo.client.query("jacksonh", clazz),
-                solo.reference.query("jacksonh", clazz),
+                router.query("jacksonh", clazz), reference.query("jacksonh", clazz)
             )
-
-    @pytest.mark.parametrize("index_mode", ["lazy"])
-    def test_restarts_hung_worker_via_heartbeat(self, solo, index_mode):
-        """A worker hung *between* commands (nobody waiting on it) is
-        caught by the watchdog's own heartbeat deadline."""
-        solo.client.inject_stall(30.0)  # the next op -- the heartbeat
-        solo.supervisor.start_watchdog(
-            interval_s=0.1, heartbeat_deadline_s=0.5, configs=solo.configs
-        )
-        wait_until(
-            lambda: solo.client._worker().faults["worker_restarts"] >= 1.0
-            and solo.supervisor.healthy("solo"),
-            what="watchdog restart of hung worker",
-        )
-        assert_answers_equal(
-            solo.client.query("jacksonh", 1),
-            solo.reference.query("jacksonh", 1),
-        )
-        assert solo.client.counters()["cost"]["deadline_exceeded"] >= 1.0
-
-    @pytest.mark.parametrize("index_mode", ["lazy"])
-    def test_start_watchdog_idempotent(self, solo, index_mode):
-        first = solo.supervisor.start_watchdog(interval_s=0.2)
-        assert solo.supervisor.start_watchdog(interval_s=0.2) is first
-        solo.supervisor.stop_watchdog()
-        assert solo.supervisor.start_watchdog(interval_s=0.2) is not first
+        costs = router.cost_summary()
+        assert costs["retries"] == 1.0
+        assert costs["worker_restarts"] == 1.0
+        assert_no_leaked_deadlines(supervisor)
+    assert supervisor.leaked_segments == []
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +309,6 @@ def fleet(table_factory, live_config):
         yield SimpleNamespace(
             supervisor=supervisor, remote=remote, local=local, halves=halves
         )
-        supervisor.stop_watchdog()
         assert_no_leaked_deadlines(supervisor)
     assert supervisor.leaked_segments == []
 
@@ -660,3 +609,26 @@ class TestDeadlineMapHygiene:
                 client.streams()
             assert_no_leaked_deadlines(supervisor)
         assert supervisor.leaked_segments == []
+
+
+# ---------------------------------------------------------------------------
+# one thread drives a fabric
+# ---------------------------------------------------------------------------
+
+def test_a_second_thread_is_refused_before_it_touches_a_worker():
+    owner = repr(threading.current_thread().name)
+    with FabricSupervisor(["solo"]) as supervisor, ThreadPoolExecutor(1, "intruder") as pool:
+        client, worker = supervisor.client("solo"), supervisor._worker("solo")
+        pending = client._submit("ping", {})
+        state = lambda: (  # noqa: E731
+            worker.next_corr, list(worker.pending), dict(worker.deadline_s), dict(worker.wire)
+        )
+        before = state()
+        for call in (client.streams, lambda: supervisor.ensure_alive("solo"), pending.result):
+            refusal = pool.submit(call).exception()
+            assert isinstance(refusal, ProtocolError), refusal
+            assert "'intruder_0'" in str(refusal) and owner in str(refusal)
+        assert state() == before
+        assert pending.result() is None  # the owner's round is intact
+        assert client.streams() == []
+    assert supervisor.leaked_segments == []

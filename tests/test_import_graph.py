@@ -101,6 +101,30 @@ def test_clustering_packs_without_the_journal():
     assert "repro.storage.journal" not in imports
 
 
+def test_src_starts_no_thread_and_takes_no_lock():
+    """The serving tier is single-threaded (docs/RESILIENCE.md,
+    "Concurrency model"): ``threading`` is read for thread identity only."""
+    banned = {"Thread", "Lock", "RLock", "Event", "Condition", "Semaphore", "Timer"}
+    found = []
+    for name, path in modules():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses = [node.attr] if getattr(node.value, "id", None) == "threading" else []
+            elif isinstance(node, ast.ImportFrom):
+                uses = [node.module] + [a.name for a in node.names if node.module == "threading"]
+            elif isinstance(node, ast.Import):
+                uses = [a.name for a in node.names]
+            else:
+                continue
+            found += [
+                (name, use) for use in uses
+                if use in banned or use.split(".")[0] in ("concurrent", "_thread")
+            ]
+    assert found == []
+
+
 def test_the_frame_substrate_is_gone():
     assert importlib.util.find_spec("repro.detect") is None
     assert importlib.util.find_spec("repro.video.frames") is None
