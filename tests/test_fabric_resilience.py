@@ -193,15 +193,24 @@ class TestReplyLivenessRace:
 
 
 # ---------------------------------------------------------------------------
-# an idle crash heals on the next command, through the router's failover
+# an idle fault heals on the next command, through the router's failover
 # ---------------------------------------------------------------------------
 
+IDLE_FAULTS = {
+    "crash": lambda supervisor: crash_worker(supervisor, "solo"),
+    # the stall lands on the next op, which the query deadline then kills
+    "hang": lambda supervisor: supervisor.client("solo").inject_stall(30.0),
+}
+
+
 @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-def test_idle_crash_heals_on_the_next_routed_command(
-    table_factory, live_config, index_mode
+@pytest.mark.parametrize("fault", sorted(IDLE_FAULTS))
+def test_idle_fault_heals_on_the_next_routed_command(
+    table_factory, live_config, index_mode, fault
 ):
-    """A worker that dies while nobody waits on it is found by the next
-    command; the router's retry respawns it from the mirror + WAL."""
+    """A worker that dies or hangs while nobody waits on it is found by
+    the next command (at submit, in the reply wait, or by the op's
+    deadline); the router's retry respawns it from the mirror + WAL."""
     chunks = frame_aligned_chunks(table_factory("jacksonh", 20.0, 10.0), pieces=2)
     with FabricSupervisor(["solo"], deadlines=TIGHT) as supervisor:
         client = supervisor.client("solo")
@@ -214,7 +223,7 @@ def test_idle_crash_heals_on_the_next_routed_command(
             for chunk in chunks:
                 node.append("jacksonh", chunk)
         router = FabricRouter([client], recover_configs={"jacksonh": live_config})
-        crash_worker(supervisor, "solo")
+        IDLE_FAULTS[fault](supervisor)
         for clazz in (1, 2):
             assert_answers_equal(
                 router.query("jacksonh", clazz), reference.query("jacksonh", clazz)
@@ -222,6 +231,7 @@ def test_idle_crash_heals_on_the_next_routed_command(
         costs = router.cost_summary()
         assert costs["retries"] == 1.0
         assert costs["worker_restarts"] == 1.0
+        assert costs["deadline_exceeded"] == (1.0 if fault == "hang" else 0.0)
         assert_no_leaked_deadlines(supervisor)
     assert supervisor.leaked_segments == []
 
