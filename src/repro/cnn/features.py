@@ -27,13 +27,14 @@ We synthesize a tiered geometry (see
 
 from __future__ import annotations
 
+import ctypes
 from typing import Optional
 
 import numpy as np
 
 from repro.cnn.calibration import FEATURES, FeatureCalibration
 from repro.cnn.hashing import combine, hash_normal_matrix, hash_uniform, mix64, stable_salt
-from repro.video.classes import confusable_pool, confusable_pool_key
+from repro.video.classes import NUM_CLASSES, confusable_pool, confusable_pool_key
 from repro.video.synthesis import ObservationTable
 
 _POOL_SALT = stable_salt("pool-anchor")
@@ -67,6 +68,48 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
+# Every extraction frees one block's few MiB of intermediates.  glibc
+# trims its heap past twice the largest mmapped chunk freed so far, so a
+# process whose biggest transient is one block hands that memory back
+# after each call and page-faults it in again on the next.  Pin
+# M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) at their dynamic maxima.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(-3, 32 << 20)
+    _mallopt(-1, 64 << 20)
+except (OSError, AttributeError, TypeError):  # not glibc
+    pass
+
+#: calibration -> class -> prototype matrix, shared by every model (a
+#: prototype never depends on the model); rows [0, len) are all computed.
+#: At most NUM_CLASSES x dim x 8 B (1 MiB) per calibration.
+_PROTOTYPES: dict = {}
+
+
+def _class_prototypes(calib: FeatureCalibration, class_ids) -> np.ndarray:
+    """Unit prototype rows for ``class_ids``: pool anchor + unique
+    direction, one dense gather from the shared table."""
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    table = _PROTOTYPES.get(calib, np.zeros((0, calib.dim)))
+    need = int(class_ids.max()) + 1 if len(class_ids) else 0
+    if need > len(table):
+        # geometric headroom: growing one id at a time must stay
+        # amortized O(1) per class, not a full realloc per call
+        new = np.arange(len(table), max(need, min(2 * len(table), NUM_CLASSES), 64))
+        pool_keys = np.asarray([confusable_pool_key(int(c)) for c in new], dtype=np.uint64)
+        anchors = _unit_rows(
+            hash_normal_matrix(combine(pool_keys, np.uint64(_POOL_SALT)), calib.dim)
+        )
+        uniques = _unit_rows(
+            hash_normal_matrix(
+                combine(new.astype(np.uint64), np.uint64(_UNIQUE_SALT)), calib.dim
+            )
+        )
+        protos = _unit_rows(calib.pool_weight * anchors + calib.unique_weight * uniques)
+        table = _PROTOTYPES[calib] = np.concatenate([table, protos])
+    return table[class_ids]
+
+
 class FeatureExtractor:
     """Synthesizes penultimate-layer feature vectors for observations.
 
@@ -76,10 +119,11 @@ class FeatureExtractor:
     differently-sharp embeddings.
     """
 
-    #: rows per internal extraction block.  The pipeline makes ~25
-    #: elementwise passes over [n, dim] intermediates; blocking keeps
-    #: them cache-resident, which is worth ~3x on 100k-row windows.
-    BLOCK_ROWS = 8192
+    #: rows per extraction block, and the default feature chunk of
+    #: one-shot ingest and the tuner: each of the ~25 [n, dim] float64
+    #: intermediates is then 1 MiB and stays L2-resident
+    #: (docs/PERFORMANCE.md, "Feeding layers", has the measurements).
+    BLOCK_ROWS = 1024
 
     #: per-track cache cap; the cache is cleared wholesale beyond this
     #: (a live stream only ever has a few hundred concurrent tracks)
@@ -99,12 +143,9 @@ class FeatureExtractor:
         self._reset_memos()
 
     def _reset_memos(self) -> None:
-        """Empty the four memo caches: pure-function memoization,
-        rebuilt on demand, so dropping them never changes a feature."""
-        #: dense class -> prototype row matrix (grown on demand), so
-        #: the per-block prototype lookup is a single fancy gather
-        self._proto_matrix = None
-        self._proto_known = np.zeros(0, dtype=bool)
+        """Empty the two per-model memo caches (prototypes are shared:
+        :data:`_PROTOTYPES`): pure-function memoization, rebuilt on
+        demand, so dropping them never changes a feature."""
         #: class id -> ndarray of confusable neighbours (excluding self)
         self._neighbour_cache: dict = {}
         #: track seed -> (app0, app1, app_scale, drift_scale,
@@ -133,52 +174,7 @@ class FeatureExtractor:
     # -- class geometry ------------------------------------------------------
     def class_prototype(self, class_id: int) -> np.ndarray:
         """Unit prototype for a class: pool anchor + unique direction."""
-        return self._prototypes_for(np.asarray([class_id]))[0]
-
-    def _prototypes_for(self, class_ids: np.ndarray) -> np.ndarray:
-        class_ids = np.asarray(class_ids, dtype=np.int64)
-        matrix = self._proto_matrix
-        if matrix is None or (len(class_ids) and
-                              class_ids.max() >= len(self._proto_known)):
-            self._grow_proto_matrix(int(class_ids.max()) + 1 if len(class_ids)
-                                    else 1)
-            matrix = self._proto_matrix
-        if len(class_ids):
-            unknown = ~self._proto_known[class_ids]
-            if unknown.any():
-                self._compute_prototypes(np.unique(class_ids[unknown]))
-        # one dense gather instead of a per-unique stack + inverse index
-        return matrix[class_ids]
-
-    def _grow_proto_matrix(self, min_classes: int) -> None:
-        # geometric headroom: growing one id at a time must stay
-        # amortized O(1) per class, not a full realloc per call
-        size = max(min_classes, 2 * len(self._proto_known), 64)
-        matrix = np.zeros((size, self.dim), dtype=np.float64)
-        known = np.zeros(size, dtype=bool)
-        if self._proto_matrix is not None:
-            matrix[: len(self._proto_known)] = self._proto_matrix
-            known[: len(self._proto_known)] = self._proto_known
-        self._proto_matrix = matrix
-        self._proto_known = known
-
-    def _compute_prototypes(self, miss: np.ndarray) -> None:
-        calib = self.calibration
-        miss = np.asarray(miss, dtype=np.int64)
-        pool_keys = np.asarray(
-            [confusable_pool_key(int(c)) for c in miss], dtype=np.uint64
-        )
-        anchors = _unit_rows(
-            hash_normal_matrix(combine(pool_keys, np.uint64(_POOL_SALT)), self.dim)
-        )
-        uniques = _unit_rows(
-            hash_normal_matrix(
-                combine(miss.astype(np.uint64), np.uint64(_UNIQUE_SALT)), self.dim
-            )
-        )
-        protos = _unit_rows(calib.pool_weight * anchors + calib.unique_weight * uniques)
-        self._proto_matrix[miss] = protos
-        self._proto_known[miss] = True
+        return _class_prototypes(self.calibration, [class_id])[0]
 
     def _confuser_classes(self, class_ids: np.ndarray, track_seeds: np.ndarray) -> np.ndarray:
         """Per track, one deterministic confusable neighbour class.
@@ -288,7 +284,7 @@ class FeatureExtractor:
             return np.zeros((0, self.dim), dtype=np.float32)
         calib = self.calibration
 
-        proto = self._prototypes_for(table.class_id)
+        proto = _class_prototypes(calib, table.class_id)
 
         track_seeds = table.appearance_seed.astype(np.uint64)
         unique_tracks, first_row_of_track, track_inverse = np.unique(
@@ -299,7 +295,7 @@ class FeatureExtractor:
          confuser_w) = self._track_profiles(unique_tracks, track_classes)
         app_scale = app_scale[:, np.newaxis]
         confuser_w = confuser_w[:, np.newaxis]
-        confuser_protos = self._prototypes_for(confusers)
+        confuser_protos = _class_prototypes(calib, confusers)
 
         # appearance rotates drift_angle radians per 10 seconds in view
         time_in_track = table.obs_in_track / max(table.fps, 1e-9)

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cnn.features import FeatureExtractor
 from repro.cnn.model import ClassifierModel
 from repro.storage.packing import pack_array, unpack_array
 from repro.video.synthesis import ObservationTable
@@ -580,16 +581,19 @@ def feature_chunks(
     table: ObservationTable,
     model: ClassifierModel,
     suppressed: Optional[np.ndarray] = None,
-    chunk_rows: int = 65536,
+    chunk_rows: int = FeatureExtractor.BLOCK_ROWS,
 ):
     """``model``'s features for ``table``, as :func:`cluster_features` input.
 
     Yields ``(track_ids, suppressed, features, feature_valid)`` per
-    ``chunk_rows`` rows (chunked to bound memory).  Suppressed rows
-    (pixel differencing) skip feature extraction entirely; only a
-    suppressed row whose track first appears at that row (a table
-    truncated mid-track) still gets a vector.  Nothing here depends on
-    the clustering threshold, so one pass serves a whole T sweep.
+    ``chunk_rows`` rows: by default one extraction block, so a caller
+    that consumes the chunks lazily holds one block of float64 features
+    and one block of intermediates, whatever the table's length.
+    Suppressed rows (pixel differencing) skip feature extraction
+    entirely; only a suppressed row whose track first appears at that
+    row (a table truncated mid-track) still gets a vector.  Nothing
+    here depends on the clustering threshold, so one pass serves a
+    whole T sweep.
     """
     extractor = model.feature_extractor()
     if suppressed is None:
@@ -627,7 +631,7 @@ def cluster_table(
     threshold: float,
     max_live_clusters: int = 512,
     suppressed: Optional[np.ndarray] = None,
-    chunk_rows: int = 65536,
+    chunk_rows: int = FeatureExtractor.BLOCK_ROWS,
     strict: bool = False,
 ) -> ClusterSummary:
     """Cluster all observations of ``table`` with ``model``'s features:

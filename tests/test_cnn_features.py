@@ -111,6 +111,39 @@ def test_confusable_prototypes_closer(extractor):
     assert np.linalg.norm(car - taxi) < np.linalg.norm(car - suit)
 
 
+def test_every_model_shares_one_class_geometry(small_table):
+    """A prototype is a function of the class and the calibration, never
+    of the model: every model reads one table per calibration, and no
+    table outgrows NUM_CLASSES rows."""
+    from dataclasses import replace
+
+    from repro.cnn import features
+    from repro.cnn.calibration import FEATURES
+    from repro.cnn.specialize import specialize
+    from repro.video.classes import NUM_CLASSES
+
+    spec = specialize(cheap_cnn(1), small_table.class_histogram(), 5,
+                      small_table.stream)
+    extractors = [m.feature_extractor() for m in (cheap_cnn(1), cheap_cnn(2), spec)]
+    for cid in (0, 3, 517, NUM_CLASSES - 1):
+        first, *rest = [e.class_prototype(cid) for e in extractors]
+        for proto in rest:
+            np.testing.assert_array_equal(proto, first)
+
+    # a fresh calibration gets its own table; growing it one class at a
+    # time stops at NUM_CLASSES rows and matches a one-batch build
+    other = replace(FEATURES, unique_weight=0.3)
+    grown = FeatureExtractor(model_salt=1, calibration=other)
+    one_by_one = np.stack([grown.class_prototype(c) for c in range(NUM_CLASSES)])
+    assert features._PROTOTYPES[other].shape == (NUM_CLASSES, other.dim)
+    del features._PROTOTYPES[other]
+    batch = features._class_prototypes(other, np.arange(NUM_CLASSES))
+    np.testing.assert_array_equal(one_by_one, batch)
+    assert not np.array_equal(one_by_one[3], extractors[0].class_prototype(3))
+    assert all(len(table) <= NUM_CLASSES for table in features._PROTOTYPES.values())
+    del features._PROTOTYPES[other]
+
+
 def test_noise_multiplier_spreads_features(small_table):
     sharp = FeatureExtractor(model_salt=1, noise_multiplier=0.1)
     blurry = FeatureExtractor(model_salt=1, noise_multiplier=3.0)

@@ -7,7 +7,7 @@ import repro.core.tuning as tuning_module
 from repro.cnn.features import FeatureExtractor
 from repro.cnn.specialize import SpecializedClassifier
 from repro.cnn.zoo import cheap_cnn, resnet152
-from repro.core.clustering import cluster_table
+from repro.core.clustering import cluster_table, feature_rows_needed
 from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
 from repro.core.ingest import simulate_pixel_diff
 from repro.core.metrics import (
@@ -249,11 +249,11 @@ class TestTunerEquivalenceOracle:
                 assert _key(got.choose(policy)) == _key(ref.choose(policy))
 
     def test_each_thing_is_paid_for_once(self, sample, monkeypatch):
-        calls = {"extract": 0, "gt_segments": 0}
+        calls = {"extracted_rows": 0, "gt_segments": 0}
         real_extract, real_gt = FeatureExtractor.extract, tuning_module.gt_segments
 
         def counting_extract(self, table):
-            calls["extract"] += 1
+            calls["extracted_rows"] += len(table)
             return real_extract(self, table)
 
         def counting_gt(table, class_id):
@@ -265,7 +265,10 @@ class TestTunerEquivalenceOracle:
         result = ParameterTuner(resnet152(), AccuracyTarget()).tune(sample)
         models_swept = {c.config.model.name for c in result.candidates}
         assert len(TunerSettings().t_grid) > 1
-        # features depend on the model, never on T; ground truth on the
+        # features depend on the model, never on T: each model extracts
+        # exactly the rows a fresh clusterer reads, once, however many
+        # block-sized calls that takes; ground truth depends on the
         # class, never on (model, K, T)
-        assert calls["extract"] == len(models_swept)
+        needed = int(feature_rows_needed(sample.track_id, simulate_pixel_diff(sample)).sum())
+        assert calls["extracted_rows"] == len(models_swept) * needed
         assert calls["gt_segments"] == len(result.dominant_classes)

@@ -518,9 +518,10 @@ class TestShmDataPlane:
 
 
 class TestConfigs:
-    """A config on the wire is its parameters: the model's shared
-    ``FeatureExtractor`` memo caches (prototypes, neighbours, track
-    profiles) are rebuilt on demand by whoever receives it."""
+    """A config on the wire is its parameters: the model's
+    ``FeatureExtractor`` memo caches (neighbours, track profiles) are
+    rebuilt on demand by whoever receives it, and class prototypes are
+    a process-wide table that never travels."""
 
     @staticmethod
     def _config():
@@ -537,11 +538,11 @@ class TestConfigs:
         table = table_factory("auburn_c", 20.0, 10.0)
         StreamIngestor(config, table.stream, fps=table.fps).push(table)
         extractor = config.model.feature_extractor()
-        assert extractor._track_cache and extractor._proto_known.any()
+        assert extractor._track_cache and extractor._neighbour_cache
         warm = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(warm) == fresh
         received = pickle.loads(warm).model.feature_extractor()
-        assert received._proto_matrix is None and not received._track_cache
+        assert not received._track_cache and not received._neighbour_cache
         assert np.array_equal(received.extract(table), extractor.extract(table))
 
     @pytest.mark.parametrize("specialized", [False, True])
