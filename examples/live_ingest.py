@@ -23,7 +23,7 @@ plays one camera's day back as a stream of 30-second chunks:
 Run:  python examples/live_ingest.py
 """
 
-from repro import DocumentStore, FocusSystem, generate_observations
+from repro import DocumentStore, FocusSystem, generate_observations, grade
 
 CAMERA = "auburn_c"
 DAY_SECONDS = 300.0
@@ -53,6 +53,7 @@ def main():
 
         # mid-ingest query at the current watermark
         answer = system.query(CAMERA, "car")
+        accuracy = grade(answer, {CAMERA: handle.table})  # offline evaluator
         fan = system.query_all("car")
         system.checkpoint(store)
         print(
@@ -65,8 +66,8 @@ def main():
                 len(report.new_clusters),
                 len(report.grown_clusters),
                 len(answer.frames),
-                answer.precision,
-                answer.recall,
+                accuracy.precision,
+                accuracy.recall,
                 fan.cache_hits,
             )
         )

@@ -12,11 +12,13 @@ This is the 60-second tour of the Focus reproduction:
    top-K index.
 3. Query for "car": Focus looks up matching clusters, verifies only
    their centroids with the GT-CNN, and returns the frames.
+4. Grade each answer offline against the GT labels (``grade``): the
+   serving path returns frames and cost, never its own accuracy.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import FocusSystem
+from repro import FocusSystem, grade
 
 STREAM = "auburn_c"  # a commercial-area intersection (Table 1)
 
@@ -41,6 +43,7 @@ def main():
     top_classes = [class_name(c) for c in handle.table.dominant_classes()[:3]]
     for query_class in top_classes:
         answer = system.query(STREAM, query_class)
+        accuracy = grade(answer, {STREAM: handle.table})
         print(
             "query %-10s -> %5d frames, %3d GT-CNN verifications, "
             "latency %.2f s on %d GPUs (precision %.2f, recall %.2f)"
@@ -50,8 +53,8 @@ def main():
                 answer.gt_inferences,
                 answer.latency_seconds,
                 system.cluster.num_gpus,
-                answer.precision,
-                answer.recall,
+                accuracy.precision,
+                accuracy.recall,
             )
         )
 

@@ -19,7 +19,7 @@ Run:  python examples/surveillance_review.py
 
 import numpy as np
 
-from repro import FocusSystem, Policy
+from repro import FocusSystem, Policy, grade
 from repro.core.index import TopKIndex
 from repro.storage.docstore import DocumentStore
 from repro.video.classes import class_name
@@ -58,14 +58,15 @@ def main():
         % (rare_stream, class_name(rare_class), histogram[rare_class])
     )
     answer = system.query(rare_stream, rare_class)
+    accuracy = grade(answer, {rare_stream: system.handle(rare_stream).table})
     print(
         "  routed via OTHER bucket -> %d candidate clusters verified, "
         "%d frames returned (precision %.2f, recall %.2f)"
         % (
             answer.gt_inferences,
             len(answer.frames),
-            answer.precision,
-            answer.recall,
+            accuracy.precision,
+            accuracy.recall,
         )
     )
 

@@ -82,6 +82,7 @@ _FAILOVER = (
 _SCALAR = "stays: the scalar reference tests compare the batched draw against"
 _WORKER_MIGRATION = "stays: migration over a worker leg, which no consumer performs"
 _EVAL = "stays: figure-harness helper, decided when eval/ is reworked"
+_FLEET_GRADE = "stays: the cross-stream grade (evidence-weighted fleet precision and recall) the grade tests pin"
 
 #: ``module:qualname`` pattern -> the decision for a function no
 #: consumer reaches (first match wins).  Protocol stubs and ``__repr__``
@@ -134,6 +135,8 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("core/clustering.py:ClusterSummary.num_observations", "stays: the row count a clustering covers (a summary has no `len`)"),
     ("core/costmodel.py:GPULedger.*", "stays: the ledger's per-category totals, merge and reset, which the cost tests audit"),
     ("core/metrics.py:SegmentMetrics.f1", "stays: accuracy summary (F1) the metrics tests check"),
+    ("core/metrics.py:Grade.aggregate", _FLEET_GRADE),
+    ("core/metrics.py:_weighted", _FLEET_GRADE),
     ("core/metrics.py:StreamAccuracy.min_*", "stays: worst-class accuracy the metrics tests check"),
     ("core/query.py:QueryResult.latency_seconds", "stays: an engine answer's GPU-time latency on N GPUs (Section 6.1)"),
     ("core/streaming.py:StreamIngestor.clusters", "stays: the session's clustering, which the live-equals-one-shot tests compare"),
@@ -144,7 +147,7 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("obs/trace.py:*", "stays: span inspection and JSONL dump / load (docs/OBSERVABILITY.md, scripts/trace_export.py)"),
     ("serve/cache.py:*", "stays: verdict-cache inspection and eviction bookkeeping the cache tests drive"),
     ("serve/frontdoor.py:*", "stays: front-door surface documented in docs/QOS.md"),
-    ("serve/service.py:MultiStreamAnswer.*", "stays: answer accessors (the degraded marker, fleet precision and recall)"),
+    ("serve/service.py:MultiStreamAnswer.*", "stays: answer accessors (the degraded marker)"),
     ("storage/docstore.py:Collection.*", "stays: `StoredCollection` surface and index inspection"),
     ("video/profiles.py:stream_names", "stays: lists the Table 1 streams (exported from `repro.video`)"),
     ("video/synthesis.py:SceneGenerator.distribution", "stays: synthesis accessors the Section 2.2 statistics tests read"),

@@ -10,12 +10,13 @@ user-specified precision/recall targets.
 
 Quick start::
 
-    from repro import FocusSystem
+    from repro import FocusSystem, grade
 
     system = FocusSystem()
-    system.ingest_stream("auburn_c", duration_s=300)
+    handle = system.ingest_stream("auburn_c", duration_s=300)
     answer = system.query("auburn_c", "car")
-    print(answer.frames, answer.precision, answer.recall)
+    accuracy = grade(answer, {"auburn_c": handle.table})  # offline, vs GT labels
+    print(answer.frames, accuracy.precision, accuracy.recall)
 
 See README.md for the tour and docs/ARCHITECTURE.md for the
 module-by-module mapping to the paper's sections and figures.
@@ -25,6 +26,7 @@ from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
 from repro.core.streaming import ChunkReport, StreamIngestor
 from repro.core.system import FocusSystem, QueryAnswer, StreamHandle
 from repro.core.costmodel import CostCategory, GPULedger
+from repro.core.metrics import Grade, grade
 from repro.baselines import IngestAllBaseline, QueryAllBaseline
 from repro.fabric import (
     FabricRouter,
@@ -63,6 +65,8 @@ __all__ = [
     "StreamIngestor",
     "CostCategory",
     "GPULedger",
+    "Grade",
+    "grade",
     "IngestAllBaseline",
     "QueryAllBaseline",
     "MultiStreamAnswer",

@@ -4,13 +4,14 @@ The paper's ground-truth criterion (Section 6.1): a class is *present*
 in a one-second segment if the GT-CNN reports it in at least 50% of the
 frames of that segment -- smoothing out frame-level flicker.  Precision
 and recall are computed between the query's returned segments and the
-ground-truth segments under the same criterion.
+ground-truth segments under the same criterion.  :func:`grade` is the
+one evaluator of served answers: serving never reads the truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -82,14 +83,7 @@ def segment_metrics(
     table: ObservationTable, class_id: int, returned_rows: np.ndarray
 ) -> SegmentMetrics:
     """Compare a query's returned rows against ground truth."""
-    truth = gt_segments(table, class_id)
-    reported = result_segments(table, returned_rows)
-    return SegmentMetrics(
-        class_id=class_id,
-        true_segments=len(truth),
-        returned_segments=len(reported),
-        correct_segments=len(truth & reported),
-    )
+    return segment_metrics_in_range(table, class_id, returned_rows)
 
 
 def segment_metrics_in_range(
@@ -97,18 +91,14 @@ def segment_metrics_in_range(
     class_id: int,
     returned_rows: np.ndarray,
     time_range: Optional[tuple] = None,
-    truth: Optional[Set[int]] = None,
 ) -> SegmentMetrics:
     """Like :func:`segment_metrics`, with ground truth restricted to a
     [start, end) window when ``time_range`` is given.
 
     The returned rows are expected to already be window-filtered (the
-    query engine drops out-of-range rows in QT4).  ``truth`` is
-    ``gt_segments(table, class_id)`` when the caller already holds it
-    (:meth:`repro.core.query.QueryEngine.metrics` does); it is only read.
+    query engine drops out-of-range rows in QT4).
     """
-    if truth is None:
-        truth = gt_segments(table, class_id)
+    truth = gt_segments(table, class_id)
     if time_range is not None:
         start, end = time_range
         truth = {s for s in truth if start <= s < end}
@@ -118,6 +108,71 @@ def segment_metrics_in_range(
         true_segments=len(truth),
         returned_segments=len(reported),
         correct_segments=len(truth & reported),
+    )
+
+
+@dataclass(frozen=True)
+class Grade:
+    """An answer's accuracy: one :class:`SegmentMetrics` per stream and
+    their aggregate precision and recall."""
+
+    per_stream: Dict[str, SegmentMetrics]
+    precision: float
+    recall: float
+
+    @classmethod
+    def aggregate(cls, per_stream: Dict[str, SegmentMetrics]) -> "Grade":
+        """A cross-stream grade: each value weighted by its evidence
+        (returned segments for precision, true segments for recall)."""
+        scored = list(per_stream.values())
+        return cls(
+            per_stream,
+            _weighted(scored, lambda m: m.precision, lambda m: m.returned_segments),
+            _weighted(scored, lambda m: m.recall, lambda m: m.true_segments),
+        )
+
+
+def _weighted(scored: Sequence[SegmentMetrics], value_fn, weight_fn) -> float:
+    if not scored:
+        return float("nan")
+    # streams where the class is absent report a vacuous 1.0 and must
+    # not dilute the aggregate, so zero-weight metrics are excluded --
+    # unless every stream is evidence-free, in which case the answer is
+    # vacuous everywhere and the plain mean (1.0) is the honest value
+    weights = [weight_fn(m) for m in scored]
+    total = sum(weights)
+    if total == 0:
+        return sum(value_fn(m) for m in scored) / len(scored)
+    return sum(value_fn(m) * w for m, w in zip(scored, weights)) / total
+
+
+def grade(
+    answer,
+    tables: Mapping[str, ObservationTable],
+    time_range: Optional[tuple] = None,
+) -> Grade:
+    """Grade a served answer against the ground truth in ``tables``.
+
+    Serving returns frames and cost; accuracy is the evaluator's, the
+    way the paper measures it offline against GT-CNN labels (Section
+    6.1).  ``answer`` is a single-stream ``QueryAnswer`` (its grade is
+    its stream's) or a cross-stream ``MultiStreamAnswer``; ``tables``
+    maps each answered stream to its observation table and
+    ``time_range`` is the window the query asked for.
+    """
+    slices = getattr(answer, "slices", None)
+    if slices is None:
+        m = segment_metrics_in_range(
+            tables[answer.stream], answer.class_id, answer.result.returned_rows, time_range
+        )
+        return Grade({answer.stream: m}, m.precision, m.recall)
+    return Grade.aggregate(
+        {
+            stream: segment_metrics_in_range(
+                tables[stream], answer.class_id, result.returned_rows, time_range
+            )
+            for stream, result in slices.items()
+        }
     )
 
 

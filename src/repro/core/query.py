@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.cnn.model import ClassifierModel
 from repro.cnn.specialize import SpecializedClassifier
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import IndexReader
-from repro.core.metrics import SegmentMetrics, gt_segments, segment_metrics_in_range
 from repro.video.classes import NUM_CLASSES, class_id as class_id_of
 from repro.video.synthesis import ObservationTable
 
@@ -60,6 +59,10 @@ class QueryResult:
     gt_inferences: int
     gpu_seconds: float
 
+    @property
+    def frames(self) -> np.ndarray:
+        return self.returned_frames
+
     def latency_seconds(self, num_gpus: int = 1) -> float:
         """Wall-clock latency on a cluster of ``num_gpus`` GPUs.
 
@@ -88,7 +91,7 @@ class QueryEngine:
         persisted index, in which case ``query_token_fn`` supplies the
         class -> index-token mapping (identity for generic models, the
         head/OTHER mapping for specialized ones)."""
-        if not gt_model.is_ground_truth:
+        if gt_model.dispersion != 0:
             raise ValueError("gt_model must be a ground-truth model (dispersion 0)")
         if ingest_model is None and query_token_fn is None:
             raise ValueError("an engine without an ingest_model needs query_token_fn")
@@ -98,10 +101,6 @@ class QueryEngine:
         self.gt_model = gt_model
         self.ledger = ledger or GPULedger()
         self._query_token_fn = query_token_fn
-        #: ground-truth segments per class over ``table``, valid while
-        #: the table has ``_truth_rows`` rows (tables only ever grow)
-        self._truth: Dict[int, Set[int]] = {}
-        self._truth_rows = -1
 
     def _token_for(self, class_id: int) -> int:
         if self._query_token_fn is not None:
@@ -151,28 +150,6 @@ class QueryEngine:
             rows = rows[(times >= start) & (times < end)]
         frames = np.unique(self.table.frame_idx[rows])
         return rows, frames
-
-    def metrics(
-        self,
-        class_id: int,
-        returned_rows: np.ndarray,
-        time_range: Optional[Tuple[float, float]] = None,
-    ) -> SegmentMetrics:
-        """Segment accuracy of an answer's rows against ground truth.
-
-        The class's ground-truth segments are a scan of the whole table;
-        they are computed on the first answer for a class and held until
-        the table grows.
-        """
-        table = self.table
-        if len(table) != self._truth_rows:
-            self._truth, self._truth_rows = {}, len(table)
-        truth = self._truth.get(class_id)
-        if truth is None:
-            truth = self._truth[class_id] = gt_segments(table, class_id)
-        return segment_metrics_in_range(
-            table, class_id, returned_rows, time_range, truth=truth
-        )
 
     def query(
         self,

@@ -23,7 +23,6 @@ from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import TopKIndex, stored_streams
 from repro.core.ingest import IngestPipeline, IngestResult
-from repro.core.metrics import SegmentMetrics
 from repro.core.query import QueryEngine, QueryResult, resolve_query
 from repro.core.streaming import ChunkReport, StreamIngestor
 from repro.core.tuning import ParameterTuner, TuningResult
@@ -40,7 +39,10 @@ from repro.video.synthesis import ObservationTable, generate_observations
 
 @dataclass
 class QueryAnswer:
-    """A user-facing query answer with accuracy and latency attached."""
+    """A user-facing single-stream answer: frames, latency and GT cost.
+
+    Accuracy is the evaluator's: :func:`repro.core.metrics.grade`.
+    """
 
     stream: str
     class_id: int
@@ -48,16 +50,7 @@ class QueryAnswer:
     frames: np.ndarray
     latency_seconds: float
     gt_inferences: int
-    metrics: SegmentMetrics
     result: QueryResult
-
-    @property
-    def precision(self) -> float:
-        return self.metrics.precision
-
-    @property
-    def recall(self) -> float:
-        return self.metrics.recall
 
 
 @dataclass
@@ -433,7 +426,6 @@ class FocusSystem:
         handle = self.handle(stream)
         cid = resolve_query(clazz, time_range)
         result = handle.engine.query(cid, kx=kx, time_range=time_range)
-        metrics = handle.engine.metrics(cid, result.returned_rows, time_range)
         latency = self.coordinator.latency(self.gt_model, result.gt_inferences)
         return QueryAnswer(
             stream=stream,
@@ -442,7 +434,6 @@ class FocusSystem:
             frames=result.returned_frames,
             latency_seconds=latency,
             gt_inferences=result.gt_inferences,
-            metrics=metrics,
             result=result,
         )
 

@@ -22,6 +22,7 @@ from repro.baselines.ingest_all import IngestAllBaseline
 from repro.baselines.query_all import QueryAllBaseline
 from repro.cnn.zoo import resnet152
 from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
+from repro.core.metrics import grade
 from repro.core.system import FocusSystem
 from repro.core.tuning import CandidateConfig
 from repro.eval.workloads import dominant_class_workload
@@ -157,8 +158,9 @@ def run_stream(
         baseline = query_all.query(stream, int(cls))
         per_class[int(cls)] = answer.result.gpu_seconds
         qall.append(baseline.gpu_seconds)
-        precisions.append(answer.precision)
-        recalls.append(answer.recall)
+        accuracy = grade(answer, {stream: table})
+        precisions.append(accuracy.precision)
+        recalls.append(accuracy.recall)
 
     tuning = handle.tuning
     policy_points = {

@@ -18,8 +18,8 @@ method, written once on :class:`~repro.fabric.shard.ShardNode`:
 4. ``target.import_stream`` installs the staging store and recovers
    the session from it.  The PR-4 recovery contract makes the resumed
    session bit-identical to one that never moved, in both index modes
-   -- so query answers (frames *and* segment metrics) are unchanged by
-   the move, and ingest resumes on the target with the next
+   -- so query answers (frames and candidates) are unchanged by the
+   move, and ingest resumes on the target with the next
    ``append``.  A failure here wipes the copy and leaves the source
    serving.
 5. ``source.finish_migration`` fences the source lineage and releases

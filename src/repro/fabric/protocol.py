@@ -64,8 +64,10 @@ from repro.obs.metrics import register_counters
 #: pickled triple / a bare epoch; v7: ``ingest_stream`` and the
 #: ``source`` codec are gone; v8: every payload -- a request's keyword
 #: arguments, a reply's value, a store delta -- is one protocol-5 pickle
-#: whose stream and out-of-band buffers are its parts; no kind tags)
-PROTOCOL_VERSION = 8
+#: whose stream and out-of-band buffers are its parts; no kind tags;
+#: v9: answers carry no accuracy grade -- ``QueryAnswer.metrics`` is
+#: gone and a ``MultiStreamAnswer`` slice is a bare ``QueryResult``)
+PROTOCOL_VERSION = 9
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;

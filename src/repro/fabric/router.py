@@ -27,8 +27,8 @@ loop).  Two kinds of leg, in any mix:
 a view over one gather of the legs' ``counters()`` documents: one call,
 and over a worker leg one wire op, per shard.
 
-**Bit-identity.**  A stream's plan, verification verdicts, returned
-frames, and segment metrics are pure functions of that stream's own
+**Bit-identity.**  A stream's plan, verification verdicts and returned
+frames are pure functions of that stream's own
 state -- sibling streams only share verification *batching*, which
 changes counters and latency, never verdicts.  A fabric answer's
 per-stream slices are therefore bit-identical to a single-node

@@ -6,7 +6,7 @@ engine into a service: a planner fans cross-stream queries into
 per-shard index lookups, a batch scheduler coalesces concurrent
 queries' centroid verification (dedup + LRU verdict cache + fixed-size
 GPU batches) onto the cluster's per-device work queues, and the service
-facade assembles per-stream answers with accuracy metrics and serving
+facade assembles per-stream answers (frames and cost) and serving
 counters.
 """
 
@@ -24,7 +24,6 @@ from repro.serve.service import (
     DegradedScope,
     MultiStreamAnswer,
     QueryService,
-    StreamSlice,
     merge_counters,
 )
 
@@ -45,5 +44,4 @@ __all__ = [
     "VerificationReport",
     "MultiStreamAnswer",
     "QueryService",
-    "StreamSlice",
 ]

@@ -3,8 +3,9 @@
 Ties the serving layers together: the planner fans each query out into
 per-stream shard plans, the batch scheduler coalesces all in-flight
 shards' centroids into deduplicated, cached, GPU-batched verification
-work, and the service assembles per-stream answers with accuracy
-metrics.  ``query_batch`` is the multi-tenant entry point -- every
+work, and the service assembles per-stream answers: frames and cost.
+Accuracy is graded offline (:func:`repro.core.metrics.grade`), never
+here.  ``query_batch`` is the multi-tenant entry point -- every
 request in the batch shares one verification round, so concurrent
 queries over overlapping video pay for the GT-CNN once.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.cnn.model import ClassifierModel
 from repro.core.costmodel import GPULedger
-from repro.core.metrics import SegmentMetrics
 from repro.core.query import QueryEngine, QueryResult
 from repro.obs.metrics import MetricsRegistry, counter_kinds, register_counters
 from repro.obs.trace import get_tracer, span
@@ -122,19 +122,6 @@ class StreamCheckpoint:
         return self.landed
 
 
-@dataclass
-class StreamSlice:
-    """One stream's portion of a cross-stream answer."""
-
-    stream: str
-    result: QueryResult
-    metrics: Optional[SegmentMetrics]
-
-    @property
-    def frames(self) -> np.ndarray:
-        return self.result.returned_frames
-
-
 @dataclass(frozen=True)
 class DegradedScope:
     """What a partial answer is missing (see ``docs/RESILIENCE.md``).
@@ -169,7 +156,7 @@ class MultiStreamAnswer:
 
     class_id: int
     class_name: str
-    slices: Dict[str, StreamSlice]
+    slices: Dict[str, QueryResult]
     latency_seconds: float
     gt_inferences: int
     candidates: int
@@ -189,30 +176,7 @@ class MultiStreamAnswer:
 
     @property
     def total_frames(self) -> int:
-        return sum(len(s.frames) for s in self.slices.values())
-
-    @property
-    def precision(self) -> float:
-        return self._aggregate(lambda m: m.precision, lambda m: m.returned_segments)
-
-    @property
-    def recall(self) -> float:
-        return self._aggregate(lambda m: m.recall, lambda m: m.true_segments)
-
-    def _aggregate(self, value_fn, weight_fn) -> float:
-        scored = [s.metrics for s in self.slices.values() if s.metrics is not None]
-        if not scored:
-            return float("nan")
-        # weight by evidence (true/returned segments); streams where the
-        # class is absent report a vacuous 1.0 and must not dilute the
-        # aggregate, so zero-weight metrics are excluded -- unless every
-        # stream is evidence-free, in which case the answer is vacuous
-        # everywhere and the plain mean (1.0) is the honest value
-        weights = [weight_fn(m) for m in scored]
-        total = sum(weights)
-        if total == 0:
-            return sum(value_fn(m) for m in scored) / len(scored)
-        return sum(value_fn(m) * w for m, w in zip(scored, weights)) / total
+        return sum(len(r.frames) for r in self.slices.values())
 
 
 class QueryService:
@@ -297,7 +261,7 @@ class QueryService:
         self, plan: QueryPlan, report: VerificationReport, charged: set
     ) -> MultiStreamAnswer:
         """QT4 per shard, with verdicts from the shared round."""
-        slices: Dict[str, StreamSlice] = {}
+        slices: Dict[str, QueryResult] = {}
         per_inference = self.gt_model.cost_seconds(1)
         plan_fresh = 0
         for shard in plan.shards:
@@ -315,7 +279,7 @@ class QueryService:
             ]
             charged.update(shard_fresh)
             plan_fresh += len(shard_fresh)
-            result = QueryResult(
+            slices[shard.stream] = QueryResult(
                 class_id=plan.class_id,
                 token=shard.token,
                 candidate_clusters=shard.candidates,
@@ -324,14 +288,6 @@ class QueryService:
                 returned_frames=frames,
                 gt_inferences=len(shard_fresh),
                 gpu_seconds=len(shard_fresh) * per_inference,
-            )
-            metrics = (
-                shard.engine.metrics(plan.class_id, rows, shard.time_range)
-                if shard.engine.table is not None
-                else None
-            )
-            slices[shard.stream] = StreamSlice(
-                stream=shard.stream, result=result, metrics=metrics
             )
         return MultiStreamAnswer(
             class_id=plan.class_id,

@@ -79,8 +79,8 @@ class TestFocusSystem:
         by_id = system.query("lausanne", cls)
         assert by_id.class_id == cls
         assert by_id.class_name
-        assert 0 <= by_id.precision <= 1
-        assert 0 <= by_id.recall <= 1
+        by_name = system.query("lausanne", by_id.class_name)
+        np.testing.assert_array_equal(by_id.frames, by_name.frames)
 
     def test_query_with_time_range(self, system):
         handle = system.handle("lausanne")

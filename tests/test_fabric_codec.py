@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import SegmentMetrics
 from repro.core.query import QueryResult
 from repro.core.streaming import ChunkReport
 from repro.core.system import QueryAnswer
@@ -35,7 +34,7 @@ from repro.fabric.protocol import (
     raise_remote,
 )
 from repro.serve.planner import QueryRequest
-from repro.serve.service import MultiStreamAnswer, StreamCheckpoint, StreamSlice
+from repro.serve.service import MultiStreamAnswer, StreamCheckpoint
 from repro.storage.docstore import DocumentStore
 from repro.storage.journal import StaleEpochError
 from repro.video.synthesis import ObservationTable
@@ -171,17 +170,6 @@ def random_result(rng):
     )
 
 
-def random_metrics(rng):
-    true, returned = (int(n) for n in rng.integers(0, 20, 2))
-    return SegmentMetrics(
-        int(rng.integers(0, 50)), true, returned, int(rng.integers(0, min(true, returned) + 1))
-    )
-
-
-def maybe_metrics(rng):
-    return None if rng.random() < 0.25 else random_metrics(rng)
-
-
 def random_array(rng):
     dtype = rng.choice(["int64", "int32", "float64", "float32", "bool"])
     shape = tuple(int(n) for n in rng.integers(0, 6, rng.integers(1, 3)))
@@ -203,14 +191,13 @@ def random_answer(rng):
     return QueryAnswer(
         "s%d" % rng.integers(0, 9), int(rng.integers(0, 50)), "class-%d" % rng.integers(0, 9),
         rng.integers(0, 3_000, rng.integers(0, 40)), float(rng.random()),
-        int(rng.integers(0, 100)), maybe_metrics(rng), random_result(rng),
+        int(rng.integers(0, 100)), random_result(rng),
     )
 
 
 def random_multi_answer(rng):
     slices = {
-        "s%d" % i: StreamSlice("s%d" % i, random_result(rng), maybe_metrics(rng))
-        for i in range(int(rng.integers(1, 5)))
+        "s%d" % i: random_result(rng) for i in range(int(rng.integers(1, 5)))
     }
     counts = (int(n) for n in rng.integers(0, 200, 4))
     return MultiStreamAnswer(
@@ -266,7 +253,6 @@ SAMPLES = {
     DocumentStore: random_store,
     QueryRequest: random_request,
     QueryResult: random_result,
-    SegmentMetrics: random_metrics,
     QueryAnswer: random_answer,
     MultiStreamAnswer: random_multi_answer,
     ChunkReport: random_report,
@@ -375,6 +361,14 @@ def test_typed_decoders_refuse_another_type(table_factory):
     table = table_factory("auburn_c", 20.0, 10.0)
     with pytest.raises(CodecError, match="expected a MultiStreamAnswer"):
         codec.decode_multi_answer(codec.encode_table(table))
+
+
+def test_answers_cross_without_a_grade():
+    """Accuracy is the evaluator's: no answer pickles a segment grade."""
+    rng = np.random.default_rng(0)
+    for answer in (random_answer(rng), random_multi_answer(rng)):
+        stream = codec.encode(answer)["parts"][0]
+        assert b"repro.core.metrics" not in stream
 
 
 class TestErrorEnvelopes:

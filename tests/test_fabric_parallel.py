@@ -61,7 +61,6 @@ def assert_answers_equal(left, right):
     assert left.class_name == right.class_name
     np.testing.assert_array_equal(left.frames, right.frames)
     assert left.gt_inferences == right.gt_inferences
-    assert left.metrics == right.metrics
     np.testing.assert_array_equal(
         left.result.returned_rows, right.result.returned_rows
     )

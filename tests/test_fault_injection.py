@@ -578,7 +578,6 @@ class TestWorkerChaosDrills:
             answer = client.query(stream, 1)
 
         np.testing.assert_array_equal(answer.frames, ref_answer.frames)
-        assert answer.metrics == ref_answer.metrics
         np.testing.assert_array_equal(
             answer.result.returned_rows, ref_answer.result.returned_rows
         )
@@ -608,7 +607,9 @@ class TestWorkerChaosDrills:
             answer = client.query(stream, 1)
 
         np.testing.assert_array_equal(answer.frames, ref_answer.frames)
-        assert answer.metrics == ref_answer.metrics
+        np.testing.assert_array_equal(
+            answer.result.returned_rows, ref_answer.result.returned_rows
+        )
 
     def test_repeated_crashes_converge(self, stream_setup):
         """Crash after *every* chunk: N crash/restart cycles still end
@@ -634,7 +635,9 @@ class TestWorkerChaosDrills:
             answer = client.query(stream, 1)
 
         np.testing.assert_array_equal(answer.frames, ref_answer.frames)
-        assert answer.metrics == ref_answer.metrics
+        np.testing.assert_array_equal(
+            answer.result.returned_rows, ref_answer.result.returned_rows
+        )
 
 
 class TestDataPlaneReclamation:

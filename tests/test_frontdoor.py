@@ -331,7 +331,9 @@ def assert_same_answer(left, right):
         np.testing.assert_array_equal(
             left.slices[name].frames, right.slices[name].frames
         )
-        assert left.slices[name].metrics == right.slices[name].metrics
+        np.testing.assert_array_equal(
+            left.slices[name].returned_rows, right.slices[name].returned_rows
+        )
     assert left.gt_inferences == right.gt_inferences
     assert left.candidates == right.candidates
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cnn.zoo import resnet152
 from repro.core.costmodel import CostCategory, GPULedger
+from repro.core.metrics import grade
 from repro.core.system import FocusSystem
 from repro.sched.cluster import GPUCluster, QueryCoordinator, WorkItem
 from repro.serve.cache import VerificationCache
@@ -225,16 +226,19 @@ class TestTimeRangeMetrics:
         windowed = service_system.query("auburn_c", cls, time_range=(0.0, 30.0))
         if len(windowed.frames):
             assert (handle.table.time_s[windowed.result.returned_rows] < 30.0).all()
-        assert windowed.metrics.true_segments <= full.metrics.true_segments
+        tables = {"auburn_c": handle.table}
+        graded = grade(windowed, tables, time_range=(0.0, 30.0))
+        whole = grade(full, tables)
+        assert graded.per_stream["auburn_c"].true_segments <= whole.per_stream["auburn_c"].true_segments
         # truth restricted to the window keeps recall well-defined
-        assert 0.0 <= windowed.recall <= 1.0
-        assert 0.0 <= windowed.precision <= 1.0
+        assert 0.0 <= graded.recall <= 1.0
+        assert 0.0 <= graded.precision <= 1.0
 
     def test_query_all_time_range(self, service_system):
         answer = service_system.query_all("car", time_range=(0.0, 30.0))
         for stream in SERVICE_STREAMS:
             handle = service_system.handle(stream)
-            rows = answer.slices[stream].result.returned_rows
+            rows = answer.slices[stream].returned_rows
             if len(rows):
                 assert (handle.table.time_s[rows] < 30.0).all()
 
@@ -342,52 +346,6 @@ class TestClusterWorkQueues:
         assert len(cluster.queues[0]) == 10
         # busy-time accounting is unaffected by trimming
         assert cluster.total_busy_seconds == pytest.approx(4.0)
-
-
-class TestAnswerAggregation:
-    """Cross-stream precision/recall weight by evidence, not presence."""
-
-    @staticmethod
-    def _answer(metrics_by_stream):
-        from repro.core.metrics import SegmentMetrics
-        from repro.core.query import QueryResult
-        from repro.serve.service import MultiStreamAnswer, StreamSlice
-        import numpy as np
-
-        empty = np.zeros(0, dtype=np.int64)
-        slices = {}
-        for name, (true_n, ret_n, correct_n) in metrics_by_stream.items():
-            metrics = SegmentMetrics(
-                class_id=0, true_segments=true_n,
-                returned_segments=ret_n, correct_segments=correct_n,
-            )
-            result = QueryResult(
-                class_id=0, token=0, candidate_clusters=[],
-                matched_clusters=[], returned_rows=empty,
-                returned_frames=empty, gt_inferences=0, gpu_seconds=0.0,
-            )
-            slices[name] = StreamSlice(stream=name, result=result, metrics=metrics)
-        return MultiStreamAnswer(
-            class_id=0, class_name="x", slices=slices, latency_seconds=0.0,
-            gt_inferences=0, candidates=0, cache_hits=0, duplicates_coalesced=0,
-        )
-
-    def test_absent_streams_do_not_dilute_recall(self):
-        # one stream has the class (recall 0.5); nine report a vacuous
-        # 1.0 with zero ground-truth segments
-        streams = {"s0": (2, 1, 1)}
-        streams.update({"s%d" % i: (0, 0, 0) for i in range(1, 10)})
-        answer = self._answer(streams)
-        assert answer.recall == pytest.approx(0.5)
-
-    def test_all_vacuous_is_vacuous(self):
-        answer = self._answer({"a": (0, 0, 0), "b": (0, 0, 0)})
-        assert answer.recall == 1.0
-        assert answer.precision == 1.0
-
-    def test_weighted_by_evidence(self):
-        answer = self._answer({"a": (8, 8, 8), "b": (2, 2, 0)})
-        assert answer.recall == pytest.approx(0.8)
 
 
 class _StubIndex:
