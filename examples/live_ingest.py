@@ -5,9 +5,10 @@ Focus targets live deployments (Sections 3, 6.3): ingest runs
 continuously on each feed and queries arrive at any time.  This example
 plays one camera's day back as a stream of 30-second chunks:
 
-1. Opens a live session with ``FocusSystem.open_stream`` (tuned on a
-   short recorded warmup window, the way a real deployment samples a
-   fresh camera).
+1. Opens a durable live session with ``FocusSystem.open_stream`` (tuned
+   on a short recorded warmup window, the way a real deployment samples
+   a fresh camera), write-ahead journaling every chunk into a document
+   store.
 2. A "camera loop" appends each chunk with ``FocusSystem.append``; the
    incremental clusterer and the top-K index absorb the delta in place,
    and the chunk's ingest-CNN batches land on the same GPU work queues
@@ -16,9 +17,10 @@ plays one camera's day back as a stream of 30-second chunks:
    at the current watermark -- answers cover everything ingested so
    far, and cached centroid verdicts keep serving because cluster
    growth never moves a centroid.
-4. Each chunk ends with an incremental checkpoint: only the clusters
-   added or grown since the last cursor are written, and a cold
-   ``FocusSystem.load_indexes`` resumes the session at its watermark.
+4. Each chunk ends with a durable checkpoint: only the rows ingested
+   since the last one are written, beside the clusterer's state, and a
+   cold ``FocusSystem.recover`` resumes the session at its watermark,
+   deriving the index from those rows.
 
 Run:  python examples/live_ingest.py
 """
@@ -37,14 +39,14 @@ def main():
     feed = generate_observations(CAMERA, DAY_SECONDS, FPS)
 
     system = FocusSystem()
+    store = DocumentStore()
     warmup = feed.scattered_sample(30.0)
-    handle = system.open_stream(CAMERA, fps=FPS, tune_on=warmup)
+    handle = system.open_stream(CAMERA, fps=FPS, tune_on=warmup, wal_store=store)
     print(
         "Opened live session on %s (tuned on a %d-observation warmup sample)"
         % (CAMERA, len(warmup))
     )
 
-    store = DocumentStore()
     t = 0.0
     while t < DAY_SECONDS:
         end = min(t + CHUNK_SECONDS, DAY_SECONDS)
@@ -84,9 +86,10 @@ def main():
     )
     print("Verdict cache: %s" % system.service.cache_stats())
 
-    # cold-start another service from the incremental checkpoints
+    # cold-start another service from the durable checkpoints; the tuned
+    # model is specialized (not in the zoo), so its config is passed in
     resumed = FocusSystem()
-    resumed.load_indexes(store, tables={CAMERA: handle.table})
+    resumed.recover(store, configs={CAMERA: handle.config})
     answer = resumed.query(CAMERA, "car")
     print(
         "Resumed from checkpoint store: %d 'car' frames at watermark "

@@ -119,8 +119,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("cnn/noise.py:ConfusionModel.sample_slots", _SCALAR),
     ("core/clustering.py:IncrementalClusterer.state_dict", "stays: the whole-state round trip the kernel-equivalence tests hop through"),
     # paths no consumer configures
-    ("core/index.py:_ClusterCheckpoints.adopt_lineage", "stays: recovery of a lazy-index stream; the durable workloads run materialized"),
-    ("core/index.py:stored_index_epoch", "stays: recovery of a lazy-index stream; the durable workloads run materialized"),
     ("core/index.py:TopKIndex.frames", "stays: `IndexReader` member (the lazy index's is the one consumers reach)"),
     ("core/index.py:TopKIndex.entries", "stays: iterates a materialized index's entries; the index tests audit them"),
     ("fabric/client.py:ShardClient.store", _WORKER_MIGRATION),

@@ -497,9 +497,6 @@ class IncrementalClusterer:
 
         ``assignments`` must cover every row seen.  Arrays may be packed
         strings or arrays (recovery passes ``assignments`` unpacked).
-        Checkpoints written before the batch kernel was deleted also
-        carry ``kernel``, ``recent_scans``, ``recent_rows`` and
-        ``active_kernel``; they are ignored.
         """
         self = cls(
             threshold=state["threshold"],

@@ -8,22 +8,23 @@ Layout per the paper (Section 3):
 
 Each cluster is indexed under the top-K classes of its centroid (seed)
 observation, *with rank positions*, so a query can dynamically restrict
-itself to a smaller Kx <= K at query time (Section 5).  The index can be
-persisted to the embedded document store, standing in for the paper's
-MongoDB deployment.
+itself to a smaller Kx <= K at query time (Section 5).  The index is a
+pure function of the rows, their cluster assignments and the clusterer's
+seeds, so a durable checkpoint never stores it: recovery derives it.  It
+can be exported to the embedded document store (``save_indexes``),
+standing in for the paper's MongoDB deployment.
 """
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple, runtime_checkable
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.cnn.model import ClassifierModel
 from repro.core.clustering import ClusterSummary, grouped_min_max
-from repro.storage.docstore import DocumentStore, IndexSink
+from repro.storage.docstore import CheckpointStore, DocumentStore
 from repro.video.synthesis import ObservationTable
 
 
@@ -71,14 +72,13 @@ class IndexReader(Protocol):
         time_range: Optional[Tuple[float, float]] = None,
     ) -> List[int]: ...
 
-    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None: ...
+    def to_docstore(self, store: CheckpointStore) -> None: ...
 
 
 def _cluster_doc(
     entry: ClusterEntry, member_rows: np.ndarray, frame_ids: np.ndarray
 ) -> Dict:
-    """The document one cluster persists as (shared by full rewrites and
-    incremental checkpoint deltas)."""
+    """The document one cluster is exported as."""
     return {
         "cluster_id": entry.cluster_id,
         "centroid_row": entry.centroid_row,
@@ -88,8 +88,8 @@ def _cluster_doc(
         "first_time_s": entry.first_time_s,
         "last_time_s": entry.last_time_s,
         # ndarray.tolist() converts to Python ints in C, instead of a
-        # per-element Python round-trip -- checkpoints serialize every
-        # member row of every dirty cluster
+        # per-element Python round-trip -- an export serializes every
+        # member row of every cluster
         "members": np.asarray(member_rows).tolist(),
         "frames": np.asarray(frame_ids).tolist(),
     }
@@ -107,113 +107,7 @@ def _entry_from_doc(doc: Dict) -> ClusterEntry:
     )
 
 
-class _ClusterCheckpoints:
-    """The checkpoint bookkeeping both index variants share: which
-    clusters are unpersisted, which lineage the persisted snapshot
-    belongs to, and the keyed writes that move one into the other."""
-
-    stream: str
-    model_name: str
-    k: int
-
-    def _start_lineage(self, dirty: Iterable[int] = ()) -> None:
-        #: clusters added or extended since the last docstore write
-        self._dirty: Set[int] = set(dirty)
-        #: lineage token persisted with the meta doc; incremental
-        #: checkpoints refuse to merge onto another lineage's snapshot
-        self._epoch = uuid.uuid4().hex
-
-    @property
-    def dirty_clusters(self) -> Set[int]:
-        """Cluster ids mutated since the last docstore write (read-only)."""
-        return set(self._dirty)
-
-    def adopt_lineage(self, epoch: str, clean: bool = True) -> None:
-        """Adopt a persisted snapshot's lineage token (crash recovery).
-
-        A recovered index rebuilt over a committed checkpoint must
-        checkpoint *onto* that snapshot rather than replace it
-        wholesale; adopting the stored epoch makes later incremental
-        deltas merge cleanly.  ``clean=True`` additionally marks the
-        current state as already persisted (it *is* the committed
-        snapshot) so only post-recovery mutations are dirty.
-        """
-        self._epoch = epoch
-        if clean:
-            self._dirty.clear()
-
-    def mark_dirty(self, cluster_ids: Iterable[int]) -> None:
-        """Re-flag clusters as unpersisted.
-
-        Incremental writes clear the dirty set as they stage documents;
-        a durable checkpoint whose atomic commit then *fails* must put
-        the flags back, or the next checkpoint would skip those
-        clusters and commit stale documents.
-        """
-        self._dirty.update(int(c) for c in cluster_ids)
-
-    def _write_meta(self, store: IndexSink) -> None:
-        store.collection("index-meta").upsert(
-            {"stream": self.stream},
-            {
-                "stream": self.stream,
-                "model": self.model_name,
-                "k": self.k,
-                "epoch": self._epoch,
-            },
-        )
-
-    def _write_delta(self, store: IndexSink, doc_of) -> None:
-        """Write only the dirty clusters of the index (checkpoint):
-        upsert ``doc_of(cid)`` for each; unchanged cluster documents
-        are untouched.
-
-        A delta is only sound on top of this index's own earlier
-        checkpoints.  The meta document records the index's ``epoch``
-        (a per-lineage token, carried across save/load), so a snapshot
-        written by any other session -- even one with the same model/K
-        and a compatible shape but a different clustering -- is
-        detected and replaced wholesale (``to_docstore(store)``).  The
-        same fallback covers a store that is missing clusters the delta
-        would not write (e.g. a fresh store after the dirty cursor was
-        already cleared by a checkpoint elsewhere), which would
-        otherwise end up partial.
-        """
-        meta_doc = store.collection("index-meta").find_one({"stream": self.stream})
-        clusters = store.collection("clusters:%s" % self.stream)
-        stale = (
-            (meta_doc is None and len(clusters) > 0)
-            or (
-                meta_doc is not None
-                and (
-                    meta_doc["model"] != self.model_name
-                    or meta_doc["k"] != self.k
-                    or meta_doc.get("epoch") != self._epoch
-                )
-            )
-            or len(clusters) > self.num_clusters
-        )
-        if not stale:
-            # the delta writes S_store ∪ dirty; that covers all clusters
-            # only if every non-dirty id is already stored
-            clusters.create_index("cluster_id")
-            stored_dirty = sum(
-                1 for cid in self._dirty if clusters.find_one({"cluster_id": cid})
-            )
-            stale = (
-                len(clusters) - stored_dirty + len(self._dirty) < self.num_clusters
-            )
-        if stale:
-            self.to_docstore(store)
-            return
-        if meta_doc is None:
-            self._write_meta(store)
-        for cid in sorted(self._dirty):
-            clusters.upsert({"cluster_id": cid}, doc_of(cid))
-        self._dirty.clear()
-
-
-class TopKIndex(_ClusterCheckpoints):
+class TopKIndex:
     """Class-token -> clusters mapping with per-entry rank positions."""
 
     def __init__(self, stream: str, model_name: str, k: int):
@@ -224,7 +118,6 @@ class TopKIndex(_ClusterCheckpoints):
         self._by_class: Dict[int, List[Tuple[int, int]]] = {}  # token -> [(cluster, pos)]
         self._members: Dict[int, np.ndarray] = {}
         self._frames: Dict[int, np.ndarray] = {}
-        self._start_lineage()
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -281,7 +174,6 @@ class TopKIndex(_ClusterCheckpoints):
         self._frames[entry.cluster_id] = np.asarray(frame_ids, dtype=np.int64)
         for pos, token in enumerate(entry.top_k, start=1):
             self._by_class.setdefault(int(token), []).append((entry.cluster_id, pos))
-        self._dirty.add(entry.cluster_id)
 
     def extend_cluster(
         self,
@@ -323,7 +215,6 @@ class TopKIndex(_ClusterCheckpoints):
             last_time_s=last,
         )
         self._clusters[cluster_id] = entry
-        self._dirty.add(cluster_id)
         return entry
 
     # -- reads ------------------------------------------------------------
@@ -387,42 +278,28 @@ class TopKIndex(_ClusterCheckpoints):
         return self._clusters.values()
 
     # -- persistence --------------------------------------------------------
-    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None:
-        """Persist the index into a document store (MongoDB stand-in).
-
-        ``incremental=False`` replaces the stream's previous snapshot
-        wholesale (upsert semantics); ``incremental=True`` is the live
-        checkpoint path: only clusters added or extended since the last
-        write are upserted, so unchanged cluster documents are never
-        rewritten and a long-lived stream checkpoints in O(delta).
-        """
-        if incremental:
-            self._write_delta(store, self._doc_of)
-            return
+    def to_docstore(self, store: CheckpointStore) -> None:
+        """Export the index into a document store (MongoDB stand-in),
+        replacing the stream's previous export wholesale."""
         store.drop("clusters:%s" % self.stream)
         clusters = store.collection("clusters:%s" % self.stream)
-        self._write_meta(store)
+        store.collection("index-meta").upsert(
+            {"stream": self.stream},
+            {"stream": self.stream, "model": self.model_name, "k": self.k},
+        )
         for cid in self._clusters:
-            clusters.insert_one(self._doc_of(cid))
+            clusters.insert_one(
+                _cluster_doc(self._clusters[cid], self._members[cid], self._frames[cid])
+            )
         clusters.create_index("cluster_id")
-        self._dirty.clear()
-
-    def _doc_of(self, cid: int) -> Dict:
-        return _cluster_doc(self._clusters[cid], self._members[cid], self._frames[cid])
 
     @classmethod
     def from_docstore(cls, store: DocumentStore, stream: str) -> "TopKIndex":
-        """Load a stream's persisted index -- whether it was written by a
-        full rewrite or grown through incremental checkpoints; documents
-        of both paths share one schema (:func:`_cluster_doc`)."""
+        """Load a stream's exported index (:meth:`to_docstore`)."""
         meta = store.collection("index-meta").find_one({"stream": stream})
         if meta is None:
             raise KeyError("no index for stream %r in store" % stream)
         index = cls(stream=stream, model_name=meta["model"], k=meta["k"])
-        if meta.get("epoch"):
-            # adopt the stored lineage so this handle's later incremental
-            # checkpoints merge cleanly onto the snapshot it came from
-            index._epoch = meta["epoch"]
         for doc in sorted(
             store.collection("clusters:%s" % stream).find(),
             key=lambda d: d["cluster_id"],
@@ -432,11 +309,10 @@ class TopKIndex(_ClusterCheckpoints):
                 np.asarray(doc["members"], dtype=np.int64),
                 np.asarray(doc["frames"], dtype=np.int64),
             )
-        index._dirty.clear()  # freshly loaded state is already persisted
         return index
 
 
-class LazyTopKIndex(_ClusterCheckpoints):
+class LazyTopKIndex:
     """Top-K index evaluated lazily per query token.
 
     Materializing explicit top-K lists costs O(clusters * K) at ingest;
@@ -456,7 +332,6 @@ class LazyTopKIndex(_ClusterCheckpoints):
         self.k = k
         self._model = model
         self._lookup_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._start_lineage(dirty=range(clusters.num_clusters))
         self._rebuild(table, clusters)
 
     def _rebuild(self, table, clusters: ClusterSummary) -> None:
@@ -482,14 +357,6 @@ class LazyTopKIndex(_ClusterCheckpoints):
         self._first_time, self._last_time = grouped_min_max(
             clusters.assignments, clusters.num_clusters, table.time_s
         )
-        # computed on demand, once per rebuild: entry materialization is
-        # per cluster and must not recompute the O(clusters) seed array
-        self._centroid_obs_seeds: Optional[np.ndarray] = None
-
-    def _centroid_seeds(self) -> np.ndarray:
-        if self._centroid_obs_seeds is None:
-            self._centroid_obs_seeds = self._centroid_table.observation_seeds()
-        return self._centroid_obs_seeds
 
     def refresh(
         self, table, clusters: ClusterSummary
@@ -522,8 +389,6 @@ class LazyTopKIndex(_ClusterCheckpoints):
         if new_ids:
             # a new centroid may belong to any token's top-K hit list
             self._lookup_cache.clear()
-        self._dirty.update(new_ids)
-        self._dirty.update(grown_ids)
         return new_ids, grown_ids
 
     @property
@@ -580,73 +445,29 @@ class LazyTopKIndex(_ClusterCheckpoints):
             out.append(int(cid))
         return out
 
-    def _materialize_entries(self, cluster_ids) -> List[ClusterEntry]:
-        """Explicit entries (top-K lists included) for many clusters.
+    def materialize(self) -> "TopKIndex":
+        """Write out an explicit :class:`TopKIndex` (e.g. for export).
 
-        The rank/slot draws for all requested centroids run as one
-        vectorized batch -- materialization and checkpoints call this
-        instead of a per-cluster scalar path."""
-        cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-        if not len(cluster_ids):
-            return []
-        obs_seeds = self._centroid_seeds()
-        pos = self._pos_of_cid[cluster_ids]
+        The rank/slot draws for every centroid run as one vectorized
+        batch instead of a per-cluster scalar path."""
+        explicit = TopKIndex(stream=self.stream, model_name=self.model_name, k=self.k)
+        centroids, pos = self._centroid_table, self._pos_of_cid
         top_ks = self._model.topk_lists(
-            obs_seeds[pos],
-            self._centroid_table.class_id[pos],
-            self._centroid_table.difficulty[pos],
+            centroids.observation_seeds()[pos],
+            centroids.class_id[pos],
+            centroids.difficulty[pos],
             self.k,
         )
-        return [
-            ClusterEntry(
-                cluster_id=int(cid),
-                centroid_row=int(self._clusters.seed_rows[cid]),
-                centroid_class=int(self._centroid_class[cid]),
-                top_k=tuple(top_ks[i]),
-                size=int(len(self._members[cid])),
-                first_time_s=float(self._first_time[cid]),
-                last_time_s=float(self._last_time[cid]),
-            )
-            for i, cid in enumerate(cluster_ids)
-        ]
-
-    def materialize(self) -> "TopKIndex":
-        """Write out an explicit :class:`TopKIndex` (e.g. for persistence)."""
-        explicit = TopKIndex(stream=self.stream, model_name=self.model_name, k=self.k)
-        explicit._epoch = self._epoch  # same lineage: one index, two views
-        entries = self._materialize_entries(np.arange(self.num_clusters))
-        for cid, entry in enumerate(entries):
+        for cid in range(self.num_clusters):
+            entry = replace(self.cluster(cid), top_k=tuple(top_ks[cid]))
             explicit.add_cluster(entry, self._members[cid], self.frames(cid))
         return explicit
 
-    def to_docstore(self, store: IndexSink, incremental: bool = False) -> None:
-        """Persist by materializing entries (full snapshot or dirty delta).
-
-        The incremental path mirrors :meth:`TopKIndex.to_docstore`:
-        only clusters added or grown since the last write are upserted.
-        """
-        if not incremental:
-            self.materialize().to_docstore(store)
-            self._dirty.clear()
-            return
-        entries = {
-            entry.cluster_id: entry
-            for entry in self._materialize_entries(sorted(self._dirty))
-        }
-        self._write_delta(
-            store,
-            lambda cid: _cluster_doc(
-                entries[cid], self._members[cid], self.frames(cid)
-            ),
-        )
+    def to_docstore(self, store: CheckpointStore) -> None:
+        """Export by materializing entries (:meth:`TopKIndex.to_docstore`)."""
+        self.materialize().to_docstore(store)
 
 
 def stored_streams(store: DocumentStore) -> List[str]:
-    """Streams with a persisted index in ``store``."""
+    """Streams with an exported index in ``store``."""
     return sorted({doc["stream"] for doc in store.collection("index-meta").find()})
-
-
-def stored_index_epoch(store: DocumentStore, stream: str) -> Optional[str]:
-    """The lineage token of a stream's persisted index, if any."""
-    meta = store.collection("index-meta").find_one({"stream": stream})
-    return meta.get("epoch") if meta else None

@@ -17,10 +17,11 @@ the same devices the way the paper's deployment does (Section 6.3).
 Durability (``docs/DURABILITY.md``): an ingestor opened with a
 write-ahead :class:`~repro.storage.journal.IngestJournal` journals every
 chunk *before* applying it, checkpoints through the atomic epoch-tagged
-protocol (index delta + resumable ingest state + stream metadata, all
-swapped in as one commit), and :meth:`StreamIngestor.recover` rebuilds
-a session killed at *any* point by restoring the last committed
-checkpoint and replaying the journal's suffix -- bit-identical to
+protocol (the resumable ingest state -- a head plus one new row
+segment -- and the marker, swapped in as one commit), and
+:meth:`StreamIngestor.recover` rebuilds a session killed at *any* point
+by restoring the last committed checkpoint, deriving the index from its
+rows, and replaying the journal's suffix -- bit-identical to
 uninterrupted ingest, in both index modes, because every ingest stage
 is per-row deterministic.
 """
@@ -42,13 +43,7 @@ from repro.core.clustering import (
 )
 from repro.core.config import FocusConfig
 from repro.core.costmodel import CostCategory, GPULedger
-from repro.core.index import (
-    ClusterEntry,
-    IndexReader,
-    LazyTopKIndex,
-    TopKIndex,
-    stored_index_epoch,
-)
+from repro.core.index import ClusterEntry, IndexReader, LazyTopKIndex, TopKIndex
 from repro.core.ingest import IngestResult, simulate_pixel_diff
 from repro.sched.cluster import DispatchReport, IngestDispatcher
 from repro.storage.docstore import DocumentStore
@@ -560,28 +555,22 @@ class StreamIngestor:
         return new_ids, grown_ids
 
     # -- persistence -------------------------------------------------------
-    def checkpoint(
-        self,
-        store,
-        stream_meta: Optional[Dict] = None,
-        compact: bool = True,
-    ) -> Optional[int]:
-        """Persist the session's progress to ``store``.
+    def checkpoint(self, store, compact: bool = True) -> int:
+        """Persist the session's progress to ``store``, durably and
+        atomically; returns the new epoch.
 
-        Without a journal this is the legacy query-only checkpoint: the
-        index's cluster delta is upserted in place (unchanged cluster
-        documents are never rewritten) and ``None`` is returned.
-
-        With a journal attached the checkpoint is *durable and atomic*:
-        the index delta, the resumable ingest state (clusterer +
-        accumulated rows), optional ``stream_meta``, and the commit
-        marker all land in staged collections and become visible in one
-        epoch-tagged swap.  A crash at any earlier point leaves the
-        previous committed checkpoint intact; a zombie session whose
-        epoch lost the compare-and-swap gets
+        The resumable ingest state (clusterer + the rows past the last
+        committed checkpoint) and the commit marker land in staged
+        collections and become visible in one epoch-tagged swap; the
+        index is not stored, :meth:`recover` derives it from the rows.
+        A crash at any earlier point leaves the previous committed
+        checkpoint intact; a zombie session whose epoch lost the
+        compare-and-swap gets
         :class:`~repro.storage.journal.StaleEpochError`.  On success the
         journal is compacted up to the committed sequence number (unless
-        ``compact=False``) and the new epoch is returned.
+        ``compact=False``).  A session without a journal has nothing to
+        resume from and is refused; export its index with
+        ``FocusSystem.save_indexes`` instead.
 
         Compaction runs *after* the commit: a failure inside it leaves
         the new epoch fully committed (``committed_epoch`` already
@@ -592,8 +581,11 @@ class StreamIngestor:
         the round failed; ``QueryService.checkpoint_streams`` does.
         """
         if self.journal is None:
-            self._index.to_docstore(store, incremental=True)
-            return None
+            raise JournalError(
+                "stream %r has no write-ahead journal, so there is nothing "
+                "a checkpoint could resume; open it with wal_store=, or "
+                "export its index with FocusSystem.save_indexes" % self.stream
+            )
         if backing_store(store) is not backing_store(self.journal.store):
             # a durable checkpoint compacts the WAL after committing; a
             # checkpoint landing in a *different* store would destroy
@@ -613,29 +605,15 @@ class StreamIngestor:
         )
         # no abort on failure: a crash leaves staged garbage exactly as
         # a real machine would; recovery discards it.  The live
-        # collections are untouched until writer.commit().  The dirty
-        # set is restored on failure because staging the delta clears it
-        # -- if the session survives the error (chaos mode, retries),
-        # the next checkpoint must not skip these clusters and commit
-        # stale documents.
-        dirty_before = self._index.dirty_clusters
-        try:
-            self._index.to_docstore(writer, incremental=True)
-            # only the rows past the last *committed* checkpoint are
-            # encoded; the cursor moves at commit, so a failed attempt's
-            # retry writes the same range
-            start = self._persisted_rows
-            writer.write_state(self._state_payload(), start, self._rows_from(start))
-            if stream_meta is not None:
-                writer.collection("stream-meta").upsert(
-                    {"stream": self.stream}, stream_meta
-                )
-            epoch = writer.commit(
-                extra={"rows": self.num_rows, "watermark_s": float(self._watermark)}
-            )
-        except BaseException:
-            self._index.mark_dirty(dirty_before)
-            raise
+        # collections are untouched until writer.commit().  Only the
+        # rows past the last *committed* checkpoint are encoded; the
+        # cursor moves at commit, so a failed attempt's retry writes the
+        # same range.
+        start = self._persisted_rows
+        writer.write_state(self._state_payload(), start, self._rows_from(start))
+        epoch = writer.commit(
+            extra={"rows": self.num_rows, "watermark_s": float(self._watermark)}
+        )
         self.committed_epoch = epoch
         self._persisted_rows = self.num_rows
         if compact:
@@ -680,12 +658,13 @@ class StreamIngestor:
         """Resume a journaled session killed at any point.
 
         Restores the last committed checkpoint's ingest state (or a
-        blank session when none ever committed), then replays every
-        journal record past the committed sequence number through the
-        normal ingest stages.  Ingest is per-row deterministic and the
-        checkpoint state is bit-exact, so the recovered session --
-        table, clustering, index, watermark, counters -- is
-        bit-identical to one that never crashed, in both index modes.
+        blank session when none ever committed), derives the index from
+        its rows, then replays every journal record past the committed
+        sequence number through the normal ingest stages.  Ingest is
+        per-row deterministic and the checkpoint state is bit-exact, so
+        the recovered session -- table, clustering, index, watermark,
+        counters -- is bit-identical to one that never crashed, in both
+        index modes.
         The journal's checksums and sequence numbers are verified on
         the way; torn, truncated, or gapped journals raise
         :class:`~repro.storage.journal.JournalCorruption` rather than
@@ -764,7 +743,10 @@ class StreamIngestor:
         return self
 
     def _restore_state(self, store: DocumentStore, state_doc: Dict) -> None:
-        """Load a committed checkpoint's ingest state into this session."""
+        """Load a committed checkpoint's ingest state into this session
+        and derive its index with the class the session uses.  Index
+        documents an older checkpoint may have stored beside the state
+        are not read."""
         payload = state_doc["payload"]
         columns = load_state_rows(store, self.stream, payload)
         self._persisted_rows = int(payload["rows"])
@@ -780,17 +762,10 @@ class StreamIngestor:
         self.chunks_pushed = int(payload["chunks_pushed"])
         self._snapshot = self._clusterer.snapshot()
         self._table = self._columns.table(self.stream, self.fps, self._watermark)
-        if self.index_mode == "materialized":
-            # the committed snapshot *is* the index; adopt it wholesale
-            self._index = TopKIndex.from_docstore(store, self.stream)
-        else:
-            self._index = LazyTopKIndex(
-                self._table, self.config.model, self.config.k, self._snapshot
-            )
-            epoch = stored_index_epoch(store, self.stream)
-            if epoch:
-                # same lineage as the committed snapshot: later deltas
-                # merge instead of triggering a wholesale rewrite, and
-                # the committed clusters are already persisted (clean)
-                self._index.adopt_lineage(epoch, clean=True)
+        # the index is a pure function of the rows, their assignments
+        # and the seeds: derived here, never read back
+        derive = LazyTopKIndex if self.index_mode == "lazy" else TopKIndex.build
+        self._index = derive(
+            self._table, self.config.model, self.config.k, self._snapshot
+        )
         self.committed_epoch = int(state_doc["epoch"])

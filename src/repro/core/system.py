@@ -58,7 +58,7 @@ class StreamHandle:
     """One queryable stream: its table, tuning outcome, and index.
 
     ``tuning``/``config``/``ingest`` are None for streams restored from
-    a persisted index (``FocusSystem.load_indexes``): such streams are
+    an index export (``FocusSystem.load_indexes``): such streams are
     fully queryable but carry no ingest-time state.
 
     A *live* handle (``FocusSystem.open_stream``) additionally carries
@@ -101,7 +101,7 @@ class StreamHandle:
 def _table_checksum(table: ObservationTable) -> int:
     """Cheap content fingerprint of an observation table.
 
-    Persisted with an index so ``load_indexes`` can detect that the
+    Exported with an index so ``load_indexes`` can detect that the
     table it reconstructed is not the one the index was built over
     (index member rows would point at the wrong observations).
     """
@@ -470,7 +470,7 @@ class FocusSystem:
         return out
 
     # -- persistence ---------------------------------------------------------
-    def _stream_meta_doc(self, handle: StreamHandle) -> Dict:
+    def _export_meta_doc(self, handle: StreamHandle) -> Dict:
         """The stream metadata document ``load_indexes`` cold-starts from."""
         model = handle.config.model if handle.config else None
         if isinstance(model, SpecializedClassifier):
@@ -488,18 +488,18 @@ class FocusSystem:
             "watermark_s": float(handle.watermark_s),
         }
 
-    def _write_stream_meta(self, store: DocumentStore, handle: StreamHandle) -> None:
-        """Upsert the stream metadata ``load_indexes`` cold-starts from."""
-        store.collection("stream-meta").upsert(
-            {"stream": handle.stream}, self._stream_meta_doc(handle)
-        )
-
     def save_indexes(self, store: DocumentStore) -> None:
-        """Persist every stream's index plus the stream metadata a
-        service needs to cold-start (``load_indexes``)."""
+        """Export every stream's index plus the stream metadata a
+        service needs to cold-start (``load_indexes``).
+
+        An export is how a stream without a journal is snapshotted;
+        durable sessions checkpoint their ingest state instead
+        (:meth:`checkpoint`)."""
         for handle in self._streams.values():
             handle.index.to_docstore(store)
-            self._write_stream_meta(store, handle)
+            store.collection("stream-meta").upsert(
+                {"stream": handle.stream}, self._export_meta_doc(handle)
+            )
 
     def checkpoint(
         self,
@@ -507,23 +507,17 @@ class FocusSystem:
         streams: Optional[Sequence[str]] = None,
         strict: bool = True,
     ) -> List[str]:
-        """Incrementally persist streams: append cluster deltas only.
+        """Durably checkpoint live sessions opened with ``wal_store=store``.
 
-        The live-session counterpart of :meth:`save_indexes`, routed
-        through :meth:`QueryService.checkpoint_streams` so every stream
-        commits under its *own* epoch: a crash while checkpointing one
-        stream can never corrupt a sibling's committed snapshot.
-
-        For plain sessions each stream's index writes just the clusters
-        added or grown since its last checkpoint (unchanged cluster
-        documents are not rewritten) plus the stream metadata cursor;
-        :meth:`load_indexes` later restores query-only access, and
-        ingest cannot be resumed (clusterer state is not persisted).
-        Sessions opened with ``wal_store=store`` instead commit the full
-        atomic durable checkpoint -- index delta, resumable ingest
-        state, stream metadata, and the epoch marker land as one staged
-        swap -- which both :meth:`load_indexes` (query-only) and
-        :meth:`recover` (full resumption) can restore from.
+        Routed through :meth:`QueryService.checkpoint_streams` so every
+        stream commits under its *own* epoch: a crash while
+        checkpointing one stream can never corrupt a sibling's committed
+        snapshot.  Each stream's checkpoint is its resumable ingest
+        state -- the head, one new row segment and the marker, landing
+        as one staged swap -- from which :meth:`recover` resumes the
+        session and derives its index.  A round that names, or defaults
+        to, a stream without a journal is refused before any stream
+        checkpoints; export such streams with :meth:`save_indexes`.
 
         ``strict=False`` continues past a failing stream (chaos-drill
         mode) -- only the names that committed are returned.
@@ -541,21 +535,18 @@ class FocusSystem:
 
         Same protocol, but the caller gets every stream's
         :class:`~repro.serve.service.StreamCheckpoint` (committed epoch,
-        durability, non-strict errors) instead of just the committed
-        names -- what a multi-shard fabric needs to aggregate rounds.
-        Unknown streams are rejected up front with one ``KeyError``
-        naming *all* of them, before any stream checkpoints.
+        non-strict errors) instead of just the committed names -- what
+        a multi-shard fabric needs to aggregate rounds.  Unknown
+        streams are rejected up front with one ``KeyError`` naming
+        *all* of them, before any stream checkpoints.
         """
         wanted = self.streams() if streams is None else list(streams)
         missing = sorted({name for name in wanted if name not in self._streams})
         if missing:
             raise KeyError("streams not ingested: %s" % ", ".join(missing))
         handles = {name: self.handle(name) for name in wanted}
-        meta_docs = {
-            name: self._stream_meta_doc(handle) for name, handle in handles.items()
-        }
         return self.service.checkpoint_streams(
-            store, handles, streams=wanted, meta_docs=meta_docs, strict=strict
+            store, handles, streams=wanted, strict=strict
         )
 
     def load_indexes(
@@ -564,31 +555,26 @@ class FocusSystem:
         streams: Optional[Sequence[str]] = None,
         tables: Optional[Mapping[str, ObservationTable]] = None,
     ) -> List[str]:
-        """Cold-start: restore stream handles from persisted indexes.
+        """Cold-start: restore stream handles from index exports.
 
         The counterpart of :meth:`save_indexes`: no tuning, no ingest
         CNN work -- the top-K index is read back from the store and a
         query engine is rebuilt over it, so queries (including
-        ``query_all``) run immediately at pure query-time cost.
+        ``query_all``) run immediately at pure query-time cost.  Only
+        exports are read; a durable checkpoint resumes through
+        :meth:`recover`.
 
         The observation table (standing in for the archived video) is
         taken from ``tables`` when provided, otherwise regenerated
         deterministically from the stream's profile and the recorded
-        synthesis window; a persisted checksum guards against restoring
-        an index over the wrong table.
+        synthesis window; an exported checksum guards against restoring
+        an index over the wrong table.  For an export of a live
+        session, pass the session's accumulated table via ``tables`` (a
+        truncated window regenerated from the profile would cut tracks
+        that crossed the watermark differently than the live feed did;
+        the checksum guard catches the mismatch).
 
-        Works for full :meth:`save_indexes` snapshots and for
-        mid-ingest :meth:`checkpoint` cursors alike -- a live session's
-        checkpoint restores *query-only* access to everything ingested
-        up to the recorded watermark (clusterer state is not persisted,
-        so continuing ingest requires a fresh :meth:`open_stream`
-        session).  For a live checkpoint, pass the session's
-        accumulated table via ``tables`` (a truncated window
-        regenerated from the profile would cut tracks that crossed the
-        watermark differently than the live feed did; the checksum
-        guard catches the mismatch).
-
-        Note: persisted indexes are materialized, so a restored engine
+        Note: exported indexes are materialized, so a restored engine
         may verify slightly *more* candidates than the live (lazy)
         index it was saved from -- the two index variants sample
         spurious top-K membership differently.  Returned frames are
@@ -600,7 +586,7 @@ class FocusSystem:
         wanted = available if streams is None else list(streams)
         missing = [s for s in wanted if s not in available]
         if missing:
-            raise KeyError("no persisted index for: %s" % ", ".join(sorted(missing)))
+            raise KeyError("no exported index for: %s" % ", ".join(sorted(missing)))
 
         meta = store.collection("stream-meta")
         restored: List[str] = []

@@ -66,8 +66,10 @@ from repro.obs.metrics import register_counters
 #: arguments, a reply's value, a store delta -- is one protocol-5 pickle
 #: whose stream and out-of-band buffers are its parts; no kind tags;
 #: v9: answers carry no accuracy grade -- ``QueryAnswer.metrics`` is
-#: gone and a ``MultiStreamAnswer`` slice is a bare ``QueryResult``)
-PROTOCOL_VERSION = 9
+#: gone and a ``MultiStreamAnswer`` slice is a bare ``QueryResult``;
+#: v10: a ``StreamCheckpoint`` has no ``durable`` flag -- only durable
+#: sessions checkpoint)
+PROTOCOL_VERSION = 10
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;

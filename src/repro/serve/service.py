@@ -38,7 +38,7 @@ from repro.serve.cache import VerificationCache
 from repro.serve.planner import QueryPlan, QueryPlanner, QueryRequest
 from repro.serve.scheduler import BatchVerificationScheduler, VerificationReport
 from repro.storage.docstore import DocumentStore
-from repro.storage.journal import committed_checkpoint
+from repro.storage.journal import JournalError, committed_checkpoint
 from repro.video.classes import class_name
 
 
@@ -99,8 +99,7 @@ def merge_counters(per_node: Sequence[Mapping[str, float]]) -> Dict[str, float]:
 class StreamCheckpoint:
     """Outcome of one stream's slot in a multi-stream checkpoint round.
 
-    ``epoch`` is the committed per-stream epoch for durable sessions
-    (``None`` for legacy in-place checkpoints).  ``error`` is set only
+    ``epoch`` is the committed per-stream epoch.  ``error`` is set only
     in non-strict rounds, for streams whose checkpoint attempt raised.
     A failure can land *after* the atomic commit (e.g. during journal
     compaction), so an errored outcome still reports the store's
@@ -111,7 +110,6 @@ class StreamCheckpoint:
 
     stream: str
     epoch: Optional[int]
-    durable: bool
     error: Optional[str] = None
     #: whether this round's snapshot is the store's committed state
     #: (True for clean commits and for post-commit failures alike)
@@ -306,20 +304,21 @@ class QueryService:
         store: DocumentStore,
         handles: Mapping[str, Any],
         streams: Optional[Sequence[str]] = None,
-        meta_docs: Optional[Mapping[str, Dict]] = None,
         strict: bool = True,
     ) -> List["StreamCheckpoint"]:
-        """Checkpoint many streams, one independent epoch per stream.
+        """Checkpoint many durable live sessions, one independent epoch
+        per stream.
 
-        Each stream's checkpoint is its own atomic unit: a durable live
-        session commits through the staged epoch-tagged protocol
-        (:meth:`~repro.core.streaming.StreamIngestor.checkpoint`),
-        everything else takes the legacy in-place index delta.  Because
-        staging and the commit marker are per stream, a crash -- or an
-        injected fault -- while checkpointing stream A can never leave
-        sibling B's committed snapshot half-written: B either committed
-        its own epoch earlier in the loop or still stands at its
-        previous one.
+        Each stream's checkpoint is its own atomic unit, committed
+        through the staged epoch-tagged protocol
+        (:meth:`~repro.core.streaming.StreamIngestor.checkpoint`).
+        Because staging and the commit marker are per stream, a crash --
+        or an injected fault -- while checkpointing stream A can never
+        leave sibling B's committed snapshot half-written: B either
+        committed its own epoch earlier in the loop or still stands at
+        its previous one.  A round naming any stream without a journal
+        is refused with one :class:`~repro.storage.journal.JournalError`
+        naming all of them, before any stream checkpoints.
 
         ``strict=True`` (default) re-raises the first failure after
         discarding its staging; ``strict=False`` records the failure in
@@ -327,25 +326,28 @@ class QueryService:
         (the chaos-drill mode).
         """
         wanted = sorted(handles) if streams is None else list(streams)
+        ingestors = {name: handles[name].ingestor for name in wanted}
+        unjournaled = sorted(
+            {
+                name
+                for name, ingestor in ingestors.items()
+                if ingestor is None or ingestor.journal is None
+            }
+        )
+        if unjournaled:
+            raise JournalError(
+                "streams without a write-ahead journal cannot checkpoint "
+                "(open them with wal_store=, or export them with "
+                "save_indexes): %s" % ", ".join(unjournaled)
+            )
         outcomes: List[StreamCheckpoint] = []
         for name in wanted:
-            handle = handles[name]
-            meta = dict(meta_docs[name]) if meta_docs and name in meta_docs else None
-            ingestor = getattr(handle, "ingestor", None)
-            durable = ingestor is not None and ingestor.journal is not None
-            epoch_before = ingestor.committed_epoch if durable else None
+            ingestor = ingestors[name]
+            epoch_before = ingestor.committed_epoch
             started = _time.perf_counter()
             try:
-                if durable:
-                    epoch = ingestor.checkpoint(store, stream_meta=meta)
-                else:
-                    handle.index.to_docstore(store, incremental=True)
-                    if meta is not None:
-                        store.collection("stream-meta").upsert({"stream": name}, meta)
-                    epoch = None
-                outcomes.append(
-                    StreamCheckpoint(stream=name, epoch=epoch, durable=durable)
-                )
+                epoch = ingestor.checkpoint(store)
+                outcomes.append(StreamCheckpoint(stream=name, epoch=epoch))
                 self.metrics.observe(
                     "checkpoint.commit_s", _time.perf_counter() - started
                 )
@@ -358,16 +360,13 @@ class QueryService:
                 # a failure can land *after* the atomic commit (journal
                 # compaction): report the store's actual committed epoch
                 # so operators and retry logic key off the truth
-                marker = committed_checkpoint(store, name) if durable else None
-                epoch_now = marker["epoch"] if marker else None
-                landed = durable and ingestor.committed_epoch > epoch_before
+                marker = committed_checkpoint(store, name)
                 outcomes.append(
                     StreamCheckpoint(
                         stream=name,
-                        epoch=epoch_now,
-                        durable=durable,
+                        epoch=marker["epoch"] if marker else None,
                         error=str(exc),
-                        landed=landed,
+                        landed=ingestor.committed_epoch > epoch_before,
                     )
                 )
         return outcomes

@@ -3,7 +3,7 @@
 Every durable byte of the system -- WAL, checkpoints, placement, the
 supervisor's mirror -- lives in named collections of JSON-serializable
 dict documents.  The store is exactly the interface the program calls,
-stated as three ``typing.Protocol``s a second backend would implement:
+stated as two ``typing.Protocol``s a second backend would implement:
 
 * :class:`StoredCollection` -- auto-``_id`` inserts, one keyed write
   (:meth:`Collection.upsert`), copy-on-write updates, range/wipe
@@ -11,11 +11,10 @@ stated as three ``typing.Protocol``s a second backend would implement:
   (``{"stream": s}``) and ``{"seq": {"$lte": n}}``.  Any other
   operator raises :class:`DocStoreError`.  ``create_index`` ensures a
   hash index over one scalar field; equality queries use it.
-* :class:`IndexSink` -- ``collection`` / ``drop``: all that index
-  persistence writes through (``CheckpointWriter`` is one).
-* :class:`CheckpointStore` -- the sink plus ``collection_names`` and
-  the staged commit (``stage`` / ``drop_staged`` / ``commit_staged`` /
-  ``discard_staged``) that ingest, checkpoint and recovery call;
+* :class:`CheckpointStore` -- ``collection`` / ``drop`` /
+  ``collection_names`` and the staged commit (``stage`` /
+  ``commit_staged`` / ``discard_staged``) that ingest, checkpoint,
+  recovery and index export call;
   :class:`DocumentStore` and ``FaultyStore`` both satisfy it.
 
 The mirror/migration members (``copy_collection_to``,
@@ -56,22 +55,15 @@ class StoredCollection(Protocol):
     def create_index(self, field) -> None: ...
 
 
-class IndexSink(Protocol):
-    """The two store members index persistence (``to_docstore``)
-    writes through."""
+class CheckpointStore(Protocol):
+    """The store contract of live ingest, atomic checkpoints, recovery
+    and index export.  ``tests/test_storage_contract`` holds every
+    implementation to these names and parameter names."""
 
     def collection(self, name) -> StoredCollection: ...
     def drop(self, name) -> None: ...
-
-
-class CheckpointStore(IndexSink, Protocol):
-    """The store contract of live ingest, atomic checkpoints and
-    recovery.  ``tests/test_storage_contract`` holds every
-    implementation to these names and parameter names."""
-
     def collection_names(self) -> List[str]: ...
     def stage(self, name) -> StoredCollection: ...
-    def drop_staged(self, name) -> None: ...
     def commit_staged(self, names=None) -> List[str]: ...
     def discard_staged(self, names=None) -> List[str]: ...
 
@@ -312,9 +304,9 @@ class Collection:
         (the caller's mirror was built from exactly it -- clones carry
         the token across staged commits), the envelope is *doc-level*:
         only dirty documents travel, as upserts (still present) and
-        removes (gone).  Any mismatch -- a fresh collection, a ``from_json_obj`` rebuild, a
-        wholesale ``drop_staged`` replacement -- falls back to shipping
-        the collection whole.  Either way the dirty set resets and a
+        removes (gone).  Any mismatch -- a fresh collection, a
+        ``from_json_obj`` rebuild -- falls back to shipping the
+        collection whole.  Either way the dirty set resets and a
         new baseline begins.
         """
         if basis_token is not None and basis_token == self._delta_token:
@@ -455,11 +447,6 @@ class DocumentStore:
             else:
                 self._staged[name] = Collection(name)
         return self._staged[name]
-
-    def drop_staged(self, name: str) -> None:
-        """Stage a wholesale replacement: the staged clone becomes empty
-        (the live collection is untouched until commit)."""
-        self._staged[name] = Collection(name)
 
     def staged_names(self) -> List[str]:
         return sorted(self._staged)

@@ -164,9 +164,6 @@ class FaultyStore:
         # durable write, but every mutation of the clone is metered
         return FaultyCollection(self, self.inner.stage(name))
 
-    def drop_staged(self, name: str) -> None:
-        self.inner.drop_staged(name)
-
     def commit_staged(self, names: Optional[Iterable[str]] = None) -> List[str]:
         # one indivisible write: the fault (if due) fires before the
         # swap, so a crash never lands between two collection swaps

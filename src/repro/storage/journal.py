@@ -8,8 +8,8 @@ The durability layer under live ingest (``repro.core.streaming``):
   deduplicate at-least-once replays, so a producer that retries an
   unacknowledged append cannot double-ingest a chunk.
 * :class:`CheckpointWriter` -- an atomic multi-collection checkpoint.
-  All checkpoint writes (index delta, ingest state, stream metadata,
-  the commit marker itself) land in *staged* clones of the live
+  All checkpoint writes (the ingest-state head, one row segment, the
+  commit marker itself) land in *staged* clones of the live
   collections and become visible in one indivisible
   :meth:`~repro.storage.docstore.DocumentStore.commit_staged` swap.  A
   crash at any earlier point leaves the previous committed checkpoint
@@ -355,16 +355,18 @@ def backing_store(store) -> DocumentStore:
 
 
 def reset_stream(store: DocumentStore, stream: str) -> None:
-    """Destroy a stream's durable state (journal, checkpoints, index,
-    stream metadata).
+    """Destroy a stream's durable state (journal, checkpoints) and any
+    index export or older checkpoint's index documents beside it.
 
     A fresh ingest session under an existing stream name starts a new
     lineage; mixing its journal with a predecessor's records would be
     corruption by construction, so the caller must wipe (or recover)
-    explicitly -- nothing is deleted implicitly.  Stream metadata is
-    wiped too: a stale previous-lineage ``stream-meta`` document could
-    otherwise pair self-consistently with the new lineage's index and
-    send ``load_indexes`` to a wrong-but-checksum-valid table.
+    explicitly -- nothing is deleted implicitly.  The ``clusters:``,
+    ``index-meta`` and ``stream-meta`` documents go too: a store written
+    by an older checkpoint, or a ``save_indexes`` export in the same
+    store, may hold them, and a stale ``stream-meta`` document could
+    pair self-consistently with a later export and send
+    ``load_indexes`` to a wrong-but-checksum-valid table.
     """
     store.drop(JOURNAL_PREFIX + stream)
     store.drop(STATE_PREFIX + stream)
@@ -410,9 +412,7 @@ def journaled_streams(store: DocumentStore) -> List[str]:
 
 
 #: the collections holding one stream's durable state wholesale
-#: (shared collections like ``checkpoints`` hold per-stream documents)
-_STREAM_COLLECTION_PREFIXES = (JOURNAL_PREFIX, STATE_PREFIX, "clusters:")
-_SHARED_STREAM_COLLECTIONS = (CHECKPOINT_COLLECTION, "index-meta", "stream-meta")
+_STREAM_COLLECTION_PREFIXES = (JOURNAL_PREFIX, STATE_PREFIX)
 
 
 def copy_stream_state(
@@ -420,13 +420,12 @@ def copy_stream_state(
 ) -> List[str]:
     """Copy one stream's complete durable state between stores.
 
-    Clones the stream's wholesale collections (journal, ingest state,
-    index clusters) into ``target`` and upserts its documents of the
-    shared collections (checkpoint marker, index meta, stream meta),
-    replacing whatever ``target`` previously held for the
-    stream.  The copy is everything :meth:`StreamIngestor.recover`
-    needs: committed checkpoint plus journal suffix.  Returns the
-    collection names that were written.
+    Clones the stream's wholesale collections (journal, ingest state)
+    into ``target`` and upserts its checkpoint marker, replacing
+    whatever ``target`` previously held for the stream.  The copy is
+    everything :meth:`StreamIngestor.recover` needs: committed
+    checkpoint plus journal suffix; the index is derived from it.
+    Returns the collection names that were written.
 
     The source is read-only here -- fencing it against zombie writers
     is a separate step (:func:`fence_stream`); stream migration
@@ -438,17 +437,15 @@ def copy_stream_state(
         if source.copy_collection_to(name, target):
             touched.append(name)
     match = {"stream": stream}
-    for name in _SHARED_STREAM_COLLECTIONS:
-        doc = source.collection(name).find_one(match)
-        if doc is None:
-            # nothing to copy: what the target held for the stream (a
-            # fence tombstone from an earlier move away) still goes
-            target.collection(name).delete_many(match)
-            continue
-        target.collection(name).upsert(
-            match, {k: v for k, v in doc.items() if k != "_id"}
-        )
-        touched.append(name)
+    markers = target.collection(CHECKPOINT_COLLECTION)
+    doc = source.collection(CHECKPOINT_COLLECTION).find_one(match)
+    if doc is None:
+        # nothing to copy: what the target held for the stream (a
+        # fence tombstone from an earlier move away) still goes
+        markers.delete_many(match)
+    else:
+        markers.upsert(match, {k: v for k, v in doc.items() if k != "_id"})
+        touched.append(CHECKPOINT_COLLECTION)
     return touched
 
 
@@ -458,12 +455,12 @@ def fence_stream(
     """Fence a stream's lineage in ``store`` after migrating it away.
 
     Replaces the stream's checkpoint marker with a *fence tombstone*
-    one epoch past the committed one and drops the now-stale journal,
-    ingest-state, and index collections.  Any surviving pre-migration
-    session still holds the old committed epoch, so its next durable
-    checkpoint loses the epoch compare-and-swap and raises
-    :class:`StaleEpochError` instead of resurrecting the stream on its
-    old shard.  Returns the fence epoch.
+    one epoch past the committed one and drops the now-stale journal
+    and ingest-state collections (:func:`reset_stream`).  Any
+    surviving pre-migration session still holds the old committed
+    epoch, so its next durable checkpoint loses the epoch
+    compare-and-swap and raises :class:`StaleEpochError` instead of
+    resurrecting the stream on its old shard.  Returns the fence epoch.
     """
     marker = committed_checkpoint(store, stream)
     epoch = (marker["epoch"] if marker else 0) + 1
@@ -504,12 +501,10 @@ def committed_checkpoint(store: DocumentStore, stream: str) -> Optional[Dict]:
 class CheckpointWriter:
     """One stream's atomic checkpoint: staged writes, epoch-CAS commit.
 
-    An :class:`~repro.storage.docstore.IndexSink` (``collection`` /
-    ``drop``, all the index layer's persistence path uses), so
-    ``TopKIndex.to_docstore(writer, incremental=True)`` streams its
-    delta straight into staging.  :meth:`commit` then validates the
-    epoch compare-and-swap and swaps every staged collection -- plus
-    the checkpoint marker -- into place as one indivisible operation.
+    :meth:`write_state` stages the ingest-state head and one row
+    segment; :meth:`commit` then validates the epoch compare-and-swap
+    and swaps every staged collection -- plus the checkpoint marker --
+    into place as one indivisible operation.
 
     A writer whose ``expected_epoch`` no longer matches the store's
     committed marker (another session checkpointed in between) raises
@@ -533,18 +528,14 @@ class CheckpointWriter:
         self._staged: set = set()
         self._done = False
 
-    # -- store-view surface (used by index persistence) ----------------------
-    def collection(self, name: str) -> Collection:
+    def _collection(self, name: str) -> Collection:
+        """The staged clone of collection ``name``."""
         if name not in self._staged:
             # a crashed earlier checkpoint may have left a stale staged
             # clone behind; this writer must start from committed state
             self.store.discard_staged([name])
             self._staged.add(name)
         return self.store.stage(name)
-
-    def drop(self, name: str) -> None:
-        self._staged.add(name)
-        self.store.drop_staged(name)
 
     # -- protocol ------------------------------------------------------------
     def write_state(
@@ -561,7 +552,7 @@ class CheckpointWriter:
         clusterer's bounded state; nothing per row -- then replaces the
         *head* document, the only one matching ``{"stream": stream}``.
         """
-        states = self.collection(STATE_PREFIX + self.stream)
+        states = self._collection(STATE_PREFIX + self.stream)
         rows = len(columns["track_id"])
         if rows:
             digest = _segment_hasher(start, rows)
@@ -614,7 +605,7 @@ class CheckpointWriter:
         }
         if extra:
             doc.update(extra)
-        self.collection(CHECKPOINT_COLLECTION).upsert({"stream": self.stream}, doc)
+        self._collection(CHECKPOINT_COLLECTION).upsert({"stream": self.stream}, doc)
         self.store.commit_staged(sorted(self._staged))
         self._done = True
         return self.epoch

@@ -1,10 +1,12 @@
 """Checkpoint state = one head document + write-once row segments.
 
 Pins the layout of ``ingest-state:<stream>`` with counts, not clocks:
-a checkpoint encodes only the rows past the last *committed* one, the
-earlier segments are never rewritten (the stored dicts stay the very
-same objects), a worker leg ships only the new documents, and a
-damaged or missing segment refuses to recover.
+a checkpoint encodes only the rows past the last *committed* one and
+writes nothing but one segment, the head and the marker (the index is
+derived on recovery, never stored), the earlier segments are never
+rewritten (the stored dicts stay the very same objects), a worker leg
+ships only the new documents, and a damaged or missing segment refuses
+to recover.
 """
 
 import json
@@ -76,20 +78,31 @@ def test_unpack_array_rejects_torn_strings():
 
 # -- O(delta), in counts -------------------------------------------------------
 
-def test_segments_tile_and_are_written_once(workload):
+def _writes(store):
+    """Inserts plus updates so far, per collection of ``store``."""
+    return {
+        name: store.collection(name).inserts + store.collection(name).updates
+        for name in store.collection_names()
+    }
+
+
+def _index_documents(store):
+    """Collections holding index documents (what only an export writes)."""
+    return [
+        name for name in store.collection_names()
+        if name.startswith("clusters:") or name in ("index-meta", "stream-meta")
+    ]
+
+
+@pytest.mark.parametrize("index_mode", ["materialized", "lazy"])
+def test_segments_tile_and_are_written_once(workload, index_mode):
     table, config, chunks = workload
     store = DocumentStore()
-    ingestor = open_journaled(store, table, config)
+    ingestor = open_journaled(store, table, config, index_mode)
     kept = []
     for k, chunk in enumerate(chunks, start=1):
         ingestor.push(chunk)
-        states = store.collection(STATE_PREFIX + STREAM)
-        clusters = store.collection("clusters:%s" % STREAM)
-        markers = store.collection(CHECKPOINT_COLLECTION)
-        before = {
-            c.name: c.inserts + c.updates for c in (states, clusters, markers)
-        }
-        dirty = len(ingestor.index.dirty_clusters)
+        before = _writes(store)
         ingestor.checkpoint(store)
 
         segments = segments_of(store)
@@ -103,13 +116,14 @@ def test_segments_tile_and_are_written_once(workload):
         assert all(a is b for a, b in zip(kept, segments))
         kept = segments
 
-        def writes(name):
-            coll = store.collection(name)
-            return coll.inserts + coll.updates - before[name]
-
-        assert writes(states.name) == 2  # one segment + the head
-        assert writes(clusters.name) == dirty
-        assert writes(markers.name) == 1
+        # one segment + the head, and the marker: nothing else
+        written = {
+            name: count - before.get(name, 0)
+            for name, count in _writes(store).items()
+            if count != before.get(name, 0)
+        }
+        assert written == {STATE_PREFIX + STREAM: 2, CHECKPOINT_COLLECTION: 1}
+        assert _index_documents(store) == []
 
         head = head_of(store)
         assert head["payload"]["rows"] == ingestor.num_rows
@@ -175,22 +189,24 @@ def _state_writes(store):
     return states.inserts + states.updates
 
 
-def test_worker_leg_ships_only_the_new_documents(workload):
+@pytest.mark.parametrize("index_mode", ["materialized", "lazy"])
+def test_worker_leg_ships_only_the_new_documents(workload, index_mode):
     """Over the worker wire the k-th checkpoint's store delta is the
-    new segment, the head, the dirty clusters and the marker: the
-    mirror's earlier segments are not touched."""
+    new segment, the head and the marker: the mirror's earlier
+    segments are not touched, and no index document travels."""
     table, config, chunks = workload
     twin_store = DocumentStore()
-    twin = open_journaled(twin_store, table, config, index_mode="lazy")
+    twin = open_journaled(twin_store, table, config, index_mode=index_mode)
     with FabricSupervisor(["solo"]) as supervisor:
         client = supervisor.client("solo")
-        client.open_stream(STREAM, fps=table.fps, config=config, durable=True)
+        client.open_stream(
+            STREAM, fps=table.fps, config=config, durable=True, index_mode=index_mode
+        )
         mirror = supervisor.store("solo")
         kept = []
         for k, chunk in enumerate(chunks, start=1):
             client.append(STREAM, chunk)
             twin.push(chunk)
-            dirty = len(twin.index.dirty_clusters)
             writes = _state_writes(mirror)
             shipped = client.counters()["cost"]["delta_docs_shipped"]
             client.checkpoint(streams=[STREAM])
@@ -201,11 +217,12 @@ def test_worker_leg_ships_only_the_new_documents(workload):
             if k > 1:  # the first checkpoint ships the new collection whole
                 assert _state_writes(mirror) - writes == 2
                 assert all(a is b for a, b in zip(kept, segments))
-                # segment + head + marker + index meta + dirty clusters,
-                # and the compacted WAL record of the chunk as a remove
+                # segment + head + marker, and the compacted WAL record
+                # of the chunk as a remove
                 delta = client.counters()["cost"]["delta_docs_shipped"] - shipped
-                assert delta == 2 + 1 + 1 + dirty + 1
+                assert delta == 2 + 1 + 1
             kept = segments
+            assert _index_documents(mirror) == []
         # and what it holds is what an in-process session wrote
         assert segments_of(mirror) == segments_of(twin_store)
     assert supervisor.leaked_segments == []

@@ -177,30 +177,6 @@ def test_plain_list_masks_accepted():
     np.testing.assert_array_equal(from_list, from_array)
 
 
-def test_legacy_checkpoint_keys_ignored():
-    """State dicts written while the batch kernel and its selector
-    existed carry four extra keys; loading one continues bit-identically
-    to a clusterer that never stopped."""
-    rng = np.random.RandomState(5)
-    n, dim = 300, 8
-    tracks = rng.randint(0, 12, size=n)
-    anchors = rng.normal(size=(12, dim))
-    feats = anchors[tracks] + rng.normal(scale=0.05, size=(n, dim))
-    sup = rng.uniform(size=n) < 0.3
-    kw = dict(threshold=0.4, dim=dim, max_live_clusters=4)
-    whole = IncrementalClusterer(**kw)
-    whole.add(feats, tracks, suppressed=sup)
-
-    first = IncrementalClusterer(**kw)
-    first.add(feats[:140], tracks[:140], suppressed=sup[:140])
-    legacy = dict(first.state_dict(), kernel="auto", recent_scans=17,
-                  recent_rows=140, active_kernel="batch")
-    resumed = IncrementalClusterer.from_state_dict(
-        json.loads(json.dumps(legacy)))
-    resumed.add(feats[140:], tracks[140:], suppressed=sup[140:])
-    assert resumed.state_dict() == whole.state_dict()
-
-
 @pytest.mark.parametrize("threshold", [0.4, 0.04])
 def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold):
     """Rows ``feature_valid`` leaves out are ``np.empty`` on the real

@@ -29,6 +29,7 @@ from repro.serve.planner import QueryRequest
 from repro.serve.service import COUNTER_KINDS, merge_counters
 from repro.storage.docstore import DocumentStore
 from repro.storage.journal import (
+    JournalError,
     StaleEpochError,
     committed_checkpoint,
     fenced_streams,
@@ -326,6 +327,26 @@ class TestUnknownStreams:
             router.checkpoint(streams=["ghost-b", "lausanne", "ghost-a"])
         assert "ghost-a, ghost-b" in str(err.value)
 
+    def test_router_checkpoint_refuses_streams_without_journal(
+        self, fabric_tables, live_config
+    ):
+        """A shard refuses a round naming its journal-free streams with
+        one error naming all of them, before its durable stream
+        checkpoints."""
+        shard = ShardNode("shard-0")
+        router = FabricRouter([shard])
+        durable, *plain = sorted(fabric_tables)
+        for name, table in fabric_tables.items():
+            router.open_stream(
+                name, fps=10.0, config=live_config, durable=name == durable
+            )
+            router.append(name, frame_aligned_chunks(table)[0])
+        with pytest.raises(JournalError, match="%s$" % ", ".join(plain)):
+            router.checkpoint()
+        assert committed_checkpoint(shard.store, durable) is None
+        assert shard.store.staged_names() == []
+        assert router.checkpoint(streams=[durable]) == [durable]
+
 
 # ---------------------------------------------------------------------------
 # fleet durability: checkpoint + recover through the router
@@ -336,7 +357,7 @@ class TestFleetDurability:
         router = build_fabric(fabric_tables, live_config, "materialized")
         outcomes = router.checkpoint_streams()
         assert [o.stream for o in outcomes] == sorted(FABRIC_STREAMS)
-        assert all(o.durable and o.committed and o.epoch == 1 for o in outcomes)
+        assert all(o.committed and o.epoch == 1 for o in outcomes)
         for name in FABRIC_STREAMS:
             marker = committed_checkpoint(router.shard_of(name).store, name)
             assert marker is not None and marker["epoch"] == 1

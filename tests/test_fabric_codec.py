@@ -216,8 +216,8 @@ def random_report(rng):
 
 def random_checkpoint(rng):
     if rng.random() < 0.5:
-        return StreamCheckpoint(stream="a", epoch=int(rng.integers(0, 9)), durable=True)
-    return StreamCheckpoint(stream="b", epoch=0, durable=False, error="boom", landed=False)
+        return StreamCheckpoint(stream="a", epoch=int(rng.integers(0, 9)))
+    return StreamCheckpoint(stream="b", epoch=0, error="boom", landed=False)
 
 
 def random_handle_info(rng):

@@ -35,7 +35,13 @@ from repro.fabric.shard import ShardLeg
 from repro.obs.events import EventLog, default_events, set_default_events
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
-from repro.storage.journal import JOURNAL_PREFIX, JournalCorruption, copy_stream_state
+from repro.storage.journal import (
+    CHECKPOINT_COLLECTION,
+    JOURNAL_PREFIX,
+    STATE_PREFIX,
+    JournalCorruption,
+    copy_stream_state,
+)
 from test_fabric import assert_same_slices, frame_aligned_chunks
 
 STREAM = "auburn_c"
@@ -217,6 +223,27 @@ def test_journal_suffix_replay_over_every_leg_pair(
             source.append(STREAM, chunk)
         report = migrate_stream(source, target, STREAM, checkpoint=False)
         assert (report.epoch, report.replayed_chunks) == (1, 2)
+
+
+def test_copy_stream_state_ships_only_the_durable_state(chunks, live_config):
+    """A migration copies the journal, the ingest state and the marker:
+    an index export beside them in the source store stays behind, and
+    the target recovers the same answers from the copy alone."""
+    source = DocumentStore()
+    system = FocusSystem()
+    open_live(system, live_config, wal_store=source)
+    system.append(STREAM, chunks[0])
+    system.checkpoint(source)
+    system.append(STREAM, chunks[1])
+    system.save_indexes(source)
+    target = DocumentStore()
+    written = copy_stream_state(source, target, STREAM)
+    assert sorted(written) == sorted(target.collection_names()) == sorted(
+        [JOURNAL_PREFIX + STREAM, STATE_PREFIX + STREAM, CHECKPOINT_COLLECTION]
+    )
+    recovered = FocusSystem()
+    assert recovered.recover(target) == [STREAM]
+    assert_answers_like(recovered, system)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -294,27 +294,28 @@ class TestJournalIntegrity:
 
 
 class TestCheckpointAtomicity:
-    def test_torn_checkpoint_preserves_committed_snapshot(self, stream_setup):
+    @pytest.mark.parametrize("index_mode", ["materialized", "lazy"])
+    def test_torn_checkpoint_preserves_committed_snapshot(
+        self, stream_setup, index_mode
+    ):
         """A crash anywhere inside a checkpoint leaves the previous
         committed epoch fully intact -- partial writes are detectable
         (staged) and never visible."""
         table, config, chunks = stream_setup
         inner = DocumentStore()
-        ing = open_journaled(inner, table, config)
+        ing = open_journaled(inner, table, config, index_mode)
         ing.push(chunks[0])
         ing.push(chunks[1])
         assert ing.checkpoint(inner) == 1
         marker_before = committed_checkpoint(inner, table.stream)
-        clusters_before = {
-            doc["cluster_id"]: doc["size"]
-            for doc in inner.collection("clusters:%s" % table.stream).find()
-        }
+        states = STATE_PREFIX + table.stream
+        state_before = json.dumps(inner.collection(states).find(), sort_keys=True)
         ing.push(chunks[2])
 
         # sweep the whole second checkpoint: fault at every write inside
         profile = FaultyStore(inner)
         twin_store = DocumentStore()
-        twin = open_journaled(twin_store, table, config)
+        twin = open_journaled(twin_store, table, config, index_mode)
         twin.push(chunks[0]); twin.push(chunks[1])
         twin.checkpoint(twin_store)
         twin.push(chunks[2])
@@ -331,20 +332,17 @@ class TestCheckpointAtomicity:
             with pytest.raises((FaultInjected, StaleEpochError)):
                 ing.checkpoint(faulty)
             if budget <= commit_at:
-                # commit never ran: epoch 1 snapshot byte-for-byte intact
+                # commit never ran: the epoch 1 head and segments are
+                # byte-for-byte intact
                 assert committed_checkpoint(inner, table.stream) == marker_before
-                now = {
-                    doc["cluster_id"]: doc["size"]
-                    for doc in inner.collection("clusters:%s" % table.stream).find()
-                }
-                assert now == clusters_before
+                now = json.dumps(inner.collection(states).find(), sort_keys=True)
+                assert now == state_before
                 state = load_ingest_state(inner, table.stream)
                 assert state["epoch"] == 1
         del profile
 
-        # the survivor's eventual clean checkpoint must commit *correct*
-        # documents: torn attempts that cleared the dirty flags mid-way
-        # must not leave stale cluster sizes behind
+        # the survivor's eventual clean checkpoint commits, and a
+        # recovery from it derives the survivor's index
         final_epoch = ing.checkpoint(inner)
         assert final_epoch == committed_checkpoint(inner, table.stream)["epoch"]
         recovered = StreamIngestor.recover(inner, table.stream)
@@ -439,6 +437,22 @@ class TestCheckpointAtomicity:
         assert store.collection("stream-meta").find(
             {"stream": table.stream}
         ) == []
+
+    def test_reset_stream_wipes_index_documents(self, stream_setup):
+        """A store written by an older checkpoint, or holding a
+        ``save_indexes`` export, keeps cluster documents beside the
+        durable state; a reset takes them along with the lineage."""
+        table, config, chunks = stream_setup
+        store = DocumentStore()
+        ing = open_journaled(store, table, config)
+        ing.push(chunks[0])
+        ing.checkpoint(store)
+        ing.index.to_docstore(store)
+        assert len(store.collection("clusters:%s" % table.stream)) > 0
+        reset_stream(store, table.stream)
+        assert "clusters:%s" % table.stream not in store.collection_names()
+        assert store.collection("index-meta").find({"stream": table.stream}) == []
+        assert load_ingest_state(store, table.stream) is None
 
     def test_durable_checkpoint_rejects_foreign_store(self, stream_setup):
         """Regression: committing a durable checkpoint into a store

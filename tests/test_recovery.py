@@ -17,6 +17,8 @@ chunk.  A chunk whose journal append survived is never re-ingested
 first journal record simply re-opens the stream.
 """
 
+import uuid
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,7 @@ from repro.core.streaming import StreamIngestor
 from repro.core.system import FocusSystem
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
-from repro.storage.journal import (
-    JOURNAL_PREFIX,
-    STATE_PREFIX,
-    IngestJournal,
-    payload_digest,
-)
+from repro.storage.journal import JOURNAL_PREFIX, IngestJournal
 
 N_CHUNKS = 4
 #: checkpoint every stream after this chunk round (plus a final round)
@@ -229,28 +226,41 @@ class TestSystemRecovery:
     def test_recover_resumes_live_queryable_sessions(self, seeded_workload):
         self._crash_recover_compare(seeded_workload)
 
-    def test_recover_checkpoint_with_legacy_clusterer_keys(self, seeded_workload):
-        """A checkpoint written while the clusterer still had a batch
-        kernel and an ``auto`` selector stores four extra keys in its
-        clusterer payload; it recovers and answers bit-identically."""
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_recover_checkpoint_with_parent_index_documents(
+        self, seeded_workload, index_mode
+    ):
+        """The previous checkpoint layout also committed each stream's
+        cluster documents, an ``index-meta`` document carrying a lineage
+        epoch, and ``stream-meta`` beside the ingest state.  Recovery
+        ignores them and answers bit-identically, and the next
+        checkpoint writes none of them."""
 
-        def as_written_by_parent(store, streams):
-            for s in streams:
-                states = store.collection(STATE_PREFIX + s)
-                doc = states.find_one({"stream": s})
-                payload = dict(doc["payload"])
-                payload["clusterer"] = dict(
-                    payload["clusterer"], kernel="auto", recent_scans=3,
-                    recent_rows=4096, active_kernel="scalar",
+        def as_written_by_parent(store, system):
+            for s in system.streams():
+                handle = system.handle(s)
+                handle.index.to_docstore(store)
+                meta = store.collection("index-meta")
+                doc = meta.find_one({"stream": s})
+                meta.upsert(
+                    {"stream": s},
+                    {"stream": s, "model": doc["model"], "k": doc["k"],
+                     "epoch": uuid.uuid4().hex},
                 )
-                states.update_one(doc["_id"], {
-                    "payload": payload, "checksum": payload_digest(payload),
-                })
+                store.collection("stream-meta").upsert(
+                    {"stream": s},
+                    {"stream": s, "duration_s": float(handle.table.duration_s),
+                     "fps": float(handle.table.fps), "head_classes": None,
+                     "num_rows": len(handle.table), "checksum": 0, "live": True,
+                     "watermark_s": float(handle.watermark_s)},
+                )
 
-        self._crash_recover_compare(seeded_workload, as_written_by_parent)
+        self._crash_recover_compare(seeded_workload, as_written_by_parent, index_mode)
 
     @staticmethod
-    def _crash_recover_compare(seeded_workload, rewrite_checkpoint=None):
+    def _crash_recover_compare(
+        seeded_workload, rewrite_checkpoint=None, index_mode="lazy"
+    ):
         tables, config = seeded_workload
         streams = sorted(tables)
         chunks = {s: split_chunks(tables[s]) for s in streams}
@@ -259,7 +269,7 @@ class TestSystemRecovery:
         crashed = FocusSystem()
         for s in streams:
             crashed.open_stream(
-                s, fps=tables[s].fps, config=config, index_mode="lazy",
+                s, fps=tables[s].fps, config=config, index_mode=index_mode,
                 wal_store=store,
             )
         for i in range(2):
@@ -267,7 +277,7 @@ class TestSystemRecovery:
                 crashed.append(s, chunks[s][i])
         crashed.checkpoint(store)
         if rewrite_checkpoint is not None:
-            rewrite_checkpoint(store, streams)
+            rewrite_checkpoint(store, crashed)
         for s in streams:
             crashed.append(s, chunks[s][2])
         del crashed  # the process dies; only `store` survives
@@ -282,7 +292,7 @@ class TestSystemRecovery:
         uninterrupted = FocusSystem()
         for s in streams:
             uninterrupted.open_stream(
-                s, fps=tables[s].fps, config=config, index_mode="lazy"
+                s, fps=tables[s].fps, config=config, index_mode=index_mode
             )
             for chunk in chunks[s]:
                 uninterrupted.append(s, chunk)
@@ -296,6 +306,18 @@ class TestSystemRecovery:
         b = uninterrupted.query_all("car")
         for s in streams:
             np.testing.assert_array_equal(a.slices[s].frames, b.slices[s].frames)
+            assert recovered.handle(s).index.num_clusters == (
+                uninterrupted.handle(s).index.num_clusters
+            )
+
+        # a checkpoint is the ingest state alone: head, segment, marker
+        profile = FaultyStore(store)
+        assert recovered.checkpoint(profile) == streams
+        written = {target for _, target in profile.write_log}
+        assert not [
+            t for t in written
+            if "clusters:" in t or "index-meta" in t or "stream-meta" in t
+        ]
 
     def test_recover_unknown_stream_rejected(self, seeded_workload):
         tables, config = seeded_workload

@@ -1,11 +1,10 @@
 """The storage contract, held against every implementation.
 
-``repro.storage.docstore`` states what the program calls as three
-Protocols: ``CheckpointStore`` (ingest, checkpoint, recovery),
-``IndexSink`` (index persistence) and ``StoredCollection`` under them.
-This suite holds ``DocumentStore`` / ``FaultyStore`` /
-``CheckpointWriter`` and ``Collection`` / ``FaultyCollection`` to those
-names and parameter names, and pins the one keyed write (``upsert``),
+``repro.storage.docstore`` states what the program calls as two
+Protocols: ``CheckpointStore`` (ingest, checkpoint, recovery, index
+export) and ``StoredCollection`` under it.  This suite holds
+``DocumentStore`` / ``FaultyStore`` and ``Collection`` /
+``FaultyCollection`` to those names and parameter names, and pins the one keyed write (``upsert``),
 its fault model and the closed set of query shapes.
 """
 
@@ -18,11 +17,9 @@ from repro.storage.docstore import (
     Collection,
     DocStoreError,
     DocumentStore,
-    IndexSink,
     StoredCollection,
 )
 from repro.storage.faults import FaultInjected, FaultyStore
-from repro.storage.journal import CheckpointWriter
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +54,12 @@ def assert_satisfies(obj, protocol):
 
 
 def test_protocols_name_the_surface_the_program_calls():
-    assert members(IndexSink) == ["collection", "drop"]
+    # ``collection`` and ``drop`` (all index export writes through) are
+    # the store's own members, not a separate sink's
+    assert {"collection", "drop"} <= set(vars(CheckpointStore))
     assert members(CheckpointStore) == [
         "collection", "collection_names", "commit_staged", "discard_staged",
-        "drop", "drop_staged", "stage",
+        "drop", "stage",
     ]
     assert members(StoredCollection) == [
         "__len__", "create_index", "delete_many", "find", "find_one",
@@ -73,7 +72,6 @@ def test_every_store_defines_every_protocol_member_alike():
     faulty = FaultyStore(DocumentStore())
     assert_satisfies(store, CheckpointStore)
     assert_satisfies(faulty, CheckpointStore)
-    assert_satisfies(CheckpointWriter(store, "s", 0, -1), IndexSink)
     for owner in (store, faulty):
         assert_satisfies(owner.collection("c"), StoredCollection)
         assert_satisfies(owner.stage("c"), StoredCollection)
@@ -162,15 +160,15 @@ def test_faulty_upsert_with_no_budget_leaves_the_old_document_intact():
 
 def test_faulty_store_meters_durable_writes_only():
     """``update_one`` and ``drop`` are durable writes and spend one each;
-    dropping a staged clone is not, until the commit that publishes it."""
+    staging a clone is not, until the commit that publishes it."""
     faulty = FaultyStore(DocumentStore())
     meta = faulty.collection("meta")
     doc_id = meta.insert_one({"stream": "a", "epoch": 1})
     meta.update_one(doc_id, {"epoch": 2})
-    faulty.drop_staged("meta")
+    faulty.stage("meta")
     assert faulty.write_log == [("insert_one", "meta"), ("update_one", "meta")]
     faulty.commit_staged(["meta"])
-    assert len(faulty.collection("meta")) == 0
+    assert len(faulty.collection("meta")) == 1
     faulty.drop("meta")
     assert faulty.write_log[2:] == [("commit_staged", "meta"), ("drop", "meta")]
     assert faulty.collection_names() == []

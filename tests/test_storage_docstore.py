@@ -156,20 +156,10 @@ def test_discard_staged():
     store = DocumentStore()
     store.collection("c").insert_one({"v": "live"})
     store.stage("c").insert_one({"v": "staged"})
-    store.drop_staged("d")
+    store.stage("d")
     assert store.discard_staged() == ["c", "d"]
     assert len(store.collection("c")) == 1
     assert store.staged_names() == []
-
-
-def test_drop_staged_is_wholesale_replacement():
-    store = DocumentStore()
-    store.collection("c").insert_one({"v": "live"})
-    store.drop_staged("c")
-    store.stage("c").insert_one({"v": "fresh"})
-    store.commit_staged(["c"])
-    docs = store.collection("c").find()
-    assert [d["v"] for d in docs] == ["fresh"]
 
 
 def test_store_collections():

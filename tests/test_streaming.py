@@ -10,7 +10,6 @@ import pytest
 
 from repro.cnn.zoo import resnet152
 from repro.core.clustering import IncrementalClusterer, cluster_table
-from repro.core.config import FocusConfig
 from repro.core.index import IndexReader, LazyTopKIndex, TopKIndex
 from repro.core.ingest import IngestPipeline
 from repro.core.query import QueryEngine
@@ -18,6 +17,7 @@ from repro.core.streaming import StreamIngestor, empty_observation_table
 from repro.core.system import FocusSystem
 from repro.serve.cache import VerificationCache
 from repro.storage.docstore import DocumentStore
+from repro.storage.journal import IngestJournal, JournalError, committed_checkpoint
 from repro.video.synthesis import ObservationTable
 
 
@@ -287,154 +287,43 @@ class TestMutableIndexes:
         assert isinstance(explicit, TopKIndex)
 
 
-class TestIncrementalCheckpoints:
+class TestDerivedIndex:
     @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_checkpoint_never_rewrites_unchanged_docs(
-        self, table, config, index_mode
-    ):
-        """Acceptance: incremental checkpoints upsert only the delta."""
+    def test_recovered_index_equals_live(self, table, config, index_mode):
+        """A checkpoint stores no index: recovery derives one equal to
+        the live session's at every checkpoint -- entries, members,
+        frames, lookups and, materialized, every class's entry order."""
         chunks, _ = row_chunks(table, 3)
-        ingestor = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode=index_mode
-        )
         store = DocumentStore()
-        ingestor.push(chunks[0])
-        ingestor.checkpoint(store)
-        coll = store.collection("clusters:%s" % table.stream)
-        n_after_first = len(coll)
-        assert coll.inserts == n_after_first and coll.updates == 0
-        doc_ids = {d["cluster_id"]: d["_id"] for d in coll.find()}
-
-        report = ingestor.push(chunks[1])
-        inserts_before, updates_before = coll.inserts, coll.updates
-        ingestor.checkpoint(store)
-        # exactly the delta was written: one insert per new cluster, one
-        # update per grown cluster -- unchanged documents untouched
-        assert coll.inserts - inserts_before == len(report.new_clusters)
-        assert coll.updates - updates_before == len(report.grown_clusters)
-        for cid, doc_id in doc_ids.items():
-            assert coll.find_one({"cluster_id": cid})["_id"] == doc_id
-
-        # a no-op checkpoint writes nothing at all
-        inserts_before, updates_before = coll.inserts, coll.updates
-        ingestor.checkpoint(store)
-        assert (coll.inserts, coll.updates) == (inserts_before, updates_before)
-
-    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_checkpointed_index_equals_live(self, table, config, index_mode):
-        chunks, _ = row_chunks(table, 3)
         ingestor = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode=index_mode
+            config, table.stream, fps=table.fps, index_mode=index_mode,
+            journal=IngestJournal(store, table.stream),
         )
-        store = DocumentStore()
+        tokens = [int(c) for c in np.unique(table.class_id)]
         for chunk in chunks:
             ingestor.push(chunk)
             ingestor.checkpoint(store)
-        loaded = TopKIndex.from_docstore(store, table.stream)
-        live = ingestor.index
-        if index_mode == "lazy":
-            live = live.materialize()
-        assert loaded.num_clusters == live.num_clusters
-        for cid in range(live.num_clusters):
-            assert loaded.cluster(cid) == live.cluster(cid)
-            np.testing.assert_array_equal(loaded.members(cid), live.members(cid))
-            np.testing.assert_array_equal(loaded.frames(cid), live.frames(cid))
+            live = ingestor.index
+            derived = StreamIngestor.recover(store, table.stream).index
+            assert type(derived) is type(live)
+            assert derived.num_clusters == live.num_clusters
+            for cid in range(live.num_clusters):
+                assert derived.cluster(cid) == live.cluster(cid)
+                np.testing.assert_array_equal(derived.members(cid), live.members(cid))
+                np.testing.assert_array_equal(derived.frames(cid), live.frames(cid))
+            for token in tokens:
+                assert derived.lookup(token) == live.lookup(token)
+            if index_mode == "materialized":
+                assert derived._by_class == live._by_class
 
-    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_checkpoint_onto_stale_snapshot_rewrites_wholesale(
-        self, table, config, index_mode
-    ):
-        """A reopened session checkpointing into a store that holds a
-        previous session's larger snapshot must not merge into it --
-        stale cluster documents would point at rows past the new
-        session's table."""
-        store = DocumentStore()
-        chunks, bounds = row_chunks(table, 3)
-        first = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode=index_mode
-        )
-        for chunk in chunks:
-            first.push(chunk)
-        first.checkpoint(store)
-        old_docs = len(store.collection("clusters:%s" % table.stream))
-
-        # the stream is reopened: a shorter session checkpoints into the
-        # same store
-        second = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode=index_mode
-        )
-        second.push(chunks[0])
-        second.checkpoint(store)
-        coll = store.collection("clusters:%s" % table.stream)
-        assert second.index.num_clusters < old_docs
-        assert len(coll) == second.index.num_clusters
-
-        # the restored index answers over the short session's table
-        restored = TopKIndex.from_docstore(store, table.stream)
-        prefix = second.table
-        for cid in range(restored.num_clusters):
-            assert restored.members(cid).max() < len(prefix)
-        engine = QueryEngine(restored, prefix, None, resnet152(),
-                             query_token_fn=lambda c: c)
-        cls = int(table.dominant_classes()[0])
-        engine.query(cls)  # must not raise
-
-    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_checkpoint_to_fresh_store_writes_full_snapshot(
-        self, table, config, index_mode
-    ):
-        """Checkpointing into a store that missed earlier cursors must
-        not write only the since-last-checkpoint delta."""
+    def test_checkpoint_without_journal_refused(self, table, config):
         chunks, _ = row_chunks(table, 3)
-        ingestor = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode=index_mode
-        )
-        store_a = DocumentStore()
+        ingestor = StreamIngestor(config, table.stream, fps=table.fps)
         ingestor.push(chunks[0])
-        ingestor.checkpoint(store_a)  # clears the dirty cursor
-        ingestor.push(chunks[1])
-        store_b = DocumentStore()
-        ingestor.checkpoint(store_b)  # fresh store: delta alone is partial
-        name = "clusters:%s" % table.stream
-        assert len(store_b.collection(name)) == ingestor.index.num_clusters
-        loaded = TopKIndex.from_docstore(store_b, table.stream)
-        assert loaded.num_clusters == ingestor.index.num_clusters
-        # ... and store B accepts incremental deltas from here on: a
-        # wholesale rewrite would drop and recreate the collection, a
-        # delta keeps the same collection object and its documents
-        coll_b = store_b.collection(name)
-        ingestor.push(chunks[2])
-        ingestor.checkpoint(store_b)
-        assert store_b.collection(name) is coll_b
-        assert len(coll_b) == ingestor.index.num_clusters
-        coll_a = store_a.collection(name)
-        assert len(coll_a) < ingestor.index.num_clusters  # A is behind
-
-    def test_checkpoint_onto_same_shape_foreign_snapshot(self, table, config):
-        """Two sessions with the same model/K but different clustering
-        must not interleave documents in one store: the lineage epoch
-        forces a wholesale rewrite instead of a silent merge."""
-        chunks, _ = row_chunks(table, 3)
-        store_x, store_y = DocumentStore(), DocumentStore()
-        first = StreamIngestor(config, table.stream, fps=table.fps)
-        for chunk in chunks:
-            first.push(chunk)
-        first.checkpoint(store_y)
-
-        looser = FocusConfig(
-            model=config.model, k=config.k,
-            cluster_threshold=config.cluster_threshold * 2,
-        )
-        second = StreamIngestor(looser, table.stream, fps=table.fps)
-        second.push(chunks[0])
-        second.checkpoint(store_x)  # clears the dirty cursor elsewhere
-        second.push(chunks[1])
-        second.checkpoint(store_y)  # foreign snapshot: must not merge
-        loaded = TopKIndex.from_docstore(store_y, table.stream)
-        assert loaded.num_clusters == second.index.num_clusters
-        live = second.index.materialize()
-        for cid in range(loaded.num_clusters):
-            np.testing.assert_array_equal(loaded.members(cid), live.members(cid))
+        store = DocumentStore()
+        with pytest.raises(JournalError, match="no write-ahead journal"):
+            ingestor.checkpoint(store)
+        assert store.collection_names() == []
 
 
 class TestVerificationCacheStreams:
@@ -549,15 +438,19 @@ class TestFocusSystemLiveIngest:
         assert system.service.cache.stats()["invalidations"] >= cached
         assert system.service.cache.stats()["size"] == 0.0
 
-    def test_checkpoint_resume_round_trip(self, table, config):
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_export_resume_round_trip(self, table, config, index_mode):
+        """A stream without a journal is snapshotted by an export."""
         system = FocusSystem(num_query_gpus=4)
-        system.open_stream(table.stream, fps=table.fps, config=config)
+        system.open_stream(
+            table.stream, fps=table.fps, config=config, index_mode=index_mode
+        )
         chunks, _ = row_chunks(table, 3)
         store = DocumentStore()
         for chunk in chunks[:2]:
             system.append(table.stream, chunk)
-            system.checkpoint(store)
-        # resume in a cold process at the checkpointed watermark
+        system.save_indexes(store)
+        # resume in a cold process at the exported watermark
         resumed = FocusSystem(num_query_gpus=4)
         names = resumed.load_indexes(
             store, tables={table.stream: system.handle(table.stream).table}
@@ -573,6 +466,30 @@ class TestFocusSystemLiveIngest:
         assert meta["watermark_s"] == pytest.approx(
             system.handle(table.stream).watermark_s
         )
+
+    def test_checkpoint_round_refuses_streams_without_journal(self, table, config):
+        """One durable and two journal-free sessions: the round is
+        refused by one error naming both, and nothing is staged or
+        committed for the durable stream."""
+        system = FocusSystem(num_query_gpus=4)
+        store = DocumentStore()
+        system.open_stream(table.stream, fps=table.fps, config=config, wal_store=store)
+        system.open_stream("lausanne", fps=table.fps, config=config)
+        system.open_stream("jacksonh", fps=table.fps, config=config)
+        chunks, _ = row_chunks(table, 3)
+        system.append(table.stream, chunks[0])
+        names_before = store.collection_names()
+        for streams in (None, [table.stream, "lausanne", "jacksonh"]):
+            with pytest.raises(JournalError, match="jacksonh, lausanne$"):
+                system.checkpoint(store, streams=streams)
+        with pytest.raises(JournalError, match=r"save_indexes\): lausanne$"):
+            system.checkpoint(store, streams=[table.stream, "lausanne"])
+        assert store.collection_names() == names_before
+        assert store.staged_names() == []
+        assert committed_checkpoint(store, table.stream) is None
+        assert system.handle(table.stream).ingestor.committed_epoch == 0
+        # a round naming the durable stream alone commits it
+        assert system.checkpoint(store, streams=[table.stream]) == [table.stream]
 
     def test_handle_watermark(self, system, table, config):
         handle = system.open_stream(table.stream, fps=table.fps, config=config)
