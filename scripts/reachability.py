@@ -88,9 +88,8 @@ _FLEET_GRADE = "stays: the cross-stream grade (evidence-weighted fleet precision
 #: consumer reaches (first match wins).  Protocol stubs and ``__repr__``
 #: are decided without an entry.
 DECISIONS: Tuple[Tuple[str, str], ...] = (
-    # fault paths: crash, restart, breaker, chaos arming
+    # fault paths: crash, restart, breaker
     ("storage/faults.py:*", "stays: fault injection, the engine of the crash-point and chaos suites"),
-    ("fabric/worker.py:_LoopHooks.inject_*", "stays: chaos-drill arming, a fault path"),
     ("fabric/supervisor.py:FabricSupervisor.kill", _FAULT),
     ("fabric/supervisor.py:FabricSupervisor.ensure_alive", _FAILOVER),
     ("fabric/supervisor.py:FabricSupervisor.restart", _FAILOVER),

@@ -27,7 +27,6 @@ from repro.fabric.protocol import (
     raise_remote,
 )
 from repro.fabric.shard import ShardNode
-from repro.fabric.worker import _LoopHooks
 from repro.obs.events import emit as _emit_event
 from repro.obs.trace import get_sink
 from repro.storage.docstore import Collection, DocumentStore
@@ -51,9 +50,8 @@ def _stub(op: str, submit: bool = False):
     parameters of the ``ShardNode`` twin; its ``defer_delta``, where
     declared, is the request envelope's flag, not an argument of the
     op."""
-    row = OPS[op]
     name = op + "_submit" if submit else op
-    served = getattr(_LoopHooks if row.loop else ShardNode, name)
+    served = getattr(ShardNode, name)
     signature = inspect.signature(served)
     var_keyword = next(
         (p.name for p in signature.parameters.values() if p.kind is p.VAR_KEYWORD),
@@ -74,7 +72,7 @@ def _stub(op: str, submit: bool = False):
 
     stub.__name__ = name
     stub.__qualname__ = "ShardClient." + name
-    stub.__doc__ = getattr(ShardNode, op, served).__doc__
+    stub.__doc__ = getattr(ShardNode, op).__doc__
     stub.__signature__ = signature.replace(return_annotation=signature.empty)
     return stub
 
@@ -262,8 +260,6 @@ class ShardClient:
             worker.mirror.drop(name)
         if not reply.ok:
             raise_remote(reply.error)
-        if reply.value is None:
-            return None  # a loop op's bare acknowledgement
         return codec.decode(reply.value, reader)
 
     def _await_reply(self, worker: _Worker, corr_id: int) -> Reply:
@@ -359,9 +355,7 @@ class ShardClient:
         return doc
 
     # -- every other row of the table, generated -------------------------------
-    # (``shutdown`` is the supervisor's own goodbye, enqueued without a
-    # gather by ``FabricSupervisor.shutdown``: it gets no client verb)
     for _op in OPS:
-        if _op not in vars() and _op != "shutdown":
+        if _op not in vars():
             vars()[_op] = _stub(_op)
     del _op

@@ -68,8 +68,10 @@ from repro.obs.metrics import register_counters
 #: v9: answers carry no accuracy grade -- ``QueryAnswer.metrics`` is
 #: gone and a ``MultiStreamAnswer`` slice is a bare ``QueryResult``;
 #: v10: a ``StreamCheckpoint`` has no ``durable`` flag -- only durable
-#: sessions checkpoint)
-PROTOCOL_VERSION = 10
+#: sessions checkpoint; v11: the table holds only ``ShardNode`` verbs --
+#: the loop's own rows (goodbye and the fault drills) are gone, and a
+#: ``None`` on the request queue is the goodbye)
+PROTOCOL_VERSION = 11
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;
@@ -110,15 +112,12 @@ class Op:
     scatter-gather rounds), ingest moves real data, recovery/migration
     legs replay WALs and ship snapshots.  A ``readonly`` op
     cannot move the durable store: the worker skips the store-delta
-    sweep and the client counts it in ``delta_skipped_readonly``.  A
-    ``loop`` op is the worker loop's own (``worker._LoopHooks``),
-    acknowledged bare; every other op is the ``ShardNode`` method of
-    its name.
+    sweep and the client counts it in ``delta_skipped_readonly``.
+    Every op is the ``ShardNode`` method of its name.
     """
 
     kind: str
     readonly: bool = False
-    loop: bool = False
 
 
 #: the op vocabulary, closed: each wire op is declared here, once
@@ -144,13 +143,6 @@ OPS: Dict[str, Op] = {
     "migrate_out": Op("slow"),
     "import_stream": Op("slow"),
     "finish_migration": Op("ingest"),
-    # the loop's own: goodbye, and chaos drill arming (tests only)
-    "shutdown": Op("control", loop=True),
-    "inject_crash_after_journal": Op("control", loop=True),
-    "inject_crash_before_reply": Op("control", loop=True),
-    "inject_stall": Op("control", loop=True),
-    "inject_slow": Op("control", loop=True),
-    "inject_drop_reply": Op("control", loop=True),
 }
 
 #: default per-kind deadlines (seconds); override per supervisor via
@@ -227,10 +219,9 @@ class Reply:
     """One command's outcome: worker -> supervisor.
 
     ``value`` is the answer as one ``codec.encode`` envelope (None for
-    an error or a loop op's bare acknowledgement).  ``store_delta`` is
-    one envelope too, of the list of per-collection delta documents --
-    doc-level ``"cdelta"`` change sets when the
-    mirror shares the collection's baseline, whole-collection
+    an error).  ``store_delta`` is one envelope too, of the list of
+    per-collection delta documents -- doc-level ``"cdelta"`` change
+    sets when the mirror shares the collection's baseline, whole-collection
     ``"cfull"`` snapshots otherwise (see
     :meth:`repro.storage.docstore.Collection.delta_snapshot`);
     ``store_drops`` lists collections the command removed.  Read-only

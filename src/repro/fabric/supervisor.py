@@ -24,7 +24,6 @@ from repro.fabric.protocol import (
     DEFAULT_DEADLINES,
     WIRE_COUNTER_KEYS,
     ProtocolError,
-    Request,
     ShardFailed,
     deadline_kind,
 )
@@ -479,16 +478,13 @@ class FabricSupervisor:
         return []
 
     def shutdown(self) -> None:
-        """Stop every worker (graceful command, then kill) and close
-        the queues.  Idempotent."""
+        """Stop every worker (the ``None`` goodbye, then kill) and
+        close the queues.  Idempotent."""
         self._check_thread()
         for worker in self._workers.values():
             if worker.process.is_alive():
                 try:
-                    worker.request_q.put(
-                        Request(corr_id=worker.next_corr, op="shutdown")
-                    )
-                    worker.next_corr += 1
+                    worker.request_q.put(None)
                 except Exception:
                     pass
                 worker.process.join(timeout=5)

@@ -9,11 +9,13 @@ modules split along the seam the op table draws (imports run
 worker <- client <- supervisor):
 
 * ``repro.fabric.worker`` (here) -- the worker process.
-  :func:`_worker_main` builds a ``ShardNode`` from a store snapshot and
-  serves one command at a time from its request queue, shipping each
+  :class:`WorkerState` builds a ``ShardNode`` from a store snapshot and
+  its :meth:`~WorkerState.serve_one` serves one command, shipping the
   command's *store delta* (the collections it changed) back with the
   reply, so the supervisor's mirror always reflects the worker's
   durable state as of the last acknowledged command.
+  :func:`_worker_main`, the forked process, only moves requests and
+  replies between the queues and that step.
 * ``repro.fabric.client`` -- :class:`ShardClient`, the
   :class:`~repro.fabric.shard.ShardLeg` contract over the queues, and
   :class:`PendingReply`.
@@ -27,9 +29,10 @@ arguments (one ``codec.decode``), call the method with them, encode the
 answer (one ``codec.encode``) -- and ``ShardClient`` grows the
 mirror-image method from the same row and the method's own signature;
 no branch here, no stub there.  The few ops whose serving differs
-register a wrapper in :data:`_WRAPPERS`, and the loop's own verbs
-(goodbye, chaos drills) are :class:`_LoopHooks` methods.
-Migration has no code of its own here.
+register a wrapper in :data:`_WRAPPERS`.  The table holds nothing
+else: the goodbye is a ``None`` on the request queue, and fault drills
+are events of the tests' transports, never ops.  Migration has no code
+of its own here.
 
 See ``docs/SHARDING.md`` for the message table and restart/fencing
 interaction.
@@ -38,8 +41,6 @@ interaction.
 from __future__ import annotations
 
 import importlib
-import os
-import time
 from dataclasses import replace as _dc_replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -107,77 +108,6 @@ def _store_delta(
     return codec.encode(deltas, sink), drops
 
 
-class _LoopHooks:
-    """The worker loop's own verbs: the table's ``loop=True`` rows, one
-    method each (their ``ShardClient`` methods take their parameters
-    from these signatures, as a node op's does from ``ShardNode``).
-    The loop runs a hook and acknowledges it bare -- no sink, no delta
-    sweep, and none of the chaos it arms, which starts with the NEXT
-    command.  The chaos hooks are for the fault drills (tests only)."""
-
-    def __init__(self, node: ShardNode):
-        self._node = node
-        self.running = True
-        self.exit_before_reply = False
-        #: one-shot: the NEXT command sleeps this long mid-op (after the
-        #: state change, before the reply) -- the hung-worker drill
-        self.stall_s = 0.0
-        #: persistent: every command sleeps this long before executing
-        #: (a slow-but-correct worker; replies still arrive)
-        self.slow_s = 0.0
-        #: the next N commands execute fully but their replies are
-        #: swallowed -- the client's deadline must fire and recovery
-        #: must come from the mirror (at-most-once)
-        self.drop_replies = 0
-
-    def shutdown(self) -> None:
-        """Leave the loop once this command is acknowledged."""
-        self.running = False
-
-    def inject_stall(self, seconds: float = 10.0) -> None:
-        """Arm the worker to hang mid-op: the NEXT command executes,
-        then sleeps ``seconds`` before replying -- past any sane
-        deadline, so the client condemns the worker mid-sleep."""
-        self.stall_s = float(seconds)
-
-    def inject_slow(self, seconds: float) -> None:
-        """Make the worker slow-but-correct: every subsequent command
-        sleeps ``seconds`` before executing (0 turns it off)."""
-        self.slow_s = float(seconds)
-
-    def inject_drop_reply(self, count: int = 1) -> None:
-        """Swallow the next ``count`` replies: the ops execute in the
-        worker but never acknowledge -- the deadline fires and the
-        restarted shard recovers from the mirror (at-most-once)."""
-        self.drop_replies = int(count)
-
-    def inject_crash_before_reply(self) -> None:
-        """Arm the worker to die after its next command seals the reply
-        (creating its data-plane segment) but before the reply is
-        enqueued -- the mid-transfer orphan the reclamation drills
-        target."""
-        self.exit_before_reply = True
-
-    def inject_crash_after_journal(self, stream: str) -> None:
-        """Arm the worker to die right after the next WAL append for
-        ``stream`` -- before the chunk is applied or acknowledged: the
-        exact window between journal append and checkpoint the
-        fault-injection drills target."""
-        ingestor = self._node.system.handle(stream).ingestor
-        if ingestor is None or ingestor.journal is None:
-            raise ProtocolError(
-                "stream %r has no journaled live session to crash" % stream
-            )
-        journal = ingestor.journal
-        original = journal.append_chunk
-
-        def exploding_append_chunk(chunk, watermark_s=None):
-            original(chunk, watermark_s)
-            os._exit(1)  # no reply, no delta: the append never happened durably
-
-        journal.append_chunk = exploding_append_chunk  # type: ignore[method-assign]
-
-
 def _call_node(node: ShardNode, op: str, params: Dict[str, Any]) -> Any:
     return getattr(node, op)(**params)
 
@@ -237,150 +167,106 @@ def _reply_segment_name(prefix: str, corr_id: int) -> str:
     return "%s-r%d" % (prefix, corr_id)
 
 
-def _worker_main(
-    shard_id: str,
-    request_q,
-    reply_q,
-    store_snapshot: Dict[str, Any],
-    system_kwargs: Dict[str, Any],
-    shm_threshold: int,
-    reply_prefix: str,
-) -> None:
-    """The worker process loop: one shard, one command at a time.
-    ``reply_prefix`` names this incarnation's reply segments; empty (a
-    host without shared memory) inlines every reply."""
-    #: long-lived attachments to the supervisor's pooled request
-    #: segments (same names recur command after command)
-    attach_cache: Dict[str, Any] = {}
+def _reply(corr_id: int, error: Optional[Exception] = None, **shipped) -> Reply:
+    return Reply(
+        corr_id=corr_id,
+        ok=error is None,
+        error=encode_error(error) if error is not None else None,
+        **shipped,
+    )
 
-    # a fresh span sink: fork-inherited parent spans must not ship back
-    # in this worker's replies
-    install_sink(SpanSink())
 
-    store = DocumentStore.from_json_obj(store_snapshot)
-    node = ShardNode(shard_id, store=store, **system_kwargs)
-    hooks = _LoopHooks(node)
-    # every seeded collection starts a delta baseline the supervisor's
-    # mirror shares by construction (it sent the snapshot)
-    shadow = {
-        name: store.collection(name).mark_delta_clean()
-        for name in store.collection_names()
-    }
+class WorkerState:
+    """One shard worker: the ``ShardNode`` rebuilt from the supervisor's
+    store snapshot, the delta shadow of its store, and its attachments
+    to the supervisor's pooled request segments.  ``reply_prefix``
+    names this incarnation's reply segments; empty (a host without
+    shared memory) inlines every reply."""
 
-    def make_sink(corr_id: int) -> shm_plane.ShmSink:
+    def __init__(
+        self,
+        shard_id: str,
+        store_snapshot: Dict[str, Any],
+        system_kwargs: Dict[str, Any],
+        shm_threshold: int,
+        reply_prefix: str,
+    ):
+        #: long-lived attachments to the supervisor's pooled request
+        #: segments (same names recur command after command)
+        self.attachments: Dict[str, Any] = {}
+        self.store = DocumentStore.from_json_obj(store_snapshot)
+        self.node = ShardNode(shard_id, store=self.store, **system_kwargs)
+        self._threshold = shm_threshold
+        self._reply_prefix = reply_prefix
+        # every seeded collection starts a delta baseline the supervisor's
+        # mirror shares by construction (it sent the snapshot)
+        self._shadow = {
+            name: self.store.collection(name).mark_delta_clean()
+            for name in self.store.collection_names()
+        }
+
+    def _sink(self, corr_id: int) -> shm_plane.ShmSink:
         alloc = None
-        if reply_prefix:
-            name = _reply_segment_name(reply_prefix, corr_id)
+        if self._reply_prefix:
+            name = _reply_segment_name(self._reply_prefix, corr_id)
             alloc = lambda nbytes: shm_plane.create_segment(name, nbytes)
-        return shm_plane.ShmSink(alloc=alloc, threshold=shm_threshold)
+        return shm_plane.ShmSink(alloc=alloc, threshold=self._threshold)
 
-    def send(reply: Reply, sink: shm_plane.ShmSink) -> None:
-        sink.seal()
-        if hooks.exit_before_reply:
-            # SIGKILL-mid-transfer drill: die with the reply sealed
-            # (its segment created) but the reply never enqueued -- the
-            # orphan the supervisor must reclaim by probing the names
-            # of its unacknowledged correlation ids
-            os._exit(1)
-        if hooks.drop_replies > 0:
-            # dropped-reply drill: the op ran in-process but its reply
-            # (and therefore its delta) is lost.  The client's deadline
-            # fires, the worker is condemned, its sealed segment is
-            # reclaimed by name, and the restarted shard recovers from
-            # the mirror -- the op never happened durably
-            hooks.drop_replies -= 1
-            sink.close_handoff()
-            return
-        reply_q.put(reply)
-        # hand the segment off: the supervisor attaches, reads, and
-        # unlinks it; only our mapping goes now
-        sink.close_handoff()
-
-    def make_reply(corr_id: int, error=None, **shipped) -> Reply:
-        return Reply(
-            corr_id=corr_id,
-            ok=error is None,
-            error=encode_error(error) if error is not None else None,
-            **shipped,
-        )
-
-    def finish(corr_id: int, sink, value=None, error=None, ship_delta=True):
+    def _finish(self, corr_id, sink, value=None, error=None, ship_delta=True):
         delta, drops = (
-            _store_delta(store, shadow, sink) if ship_delta else (None, ())
+            _store_delta(self.store, self._shadow, sink) if ship_delta else (None, ())
         )
-        send(
-            make_reply(
-                corr_id,
-                error,
-                value=value,
-                store_delta=delta,
-                store_drops=drops,
-                # worker-side spans of this command (empty unless it
-                # carried a sampled trace); the client absorbs them into
-                # the parent's sink for stitching.  Drained on errors
-                # too: a failed command's spans must not leak into the
-                # next reply
-                spans=tuple(get_sink().drain()),
-            ),
-            sink,
+        reply = _reply(
+            corr_id,
+            error,
+            value=value,
+            store_delta=delta,
+            store_drops=drops,
+            # worker-side spans of this command (empty unless it carried
+            # a sampled trace); the client absorbs them into the parent's
+            # sink for stitching.  Drained on errors too: a failed
+            # command's spans must not leak into the next reply
+            spans=tuple(get_sink().drain()),
         )
+        sink.seal()
+        return reply, sink
 
-    while hooks.running:
-        try:
-            request = request_q.get()
-        except (EOFError, OSError):
-            return  # the supervisor is gone
-        if request is None:
-            return
+    def serve_one(self, request) -> Tuple[Reply, Optional[shm_plane.ShmSink]]:
+        """Serve one request: decode its arguments, call the node, encode
+        the answer and sweep the store delta into one sealed message.
+
+        Returns the reply and the sink its payloads sealed into; the
+        caller closes the sink (``close_handoff``) once the reply is
+        handed off.  A refused request (not a request, a skewed
+        version, an op outside the table) gets a bare error reply and
+        no sink."""
         if not isinstance(request, Request):
-            refusal = ProtocolError("not a Request: %r" % (request,))
-            reply_q.put(make_reply(-1, refusal))
-            continue
+            return _reply(-1, ProtocolError("not a Request: %r" % (request,))), None
         if request.version != PROTOCOL_VERSION:
             refusal = ProtocolError(
                 "protocol version mismatch: request v%r, worker speaks v%r"
                 % (request.version, PROTOCOL_VERSION)
             )
-            reply_q.put(make_reply(request.corr_id, refusal))
-            continue
+            return _reply(request.corr_id, refusal), None
         row = OPS.get(request.op)
         if row is None:
             refusal = ProtocolError("unknown op %r" % request.op)
-            reply_q.put(make_reply(request.corr_id, refusal))
-            continue
-        reader = shm_plane.ShmReader(cache=attach_cache, owns=False)
-        if row.loop:
-            # acknowledged bare: no sink, no delta sweep, and none of
-            # the chaos the hook may arm (that starts with the NEXT one)
-            try:
-                getattr(hooks, request.op)(**_arguments(request, reader))
-                reply_q.put(make_reply(request.corr_id))
-            except Exception as exc:
-                reply_q.put(make_reply(request.corr_id, exc))
-            continue
-        if hooks.slow_s:
-            time.sleep(hooks.slow_s)
-        sink = make_sink(request.corr_id)
+            return _reply(request.corr_id, refusal), None
+        reader = shm_plane.ShmReader(cache=self.attachments, owns=False)
+        sink = self._sink(request.corr_id)
         try:
             serve = _WRAPPERS.get(request.op, _call_node)
             # the answer defers into the reply's sink, which seals it
             # with the store delta as one message
             value = codec.encode(
-                serve(node, request.op, _arguments(request, reader)), sink
+                serve(self.node, request.op, _arguments(request, reader)), sink
             )
-            stall = hooks.stall_s
-            if stall:
-                # hung-mid-op drill: the state change happened but the
-                # reply never comes in time; the client's deadline kills
-                # us mid-sleep and the mirror (never advanced) wins
-                hooks.stall_s = 0.0
-                time.sleep(stall)
             # no delta sweep for a read-only command (it cannot move
             # durable state: no mirror traffic at all) nor for a deferred
             # leg (a pipelined scatter leg with later legs behind it on
             # this shard: the dirty sets keep accumulating and the
             # round's final leg ships one cumulative delta)
-            finish(
+            return self._finish(
                 request.corr_id,
                 sink,
                 value=value,
@@ -392,4 +278,38 @@ def _worker_main(
             # and a deferred leg that failed must not defer it either.
             # A fresh sink: the failed command's partially-encoded value
             # payloads must not leak into the error reply's segment.
-            finish(request.corr_id, make_sink(request.corr_id), error=exc)
+            return self._finish(
+                request.corr_id, self._sink(request.corr_id), error=exc
+            )
+
+
+def _worker_main(
+    shard_id: str,
+    request_q,
+    reply_q,
+    store_snapshot: Dict[str, Any],
+    system_kwargs: Dict[str, Any],
+    shm_threshold: int,
+    reply_prefix: str,
+) -> None:
+    """The worker process loop: one command at a time from the request
+    queue until the ``None`` goodbye (or the supervisor is gone)."""
+    # a fresh span sink: fork-inherited parent spans must not ship back
+    # in this worker's replies
+    install_sink(SpanSink())
+    worker = WorkerState(
+        shard_id, store_snapshot, system_kwargs, shm_threshold, reply_prefix
+    )
+    while True:
+        try:
+            request = request_q.get()
+        except (EOFError, OSError):
+            return  # the supervisor is gone
+        if request is None:
+            return
+        reply, sink = worker.serve_one(request)
+        reply_q.put(reply)
+        if sink is not None:
+            # hand the segment off: the supervisor attaches, reads, and
+            # unlinks it; only our mapping goes now
+            sink.close_handoff()

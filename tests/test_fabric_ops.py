@@ -29,7 +29,6 @@ from repro.fabric import FabricSupervisor, ProtocolError, ShardClient, ShardNode
 from repro.fabric.protocol import DEFAULT_DEADLINES, OPS
 from repro.fabric.shard import ShardLeg
 from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, shm_available
-from repro.fabric.worker import _LoopHooks
 from repro.serve.planner import QueryRequest
 from test_fabric import frame_aligned_chunks
 from test_fabric_legs import legs
@@ -43,8 +42,8 @@ def parameters(fn):
 
 
 def served(op):
-    """The method a row names: the loop's own, or the ShardNode's."""
-    return getattr(_LoopHooks if OPS[op].loop else ShardNode, op)
+    """The method a row names: every row is a ShardNode verb."""
+    return getattr(ShardNode, op)
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +52,35 @@ def served(op):
 
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_row_names_a_served_method(op):
-    row = OPS[op]
-    assert row.kind in DEFAULT_DEADLINES
-    owner = _LoopHooks if row.loop else ShardNode
-    assert callable(getattr(owner, op, None)), (
-        "row %r has no %s method" % (op, owner.__name__)
-    )
-    assert not (row.loop and row.readonly), op
+    assert OPS[op].kind in DEFAULT_DEADLINES
+    assert callable(getattr(ShardNode, op, None)), "row %r has no ShardNode method" % op
 
 
-@pytest.mark.parametrize("op", sorted(set(OPS) - {"shutdown"}))
+@pytest.mark.parametrize("op", sorted(OPS))
 def test_client_stub_takes_the_served_methods_parameters(op):
     assert parameters(getattr(ShardClient, op)) == parameters(served(op))
 
 
-def test_shutdown_is_not_a_client_verb():
-    assert not hasattr(ShardClient, "shutdown")
+@pytest.mark.parametrize("threshold", [DEFAULT_SHM_THRESHOLD, 1], ids=["default", "shm"])
+def test_shutdown_sentinel_exits_every_worker(threshold, monkeypatch):
+    """The goodbye is a ``None`` on the request queue, not an op: every
+    worker returns from its loop (exit code 0, not a kill) without
+    queuing a reply, and no segment outlives the fleet."""
+    with FabricSupervisor(["w0", "w1"], shm_threshold=threshold) as supervisor:
+        for client in supervisor.clients():
+            client.ping()
+            assert client.streams() == []
+        seen = []
+        stop = supervisor._stop
+        monkeypatch.setattr(
+            supervisor,
+            "_stop",
+            lambda worker: seen.append(
+                (worker.process.exitcode, worker.reply_q.empty(), list(worker.pending))
+            ) or stop(worker),
+        )
+    assert seen == [(0, True, [])] * 2
+    assert supervisor.leaked_segments == []
 
 
 @pytest.mark.parametrize("op", SUBMIT_TWINS)
@@ -88,7 +100,6 @@ def test_every_leg_verb_that_crosses_the_wire_has_a_row():
     # the one verb answered on the supervisor's side of the wire
     verbs.discard("ensure_alive")
     assert verbs <= set(OPS), sorted(verbs - set(OPS))
-    assert not any(OPS[verb].loop for verb in verbs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +257,6 @@ def test_wire_counters_count_each_payloads_inline_parts(
     if threshold == 1 and shm_available():
         assert moved["wire_bytes_sent"] == moved["wire_bytes_received"] == 0
         assert moved["shm_bytes"] >= codec.inline_nbytes(codec.encode(value))
-
-
-@pytest.mark.parametrize("threshold", [DEFAULT_SHM_THRESHOLD, 1], ids=["default", "shm"])
-@pytest.mark.parametrize(
-    "op, kwargs",
-    [("inject_slow", {"seconds": 0.0}), ("inject_stall", {"seconds": 0.0}),
-     ("inject_drop_reply", {"count": 0})],
-    ids=lambda v: v if isinstance(v, str) else "",
-)
-def test_a_loop_op_decodes_its_arguments_and_acknowledges_bare(op, kwargs, threshold):
-    with FabricSupervisor(["solo"], shm_threshold=threshold) as supervisor:
-        client = supervisor.client("solo")
-        assert getattr(client, op)(**kwargs) is None
-        assert client.streams() == []  # disarmed: the next command is served
-    assert supervisor.leaked_segments == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Self-healing fabric tests: deadlines, failover, retries.
 
-Covers the robustness acceptance criteria: an ``inject_stall``'d
-worker never blocks a router call past its deadline (the client
-raises :class:`DeadlineExceeded`, the worker is condemned and its shm
-leases reclaimed at *detection* time), the router's failover restarts
-crashed and hung workers through the mirror+WAL path with answers
-bit-identical afterwards, the crash-loop breaker trips to ``FAILED``
-after ``max_consecutive_failures`` and re-arms via ``reset_failed``,
-router retries keep queries/appends bit-identical and at-most-once,
-and ``allow_partial=True`` answers name exactly the lost shards and
-streams while strict mode still raises, and a fabric refuses every
-call from a thread other than its owner's.  Every fabric teardown
-asserts zero leaked shm segments.
+Covers the robustness acceptance criteria: a stalled worker never
+blocks a router call past its deadline (the client raises
+:class:`DeadlineExceeded`, the worker is condemned and its shm leases
+reclaimed at *detection* time), the router's failover restarts
+crashed, hung and reply-losing workers through the mirror+WAL path
+with answers bit-identical afterwards, the crash-loop breaker trips to
+``FAILED`` after ``max_consecutive_failures`` and re-arms via
+``reset_failed``, router retries keep queries/appends bit-identical
+and at-most-once, and ``allow_partial=True`` answers name exactly the
+lost shards and streams while strict mode still raises, and a fabric
+refuses every call from a thread other than its owner's.  Every fabric
+teardown asserts zero leaked shm segments.
+
+Stalls, slow workers, lost replies and crashes mid-command are events
+of the loopback transport (``tests/fabric_loopback.py``), on a virtual
+clock: no drill here waits out a deadline, except the one real hung
+process of ``TestDeadlines``.
 """
 
-import queue as pyqueue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +37,7 @@ from repro.fabric import (
     ShardNode,
     WorkerCrashed,
 )
+from fabric_loopback import LoopbackQueue, armed, loopback_fabric, process_of
 from repro.fabric.protocol import Reply, deadline_kind
 from repro.fabric.supervisor import _Worker
 from repro.serve.planner import QueryRequest
@@ -47,8 +52,9 @@ TIGHT = {"control": 2.0, "query": 3.0, "ingest": 5.0, "slow": 60.0}
 
 
 def crash_worker(supervisor, shard_id):
-    """A genuine crash: kill the process out from under the supervisor
-    (unlike ``supervisor.kill``, nothing is condemned until detected)."""
+    """A genuine crash: kill the process (real or loopback) out from
+    under the supervisor (unlike ``supervisor.kill``, nothing is
+    condemned until detected)."""
     process = supervisor._worker(shard_id).process
     process.kill()
     process.join()
@@ -91,15 +97,26 @@ class TestDeadlines:
             assert supervisor.deadline_for("query") == 7.5
             assert supervisor.deadline_for("ping") == DEFAULT_DEADLINES["control"]
 
-    def test_stalled_worker_trips_deadline_then_heals(self):
-        """The tentpole sequence: stall -> DeadlineExceeded (well before
-        the stall ends) -> condemned -> ensure_alive respawns -> healthy,
-        with both fault counters visible in the leg's cost section."""
+    def test_stalled_worker_trips_deadline_then_heals(self, tmp_path, monkeypatch):
+        """The tentpole sequence, on a real process that really hangs:
+        stall -> DeadlineExceeded (well before the stall ends) ->
+        condemned -> ensure_alive respawns -> healthy, with both fault
+        counters visible in the leg's cost section."""
+        sentinel = str(tmp_path / "hang")
+        ping = ShardNode.ping
+
+        def hanging_ping(node):
+            if armed(sentinel):
+                time.sleep(30.0)
+            return ping(node)
+
+        # armed before the fork: the worker inherits it, no op carries it
+        monkeypatch.setattr(ShardNode, "ping", hanging_ping)
         with FabricSupervisor(
             ["solo"], deadlines={"control": 0.75}
         ) as supervisor:
             client = supervisor.client("solo")
-            client.inject_stall(30.0)
+            open(sentinel, "w").close()
             started = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 client.ping()
@@ -124,11 +141,9 @@ class TestDeadlines:
     def test_slow_worker_stays_within_deadline(self):
         """Latency injection short of the deadline is absorbed: no
         condemn, no restart, no fault counters."""
-        with FabricSupervisor(
-            ["solo"], deadlines={"control": 5.0}
-        ) as supervisor:
+        with loopback_fabric(["solo"], deadlines={"control": 5.0}) as supervisor:
             client = supervisor.client("solo")
-            client.inject_slow(0.1)
+            process_of(supervisor, "solo").slow(0.1)
             client.ping()
             assert client.streams() == []
             assert supervisor.healthy("solo")
@@ -167,9 +182,9 @@ class _RacingProcess:
 
 class TestReplyLivenessRace:
     def test_reply_landing_at_death_is_drained_not_lost(self):
-        with FabricSupervisor(["solo"]) as supervisor:
+        with loopback_fabric(["solo"]) as supervisor:
             client = supervisor.client("solo")
-            reply_q = pyqueue.Queue()
+            reply_q = LoopbackQueue(supervisor._ctx.clock)
             reply = Reply(corr_id=0, ok=True, value="pong")
             worker = _Worker(
                 _RacingProcess(reply_q, reply), None, reply_q, DocumentStore()
@@ -180,11 +195,11 @@ class TestReplyLivenessRace:
             assert not worker.condemned  # the command was NOT lost
 
     def test_dead_worker_with_no_reply_is_condemned(self):
-        with FabricSupervisor(["solo"]) as supervisor:
+        with loopback_fabric(["solo"]) as supervisor:
             client = supervisor.client("solo")
+            reply_q = LoopbackQueue(supervisor._ctx.clock)
             worker = _Worker(
-                _RacingProcess(pyqueue.Queue()), None, pyqueue.Queue(),
-                DocumentStore(),
+                _RacingProcess(reply_q), None, reply_q, DocumentStore()
             )
             worker.deadline_s[0] = 5.0
             with pytest.raises(WorkerCrashed, match="died before replying"):
@@ -197,33 +212,89 @@ class TestReplyLivenessRace:
 # ---------------------------------------------------------------------------
 
 IDLE_FAULTS = {
+    # a real worker process, SIGKILLed while idle
     "crash": lambda supervisor: crash_worker(supervisor, "solo"),
-    # the stall lands on the next op, which the query deadline then kills
-    "hang": lambda supervisor: supervisor.client("solo").inject_stall(30.0),
+    # loopback events, each landing on the next command
+    "crash-before-reply": lambda supervisor: process_of(
+        supervisor, "solo"
+    ).crash_before_reply(),
+    "crash-after-journal": lambda supervisor: process_of(
+        supervisor, "solo"
+    ).crash_after_journal("jacksonh"),
+    "hang": lambda supervisor: process_of(supervisor, "solo").stall(30.0),
+    "drop-reply": lambda supervisor: process_of(supervisor, "solo").drop_replies(1),
 }
+
+#: the routed command the fault lands on, run on a router
+ROUTES = {
+    "append": lambda router, chunk: router.append("jacksonh", chunk),
+    "append_many": lambda router, chunk: router.append_many([("jacksonh", chunk)]),
+    "query_batch": lambda router, chunk: router.query_batch(
+        [QueryRequest(clazz=clazz) for clazz in (1, 2)]
+    ),
+    "checkpoint": lambda router, chunk: router.checkpoint(),
+}
+APPENDS = ("append", "append_many")
+
+#: every fault through every route, but a WAL append only happens on
+#: an appending one
+IDLE_CASES = [
+    (fault, route)
+    for fault in sorted(IDLE_FAULTS)
+    for route in sorted(ROUTES)
+    if fault != "crash-after-journal" or route in APPENDS
+]
+
+
+def assert_same_outcome(route, got, expected):
+    if route == "append":
+        got, expected = [got], [expected]
+    for left, right in zip(got, expected):
+        if route == "query_batch":
+            assert_same_slices(left, right)
+        else:
+            assert (left.chunk_rows, left.total_rows, left.watermark_s) == (
+                right.chunk_rows, right.total_rows, right.watermark_s
+            )
 
 
 @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-@pytest.mark.parametrize("fault", sorted(IDLE_FAULTS))
+@pytest.mark.parametrize("fault, route", IDLE_CASES)
 def test_idle_fault_heals_on_the_next_routed_command(
-    table_factory, live_config, index_mode, fault
+    table_factory, live_config, index_mode, fault, route
 ):
-    """A worker that dies or hangs while nobody waits on it is found by
-    the next command (at submit, in the reply wait, or by the op's
-    deadline); the router's retry respawns it from the mirror + WAL."""
-    chunks = frame_aligned_chunks(table_factory("jacksonh", 20.0, 10.0), pieces=2)
-    with FabricSupervisor(["solo"], deadlines=TIGHT) as supervisor:
-        client = supervisor.client("solo")
-        reference = ShardNode("solo-ref")
-        for node in (client, reference):
-            node.open_stream(
+    """A worker that dies, hangs or loses a reply while nobody waits on
+    it is found by the next routed command (at submit, in the reply
+    wait, or by the op's deadline); the router's retry respawns it from
+    the mirror + WAL, and the command lands exactly once.  A checkpoint
+    is fail-loud (never retried): it raises, and the command after it
+    heals the shard."""
+    chunks = frame_aligned_chunks(table_factory("jacksonh", 20.0, 10.0), pieces=3)
+    fabric = FabricSupervisor if fault == "crash" else loopback_fabric
+    with fabric(["solo"], deadlines=TIGHT) as supervisor:
+        router = FabricRouter(
+            supervisor.clients(), recover_configs={"jacksonh": live_config}
+        )
+        reference = FabricRouter([ShardNode("solo")])
+        for fleet in (router, reference):
+            fleet.open_stream(
                 "jacksonh", fps=10.0, config=live_config,
                 index_mode=index_mode, durable=True,
             )
-            for chunk in chunks:
-                node.append("jacksonh", chunk)
-        router = FabricRouter([client], recover_configs={"jacksonh": live_config})
+            for chunk in chunks[:2]:
+                fleet.append("jacksonh", chunk)
         IDLE_FAULTS[fault](supervisor)
+        routed = ROUTES[route]
+        if route == "checkpoint":
+            with pytest.raises((WorkerCrashed, DeadlineExceeded)):
+                routed(router, chunks[2])
+        else:
+            assert_same_outcome(
+                route, routed(router, chunks[2]), routed(reference, chunks[2])
+            )
+        if route not in APPENDS:
+            for fleet in (router, reference):
+                fleet.append("jacksonh", chunks[2])
         for clazz in (1, 2):
             assert_answers_equal(
                 router.query("jacksonh", clazz), reference.query("jacksonh", clazz)
@@ -231,7 +302,9 @@ def test_idle_fault_heals_on_the_next_routed_command(
         costs = router.cost_summary()
         assert costs["retries"] == 1.0
         assert costs["worker_restarts"] == 1.0
-        assert costs["deadline_exceeded"] == (1.0 if fault == "hang" else 0.0)
+        assert costs["deadline_exceeded"] == (
+            1.0 if fault in ("hang", "drop-reply") else 0.0
+        )
         assert_no_leaked_deadlines(supervisor)
     assert supervisor.leaked_segments == []
 
@@ -293,17 +366,16 @@ class TestCircuitBreaker:
 # router retry + failover (fleet, staged like TestModeEquivalence)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def fleet(table_factory, live_config):
-    """2 worker shards + an in-process reference fleet, first half of
-    every stream ingested; the staged tests crash/stall workers and
-    append the second half under failover."""
+    """2 loopback worker shards + an in-process reference fleet, first
+    half of every stream ingested; the staged tests crash/stall workers
+    and append the second half under failover.  Class-scoped: the
+    virtual clock stands in for the fabric's time only while it lives."""
     tables = {s: table_factory(s, 20.0, 10.0) for s in FABRIC_STREAMS}
     configs = {s: live_config for s in FABRIC_STREAMS}
     halves = {s: frame_aligned_chunks(t, pieces=2) for s, t in tables.items()}
-    with FabricSupervisor(
-        ["shard-0", "shard-1"], deadlines=TIGHT
-    ) as supervisor:
+    with loopback_fabric(["shard-0", "shard-1"], deadlines=TIGHT) as supervisor:
         remote = FabricRouter(
             supervisor.clients(), max_retries=2, recover_configs=configs
         )
@@ -338,7 +410,7 @@ class TestRouterFailover:
 
     def test_query_batch_retried_after_stall(self, fleet):
         victim = fleet.remote.placement.shard_of("auburn_c")
-        fleet.supervisor.client(victim).inject_stall(30.0)
+        process_of(fleet.supervisor, victim).stall(30.0)
         requests = [QueryRequest(clazz=clazz) for clazz in (1, 2)]
         remote_answers = fleet.remote.query_batch(requests)
         local_answers = fleet.local.query_batch(requests)
@@ -386,14 +458,14 @@ class TestAtMostOnceAppend:
         self, table_factory, live_config
     ):
         """The worker executes the append and journals it, then the
-        reply is swallowed: the delta never reaches the mirror, so the
+        reply is lost: the delta never reaches the mirror, so the
         respawned worker recovers *without* it and the router's retry
         lands the chunk exactly once -- answers bit-identical to a
         reference that appended each chunk once."""
         chunks = frame_aligned_chunks(
             table_factory("jacksonh", 20.0, 10.0), pieces=4
         )
-        with FabricSupervisor(
+        with loopback_fabric(
             ["solo"], deadlines={"control": 5.0, "query": 10.0,
                                  "ingest": 2.0, "slow": 60.0}
         ) as supervisor:
@@ -411,7 +483,7 @@ class TestAtMostOnceAppend:
             for chunk in chunks[:2]:
                 router.append("jacksonh", chunk)
                 reference.append("jacksonh", chunk)
-            supervisor.client("solo").inject_drop_reply(1)
+            process_of(supervisor, "solo").drop_replies(1)
             report = router.append("jacksonh", chunks[2])  # retried inside
             reference_report = reference.append("jacksonh", chunks[2])
             assert report.total_rows == reference_report.total_rows
@@ -439,7 +511,7 @@ class TestLeaseReclamation:
         chunks = frame_aligned_chunks(
             table_factory("jacksonh", 20.0, 10.0), pieces=2
         )
-        with FabricSupervisor(
+        with loopback_fabric(
             ["solo"],
             shm_threshold=1,  # every bulk payload leases a segment
             deadlines={"control": 5.0, "query": 10.0,
@@ -453,7 +525,7 @@ class TestLeaseReclamation:
                 index_mode="lazy", durable=True,
             )
             client.append("jacksonh", chunks[0])
-            client.inject_stall(30.0)
+            process_of(supervisor, "solo").stall(30.0)
             with pytest.raises(DeadlineExceeded):
                 client.append("jacksonh", chunks[1])
             # condemned -> leases back in the pool NOW, before any restart
@@ -481,12 +553,14 @@ class TestLeaseReclamation:
 # ---------------------------------------------------------------------------
 
 class TestPartialAnswers:
-    @pytest.fixture()
+    """Staged: the outage lasts until the last test heals it."""
+
+    @pytest.fixture(scope="class")
     def outage(self, table_factory, live_config):
         """2 shards ingested, then the shard holding 'lausanne' crashed
         with retries disabled: the outage stays an outage."""
         tables = {s: table_factory(s, 20.0, 10.0) for s in FABRIC_STREAMS}
-        with FabricSupervisor(
+        with loopback_fabric(
             ["shard-0", "shard-1"], deadlines=TIGHT
         ) as supervisor:
             remote = FabricRouter(supervisor.clients(), max_retries=0)
@@ -595,7 +669,7 @@ class TestDeadlineMapHygiene:
     to leak the in-flight entries for the incarnation's lifetime."""
 
     def test_map_empty_after_every_gather_round(self, table_factory, live_config):
-        with FabricSupervisor(["solo"], deadlines=TIGHT) as supervisor:
+        with loopback_fabric(["solo"], deadlines=TIGHT) as supervisor:
             client = supervisor.client("solo")
             assert_no_leaked_deadlines(supervisor)  # idle fleet
             client.streams()
@@ -603,7 +677,7 @@ class TestDeadlineMapHygiene:
 
             # deadline-kill path: the stalled command's entry must die
             # with the condemned incarnation
-            client.inject_stall(30.0)
+            process_of(supervisor, "solo").stall(30.0)
             with pytest.raises(DeadlineExceeded):
                 client.streams()
             assert_no_leaked_deadlines(supervisor)

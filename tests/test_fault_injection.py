@@ -3,14 +3,19 @@
 Covers the failure modes the journal + atomic-checkpoint design claims
 to survive: torn multi-document writes, duplicated (at-least-once)
 journal appends, stale-epoch zombie checkpoints, and checksum guards
-over truncated or tampered journals and state documents.
+over truncated or tampered journals and state documents -- then the
+same windows on a shard worker: real processes SIGKILLed mid-journal
+and mid-transfer (armed by monkeypatch before the fork), and repeated
+crashes on the loopback transport (``tests/fabric_loopback.py``).
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from fabric_loopback import armed, loopback_fabric, process_of
 from repro.core.streaming import StreamIngestor
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
@@ -554,7 +559,7 @@ class TestWorkerChaosDrills:
 
     @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
     def test_sigkill_between_journal_append_and_checkpoint(
-        self, stream_setup, index_mode
+        self, stream_setup, index_mode, tmp_path, monkeypatch
     ):
         from repro.fabric import FabricSupervisor, WorkerCrashed
 
@@ -562,7 +567,17 @@ class TestWorkerChaosDrills:
         stream = table.stream
         reference = self._reference(table, config, chunks, index_mode)
         ref_answer = reference.query(stream, 1)
+        sentinel = str(tmp_path / "crash")
+        append_chunk = IngestJournal.append_chunk
 
+        def append_then_die(journal, chunk, watermark_s=None):
+            seq = append_chunk(journal, chunk, watermark_s)
+            if armed(sentinel):
+                os._exit(1)  # no reply, no delta: never happened durably
+            return seq
+
+        # armed before the fork: the worker inherits it, no op carries it
+        monkeypatch.setattr(IngestJournal, "append_chunk", append_then_die)
         with FabricSupervisor(["chaos"]) as supervisor:
             client = supervisor.client("chaos")
             client.open_stream(
@@ -577,7 +592,7 @@ class TestWorkerChaosDrills:
             client.checkpoint(streams=[stream])
             # arm the drill: the next append dies right after the WAL
             # write, before apply/ack -- between journal and checkpoint
-            client.inject_crash_after_journal(stream)
+            open(sentinel, "w").close()
             with pytest.raises(WorkerCrashed):
                 client.append(stream, chunks[2])
             assert not supervisor.alive("chaos")
@@ -626,22 +641,23 @@ class TestWorkerChaosDrills:
         )
 
     def test_repeated_crashes_converge(self, stream_setup):
-        """Crash after *every* chunk: N crash/restart cycles still end
-        bit-identical to the never-crashed reference."""
-        from repro.fabric import FabricSupervisor, WorkerCrashed
+        """Crash after *every* chunk's journal append (loopback): N
+        crash/restart cycles still end bit-identical to the
+        never-crashed reference."""
+        from repro.fabric import WorkerCrashed
 
         table, config, chunks = stream_setup
         stream = table.stream
         reference = self._reference(table, config, chunks, "materialized")
         ref_answer = reference.query(stream, 1)
 
-        with FabricSupervisor(["chaos"]) as supervisor:
+        with loopback_fabric(["chaos"]) as supervisor:
             client = supervisor.client("chaos")
             client.open_stream(
                 stream, fps=table.fps, config=config, durable=True
             )
             for chunk in chunks:
-                client.inject_crash_after_journal(stream)
+                process_of(supervisor, "chaos").crash_after_journal(stream)
                 with pytest.raises(WorkerCrashed):
                     client.append(stream, chunk)
                 supervisor.restart("chaos", configs={stream: config})
@@ -661,14 +677,27 @@ class TestDataPlaneReclamation:
     leases -- both must be reclaimed by the supervisor's kill/restart
     path, leaving a leak-free pool at shutdown."""
 
-    def test_orphan_reply_segment_reclaimed_on_restart(self, stream_setup):
+    def test_orphan_reply_segment_reclaimed_on_restart(
+        self, stream_setup, tmp_path, monkeypatch
+    ):
         from multiprocessing import shared_memory
 
         from repro.fabric import FabricSupervisor, WorkerCrashed
-        from repro.fabric.worker import _reply_segment_name
+        from repro.fabric.worker import WorkerState, _reply_segment_name
 
         table, config, chunks = stream_setup
         stream = table.stream
+        sentinel = str(tmp_path / "crash")
+        serve_one = WorkerState.serve_one
+
+        def serve_then_die(worker, request):
+            reply, sink = serve_one(worker, request)
+            if armed(sentinel):
+                os._exit(1)  # the reply is sealed, never enqueued
+            return reply, sink
+
+        # armed before the fork: the worker inherits it, no op carries it
+        monkeypatch.setattr(WorkerState, "serve_one", serve_then_die)
         with FabricSupervisor(
             ["chaos"], shm_threshold=1
         ) as supervisor:
@@ -677,7 +706,7 @@ class TestDataPlaneReclamation:
                 stream, fps=table.fps, config=config, durable=True
             )
             client.append(stream, chunks[0])
-            client.inject_crash_before_reply()
+            open(sentinel, "w").close()
             worker = supervisor._worker("chaos")
             orphan = _reply_segment_name(worker.reply_prefix, worker.next_corr)
             with pytest.raises(WorkerCrashed):

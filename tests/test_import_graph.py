@@ -125,6 +125,25 @@ def test_src_starts_no_thread_and_takes_no_lock():
     assert found == []
 
 
+def test_the_worker_loop_serves_only_the_op_table():
+    """Fault drills are events of the tests' transports: the worker
+    loop never sleeps or exits on anyone's orders, and no op arms one."""
+    from repro.fabric.protocol import OPS
+
+    with open(dict(modules())["repro.fabric.worker"]) as fh:
+        tree = ast.parse(fh.read())
+    calls = {
+        (node.func.value.id, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    }
+    assert ("time", "sleep") not in calls
+    assert ("os", "_exit") not in calls
+    assert [op for op in OPS if op.startswith("inject_")] == []
+
+
 def test_the_frame_substrate_is_gone():
     assert importlib.util.find_spec("repro.detect") is None
     assert importlib.util.find_spec("repro.video.frames") is None
