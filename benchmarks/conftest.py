@@ -2,8 +2,9 @@
 
 Each benchmark regenerates one table or figure of the paper and checks
 its *shape*: who wins, by roughly what factor, and where crossovers
-fall.  Absolute numbers come from the simulated substrate and are
-recorded (paper-vs-measured) in EXPERIMENTS.md.
+fall.  Absolute numbers come from the simulated substrate;
+``scripts/generate_experiments_md.py`` writes them next to the paper's
+into an EXPERIMENTS.md it generates (the file is not checked in).
 
 Underlying experiment runs are cached in-process (repro.eval.runner),
 so pytest-benchmark's timing loop measures the orchestration cost while

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro import (
     FabricRouter,
-    DocumentStore,
     FocusConfig,
     FocusSystem,
     ShardNode,
@@ -57,9 +56,9 @@ def main():
     tables = {name: generate_observations(name, 60.0, FPS) for name in CAMERAS}
     feeds = {name: chunks_of(table) for name, table in tables.items()}
 
-    # 1. the fabric: four shards, one router, placement persisted
+    # 1. the fabric: four shards, one router
     shards = [ShardNode("shard-%d" % i) for i in range(4)]
-    router = FabricRouter(shards, meta_store=DocumentStore())
+    router = FabricRouter(shards)
 
     # 2. live ingest through the router (first half of every feed)
     for name in CAMERAS:
@@ -67,7 +66,7 @@ def main():
     for name in CAMERAS:
         for chunk in feeds[name][:2]:
             router.append(name, chunk)
-    print("Placement (version %d):" % router.placement.version)
+    print("Placement:")
     for sid in router.shard_ids():
         print("  %-8s -> %s" % (sid, ", ".join(router.placement.streams_on(sid)) or "-"))
 
@@ -100,10 +99,9 @@ def main():
     zombie = source.handle(victim).ingestor  # a stale session object
     report = router.migrate(victim, target_id)
     print(
-        "\nMigrated %r: %s -> %s (epoch %d, %d journal chunks replayed, "
-        "placement v%d)"
+        "\nMigrated %r: %s -> %s (epoch %d, %d journal chunks replayed)"
         % (victim, report.source_shard, report.target_shard, report.epoch,
-           report.replayed_chunks, router.placement.version)
+           report.replayed_chunks)
     )
     for name in CAMERAS:  # ingest continues, same router surface
         for chunk in feeds[name][2:]:

@@ -31,7 +31,7 @@ def main():
     w("trade-off policies span a real frontier, specialization dominates\n")
     w("ingest savings while clustering dominates query savings, and the\n")
     w("sensitivity trends match.\n\n")
-    w("**Known deviations** (causes documented in DESIGN.md §2):\n")
+    w("**Known deviations**, each with its cause:\n")
     w("* Ingest factors run high (~100–145× vs paper avg 58×): our\n")
     w("  specialized models bottom out at the calibrated cost floor that\n")
     w("  matches the paper's *Opt-Ingest* extreme (141×), and Balance\n")

@@ -106,7 +106,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/shm.py:unlink_segment", "stays: reclaims a dead worker's segments (a fault path)"),
     ("fabric/shm.py:ShmPool.leased_names", "stays: the lease ledger the leak checks read"),
     ("fabric/router.py:FabricRouter.recover", _FAULT),
-    ("fabric/router.py:FabricRouter._shard_holding", _FAULT),
     ("fabric/router.py:FabricRouter.append_many.replay", "stays: the at-most-once replay of a retried append (a fault path)"),
     ("fabric/router.py:FabricRouter._empty_answer", "stays: the partial answer when every leg of a request is lost (a fault path)"),
     ("fabric/shard.py:ShardNode.ensure_alive", "stays: `ShardLeg` member; an in-process leg has nothing to respawn"),
@@ -118,12 +117,11 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("cnn/noise.py:ConfusionModel.sample_slots", _SCALAR),
     ("core/clustering.py:IncrementalClusterer.state_dict", "stays: the whole-state round trip the kernel-equivalence tests hop through"),
     # paths no consumer configures
-    ("core/index.py:TopKIndex.frames", "stays: `IndexReader` member (the lazy index's is the one consumers reach)"),
+    ("core/index.py:*TopKIndex.frames", "stays: `IndexReader` member the index-equivalence tests compare; queries read `members`"),
     ("core/index.py:TopKIndex.entries", "stays: iterates a materialized index's entries; the index tests audit them"),
     ("fabric/client.py:ShardClient.store", _WORKER_MIGRATION),
     ("storage/docstore.py:DocumentStore.__reduce__", _WORKER_MIGRATION),
     ("fabric/placement.py:PlacementTable.streams", "stays: the placed streams, the table's listing verb"),
-    ("fabric/placement.py:*", "stays: placement changes (recovery pins, shard add/remove) no consumer makes; the tests pin minimal movement"),
     # read-side API a user or an operator calls
     ("baselines/*", "stays: the Ingest-all / Query-all API the Section 6 comparison is stated in"),
     ("cnn/costs.py:GPUSpec.images_per_second", "stays: states the K80 anchor (77 images/s) the cost model is calibrated to"),

@@ -349,8 +349,6 @@ class LazyTopKIndex:
         # the i-th smallest seed row; argsort maps each centroid-table
         # position back to its cluster id
         self._centroid_cluster_ids = np.argsort(clusters.seed_rows, kind="stable")
-        # ... and its inverse maps a cluster id to its centroid-table row
-        self._pos_of_cid = np.argsort(self._centroid_cluster_ids, kind="stable")
         self._members = clusters.members_by_cluster()
         self._frames_cache: Dict[int, np.ndarray] = {}
         self._centroid_class = table.class_id[clusters.seed_rows]
@@ -446,22 +444,8 @@ class LazyTopKIndex:
         return out
 
     def materialize(self) -> "TopKIndex":
-        """Write out an explicit :class:`TopKIndex` (e.g. for export).
-
-        The rank/slot draws for every centroid run as one vectorized
-        batch instead of a per-cluster scalar path."""
-        explicit = TopKIndex(stream=self.stream, model_name=self.model_name, k=self.k)
-        centroids, pos = self._centroid_table, self._pos_of_cid
-        top_ks = self._model.topk_lists(
-            centroids.observation_seeds()[pos],
-            centroids.class_id[pos],
-            centroids.difficulty[pos],
-            self.k,
-        )
-        for cid in range(self.num_clusters):
-            entry = replace(self.cluster(cid), top_k=tuple(top_ks[cid]))
-            explicit.add_cluster(entry, self._members[cid], self.frames(cid))
-        return explicit
+        """Write out an explicit :class:`TopKIndex` (e.g. for export)."""
+        return TopKIndex.build(self._table, self._model, self.k, self._clusters)
 
     def to_docstore(self, store: CheckpointStore) -> None:
         """Export by materializing entries (:meth:`TopKIndex.to_docstore`)."""

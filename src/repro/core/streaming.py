@@ -246,11 +246,9 @@ class StreamIngestor:
                 self._table, config.model, config.k, self._snapshot
             )
         if journal is not None:
-            self._attach_fresh_journal(journal, max_live_clusters)
+            self._attach_fresh_journal(journal)
 
-    def _attach_fresh_journal(
-        self, journal: IngestJournal, max_live_clusters: int
-    ) -> None:
+    def _attach_fresh_journal(self, journal: IngestJournal) -> None:
         """Start write-ahead journaling for a brand-new session.
 
         A fresh session restarts cluster ids at 0, so its journal must
@@ -270,21 +268,17 @@ class StreamIngestor:
                 "it with StreamIngestor.recover / FocusSystem.recover, or "
                 "wipe it with repro.storage.journal.reset_stream" % self.stream
             )
-        self._last_journal_seq = journal.append("open", self._descriptor(max_live_clusters))
+        self._last_journal_seq = journal.append("open", self._descriptor())
         self.journal = journal
 
-    def _descriptor(self, max_live_clusters: Optional[int] = None) -> Dict:
+    def _descriptor(self) -> Dict:
         """The session parameters recovery rebuilds a config from."""
         config = self.config
         return {
             "stream": self.stream,
             "fps": self.fps,
             "index_mode": self.index_mode,
-            "max_live_clusters": int(
-                self._clusterer.max_live
-                if max_live_clusters is None
-                else max_live_clusters
-            ),
+            "max_live_clusters": int(self._clusterer.max_live),
             "model": config.model.name,
             "k": int(config.k),
             "cluster_threshold": float(config.cluster_threshold),
@@ -555,7 +549,7 @@ class StreamIngestor:
         return new_ids, grown_ids
 
     # -- persistence -------------------------------------------------------
-    def checkpoint(self, store, compact: bool = True) -> int:
+    def checkpoint(self, store) -> int:
         """Persist the session's progress to ``store``, durably and
         atomically; returns the new epoch.
 
@@ -567,10 +561,10 @@ class StreamIngestor:
         checkpoint intact; a zombie session whose epoch lost the
         compare-and-swap gets
         :class:`~repro.storage.journal.StaleEpochError`.  On success the
-        journal is compacted up to the committed sequence number (unless
-        ``compact=False``).  A session without a journal has nothing to
-        resume from and is refused; export its index with
-        ``FocusSystem.save_indexes`` instead.
+        journal is compacted up to the committed sequence number.  A
+        session without a journal has nothing to resume from and is
+        refused; export its index with ``FocusSystem.save_indexes``
+        instead.
 
         Compaction runs *after* the commit: a failure inside it leaves
         the new epoch fully committed (``committed_epoch`` already
@@ -616,8 +610,7 @@ class StreamIngestor:
         )
         self.committed_epoch = epoch
         self._persisted_rows = self.num_rows
-        if compact:
-            self.journal.truncate_through(writer.journal_seq)
+        self.journal.truncate_through(writer.journal_seq)
         return epoch
 
     def _state_payload(self) -> Dict:

@@ -1,7 +1,8 @@
 """One entry point per table and figure in the paper's evaluation.
 
 Each function returns plain dict/list structures holding the same rows
-or series the paper reports, so benchmarks and EXPERIMENTS.md can print
+or series the paper reports, so benchmarks and the EXPERIMENTS.md that
+``scripts/generate_experiments_md.py`` generates can print
 paper-vs-measured side by side.  Heavy underlying runs are shared
 through :mod:`repro.eval.runner`'s cache.
 """

@@ -3,10 +3,11 @@
 Turns N independent :class:`~repro.core.system.FocusSystem` shards into
 one logical service (the ROADMAP's horizontal-scaling layer):
 
-* :mod:`repro.fabric.placement` -- deterministic rendezvous-hash
-  placement of streams onto shards, kept as an explicit *versioned*
-  table persisted in a document store (minimal movement on shard
-  add/remove, migrations recorded as pins).
+* :mod:`repro.fabric.placement` -- an explicit stream->shard table:
+  new streams placed by deterministic rendezvous hashing (minimal
+  movement on shard add/remove), every other stream where its data
+  lives -- the router derives the table from its shards, it is never
+  stored.
 * :mod:`repro.fabric.shard` -- :class:`ShardNode`: one FocusSystem plus
   its own durable store (WAL journals, checkpoints, indexes) and GPU
   cluster; and ``ShardLeg``, the one contract the router and migration
@@ -30,13 +31,12 @@ one logical service (the ROADMAP's horizontal-scaling layer):
   shared-memory segments referenced by descriptors; small messages
   (and every message on a host without shared memory) inline.
 
-See ``docs/SHARDING.md`` for the placement table format, routing flow,
+See ``docs/SHARDING.md`` for how placement is derived, the routing flow,
 migration protocol, and the worker process model.
 """
 
 from repro.fabric.migration import MigrationError, MigrationReport, migrate_stream
 from repro.fabric.placement import (
-    PlacementConflictError,
     PlacementError,
     PlacementTable,
     rendezvous_shard,
@@ -69,7 +69,6 @@ __all__ = [
     "MigrationError",
     "MigrationReport",
     "PROTOCOL_VERSION",
-    "PlacementConflictError",
     "PlacementError",
     "PlacementTable",
     "ProtocolError",

@@ -4,9 +4,10 @@
 shards the full single-node ``QueryService`` surface -- ``query``,
 ``query_all``, ``query_batch``, ``checkpoint_streams`` -- plus stream
 lifecycle (``open_stream``/``append``/``recover``) and live migration.
-Requests are split by the versioned placement table
-(:class:`~repro.fabric.placement.PlacementTable`), executed on the
-owning shards, and the per-shard answers merged.
+Requests are split by the placement table
+(:class:`~repro.fabric.placement.PlacementTable`), which the router
+derives from its shards, executed on the owning shards, and the
+per-shard answers merged.
 
 The router is written against one contract,
 :class:`~repro.fabric.shard.ShardLeg`, and never asks a leg which kind
@@ -51,7 +52,7 @@ from repro.core.query import resolve_query
 from repro.core.streaming import ChunkReport
 from repro.core.system import QueryAnswer, StreamHandle
 from repro.fabric.migration import MigrationReport, migrate_stream
-from repro.fabric.placement import PlacementTable, rendezvous_shard
+from repro.fabric.placement import PlacementTable
 from repro.fabric.protocol import DeadlineExceeded, WorkerCrashed
 from repro.fabric.shard import ShardLeg
 from repro.obs.events import emit as _emit_event
@@ -66,7 +67,6 @@ from repro.serve.service import (
     StreamCheckpoint,
     merge_counters,
 )
-from repro.storage.docstore import DocumentStore
 from repro.video.classes import class_name
 from repro.video.synthesis import ObservationTable
 
@@ -80,16 +80,14 @@ _RETRYABLE = (WorkerCrashed, DeadlineExceeded)
 class FabricRouter:
     """N shards behind one logical Focus service.
 
-    The router owns the authoritative placement table: streams opened
-    or ingested *through the router* are placed (rendezvous) and
-    routed; migration re-pins them.  Reaching around the router to a
-    shard's system directly leaves placement stale -- adopt such
-    streams at construction time (they are pinned where found) or keep
-    all lifecycle calls on the router.
-
-    ``meta_store`` optionally persists every placement version
-    (:meth:`PlacementTable.save`), so a restarted router -- or a second
-    one -- reloads the same mapping instead of re-deriving it.
+    The placement table is derived from where the data lives, never
+    stored: construction places every stream a shard already serves on
+    that shard, :meth:`recover` places each resumed stream on the shard
+    that resumed it, :meth:`migrate` places the stream on its target,
+    and only a *new* stream (:meth:`open_stream`) is placed by
+    rendezvous hashing.  Reaching around the router to a shard's system
+    directly leaves placement stale until the next router is built over
+    the fleet -- keep lifecycle calls on the router.
 
     Over worker shards the router self-heals (``docs/RESILIENCE.md``):
     idempotent legs that die with ``WorkerCrashed``/``DeadlineExceeded``
@@ -104,8 +102,6 @@ class FabricRouter:
     def __init__(
         self,
         shards: Sequence[ShardLeg],
-        placement: Optional[PlacementTable] = None,
-        meta_store: Optional[DocumentStore] = None,
         max_retries: int = 2,
         recover_configs: Optional[Mapping[str, FocusConfig]] = None,
     ):
@@ -131,67 +127,16 @@ class FabricRouter:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate shard ids: %s" % ids)
         self._shards: Dict[str, ShardLeg] = {s.shard_id: s for s in shards}
-        self.meta_store = meta_store
-        if placement is None and meta_store is not None:
-            # a restarted router adopts the persisted authoritative
-            # mapping (pins included) instead of re-deriving placement
-            placement = PlacementTable.load(meta_store)
-        if placement is None:
-            placement = PlacementTable.build(ids)
-        # reconcile the table with the constructed fleet: streams on a
-        # shard this fabric does not have are unreachable data -- refuse
-        # loudly; an added (or emptied-and-removed) shard is adopted so
-        # new placements rendezvous over the actual fleet, while every
-        # placed stream keeps the shard its data lives on
-        orphaned = sorted(
-            {
-                shard
-                for shard in placement.assignments.values()
-                if shard not in self._shards
-            }
-        )
-        if orphaned:
-            raise ValueError(
-                "placement assigns streams to shards not in this fabric: %s "
-                "(migrate or recover them before dropping the shard)"
-                % ", ".join(orphaned)
-            )
-        placement = placement.adopt_shards(ids)
-        # adopt streams already living on the shards (ingested before
-        # this router existed): they are where they are -- record that
-        # as pinned fact rather than pretending rendezvous put them there
+        placement = PlacementTable.build(ids)
         for shard in shards:
             for stream in shard.streams():
-                if stream not in placement.assignments:
-                    placement = placement.with_streams(stream)
-                if placement.shard_of(stream) != shard.shard_id:
-                    placement = placement.pin(stream, shard.shard_id)
-        self._placement = self._commit_placement(placement)
+                placement = placement.assign(stream, shard.shard_id)
+        self._placement = placement
 
     # -- placement -----------------------------------------------------------
     @property
     def placement(self) -> PlacementTable:
         return self._placement
-
-    def _commit_placement(self, table: PlacementTable) -> PlacementTable:
-        """Persist a placement change (version-CAS), then return it.
-
-        Persistence comes *first*: on :class:`PlacementConflictError`
-        (another router advanced the store) the exception propagates
-        before this router adopts the unpersisted table, so its next
-        change still carries a stale version and keeps failing the CAS
-        instead of leapfrogging the other writer's mapping.
-        """
-        if self.meta_store is not None:
-            stored = PlacementTable.load(self.meta_store)
-            if stored != table:
-                table.save(self.meta_store)
-        return table
-
-    def _update_placement(self, table: PlacementTable) -> None:
-        if table is self._placement:
-            return
-        self._placement = self._commit_placement(table)
 
     def shard_ids(self) -> List[str]:
         return sorted(self._shards)
@@ -308,7 +253,7 @@ class FabricRouter:
         """
         shard, placed = self._place(stream)
         handle = shard.open_stream(stream, **kwargs)
-        self._update_placement(placed)
+        self._placement = placed
         return handle
 
     def _place(self, stream: str) -> Tuple[ShardLeg, PlacementTable]:
@@ -413,24 +358,11 @@ class FabricRouter:
         """
         recovered: List[str] = []
         for sid in self.shard_ids():
-            recovered.extend(self.shard(sid).recover(configs=configs))
-        for stream in recovered:
-            # a recovered stream lives where its durable state lives;
-            # pin only when that disagrees with rendezvous (mirror of
-            # construction-time adoption -- a needless pin would exempt
-            # the stream from future rebalancing)
-            holder = self._shard_holding(stream)
-            placed = self._placement.with_streams(stream)
-            if placed.shard_of(stream) != holder:
-                placed = placed.pin(stream, holder)
-            self._update_placement(placed)
+            for stream in self.shard(sid).recover(configs=configs):
+                # a resumed stream lives where its durable state lives
+                self._placement = self._placement.assign(stream, sid)
+                recovered.append(stream)
         return sorted(recovered)
-
-    def _shard_holding(self, stream: str) -> str:
-        for sid in self.shard_ids():
-            if stream in self.shard(sid).streams():
-                return sid
-        raise KeyError("stream %r is not held by any shard" % stream)
 
     # -- serving (the QueryService surface) ----------------------------------
     def query(
@@ -674,12 +606,11 @@ class FabricRouter:
     def migrate(
         self, stream: str, target_shard_id: str, checkpoint: bool = True
     ) -> MigrationReport:
-        """Move a live stream to another shard, then re-pin placement.
+        """Move a live stream to another shard, then place it there.
 
         The data-plane move is :func:`~repro.fabric.migration.migrate_stream`
         (checkpoint -> copy -> recover -> fence) between any two legs;
-        on success the placement table pins the stream to its new shard
-        under a new version, persisted to ``meta_store`` when configured.
+        on success the placement table assigns the stream to its target.
         """
         report = migrate_stream(
             self.shard_of(stream),
@@ -687,15 +618,7 @@ class FabricRouter:
             stream,
             checkpoint=checkpoint,
         )
-        # pin only when the move disagrees with rendezvous: a migration
-        # onto the stream's natural winner leaves it rebalance-eligible
-        # (same invariant as construction-time adoption and recover())
-        natural = rendezvous_shard(stream, self._placement.shards)
-        self._update_placement(
-            self._placement.assign(
-                stream, target_shard_id, pin=natural != target_shard_id
-            )
-        )
+        self._placement = self._placement.assign(stream, target_shard_id)
         return report
 
     # -- observability -------------------------------------------------------

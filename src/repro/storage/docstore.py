@@ -1,8 +1,8 @@
 """The embedded document store (MongoDB stand-in) and its contract.
 
-Every durable byte of the system -- WAL, checkpoints, placement, the
-supervisor's mirror -- lives in named collections of JSON-serializable
-dict documents.  The store is exactly the interface the program calls,
+Every durable byte of the system -- WAL, checkpoints, the supervisor's
+mirror -- lives in named collections of JSON-serializable dict
+documents.  The store is exactly the interface the program calls,
 stated as two ``typing.Protocol``s a second backend would implement:
 
 * :class:`StoredCollection` -- auto-``_id`` inserts, one keyed write

@@ -18,7 +18,6 @@ from repro.core.system import FocusSystem
 from repro.fabric import (
     FabricRouter,
     MigrationError,
-    PlacementConflictError,
     PlacementTable,
     ShardNode,
     migrate_stream,
@@ -68,10 +67,9 @@ def build_single(tables, config, index_mode):
     return system
 
 
-def build_fabric(tables, config, index_mode, num_shards=2, durable=True,
-                 meta_store=None):
+def build_fabric(tables, config, index_mode, num_shards=2, durable=True):
     shards = [ShardNode("shard-%d" % i) for i in range(num_shards)]
-    router = FabricRouter(shards, meta_store=meta_store)
+    router = FabricRouter(shards)
     for name, table in tables.items():
         router.open_stream(
             name, fps=10.0, config=config, index_mode=index_mode, durable=durable
@@ -114,89 +112,32 @@ class TestPlacement:
         assert all(n > 0 for n in held)  # 200 streams land on all 5 shards
 
     def test_minimal_movement_on_add(self):
-        before = PlacementTable.build(self.SHARDS, self.STREAMS)
-        after = before.with_shards(self.SHARDS + ["shard-new"])
-        moved = before.moved_streams(after)
+        grown = self.SHARDS + ["shard-new"]
+        moved = {
+            s: rendezvous_shard(s, grown)
+            for s in self.STREAMS
+            if rendezvous_shard(s, grown) != rendezvous_shard(s, self.SHARDS)
+        }
         # every moved stream moved *to* the new shard, nothing shuffled
         # between surviving shards
         assert moved, "a new shard should win some streams"
-        assert all(dst == "shard-new" for _, dst in moved.values())
-        assert after.version == before.version + 1
+        assert set(moved.values()) == {"shard-new"}
 
     def test_minimal_movement_on_remove(self):
-        before = PlacementTable.build(self.SHARDS, self.STREAMS)
         removed = self.SHARDS[2]
-        after = before.with_shards([s for s in self.SHARDS if s != removed])
-        moved = before.moved_streams(after)
+        shrunk = [s for s in self.SHARDS if s != removed]
+        held = {s for s in self.STREAMS if rendezvous_shard(s, self.SHARDS) == removed}
+        moved = {
+            s
+            for s in self.STREAMS
+            if rendezvous_shard(s, shrunk) != rendezvous_shard(s, self.SHARDS)
+        }
         # exactly the removed shard's streams moved, nobody else
-        assert set(moved) == set(before.streams_on(removed))
-        assert all(src == removed for src, _ in moved.values())
+        assert held and moved == held
 
-    def test_assign_without_pin_stays_rebalance_eligible(self):
-        table = PlacementTable.build(self.SHARDS, self.STREAMS)
-        stream = self.STREAMS[0]
-        natural = table.shard_of(stream)
-        moved = table.pin(stream, next(s for s in self.SHARDS if s != natural))
-        back = moved.assign(stream, natural, pin=False)
-        assert back.shard_of(stream) == natural
-        assert stream not in back.pinned  # the pin was dropped
-
-    def test_pin_survives_shard_add_and_falls_back_on_remove(self):
-        table = PlacementTable.build(self.SHARDS, self.STREAMS)
-        stream = self.STREAMS[0]
-        natural = table.shard_of(stream)
-        other = next(s for s in self.SHARDS if s != natural)
-        pinned = table.pin(stream, other)
-        assert pinned.shard_of(stream) == other
-        assert pinned.version == table.version + 1
-        grown = pinned.with_shards(self.SHARDS + ["shard-new"])
-        assert grown.shard_of(stream) == other  # pin holds across growth
-        shrunk = pinned.with_shards([s for s in self.SHARDS if s != other])
-        assert shrunk.shard_of(stream) != other  # pin target gone: rendezvous
-        assert stream not in shrunk.pinned
-
-    def test_with_streams_noop_keeps_version(self):
+    def test_with_streams_noop_returns_the_table(self):
         table = PlacementTable.build(self.SHARDS, self.STREAMS[:3])
         assert table.with_streams(self.STREAMS[0]) is table
-
-    def test_adopt_shards_moves_nothing_but_opens_the_new_shard(self):
-        before = PlacementTable.build(self.SHARDS, self.STREAMS)
-        adopted = before.adopt_shards(self.SHARDS + ["shard-new"])
-        assert adopted.assignments == before.assignments  # data stays put
-        assert adopted.version == before.version + 1
-        assert before.adopt_shards(self.SHARDS) is before  # no-op
-        # new streams rendezvous over the adopted set: shard-new is live
-        grown = adopted.with_streams(*("fresh-%03d" % i for i in range(50)))
-        assert grown.streams_on("shard-new")
-
-    def test_history_is_compacted_to_trailing_window(self):
-        from repro.fabric.placement import HISTORY_KEEP
-
-        store = DocumentStore()
-        table = PlacementTable.build(self.SHARDS)
-        table.save(store)
-        for i in range(HISTORY_KEEP + 5):
-            table = table.with_streams("cam-%03d" % i)
-            table.save(store)
-        versions = [t.version for t in PlacementTable.history(store)]
-        assert len(versions) == HISTORY_KEEP
-        assert versions[-1] == table.version
-        assert PlacementTable.load(store) == table
-
-    def test_persistence_roundtrip_and_version_cas(self):
-        store = DocumentStore()
-        v1 = PlacementTable.build(self.SHARDS, self.STREAMS[:10])
-        v1.save(store)
-        v2 = v1.pin(self.STREAMS[0], self.SHARDS[1])
-        v2.save(store)
-        loaded = PlacementTable.load(store)
-        assert loaded == v2
-        assert [t.version for t in PlacementTable.history(store)] == [1, 2]
-        # a stale writer (same or older version) must not overwrite
-        with pytest.raises(PlacementConflictError):
-            v2.save(store)
-        with pytest.raises(PlacementConflictError):
-            v1.save(store)
 
     def test_unplaced_stream_raises(self):
         table = PlacementTable.build(self.SHARDS)
@@ -289,7 +230,6 @@ class TestRouterStatistics:
         shard.append("lausanne", table)
         router = FabricRouter([shard, ShardNode("empty")])
         assert router.placement.shard_of("lausanne") == "adopter"
-        assert "lausanne" in router.placement.pinned
         assert len(router.query_all("car").slices) == 1
 
 
@@ -363,89 +303,67 @@ class TestFleetDurability:
             assert marker is not None and marker["epoch"] == 1
 
     def test_fleet_restart_recovers_bit_identical(self, fabric_tables, live_config):
-        meta = DocumentStore()
-        router = build_fabric(
-            fabric_tables, live_config, "materialized", meta_store=meta
-        )
+        router = build_fabric(fabric_tables, live_config, "materialized")
         router.checkpoint(streams=FABRIC_STREAMS[:1])  # one committed, two journal-only
         before = router.query_all("car")
         # simulated fleet crash: fresh systems over the surviving stores;
-        # the reborn router reloads the persisted placement table
+        # the reborn router derives placement from what its shards resume
         reborn = FabricRouter(
             [
                 ShardNode(sid, store=router.shard(sid).store)
                 for sid in router.shard_ids()
-            ],
-            meta_store=meta,
+            ]
         )
-        assert reborn.placement == router.placement
+        assert reborn.placement.assignments == {}
         recovered = reborn.recover()
         assert recovered == sorted(FABRIC_STREAMS)
         after = reborn.query_all("car")
         assert_same_slices(before, after)
-        for name in FABRIC_STREAMS:
-            assert reborn.placement.shard_of(name) == router.placement.shard_of(name)
-        # recovery pins only where rendezvous disagrees with the data's
-        # home -- streams placed by hash stay rebalance-eligible
-        assert reborn.placement.pinned == router.placement.pinned
+        assert reborn.placement == router.placement
+
+    def test_restart_routes_a_migrated_stream_to_its_target(
+        self, fabric_tables, live_config
+    ):
+        """A stream migrated against the hash is recovered where its
+        data went: the target resumes it, the source holds only the
+        fence, and the reborn router routes it to the target."""
+        router = build_fabric(fabric_tables, live_config, "materialized")
+        victim = FABRIC_STREAMS[0]
+        source_id = router.placement.shard_of(victim)
+        target_id = next(s for s in router.shard_ids() if s != source_id)
+        router.migrate(victim, target_id)
+        before = router.query_all("car")
+        reborn = FabricRouter(
+            [
+                ShardNode(sid, store=router.shard(sid).store)
+                for sid in router.shard_ids()
+            ]
+        )
+        assert reborn.recover() == sorted(FABRIC_STREAMS)
+        assert reborn.placement.shard_of(victim) == target_id
+        assert reborn.placement.assignments == router.placement.assignments
+        assert reborn.shard(source_id).fenced() == [victim]
+        assert victim not in reborn.shard(source_id).streams()
+        assert_same_slices(before, reborn.query_all("car"))
 
     def test_restarted_router_with_grown_fleet_uses_new_shard(
         self, fabric_tables, live_config
     ):
-        """A shard added on restart is adopted into the persisted
-        placement: existing streams stay put, new ones can land on it."""
-        meta = DocumentStore()
-        router = build_fabric(
-            fabric_tables, live_config, "lazy", meta_store=meta
-        )
+        """A shard added on restart joins placement: existing streams
+        stay where their data is, new ones can land on it."""
+        router = build_fabric(fabric_tables, live_config, "lazy")
         before = dict(router.placement.assignments)
         grown = FabricRouter(
             [router.shard(sid) for sid in router.shard_ids()]
-            + [ShardNode("shard-new")],
-            meta_store=meta,
+            + [ShardNode("shard-new")]
         )
-        assert dict(grown.placement.assignments) == before
+        assert grown.placement.assignments == before
         assert "shard-new" in grown.placement.shards
         landed = {
             grown.placement.with_streams("probe-%03d" % i).shard_of("probe-%03d" % i)
             for i in range(50)
         }
         assert "shard-new" in landed
-
-    def test_losing_router_cannot_leapfrog_the_placement_cas(
-        self, fabric_tables, live_config
-    ):
-        """A router whose save lost the version race must not adopt its
-        unpersisted table: its next change would out-version and
-        silently overwrite the winner's mapping."""
-        meta = DocumentStore()
-        shards = [ShardNode("shard-0"), ShardNode("shard-1")]
-        a = FabricRouter(shards, meta_store=meta)
-        b = FabricRouter(shards, meta_store=meta)
-        a.open_stream(
-            "lausanne", fps=10.0, config=live_config, durable=False
-        )
-        with pytest.raises(PlacementConflictError):
-            b.open_stream(
-                "oxford", fps=10.0, config=live_config, durable=False,
-                wal_reset=False,
-            )
-        # b stayed at its committed view; the store still knows lausanne
-        assert "oxford" not in b.placement.assignments
-        assert "lausanne" in PlacementTable.load(meta).assignments
-
-    def test_router_refuses_placement_with_unreachable_streams(
-        self, fabric_tables, live_config
-    ):
-        meta = DocumentStore()
-        router = build_fabric(
-            fabric_tables, live_config, "lazy", meta_store=meta
-        )
-        survivor = router.placement.streams_on(router.shard_ids()[0])
-        if not survivor or len(survivor) == len(FABRIC_STREAMS):
-            pytest.skip("rendezvous put every stream on one shard")
-        with pytest.raises(ValueError, match="not in this fabric"):
-            FabricRouter([router.shard(router.shard_ids()[0])], meta_store=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +377,7 @@ class TestMigrationBitIdentity:
     ):
         control = build_single(fabric_tables, live_config, index_mode)
         shards = [ShardNode("shard-0"), ShardNode("shard-1")]
-        router = FabricRouter(shards, meta_store=DocumentStore())
+        router = FabricRouter(shards)
         chunked = {
             name: frame_aligned_chunks(table)
             for name, table in fabric_tables.items()
@@ -475,13 +393,11 @@ class TestMigrationBitIdentity:
         victim = FABRIC_STREAMS[0]
         source_id = router.placement.shard_of(victim)
         target_id = next(s for s in router.shard_ids() if s != source_id)
-        version_before = router.placement.version
+        placed_before = router.placement.assignments
         report = router.migrate(victim, target_id)
         assert report.source_shard == source_id
         assert report.target_shard == target_id
-        assert router.placement.shard_of(victim) == target_id
-        assert victim in router.placement.pinned
-        assert router.placement.version == version_before + 1
+        assert router.placement.assignments == {**placed_before, victim: target_id}
         # ingest resumes on the target through the same router surface
         for name, chunks in chunked.items():
             for chunk in chunks[len(chunks) // 2:]:
@@ -717,19 +633,14 @@ class TestMigrationGuards:
     def test_failed_open_leaves_no_phantom_placement(
         self, fabric_tables, live_config
     ):
-        """A shard-side open failure must not commit (or persist) the
-        stream's placement -- a placed-but-unserved stream would poison
-        every later fleet-wide fan-out."""
-        meta = DocumentStore()
-        router = build_fabric(
-            fabric_tables, live_config, "lazy", meta_store=meta
-        )
-        version = router.placement.version
+        """A shard-side open failure must not commit the stream's
+        placement -- a placed-but-unserved stream would poison every
+        later fleet-wide fan-out."""
+        router = build_fabric(fabric_tables, live_config, "lazy")
+        placed = router.placement.assignments
         with pytest.raises(ValueError, match="config"):
             router.open_stream("oxford", fps=10.0)  # no config, no tune_on
-        assert "oxford" not in router.placement.assignments
-        assert router.placement.version == version
-        assert PlacementTable.load(meta).version == version
+        assert router.placement.assignments == placed
         answer = router.query_all("car")  # fan-out still serves the fleet
         assert sorted(answer.slices) == sorted(FABRIC_STREAMS)
 
