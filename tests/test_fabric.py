@@ -18,6 +18,7 @@ from repro.core.system import FocusSystem
 from repro.fabric import (
     FabricRouter,
     MigrationError,
+    PlacementError,
     PlacementTable,
     ShardNode,
     migrate_stream,
@@ -144,6 +145,43 @@ class TestPlacement:
         with pytest.raises(KeyError, match="not placed"):
             table.shard_of("ghost")
 
+    def test_assign_returns_a_new_table(self):
+        table = PlacementTable.build(self.SHARDS, self.STREAMS)
+        stream = self.STREAMS[0]
+        natural = table.shard_of(stream)
+        other = next(s for s in self.SHARDS if s != natural)
+        moved = table.assign(stream, other)
+        assert moved.shard_of(stream) == other
+        assert table.shard_of(stream) == natural  # the original is untouched
+        assert {s: d for s, d in moved.assignments.items() if s != stream} == {
+            s: d for s, d in table.assignments.items() if s != stream
+        }
+
+    def test_assigned_stream_keeps_its_shard_on_with_streams(self):
+        table = PlacementTable.build(self.SHARDS)
+        stream = self.STREAMS[0]
+        other = next(
+            s for s in self.SHARDS if s != rendezvous_shard(stream, self.SHARDS)
+        )
+        placed = table.assign(stream, other).with_streams(stream, self.STREAMS[1])
+        assert placed.shard_of(stream) == other  # where its data is, not the hash
+        assert placed.shard_of(self.STREAMS[1]) == rendezvous_shard(
+            self.STREAMS[1], self.SHARDS
+        )
+
+    def test_assign_to_unknown_shard_raises(self):
+        table = PlacementTable.build(self.SHARDS, self.STREAMS[:3])
+        with pytest.raises(PlacementError, match="unknown shard"):
+            table.assign(self.STREAMS[0], "shard-gone")
+
+    def test_table_rejects_duplicate_or_unknown_shards(self):
+        with pytest.raises(PlacementError, match="duplicate"):
+            PlacementTable.build(["shard-0", "shard-0"])
+        with pytest.raises(PlacementError, match="unknown shard"):
+            PlacementTable(("shard-0",), {"cam-000": "shard-9"})
+        with pytest.raises(PlacementError, match="no shards"):
+            PlacementTable.build([], ["cam-000"])
+
 
 # ---------------------------------------------------------------------------
 # scatter-gather routing vs a single node
@@ -231,6 +269,12 @@ class TestRouterStatistics:
         router = FabricRouter([shard, ShardNode("empty")])
         assert router.placement.shard_of("lausanne") == "adopter"
         assert len(router.query_all("car").slices) == 1
+
+    def test_router_rejects_empty_or_duplicate_shards(self):
+        with pytest.raises(ValueError, match="at least one shard"):
+            FabricRouter([])
+        with pytest.raises(ValueError, match="duplicate shard ids"):
+            FabricRouter([ShardNode("shard-0"), ShardNode("shard-0")])
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +389,39 @@ class TestFleetDurability:
         assert reborn.shard(source_id).fenced() == [victim]
         assert victim not in reborn.shard(source_id).streams()
         assert_same_slices(before, reborn.query_all("car"))
+
+    def test_router_over_live_shards_derives_the_same_placement(
+        self, fabric_tables, live_config
+    ):
+        """A second router built over the same live shards -- no
+        recovery, no stored table -- routes every stream where the first
+        one does, a migrated stream included, and answers identically."""
+        router = build_fabric(fabric_tables, live_config, "lazy")
+        victim = FABRIC_STREAMS[0]
+        source_id = router.placement.shard_of(victim)
+        target_id = next(s for s in router.shard_ids() if s != source_id)
+        router.migrate(victim, target_id)
+        twin = FabricRouter([router.shard(sid) for sid in router.shard_ids()])
+        assert twin.placement == router.placement
+        assert twin.placement.shard_of(victim) == target_id
+        assert_same_slices(router.query_all("car"), twin.query_all("car"))
+
+    def test_router_over_some_shards_routes_only_their_streams(
+        self, fabric_tables, live_config
+    ):
+        """A router built over part of the fleet places exactly the
+        streams those shards serve; the rest are unknown to it, not
+        routed to a shard it does not have."""
+        router = build_fabric(fabric_tables, live_config, "lazy")
+        kept = router.shard_ids()[0]
+        partial = FabricRouter([router.shard(kept)])
+        held = router.placement.streams_on(kept)
+        assert partial.streams() == held
+        others = sorted(set(FABRIC_STREAMS) - set(held))
+        assert held and others  # rendezvous splits these three over two shards
+        with pytest.raises(KeyError, match="not ingested"):
+            partial.query_all("car", streams=others)
+        assert sorted(partial.query_all("car").slices) == held
 
     def test_restarted_router_with_grown_fleet_uses_new_shard(
         self, fabric_tables, live_config
