@@ -103,8 +103,7 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/supervisor.py:FabricSupervisor.__e*", "stays: `with FabricSupervisor(...)` guarantees shutdown; tests use it"),
     ("fabric/supervisor.py:FabricSupervisor.store", "stays: the parent-side mirror a restart respawns from (a fault path)"),
     ("fabric/protocol.py:*", "stays: a worker-side error crossing the wire (a fault path)"),
-    ("fabric/shm.py:unlink_segment", "stays: reclaims a dead worker's segments (a fault path)"),
-    ("fabric/shm.py:ShmPool.leased_names", "stays: the lease ledger the leak checks read"),
+    ("fabric/shm.py:unlink_segment", "stays: unlinks a condemned worker's orphan reply segments (a fault path)"),
     ("fabric/router.py:FabricRouter.recover", _FAULT),
     ("fabric/router.py:FabricRouter.append_many.replay", "stays: the at-most-once replay of a retried append (a fault path)"),
     ("fabric/router.py:FabricRouter._empty_answer", "stays: the partial answer when every leg of a request is lost (a fault path)"),

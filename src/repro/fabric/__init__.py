@@ -27,9 +27,9 @@ one logical service (the ROADMAP's horizontal-scaling layer):
   ``ShardLeg`` over queues), with answers still bit-identical to a
   single node.
 * :mod:`repro.fabric.shm` -- the zero-copy data plane under the
-  parallel mode: bulk payloads ride pooled ``multiprocessing``
-  shared-memory segments referenced by descriptors; small messages
-  (and every message on a host without shared memory) inline.
+  parallel mode: a bulk reply rides a per-command ``multiprocessing``
+  shared-memory segment referenced by descriptors; requests, small
+  replies (and every reply on a host without shared memory) inline.
 
 See ``docs/SHARDING.md`` for how placement is derived, the routing flow,
 migration protocol, and the worker process model.

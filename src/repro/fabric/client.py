@@ -131,8 +131,8 @@ class ShardClient:
         defer_delta: bool = False,
     ) -> PendingReply:
         """Send one command: ``kwargs`` cross as one encoded payload
-        (none when empty) whose parts seal into a pooled request segment
-        or inline, by the data plane's rule."""
+        (none when empty), inline on the queue -- only replies take the
+        shared-memory data plane."""
         row = OPS.get(op)
         if row is None:
             # refused before anything is consumed: no corr id, no queue
@@ -142,14 +142,11 @@ class ShardClient:
                 % op
             )
         worker = self._worker()
-        sink = payload = None
-        if kwargs:
-            sink = self._supervisor._request_sink()
-            payload = codec.encode(kwargs, sink)
+        payload = codec.encode(kwargs) if kwargs else None
         if worker.condemned or not worker.process.is_alive():
             if not worker.condemned:
                 # noticed the death here: condemn the incarnation so
-                # its shm leases are reclaimed NOW, not at restart
+                # its orphan reply segments go NOW, not at restart
                 self._supervisor._condemn(
                     worker,
                     self.shard_id,
@@ -163,13 +160,6 @@ class ShardClient:
             )
         corr_id = worker.next_corr
         worker.next_corr += 1
-        if sink is not None:
-            # resolve the payload's parts NOW (inline or pooled
-            # segment descriptors) -- the envelope is patched in place
-            sink.seal()
-            if sink.segment_name is not None:
-                worker.request_leases[corr_id] = sink.segment_name
-            worker.wire["shm_bytes"] += sink.sealed_nbytes
         worker.wire["wire_bytes_sent"] += codec.inline_nbytes(payload)
         if row.readonly:
             worker.wire["delta_skipped_readonly"] += 1
@@ -216,11 +206,6 @@ class ShardClient:
         reply = self._await_reply(worker, corr_id)
         worker.pending.popleft()
         worker.deadline_s.pop(corr_id, None)
-        # a gathered reply proves the worker (strictly in-order) is done
-        # reading the request's segment: return the lease to the pool
-        lease = worker.request_leases.pop(corr_id, None)
-        if lease is not None:
-            self._supervisor._release_lease(lease)
         if reply.corr_id != corr_id:
             raise ProtocolError(
                 "shard %r answered corr_id %r, expected %r"
@@ -266,7 +251,7 @@ class ShardClient:
         """Deadline-aware reply wait (the deadline ``_submit`` registered
         for ``corr_id``): sleeps on the queue in liveness-probe slices
         (no fixed busy-poll), and on expiry *condemns* the worker (kill +
-        lease reclamation) instead of waiting forever."""
+        orphan reclamation) instead of waiting forever."""
         deadline_s = worker.deadline_s[corr_id]
         deadline = time.monotonic() + deadline_s
         while True:
@@ -311,7 +296,7 @@ class ShardClient:
                 raise DeadlineExceeded(
                     "shard worker %r did not reply within its %.1fs "
                     "deadline; the worker was killed (state discarded, "
-                    "shm leases reclaimed) and its unacknowledged commands "
+                    "orphan segments reclaimed) and its unacknowledged commands "
                     "never happened durably -- restart via "
                     "FabricSupervisor.ensure_alive and retry"
                     % (self.shard_id, deadline_s)

@@ -70,8 +70,9 @@ from repro.obs.metrics import register_counters
 #: v10: a ``StreamCheckpoint`` has no ``durable`` flag -- only durable
 #: sessions checkpoint; v11: the table holds only ``ShardNode`` verbs --
 #: the loop's own rows (goodbye and the fault drills) are gone, and a
-#: ``None`` on the request queue is the goodbye)
-PROTOCOL_VERSION = 11
+#: ``None`` on the request queue is the goodbye; v12: request payloads
+#: are always inline -- only a reply's parts may be shm descriptors)
+PROTOCOL_VERSION = 12
 
 #: the client-side wire counters every shard surfaces in the ``cost``
 #: section of its ``counters()`` document (summable across shards;
@@ -167,8 +168,8 @@ class ProtocolError(RuntimeError):
 class DeadlineExceeded(RuntimeError):
     """A command's reply did not arrive within its deadline.
 
-    The worker is *condemned* on the spot: killed, its shm leases
-    reclaimed, and its client refuses further traffic until
+    The worker is *condemned* on the spot: killed, its orphan reply
+    segments unlinked, and its client refuses further traffic until
     ``FabricSupervisor.restart``/``ensure_alive`` respawns it from the
     mirror+WAL.  Like :class:`WorkerCrashed`, the expired command's
     effects never reached the mirror, so it never happened durably --

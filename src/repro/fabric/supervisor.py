@@ -70,9 +70,6 @@ class _Worker:
         #: names this worker's reply segments under
         #: ``{reply_prefix}-r{corr_id}`` (deterministic: reclaimable)
         self.reply_prefix = reply_prefix
-        #: corr_id -> pooled request segment leased for that command's
-        #: flight; released when the command's reply gathers
-        self.request_leases: Dict[int, str] = {}
         #: client-side wire counters (survive restarts: the fabric's
         #: traffic totals are monotonic per shard, like its journal's)
         self.wire: Dict[str, float] = {k: 0.0 for k in WIRE_COUNTER_KEYS}
@@ -117,18 +114,18 @@ class FabricSupervisor:
     :class:`~repro.fabric.shard.ShardNode` (e.g. ``num_query_gpus``).
     Use as a context manager to guarantee the fleet is torn down.
 
-    The data plane: messages whose encoded parts total at least
-    ``shm_threshold`` bytes travel through shared segments -- requests
-    through a supervisor-owned :class:`~repro.fabric.shm.ShmPool`,
-    replies through per-command deterministic segments.  Smaller
-    messages, a host that cannot serve shared memory and a failed
-    allocation inline through the queues, bit-identically.
+    The data plane: a reply whose encoded parts total at least
+    ``shm_threshold`` bytes travels through a per-command,
+    deterministically named shared segment that the client reads once
+    and unlinks.  Requests, smaller replies, a host that cannot serve
+    shared memory and a failed allocation inline through the queues,
+    bit-identically.
 
     Self-healing (see ``docs/RESILIENCE.md``): every command carries a
     per-op-kind reply deadline (``deadlines`` overrides the
     ``protocol.DEFAULT_DEADLINES`` table); expiry *condemns* the worker
-    -- killed on the spot, shm leases reclaimed, clients refused --
-    and raises :class:`~repro.fabric.protocol.DeadlineExceeded`.
+    -- killed on the spot, orphan reply segments unlinked, clients
+    refused -- and raises :class:`~repro.fabric.protocol.DeadlineExceeded`.
     :meth:`ensure_alive` is the one respawn door (the router's retries
     call it), with exponential backoff and a crash-loop breaker that
     marks a shard ``FAILED`` (:class:`~repro.fabric.protocol.ShardFailed`)
@@ -179,17 +176,10 @@ class FabricSupervisor:
         self._health: Dict[str, _ShardHealth] = {
             shard_id: _ShardHealth() for shard_id in shard_ids
         }
+        #: every reply segment of this fabric is named under
+        #: ``{_prefix}-``
         self._prefix = "fab%x-%d" % (os.getpid(), next(_SUPERVISOR_SEQ))
         self._incarnations = itertools.count()
-        #: None on a host without shared memory: every payload inlines
-        self._pool = (
-            shm_plane.ShmPool(self._prefix + "q")
-            if shm_plane.shm_available()
-            else None
-        )
-        #: request segments still leased when :meth:`shutdown` closed
-        #: the pool -- the leak check the tests assert empty
-        self.leaked_segments: List[str] = []
         self._workers: Dict[str, _Worker] = {}
         for shard_id in shard_ids:
             mirror = None
@@ -200,29 +190,12 @@ class FabricSupervisor:
             )
 
     # -- the data plane ------------------------------------------------------
-    def _request_sink(self) -> shm_plane.ShmSink:
-        """A sink for one outbound command's payload, backed by
-        the pooled allocator (inline when there is no pool)."""
-        return shm_plane.ShmSink(
-            alloc=self._pool.allocate if self._pool is not None else None,
-            threshold=self._threshold,
-        )
-
-    def _release_lease(self, name: str) -> None:
-        if self._pool is not None:
-            self._pool.release(name)
-
     def _reclaim(self, worker: _Worker) -> None:
-        """Reclaim a dead worker's data-plane remains: return its
-        leased request segments to the pool (no concurrent reader can
-        exist) and unlink any orphan reply segment a command in flight
-        left behind (the worker died between sealing and replying).
+        """Reclaim a dead worker's data-plane remains: unlink any orphan
+        reply segment a command in flight left behind (the worker sealed
+        the reply, then died or was killed before it was gathered).
         Runs at failure-*detection* time (``_condemn``), not just at
-        restart -- a condemned worker must not sit on leases for the
-        whole outage."""
-        if self._pool is not None:
-            self._pool.release_many(worker.request_leases.values())
-        worker.request_leases.clear()
+        restart -- an orphan must not outlive the outage's start."""
         if worker.reply_prefix:
             for corr_id in worker.pending:
                 shm_plane.unlink_segment(
@@ -238,9 +211,10 @@ class FabricSupervisor:
         request_q = self._ctx.Queue()
         reply_q = self._ctx.Queue()
         # per-incarnation prefix: a restarted worker can never collide
-        # with (or resurrect) its dead predecessor's reply segments
+        # with (or resurrect) its dead predecessor's reply segments; none
+        # on a host without shared memory, where every reply inlines
         reply_prefix = ""
-        if self._pool is not None:
+        if shm_plane.shm_available():
             reply_prefix = "%s-%s-i%d" % (
                 self._prefix,
                 shard_id,
@@ -358,8 +332,8 @@ class FabricSupervisor:
 
     def _condemn(self, worker: _Worker, shard_id: str, why: str) -> None:
         """Write a worker incarnation off at failure-*detection* time --
-        its shm leases come back now, not at some later restart -- and
-        count one failure toward the shard's crash-loop breaker."""
+        its orphan reply segments go now, not at some later restart --
+        and count one failure toward the shard's crash-loop breaker."""
         if worker.condemned:
             return
         record = self._health[shard_id]
@@ -489,10 +463,6 @@ class FabricSupervisor:
                     pass
                 worker.process.join(timeout=5)
             self._stop(worker)
-        if self._pool is not None:
-            # the leak check: anything still leased at teardown was
-            # neither gathered nor reclaimed -- record it loudly
-            self.leaked_segments.extend(self._pool.close())
 
     def __enter__(self) -> "FabricSupervisor":
         return self

@@ -150,12 +150,13 @@ _WRAPPERS = {
 }
 
 
-def _arguments(request: Request, reader: shm_plane.ShmReader) -> Dict[str, Any]:
-    """A request's keyword arguments (its payload resolves through
-    ``reader``; None is no arguments)."""
+def _arguments(request: Request) -> Dict[str, Any]:
+    """A request's keyword arguments (None is no arguments).  Requests
+    are always inline: a payload carrying a shm descriptor is refused
+    with ``CodecError``."""
     if request.payload is None:
         return {}
-    return codec.decode(request.payload, reader)
+    return codec.decode(request.payload)
 
 
 def _reply_segment_name(prefix: str, corr_id: int) -> str:
@@ -178,8 +179,7 @@ def _reply(corr_id: int, error: Optional[Exception] = None, **shipped) -> Reply:
 
 class WorkerState:
     """One shard worker: the ``ShardNode`` rebuilt from the supervisor's
-    store snapshot, the delta shadow of its store, and its attachments
-    to the supervisor's pooled request segments.  ``reply_prefix``
+    store snapshot and the delta shadow of its store.  ``reply_prefix``
     names this incarnation's reply segments; empty (a host without
     shared memory) inlines every reply."""
 
@@ -191,9 +191,6 @@ class WorkerState:
         shm_threshold: int,
         reply_prefix: str,
     ):
-        #: long-lived attachments to the supervisor's pooled request
-        #: segments (same names recur command after command)
-        self.attachments: Dict[str, Any] = {}
         self.store = DocumentStore.from_json_obj(store_snapshot)
         self.node = ShardNode(shard_id, store=self.store, **system_kwargs)
         self._threshold = shm_threshold
@@ -252,14 +249,13 @@ class WorkerState:
         if row is None:
             refusal = ProtocolError("unknown op %r" % request.op)
             return _reply(request.corr_id, refusal), None
-        reader = shm_plane.ShmReader(cache=self.attachments, owns=False)
         sink = self._sink(request.corr_id)
         try:
             serve = _WRAPPERS.get(request.op, _call_node)
             # the answer defers into the reply's sink, which seals it
             # with the store delta as one message
             value = codec.encode(
-                serve(self.node, request.op, _arguments(request, reader)), sink
+                serve(self.node, request.op, _arguments(request)), sink
             )
             # no delta sweep for a read-only command (it cannot move
             # durable state: no mirror traffic at all) nor for a deferred

@@ -1,4 +1,4 @@
-"""Admission control in front of the query service (ROADMAP item 2).
+"""Admission control in front of the query service.
 
 The paper's deployment answers low-latency queries on machines that are
 simultaneously ingesting live streams; at "millions of users" scale

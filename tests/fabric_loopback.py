@@ -33,10 +33,10 @@ Faults are events of the transport, armed on a worker's process
   or acknowledged.
 
 A death (these two, ``kill()``, or the ``None`` goodbye) releases what
-process death releases: the worker's attachments to the request
-segments and the mappings of replies it never handed off.  What the
-supervisor must reclaim -- leases, orphaned reply segments -- is left
-to the supervisor.
+process death releases: the mappings of replies it never handed off.
+What the supervisor must reclaim -- orphaned reply segments, unlinked
+by name -- is left to the supervisor, and
+:func:`assert_no_leaked_segments` checks at teardown that it did.
 
 The drills that need a real process tree (SIGKILL mid-transfer, a
 real hang) arm a forked worker instead, through :func:`armed`.
@@ -61,6 +61,9 @@ from repro.obs.trace import SpanSink, get_sink, install_sink
 _PIDS = itertools.count(1)
 
 _TEST_PROCESS = os.getpid()
+
+#: where POSIX shared-memory segments appear as files (Linux)
+_SHM_DIR = "/dev/shm"
 
 
 class VirtualClock:
@@ -194,11 +197,9 @@ class LoopbackProcess:
             sink.close_handoff()  # handed off as it is enqueued
 
     def _exit(self, code: int) -> None:
-        """What process death releases: the request-segment attachments
-        and the mappings of replies not yet handed off (those not yet
-        visible were never sent)."""
-        for seg in self.worker.attachments.values():
-            seg.close()
+        """What process death releases: the mappings of replies not yet
+        handed off (those not yet visible were never sent).  Their
+        segments stay for the supervisor to reclaim."""
         self.worker = None
         self.exitcode = code
         held = self._replies.held
@@ -264,6 +265,19 @@ def loopback_fabric(shard_ids, **kwargs):
             shard_ids, mp_context=Loopback(clock), **kwargs
         ) as supervisor:
             yield supervisor
+
+
+def assert_no_leaked_segments(supervisor) -> None:
+    """The teardown leak check, run after ``supervisor.shutdown()``: no
+    shared-memory segment named under the supervisor's prefix survives.
+    Every reply segment was read and unlinked by its client, or
+    unlinked by name when its worker was condemned.  Checks nothing
+    on a host without ``/dev/shm``."""
+    if not os.path.isdir(_SHM_DIR):
+        return
+    prefix = supervisor._prefix + "-"
+    leaked = sorted(name for name in os.listdir(_SHM_DIR) if name.startswith(prefix))
+    assert leaked == [], "segments outlived the fabric: %s" % leaked
 
 
 def process_of(supervisor, shard_id) -> LoopbackProcess:

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from fabric_loopback import assert_no_leaked_segments
 from repro.core.streaming import StreamIngestor
 from repro.fabric.supervisor import FabricSupervisor
 from repro.storage.docstore import DocumentStore
@@ -225,7 +226,7 @@ def test_worker_leg_ships_only_the_new_documents(workload, index_mode):
             assert _index_documents(mirror) == []
         # and what it holds is what an in-process session wrote
         assert segments_of(mirror) == segments_of(twin_store)
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 # -- corruption ----------------------------------------------------------------

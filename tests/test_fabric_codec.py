@@ -1,16 +1,16 @@
 """The fabric wire codec and its shared-memory data plane.
 
 One property holds the codec to its contract, per record type and per
-transport (inline; a reply's named segment; a pooled request segment
-that is recycled after reading): every record a wire op carries --
+transport (inline; a reply's named segment, read once and unlinked):
+every record a wire op carries --
 observation-table slices (empty, whole, one column strided), arrays of
 every layout, and a sample of each record type in :data:`SAMPLES` --
 comes back bit-identical, with writable arrays that share no memory
 with the source and outlive the segment, moving only the bytes it
 holds; a reply's value and store delta seal into one message; and a
 foreign protocol version is refused.  Around it: the data plane's rules
-(the crossover threshold, fallbacks, pool size classes and reader
-lifetimes), error envelopes, and configs crossing as their parameters.
+(the crossover threshold, fallbacks and the owning reader's lifetime),
+error envelopes, and configs crossing as their parameters.
 """
 
 import pickle
@@ -42,10 +42,8 @@ from repro.video.synthesis import ObservationTable
 needs_shm = pytest.mark.skipif(
     not shm_plane.shm_available(), reason="host cannot serve POSIX shm"
 )
-#: ``reply``: a named segment an owning reader unlinks; ``pool``: a
-#: pooled request segment a worker-shaped reader attaches through its
-#: cache, overwritten by the next command once the lease is released
-SEGMENTS = ["reply", "pool"] if shm_plane.shm_available() else []
+#: ``reply``: a named segment an owning reader unlinks
+SEGMENTS = ["reply"] if shm_plane.shm_available() else []
 TRANSPORTS = ["inline"] + SEGMENTS
 _examples = settings(
     deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
@@ -60,10 +58,6 @@ def _named_sink(threshold=0):
         alloc=lambda nbytes: shm_plane.create_segment(name, nbytes),
         threshold=threshold,
     )
-
-
-def _pool():
-    return shm_plane.ShmPool("codec-pool-%d" % next(_seg_counter))
 
 
 def assert_tables_equal(left, right):
@@ -105,28 +99,22 @@ def assert_same(left, right):
 
 def through(values, transport):
     """``(decoded, envelopes)`` after ``values`` crossed as ONE message
-    (one sink); every segment is gone or rewritten before this returns."""
+    (one sink); every segment is gone before this returns."""
     if transport == "inline":
         envelopes = [codec.encode(value) for value in values]
         wire = pickle.loads(pickle.dumps(envelopes))  # what the queue does
         return [codec.decode(envelope) for envelope in wire], envelopes
-    pool = _pool()
-    sink = _named_sink() if transport == "reply" else shm_plane.ShmSink(pool.allocate, 0)
+    sink = _named_sink()
     envelopes = [codec.encode(value, sink) for value in values]
     name = sink.seal()
     assert {p["seg"] for e in envelopes for p in e["parts"]} == {name}
     sink.close_handoff()
-    cache = {}
-    reader = shm_plane.ShmReader(cache, owns=False) if transport == "pool" else shm_plane.ShmReader()
+    reader = shm_plane.ShmReader()
     try:
         decoded = [codec.decode(envelope, reader) for envelope in envelopes]
-        for seg in cache.values():  # the next command reuses the segment
-            seg.buf[:] = b"\xff" * len(seg.buf)
     finally:
         reader.close()
-        pool.release(name)
-        assert pool.close() == []
-    assert not shm_plane.unlink_segment(name)  # consumed or pooled: never leaked
+    assert not shm_plane.unlink_segment(name)  # consumed: never leaked
     return decoded, envelopes
 
 
@@ -414,25 +402,26 @@ class TestErrorEnvelopes:
 
 @needs_shm
 class TestShmDataPlane:
-    @pytest.mark.parametrize("alloc", ["none", "failing", "named", "pool"])
+    @pytest.mark.parametrize("alloc", ["none", "failing", "raising", "named"])
     @pytest.mark.parametrize("total", ["below", "at", "above"])
     def test_a_message_ships_at_the_threshold_when_it_can_allocate(self, total, alloc):
         value = np.arange(2048, dtype=np.uint8)
         nbytes = sum(part_sizes(codec.encode(value)))
         threshold = nbytes + {"below": 1, "at": 0, "above": -1}[total]
-        pool = _pool()
-        allocs = {"none": None, "failing": lambda n: None, "pool": pool.allocate}
+        def raising(nbytes):
+            raise OSError(28, "No space left on device")
+
+        allocs = {"none": None, "failing": lambda n: None, "raising": raising}
         sink = _named_sink(threshold) if alloc == "named" else shm_plane.ShmSink(allocs[alloc], threshold)
         envelope = codec.encode(value, sink)
         name = sink.seal()
-        assert (name is not None) == (alloc in ("named", "pool") and total != "below")
+        assert (name is not None) == (alloc == "named" and total != "below")
         assert sink.sealed_nbytes == (nbytes if name else 0)
         sink.close_handoff()
-        reader = shm_plane.ShmReader(owns=alloc != "pool")
+        reader = shm_plane.ShmReader()
         np.testing.assert_array_equal(codec.decode(envelope, reader), value)
         reader.close()
-        pool.release(name)
-        assert pool.close() == [] and not shm_plane.unlink_segment(name or "codec-none")
+        assert not shm_plane.unlink_segment(name or "codec-none")
 
     def test_descriptor_without_reader_refused(self):
         sink = _named_sink(threshold=1)
@@ -451,11 +440,33 @@ class TestShmDataPlane:
         name = sink.seal()
         assert name is not None and sink.sealed_nbytes == sum(part_sizes(envelope))
         sink.close_handoff()
+        peek = shm_plane.ShmReader(owns=False)
+        assert codec.decode(envelope, peek) == value
+        peek.close()  # unmaps only: the segment is still there to consume
         reader = shm_plane.ShmReader(owns=True)
         assert codec.decode(envelope, reader) == value
         assert reader.total_nbytes == sink.sealed_nbytes
         reader.close()
         # the owning reader consumed the segment: it is gone
+        assert not shm_plane.unlink_segment(name)
+
+    def test_a_stale_segment_under_the_name_is_replaced(self):
+        """A leftover under a reply's name (an incarnation that died
+        mid-handoff) is unlinked and the segment created afresh."""
+        name = "codec-stale-%d" % next(_seg_counter)
+        stale = shm_plane.create_segment(name, 4096)
+        stale.buf[:4] = b"dead"
+        stale.close()
+        sink = shm_plane.ShmSink(
+            alloc=lambda nbytes: shm_plane.create_segment(name, nbytes), threshold=1
+        )
+        value = np.arange(100, dtype=np.int64)
+        envelope = codec.encode(value, sink)
+        assert sink.seal() == name
+        sink.close_handoff()
+        reader = shm_plane.ShmReader()
+        np.testing.assert_array_equal(codec.decode(envelope, reader), value)
+        reader.close()
         assert not shm_plane.unlink_segment(name)
 
     def test_parts_pack_at_aligned_offsets(self):
@@ -468,47 +479,6 @@ class TestShmDataPlane:
         for n, envelope in zip((7, 33, 5), envelopes):
             np.testing.assert_array_equal(codec.decode(envelope, reader), np.arange(n))
         reader.close()
-
-    @pytest.mark.parametrize("nbytes", [1, 4095, 4096, 4097, 65536, 65537, 1 << 20])
-    def test_pool_leases_power_of_two_size_classes(self, nbytes):
-        pool = _pool()
-        seg = pool.allocate(nbytes)
-        floor = max(nbytes, 4096)
-        assert floor <= seg.size < 2 * floor and seg.size & (seg.size - 1) == 0
-        pool.release(seg.name)
-        assert pool.allocate(nbytes).name == seg.name  # recycled within its class
-        assert pool.close() == [seg.name]  # still leased: the leak check
-
-    def test_pool_recycles_and_leak_checks(self):
-        pool = _pool()
-        seg = pool.allocate(1000)
-        name = seg.name
-        assert pool.leased_names() == [name]
-        pool.release(name)
-        assert pool.leased_names() == []
-        assert pool.allocate(2000).name == name  # same size class: recycled
-        pool.release(name)
-        pool.release(name)  # idempotent
-        assert pool.close() == []
-        assert pool.close() == []  # idempotent
-        assert not shm_plane.unlink_segment(name)  # close unlinked it
-        assert pool.allocate(100) is None  # closed pool refuses
-
-    def test_worker_shaped_reader_cache_does_not_own(self):
-        # the worker attaches to pooled request segments through a
-        # long-lived cache and must NOT unlink them on close
-        pool = _pool()
-        sink = shm_plane.ShmSink(alloc=pool.allocate, threshold=1)
-        envelope = codec.encode(b"x" * 256, sink)
-        name = sink.seal()
-        cache = {}
-        reader = shm_plane.ShmReader(cache=cache, owns=False)
-        assert codec.decode(envelope, reader) == b"x" * 256
-        assert name in cache
-        reader.close()
-        # the segment survives the reader: the pool still owns it
-        pool.release(name)
-        assert pool.close() == []
 
 
 class TestConfigs:

@@ -21,6 +21,7 @@ import inspect
 import numpy as np
 import pytest
 
+from fabric_loopback import assert_no_leaked_segments
 from repro.core.system import FocusSystem
 from repro.fabric import (
     FabricRouter,
@@ -81,7 +82,7 @@ def legs(*kinds, stores=None):
     finally:
         if supervisor is not None:
             supervisor.shutdown()
-            assert supervisor.leaked_segments == []
+            assert_no_leaked_segments(supervisor)
 
 
 @contextlib.contextmanager

@@ -6,15 +6,18 @@ that passes there proves something about the fabric only while the
 loopback moves exactly what a forked worker moves, so one op script
 runs over both and everything the client can observe must agree:
 answers, the wire ledger, the mirror, the worker's spans, and the
-segments left behind.
+segments left behind -- which the teardown leak check, itself checked
+here, would see.
 """
+
+import os
 
 import pytest
 
-from fabric_loopback import loopback_fabric
+from fabric_loopback import assert_no_leaked_segments, loopback_fabric
 from repro.fabric import FabricSupervisor
 from repro.fabric.protocol import WIRE_COUNTER_KEYS
-from repro.fabric.shm import DEFAULT_SHM_THRESHOLD
+from repro.fabric.shm import DEFAULT_SHM_THRESHOLD, create_segment, shm_available
 from repro.obs.trace import SpanSink, get_sink, install_sink
 from repro.serve.planner import QueryRequest
 from test_fabric import assert_same_slices, frame_aligned_chunks
@@ -61,7 +64,7 @@ def test_loopback_leg_matches_a_real_worker_leg(threshold, table_factory, live_c
     for kind, fabric in (("real", FabricSupervisor), ("loopback", loopback_fabric)):
         with fabric(["solo"], shm_threshold=threshold) as supervisor:
             runs[kind] = run_script(supervisor, chunks, live_config)
-        assert supervisor.leaked_segments == [], kind
+        assert_no_leaked_segments(supervisor)
     real, loop = runs["real"], runs["loopback"]
     for step in ("open", "append", "pipelined", "checkpoint"):
         assert loop[step] == real[step], step
@@ -86,3 +89,23 @@ def test_loopback_leg_matches_a_real_worker_leg(threshold, table_factory, live_c
     ]
     assert costs[0] == costs[1]
     assert sorted(loop["counters"]["metrics"]) == sorted(real["counters"]["metrics"])
+
+
+@pytest.mark.skipif(
+    not (shm_available() and os.path.isdir("/dev/shm")), reason="no /dev/shm to inspect"
+)
+def test_the_teardown_leak_check_sees_a_surviving_reply_segment():
+    """``assert_no_leaked_segments`` is not vacuous: a segment named
+    like one of the fabric's reply segments that outlives ``shutdown()``
+    fails it, and one of another supervisor's does not."""
+    with loopback_fabric(["solo"]) as supervisor, loopback_fabric(["solo"]) as other:
+        pass
+    stray = create_segment(supervisor._worker("solo").reply_prefix + "-r0", 64)
+    try:
+        with pytest.raises(AssertionError, match="outlived the fabric"):
+            assert_no_leaked_segments(supervisor)
+        assert_no_leaked_segments(other)
+    finally:
+        stray.close()
+        stray.unlink()
+    assert_no_leaked_segments(supervisor)

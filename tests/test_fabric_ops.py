@@ -11,8 +11,9 @@ derived from its rows.  This suite is table-driven the same way:
 * purity -- every row flagged ``readonly`` really leaves the durable
   store alone, on both leg kinds (a readonly op ships no delta, so one
   that writes silently diverges a worker's store from its mirror);
-* the wire -- an append's report leaves its GPU placement behind, and
-  the wire counters count the encoded payloads' inline parts;
+* the wire -- an append's report leaves its GPU placement behind, the
+  wire counters count the encoded payloads' inline parts, and requests
+  are always inline while a bulk reply takes a segment;
 * an op outside the table is refused before anything is consumed;
 * the doc's message table names exactly the table's ops.
 """
@@ -25,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from fabric_loopback import assert_no_leaked_segments
 from repro.fabric import FabricSupervisor, ProtocolError, ShardClient, ShardNode, codec
 from repro.fabric.protocol import DEFAULT_DEADLINES, OPS
 from repro.fabric.shard import ShardLeg
@@ -80,7 +82,7 @@ def test_shutdown_sentinel_exits_every_worker(threshold, monkeypatch):
             ) or stop(worker),
         )
     assert seen == [(0, True, [])] * 2
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 @pytest.mark.parametrize("op", SUBMIT_TWINS)
@@ -221,7 +223,8 @@ WIRE_CALLS = {
 
 
 def queued(envelope, threshold):
-    """What one encoded payload puts on the queue by the data plane's rule."""
+    """What one encoded reply payload puts on the queue by the data
+    plane's rule."""
     nbytes = codec.inline_nbytes(envelope)
     return 0 if shm_available() and nbytes >= threshold else nbytes
 
@@ -231,9 +234,10 @@ def queued(envelope, threshold):
 def test_wire_counters_count_each_payloads_inline_parts(
     op, threshold, table_factory, live_config, monkeypatch
 ):
-    """``wire_bytes_sent`` is exactly the request's inline parts (pickle
-    stream and buffers; nothing for an op without arguments), and a
-    readonly op's ``wire_bytes_received`` exactly its answer's."""
+    """``wire_bytes_sent`` is exactly the request's encoded parts (pickle
+    stream and buffers, always inline; nothing for an op without
+    arguments), and a readonly op's ``wire_bytes_received`` exactly its
+    answer's inline parts."""
     chunks = frame_aligned_chunks(table_factory(STREAM, 20.0, 10.0), 8)
     with FabricSupervisor(["solo"], shm_threshold=threshold) as supervisor:
         client = supervisor.client("solo")
@@ -248,15 +252,43 @@ def test_wire_counters_count_each_payloads_inline_parts(
         after = wire_ledger(client)
     moved = {key: after[key] - before[key] for key in after}
     (kwargs,) = sent
-    assert moved["wire_bytes_sent"] == queued(codec.encode(kwargs) if kwargs else None, threshold)
+    assert moved["wire_bytes_sent"] == codec.inline_nbytes(codec.encode(kwargs) if kwargs else None)
     received = queued(codec.encode(value), threshold)
     if OPS[op].readonly:
         assert moved["wire_bytes_received"] == received
     else:  # the store delta rides the same message
         assert moved["wire_bytes_received"] == 0 or moved["wire_bytes_received"] >= received
     if threshold == 1 and shm_available():
-        assert moved["wire_bytes_sent"] == moved["wire_bytes_received"] == 0
+        assert moved["wire_bytes_received"] == 0
         assert moved["shm_bytes"] >= codec.inline_nbytes(codec.encode(value))
+
+
+@pytest.mark.skipif(not shm_available(), reason="host cannot serve POSIX shm")
+def test_requests_inline_while_a_checkpoint_reply_takes_a_segment(
+    table_factory, live_config, monkeypatch
+):
+    """Only replies take the data plane: even at ``shm_threshold=1``
+    no request carries a descriptor and ``wire_bytes_sent`` is the
+    requests' encoded size, while a checkpoint's store delta still
+    seals into a segment."""
+    chunks = frame_aligned_chunks(table_factory(STREAM, 20.0, 10.0), 8)
+    with FabricSupervisor(["solo"], shm_threshold=1) as supervisor:
+        client, worker = supervisor.client("solo"), supervisor._worker("solo")
+        sent, put = [], worker.request_q.put
+        monkeypatch.setattr(
+            worker.request_q, "put", lambda request: sent.append(request) or put(request)
+        )
+        client.open_stream(STREAM, fps=10.0, config=live_config, durable=True)
+        client.append(STREAM, chunks[0])
+        before = wire_ledger(client)
+        client.checkpoint()
+        after = wire_ledger(client)
+    payloads = [r.payload for r in sent if r is not None and r.payload is not None]
+    parts = [part for payload in payloads for part in payload["parts"]]
+    assert len(payloads) >= 2 and all(isinstance(part, bytes) for part in parts)
+    assert after["wire_bytes_sent"] == sum(len(part) for part in parts)
+    assert after["shm_bytes"] > before["shm_bytes"]
+    assert_no_leaked_segments(supervisor)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +321,26 @@ def test_worker_refuses_an_op_its_table_lacks():
         worker.deadline_s[worker.next_corr] = 5.0
         worker.next_corr += 1
         with pytest.raises(ProtocolError, match="unknown op"):
+            client._gather(worker.next_corr - 1)
+        client.ping()
+
+
+def test_worker_refuses_a_request_carrying_a_descriptor():
+    """Requests are always inline: the worker decodes them without a
+    reader, so a payload whose parts are shm descriptors is refused
+    with ``CodecError`` and the loop lives on."""
+    from repro.fabric.codec import CodecError
+    from repro.fabric.protocol import PROTOCOL_VERSION, Request
+
+    descriptor = {"seg": "no-such-segment", "off": 0, "n": 1}
+    payload = {"v": PROTOCOL_VERSION, "parts": [descriptor]}
+    with FabricSupervisor(["solo"]) as supervisor:
+        client, worker = supervisor.client("solo"), supervisor._worker("solo")
+        worker.request_q.put(Request(corr_id=worker.next_corr, op="ping", payload=payload))
+        worker.pending.append(worker.next_corr)
+        worker.deadline_s[worker.next_corr] = 5.0
+        worker.next_corr += 1
+        with pytest.raises(CodecError, match="no reader"):
             client._gather(worker.next_corr - 1)
         client.ping()
 

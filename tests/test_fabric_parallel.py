@@ -18,6 +18,7 @@ each stage documents what state it leaves behind.
 import numpy as np
 import pytest
 
+from fabric_loopback import assert_no_leaked_segments
 from repro.fabric import (
     FabricRouter,
     FabricSupervisor,
@@ -107,13 +108,13 @@ class _Fabrics:
 @pytest.fixture(scope="module", params=["lazy", "materialized"])
 def fabrics(request, fabric_tables, live_config):
     """Both index modes over the shared-memory data plane forced on
-    (threshold 1: every bulk payload through segments).  The inline
+    (threshold 1: every reply payload through segments).  The inline
     fallback the wire picks on its own -- small messages, no shared
     memory on the host -- is held to the same answers by
     ``test_host_without_shm_inlines_identically``."""
     with FabricSupervisor(["shard-0", "shard-1"], shm_threshold=1) as supervisor:
         yield _Fabrics(fabric_tables, live_config, request.param, supervisor)
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 class TestModeEquivalence:
@@ -301,7 +302,7 @@ def test_host_without_shm_inlines_identically(
         assert fabrics.remote.checkpoint_streams() == fabrics.local.checkpoint_streams()
         costs = fabrics.remote.cost_summary()
         assert costs["shm_bytes"] == 0.0 and costs["wire_bytes_sent"] > 0.0
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 class TestWorkerFailureModes:
@@ -405,7 +406,7 @@ class TestSupervisorLifecycle:
 class TestDataPlane:
     """The zero-copy wire's own contracts: readonly replies ship no
     mirror delta, scatter rounds coalesce deltas, and the leak check
-    (the module fixture asserts ``leaked_segments == []`` on top)."""
+    (the module fixture runs ``assert_no_leaked_segments`` on top)."""
 
     def _loaded_solo(self, supervisor, table_factory, live_config, pieces=2):
         client = supervisor.client("solo")
@@ -457,7 +458,7 @@ class TestDataPlane:
                 >= baseline["delta_skipped_readonly"] + queries
             )
             assert mirror_state() == before
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
     def test_readonly_reply_carries_no_delta_envelope(
         self, table_factory, live_config
@@ -534,7 +535,7 @@ class TestDataPlane:
                 )
             for name in tables:
                 assert_answers_equal(before[name], router.query(name, 1))
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
 
 def test_worker_opened_from_a_warm_config_answers_identically(table_factory):
@@ -559,4 +560,4 @@ def test_worker_opened_from_a_warm_config_answers_identically(table_factory):
             assert_answers_equal(
                 client.query(table.stream, clazz), local.query(table.stream, clazz)
             )
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)

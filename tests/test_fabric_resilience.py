@@ -2,8 +2,8 @@
 
 Covers the robustness acceptance criteria: a stalled worker never
 blocks a router call past its deadline (the client raises
-:class:`DeadlineExceeded`, the worker is condemned and its shm leases
-reclaimed at *detection* time), the router's failover restarts
+:class:`DeadlineExceeded`, the worker is condemned and its orphan reply
+segments unlinked at *detection* time), the router's failover restarts
 crashed, hung and reply-losing workers through the mirror+WAL path
 with answers bit-identical afterwards, the crash-loop breaker trips to
 ``FAILED`` after ``max_consecutive_failures`` and re-arms via
@@ -11,7 +11,7 @@ with answers bit-identical afterwards, the crash-loop breaker trips to
 and at-most-once, and ``allow_partial=True`` answers name exactly the
 lost shards and streams while strict mode still raises, and a fabric
 refuses every call from a thread other than its owner's.  Every fabric
-teardown asserts zero leaked shm segments.
+teardown asserts that no shm segment outlives it.
 
 Stalls, slow workers, lost replies and crashes mid-command are events
 of the loopback transport (``tests/fabric_loopback.py``), on a virtual
@@ -37,7 +37,13 @@ from repro.fabric import (
     ShardNode,
     WorkerCrashed,
 )
-from fabric_loopback import LoopbackQueue, armed, loopback_fabric, process_of
+from fabric_loopback import (
+    LoopbackQueue,
+    armed,
+    assert_no_leaked_segments,
+    loopback_fabric,
+    process_of,
+)
 from repro.fabric.protocol import Reply, deadline_kind
 from repro.fabric.supervisor import _Worker
 from repro.serve.planner import QueryRequest
@@ -306,7 +312,7 @@ def test_idle_fault_heals_on_the_next_routed_command(
             1.0 if fault in ("hang", "drop-reply") else 0.0
         )
         assert_no_leaked_deadlines(supervisor)
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +398,7 @@ def fleet(table_factory, live_config):
             supervisor=supervisor, remote=remote, local=local, halves=halves
         )
         assert_no_leaked_deadlines(supervisor)
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)
 
 
 class TestRouterFailover:
@@ -497,39 +503,69 @@ class TestAtMostOnceAppend:
             costs = router.cost_summary()
             assert costs["retries"] >= 1.0
             assert costs["deadline_exceeded"] >= 1.0
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
 
 # ---------------------------------------------------------------------------
-# shm lease reclamation at failure time
+# orphan reply reclamation at failure time
 # ---------------------------------------------------------------------------
 
-class TestLeaseReclamation:
-    def test_leases_reclaimed_at_condemn_not_restart(
-        self, table_factory, live_config
+#: how a worker that sealed a reply is written off before the reply is
+#: gathered: (arm the fault on the worker, arm the supervisor once the
+#: command is submitted, what gathering it raises)
+ORPHANING = {
+    "stall": (lambda p: p.stall(30.0), lambda s: None, DeadlineExceeded),
+    "lost-reply": (lambda p: p.drop_replies(1), lambda s: None, DeadlineExceeded),
+    "crash": (lambda p: p.crash_before_reply(), lambda s: None, WorkerCrashed),
+    "kill": (lambda p: p.stall(30.0), lambda s: s.kill("solo"), WorkerCrashed),
+}
+
+
+class TestOrphanReplyReclamation:
+    @pytest.mark.parametrize("route", ORPHANING)
+    def test_orphan_reply_unlinked_at_condemn_not_restart(
+        self, table_factory, live_config, route
     ):
+        """The worker sealed its reply into a segment nobody will
+        gather: whichever way the incarnation is written off, condemning
+        it unlinks the orphan by its deterministic name before any
+        restart.  The append never reached the mirror, so the retry
+        lands it once."""
+        from multiprocessing import shared_memory
+
+        from repro.fabric import shm as shm_plane
+        from repro.fabric.worker import _reply_segment_name
+
+        if not shm_plane.shm_available():
+            pytest.skip("host cannot serve POSIX shared memory")
+        fault, write_off, raised = ORPHANING[route]
         chunks = frame_aligned_chunks(
             table_factory("jacksonh", 20.0, 10.0), pieces=2
         )
         with loopback_fabric(
             ["solo"],
-            shm_threshold=1,  # every bulk payload leases a segment
+            shm_threshold=1,  # every reply seals into a segment
             deadlines={"control": 5.0, "query": 10.0,
                        "ingest": 2.0, "slow": 60.0},
         ) as supervisor:
-            if supervisor._pool is None:
-                pytest.skip("host cannot serve POSIX shared memory")
             client = supervisor.client("solo")
             client.open_stream(
                 "jacksonh", fps=10.0, config=live_config,
                 index_mode="lazy", durable=True,
             )
             client.append("jacksonh", chunks[0])
-            process_of(supervisor, "solo").stall(30.0)
-            with pytest.raises(DeadlineExceeded):
-                client.append("jacksonh", chunks[1])
-            # condemned -> leases back in the pool NOW, before any restart
-            assert supervisor._pool.leased_names() == []
+            fault(process_of(supervisor, "solo"))
+            worker = supervisor._worker("solo")
+            orphan = _reply_segment_name(worker.reply_prefix, worker.next_corr)
+            pending = client.append_submit("jacksonh", chunks[1])
+            # sealed, and the reply never gathered
+            shared_memory.SharedMemory(name=orphan).close()
+            write_off(supervisor)
+            with pytest.raises(raised):
+                pending.result()
+            # condemned -> the orphan is gone NOW, before any restart
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=orphan)
             supervisor.ensure_alive(
                 "solo", configs={"jacksonh": live_config}
             )
@@ -544,8 +580,7 @@ class TestLeaseReclamation:
             assert_answers_equal(
                 client.query("jacksonh", 1), reference.query("jacksonh", 1)
             )
-            assert supervisor._pool.leased_names() == []
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +626,7 @@ class TestPartialAnswers:
                 surviving=surviving,
                 configs={s: live_config for s in tables},
             )
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
     def test_strict_mode_still_raises(self, outage):
         with pytest.raises((WorkerCrashed, DeadlineExceeded)):
@@ -692,7 +727,7 @@ class TestDeadlineMapHygiene:
             with pytest.raises(WorkerCrashed):
                 client.streams()
             assert_no_leaked_deadlines(supervisor)
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
 
 # ---------------------------------------------------------------------------
@@ -715,4 +750,4 @@ def test_a_second_thread_is_refused_before_it_touches_a_worker():
         assert state() == before
         assert pending.result() is None  # the owner's round is intact
         assert client.streams() == []
-    assert supervisor.leaked_segments == []
+    assert_no_leaked_segments(supervisor)

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from fabric_loopback import armed, loopback_fabric, process_of
+from fabric_loopback import armed, assert_no_leaked_segments, loopback_fabric, process_of
 from repro.core.streaming import StreamIngestor
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
@@ -672,10 +672,10 @@ class TestWorkerChaosDrills:
 
 class TestDataPlaneReclamation:
     """SIGKILL mid-transfer for the shared-memory wire: a worker that
-    dies between sealing a reply's segment and enqueuing the reply
-    leaves an orphan, and commands in flight hold pooled request
-    leases -- both must be reclaimed by the supervisor's kill/restart
-    path, leaving a leak-free pool at shutdown."""
+    dies between sealing a reply's segment and enqueuing the reply, or
+    is killed with sealed replies nobody gathered, leaves orphans the
+    supervisor must reclaim by name, leaving no segment behind at
+    shutdown."""
 
     def test_orphan_reply_segment_reclaimed_on_restart(
         self, stream_setup, tmp_path, monkeypatch
@@ -725,38 +725,55 @@ class TestDataPlaneReclamation:
             assert client.handle_info(stream).rows == len(chunks[0]) + len(
                 chunks[1]
             )
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
 
-    def test_request_leases_reclaimed_on_kill(self, stream_setup):
+    def test_inflight_reply_segments_reclaimed_on_kill(self, stream_setup):
+        """A pipelined round is sealed -- every reply in its segment --
+        but not gathered when the worker is killed: the kill unlinks
+        each reply's segment by name, and the round's appends, never
+        acknowledged, land once on retry."""
+        import time
+        from multiprocessing import shared_memory
+
         from repro.fabric import FabricSupervisor
+        from repro.fabric.worker import _reply_segment_name
+
+        def sealed(name):
+            try:
+                shared_memory.SharedMemory(name=name).close()
+            except (FileNotFoundError, ValueError):  # absent, or not sized yet
+                return False
+            return True
 
         table, config, chunks = stream_setup
         stream = table.stream
-        with FabricSupervisor(
-            ["chaos"], shm_threshold=1
-        ) as supervisor:
+        with FabricSupervisor(["chaos"], shm_threshold=1) as supervisor:
             client = supervisor.client("chaos")
             client.open_stream(
                 stream, fps=table.fps, config=config, durable=True
             )
             client.append(stream, chunks[0])
             worker = supervisor._worker("chaos")
-            # pipeline a round of appends and kill before gathering:
-            # every leg's pooled request segment is still leased
+            first = worker.next_corr
             for chunk in chunks[1:3]:
                 client.append_submit(stream, chunk, defer_delta=True)
             client.append_submit(stream, chunks[3])
-            assert worker.request_leases
-            assert supervisor._pool is not None
-            assert supervisor._pool.leased_names()
+            names = [
+                _reply_segment_name(worker.reply_prefix, corr_id)
+                for corr_id in range(first, worker.next_corr)
+            ]
+            patience = time.monotonic() + 30.0
+            while not all(sealed(name) for name in names):
+                assert time.monotonic() < patience, "the round never sealed"
+                time.sleep(0.01)
             supervisor.kill("chaos")
-            # kill reclaimed the leases: no concurrent reader can exist
-            assert worker.request_leases == {}
-            assert supervisor._pool.leased_names() == []
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
             supervisor.restart("chaos", configs={stream: config})
             for chunk in chunks[1:]:
                 client.append(stream, chunk)
             assert client.handle_info(stream).rows == sum(
                 len(c) for c in chunks
             )
-        assert supervisor.leaked_segments == []
+        assert_no_leaked_segments(supervisor)
