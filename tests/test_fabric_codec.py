@@ -1,19 +1,22 @@
 """The fabric wire codec and its shared-memory data plane.
 
 One property holds the codec to its contract, per record type and per
-transport (inline; a reply's named segment, read once and unlinked):
-every record a wire op carries --
+transport (inline; a reply below its sink's crossover, inlined at seal;
+a reply's named segment, read once and unlinked): every record a wire
+op carries --
 observation-table slices (empty, whole, one column strided), arrays of
 every layout, and a sample of each record type in :data:`SAMPLES` --
 comes back bit-identical, with writable arrays that share no memory
 with the source and outlive the segment, moving only the bytes it
 holds; a reply's value and store delta seal into one message; and a
 foreign protocol version is refused.  Around it: the data plane's rules
-(the crossover threshold, fallbacks and the owning reader's lifetime),
-error envelopes, and configs crossing as their parameters.
+(the crossover threshold, fallbacks, sealing once, the owning reader's
+lifetime and reclamation by name), error envelopes, and configs
+crossing as their parameters.
 """
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -44,7 +47,12 @@ needs_shm = pytest.mark.skipif(
 )
 #: ``reply``: a named segment an owning reader unlinks
 SEGMENTS = ["reply"] if shm_plane.shm_available() else []
-TRANSPORTS = ["inline"] + SEGMENTS
+#: ``inline``: encoded without a sink (every request); ``fallback``: a
+#: reply whose message totals below its sink's crossover, so the sink
+#: inlines every part when it seals
+INLINE = ["inline", "fallback"]
+SINKS = ["fallback"] + SEGMENTS
+TRANSPORTS = ["inline"] + SINKS
 _examples = settings(
     deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -104,6 +112,14 @@ def through(values, transport):
         envelopes = [codec.encode(value) for value in values]
         wire = pickle.loads(pickle.dumps(envelopes))  # what the queue does
         return [codec.decode(envelope) for envelope in wire], envelopes
+    if transport == "fallback":
+        sink = _named_sink(threshold=sys.maxsize)
+        envelopes = [codec.encode(value, sink) for value in values]
+        assert sink.seal() is None and sink.sealed_nbytes == 0
+        sink.close_handoff()
+        wire = pickle.loads(pickle.dumps(envelopes))
+        # no descriptor left to resolve: it decodes without a reader
+        return [codec.decode(envelope) for envelope in wire], envelopes
     sink = _named_sink()
     envelopes = [codec.encode(value, sink) for value in values]
     name = sink.seal()
@@ -135,7 +151,7 @@ def assert_round_trip(value, transport, *company):
     for name, token in tokens.items():
         assert not out.collection(name).unchanged_since(token), name
     assert set(envelope) == {"v", "parts"} and envelope["v"] == PROTOCOL_VERSION
-    shape = bytes if transport == "inline" else dict
+    shape = bytes if transport in INLINE else dict
     assert all(isinstance(part, shape) for part in envelope["parts"])
     assert codec.inline_nbytes(envelope) == (sum(part_sizes(envelope)) if shape is bytes else 0)
     with pytest.raises(CodecError, match="version mismatch"):
@@ -262,7 +278,7 @@ def test_every_record_round_trips(kind, transport, seed):
 
 
 @KINDS
-@pytest.mark.parametrize("transport", SEGMENTS)
+@pytest.mark.parametrize("transport", SINKS)
 @_examples
 @given(seed=SEEDS)
 def test_a_reply_value_and_its_store_delta_seal_as_one_message(kind, transport, seed):
@@ -467,6 +483,42 @@ class TestShmDataPlane:
         reader = shm_plane.ShmReader()
         np.testing.assert_array_equal(codec.decode(envelope, reader), value)
         reader.close()
+        assert not shm_plane.unlink_segment(name)
+
+    def test_an_empty_message_seals_to_nothing(self):
+        calls = []
+        sink = shm_plane.ShmSink(alloc=calls.append, threshold=0)
+        assert sink.seal() is None and sink.sealed_nbytes == 0
+        assert calls == []  # nothing to carry: no segment is created
+        sink.close_handoff()
+
+    def test_a_second_seal_returns_the_first_and_packs_nothing(self):
+        created = []
+
+        def alloc(nbytes):
+            created.append(shm_plane.create_segment("codec-test-%d" % next(_seg_counter), nbytes))
+            return created[-1]
+
+        sink = shm_plane.ShmSink(alloc=alloc, threshold=1)
+        envelope = codec.encode(np.arange(256, dtype=np.uint8), sink)
+        name = sink.seal()
+        parts = list(envelope["parts"])
+        assert sink.seal() == name and envelope["parts"] == parts
+        assert [seg.name for seg in created] == [name]  # one segment only
+        sink.close_handoff()
+        sink.close_handoff()  # idempotent: the view is already unmapped
+        reader = shm_plane.ShmReader()
+        np.testing.assert_array_equal(codec.decode(envelope, reader), np.arange(256))
+        reader.close()
+        assert not shm_plane.unlink_segment(name)
+
+    def test_unlink_by_name_reports_a_segment_once(self):
+        """Condemn-time reclamation probes names: it unlinks an orphan
+        once and finds nothing under the same name afterwards."""
+        name = "codec-orphan-%d" % next(_seg_counter)
+        assert not shm_plane.unlink_segment(name)  # never created
+        shm_plane.create_segment(name, 128).close()
+        assert shm_plane.unlink_segment(name)
         assert not shm_plane.unlink_segment(name)
 
     def test_parts_pack_at_aligned_offsets(self):
