@@ -6,17 +6,42 @@ same ranked output and feature vector for the same object, across
 ingest, tuning and querying.  Python's ``random`` cannot provide that
 in vectorized form, so we use a splitmix64-style mixer over uint64
 seeds, which is stateless, fast on numpy arrays, and high-quality for
-simulation purposes.
+simulation purposes.  Normals come from the inverse normal CDF,
+:func:`_ndtri`, a numpy port of the Cephes routine.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+# Cephes ndtri (S. Moshier, Cephes Math Library): the constants below
+# are its P0/Q0 and P1/Q1 tables, digit for digit.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+#: elements per :func:`_ndtri` pass: ~6 float64 temporaries of 256 KiB
+#: stay L2-resident, and the ~80 ufunc calls per chunk stay cheap
+_NDTRI_CHUNK = 1 << 15
 
 
 def mix64(x: np.ndarray, copy: bool = True) -> np.ndarray:
@@ -74,8 +99,94 @@ def hash_normal_matrix(seeds: np.ndarray, dim: int, salt: int = 0) -> np.ndarray
     cols = (np.arange(dim, dtype=np.uint64) + np.uint64(salt + 1)).reshape(1, -1)
     grid = mix64(s ^ (cols * _GOLDEN), copy=False)  # xor result is fresh
     u = (grid >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return ndtri(u)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)  # u is fresh: clip in place
+    return _ndtri(u)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes ``polevl``: Horner from the leading coefficient (fresh array)."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes ``p1evl``: :func:`_polevl` with an implicit leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard-normal CDF of ``u``, computed in place.
+
+    ``u`` is a C-contiguous float64 array the caller owns, with every
+    element in ``[1e-12, 1 - 1e-12]`` (:func:`hash_normal_matrix`'s
+    clip).  Cephes' branch tests, constants and Horner order are kept,
+    so every rounding step is the C routine's:
+
+    * central, ``e^-2 < y <= 1 - e^-2``:
+      ``sqrt(2 pi) * (y' + y' * (y'^2 P0(y'^2) / Q0(y'^2)))``, ``y' = y - 0.5``;
+    * tails (``y`` reflected to ``1 - y`` above ``1 - e^-2``):
+      ``x = sqrt(-2 log y)``, ``x - log(x) / x - z P1(z) / Q1(z)``, ``z = 1/x``,
+      negated below ``e^-2``.
+
+    On that domain ``x <= sqrt(-2 log 1e-12) < 7.44``, so Cephes' third
+    branch (P2/Q2, ``x >= 8``, ``y < e^-32``) is unreachable and left
+    out; ``0``, ``1`` and out-of-range inputs are not handled.  Central
+    values equal the C routine's bit for bit; a tail value does too
+    unless numpy's ``log`` differs from libm's in the last bit (numpy's
+    AVX-512 ``log`` does for ~2e-4 of tail draws), which moves it by at
+    most a few ulp.
+
+    The central branch runs in place over each whole chunk; only the
+    ~27 % of elements that take a tail are gathered.  A gathered ``u``
+    reflects as ``min(u, 1 - u)`` (exactly Cephes' ``1 - y`` above
+    ``1 - e^-2`` and ``y`` below ``e^-2``) and takes the sign of
+    ``u - 0.5``, so neither step needs a masked ufunc.
+    """
+    flat = u.reshape(-1)
+    for start in range(0, len(flat), _NDTRI_CHUNK):
+        y = flat[start:start + _NDTRI_CHUNK]
+        in_tail = y <= _EXP_M2
+        in_tail |= y > 1.0 - _EXP_M2
+        tails = np.flatnonzero(in_tail)
+        t = y[tails]
+        reflected = 1.0 - t
+        np.minimum(t, reflected, out=reflected)
+        t -= 0.5
+
+        # over tail elements too: y'^2 <= 1/4 there, where Q0 < 0, so
+        # the values thrown away never divide by zero
+        y -= 0.5
+        y2 = y * y
+        x = _polevl(y2, _P0)
+        x *= y2
+        x /= _p1evl(y2, _Q0)
+        x *= y
+        x += y
+        np.multiply(x, _S2PI, out=y)
+
+        if len(tails):
+            x = np.log(reflected)
+            x *= -2.0
+            np.sqrt(x, out=x)
+            z = 1.0 / x
+            x0 = np.log(x)
+            x0 /= x
+            np.subtract(x, x0, out=x0)
+            x1 = _polevl(z, _P1)
+            x1 *= z
+            x1 /= _p1evl(z, _Q1)
+            x0 -= x1
+            np.copysign(x0, t, out=x0)  # x0 > 0: negates the lower tail only
+            y[tails] = x0
+    return u
 
 
 def stable_salt(text: str) -> int:

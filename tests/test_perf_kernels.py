@@ -409,6 +409,21 @@ class TestFeatureMemory:
         # 20 calls: a handful of faults is noise, 20 x 1 400 is the bug
         assert int(done.stdout) < 500, done.stdout
 
+    def test_import_loads_no_scipy(self):
+        """scipy.special alone added ~25 MB to every process's resident
+        baseline (each forked worker's too) for one ndtri call; the
+        package now needs numpy only."""
+        code = textwrap.dedent("""
+            import sys
+            import repro
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "[]", done.stdout
+
 
 class TestLiveEquivalence:
     @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
