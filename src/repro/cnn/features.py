@@ -68,6 +68,21 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
+def _draw_unit_rows(seed_parts, dim: int):
+    """One unit-normalized normal row per seed, one list per part.
+
+    A single :func:`hash_normal_matrix` call over the stacked seeds,
+    split afterwards: its fixed cost (~40 us) is paid once, not once
+    per part, and since a row depends only on its seed every output
+    bit is the same as one call per part.
+    """
+    bounds = np.cumsum([len(part) for part in seed_parts])
+    if not bounds[-1]:
+        return [np.zeros((0, dim)) for _ in seed_parts]
+    normals = hash_normal_matrix(np.concatenate(seed_parts), dim)
+    return [_unit_rows(rows) for rows in np.split(normals, bounds[:-1])]
+
+
 # Every extraction frees one block's few MiB of intermediates.  glibc
 # trims its heap past twice the largest mmapped chunk freed so far, so a
 # process whose biggest transient is one block hands that memory back
@@ -97,14 +112,10 @@ def _class_prototypes(calib: FeatureCalibration, class_ids) -> np.ndarray:
         # amortized O(1) per class, not a full realloc per call
         new = np.arange(len(table), max(need, min(2 * len(table), NUM_CLASSES), 64))
         pool_keys = np.asarray([confusable_pool_key(int(c)) for c in new], dtype=np.uint64)
-        anchors = _unit_rows(
-            hash_normal_matrix(combine(pool_keys, np.uint64(_POOL_SALT)), calib.dim)
-        )
-        uniques = _unit_rows(
-            hash_normal_matrix(
-                combine(new.astype(np.uint64), np.uint64(_UNIQUE_SALT)), calib.dim
-            )
-        )
+        anchors, uniques = _draw_unit_rows([
+            combine(pool_keys, np.uint64(_POOL_SALT)),
+            combine(new.astype(np.uint64), np.uint64(_UNIQUE_SALT)),
+        ], calib.dim)
         protos = _unit_rows(calib.pool_weight * anchors + calib.unique_weight * uniques)
         table = _PROTOTYPES[calib] = np.concatenate([table, protos])
     return table[class_ids]
@@ -203,17 +214,26 @@ class FeatureExtractor:
         return out
 
     # -- per-track state (cached across chunks) ----------------------------
-    def _track_profiles(self, unique_tracks: np.ndarray,
-                        track_classes: np.ndarray):
+    def _uncached_tracks(self, track_list: list) -> list:
+        """Positions in ``track_list`` without a cached profile (the
+        cache is cleared wholesale past :attr:`TRACK_CACHE_MAX` first)."""
+        cache = self._track_cache
+        if len(cache) > self.TRACK_CACHE_MAX:
+            cache.clear()
+        return [i for i, t in enumerate(track_list) if t not in cache]
+
+    def _track_profiles(self, unique_tracks: np.ndarray, track_classes: np.ndarray,
+                        missing: list, m_app0: np.ndarray, m_app1: np.ndarray):
         """Appearance/confuser data per unique track, cached across calls.
 
         Everything here is a pure function of the track, yet the live
         ingest path used to rehash it for every pushed chunk; the cache
         makes repeat tracks (every chunk of a live stream) free.
+        ``missing`` is :meth:`_uncached_tracks`' answer, and ``m_app0``
+        / ``m_app1`` those tracks' two unit appearance bases, drawn with
+        the rest of the block's normals.
         """
         cache = self._track_cache
-        if len(cache) > self.TRACK_CACHE_MAX:
-            cache.clear()
         u = len(unique_tracks)
         app0 = np.empty((u, self.dim), dtype=np.float64)
         app1 = np.empty((u, self.dim), dtype=np.float64)
@@ -222,17 +242,10 @@ class FeatureExtractor:
         confuser_w = np.empty(u, dtype=np.float64)
         confusers = np.empty(u, dtype=np.int64)
         track_list = unique_tracks.tolist()
-        missing = [i for i, t in enumerate(track_list) if t not in cache]
         if missing:
             calib = self.calibration
             m = np.asarray(missing, dtype=np.int64)
             mt = unique_tracks[m]
-            m_app0 = _unit_rows(
-                hash_normal_matrix(combine(mt, np.uint64(_APP0_SALT)), self.dim)
-            )
-            m_app1 = _unit_rows(
-                hash_normal_matrix(combine(mt, np.uint64(_APP1_SALT)), self.dim)
-            )
             lo, hi = _APP_SCALE_RANGE
             m_ascale = lo + (hi - lo) * hash_uniform(
                 combine(mt, np.uint64(_APP_SCALE_SALT))
@@ -291,8 +304,41 @@ class FeatureExtractor:
             track_seeds, return_index=True, return_inverse=True
         )
         track_classes = table.class_id[first_row_of_track]
+        missing = self._uncached_tracks(unique_tracks.tolist())
+        missing_seeds = unique_tracks[np.asarray(missing, dtype=np.int64)]
+
+        # hard episodes: short runs of frames where the object is
+        # blurred/occluded/badly cropped and its embedding lands far
+        # from every manifold.  Episodes are per (track, frame bucket),
+        # so consecutive hard observations share one degraded embedding:
+        # nearest neighbours stay same-class (Section 2.2.3) while each
+        # episode still seeds its own stray cluster -- the candidate-set
+        # inflation real deployments see at query time.
+        hard_seeds = np.zeros(0, dtype=np.uint64)
+        if calib.hard_example_fraction > 0:
+            bucket = (table.obs_in_track // _HARD_EPISODE_FRAMES).astype(np.uint64)
+            episode_seed = combine(track_seeds, bucket, np.uint64(_HARD_MASK_SALT))
+            hard = hash_uniform(episode_seed) < calib.hard_example_fraction
+            hard_seeds = combine(episode_seed[hard], np.uint64(_HARD_DIR_SALT))
+        noise_scale = calib.noise_scale * self.noise_multiplier
+        noise_seeds = np.zeros(0, dtype=np.uint64)
+        if noise_scale > 0:
+            noise_seeds = combine(
+                table.observation_seeds(), np.uint64(self.model_salt), np.uint64(_NOISE_SALT)
+            )
+        # every normal the block needs, in one draw; unit rows, so the
+        # jitter magnitude is noise_scale, independent of dimensionality
+        m_app0, m_app1, noise, junk = _draw_unit_rows([
+            combine(missing_seeds, np.uint64(_APP0_SALT)),
+            combine(missing_seeds, np.uint64(_APP1_SALT)),
+            noise_seeds,
+            hard_seeds,
+        ], self.dim)
+
         (app0, app1, app_scale, drift_scale, confusers,
-         confuser_w) = self._track_profiles(unique_tracks, track_classes)
+         confuser_w) = self._track_profiles(
+            unique_tracks, track_classes, missing, m_app0, m_app1
+        )
         app_scale = app_scale[:, np.newaxis]
         confuser_w = confuser_w[:, np.newaxis]
         confuser_protos = _class_prototypes(calib, confusers)
@@ -311,46 +357,14 @@ class FeatureExtractor:
         np.multiply(app_sin, np.sin(theta), out=app_sin)
         appearance += app_sin
 
-        noise_scale = calib.noise_scale * self.noise_multiplier
-        if noise_scale > 0:
-            obs_seeds = combine(
-                table.observation_seeds(), np.uint64(self.model_salt), np.uint64(_NOISE_SALT)
-            )
-            # unit-normalize so the jitter magnitude is noise_scale,
-            # independent of dimensionality
-            noise = _unit_rows(hash_normal_matrix(obs_seeds, self.dim))
-            np.multiply(noise, noise_scale, out=noise)
-        else:
-            noise = None
-
         vectors = calib.class_weight * proto
         vectors += (confuser_w * confuser_protos)[track_inverse]
         np.multiply(appearance, calib.appearance_weight, out=appearance)
         vectors += appearance
-        if noise is not None:
+        if noise_scale > 0:
+            np.multiply(noise, noise_scale, out=noise)
             vectors += noise
-
-        # hard episodes: short runs of frames where the object is
-        # blurred/occluded/badly cropped and its embedding lands far
-        # from every manifold.  Episodes are per (track, frame bucket),
-        # so consecutive hard observations share one degraded embedding:
-        # nearest neighbours stay same-class (Section 2.2.3) while each
-        # episode still seeds its own stray cluster -- the candidate-set
-        # inflation real deployments see at query time.
-        if calib.hard_example_fraction > 0:
-            bucket = (table.obs_in_track // _HARD_EPISODE_FRAMES).astype(np.uint64)
-            episode_seed = combine(
-                table.appearance_seed.astype(np.uint64),
-                bucket,
-                np.uint64(_HARD_MASK_SALT),
-            )
-            hard = hash_uniform(episode_seed) < calib.hard_example_fraction
-            if hard.any():
-                junk = _unit_rows(
-                    hash_normal_matrix(
-                        combine(episode_seed[hard], np.uint64(_HARD_DIR_SALT)), self.dim
-                    )
-                )
-                vectors[hard] = 0.80 * proto[hard] + 1.00 * junk
+        if len(junk):
+            vectors[hard] = 0.80 * proto[hard] + 1.00 * junk
 
         return _unit_rows(vectors).astype(np.float32)

@@ -160,3 +160,31 @@ def test_noise_multiplier_spreads_features(small_table):
 def test_negative_noise_rejected():
     with pytest.raises(ValueError):
         FeatureExtractor(model_salt=1, noise_multiplier=-1)
+
+
+def test_one_normal_draw_per_block(small_table, monkeypatch):
+    """Noise, hard-episode directions and the missing tracks' two
+    appearance bases share one ``hash_normal_matrix`` call per block
+    (each call pays ~40 us of fixed cost), and stacking them moves no
+    output bit."""
+    import repro.cnn.features as features_module
+
+    table = small_table.slice(0, min(len(small_table), 2500))
+    expected = cheap_cnn(1).feature_extractor().extract(table)
+    draws = []
+    real_draw = features_module.hash_normal_matrix
+
+    def counting_draw(seeds, dim, salt=0):
+        draws.append(len(seeds))
+        return real_draw(seeds, dim, salt)
+
+    monkeypatch.setattr(features_module, "hash_normal_matrix", counting_draw)
+    extractor = cheap_cnn(1).feature_extractor()  # cold track cache
+    blocks = -(-len(table) // FeatureExtractor.BLOCK_ROWS)
+    assert blocks > 1
+    for warm in (False, True):
+        draws.clear()
+        np.testing.assert_array_equal(extractor.extract(table), expected)
+        assert len(draws) == blocks, warm
+        # every row's noise, plus appearance bases only while cold
+        assert sum(draws) >= len(table)

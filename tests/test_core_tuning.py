@@ -1,7 +1,17 @@
 """Unit tests for the parameter tuner (Section 4.4)."""
 
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import repro
 
 import repro.core.tuning as tuning_module
 from repro.cnn.features import FeatureExtractor
@@ -22,6 +32,7 @@ from repro.core.tuning import (
     TuningResult,
     pareto_front,
 )
+from repro.obs.events import EventLog
 from repro.video.synthesis import generate_observations
 
 
@@ -249,15 +260,20 @@ class TestTunerEquivalenceOracle:
                 assert _key(got.choose(policy)) == _key(ref.choose(policy))
 
     def test_each_thing_is_paid_for_once(self, sample, monkeypatch):
-        calls = {"extracted_rows": 0, "gt_segments": 0}
+        # counted in every process: a forked helper's rows land in the
+        # same shared counters, allocated before the tune call
+        extracted_rows = multiprocessing.Value("q", 0)
+        gt_calls = multiprocessing.Value("q", 0)
         real_extract, real_gt = FeatureExtractor.extract, tuning_module.gt_segments
 
         def counting_extract(self, table):
-            calls["extracted_rows"] += len(table)
+            with extracted_rows.get_lock():
+                extracted_rows.value += len(table)
             return real_extract(self, table)
 
         def counting_gt(table, class_id):
-            calls["gt_segments"] += 1
+            with gt_calls.get_lock():
+                gt_calls.value += 1
             return real_gt(table, class_id)
 
         monkeypatch.setattr(FeatureExtractor, "extract", counting_extract)
@@ -270,5 +286,164 @@ class TestTunerEquivalenceOracle:
         # block-sized calls that takes; ground truth depends on the
         # class, never on (model, K, T)
         needed = int(feature_rows_needed(sample.track_id, simulate_pixel_diff(sample)).sum())
-        assert calls["extracted_rows"] == len(models_swept) * needed
-        assert calls["gt_segments"] == len(result.dominant_classes)
+        assert extracted_rows.value == len(models_swept) * needed
+        assert gt_calls.value == len(result.dominant_classes)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="the helper path needs two usable CPUs",
+    )
+    def test_serial_path_on_one_cpu_matches_the_helper_path(self, sample, monkeypatch):
+        """The same sweep in a process pinned to one CPU (no helper) and
+        here (one forked helper per further CPU) gives the same
+        candidates, bit for bit."""
+        log = EventLog()
+        monkeypatch.setattr("repro.obs.events._DEFAULT", log)
+        got = ParameterTuner(resnet152(), AccuracyTarget()).tune(sample)
+        assert log.events("tuner.helper"), "the helper path did not run"
+
+        code = textwrap.dedent("""
+            import os, pickle, sys
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from repro.cnn.zoo import resnet152
+            from repro.core.config import AccuracyTarget
+            from repro.core.tuning import ParameterTuner
+            from repro.obs.events import default_events
+            sample = pickle.load(sys.stdin.buffer)
+            result = ParameterTuner(resnet152(), AccuracyTarget()).tune(sample)
+            keys = [(c.config.model.name, c.config.k, c.config.cluster_threshold,
+                     c.precision, c.recall, c.ingest_cost_norm,
+                     c.query_latency_norm, c.viable) for c in result.candidates]
+            helpers = default_events().events("tuner.helper")
+            pickle.dump((keys, result.dominant_classes, helpers), sys.stdout.buffer)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              input=pickle.dumps(sample), capture_output=True,
+                              check=True, timeout=300)
+        keys, dominant, helpers = pickle.loads(done.stdout)
+        assert helpers == []
+        # == on floats: exact equality, not approx
+        assert keys == [_key(c) for c in got.candidates]
+        assert dominant == got.dominant_classes
+
+
+# -- the helper path's failures --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_sample():
+    table = generate_observations("auburn_c", 90.0, 30.0)
+    return table.scattered_sample(20.0, chunk_seconds=5.0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Force the two-worker path whatever this host's CPU count, and
+    record every pid the tuner forks and every helper it reaped."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the helper path needs os.fork")
+    monkeypatch.setattr(tuning_module, "_usable_cpus", lambda: 2)
+    forked = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(tuning_module.os, "fork", recording_fork)
+    log = EventLog()
+    monkeypatch.setattr("repro.obs.events._DEFAULT", log)
+
+    def hung(signum, frame):
+        raise TimeoutError("tune still waiting for a helper")
+
+    # a hang is the failure these tests look for: bound it
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        yield forked, log
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_all_reaped(forked, log):
+    assert len(forked) == 1
+    assert [e["pid"] for e in log.events("tuner.helper")] == forked
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _fail_in(monkeypatch, where, fail):
+    """Make the per-model sweep call ``fail()`` in the parent or in a
+    helper, on its first model."""
+    parent = os.getpid()
+    real_sweep = ParameterTuner._sweep_model
+
+    def sweep(self, *args):
+        if (os.getpid() == parent) == (where == "parent"):
+            fail()
+        return real_sweep(self, *args)
+
+    monkeypatch.setattr(ParameterTuner, "_sweep_model", sweep)
+
+
+class TestTunerHelpers:
+    def test_helper_event_reports_the_models_it_swept(self, small_sample, two_cpus):
+        forked, log = two_cpus
+        result = ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        _assert_all_reaped(forked, log)
+        (event,) = log.events("tuner.helper")
+        models = list(dict.fromkeys(c.config.model.name for c in result.candidates))
+        assert len(models) >= 2
+        # round-robin over two workers: the helper takes every second model
+        assert event["models"] == models[1::2]
+        assert event["exit_code"] == 0
+        assert event["wall_s"] > 0 and event["maxrss_mb"] > 0 and event["minflt"] > 0
+
+    def test_helper_exception_reraises_with_its_type_and_message(
+        self, small_sample, two_cpus, monkeypatch
+    ):
+        def fail():
+            raise KeyError("no such model in the helper")
+
+        _fail_in(monkeypatch, "helper", fail)
+        with pytest.raises(KeyError) as raised:
+            ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        assert raised.value.args == ("no such model in the helper",)
+        assert "in tuner helper" in str(raised.value.__cause__)
+        _assert_all_reaped(*two_cpus)
+
+    def test_helper_killed_mid_sweep_raises(self, small_sample, two_cpus, monkeypatch):
+        _fail_in(monkeypatch, "helper", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="without a reply"):
+            ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        forked, log = two_cpus
+        _assert_all_reaped(forked, log)
+        assert log.events("tuner.helper")[0]["exit_code"] == -signal.SIGKILL
+
+    def test_parent_share_failure_kills_and_reaps_the_helpers(
+        self, small_sample, two_cpus, monkeypatch
+    ):
+        def fail():
+            raise ValueError("parent share failed")
+
+        _fail_in(monkeypatch, "parent", fail)
+        with pytest.raises(ValueError, match="parent share failed"):
+            ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        _assert_all_reaped(*two_cpus)
+
+    @pytest.mark.parametrize("cpus, names", [(1, ["a", "b", "c"]), (4, ["a"])])
+    def test_one_cpu_or_one_model_never_forks(self, monkeypatch, cpus, names):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(tuning_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tuning_module.os, "fork", no_fork)
+        assert tuning_module._sweep_shares(lambda i: [i], names) == [
+            [i] for i in range(len(names))
+        ]
