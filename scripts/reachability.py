@@ -106,6 +106,8 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/shm.py:unlink_segment", "stays: unlinks a condemned worker's orphan reply segments (a fault path)"),
     ("fabric/router.py:FabricRouter.recover", _FAULT),
     ("fabric/router.py:FabricRouter.append_many.replay", "stays: the at-most-once replay of a retried append (a fault path)"),
+    ("core/streaming.py:_RoundSession._go_serial", "stays: sends a round's stream back to plain push after a helper failure or a journal fault (a fault path)"),
+    ("core/helpers.py:Helper._describe", "stays: names a failed helper in the error its caller sees (a fault path)"),
     ("fabric/router.py:FabricRouter._empty_answer", "stays: the partial answer when every leg of a request is lost (a fault path)"),
     ("fabric/shard.py:ShardNode.ensure_alive", "stays: `ShardLeg` member; an in-process leg has nothing to respawn"),
     ("fabric/shard.py:ShardNode.ping", "stays: op-table verb served in-process, for parity with a worker leg"),

@@ -561,6 +561,62 @@ class IncrementalClusterer:
         return self.snapshot()
 
 
+class SnapshotPlayback:
+    """:meth:`IncrementalClusterer.snapshot` after each chunk, rebuilt
+    from the chunks' assignments and cluster counts alone -- for a
+    caller whose clustering ran elsewhere (a forked helper).
+
+    Nothing else is needed: a chunk's new clusters are the ids from the
+    previous count up to its own, each seeded by its first row (the row
+    that opened it), and a cluster's size is its number of rows.  The
+    summaries are bit-identical to the clusterer's and, like its, stay
+    frozen as later chunks arrive.
+    """
+
+    def __init__(self, start: ClusterSummary):
+        rows = len(start.assignments)
+        capacity = 1024
+        while capacity < rows:
+            capacity *= 2
+        self._assign_buf = np.empty(capacity, dtype=np.int64)
+        self._assign_buf[:rows] = start.assignments
+        self._rows = rows
+        self._summary = start
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """Every row's cluster id so far."""
+        return self._assign_buf[: self._rows]
+
+    def advance(self, assignments: np.ndarray, num_clusters: int) -> ClusterSummary:
+        """The snapshot after one more chunk clustered to ``assignments``
+        with ``num_clusters`` clusters in all."""
+        base, n = self._rows, len(assignments)
+        if base + n > len(self._assign_buf):
+            capacity = len(self._assign_buf)
+            while capacity < base + n:
+                capacity *= 2
+            grown = np.empty(capacity, dtype=np.int64)
+            grown[:base] = self._assign_buf[:base]
+            self._assign_buf = grown
+        self._assign_buf[base: base + n] = assignments
+        self._rows = base + n
+        previous = self._summary
+        old_n = previous.num_clusters
+        fresh = np.flatnonzero(assignments >= old_n)
+        ids, first = np.unique(assignments[fresh], return_index=True)
+        if not np.array_equal(ids, np.arange(old_n, num_clusters)):
+            raise ValueError("a chunk's new cluster ids must be the next ones, each with a row")
+        sizes = np.bincount(assignments, minlength=num_clusters).astype(np.int64)
+        sizes[:old_n] += previous.sizes
+        self._summary = ClusterSummary(
+            assignments=self._assign_buf[: self._rows],
+            seed_rows=np.concatenate([previous.seed_rows, base + fresh[first]]).astype(np.int64),
+            sizes=sizes,
+        )
+        return self._summary
+
+
 def _extract_needed(extractor, chunk: ObservationTable, need: np.ndarray,
                     dim: int):
     """``(features, feature_valid)`` for :meth:`IncrementalClusterer.add`

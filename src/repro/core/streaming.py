@@ -30,21 +30,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cnn.features import FeatureExtractor
 from repro.cnn.zoo import model_by_name
 from repro.core.clustering import (
     ClusterSummary,
     IncrementalClusterer,
+    SnapshotPlayback,
     extract_and_cluster_chunk,
     group_rows_by_cluster,
 )
 from repro.core.config import FocusConfig
 from repro.core.costmodel import CostCategory, GPULedger
+from repro.core.helpers import Helper, fork_width
 from repro.core.index import ClusterEntry, IndexReader, LazyTopKIndex, TopKIndex
 from repro.core.ingest import IngestResult, simulate_pixel_diff
+from repro.obs.events import emit
 from repro.sched.cluster import DispatchReport, IngestDispatcher
 from repro.storage.docstore import DocumentStore
 from repro.storage.journal import (
@@ -173,6 +177,21 @@ class ChunkReport:
     @property
     def suppression_ratio(self) -> float:
         return self.suppressed / self.chunk_rows if self.chunk_rows else 0.0
+
+
+@dataclass(frozen=True)
+class ClusterStep:
+    """The cluster half of one push, as much of it as the apply half
+    reads: which rows pixel differencing suppressed, every row's
+    cluster id, and the clusterer's cluster count after the chunk."""
+
+    suppressed: np.ndarray
+    assignments: np.ndarray
+    num_clusters: int
+
+
+#: one chunk's outcome in a round: its report, or what its push raised
+Outcome = Tuple[Optional[ChunkReport], Optional[Exception]]
 
 
 class StreamIngestor:
@@ -324,10 +343,16 @@ class StreamIngestor:
 
     # -- ingest ------------------------------------------------------------
     def _validate_chunk(
-        self, chunk: ObservationTable, watermark_s: Optional[float]
+        self,
+        chunk: ObservationTable,
+        watermark_s: Optional[float],
+        last_time: Optional[float] = None,
     ) -> None:
         """Refuse a malformed chunk or watermark -- before the WAL write
-        on a push, and again on replay."""
+        on a push, and again on replay.  ``last_time`` stands in for the
+        last ingested observation time when a round validates ahead."""
+        if last_time is None:
+            last_time = self._last_time
         if chunk.stream != self.stream:
             raise ValueError(
                 "chunk belongs to stream %r, ingestor is %r"
@@ -359,10 +384,10 @@ class StreamIngestor:
                 "chunk time_s must be finite, non-negative stream times, "
                 "got a range of %r..%r" % (first, last)
             )
-        if first < self._last_time:
+        if first < last_time:
             raise ValueError(
                 "chunks must arrive in stream order: chunk starts at "
-                "%.3fs but %.3fs was already ingested" % (first, self._last_time)
+                "%.3fs but %.3fs was already ingested" % (first, last_time)
             )
 
     def push(
@@ -385,29 +410,42 @@ class StreamIngestor:
         the unacknowledged chunk, which the producer re-pushes.
         """
         self._validate_chunk(chunk, watermark_s)
+        self._journal_chunk(chunk, watermark_s)
+        return self._ingest_chunk(chunk, watermark_s, dispatch=True)
+
+    def _journal_chunk(
+        self, chunk: ObservationTable, watermark_s: Optional[float]
+    ) -> None:
+        """The write-ahead step of a push (none without a journal)."""
         if self.journal is not None:
             self._last_journal_seq = self.journal.append_chunk(chunk, watermark_s)
-        return self._apply_chunk(chunk, watermark_s, dispatch=True)
 
-    def _apply_chunk(
+    def _ingest_chunk(
         self,
         chunk: ObservationTable,
         watermark_s: Optional[float],
         dispatch: bool,
     ) -> ChunkReport:
-        """Apply one (already journaled) chunk to the in-memory state.
+        """Both halves of one (already journaled) chunk, here and now.
 
         Shared by the live path (``push``) and journal replay during
         :meth:`recover`; replay skips GPU-cluster dispatch -- that work
         happened before the crash -- but keeps cost accounting so the
         recovered counters match an uninterrupted session.
         """
-        config = self.config
-        offset = len(self._table)
+        step = self._cluster_chunk(chunk)
+        return self._apply_chunk(
+            chunk, watermark_s, step, self._clusterer.snapshot(), dispatch
+        )
 
+    def _cluster_chunk(self, chunk: ObservationTable) -> ClusterStep:
+        """The cluster half of a push: pixel differencing, feature
+        extraction and clustering.  It advances the clusterer and
+        touches nothing else, so it may run ahead of the apply half --
+        in a forked helper, too (:func:`push_round`)."""
         # IT1 + pixel differencing (per-row deterministic, so chunking
         # cannot change which observations are suppressed)
-        if config.pixel_diff:
+        if self.config.pixel_diff:
             suppressed = simulate_pixel_diff(chunk)
         else:
             suppressed = np.zeros(len(chunk), dtype=bool)
@@ -418,8 +456,46 @@ class StreamIngestor:
         assignments = extract_and_cluster_chunk(
             self._clusterer, self._extractor, chunk, suppressed
         )
+        return ClusterStep(suppressed, assignments, self._clusterer.num_clusters)
+
+    def _cluster_ahead(
+        self, chunks: Sequence[Tuple[ObservationTable, Optional[float]]]
+    ) -> List[Optional[ClusterStep]]:
+        """The cluster half of pushing ``(chunk, watermark_s)`` pairs in
+        order, run before any of their apply halves: one step per chunk,
+        None for a chunk ``push`` would refuse.  The list stops short at
+        a chunk whose cluster half raises (``push`` reproduces that)."""
+        last_time = self._last_time
+        steps: List[Optional[ClusterStep]] = []
+        for chunk, watermark_s in chunks:
+            try:
+                self._validate_chunk(chunk, watermark_s, last_time)
+            except Exception:
+                steps.append(None)
+                continue
+            try:
+                steps.append(self._cluster_chunk(chunk))
+            except Exception:
+                break
+            if len(chunk):
+                last_time = max(last_time, float(chunk.time_s.max()))
+        return steps
+
+    def _apply_chunk(
+        self,
+        chunk: ObservationTable,
+        watermark_s: Optional[float],
+        step: ClusterStep,
+        snapshot: ClusterSummary,
+        dispatch: bool,
+    ) -> ChunkReport:
+        """The apply half of a push: table columns, index delta and
+        accounting, from the cluster half's ``step`` and the clusterer's
+        ``snapshot`` right after it."""
+        config = self.config
+        offset = len(self._table)
+        suppressed, assignments = step.suppressed, step.assignments
         previous = self._snapshot
-        snapshot = self._clusterer.snapshot()
 
         # accumulate the table (stream order is preserved, so row ids,
         # cluster ids, and index member rows match a one-shot ingest;
@@ -726,7 +802,7 @@ class StreamIngestor:
             chunk = chunk_from_payload(record.payload)
             watermark_s = record.payload.get("watermark_s")
             self._validate_chunk(chunk, watermark_s)
-            self._apply_chunk(chunk, watermark_s, dispatch=False)
+            self._ingest_chunk(chunk, watermark_s, dispatch=False)
         # journaling resumes where the lineage stands -- the max of the
         # committed cursor and any surviving records (compaction can
         # leave the journal empty); dispatch resumes live
@@ -762,3 +838,183 @@ class StreamIngestor:
             self._table, self.config.model, self.config.k, self._snapshot
         )
         self.committed_epoch = int(state_doc["epoch"])
+
+
+# -- a round of pushes on every usable CPU ----------------------------------
+
+def push_round(
+    items: Sequence[Tuple[StreamIngestor, ObservationTable, Optional[float]]],
+) -> List[Outcome]:
+    """``ingestor.push(chunk, watermark_s)`` for every item in order,
+    each chunk's report or exception in its slot -- the same outcomes
+    and end state, bit for bit, as pushing the items one by one.
+
+    Sessions are independent until their chunks are applied, so when
+    the round holds at least two sessions of ``FeatureExtractor.BLOCK_ROWS``
+    rows or more and :func:`~repro.core.helpers.fork_width` allows, each
+    session's cluster halves run ahead on every usable CPU: the
+    sessions are balanced by rows over the workers (largest first, each
+    to the lightest share), this process takes the heaviest share, and
+    each other share goes to one :class:`~repro.core.helpers.Helper`
+    (event ``append.helper``, with its ``streams``).  Then every chunk is
+    validated, journaled and applied here, in input order, from its
+    predicted step.
+
+    A prediction is only a shortcut.  A session whose helper failed, or
+    whose chunk is not applied as predicted (its journal write raised),
+    goes back to the plain ``push`` from that chunk on, its clusterer
+    first put where the chunks applied so far left it; an
+    ``append.fallback`` event names the session and the chunk.
+    """
+    sessions: Dict[int, _RoundSession] = {}
+    for ingestor, chunk, watermark_s in items:
+        session = sessions.setdefault(id(ingestor), _RoundSession(ingestor))
+        session.chunks.append((chunk, watermark_s))
+    shares = _balance(list(sessions.values()))
+    if shares is None:
+        return [_outcome(ingestor.push, chunk, watermark_s)
+                for ingestor, chunk, watermark_s in items]
+    _cluster_shares(shares)
+    outcomes = [
+        sessions[id(ingestor)].push_next(chunk, watermark_s)
+        for ingestor, chunk, watermark_s in items
+    ]
+    for session in sessions.values():
+        session.finish()
+    return outcomes
+
+
+def _outcome(fn, *args) -> Outcome:
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, exc
+
+
+def _balance(sessions: List["_RoundSession"]) -> Optional[List[List["_RoundSession"]]]:
+    """The round's shares, heaviest first, or None to push serially."""
+    workers = fork_width(sum(s.rows >= FeatureExtractor.BLOCK_ROWS for s in sessions))
+    if workers < 2:
+        return None
+    shares: List[List[_RoundSession]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for session in sorted(sessions, key=lambda s: -s.rows):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(session)
+        loads[lightest] += session.rows
+    return [shares[w] for w in sorted(range(workers), key=lambda w: -loads[w])]
+
+
+def _cluster_shares(shares: List[List["_RoundSession"]]) -> None:
+    """Run every session's cluster halves ahead: the first share here,
+    each other in a helper; every helper is reaped before this returns."""
+    helpers: List[Helper] = []
+    try:
+        for share in shares[1:]:
+            helpers.append(Helper(
+                lambda share=share: [s.cluster_ahead() for s in share],
+                "append.helper", streams=[s.ingestor.stream for s in share],
+            ))
+        for session in shares[0]:
+            clusterer = session.ingestor._clusterer
+            # where a fallback puts this session's clusterer back to
+            session.start = dict(
+                clusterer.bounded_state(), assignments=clusterer.snapshot().assignments
+            )
+            session.steps = session.ingestor._cluster_ahead(session.chunks)
+        for share, helper in zip(shares[1:], helpers):
+            try:
+                replies = helper.collect()
+            except Exception:
+                continue  # its sessions push serially; its event says why
+            for session, (steps, final) in zip(share, replies):
+                session.steps, session.final = steps, final
+    finally:
+        for helper in helpers:
+            helper.stop()
+
+
+class _RoundSession:
+    """One session's chunks in a :func:`push_round`, and its progress."""
+
+    def __init__(self, ingestor: StreamIngestor):
+        self.ingestor = ingestor
+        #: ``(chunk, watermark_s)`` in round order
+        self.chunks: List[Tuple[ObservationTable, Optional[float]]] = []
+        #: the predicted cluster steps (None: no prediction)
+        self.steps: Optional[List[Optional[ClusterStep]]] = None
+        #: a helper's clusterer state after its steps (its bounded part)
+        self.final: Optional[Dict] = None
+        #: the round-start clusterer state of a session clustered here
+        self.start: Optional[Dict] = None
+        #: the chunks whose cluster half a plain push would have run
+        self.clustered: List[ObservationTable] = []
+        self.pushed = 0
+        self.serial = False
+        self._playback: Optional[SnapshotPlayback] = None
+
+    @property
+    def rows(self) -> int:
+        return sum(len(c) for c, _ in self.chunks if isinstance(c, ObservationTable))
+
+    def cluster_ahead(self) -> Tuple[List[Optional[ClusterStep]], Dict]:
+        """A helper's work for this session: its steps and the bounded
+        clusterer state after them."""
+        steps = self.ingestor._cluster_ahead(self.chunks)
+        return steps, self.ingestor._clusterer.bounded_state()
+
+    def push_next(
+        self, chunk: ObservationTable, watermark_s: Optional[float]
+    ) -> Outcome:
+        """Push this session's next chunk of the round: from its step
+        while the round goes as predicted, by plain ``push`` after."""
+        position = self.pushed
+        self.pushed += 1
+        if not self.serial:
+            if self.steps is None or position >= len(self.steps):
+                self._go_serial(position, "no prediction")
+            else:
+                step = self.steps[position]
+                refused = _outcome(self.ingestor._validate_chunk, chunk, watermark_s)[1]
+                if (refused is None) == (step is not None):  # as predicted
+                    if step is None:
+                        return None, refused
+                    return self._apply(chunk, watermark_s, step, position)
+                self._go_serial(position, "validation")
+        return _outcome(self.ingestor.push, chunk, watermark_s)
+
+    def _apply(self, chunk, watermark_s, step: ClusterStep, position: int) -> Outcome:
+        ingestor = self.ingestor
+        try:
+            ingestor._journal_chunk(chunk, watermark_s)
+        except Exception as exc:
+            # the step ran past a chunk that never applies
+            self._go_serial(position + 1, "journal")
+            return None, exc
+        self.clustered.append(chunk)
+        if self._playback is None:
+            self._playback = SnapshotPlayback(ingestor._snapshot)
+        snapshot = self._playback.advance(step.assignments, step.num_clusters)
+        return _outcome(
+            ingestor._apply_chunk, chunk, watermark_s, step, snapshot, True
+        )
+
+    def _go_serial(self, position: int, reason: str) -> None:
+        """Continue on plain ``push``, the clusterer put where the
+        chunks applied so far left it."""
+        ingestor = self.ingestor
+        if self.start is not None:
+            ingestor._clusterer = IncrementalClusterer.from_state_dict(self.start)
+        for chunk in self.clustered:
+            ingestor._cluster_chunk(chunk)
+        self.serial = True
+        emit("append.fallback", stream=ingestor.stream, chunk=position, reason=reason)
+
+    def finish(self) -> None:
+        """Install a helper's clusterer once every chunk applied as it
+        predicted (a session clustered here already holds its own)."""
+        if self.serial or self.final is None or self._playback is None:
+            return
+        self.ingestor._clusterer = IncrementalClusterer.from_state_dict(
+            dict(self.final, assignments=self._playback.assignments)
+        )

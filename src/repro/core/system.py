@@ -24,7 +24,7 @@ from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.index import TopKIndex, stored_streams
 from repro.core.ingest import IngestPipeline, IngestResult
 from repro.core.query import QueryEngine, QueryResult, resolve_query
-from repro.core.streaming import ChunkReport, StreamIngestor
+from repro.core.streaming import ChunkReport, Outcome, StreamIngestor, push_round
 from repro.core.tuning import ParameterTuner, TuningResult
 from repro.obs.metrics import MetricsRegistry
 from repro.sched.cluster import GPUCluster, IngestDispatcher, QueryCoordinator
@@ -307,20 +307,78 @@ class FocusSystem:
         ``query_all`` fan-outs) answer at the new watermark.  Cached GT
         verdicts survive: growing a cluster never moves its centroid,
         so only clusters whose id is new this chunk are invalidated.
+        :meth:`append_many` of one.
         """
+        watermarks = None if watermark_s is None else {stream: watermark_s}
+        return self.append_many([(stream, chunk)], watermarks)[0]
+
+    def append_many(
+        self,
+        chunks: Sequence[Tuple[str, ObservationTable]],
+        watermarks: Optional[Mapping[str, float]] = None,
+    ) -> List[ChunkReport]:
+        """Push ``(stream, chunk)`` pairs, in order, into live sessions.
+
+        Every chunk is tried, each as :meth:`append` would; then the
+        first chunk's exception in input order is raised, or the
+        reports come back in input order.  ``watermarks`` maps a stream
+        to the ``watermark_s`` of each of its chunks.  See
+        :meth:`append_outcomes` for the round itself.
+        """
+        outcomes = self.append_outcomes(chunks, watermarks)
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [report for report, _ in outcomes]
+
+    def append_outcomes(
+        self,
+        chunks: Sequence[Tuple[str, ObservationTable]],
+        watermarks: Optional[Mapping[str, float]] = None,
+    ) -> List[Outcome]:
+        """:meth:`append_many` returning each chunk's ``(report, None)``
+        or ``(None, exception)`` instead of raising.
+
+        The round is :func:`~repro.core.streaming.push_round`: with two
+        or more sizeable streams on a multi-core host, their feature
+        extraction and clustering run in forked helpers while this
+        process applies every chunk in input order -- the same reports,
+        indexes and counters, bit for bit, as appending one by one.
+        """
+        outcomes: List[Outcome] = [(None, None)] * len(chunks)
+        items, slots = [], []
+        for i, (stream, chunk) in enumerate(chunks):
+            try:
+                ingestor = self._live_ingestor(stream)
+            except (KeyError, ValueError) as exc:
+                outcomes[i] = (None, exc)
+                continue
+            watermark_s = watermarks.get(stream) if watermarks else None
+            items.append((ingestor, chunk, watermark_s))
+            slots.append(i)
+        for i, outcome in zip(slots, push_round(items)):
+            outcomes[i] = outcome
+            if outcome[0] is not None:
+                self._appended(chunks[i][0], outcome[0])
+        return outcomes
+
+    def _live_ingestor(self, stream: str) -> StreamIngestor:
         handle = self.handle(stream)
         if handle.ingestor is None:
             raise ValueError(
                 "stream %r is not a live session; open it with open_stream"
                 % stream
             )
-        report = handle.ingestor.push(chunk, watermark_s=watermark_s)
+        return handle.ingestor
+
+    def _appended(self, stream: str, report: ChunkReport) -> None:
+        """Bring a live handle and the verdict cache up to a pushed chunk."""
+        handle = self._streams[stream]
         handle.table = handle.ingestor.table
         handle.engine.table = handle.table
         handle.ingest = handle.ingestor.result
         if report.new_clusters:
             self.service.cache.invalidate_clusters(stream, report.new_clusters)
-        return report
 
     def recover(
         self,

@@ -15,19 +15,14 @@ Opt-Query.
 Every model's sweep is a pure function of (sample, model), so
 :meth:`ParameterTuner.tune` splits the models over the CPUs this
 process may run on: it sweeps one share itself and forks one helper per
-other share for the duration of the call (see :func:`_sweep_shares`).
+other share for the duration of the call
+(:func:`repro.core.helpers.sweep_shares`).
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
-import signal
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,9 +31,9 @@ from repro.cnn.specialize import SpecializedClassifier, specialization_ladder
 from repro.cnn.zoo import cheap_cnn, generic_candidates
 from repro.core.clustering import ClusterSummary, cluster_features, feature_chunks
 from repro.core.config import AccuracyTarget, FocusConfig, Policy, TunerSettings
+from repro.core.helpers import sweep_shares
 from repro.core.ingest import simulate_pixel_diff
 from repro.core.metrics import StreamAccuracy, SegmentMetrics, gt_segments, result_segments
-from repro.obs.events import emit
 from repro.video.synthesis import ObservationTable
 
 #: one measured (model, K, T): ``(k, T, precision, recall, ingest_norm,
@@ -281,9 +276,10 @@ class ParameterTuner:
         values once per sweep, feature rows and top-K membership once
         per model (one model's features held at a time per process),
         and only the clustering itself once per T.  The models with a
-        viable K are swept by :func:`_sweep_shares`, on every usable
-        CPU; the candidates come back in the serial order (model, then
-        T, then K) and are the same to the last bit either way.
+        viable K are swept by :func:`~repro.core.helpers.sweep_shares`,
+        on every usable CPU; the candidates come back in the serial
+        order (model, then T, then K) and are the same to the last bit
+        either way.
         """
         stream = stream or sample.stream
         if len(sample) == 0:
@@ -298,7 +294,7 @@ class ParameterTuner:
             ks = self._viable_ks(model, sample, dominant)
             if ks:
                 viable_ks.append((model, ks))
-        swept = _sweep_shares(
+        swept = sweep_shares(
             lambda i: self._sweep_model(*viable_ks[i], sample, dominant, suppressed, truth),
             [model.name for model, _ in viable_ks],
         )
@@ -315,159 +311,3 @@ class ParameterTuner:
             dominant_classes=list(dominant),
             target=self.target,
         )
-
-
-# -- the sweep on every usable CPU ---------------------------------------------
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask); 1 on a host
-    that cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return 1
-
-
-def _sweep_shares(sweep: Callable[[int], list], names: Sequence[str]) -> List[list]:
-    """``[sweep(i) for i in range(len(names))]``, split round-robin over
-    W = min(usable CPUs, len(names)) workers.
-
-    This process is worker 0 and runs its share itself; every other
-    worker is a :class:`_Helper` forked for this call only, after the
-    caller built everything ``sweep`` reads, so nothing is shipped in.
-    A host without ``os.fork``, one usable CPU or a single item runs
-    the plain loop.  A helper's exception re-raises here with its type
-    and message; a helper that dies without a reply raises
-    ``RuntimeError``.  However this returns or raises, every helper has
-    been reaped.
-    """
-    count = len(names)
-    workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
-    if workers < 2:
-        return [sweep(i) for i in range(count)]
-    results: List[list] = [[] for _ in range(count)]
-    helpers: List[_Helper] = []
-    try:
-        for w in range(1, workers):
-            share = range(w, count, workers)
-            helpers.append(_Helper(sweep, share, [names[i] for i in share]))
-        for i in range(0, count, workers):
-            results[i] = sweep(i)
-        for helper in helpers:
-            for i, rows in zip(helper.share, helper.collect()):
-                results[i] = rows
-    finally:
-        for helper in helpers:
-            helper.stop()
-    return results
-
-
-class _Helper:
-    """One forked process sweeping a share of the items.
-
-    The helper writes one pickle to its pipe -- ``("ok", rows, wall_s)``
-    or ``("error", exception, traceback text, wall_s)`` -- and leaves
-    through ``os._exit``: no ``atexit`` hook, ``finally`` or buffered
-    stream of the parent runs twice.  The parent reaps it with
-    ``os.wait4`` and records a ``tuner.helper`` event (pid, models
-    swept, the helper's own wall seconds, its ``ru_maxrss`` and
-    ``ru_minflt``, its exit code).
-    """
-
-    def __init__(self, sweep: Callable[[int], list], share: range, models: List[str]):
-        self.share = share
-        self.models = models
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(read_fd)
-            _helper_main(sweep, share, write_fd)  # never returns
-        os.close(write_fd)
-        #: open until the helper is reaped
-        self._read_fd: Optional[int] = read_fd
-
-    def collect(self) -> list:
-        """The helper's rows, in share order; raises what it raised."""
-        chunks = []
-        while True:
-            chunk = os.read(self._read_fd, 1 << 16)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        exit_code, usage = self._reap()
-        # a helper exits 0 only after its whole reply is written
-        reply = pickle.loads(b"".join(chunks)) if exit_code == 0 and chunks else None
-        self._record(exit_code, usage, reply[-1] if reply else None)
-        if reply is None:
-            raise RuntimeError(
-                "tuner helper %d sweeping %s exited with status %d without a reply"
-                % (self.pid, ", ".join(self.models), exit_code)
-            )
-        if reply[0] == "error":
-            raise reply[1] from RuntimeError(
-                "in tuner helper %d:\n%s" % (self.pid, reply[2])
-            )
-        return reply[1]
-
-    def stop(self) -> None:
-        """Kill and reap the helper unless it was already reaped."""
-        if self._read_fd is not None:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            self._record(*self._reap(), None)
-
-    def _reap(self):
-        """Close the pipe and wait for the helper: its exit code
-        (negative: the signal that ended it) and resource usage."""
-        os.close(self._read_fd)
-        self._read_fd = None
-        _, status, usage = os.wait4(self.pid, 0)
-        return os.waitstatus_to_exitcode(status), usage
-
-    def _record(self, exit_code: int, usage, wall_s: Optional[float]) -> None:
-        # minflt counts the helper's copy-on-write faults on the pages
-        # it shares with this process, plus its own fresh pages
-        emit(
-            "tuner.helper",
-            pid=self.pid,
-            models=list(self.models),
-            wall_s=wall_s,
-            maxrss_mb=usage.ru_maxrss / 1024.0,
-            minflt=usage.ru_minflt,
-            exit_code=exit_code,
-        )
-
-
-def _helper_main(sweep: Callable[[int], list], share: range, write_fd: int) -> None:
-    """Body of a forked helper: sweep ``share``, write one reply, exit.
-
-    The cyclic collector stays off: the helper lives for one sweep, and
-    a collection would walk (and copy-on-write fault) every object
-    inherited from the parent.
-    """
-    exit_code = 1
-    try:
-        gc.disable()
-        started = time.perf_counter()
-        try:
-            reply = pickle.dumps(
-                ("ok", [sweep(i) for i in share], time.perf_counter() - started)
-            )
-        except BaseException as exc:  # noqa: BLE001 -- re-raised by the parent
-            text = traceback.format_exc()
-            wall_s = time.perf_counter() - started
-            try:
-                reply = pickle.dumps(("error", exc, text, wall_s))
-            except Exception:  # an exception that does not pickle
-                reply = pickle.dumps((
-                    "error", RuntimeError("%s: %s" % (type(exc).__name__, exc)),
-                    text, wall_s,
-                ))
-        view = memoryview(reply)
-        while view:
-            view = view[os.write(write_fd, view):]
-        exit_code = 0
-    finally:
-        os._exit(exit_code)

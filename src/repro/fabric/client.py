@@ -47,9 +47,7 @@ def _stub(op: str, submit: bool = False):
     """The ``ShardClient`` method of one table row: bind the call to the
     served method's own parameter list and cross the wire with the
     keyword arguments.  ``submit`` makes the pipelined twin, with the
-    parameters of the ``ShardNode`` twin; its ``defer_delta``, where
-    declared, is the request envelope's flag, not an argument of the
-    op."""
+    parameters of the ``ShardNode`` twin."""
     name = op + "_submit" if submit else op
     served = getattr(ShardNode, name)
     signature = inspect.signature(served)
@@ -67,8 +65,7 @@ def _stub(op: str, submit: bool = False):
             arguments.update(arguments.pop(var_keyword))
         if not submit:
             return self._call(op, arguments)
-        defer_delta = arguments.pop("defer_delta", False)
-        return self._submit(op, arguments, defer_delta=defer_delta)
+        return self._submit(op, arguments)
 
     stub.__name__ = name
     stub.__qualname__ = "ShardClient." + name
@@ -95,6 +92,27 @@ class PendingReply:
 
     def result(self) -> Any:
         return self._client._gather(self._corr_id, self._worker)
+
+
+class RoundReply:
+    """One shard's part of an append round over a worker leg: the
+    chunks' pipelined replies (or what their submit raised), gathered
+    in order by :meth:`result` into one ``(report, error)`` per chunk."""
+
+    def __init__(self, replies):
+        self._replies = replies
+
+    def result(self):
+        outcomes = []
+        for reply in self._replies:
+            if isinstance(reply, Exception):
+                outcomes.append((None, reply))
+                continue
+            try:
+                outcomes.append((reply.result(), None))
+            except Exception as exc:
+                outcomes.append((None, exc))
+        return outcomes
 
 
 class ShardClient:
@@ -303,15 +321,42 @@ class ShardClient:
                 )
 
     # -- the pipelined twins ---------------------------------------------------
-    # ``append_submit(..., defer_delta=True)`` marks a non-final append
-    # of one scatter round on its shard: the worker skips that reply's
-    # store delta and the round's last leg ships one cumulative delta
-    # (the mirror then advances at round granularity -- see
-    # ``docs/SHARDING.md``).  Callers must guarantee a non-deferred
-    # append follows on the same shard before the round ends.
-    append_submit = _stub("append", submit=True)
     query_batch_submit = _stub("query_batch", submit=True)
     checkpoint_submit = _stub("checkpoint", submit=True)
+
+    def append_submit(
+        self, stream, chunk, watermark_s=None, defer_delta=False
+    ) -> PendingReply:
+        """Submit one ``append``.  ``defer_delta`` marks a non-final
+        append of a round on this shard: the worker skips that reply's
+        store delta and the round's last append ships one cumulative
+        delta (the mirror then advances at round granularity -- see
+        ``docs/SHARDING.md``).  A caller that defers must submit a
+        non-deferred append on this shard before the round ends."""
+        return self._submit(
+            "append",
+            {"stream": stream, "chunk": chunk, "watermark_s": watermark_s},
+            defer_delta=defer_delta,
+        )
+
+    def append_many_submit(self, chunks, watermarks=None) -> RoundReply:
+        """This shard's part of an append round: one pipelined
+        :meth:`append_submit` per ``(stream, chunk)`` pair, in order,
+        every one but the last with ``defer_delta`` -- one cumulative
+        store delta per round instead of one per chunk.  A submit that
+        raises (a dead worker) becomes its chunk's error, so every
+        reply already submitted is still gathered."""
+        replies = []
+        for j, (stream, chunk) in enumerate(chunks):
+            try:
+                replies.append(self.append_submit(
+                    stream, chunk,
+                    watermark_s=watermarks.get(stream) if watermarks else None,
+                    defer_delta=j < len(chunks) - 1,
+                ))
+            except Exception as exc:
+                replies.append(exc)
+        return RoundReply(replies)
 
     # -- the verbs that add behaviour to their row -----------------------------
     def ensure_alive(self, configs=None) -> bool:

@@ -284,57 +284,56 @@ class FabricRouter:
         """Append a batch of chunks, scattered to their owning shards.
 
         ``chunks`` is ``(stream, chunk)`` pairs; reports come back in
-        input order.  Per stream the input order is preserved (a shard
-        executes its legs FIFO); across *shards* the appends overlap --
-        every chunk is submitted before any report is gathered, which
-        over worker-process shards is the fabric's parallel ingest path.
+        input order.  Each shard gets one leg per round,
+        ``append_many_submit`` with its chunks in input order, so per
+        stream the order is preserved; across shards the rounds overlap
+        -- every leg is submitted before any is gathered, which over
+        worker-process shards is the fabric's parallel ingest path (an
+        in-process shard runs its streams' clustering on every usable
+        CPU instead).  Every chunk is tried; then the first chunk's
+        application error in input order is raised.
 
-        Mirror deltas are coalesced per round: every pipelined leg
-        except a shard's last is submitted with ``defer_delta`` so the
-        round ships one cumulative store delta per shard instead of one
-        per chunk (worker-shard wire tax; reports are still per chunk).
-
-        Failover granularity is a shard's *whole round*: deferred legs
-        ship no delta, so a worker death anywhere in a shard's round
-        means the mirror holds none of it -- after the respawn every one
-        of that shard's legs is replayed (in order, plain appends) and
-        the reports land at their original indices; an unacknowledged
-        append never reached the mirror (and the WAL's journal dedup
-        collapses a same-seq duplicate), so that is at-most-once.  A
-        refused chunk is never retried: every round is drained first,
-        so the other shards' chunks are applied and mirrored.
+        Failover granularity is a shard's *whole round*: a worker leg
+        ships one cumulative store delta per round, so a worker death
+        anywhere in a shard's round means the mirror holds none of it --
+        after the respawn every one of that shard's chunks is replayed
+        (in order, plain appends) and the reports land at their original
+        indices; an unacknowledged append never reached the mirror (and
+        the WAL's journal dedup collapses a same-seq duplicate), so that
+        is at-most-once.  A refused chunk is never retried: every round
+        is drained first, so the other shards' chunks are applied and
+        mirrored.
         """
         self._resolve_streams([stream for stream, _ in chunks])
-        #: per chunk: (owning shard, its ``append`` keywords)
-        plan = [
-            (
-                self.shard_of(stream),
-                {
-                    "stream": stream,
-                    "chunk": chunk,
-                    "watermark_s": watermarks.get(stream) if watermarks else None,
-                },
-            )
-            for stream, chunk in chunks
-        ]
-        #: shard id -> the indices of its round, in submission order
+        #: shard id -> the indices of its round, in input order
         rounds: Dict[str, List[int]] = {}
-        for i, (shard, _) in enumerate(plan):
-            rounds.setdefault(shard.shard_id, []).append(i)
-        final = {indices[-1] for indices in rounds.values()}
-        outcomes = self._scatter(
-            [
-                (shard, "append", dict(kwargs, defer_delta=i not in final))
-                for i, (shard, kwargs) in enumerate(plan)
-            ],
-            healable=_RETRYABLE,
-        )
+        for i, (stream, _) in enumerate(chunks):
+            rounds.setdefault(self._placement.shard_of(stream), []).append(i)
+        legs = [
+            (
+                self.shard(sid),
+                "append_many",
+                {"chunks": [chunks[i] for i in indices], "watermarks": watermarks},
+            )
+            for sid, indices in rounds.items()
+        ]
+        outcomes: List[Tuple[Optional[ChunkReport], Optional[Exception]]] = [
+            (None, None)
+        ] * len(chunks)
+        for indices, (value, error) in zip(
+            rounds.values(), self._scatter(legs, healable=_RETRYABLE)
+        ):
+            for j, i in enumerate(indices):
+                outcomes[i] = value[j] if error is None else (None, error)
+        for _, error in outcomes:
+            if error is not None and not isinstance(error, _RETRYABLE):
+                raise error
         reports = [report for report, _ in outcomes]
-        for indices in rounds.values():
+        for sid, indices in rounds.items():
             died = [outcomes[i][1] for i in indices if outcomes[i][1] is not None]
             if not died:
                 continue
-            shard = plan[indices[0]][0]
+            shard = self.shard(sid)
             for i in indices:
                 reports[i] = None
 
@@ -343,7 +342,11 @@ class FabricRouter:
                 # replay that dies too resumes after it
                 for i in indices:
                     if reports[i] is None:
-                        reports[i] = shard.append(**plan[i][1])
+                        stream, chunk = chunks[i]
+                        reports[i] = shard.append(
+                            stream, chunk,
+                            watermark_s=watermarks.get(stream) if watermarks else None,
+                        )
 
             self._retry_leg(shard, replay, failed=died[0])
         return reports

@@ -81,7 +81,7 @@ class ShardLeg(Protocol):
     def streams(self) -> List[str]: ...
     def open_stream(self, stream, durable=True, wal_reset=False, **kwargs): ...
     def append(self, stream, chunk, watermark_s=None) -> ChunkReport: ...
-    def append_submit(self, stream, chunk, watermark_s=None, defer_delta=False): ...
+    def append_many_submit(self, chunks, watermarks=None): ...
     def query(self, stream, clazz, kx=None, time_range=None) -> QueryAnswer: ...
     def query_batch(self, requests) -> List[MultiStreamAnswer]: ...
     def query_batch_submit(self, requests): ...
@@ -210,12 +210,12 @@ class ShardNode:
     ) -> ChunkReport:
         return self.system.append(stream, chunk, watermark_s=watermark_s)
 
-    def append_submit(
-        self, stream, chunk, watermark_s=None, defer_delta=False
-    ) -> CompletedReply:
-        """:meth:`append`, run now.  ``defer_delta`` is accepted and
-        ignored: there is no mirror to coalesce deltas for."""
-        return CompletedReply(self.append, stream, chunk, watermark_s=watermark_s)
+    def append_many_submit(self, chunks, watermarks=None) -> CompletedReply:
+        """This shard's part of an append round, run now: the reply's
+        ``result()`` is one ``(report, error)`` per ``(stream, chunk)``
+        pair, in order (:meth:`FocusSystem.append_outcomes`, which runs
+        the streams' clustering on every usable CPU)."""
+        return CompletedReply(self.system.append_outcomes, chunks, watermarks)
 
     # -- serving -------------------------------------------------------------
     def query(

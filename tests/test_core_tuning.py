@@ -7,12 +7,14 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
 import repro
 
+import repro.core.helpers as helpers_module
 import repro.core.tuning as tuning_module
 from repro.cnn.features import FeatureExtractor
 from repro.cnn.specialize import SpecializedClassifier
@@ -343,7 +345,7 @@ def two_cpus(monkeypatch):
     record every pid the tuner forks and every helper it reaped."""
     if not hasattr(os, "fork"):
         pytest.skip("the helper path needs os.fork")
-    monkeypatch.setattr(tuning_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(helpers_module, "usable_cpus", lambda: 2)
     forked = []
     real_fork = os.fork
 
@@ -353,7 +355,7 @@ def two_cpus(monkeypatch):
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(tuning_module.os, "fork", recording_fork)
+    monkeypatch.setattr(helpers_module.os, "fork", recording_fork)
     log = EventLog()
     monkeypatch.setattr("repro.obs.events._DEFAULT", log)
 
@@ -437,13 +439,32 @@ class TestTunerHelpers:
             ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
         _assert_all_reaped(*two_cpus)
 
+    def test_a_live_thread_keeps_the_sweep_in_process(self, small_sample, two_cpus):
+        """A fork copies only the calling thread, so with a second
+        thread alive the sweep stays in-process: no helper, the same
+        candidates."""
+        forked, log = two_cpus
+        alone = ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        assert len(forked) == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            threaded = ParameterTuner(resnet152(), AccuracyTarget()).tune(small_sample)
+        finally:
+            release.set()
+            waiter.join()
+        assert len(forked) == 1
+        assert len(log.events("tuner.helper")) == 1
+        assert [_key(c) for c in threaded.candidates] == [_key(c) for c in alone.candidates]
+
     @pytest.mark.parametrize("cpus, names", [(1, ["a", "b", "c"]), (4, ["a"])])
     def test_one_cpu_or_one_model_never_forks(self, monkeypatch, cpus, names):
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(tuning_module, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(tuning_module.os, "fork", no_fork)
-        assert tuning_module._sweep_shares(lambda i: [i], names) == [
+        monkeypatch.setattr(helpers_module, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(helpers_module.os, "fork", no_fork)
+        assert helpers_module.sweep_shares(lambda i: [i], names) == [
             [i] for i in range(len(names))
         ]

@@ -125,7 +125,7 @@ def protocol_members():
 
 def test_both_leg_kinds_define_every_protocol_member_alike():
     members = protocol_members()
-    assert {"shard_id", "store", "append_submit", "ensure_alive",
+    assert {"shard_id", "store", "append_many_submit", "ensure_alive",
             "import_stream", "finish_migration"} <= set(members)
     with legs("node", "worker") as (node, client):
         assert isinstance(node, ShardNode) and isinstance(client, ShardClient)
@@ -391,7 +391,7 @@ class _FakeLeg:
             raise self._error
         return self
 
-    append_submit = query_batch_submit = checkpoint_submit = _submit
+    append_many_submit = query_batch_submit = checkpoint_submit = _submit
 
     def result(self):
         self._log.append(("gather", self.shard_id))
