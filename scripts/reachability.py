@@ -116,7 +116,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     # scalar references
     ("cnn/model.py:ClassifierModel.topk_list", _SCALAR),
     ("cnn/noise.py:ConfusionModel.sample_slots", _SCALAR),
-    ("core/clustering.py:IncrementalClusterer.state_dict", "stays: the whole-state round trip the kernel-equivalence tests hop through"),
     # paths no consumer configures
     ("core/index.py:*TopKIndex.frames", "stays: `IndexReader` member the index-equivalence tests compare; queries read `members`"),
     ("core/index.py:TopKIndex.entries", "stays: iterates a materialized index's entries; the index tests audit them"),
@@ -128,7 +127,6 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("cnn/costs.py:GPUSpec.images_per_second", "stays: states the K80 anchor (77 images/s) the cost model is calibrated to"),
     ("cnn/features.py:FeatureExtractor.class_prototype", "stays: one class's prototype, which the feature-geometry tests read"),
     ("cnn/zoo.py:vgg16", "stays: the costly end of the zoo; `model_by_name` rebuilds it at recovery"),
-    ("core/clustering.py:ClusterSummary.num_observations", "stays: the row count a clustering covers (a summary has no `len`)"),
     ("core/costmodel.py:GPULedger.*", "stays: the ledger's per-category totals, merge and reset, which the cost tests audit"),
     ("core/metrics.py:SegmentMetrics.f1", "stays: accuracy summary (F1) the metrics tests check"),
     ("core/metrics.py:Grade.aggregate", _FLEET_GRADE),

@@ -17,9 +17,10 @@ Implementation notes beyond the paper's sketch:
   old running-mean update did the same).  Suppressed objects follow
   their track's cluster even after it was retired from the live set:
   pixel-diff matching is independent of the clusterer's working set.
-* Each cluster remembers its *seed observation* -- the first object
-  that opened it -- which is the object the GT-CNN classifies at query
-  time ("centroid object" in the paper's index layout).
+* A cluster's *seed observation* -- the first object that opened it --
+  is the object the GT-CNN classifies at query time ("centroid object"
+  in the paper's index layout); :func:`summarize` derives seeds and
+  sizes from the per-row assignments, the one record of history.
 * A per-track shortcut first tests the cluster this object's track was
   last assigned to.  Objects of one track are nearly identical frame to
   frame (Section 2.2.3), so the test hits almost always and the scan
@@ -146,6 +147,47 @@ class ClusterSummary:
         return out
 
 
+_NO_ROWS = ClusterSummary(*(np.zeros(0, dtype=np.int64),) * 3)
+
+
+def summarize(
+    assignments: np.ndarray, num_clusters: int, previous: ClusterSummary = _NO_ROWS
+) -> ClusterSummary:
+    """The summary of ``assignments`` (every row's cluster id so far,
+    ``num_clusters`` in all), continuing from ``previous``, a prefix's
+    summary, in O(new rows + clusters).  The rows past ``previous`` open
+    the ids from its count on, each seeded by its first row, and a
+    cluster's size is its number of rows; snapshots, their playback and
+    recovery all derive seeds and sizes here."""
+    base, old_n = previous.num_observations, previous.num_clusters
+    new = assignments[base:]
+    fresh = np.flatnonzero(new >= old_n)
+    ids, first = np.unique(new[fresh], return_index=True)
+    if not np.array_equal(ids, np.arange(old_n, num_clusters)):
+        raise ValueError("a chunk's new cluster ids must be the next ones, each with a row")
+    sizes = np.bincount(new, minlength=num_clusters).astype(np.int64)
+    sizes[:old_n] += previous.sizes
+    return ClusterSummary(
+        assignments=assignments,
+        seed_rows=np.concatenate([previous.seed_rows, base + fresh[first]]).astype(np.int64),
+        sizes=sizes,
+    )
+
+
+def _grown(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """``buf`` if it has room past ``needed`` int64 rows, else a copy of
+    its first ``used`` with doubled capacity: appending a chunk copies
+    only that chunk, and a full ``buf`` is never written to."""
+    if needed < len(buf):
+        return buf
+    capacity = max(1024, len(buf))
+    while capacity <= needed:
+        capacity *= 2
+    grown = np.empty(capacity, dtype=np.int64)
+    grown[:used] = buf[:used]
+    return grown
+
+
 def feature_rows_needed(track_ids: np.ndarray, suppressed: np.ndarray,
                          known_tracks=()) -> np.ndarray:
     """Which rows' feature vectors :meth:`IncrementalClusterer.add` reads.
@@ -219,12 +261,11 @@ class IncrementalClusterer:
         self._n_live = 0
 
         self._next_id = 0
-        self._seed_rows: List[int] = []
-        self._sizes: List[int] = []
-        #: per-row cluster ids, amortized-doubling buffer: appending a
-        #: chunk copies only that chunk, and a snapshot is an O(1) view
+        #: per-row cluster ids (:func:`_grown`), the one record of history
         self._assign_buf = np.zeros(0, dtype=np.int64)
         self._rows_seen = 0
+        #: the last :meth:`snapshot`, which the next one continues from
+        self._summary = _NO_ROWS
         #: track -> cluster id of its last assignment.  Keyed by cluster
         #: id (not live slot), so entries survive retirement: suppressed
         #: objects keep following their track's cluster, and retiring a
@@ -273,7 +314,7 @@ class IncrementalClusterer:
         self._n_live = last
         del self._slot_of_id[victim_id]
 
-    def _new_cluster(self, vector: np.ndarray, vv: float, row: int) -> int:
+    def _new_cluster(self, vector: np.ndarray, vv: float) -> int:
         """Open a cluster seeded by ``vector``; returns its id."""
         if self._n_live >= self.max_live:
             self._evict_smallest()
@@ -291,8 +332,6 @@ class IncrementalClusterer:
         self._slot_of_id[cid] = slot
         self._n_live += 1
         self._next_id += 1
-        self._seed_rows.append(row)
-        self._sizes.append(1)
         return cid
 
     def _scan(self, vector: np.ndarray, vv: float):
@@ -359,13 +398,7 @@ class IncrementalClusterer:
             feature_valid = np.asarray(feature_valid, dtype=bool)
             if len(feature_valid) != n:
                 raise ValueError("features and feature_valid must align")
-        if self._rows_seen + n > len(self._assign_buf):
-            capacity = max(1024, len(self._assign_buf))
-            while capacity < self._rows_seen + n:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[: self._rows_seen] = self._assign_buf[: self._rows_seen]
-            self._assign_buf = grown
+        self._assign_buf = _grown(self._assign_buf, self._rows_seen, self._rows_seen + n)
         out = np.empty(n, dtype=np.int64)
         self._add_rows(features, track_ids, suppressed, feature_valid, out)
         self._assign_buf[self._rows_seen: self._rows_seen + n] = out
@@ -379,13 +412,12 @@ class IncrementalClusterer:
         the test), scans on a miss, then joins or opens a cluster.  A
         shortcut hit is five ufunc calls: subtract, multiply, add.reduce
         (the test), add, divide (the join)."""
-        base = self._rows_seen
         use_shortcut = not self.strict
         t2 = self._t2
         track_cache, slot_of_id = self._track_cache, self._slot_of_id
         centroids, sums, scratch = self._centroid_rows, self._sum_rows, self._scratch
         dense, counts, live_ids = self._dense, self._counts, self._live_ids
-        sizes, stale = self._sizes, self._stale
+        stale = self._stale
         subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
         reduce_sum = np.add.reduce
         # plain-list row flags: ndarray scalar access costs ~5x a list
@@ -401,7 +433,6 @@ class IncrementalClusterer:
                 slot = slot_of_id.get(cid)
                 if slot is not None:
                     counts[slot] += 1
-                sizes[cid] += 1
                 out[i] = cid
                 continue
             if valid_list is not None and not valid_list[i]:
@@ -430,7 +461,7 @@ class IncrementalClusterer:
                     if best_d2 <= t2:
                         slot = best
             if slot is None:
-                cid = self._new_cluster(vector, vv, base + i)
+                cid = self._new_cluster(vector, vv)
             else:
                 total = sums[slot]
                 add(total, vector, total)
@@ -441,28 +472,17 @@ class IncrementalClusterer:
                 divide(total, float(d), centroids[slot])
                 stale.add(slot)
                 cid = live_ids[slot]
-                sizes[cid] += 1
             track_cache[track] = cid
             out[i] = cid
         self.shortcut_hits += hits
 
     # -- durable state -------------------------------------------------------
-    def state_dict(self) -> Dict:
-        """The clusterer's complete resumable state, JSON-serializable:
-        :meth:`bounded_state` plus ``assignments``, the one per-row
-        entry.  Everything :meth:`from_state_dict` needs to continue
-        ingest exactly where this instance stands."""
-        return dict(
-            self.bounded_state(),
-            assignments=pack_array(self._assign_buf[: self._rows_seen], np.int64),
-        )
-
     def bounded_state(self) -> Dict:
-        """:meth:`state_dict` without the per-row assignment history:
-        live-slot arrays, per-cluster seeds and sizes, per-track
-        shortcuts and the scan/shortcut counters -- O(live clusters +
-        clusters + tracks), never O(rows).  What a durable checkpoint's
-        head holds; the assignments go into its row segments.
+        """The scalars and the four live-slot arrays (``sums``,
+        ``dense``, ``counts``, ``live_ids``): O(live clusters), never
+        O(clusters, tracks or rows).  What a checkpoint head and an
+        append-round helper's reply hold; the history derives from the
+        rows :meth:`from_state_dict` is handed beside it.
 
         Arrays are packed (``repro.storage.packing.pack_array``: raw
         bytes, bit-exact).  Centroids and their cached norms are *not*
@@ -483,21 +503,19 @@ class IncrementalClusterer:
             "counts": pack_array(self._counts[:n], np.int64),
             "live_ids": pack_array(self._live_ids[:n], np.int64),
             "next_id": int(self._next_id),
-            "seed_rows": pack_array(self._seed_rows, np.int64),
-            "sizes": pack_array(self._sizes, np.int64),
             "rows_seen": int(self._rows_seen),
-            "track_cache": pack_array(list(self._track_cache.items()), np.int64),
             "full_scans": int(self.full_scans),
             "shortcut_hits": int(self.shortcut_hits),
         }
 
     @classmethod
-    def from_state_dict(cls, state: Dict) -> "IncrementalClusterer":
-        """Rebuild a clusterer from :meth:`state_dict` output, bit-exact.
-
-        ``assignments`` must cover every row seen.  Arrays may be packed
-        strings or arrays (recovery passes ``assignments`` unpacked).
-        """
+    def from_state_dict(
+        cls, state: Dict, assignments: np.ndarray, track_ids: np.ndarray
+    ) -> "IncrementalClusterer":
+        """Rebuild a clusterer, bit-exact, from :meth:`bounded_state`
+        output (other keys are not read) and the ``assignments`` and
+        ``track_ids`` of every row seen, arrays or packed: seeds and sizes
+        come from :func:`summarize`, a track's shortcut is its last id."""
         self = cls(
             threshold=state["threshold"],
             dim=state["dim"],
@@ -521,18 +539,16 @@ class IncrementalClusterer:
         self._stale.update(range(n))
         self._refresh_norms()
         self._next_id = int(state["next_id"])
-        self._seed_rows = unpack_array(state["seed_rows"], np.int64).tolist()
-        self._sizes = unpack_array(state["sizes"], np.int64).tolist()
         rows = int(state["rows_seen"])
-        capacity = 1024
-        while capacity < rows:
-            capacity *= 2
-        self._assign_buf = np.zeros(capacity, dtype=np.int64)
-        self._assign_buf[:rows] = unpack_array(state["assignments"], np.int64)
-        self._rows_seen = rows
-        self._track_cache = dict(
-            unpack_array(state["track_cache"], np.int64).reshape(-1, 2).tolist()
-        )
+        assignments = unpack_array(assignments, np.int64)
+        track_ids = unpack_array(track_ids, np.int64)
+        if not len(assignments) == len(track_ids) == rows:
+            raise ValueError("assignments and track_ids must cover the %d rows seen" % rows)
+        # never written: the next add() outgrows it and copies
+        self._assign_buf, self._rows_seen = assignments, rows
+        self._summary = summarize(assignments, self._next_id)
+        tracks, last = np.unique(track_ids[::-1], return_index=True)
+        self._track_cache = dict(zip(tracks.tolist(), assignments[::-1][last].tolist()))
         self._slot_of_id = {self._live_ids[i]: i for i in range(n)}
         self.full_scans = int(state["full_scans"])
         self.shortcut_hits = int(state["shortcut_hits"])
@@ -547,73 +563,38 @@ class IncrementalClusterer:
         shortcuts so the next chunk continues exactly where this one
         stopped.
         """
-        return ClusterSummary(
-            # a view of the buffer prefix: rows before _rows_seen are
-            # never rewritten, and buffer growth reallocates rather than
-            # mutating, so earlier snapshots stay frozen
-            assignments=self._assign_buf[: self._rows_seen],
-            seed_rows=np.asarray(self._seed_rows, dtype=np.int64),
-            sizes=np.asarray(self._sizes, dtype=np.int64),
-        )
-
-    def finalize(self) -> ClusterSummary:
-        """Freeze and return the clustering result (one-shot ingest)."""
-        return self.snapshot()
+        # a view of the buffer prefix: rows before _rows_seen are never
+        # rewritten, and buffer growth reallocates rather than mutating,
+        # so earlier snapshots stay frozen
+        assignments = self._assign_buf[: self._rows_seen]
+        self._summary = summarize(assignments, self._next_id, self._summary)
+        return self._summary
 
 
 class SnapshotPlayback:
     """:meth:`IncrementalClusterer.snapshot` after each chunk, rebuilt
-    from the chunks' assignments and cluster counts alone -- for a
-    caller whose clustering ran elsewhere (a forked helper).
-
-    Nothing else is needed: a chunk's new clusters are the ids from the
-    previous count up to its own, each seeded by its first row (the row
-    that opened it), and a cluster's size is its number of rows.  The
-    summaries are bit-identical to the clusterer's and, like its, stay
-    frozen as later chunks arrive.
+    by :func:`summarize` from the chunks' assignments and cluster counts
+    alone -- for a caller whose clustering ran elsewhere (a forked
+    helper).  The summaries are bit-identical to the clusterer's and,
+    like its, stay frozen as later chunks arrive.
     """
 
     def __init__(self, start: ClusterSummary):
-        rows = len(start.assignments)
-        capacity = 1024
-        while capacity < rows:
-            capacity *= 2
-        self._assign_buf = np.empty(capacity, dtype=np.int64)
-        self._assign_buf[:rows] = start.assignments
-        self._rows = rows
-        self._summary = start
+        # never written: the first advance() outgrows it and copies
+        self._assign_buf, self._summary = start.assignments, start
 
     @property
     def assignments(self) -> np.ndarray:
         """Every row's cluster id so far."""
-        return self._assign_buf[: self._rows]
+        return self._summary.assignments
 
     def advance(self, assignments: np.ndarray, num_clusters: int) -> ClusterSummary:
         """The snapshot after one more chunk clustered to ``assignments``
         with ``num_clusters`` clusters in all."""
-        base, n = self._rows, len(assignments)
-        if base + n > len(self._assign_buf):
-            capacity = len(self._assign_buf)
-            while capacity < base + n:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[:base] = self._assign_buf[:base]
-            self._assign_buf = grown
+        base, n = self._summary.num_observations, len(assignments)
+        self._assign_buf = _grown(self._assign_buf, base, base + n)
         self._assign_buf[base: base + n] = assignments
-        self._rows = base + n
-        previous = self._summary
-        old_n = previous.num_clusters
-        fresh = np.flatnonzero(assignments >= old_n)
-        ids, first = np.unique(assignments[fresh], return_index=True)
-        if not np.array_equal(ids, np.arange(old_n, num_clusters)):
-            raise ValueError("a chunk's new cluster ids must be the next ones, each with a row")
-        sizes = np.bincount(assignments, minlength=num_clusters).astype(np.int64)
-        sizes[:old_n] += previous.sizes
-        self._summary = ClusterSummary(
-            assignments=self._assign_buf[: self._rows],
-            seed_rows=np.concatenate([previous.seed_rows, base + fresh[first]]).astype(np.int64),
-            sizes=sizes,
-        )
+        self._summary = summarize(self._assign_buf[: base + n], num_clusters, self._summary)
         return self._summary
 
 
@@ -675,7 +656,7 @@ def cluster_features(
     clusterer = IncrementalClusterer(threshold, dim, max_live_clusters, strict)
     for track_ids, sup, feats, valid in chunks:
         clusterer.add(feats, track_ids, suppressed=sup, feature_valid=valid)
-    return clusterer.finalize()
+    return clusterer.snapshot()
 
 
 def cluster_table(

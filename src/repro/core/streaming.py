@@ -691,9 +691,9 @@ class StreamIngestor:
 
     def _state_payload(self) -> Dict:
         """The head of the resumable state: session descriptor,
-        watermark cursors, counters and the clusterer's bounded state.
-        Nothing here grows with the rows -- those are in the
-        checkpoint's row segments."""
+        watermark cursors, counters and the clusterer's live slots.
+        Nothing here grows with rows, clusters or tracks: cluster history
+        derives from the checkpoint's row segments."""
         return {
             "descriptor": self._descriptor(),
             "rows": int(self._columns.rows),
@@ -820,7 +820,7 @@ class StreamIngestor:
         columns = load_state_rows(store, self.stream, payload)
         self._persisted_rows = int(payload["rows"])
         self._clusterer = IncrementalClusterer.from_state_dict(
-            dict(payload["clusterer"], assignments=columns["assignments"])
+            payload["clusterer"], columns["assignments"], columns["track_id"]
         )
         self._columns.restore(columns, columns["suppressed"].astype(bool))
         self._watermark = float(payload["watermark_s"])
@@ -918,9 +918,8 @@ def _cluster_shares(shares: List[List["_RoundSession"]]) -> None:
         for session in shares[0]:
             clusterer = session.ingestor._clusterer
             # where a fallback puts this session's clusterer back to
-            session.start = dict(
-                clusterer.bounded_state(), assignments=clusterer.snapshot().assignments
-            )
+            session.start = (clusterer.bounded_state(), clusterer.snapshot().assignments,
+                             session.ingestor._table.track_id)
             session.steps = session.ingestor._cluster_ahead(session.chunks)
         for share, helper in zip(shares[1:], helpers):
             try:
@@ -943,10 +942,10 @@ class _RoundSession:
         self.chunks: List[Tuple[ObservationTable, Optional[float]]] = []
         #: the predicted cluster steps (None: no prediction)
         self.steps: Optional[List[Optional[ClusterStep]]] = None
-        #: a helper's clusterer state after its steps (its bounded part)
+        #: a helper's clusterer state after its steps (its live slots)
         self.final: Optional[Dict] = None
-        #: the round-start clusterer state of a session clustered here
-        self.start: Optional[Dict] = None
+        #: the round-start ``from_state_dict`` arguments of a session clustered here
+        self.start: Optional[Tuple[Dict, np.ndarray, np.ndarray]] = None
         #: the chunks whose cluster half a plain push would have run
         self.clustered: List[ObservationTable] = []
         self.pushed = 0
@@ -958,8 +957,8 @@ class _RoundSession:
         return sum(len(c) for c, _ in self.chunks if isinstance(c, ObservationTable))
 
     def cluster_ahead(self) -> Tuple[List[Optional[ClusterStep]], Dict]:
-        """A helper's work for this session: its steps and the bounded
-        clusterer state after them."""
+        """A helper's work for this session: its steps and the clusterer's
+        live-slot state after them."""
         steps = self.ingestor._cluster_ahead(self.chunks)
         return steps, self.ingestor._clusterer.bounded_state()
 
@@ -1004,7 +1003,7 @@ class _RoundSession:
         chunks applied so far left it."""
         ingestor = self.ingestor
         if self.start is not None:
-            ingestor._clusterer = IncrementalClusterer.from_state_dict(self.start)
+            ingestor._clusterer = IncrementalClusterer.from_state_dict(*self.start)
         for chunk in self.clustered:
             ingestor._cluster_chunk(chunk)
         self.serial = True
@@ -1016,5 +1015,5 @@ class _RoundSession:
         if self.serial or self.final is None or self._playback is None:
             return
         self.ingestor._clusterer = IncrementalClusterer.from_state_dict(
-            dict(self.final, assignments=self._playback.assignments)
+            self.final, self._playback.assignments, self.ingestor._table.track_id
         )

@@ -32,6 +32,7 @@ from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import load_ingest_state
 from repro.video.synthesis import generate_observations
+from test_core_clustering import clusterer_state
 
 FPS = 10.0
 CONFIG = FocusConfig(cheap_cnn(1), k=4, cluster_threshold=0.4)
@@ -168,7 +169,7 @@ def state_of(system, names, store=None):
                 for col in ("track_id", "class_id", "time_s", "frame_idx", "appearance_seed")
             },
             "duration_s": table.duration_s,
-            "clusterer": ingestor._clusterer.state_dict(),
+            "clusterer": clusterer_state(ingestor._clusterer),
             "snapshot": [a.tolist() for a in (
                 ingestor.clusters.assignments, ingestor.clusters.seed_rows, ingestor.clusters.sizes
             )],
@@ -412,7 +413,7 @@ def test_stream_ingestor_push_is_both_halves():
     assert split.num_rows == 0 and split.chunks_pushed == 0
     report = split._apply_chunk(table, None, step, split._clusterer.snapshot(), True)
     assert report.total_rows == len(table)
-    assert split._clusterer.state_dict() == pushed._clusterer.state_dict()
+    assert clusterer_state(split._clusterer) == clusterer_state(pushed._clusterer)
     np.testing.assert_array_equal(split.clusters.assignments, pushed.clusters.assignments)
 
 

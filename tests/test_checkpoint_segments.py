@@ -23,6 +23,7 @@ from repro.storage.journal import (
     CHECKPOINT_COLLECTION,
     SEGMENT_COLUMNS,
     STATE_PREFIX,
+    IngestJournal,
     JournalCorruption,
     committed_checkpoint,
     load_ingest_state,
@@ -134,39 +135,63 @@ def test_segments_tile_and_are_written_once(workload, index_mode):
         json.dumps(store.to_json_obj())  # packed columns are str, not bytes
 
 
-def test_head_holds_nothing_per_row(workload):
-    """Every array in the head is sized by live clusters, clusters or
-    tracks -- O(live clusters + clusters + tracks), never O(rows)."""
-    table, config, chunks = workload
+#: the clusterer's head keys: scalars and the four live-slot arrays
+LIVE_SLOT_ARRAYS = {"sums", "dense", "counts", "live_ids"}
+CLUSTERER_SCALARS = {
+    "threshold", "dim", "max_live", "strict", "n_live", "next_id", "rows_seen",
+    "full_scans", "shortcut_hits",
+}
+#: JSON characters allowed for everything in a head but the live-slot
+#: arrays: key names, the descriptor, cursors, counters, checksum
+HEAD_FIXED_CHARS = 1024
+
+
+def head_bound(max_live, dim):
+    """A head's JSON size at most, from ``max_live`` and ``dim`` alone:
+    the four live-slot arrays full (base64 of 8-byte items) plus the
+    fixed allowance."""
+    def packed(items):
+        return 4 * -(-8 * items // 3)
+
+    return packed(max_live * dim) + 3 * packed(max_live) + HEAD_FIXED_CHARS
+
+
+@pytest.mark.parametrize("history", [1, 4])
+def test_head_holds_nothing_per_row(table_factory, live_config, history):
+    """The head holds no array sized by rows, clusters or tracks: the
+    clusterer keeps the scalars and the four live-slot arrays, so at 1x
+    and 4x the history the head's JSON size stays under a bound computed
+    from ``max_live`` and ``dim`` alone."""
+    max_live = 8
+    table = table_factory(STREAM, 20.0 * history, 10.0)
     store = DocumentStore()
-    ingestor = open_journaled(store, table, config)
-    for chunk in chunks:
+    ingestor = StreamIngestor(
+        live_config, STREAM, fps=table.fps, max_live_clusters=max_live,
+        journal=IngestJournal(store, STREAM),
+    )
+    for chunk in split_chunks(table):
         ingestor.push(chunk)
         ingestor.checkpoint(store)
-        payload = head_of(store)["payload"]
+        head = head_of(store)
+        payload = head["payload"]
         assert set(payload) == {
             "descriptor", "rows", "watermark_s", "last_time_s", "cnn_inferences",
             "ingest_gpu_seconds", "chunks_pushed", "clusterer",
         }
         clusterer = payload["clusterer"]
-        live, clusters = clusterer["n_live"], clusterer["next_id"]
-        tracks = len(np.unique(ingestor.table.track_id))
-        lengths = {
-            key: len(unpack_array(clusterer[key], dtype))
-            for key, dtype in (
-                ("sums", np.float64), ("dense", np.int64), ("counts", np.int64),
-                ("live_ids", np.int64), ("seed_rows", np.int64),
-                ("sizes", np.int64), ("track_cache", np.int64),
-            )
-        }
-        assert lengths == {
-            "sums": live * clusterer["dim"], "dense": live, "counts": live,
-            "live_ids": live, "seed_rows": clusters, "sizes": clusters,
-            "track_cache": 2 * tracks,
-        }
+        assert set(clusterer) == CLUSTERER_SCALARS | LIVE_SLOT_ARRAYS
         assert all(
-            isinstance(v, (str, int, float, bool)) for v in clusterer.values()
+            isinstance(clusterer[key], (int, float, bool)) for key in CLUSTERER_SCALARS
         )
+        live, dim = clusterer["n_live"], clusterer["dim"]
+        assert live <= max_live
+        assert {
+            key: len(unpack_array(clusterer[key], np.float64 if key == "sums" else np.int64))
+            for key in LIVE_SLOT_ARRAYS
+        } == {"sums": live * dim, "dense": live, "counts": live, "live_ids": live}
+        assert len(json.dumps(head)) <= head_bound(max_live, dim)
+    # the cap was reached: retired clusters are in the history
+    assert ingestor.clusters.num_clusters > 2 * max_live and live == max_live
 
 
 def test_checkpoint_without_new_rows_writes_no_segment(workload):

@@ -11,8 +11,10 @@ from repro.core.clustering import (
     cluster_features,
     cluster_table,
     feature_rows_needed,
+    summarize,
 )
 from repro.core.ingest import simulate_pixel_diff
+from repro.storage.packing import pack_array
 
 
 def _unit(v):
@@ -22,6 +24,19 @@ def _unit(v):
 
 def _clusterer(threshold=0.3, dim=4, **kw):
     return IncrementalClusterer(threshold=threshold, dim=dim, **kw)
+
+
+def clusterer_state(clusterer):
+    """What a clusterer holds, as plain data: its live slots
+    (``bounded_state``), its track map and its snapshot's arrays."""
+    summary = clusterer.snapshot()
+    return {
+        "live": clusterer.bounded_state(),
+        "track_cache": dict(clusterer._track_cache),
+        "snapshot": [
+            a.tolist() for a in (summary.assignments, summary.seed_rows, summary.sizes)
+        ],
+    }
 
 
 def test_first_object_opens_cluster():
@@ -82,7 +97,7 @@ def test_live_cluster_cap_evicts_smallest():
     ids = c.add(vectors, np.arange(4))
     assert c.num_clusters == 4
     assert sorted(ids.tolist()) == [0, 1, 2, 3]
-    summary = c.finalize()
+    summary = c.snapshot()
     assert summary.num_clusters == 4
     assert (summary.sizes == 1).all()
 
@@ -161,10 +176,10 @@ def test_misaligned_mask_rejected_before_any_row(arg):
     feats, tracks = _six_rows()
     c = _clusterer()
     c.add(feats[:2], tracks[:2])
-    before = json.dumps(c.state_dict(), sort_keys=True)
+    before = json.dumps(clusterer_state(c), sort_keys=True)
     with pytest.raises(ValueError, match=arg):
         c.add(feats, tracks, **{arg: [True, False, True]})
-    assert json.dumps(c.state_dict(), sort_keys=True) == before
+    assert json.dumps(clusterer_state(c), sort_keys=True) == before
     assert c.snapshot().num_observations == 2
 
 
@@ -205,7 +220,7 @@ def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold)
             chunk = features[a:b].copy()
             chunk[~mask] = -1e308
             live.add(chunk, tracks[a:b], suppressed=suppressed[a:b], feature_valid=mask)
-        np.testing.assert_array_equal(live.finalize().assignments, expected)
+        np.testing.assert_array_equal(live.snapshot().assignments, expected)
     # a mask that leaves out a row the loop reads (row 0 opens the
     # first cluster) is refused, not filled
     short = need.copy()
@@ -215,7 +230,49 @@ def test_unextracted_rows_are_never_touched(small_table, cheap_model, threshold)
             poisoned, tracks, suppressed=suppressed, feature_valid=short)
 
 
-def test_empty_finalize():
-    summary = _clusterer().finalize()
+def test_empty_snapshot():
+    summary = _clusterer().snapshot()
     assert summary.num_clusters == 0
     assert summary.num_observations == 0
+
+
+def test_summarize_continues_as_it_starts():
+    """A summary continued from a prefix's equals one built from
+    scratch; ids past the count, or one without a row, are refused."""
+    assignments = np.array([0, 0, 1, 0, 2, 1, 3, 3, 2])
+    whole = summarize(assignments, 4)
+    assert whole.seed_rows.tolist() == [0, 2, 4, 6]
+    assert whole.sizes.tolist() == [3, 2, 2, 2]
+    continued = summarize(assignments, 4, summarize(assignments[:5], 3))
+    for a, b in ((continued.seed_rows, whole.seed_rows), (continued.sizes, whole.sizes)):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    for bad, count in (([0, 2], 3), ([0, 1], 1), ([0, 1], 3)):
+        with pytest.raises(ValueError, match="next ones"):
+            summarize(np.array(bad), count)
+
+
+def test_restore_derives_history_from_the_rows():
+    """``from_state_dict`` gets the live slots and two row columns; the
+    seeds, sizes and track map it derives are the live instance's, and
+    ingest continues identically -- suppressed rows of a retired
+    cluster's track included."""
+    feats, tracks = _six_rows()
+    sup = np.array([False, True, False, True, False, True])
+    live = _clusterer(max_live_clusters=1)
+    ids = live.add(feats, tracks, suppressed=sup)
+    restored = IncrementalClusterer.from_state_dict(
+        json.loads(json.dumps(live.bounded_state())),
+        pack_array(ids, np.int64), pack_array(tracks, np.int64))
+    assert clusterer_state(restored) == clusterer_state(live)
+    # the unpacked columns are read-only: an empty chunk must not write them
+    assert len(restored.add(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))) == 0
+    more_tracks = np.array([0, 1, 2, 0])
+    more_sup = np.array([True, True, True, False])
+    more = np.stack([feats[0], feats[2], feats[4], feats[5]])
+    np.testing.assert_array_equal(
+        restored.add(more, more_tracks, suppressed=more_sup),
+        live.add(more, more_tracks, suppressed=more_sup))
+    assert clusterer_state(restored) == clusterer_state(live)
+    with pytest.raises(ValueError, match="rows seen"):
+        IncrementalClusterer.from_state_dict(live.bounded_state(), ids, tracks)

@@ -55,8 +55,9 @@ def _tracky_workload(rng, n, dim, n_tracks, jump_prob=0.15, sup_prob=0.3):
 def _run(feats, track_ids, sup, threshold, max_live, bounds,
          restore_at=None):
     """Feed ``bounds``-delimited chunks; ``restore_at`` swaps the
-    clusterer for its own state_dict -> from_state_dict copy before the
-    chunk starting at that row."""
+    clusterer for a ``from_state_dict`` copy (its JSON-round-tripped
+    ``bounded_state`` and the rows so far) before the chunk starting at
+    that row."""
     clusterer = IncrementalClusterer(
         threshold=threshold, dim=feats.shape[1],
         max_live_clusters=max_live,
@@ -65,13 +66,15 @@ def _run(feats, track_ids, sup, threshold, max_live, bounds,
     for a, b in zip(bounds, bounds[1:]):
         if a == restore_at:
             clusterer = IncrementalClusterer.from_state_dict(
-                json.loads(json.dumps(clusterer.state_dict())))
+                json.loads(json.dumps(clusterer.bounded_state())),
+                np.concatenate(outs), track_ids[:a])
         outs.append(
             clusterer.add(feats[a:b], track_ids[a:b], suppressed=sup[a:b]))
-    summary = clusterer.finalize()
+    summary = clusterer.snapshot()
     return (
         np.concatenate(outs), summary,
         clusterer.full_scans, clusterer.shortcut_hits,
+        clusterer.bounded_state(), clusterer._track_cache,
     )
 
 
@@ -81,6 +84,7 @@ def _assert_same_run(got, ref):
     np.testing.assert_array_equal(got[1].seed_rows, ref[1].seed_rows)
     np.testing.assert_array_equal(got[1].sizes, ref[1].sizes)
     assert got[2] == ref[2] and got[3] == ref[3]
+    assert got[4] == ref[4] and got[5] == ref[5]
 
 
 class TestKernelBitIdentity:
@@ -178,7 +182,7 @@ class TestRetiredClusterSemantics:
         sup = np.array([True])
         ids = clusterer.add(eye[:1] * np.nan, np.array([0]), suppressed=sup)
         assert ids.tolist() == [0]
-        summary = clusterer.finalize()
+        summary = clusterer.snapshot()
         assert summary.sizes[0] == 2
 
     def test_dense_row_cannot_rejoin_retired_cluster(self):
@@ -271,7 +275,8 @@ class TestBuffersAreOwned:
         source = IncrementalClusterer(threshold=0.4, dim=8)
         source.add(feats[:100], tracks[:100], suppressed=sup[:100])
         restored = IncrementalClusterer.from_state_dict(
-            json.loads(json.dumps(source.state_dict())))
+            json.loads(json.dumps(source.bounded_state())),
+            source.snapshot().assignments, tracks[:100])
         assert not np.shares_memory(source._scratch, restored._scratch)
         assert not np.shares_memory(source._centroids, restored._centroids)
         np.testing.assert_array_equal(
@@ -287,6 +292,11 @@ class TestBuffersAreOwned:
         a = source.add(feats[100:], tracks[100:], suppressed=sup[100:])
         b = restored.add(feats[100:], tracks[100:], suppressed=sup[100:])
         np.testing.assert_array_equal(a, b)
+        # the restore adopted the source's assignment prefix uncopied;
+        # its first add moved it to a buffer of its own
+        assert not np.shares_memory(source._assign_buf, restored._assign_buf)
+        np.testing.assert_array_equal(
+            source.snapshot().assignments, restored.snapshot().assignments)
 
 
 class TestBatchedTopK:

@@ -110,7 +110,7 @@ def test_clustering_invariants(stream, threshold):
     feats, tracks = stream
     c = IncrementalClusterer(threshold=threshold, dim=feats.shape[1])
     ids = c.add(feats, tracks)
-    summary = c.finalize()
+    summary = c.snapshot()
     # every observation assigned exactly one valid cluster id
     assert (ids >= 0).all()
     assert ids.max() < summary.num_clusters
@@ -130,7 +130,7 @@ def test_clustering_threshold_monotonicity(stream):
     for threshold in (0.05, 0.5, 2.5):
         c = IncrementalClusterer(threshold=threshold, dim=feats.shape[1])
         c.add(feats, tracks)
-        counts.append(c.finalize().num_clusters)
+        counts.append(c.snapshot().num_clusters)
     assert counts[0] >= counts[1] >= counts[2]
     assert counts[2] >= 1
 
@@ -139,7 +139,7 @@ def test_clustering_threshold_monotonicity(stream):
 def _kernel_case(draw):
     """A tracky stream with suppression, cut into chunks, for a
     clusterer small enough to evict; ``hop`` is the chunk before which
-    the clusterer is swapped for its own ``state_dict`` round trip."""
+    the clusterer is swapped for a ``from_state_dict`` copy of itself."""
     rng = np.random.RandomState(draw(st.integers(min_value=0, max_value=10 ** 6)))
     dim = draw(st.integers(min_value=1, max_value=19))
     n = draw(st.integers(min_value=8, max_value=160))
@@ -180,7 +180,8 @@ def test_row_loop_matches_reference_primitives(case):
     for chunk, (a, b) in enumerate(zip(case["bounds"], case["bounds"][1:])):
         if chunk == case["hop"]:
             real = IncrementalClusterer.from_state_dict(
-                json.loads(json.dumps(real.state_dict())))
+                json.loads(json.dumps(real.bounded_state())),
+                real.snapshot().assignments, tracks[:a])
         need = real.feature_rows_needed(tracks[a:b], sup[a:b])
         given_feats = np.where(need[:, None], feats[a:b], np.nan)
         with np.errstate(all="raise"):
@@ -190,7 +191,9 @@ def test_row_loop_matches_reference_primitives(case):
         n = ref.n_live
         assert real._n_live == n
         assert (real.full_scans, real.shortcut_hits) == (ref.full_scans, ref.shortcut_hits)
-        assert real._sizes == ref.sizes and real._seed_rows == ref.seed_rows
+        summary = real.snapshot()
+        assert summary.sizes.tolist() == ref.sizes
+        assert summary.seed_rows.tolist() == ref.seed_rows
         assert real._track_cache == ref.track_cache
         real._refresh_norms()
         for mine, theirs in (
