@@ -101,44 +101,33 @@ def payload_digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()
 
 
-def chunk_digest(
-    seq: int, payload: Dict[str, Any], arrays: Optional[List[np.ndarray]] = None
-) -> str:
-    """Fast checksum of a chunk record: hashes raw column bytes.
+def _chunk_hasher(seq: int, stream: str, fps, watermark_s, rows: int):
+    """The running checksum of chunk record ``seq``, primed with its
+    scalars; the columns follow in ``CHUNK_COLUMNS`` order."""
+    watermark_s = None if watermark_s is None else float(watermark_s)
+    header = (int(seq), stream, float(fps), watermark_s, int(rows))
+    return hashlib.sha1(repr(header).encode("utf-8"))
 
-    Journal appends sit on the live ingest hot path, so the digest
-    avoids a canonical-JSON round trip of every row: column data is
-    hashed as fixed-dtype array bytes.  Readers recompute the digest
-    from the deserialized lists -- ``np.asarray(list, dtype)`` restores
-    the exact bytes, so verification is deterministic; the write path
-    passes ``arrays``, the ``CHUNK_COLUMNS`` arrays the lists were made
-    from, and skips that rebuild.
+
+def chunk_digest(seq: int, payload: Dict[str, Any]) -> str:
+    """Checksum of a chunk record: its scalars, then every column's raw
+    little-endian bytes -- no canonical-JSON round trip of the rows.
+
+    A packed column and the list form older stores hold hash the same
+    bytes, so a stored checksum verifies in either; a column that does
+    not read as ``rows`` whole items raises :class:`JournalCorruption`.
+    The write path feeds the same digest while packing
+    (:func:`chunk_to_payload`).
     """
-    h = hashlib.sha1()
-    h.update(
-        repr(
-            (
-                int(seq),
-                payload["stream"],
-                float(payload["fps"]),
-                payload.get("watermark_s"),
-                int(payload["rows"]),
-            )
-        ).encode("utf-8")
-    )
-    if arrays is None:
-        columns = payload["columns"]
-        arrays = [np.asarray(columns[name], dtype=dtype) for name, dtype in CHUNK_COLUMNS]
-    for column in arrays:
-        h.update(column.tobytes())
-    return h.hexdigest()
+    digest = _chunk_hasher(seq, payload["stream"], payload["fps"],
+                           payload.get("watermark_s"), payload["rows"])
+    _chunk_columns(payload, digest, "chunk record seq=%d" % seq)
+    return digest.hexdigest()
 
 
-def _record_digest(
-    seq: int, kind: str, payload: Dict[str, Any], arrays=None
-) -> str:
+def _record_digest(seq: int, kind: str, payload: Dict[str, Any]) -> str:
     if kind == "chunk":
-        return chunk_digest(seq, payload, arrays)
+        return chunk_digest(seq, payload)
     return payload_digest({"seq": int(seq), "kind": kind, "payload": payload})
 
 
@@ -149,43 +138,62 @@ def _segment_hasher(start: int, rows: int):
     return hashlib.sha1(repr((int(start), int(rows))).encode("utf-8"))
 
 
+def _read_column(columns, name, dtype, rows, digest, where) -> np.ndarray:
+    """Stored column ``name`` (packed, or an older store's list), its
+    bytes fed to ``digest``; a column that is not ``rows`` whole items
+    raises :class:`JournalCorruption` naming ``where``."""
+    try:
+        values = unpack_array(columns.get(name, ""), dtype, digest)
+    except ValueError as exc:
+        raise JournalCorruption("%s column %r is torn: %s" % (where, name, exc))
+    if values.shape != (rows,):
+        raise JournalCorruption("%s column %r is truncated (%d of %d rows)"
+                                % (where, name, values.size, rows))
+    return values
+
+
 # -- chunk (de)serialization -------------------------------------------------
 
-def chunk_to_payload(chunk, watermark_s: Optional[float]) -> Dict[str, Any]:
-    """Serialize one observation chunk into a journal-record payload."""
+def chunk_to_payload(chunk, watermark_s: Optional[float], digest=None) -> Dict[str, Any]:
+    """Serialize one observation chunk into a journal-record payload.
+
+    Each ``CHUNK_COLUMNS`` column is one packed ``str``
+    (:func:`pack_array`), the encoding row segments use: ~76 B/row
+    resident where Python lists of the same rows held ~168.  ``digest``,
+    a record's running checksum primed with its scalars, is fed each
+    column's raw bytes while packing (:meth:`IngestJournal.append_chunk`).
+    """
     return {
         "stream": chunk.stream,
         "fps": float(chunk.fps),
         "watermark_s": None if watermark_s is None else float(watermark_s),
         "rows": len(chunk),
         "columns": {
-            name: np.asarray(getattr(chunk, name), dtype=dtype).tolist()
+            name: pack_array(getattr(chunk, name), dtype, digest)
             for name, dtype in CHUNK_COLUMNS
         },
+    }
+
+
+def _chunk_columns(payload, digest=None, where="chunk payload") -> Dict[str, np.ndarray]:
+    rows = int(payload["rows"])
+    columns = payload.get("columns", {})
+    return {
+        name: _read_column(columns, name, dtype, rows, digest, where)
+        for name, dtype in CHUNK_COLUMNS
     }
 
 
 def chunk_from_payload(payload: Dict[str, Any]):
     """Rebuild the observation chunk a journal record carries.
 
-    Raises :class:`JournalCorruption` when any column's length
-    disagrees with the recorded row count (a truncated payload whose
-    checksum was somehow also mangled consistently is still caught by
-    the digest; this guard gives a sharper error for the common case).
+    Raises :class:`JournalCorruption` when a column is torn or its
+    length disagrees with the recorded row count.
     """
     from repro.video.synthesis import ObservationTable
 
-    rows = int(payload["rows"])
-    columns = {}
-    for name, dtype in CHUNK_COLUMNS:
-        data = payload["columns"].get(name)
-        if data is None or len(data) != rows:
-            raise JournalCorruption(
-                "chunk payload column %r is truncated (%s of %d rows)"
-                % (name, "missing" if data is None else len(data), rows)
-            )
-        columns[name] = np.asarray(data, dtype=dtype)
-    duration = float(columns["time_s"].max()) if rows else 0.0
+    columns = _chunk_columns(payload)
+    duration = float(columns["time_s"].max()) if payload["rows"] else 0.0
     if payload.get("watermark_s") is not None:
         duration = max(duration, float(payload["watermark_s"]))
     return ObservationTable(
@@ -253,14 +261,15 @@ class IngestJournal:
         return self.store.collection(self.collection_name)
 
     # -- writes --------------------------------------------------------------
-    def append(self, kind: str, payload: Dict[str, Any], arrays=None) -> int:
+    def append(self, kind: str, payload: Dict[str, Any], checksum=None) -> int:
         """Append one record; returns its sequence number.
 
         The record is checksummed over (seq, kind, payload), so any
         later truncation or mutation of the stored document is
         detectable.  The insert either lands whole or not at all; a
         crash mid-append therefore loses at most the unacknowledged
-        record, never a prefix.  ``arrays``: see :func:`chunk_digest`.
+        record, never a prefix.  ``checksum``: the record's, when the
+        caller computed it already (:meth:`append_chunk`).
         """
         started = time.perf_counter() if self.metrics is not None else 0.0
         seq = self._next_seq
@@ -268,7 +277,7 @@ class IngestJournal:
             "seq": seq,
             "kind": kind,
             "payload": payload,
-            "checksum": _record_digest(seq, kind, payload, arrays),
+            "checksum": checksum or _record_digest(seq, kind, payload),
         }
         self.collection.insert_one(doc)
         self._next_seq = seq + 1
@@ -282,13 +291,12 @@ class IngestJournal:
     def append_chunk(self, chunk, watermark_s: Optional[float] = None) -> int:
         """Journal one observation chunk (the WAL step of a push).
 
-        Each column is hashed once, from the chunk's own array, instead
-        of being rebuilt from the list just made of it."""
-        arrays = [
-            np.asarray(getattr(chunk, name), dtype=dtype)
-            for name, dtype in CHUNK_COLUMNS
-        ]
-        return self.append("chunk", chunk_to_payload(chunk, watermark_s), arrays)
+        Each column is packed and hashed in one pass."""
+        digest = _chunk_hasher(
+            self._next_seq, chunk.stream, chunk.fps, watermark_s, len(chunk)
+        )
+        payload = chunk_to_payload(chunk, watermark_s, digest)
+        return self.append("chunk", payload, digest.hexdigest())
 
     def truncate_through(self, seq: int) -> int:
         """Drop records with sequence <= ``seq`` (post-checkpoint
@@ -693,20 +701,11 @@ def load_state_rows(
                 % (stream, start, start + rows, cursor, total)
             )
         digest = _segment_hasher(start, rows)
+        where = "stream %r: row segment [%d, %d)" % (stream, start, start + rows)
         for name, dtype in SEGMENT_COLUMNS:
-            try:
-                values = unpack_array(segment["columns"].get(name, ""), dtype, digest)
-            except ValueError as exc:
-                raise JournalCorruption(
-                    "stream %r: row segment [%d, %d) column %r is torn: %s"
-                    % (stream, start, start + rows, name, exc)
-                )
-            if len(values) != rows:
-                raise JournalCorruption(
-                    "stream %r: row segment [%d, %d) column %r is truncated "
-                    "(%d rows)" % (stream, start, start + rows, name, len(values))
-                )
-            out[name][start : start + rows] = values
+            out[name][start : start + rows] = _read_column(
+                segment["columns"], name, dtype, rows, digest, where
+            )
         if segment.get("checksum") != digest.hexdigest():
             raise JournalCorruption(
                 "stream %r: row segment [%d, %d) fails its checksum"

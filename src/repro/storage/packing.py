@@ -31,13 +31,19 @@ def pack_array(values, dtype, digest=None) -> str:
 def unpack_array(data, dtype, digest=None) -> np.ndarray:
     """The array :func:`pack_array` stored, bit-exact (read-only).
 
-    An array passes through as ``dtype``.  Raises ``ValueError`` when a
-    packed string does not decode to whole ``dtype`` items.
+    An array or list (the form older stores hold) passes through as
+    ``dtype``; ``digest`` is fed the raw bytes either way.  Raises
+    ``ValueError`` when a packed string does not decode to whole
+    ``dtype`` items.
     """
+    little = np.dtype(dtype).newbyteorder("<")
     if not isinstance(data, str):
-        return np.asarray(data, dtype=dtype)
+        values = np.asarray(data, dtype=dtype)
+        if digest is not None:
+            digest.update(np.ascontiguousarray(values, dtype=little).tobytes())
+        return values
     raw = base64.b64decode(data, validate=True)
-    values = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
+    values = np.frombuffer(raw, dtype=little)
     if digest is not None:
         digest.update(raw)
     return values.astype(dtype, copy=False)

@@ -21,6 +21,7 @@ from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
 from repro.storage.journal import (
     CHECKPOINT_COLLECTION,
+    CHUNK_COLUMNS,
     JOURNAL_PREFIX,
     STATE_PREFIX,
     IngestJournal,
@@ -32,6 +33,7 @@ from repro.storage.journal import (
     load_ingest_state,
     reset_stream,
 )
+from repro.storage.packing import pack_array, unpack_array
 
 
 @pytest.fixture()
@@ -110,9 +112,10 @@ class TestFaultyStoreUnit:
 
 class TestJournalIntegrity:
     def test_write_path_checksum_is_the_readers(self, stream_setup):
-        """``append_chunk`` hashes the chunk's own arrays; the stored
-        checksum is the one readers recompute from the stored lists --
-        also after the JSON round trip and for a non-native dtype."""
+        """``append_chunk`` hashes each column while packing it; the
+        stored checksum is the one readers recompute from the stored
+        strings -- also after the JSON round trip and for a non-native
+        dtype."""
         table, config, chunks = stream_setup
         store = DocumentStore()
         journal = IngestJournal(store, table.stream)
@@ -128,21 +131,35 @@ class TestJournalIntegrity:
             )
         assert [r.seq for r in journal.records()] == [0, 1]
 
-    def test_checksum_fires_on_truncated_record(self, stream_setup):
+    @pytest.mark.parametrize("tear", ["list", "packed-mid-item", "packed-fewer-rows"])
+    def test_checksum_fires_on_truncated_record(self, stream_setup, tear):
+        """A torn ``time_s`` column -- a list-form record (as older
+        stores hold) cut in half, a packed one cut mid-item, or valid
+        base64 of fewer rows -- is a typed ``JournalCorruption``."""
         table, config, chunks = stream_setup
         store = DocumentStore()
         ing = open_journaled(store, table, config)
         ing.push(chunks[0])
         coll = store.collection(JOURNAL_PREFIX + table.stream)
         victim = coll.find({"kind": "chunk"})[0]
-        torn = {k: list(v) if isinstance(v, list) else v
-                for k, v in victim["payload"]["columns"].items()}
-        torn["time_s"] = torn["time_s"][: len(torn["time_s"]) // 2]
+        packed = victim["payload"]["columns"]
+        torn = dict(packed)
+        if tear == "list":
+            torn = {k: unpack_array(v, dtype).tolist() for (k, v), (_, dtype)
+                    in zip(packed.items(), CHUNK_COLUMNS)}
+            coll.update_one(victim["_id"], {"payload": dict(victim["payload"], columns=torn)})
+            assert len(IngestJournal(store, table.stream).records()) == 2
+            torn["time_s"] = torn["time_s"][: len(torn["time_s"]) // 2]
+        elif tear == "packed-mid-item":
+            torn["time_s"] = packed["time_s"][:12]  # 9 bytes: one item and a byte
+        else:
+            values = unpack_array(packed["time_s"], np.float64)
+            torn["time_s"] = pack_array(values[:-1], np.float64)
         coll.update_one(
             victim["_id"], {"payload": dict(victim["payload"], columns=torn)}
         )
         journal = IngestJournal(store, table.stream)
-        with pytest.raises(JournalCorruption, match="checksum"):
+        with pytest.raises(JournalCorruption, match="seq=1 column 'time_s' is (torn|truncated)"):
             journal.records()
         with pytest.raises(JournalCorruption):
             StreamIngestor.recover(store, table.stream)
