@@ -113,6 +113,7 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("fabric/shard.py:ShardNode.ping", "stays: op-table verb served in-process, for parity with a worker leg"),
     ("fabric/shard.py:ShardNode.fenced", "stays: op-table verb served in-process, for parity with a worker leg"),
     ("storage/journal.py:fenced_streams", "stays: reads the migration fences the `fenced` op reports"),
+    ("storage/journal.py:chunk_digest", "stays: the reader's checksum of one stored chunk payload, which the WAL tests hold the write path's checksums to"),
     # scalar references
     ("cnn/model.py:ClassifierModel.topk_list", _SCALAR),
     ("cnn/noise.py:ConfusionModel.sample_slots", _SCALAR),

@@ -147,11 +147,12 @@ class ClusterSummary:
         return out
 
 
-_NO_ROWS = ClusterSummary(*(np.zeros(0, dtype=np.int64),) * 3)
+#: the summary of no rows: where a clusterer, and a materialized index, start
+NO_ROWS = ClusterSummary(*(np.zeros(0, dtype=np.int64),) * 3)
 
 
 def summarize(
-    assignments: np.ndarray, num_clusters: int, previous: ClusterSummary = _NO_ROWS
+    assignments: np.ndarray, num_clusters: int, previous: ClusterSummary = NO_ROWS
 ) -> ClusterSummary:
     """The summary of ``assignments`` (every row's cluster id so far,
     ``num_clusters`` in all), continuing from ``previous``, a prefix's
@@ -265,7 +266,7 @@ class IncrementalClusterer:
         self._assign_buf = np.zeros(0, dtype=np.int64)
         self._rows_seen = 0
         #: the last :meth:`snapshot`, which the next one continues from
-        self._summary = _NO_ROWS
+        self._summary = NO_ROWS
         #: track -> cluster id of its last assignment.  Keyed by cluster
         #: id (not live slot), so entries survive retirement: suppressed
         #: objects keep following their track's cluster, and retiring a

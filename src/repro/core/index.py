@@ -18,12 +18,12 @@ standing in for the paper's MongoDB deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.cnn.model import ClassifierModel
-from repro.core.clustering import ClusterSummary, grouped_min_max
+from repro.core.clustering import NO_ROWS, ClusterSummary, group_slices, grouped_min_max
 from repro.storage.docstore import CheckpointStore, DocumentStore
 from repro.video.synthesis import ObservationTable
 
@@ -43,13 +43,14 @@ class ClusterEntry:
 
 @runtime_checkable
 class IndexReader(Protocol):
-    """The read interface every top-K index variant serves.
+    """The interface every top-K index variant serves.
 
     Query-side code (``QueryEngine``, the serve planner/scheduler) only
-    needs these members; both :class:`TopKIndex` and
-    :class:`LazyTopKIndex` satisfy the protocol, as does any future
-    variant, so ``IngestResult.index`` and friends are typed against
-    this instead of a bare ``object``.
+    needs the read members; live ingest adds the one update verb,
+    ``refresh``.  Both :class:`TopKIndex` and :class:`LazyTopKIndex`
+    satisfy the protocol, as does any future variant, so
+    ``IngestResult.index`` and friends are typed against this instead
+    of a bare ``object``.
     """
 
     stream: str
@@ -73,6 +74,25 @@ class IndexReader(Protocol):
     ) -> List[int]: ...
 
     def to_docstore(self, store: CheckpointStore) -> None: ...
+
+    def refresh(
+        self, table: ObservationTable, clusters: ClusterSummary
+    ) -> Tuple[List[int], List[int]]: ...
+
+
+def _refresh_delta(
+    old: ClusterSummary, new: ClusterSummary
+) -> Tuple[List[int], List[int]]:
+    """What both ``refresh``es return: ``(new_cluster_ids,
+    grown_cluster_ids)`` from ``old`` to ``new``, which must extend it --
+    no fewer rows or clusters, the same seed rows for existing ones."""
+    n = old.num_clusters
+    if (new.num_observations < old.num_observations or new.num_clusters < n
+            or not np.array_equal(new.seed_rows[:n], old.seed_rows)):
+        raise ValueError("refresh() requires a snapshot extending the current "
+                         "one (same seed rows for existing clusters)")
+    grown = np.flatnonzero(new.sizes[:n] != old.sizes).tolist()
+    return list(range(n, new.num_clusters)), grown
 
 
 def _cluster_doc(
@@ -118,6 +138,10 @@ class TopKIndex:
         self._by_class: Dict[int, List[Tuple[int, int]]] = {}  # token -> [(cluster, pos)]
         self._members: Dict[int, np.ndarray] = {}
         self._frames: Dict[int, np.ndarray] = {}
+        #: the snapshot absorbed so far, and the model that draws new
+        #: centroids' top-K (none on an index loaded from a store)
+        self._snapshot = NO_ROWS
+        self._model: Optional[ClassifierModel] = None
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -128,94 +152,93 @@ class TopKIndex:
         k: int,
         clusters: ClusterSummary,
     ) -> "TopKIndex":
-        """Materialize the index from a clustering pass.
-
-        For each cluster, the ingest CNN's ranked top-K classes of the
-        centroid observation are written out, and the cluster is linked
-        from each of those class tokens.
-        """
+        """Materialize the index from a clustering pass: an empty index,
+        refreshed once (:meth:`refresh`)."""
         index = cls(stream=table.stream, model_name=model.name, k=k)
-        members = clusters.members_by_cluster()
-        seeds = clusters.seed_rows
-        obs_seeds = table.observation_seeds()
-        # one batched rank/slot draw for every centroid: the per-cluster
-        # scalar path used to dominate materialized-index construction
-        top_ks = model.topk_lists(
-            obs_seeds[seeds], table.class_id[seeds], table.difficulty[seeds], k
-        )
-        first, last = grouped_min_max(
-            clusters.assignments, clusters.num_clusters, table.time_s
-        )
-        for cid in range(clusters.num_clusters):
-            row = int(seeds[cid])
-            member_rows = members[cid]
-            entry = ClusterEntry(
-                cluster_id=cid,
-                centroid_row=row,
-                centroid_class=int(table.class_id[row]),
-                top_k=tuple(top_ks[cid]),
-                size=int(len(member_rows)),
-                first_time_s=float(first[cid]),
-                last_time_s=float(last[cid]),
-            )
-            index.add_cluster(entry, member_rows, table.frame_idx[member_rows])
+        index._model = model
+        index.refresh(table, clusters)
         return index
+
+    def refresh(
+        self, table: ObservationTable, clusters: ClusterSummary
+    ) -> Tuple[List[int], List[int]]:
+        """Absorb the rows of ``table`` / ``clusters`` past the snapshot
+        last absorbed (contract and return as :meth:`LazyTopKIndex.refresh`).
+
+        Each new cluster is linked, in id order, from the ingest CNN's
+        ranked top-K classes of its centroid, drawn in one batch.  A
+        grown cluster keeps its centroid and tokens; its member and
+        frame lists are re-concatenated whole and its size and time
+        span widened.  Besides the new rows, the work spans every id
+        between the lowest and highest one they touch, and one
+        comparison of every cluster's size finds the grown ones."""
+        old = self._snapshot
+        new_ids, grown_ids = _refresh_delta(old, clusters)
+        base, old_n = old.num_observations, old.num_clusters
+        delta = clusters.assignments[base:]
+        self._snapshot = clusters
+        if not len(delta):
+            return [], []
+        lo = int(delta.min())
+        local = delta - lo
+        span = int(delta.max()) + 1 - lo
+        first, last = grouped_min_max(local, span, table.time_s[base:])
+        touched = grown_ids + new_ids
+        if base:
+            # owned arrays: a view would pin the whole chunk's ordering
+            order, starts = group_slices(local, span)
+            groups = {c: order[starts[c - lo] : starts[c - lo + 1]] + base for c in touched}
+        else:
+            groups = clusters.members_by_cluster()  # cached, shared
+        seeds, top_ks = clusters.seed_rows[old_n:], []
+        if len(seeds):
+            # one batched rank/slot draw for every centroid the rows opened
+            obs_seeds = table.slice(base, len(table)).observation_seeds()
+            top_ks = self._model.topk_lists(
+                obs_seeds[seeds - base], table.class_id[seeds],
+                table.difficulty[seeds], self.k,
+            )
+        for cid in touched:
+            i = cid - lo
+            member_rows = groups[cid]
+            frame_ids = table.frame_idx[member_rows]
+            if cid < old_n:
+                entry = self._clusters[cid]
+                self._members[cid] = np.concatenate([self._members[cid], member_rows])
+                self._frames[cid] = np.concatenate([self._frames[cid], frame_ids])
+                self._clusters[cid] = replace(
+                    entry,
+                    size=entry.size + len(member_rows),
+                    first_time_s=min(entry.first_time_s, float(first[i])),
+                    last_time_s=max(entry.last_time_s, float(last[i])),
+                )
+            else:
+                row = int(clusters.seed_rows[cid])
+                entry = ClusterEntry(
+                    cluster_id=cid,
+                    centroid_row=row,
+                    centroid_class=int(table.class_id[row]),
+                    top_k=tuple(top_ks[cid - old_n]),
+                    size=len(member_rows),
+                    first_time_s=float(first[i]),
+                    last_time_s=float(last[i]),
+                )
+                self.add_cluster(entry, member_rows, frame_ids)
+        return new_ids, grown_ids
 
     def add_cluster(
         self, entry: ClusterEntry, member_rows: np.ndarray, frame_ids: np.ndarray
     ) -> None:
         if entry.cluster_id in self._clusters:
             raise ValueError(
-                "cluster %d already indexed; use extend_cluster to append "
-                "members to a live cluster" % entry.cluster_id
+                "cluster %d already indexed; refresh() appends members to "
+                "a live cluster" % entry.cluster_id
             )
         self._clusters[entry.cluster_id] = entry
         self._members[entry.cluster_id] = np.asarray(member_rows, dtype=np.int64)
         self._frames[entry.cluster_id] = np.asarray(frame_ids, dtype=np.int64)
         for pos, token in enumerate(entry.top_k, start=1):
             self._by_class.setdefault(int(token), []).append((entry.cluster_id, pos))
-
-    def extend_cluster(
-        self,
-        cluster_id: int,
-        member_rows: np.ndarray,
-        frame_ids: np.ndarray,
-        time_s: Optional[np.ndarray] = None,
-    ) -> ClusterEntry:
-        """Append members to an already-indexed cluster (live ingest).
-
-        The centroid -- and therefore the cluster's top-K entry tokens
-        and any cached GT verdict for it -- is unchanged by growth; only
-        the member/frame lists and the size/time summary move.  Returns
-        the updated entry.
-        """
-        if cluster_id not in self._clusters:
-            raise KeyError("cluster %d is not indexed" % cluster_id)
-        member_rows = np.asarray(member_rows, dtype=np.int64)
-        frame_ids = np.asarray(frame_ids, dtype=np.int64)
-        if len(member_rows) != len(frame_ids):
-            raise ValueError("member_rows and frame_ids must align")
-        if not len(member_rows):
-            return self._clusters[cluster_id]
-        self._members[cluster_id] = np.concatenate(
-            [self._members[cluster_id], member_rows]
-        )
-        self._frames[cluster_id] = np.concatenate(
-            [self._frames[cluster_id], frame_ids]
-        )
-        entry = self._clusters[cluster_id]
-        first, last = entry.first_time_s, entry.last_time_s
-        if time_s is not None and len(time_s):
-            first = min(first, float(np.min(time_s)))
-            last = max(last, float(np.max(time_s)))
-        entry = replace(
-            entry,
-            size=entry.size + len(member_rows),
-            first_time_s=first,
-            last_time_s=last,
-        )
-        self._clusters[cluster_id] = entry
-        return entry
 
     # -- reads ------------------------------------------------------------
     @property
@@ -370,19 +393,7 @@ class LazyTopKIndex:
 
         Returns ``(new_cluster_ids, grown_cluster_ids)``.
         """
-        old = self._clusters
-        old_n = old.num_clusters
-        if clusters.num_clusters < old_n or not np.array_equal(
-            clusters.seed_rows[:old_n], old.seed_rows
-        ):
-            raise ValueError(
-                "refresh() requires a snapshot extending the current one "
-                "(same seed rows for existing clusters)"
-            )
-        new_ids = [int(c) for c in range(old_n, clusters.num_clusters)]
-        grown_ids = [
-            int(c) for c in np.nonzero(clusters.sizes[:old_n] != old.sizes)[0]
-        ]
+        new_ids, grown_ids = _refresh_delta(self._clusters, clusters)
         self._rebuild(table, clusters)
         if new_ids:
             # a new centroid may belong to any token's top-K hit list
@@ -450,6 +461,18 @@ class LazyTopKIndex:
     def to_docstore(self, store: CheckpointStore) -> None:
         """Export by materializing entries (:meth:`TopKIndex.to_docstore`)."""
         self.materialize().to_docstore(store)
+
+
+def index_builder(index_mode: str) -> Callable[..., IndexReader]:
+    """How an ``index_mode`` derives a stream's index:
+    ``builder(table, model, k, clusters)``, refreshed as the stream
+    grows.  ``"lazy"`` gives a :class:`LazyTopKIndex`,
+    ``"materialized"`` a :meth:`TopKIndex.build`."""
+    if index_mode == "lazy":
+        return LazyTopKIndex
+    if index_mode == "materialized":
+        return TopKIndex.build
+    raise ValueError("index_mode must be 'lazy' or 'materialized'")
 
 
 def stored_streams(store: DocumentStore) -> List[str]:

@@ -21,7 +21,7 @@ from repro.cnn.model import ClassifierModel
 from repro.core.clustering import ClusterSummary, cluster_table
 from repro.core.config import FocusConfig
 from repro.core.costmodel import CostCategory, GPULedger
-from repro.core.index import IndexReader, LazyTopKIndex, TopKIndex
+from repro.core.index import IndexReader, index_builder
 from repro.video.synthesis import ObservationTable
 
 _PIXELDIFF_SALT = stable_salt("pixel-diff")
@@ -76,12 +76,10 @@ class IngestPipeline:
         max_live_clusters: int = 512,
         index_mode: str = "lazy",
     ):
-        if index_mode not in ("lazy", "materialized"):
-            raise ValueError("index_mode must be 'lazy' or 'materialized'")
+        self._build_index = index_builder(index_mode)
         self.config = config
         self.ledger = ledger or GPULedger()
         self.max_live_clusters = max_live_clusters
-        self.index_mode = index_mode
 
     def run(self, table: ObservationTable) -> IngestResult:
         """Ingest all observations of ``table``."""
@@ -98,10 +96,7 @@ class IngestPipeline:
             max_live_clusters=self.max_live_clusters,
             suppressed=suppressed,
         )
-        if self.index_mode == "materialized":
-            index = TopKIndex.build(table, config.model, config.k, clusters)
-        else:
-            index = LazyTopKIndex(table, config.model, config.k, clusters)
+        index = self._build_index(table, config.model, config.k, clusters)
 
         inferences = int(len(table) - suppressed.sum())
         entry = self.ledger.record(

@@ -41,12 +41,11 @@ from repro.core.clustering import (
     IncrementalClusterer,
     SnapshotPlayback,
     extract_and_cluster_chunk,
-    group_rows_by_cluster,
 )
 from repro.core.config import FocusConfig
 from repro.core.costmodel import CostCategory, GPULedger
 from repro.core.helpers import Helper, fork_width
-from repro.core.index import ClusterEntry, IndexReader, LazyTopKIndex, TopKIndex
+from repro.core.index import IndexReader, index_builder
 from repro.core.ingest import IngestResult, simulate_pixel_diff
 from repro.obs.events import emit
 from repro.sched.cluster import DispatchReport, IngestDispatcher
@@ -56,7 +55,6 @@ from repro.storage.journal import (
     IngestJournal,
     JournalError,
     backing_store,
-    chunk_from_payload,
     committed_checkpoint,
     load_ingest_state,
     load_state_rows,
@@ -207,12 +205,15 @@ class StreamIngestor:
     query answers trustworthy.
 
     Per-push cost: table accumulation copies only the chunk (amortized
-    doubling buffers), and in ``materialized`` mode the index applies
-    just the chunk's delta, so a forever-growing stream pays O(chunk)
-    per push.  ``lazy`` mode trades that for skipping all top-K
-    materialization at ingest: its :meth:`LazyTopKIndex.refresh`
-    rebuilds per-cluster arrays over the accumulated window, an O(rows
-    so far) step per push.
+    doubling buffers), but neither index mode's refresh is O(chunk).  A
+    ``materialized`` refresh (:meth:`TopKIndex.refresh`) draws top-K
+    only for the chunk's new centroids, yet its grouping spans every
+    cluster id between the lowest and highest one the chunk touches,
+    and each grown cluster's whole member array is re-concatenated --
+    so a push costs more per row as the stream's history grows.
+    ``lazy`` mode skips all top-K materialization at ingest, but its
+    :meth:`LazyTopKIndex.refresh` rebuilds per-cluster arrays over the
+    accumulated window, an O(rows so far) step per push.
     """
 
     def __init__(
@@ -226,8 +227,7 @@ class StreamIngestor:
         dispatcher: Optional[IngestDispatcher] = None,
         journal: Optional[IngestJournal] = None,
     ):
-        if index_mode not in ("lazy", "materialized"):
-            raise ValueError("index_mode must be 'lazy' or 'materialized'")
+        self._build_index = index_builder(index_mode)
         self.config = config
         self.stream = stream
         self.fps = float(fps)
@@ -256,14 +256,9 @@ class StreamIngestor:
         self._persisted_rows = 0
         self._last_journal_seq = -1
         self.journal = None
-        if index_mode == "materialized":
-            self._index: IndexReader = TopKIndex(
-                stream=stream, model_name=config.model.name, k=config.k
-            )
-        else:
-            self._index = LazyTopKIndex(
-                self._table, config.model, config.k, self._snapshot
-            )
+        self._index = self._build_index(
+            self._table, config.model, config.k, self._snapshot
+        )
         if journal is not None:
             self._attach_fresh_journal(journal)
 
@@ -493,9 +488,7 @@ class StreamIngestor:
         accounting, from the cluster half's ``step`` and the clusterer's
         ``snapshot`` right after it."""
         config = self.config
-        offset = len(self._table)
-        suppressed, assignments = step.suppressed, step.assignments
-        previous = self._snapshot
+        suppressed = step.suppressed
 
         # accumulate the table (stream order is preserved, so row ids,
         # cluster ids, and index member rows match a one-shot ingest;
@@ -514,13 +507,8 @@ class StreamIngestor:
         self._table = self._columns.table(self.stream, self.fps, watermark)
         self._watermark = watermark
 
-        # IT3-IT4: apply the cluster delta to the live index
-        if self.index_mode == "materialized":
-            new_ids, grown_ids = self._apply_delta(
-                previous, snapshot, assignments, offset, chunk
-            )
-        else:
-            new_ids, grown_ids = self._index.refresh(self._table, snapshot)
+        # IT3-IT4: the index absorbs the chunk's rows
+        new_ids, grown_ids = self._index.refresh(self._table, snapshot)
         self._snapshot = snapshot
 
         # cost accounting + (optional) contention with query traffic on
@@ -555,74 +543,6 @@ class StreamIngestor:
             grown_clusters=grown_ids,
             dispatch=dispatch_report,
         )
-
-    def _apply_delta(
-        self,
-        previous: ClusterSummary,
-        snapshot: ClusterSummary,
-        assignments: np.ndarray,
-        offset: int,
-        chunk: ObservationTable,
-    ) -> "tuple[List[int], List[int]]":
-        """Extend/add materialized index entries for one chunk's rows."""
-        index = self._index
-        model = self.config.model
-        old_n = previous.num_clusters
-        new_ids: List[int] = []
-        grown_ids: List[int] = []
-        if not len(assignments):
-            return new_ids, grown_ids
-        # group the chunk's rows by cluster id (ascending, so new
-        # clusters are added in id order exactly like TopKIndex.build)
-        touched = int(assignments.min())
-        groups = group_rows_by_cluster(
-            assignments - touched, int(assignments.max()) - touched + 1
-        )
-        obs_seeds = chunk.observation_seeds()
-        # one batched rank/slot draw for every cluster the chunk opened:
-        # the per-cluster scalar path used to dominate live ingest
-        fresh = [
-            cid_offset + touched
-            for cid_offset, group in enumerate(groups)
-            if len(group) and cid_offset + touched >= old_n
-        ]
-        seed_locals = np.asarray(
-            [int(snapshot.seed_rows[cid]) - offset for cid in fresh],
-            dtype=np.int64,
-        )
-        top_ks = {}
-        if fresh:
-            lists = model.topk_lists(
-                obs_seeds[seed_locals],
-                chunk.class_id[seed_locals],
-                chunk.difficulty[seed_locals],
-                self.config.k,
-            )
-            top_ks = dict(zip(fresh, lists))
-        for cid_offset, group in enumerate(groups):
-            if not len(group):
-                continue
-            cid = cid_offset + touched
-            global_rows = group + offset
-            frames = chunk.frame_idx[group]
-            times = chunk.time_s[group]
-            if cid < old_n:
-                index.extend_cluster(cid, global_rows, frames, times)
-                grown_ids.append(cid)
-            else:
-                seed_local = int(snapshot.seed_rows[cid]) - offset
-                entry = ClusterEntry(
-                    cluster_id=cid,
-                    centroid_row=int(snapshot.seed_rows[cid]),
-                    centroid_class=int(chunk.class_id[seed_local]),
-                    top_k=tuple(top_ks[cid]),
-                    size=int(len(group)),
-                    first_time_s=float(times.min()),
-                    last_time_s=float(times.max()),
-                )
-                index.add_cluster(entry, global_rows, frames)
-                new_ids.append(cid)
-        return new_ids, grown_ids
 
     # -- persistence -------------------------------------------------------
     def checkpoint(self, store) -> int:
@@ -747,14 +667,13 @@ class StreamIngestor:
         store.discard_staged()  # a crashed checkpoint's staging is garbage
         journal = IngestJournal(store, stream)
         state_doc = load_ingest_state(store, stream)
-        descriptor = None
+        replay_after = -1 if state_doc is None else int(state_doc["journal_seq"])
+        # every record is verified before any replays
+        records = journal.records(after=replay_after)
         if state_doc is not None:
             descriptor = state_doc["payload"]["descriptor"]
         else:
-            for record in journal.records():
-                if record.kind == "open":
-                    descriptor = record.payload
-                    break
+            descriptor = next((r.payload for r in records if r.kind == "open"), None)
             if descriptor is None:
                 raise KeyError(
                     "stream %r has no durable state (no committed checkpoint "
@@ -792,17 +711,18 @@ class StreamIngestor:
             index_mode=descriptor["index_mode"],
             dispatcher=None,
         )
-        replay_after = -1
         if state_doc is not None:
             self._restore_state(store, state_doc)
-            replay_after = int(state_doc["journal_seq"])
-        for record in journal.records(after=replay_after):
-            if record.kind != "chunk":
+        # each decoded chunk is let go once replayed, so the suffix is
+        # never held decoded whole
+        records.reverse()
+        while records:
+            record = records.pop()
+            if record.chunk is None:
                 continue
-            chunk = chunk_from_payload(record.payload)
             watermark_s = record.payload.get("watermark_s")
-            self._validate_chunk(chunk, watermark_s)
-            self._ingest_chunk(chunk, watermark_s, dispatch=False)
+            self._validate_chunk(record.chunk, watermark_s)
+            self._ingest_chunk(record.chunk, watermark_s, dispatch=False)
         # journaling resumes where the lineage stands -- the max of the
         # committed cursor and any surviving records (compaction can
         # leave the journal empty); dispatch resumes live
@@ -833,8 +753,7 @@ class StreamIngestor:
         self._table = self._columns.table(self.stream, self.fps, self._watermark)
         # the index is a pure function of the rows, their assignments
         # and the seeds: derived here, never read back
-        derive = LazyTopKIndex if self.index_mode == "lazy" else TopKIndex.build
-        self._index = derive(
+        self._index = self._build_index(
             self._table, self.config.model, self.config.k, self._snapshot
         )
         self.committed_epoch = int(state_doc["epoch"])

@@ -119,16 +119,30 @@ def chunk_digest(seq: int, payload: Dict[str, Any]) -> str:
     The write path feeds the same digest while packing
     (:func:`chunk_to_payload`).
     """
+    return _read_record(seq, "chunk", payload)[0]
+
+
+def _read_record(seq: int, kind: str, payload: Dict[str, Any]):
+    """A record's checksum and, for a chunk record, the observation
+    chunk its columns decode to while they are hashed (None for other
+    kinds) -- the one place a stored chunk is read."""
+    from repro.video.synthesis import ObservationTable
+
+    if kind != "chunk":
+        return payload_digest({"seq": int(seq), "kind": kind, "payload": payload}), None
+    rows, stored = int(payload["rows"]), payload.get("columns", {})
     digest = _chunk_hasher(seq, payload["stream"], payload["fps"],
-                           payload.get("watermark_s"), payload["rows"])
-    _chunk_columns(payload, digest, "chunk record seq=%d" % seq)
-    return digest.hexdigest()
-
-
-def _record_digest(seq: int, kind: str, payload: Dict[str, Any]) -> str:
-    if kind == "chunk":
-        return chunk_digest(seq, payload)
-    return payload_digest({"seq": int(seq), "kind": kind, "payload": payload})
+                           payload.get("watermark_s"), rows)
+    where = "chunk record seq=%d" % seq
+    columns = {
+        name: _read_column(stored, name, dtype, rows, digest, where)
+        for name, dtype in CHUNK_COLUMNS
+    }
+    duration = float(columns["time_s"].max()) if rows else 0.0
+    if payload.get("watermark_s") is not None:
+        duration = max(duration, float(payload["watermark_s"]))
+    chunk = ObservationTable(payload["stream"], float(payload["fps"]), duration, **columns)
+    return digest.hexdigest(), chunk
 
 
 # -- row segments ----------------------------------------------------------------
@@ -175,41 +189,6 @@ def chunk_to_payload(chunk, watermark_s: Optional[float], digest=None) -> Dict[s
     }
 
 
-def _chunk_columns(payload, digest=None, where="chunk payload") -> Dict[str, np.ndarray]:
-    rows = int(payload["rows"])
-    columns = payload.get("columns", {})
-    return {
-        name: _read_column(columns, name, dtype, rows, digest, where)
-        for name, dtype in CHUNK_COLUMNS
-    }
-
-
-def chunk_from_payload(payload: Dict[str, Any]):
-    """Rebuild the observation chunk a journal record carries.
-
-    Raises :class:`JournalCorruption` when a column is torn or its
-    length disagrees with the recorded row count.
-    """
-    from repro.video.synthesis import ObservationTable
-
-    columns = _chunk_columns(payload)
-    duration = float(columns["time_s"].max()) if payload["rows"] else 0.0
-    if payload.get("watermark_s") is not None:
-        duration = max(duration, float(payload["watermark_s"]))
-    return ObservationTable(
-        payload["stream"],
-        float(payload["fps"]),
-        duration,
-        columns["track_id"],
-        columns["class_id"],
-        columns["time_s"],
-        columns["frame_idx"],
-        columns["difficulty"],
-        columns["appearance_seed"],
-        columns["obs_in_track"],
-    )
-
-
 # -- journal -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -219,6 +198,9 @@ class JournalRecord:
     seq: int
     kind: str
     payload: Dict[str, Any]
+    #: a chunk record's observation chunk, decoded while verifying;
+    #: None for other kinds
+    chunk: Optional[Any] = None
 
 
 class IngestJournal:
@@ -277,7 +259,7 @@ class IngestJournal:
             "seq": seq,
             "kind": kind,
             "payload": payload,
-            "checksum": checksum or _record_digest(seq, kind, payload),
+            "checksum": checksum or _read_record(seq, kind, payload)[0],
         }
         self.collection.insert_one(doc)
         self._next_seq = seq + 1
@@ -316,15 +298,18 @@ class IngestJournal:
         recomputation over the stored payload.  Across records: exact
         duplicates (same seq, same checksum -- an at-least-once retry
         that landed twice) collapse to one; conflicting duplicates and
-        sequence gaps raise :class:`JournalCorruption`.
+        sequence gaps raise :class:`JournalCorruption`.  A chunk record
+        carries the chunk its verification decoded, so a replay reads
+        each column once.
         """
         by_seq: Dict[int, Dict] = {}
+        chunks: Dict[int, Any] = {}
         for doc in self.collection.find():
             seq = int(doc["seq"])
             if seq <= after:
                 continue
             expected = doc.get("checksum")
-            actual = _record_digest(seq, doc.get("kind", ""), doc.get("payload", {}))
+            actual, chunk = _read_record(seq, doc.get("kind", ""), doc.get("payload", {}))
             if expected != actual:
                 raise JournalCorruption(
                     "journal %s: record seq=%d fails its checksum "
@@ -338,7 +323,7 @@ class IngestJournal:
                         % (self.collection_name, seq)
                     )
                 continue  # duplicated replay of the same append: idempotent
-            by_seq[seq] = doc
+            by_seq[seq], chunks[seq] = doc, chunk
         ordered = sorted(by_seq)
         for a, b in zip(ordered, ordered[1:]):
             if b != a + 1:
@@ -347,7 +332,7 @@ class IngestJournal:
                     "(lost or truncated records)" % (self.collection_name, a, b)
                 )
         return [
-            JournalRecord(seq=s, kind=by_seq[s]["kind"], payload=by_seq[s]["payload"])
+            JournalRecord(s, by_seq[s]["kind"], by_seq[s]["payload"], chunks[s])
             for s in ordered
         ]
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from fabric_loopback import armed, assert_no_leaked_segments, loopback_fabric, process_of
+from repro.core.costmodel import GPULedger
 from repro.core.streaming import StreamIngestor
 from repro.storage.docstore import DocumentStore
 from repro.storage.faults import FaultInjected, FaultyStore
@@ -163,6 +164,24 @@ class TestJournalIntegrity:
             journal.records()
         with pytest.raises(JournalCorruption):
             StreamIngestor.recover(store, table.stream)
+
+    def test_torn_last_record_replays_nothing(self, stream_setup):
+        """Every record is verified before any replays: a journal torn
+        only at its last chunk record charges nothing to the ledger the
+        recovery shares."""
+        table, config, chunks = stream_setup
+        store = DocumentStore()
+        ing = open_journaled(store, table, config)
+        for chunk in chunks[:3]:
+            ing.push(chunk)
+        coll = store.collection(JOURNAL_PREFIX + table.stream)
+        victim = coll.find({"seq": 3})[0]
+        torn = dict(victim["payload"]["columns"], time_s="")
+        coll.update_one(victim["_id"], {"payload": dict(victim["payload"], columns=torn)})
+        ledger = GPULedger()
+        with pytest.raises(JournalCorruption, match="seq=3"):
+            StreamIngestor.recover(store, table.stream, ledger=ledger)
+        assert ledger.entries == []
 
     def test_sequence_gap_detected(self, stream_setup):
         table, config, chunks = stream_setup

@@ -108,24 +108,34 @@ class TestStreamIngestorEquivalence:
             np.testing.assert_array_equal(
                 streamed.frames(cid), reference.frames(cid)
             )
+        for token in range(config.model.num_classes):
+            assert streamed.lookup(token) == reference.lookup(token)
 
     def test_clusters_grow_across_chunk_boundaries(self, table, config):
+        """Both modes report the same new/grown clusters per chunk (the
+        verification cache invalidates by ``new_clusters``)."""
         chunks, _ = row_chunks(table, 3)
-        ingestor = StreamIngestor(
-            config, table.stream, fps=table.fps, index_mode="materialized"
+        lazy, materialized = (
+            StreamIngestor(config, table.stream, fps=table.fps, index_mode=mode)
+            for mode in ("lazy", "materialized")
         )
-        first = ingestor.push(chunks[0])
+        first = materialized.push(chunks[0])
         assert first.new_clusters and not first.grown_clusters
         sizes_before = {
-            cid: ingestor.index.cluster(cid).size for cid in first.new_clusters
+            cid: materialized.index.cluster(cid).size for cid in first.new_clusters
         }
-        second = ingestor.push(chunks[1])
+        reports = [first, materialized.push(chunks[1]), materialized.push(chunks[2])]
+        second = reports[1]
         assert second.grown_clusters, "tracks span chunk boundaries"
         for cid in second.grown_clusters:
-            entry = ingestor.index.cluster(cid)
+            entry = materialized.index.cluster(cid)
             assert entry.size > sizes_before[cid]
-            assert len(ingestor.index.members(cid)) == entry.size
-            assert entry.last_time_s >= ingestor.index.cluster(cid).first_time_s
+            assert len(materialized.index.members(cid)) == entry.size
+            assert entry.last_time_s >= entry.first_time_s
+        for chunk, report in zip(chunks, reports):
+            lazy_report = lazy.push(chunk)
+            assert lazy_report.new_clusters == report.new_clusters
+            assert lazy_report.grown_clusters == report.grown_clusters
 
     def test_watermark_advances(self, table, config):
         chunks, _ = row_chunks(table, 2)
@@ -232,31 +242,44 @@ class TestMutableIndexes:
         ingested = IngestPipeline(config, index_mode="materialized").run(table)
         index = ingested.index
         entry = index.cluster(0)
-        with pytest.raises(ValueError, match="extend_cluster"):
+        with pytest.raises(ValueError, match="already indexed"):
             index.add_cluster(entry, index.members(0), index.frames(0))
 
-    def test_extend_cluster_unknown_id(self, config):
-        index = TopKIndex("s", config.model.name, config.k)
-        with pytest.raises(KeyError):
-            index.extend_cluster(7, np.array([1]), np.array([1]))
-
-    def test_extend_cluster_empty_is_noop(self, table, config):
-        ingested = IngestPipeline(config, index_mode="materialized").run(table)
-        before = ingested.index.cluster(0)
-        after = ingested.index.extend_cluster(
-            0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        )
-        assert before == after
-
-    def test_lazy_refresh_rejects_non_extension(self, table, model, config):
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_refresh_rejects_non_extension(self, table, model, config, index_mode):
         chunks, _ = row_chunks(table, 2)
-        ingestor = StreamIngestor(config, table.stream, fps=table.fps)
+        ingestor = StreamIngestor(
+            config, table.stream, fps=table.fps, index_mode=index_mode
+        )
         ingestor.push(chunks[0])
         other = cluster_table(
             table, model, threshold=config.cluster_threshold / 4
         )
         with pytest.raises(ValueError, match="extending"):
             ingestor.index.refresh(table, other)
+
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_refresh_with_same_snapshot_is_noop(self, table, config, index_mode):
+        chunks, _ = row_chunks(table, 2)
+        ingestor = StreamIngestor(
+            config, table.stream, fps=table.fps, index_mode=index_mode
+        )
+        for chunk in chunks:
+            ingestor.push(chunk)
+        index = ingestor.index
+        tokens = range(config.model.num_classes)
+
+        def state():
+            return (
+                [index.cluster(cid) for cid in range(index.num_clusters)],
+                [index.members(cid).tolist() for cid in range(index.num_clusters)],
+                [index.frames(cid).tolist() for cid in range(index.num_clusters)],
+                [index.lookup(token) for token in tokens],
+            )
+
+        before = state()
+        assert index.refresh(ingestor.table, ingestor.clusters) == ([], [])
+        assert state() == before
 
     def test_lazy_lookup_cache_survives_pure_growth(self, table, model, config):
         """Growing existing clusters keeps cached lookups; new centroids

@@ -26,12 +26,14 @@ from repro.cnn.zoo import cheap_cnn
 from repro.core.config import FocusConfig
 from repro.core.streaming import StreamIngestor
 from repro.storage.docstore import DocumentStore
+from repro.storage import journal as journal_module
 from repro.storage.journal import (
     CHUNK_COLUMNS,
     JOURNAL_PREFIX,
+    SEGMENT_COLUMNS,
+    STATE_PREFIX,
     IngestJournal,
     chunk_digest,
-    chunk_from_payload,
     chunk_to_payload,
 )
 from repro.video.synthesis import generate_observations
@@ -61,14 +63,19 @@ def uninterrupted(n):
     return ingestor
 
 
-def write_fixture(path):
-    store = DocumentStore()
+def fixture_session(store):
+    """The fixture's history: chunk 1 checkpointed, 2 and 3 journaled."""
     ingestor = session(store)
     first, second, third = chunks()[:3]
     ingestor.push(first)
     ingestor.checkpoint(store)
     ingestor.push(second)
     ingestor.push(third)
+
+
+def write_fixture(path):
+    store = DocumentStore()
+    fixture_session(store)
     store.save(path)
 
 
@@ -93,13 +100,12 @@ def test_stored_checksums_verify_in_both_forms(store):
     """The list-form checksums verify, and packing the same chunk today
     reproduces each one: the two forms hash the same bytes."""
     records = chunk_records(store)
-    assert [r.seq for r in IngestJournal(store, STREAM).records()][-2:] == [
-        doc["seq"] for doc in records
-    ]
-    for doc in records:
+    verified = IngestJournal(store, STREAM).records()
+    assert [r.seq for r in verified][-2:] == [doc["seq"] for doc in records]
+    for doc, record in zip(records, verified[-2:]):
         payload = doc["payload"]
         assert chunk_digest(doc["seq"], payload) == doc["checksum"]
-        packed = chunk_to_payload(chunk_from_payload(payload), payload["watermark_s"])
+        packed = chunk_to_payload(record.chunk, payload["watermark_s"])
         assert all(isinstance(v, str) for v in packed["columns"].values())
         assert chunk_digest(doc["seq"], packed) == doc["checksum"]
     assert records[0]["checksum"] == SECOND_CHUNK_CHECKSUM
@@ -123,6 +129,31 @@ def test_mixed_journal_recovers(store):
     assert state_fingerprint(again) == state_fingerprint(uninterrupted(4))
 
 
+@pytest.mark.parametrize("layout", ["packed", "lists"])
+def test_replay_decodes_each_column_once(monkeypatch, layout):
+    """``recover`` replays the chunks the journal's verification decoded:
+    one ``unpack_array`` per column per replayed chunk record, besides
+    one per column of each checkpointed row segment."""
+    if layout == "lists":
+        store = DocumentStore.load(FIXTURE)
+    else:
+        store = DocumentStore()
+        fixture_session(store)
+    calls = []
+    unpack = journal_module.unpack_array
+
+    def counting_unpack(*args, **kwargs):
+        calls.append(1)
+        return unpack(*args, **kwargs)
+
+    monkeypatch.setattr(journal_module, "unpack_array", counting_unpack)
+    recovered = StreamIngestor.recover(store, STREAM)
+    segments = [doc for doc in store.collection(STATE_PREFIX + STREAM).find()
+                if "start" in doc]
+    assert len(segments) == 1 and recovered.chunks_pushed == 3
+    assert len(calls) == len(SEGMENT_COLUMNS) + 2 * len(CHUNK_COLUMNS)
+
+
 def test_packed_record_is_small_and_bit_exact():
     """A 1 024-row record holds one ``str`` per column, reads back
     bit-exactly, and is at most 80 B/row resident (lists: ~167)."""
@@ -138,7 +169,9 @@ def test_packed_record_is_small_and_bit_exact():
         tracemalloc.stop()
     assert resident / 1024 <= 80
     assert all(isinstance(v, str) for v in payload["columns"].values())
-    back = chunk_from_payload(payload)
+    journal = IngestJournal(DocumentStore(), STREAM)
+    journal.append_chunk(chunk)
+    back = journal.records()[-1].chunk
     for name, dtype in CHUNK_COLUMNS:
         assert getattr(back, name).dtype == dtype
         assert getattr(back, name).tobytes() == np.asarray(
