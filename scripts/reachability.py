@@ -118,7 +118,7 @@ DECISIONS: Tuple[Tuple[str, str], ...] = (
     ("cnn/model.py:ClassifierModel.topk_list", _SCALAR),
     ("cnn/noise.py:ConfusionModel.sample_slots", _SCALAR),
     # paths no consumer configures
-    ("core/index.py:*TopKIndex.frames", "stays: `IndexReader` member the index-equivalence tests compare; queries read `members`"),
+    ("core/index.py:_ClusterStore._ranked", "stays: a lazy index's entries carry no ranked tokens; only the index tests read a lazy index's entries"),
     ("core/index.py:TopKIndex.entries", "stays: iterates a materialized index's entries; the index tests audit them"),
     ("fabric/client.py:ShardClient.store", _WORKER_MIGRATION),
     ("storage/docstore.py:DocumentStore.__reduce__", _WORKER_MIGRATION),

@@ -17,7 +17,7 @@ standing in for the paper's MongoDB deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -46,8 +46,8 @@ class IndexReader(Protocol):
     """The interface every top-K index variant serves.
 
     Query-side code (``QueryEngine``, the serve planner/scheduler) only
-    needs the read members; live ingest adds the one update verb,
-    ``refresh``.  Both :class:`TopKIndex` and :class:`LazyTopKIndex`
+    needs the read members -- GT verification only ``centroid_class``;
+    live ingest adds the one update verb, ``refresh``.  Both :class:`TopKIndex` and :class:`LazyTopKIndex`
     satisfy the protocol, as does any future variant, so
     ``IngestResult.index`` and friends are typed against this instead
     of a bare ``object``.
@@ -61,6 +61,8 @@ class IndexReader(Protocol):
     def num_clusters(self) -> int: ...
 
     def cluster(self, cluster_id: int) -> ClusterEntry: ...
+
+    def centroid_class(self, cluster_id: int) -> int: ...
 
     def members(self, cluster_id: int) -> np.ndarray: ...
 
@@ -78,21 +80,6 @@ class IndexReader(Protocol):
     def refresh(
         self, table: ObservationTable, clusters: ClusterSummary
     ) -> Tuple[List[int], List[int]]: ...
-
-
-def _refresh_delta(
-    old: ClusterSummary, new: ClusterSummary
-) -> Tuple[List[int], List[int]]:
-    """What both ``refresh``es return: ``(new_cluster_ids,
-    grown_cluster_ids)`` from ``old`` to ``new``, which must extend it --
-    no fewer rows or clusters, the same seed rows for existing ones."""
-    n = old.num_clusters
-    if (new.num_observations < old.num_observations or new.num_clusters < n
-            or not np.array_equal(new.seed_rows[:n], old.seed_rows)):
-        raise ValueError("refresh() requires a snapshot extending the current "
-                         "one (same seed rows for existing clusters)")
-    grown = np.flatnonzero(new.sizes[:n] != old.sizes).tolist()
-    return list(range(n, new.num_clusters)), grown
 
 
 def _cluster_doc(
@@ -115,32 +102,145 @@ def _cluster_doc(
     }
 
 
-def _entry_from_doc(doc: Dict) -> ClusterEntry:
-    return ClusterEntry(
-        cluster_id=doc["cluster_id"],
-        centroid_row=doc["centroid_row"],
-        centroid_class=doc["centroid_class"],
-        top_k=tuple(doc["top_k"]),
-        size=doc["size"],
-        first_time_s=doc["first_time_s"],
-        last_time_s=doc["last_time_s"],
-    )
+class _ClusterStore:
+    """What both index variants know about a cluster: the paper's
+    ``cluster ID -> [centroid object, <objects>, <frame IDs>]`` map.
 
-
-class TopKIndex:
-    """Class-token -> clusters mapping with per-entry rank positions."""
+    Per cluster id it holds the seed (centroid) row, the centroid's true
+    class, the first and last time and the member rows; all but the seed
+    rows (the snapshot's own array) are Python lists, which the query
+    path indexes directly.  Frame ids are derived from the
+    table's ``frame_idx`` on first read and cached; growing a cluster
+    drops its cached frames.  :meth:`_absorb` is the one update.  A
+    variant adds how a class token finds its clusters.
+    """
 
     def __init__(self, stream: str, model_name: str, k: int):
         self.stream = stream
         self.model_name = model_name
         self.k = k
-        self._clusters: Dict[int, ClusterEntry] = {}
-        self._by_class: Dict[int, List[Tuple[int, int]]] = {}  # token -> [(cluster, pos)]
-        self._members: Dict[int, np.ndarray] = {}
-        self._frames: Dict[int, np.ndarray] = {}
-        #: the snapshot absorbed so far, and the model that draws new
-        #: centroids' top-K (none on an index loaded from a store)
+        #: the snapshot absorbed so far and the table it indexes (none on
+        #: an index loaded from a store, whose frames are loaded with it)
         self._snapshot = NO_ROWS
+        self._table: Optional[ObservationTable] = None
+        self._seed_rows = NO_ROWS.seed_rows
+        self._seed_classes: List[int] = []
+        self._first: List[float] = []  # time of the first member
+        self._last: List[float] = []
+        self._members: List[np.ndarray] = []
+        self._frame_cache: Dict[int, np.ndarray] = {}
+
+    def _absorb(
+        self, table: ObservationTable, clusters: ClusterSummary
+    ) -> Tuple[List[int], List[int]]:
+        """Absorb the rows of ``table`` / ``clusters`` past the snapshot
+        last absorbed; ``clusters`` must extend it -- no fewer rows or
+        clusters, the same seed rows for existing ones.  Returns
+        ``(new_cluster_ids, grown_cluster_ids)``.
+
+        One ``grouped_min_max`` over the new rows gives their time spans;
+        a first absorb takes the snapshot's cached grouping, a later one
+        groups the new rows with one ``group_slices``.  Besides the new
+        rows, the work spans every id between the lowest and highest one
+        they touch, one comparison of every cluster's size finds the
+        grown ones, and a grown cluster's member array is re-concatenated
+        whole."""
+        old = self._snapshot
+        # n counts the clusters held, so an index loaded from a store
+        # (which absorbed no snapshot) refuses every snapshot
+        base, n = old.num_observations, self.num_clusters
+        if (clusters.num_observations < base or clusters.num_clusters < n
+                or not np.array_equal(clusters.seed_rows[:n], old.seed_rows)):
+            raise ValueError("refresh() requires a snapshot extending the current "
+                             "one (same seed rows for existing clusters)")
+        self._snapshot, self._table = clusters, table
+        delta = clusters.assignments[base:]
+        if not len(delta):
+            return [], []
+        grown = np.flatnonzero(clusters.sizes[:n] != old.sizes).tolist()
+        new = list(range(n, clusters.num_clusters))
+        lo = int(delta.min())
+        local = delta - lo
+        span = int(delta.max()) + 1 - lo
+        first, last = grouped_min_max(local, span, table.time_s[base:])
+        if base:
+            # owned arrays: a view would pin the whole chunk's ordering
+            order, starts = group_slices(local, span)
+            groups = [order[starts[c - lo] : starts[c - lo + 1]] + base for c in grown + new]
+            for cid, rows in zip(grown, groups):
+                self._first[cid] = min(self._first[cid], float(first[cid - lo]))
+                self._last[cid] = max(self._last[cid], float(last[cid - lo]))
+                self._members[cid] = np.concatenate([self._members[cid], rows])
+                self._frame_cache.pop(cid, None)
+            self._members += groups[len(grown):]
+        else:
+            self._members += clusters.members_by_cluster()  # cached, shared
+        self._seed_rows = clusters.seed_rows
+        self._seed_classes += table.class_id[clusters.seed_rows[n:]].tolist()
+        # the new ids are the highest the rows touch: the spans' tail
+        self._first += first[n - lo:].tolist()
+        self._last += last[n - lo:].tolist()
+        return new, grown
+
+    # -- reads ------------------------------------------------------------
+    @property
+    def num_clusters(self) -> int:
+        return len(self._seed_rows)
+
+    def cluster(self, cluster_id: int) -> ClusterEntry:
+        return ClusterEntry(
+            cluster_id=cluster_id,
+            centroid_row=int(self._seed_rows[cluster_id]),
+            centroid_class=self._seed_classes[cluster_id],
+            top_k=self._ranked(cluster_id),
+            size=len(self._members[cluster_id]),
+            first_time_s=self._first[cluster_id],
+            last_time_s=self._last[cluster_id],
+        )
+
+    def _ranked(self, cluster_id: int) -> Tuple[int, ...]:
+        """The centroid's ranked top-K tokens, where a variant keeps them."""
+        return ()
+
+    def centroid_class(self, cluster_id: int) -> int:
+        return self._seed_classes[cluster_id]
+
+    def members(self, cluster_id: int) -> np.ndarray:
+        return self._members[cluster_id]
+
+    def frames(self, cluster_id: int) -> np.ndarray:
+        frames = self._frame_cache.get(cluster_id)
+        if frames is None:
+            frames = self._table.frame_idx[self._members[cluster_id]]
+            self._frame_cache[cluster_id] = frames
+        return frames
+
+    def _limit(self, kx: int) -> int:
+        """``kx``, a lookup's dynamic query-time K (Section 5), checked
+        to lie in 1..K."""
+        if kx < 1:
+            raise ValueError("kx must be >= 1")
+        if kx > self.k:
+            raise ValueError("kx=%d exceeds the index width K=%d" % (kx, self.k))
+        return kx
+
+    def _overlapping(self, ids: List[int], time_range: Tuple[float, float]) -> List[int]:
+        """``ids`` without the clusters that do not overlap
+        ``time_range``'s [start, end) seconds."""
+        start, end = time_range
+        first, last = self._first, self._last
+        return [c for c in ids if last[c] >= start and first[c] < end]
+
+
+class TopKIndex(_ClusterStore):
+    """Class-token -> clusters mapping with per-entry rank positions."""
+
+    def __init__(self, stream: str, model_name: str, k: int):
+        super().__init__(stream, model_name, k)
+        self._by_class: Dict[int, List[Tuple[int, int]]] = {}  # token -> [(cluster, pos)]
+        self._top_k: List[Tuple[int, ...]] = []
+        #: the model that draws new centroids' top-K (none on an index
+        #: loaded from a store)
         self._model: Optional[ClassifierModel] = None
 
     # -- construction -------------------------------------------------------
@@ -163,88 +263,31 @@ class TopKIndex:
         self, table: ObservationTable, clusters: ClusterSummary
     ) -> Tuple[List[int], List[int]]:
         """Absorb the rows of ``table`` / ``clusters`` past the snapshot
-        last absorbed (contract and return as :meth:`LazyTopKIndex.refresh`).
-
-        Each new cluster is linked, in id order, from the ingest CNN's
-        ranked top-K classes of its centroid, drawn in one batch.  A
-        grown cluster keeps its centroid and tokens; its member and
-        frame lists are re-concatenated whole and its size and time
-        span widened.  Besides the new rows, the work spans every id
-        between the lowest and highest one they touch, and one
-        comparison of every cluster's size finds the grown ones."""
-        old = self._snapshot
-        new_ids, grown_ids = _refresh_delta(old, clusters)
-        base, old_n = old.num_observations, old.num_clusters
-        delta = clusters.assignments[base:]
-        self._snapshot = clusters
-        if not len(delta):
-            return [], []
-        lo = int(delta.min())
-        local = delta - lo
-        span = int(delta.max()) + 1 - lo
-        first, last = grouped_min_max(local, span, table.time_s[base:])
-        touched = grown_ids + new_ids
-        if base:
-            # owned arrays: a view would pin the whole chunk's ordering
-            order, starts = group_slices(local, span)
-            groups = {c: order[starts[c - lo] : starts[c - lo + 1]] + base for c in touched}
-        else:
-            groups = clusters.members_by_cluster()  # cached, shared
-        seeds, top_ks = clusters.seed_rows[old_n:], []
-        if len(seeds):
-            # one batched rank/slot draw for every centroid the rows opened
+        last absorbed (:meth:`_ClusterStore._absorb`, whose contract and
+        return this shares), then link each new cluster, in id order,
+        from the ingest CNN's ranked top-K classes of its centroid,
+        drawn in one batch.  A grown cluster keeps its centroid and
+        tokens."""
+        base, n = self._snapshot.num_observations, self.num_clusters
+        new_ids, grown_ids = self._absorb(table, clusters)
+        if new_ids:
+            seeds = clusters.seed_rows[n:]
             obs_seeds = table.slice(base, len(table)).observation_seeds()
-            top_ks = self._model.topk_lists(
+            for top_k in self._model.topk_lists(
                 obs_seeds[seeds - base], table.class_id[seeds],
                 table.difficulty[seeds], self.k,
-            )
-        for cid in touched:
-            i = cid - lo
-            member_rows = groups[cid]
-            frame_ids = table.frame_idx[member_rows]
-            if cid < old_n:
-                entry = self._clusters[cid]
-                self._members[cid] = np.concatenate([self._members[cid], member_rows])
-                self._frames[cid] = np.concatenate([self._frames[cid], frame_ids])
-                self._clusters[cid] = replace(
-                    entry,
-                    size=entry.size + len(member_rows),
-                    first_time_s=min(entry.first_time_s, float(first[i])),
-                    last_time_s=max(entry.last_time_s, float(last[i])),
-                )
-            else:
-                row = int(clusters.seed_rows[cid])
-                entry = ClusterEntry(
-                    cluster_id=cid,
-                    centroid_row=row,
-                    centroid_class=int(table.class_id[row]),
-                    top_k=tuple(top_ks[cid - old_n]),
-                    size=len(member_rows),
-                    first_time_s=float(first[i]),
-                    last_time_s=float(last[i]),
-                )
-                self.add_cluster(entry, member_rows, frame_ids)
+            ):
+                self._link(tuple(top_k))
         return new_ids, grown_ids
 
-    def add_cluster(
-        self, entry: ClusterEntry, member_rows: np.ndarray, frame_ids: np.ndarray
-    ) -> None:
-        if entry.cluster_id in self._clusters:
-            raise ValueError(
-                "cluster %d already indexed; refresh() appends members to "
-                "a live cluster" % entry.cluster_id
-            )
-        self._clusters[entry.cluster_id] = entry
-        self._members[entry.cluster_id] = np.asarray(member_rows, dtype=np.int64)
-        self._frames[entry.cluster_id] = np.asarray(frame_ids, dtype=np.int64)
-        for pos, token in enumerate(entry.top_k, start=1):
-            self._by_class.setdefault(int(token), []).append((entry.cluster_id, pos))
+    def _link(self, top_k: Tuple[int, ...]) -> None:
+        """Index the next cluster id under its ranked top-K tokens."""
+        cluster_id = len(self._top_k)
+        self._top_k.append(top_k)
+        for pos, token in enumerate(top_k, start=1):
+            self._by_class.setdefault(int(token), []).append((cluster_id, pos))
 
     # -- reads ------------------------------------------------------------
-    @property
-    def num_clusters(self) -> int:
-        return len(self._clusters)
-
     @property
     def num_entries(self) -> int:
         return sum(len(v) for v in self._by_class.values())
@@ -252,14 +295,8 @@ class TopKIndex:
     def classes(self) -> List[int]:
         return sorted(self._by_class)
 
-    def cluster(self, cluster_id: int) -> ClusterEntry:
-        return self._clusters[cluster_id]
-
-    def members(self, cluster_id: int) -> np.ndarray:
-        return self._members[cluster_id]
-
-    def frames(self, cluster_id: int) -> np.ndarray:
-        return self._frames[cluster_id]
+    def _ranked(self, cluster_id: int) -> Tuple[int, ...]:
+        return self._top_k[cluster_id]
 
     def lookup(
         self,
@@ -278,27 +315,17 @@ class TopKIndex:
             time_range: optionally restrict to clusters overlapping
                 [start, end) seconds.
         """
-        if kx is not None:
-            if kx < 1:
-                raise ValueError("kx must be >= 1")
-            if kx > self.k:
-                raise ValueError("kx=%d exceeds the index width K=%d" % (kx, self.k))
-        limit = self.k if kx is None else kx
-        hits = self._by_class.get(int(class_token), [])
+        limit = self.k if kx is None else self._limit(kx)
+        # a loop, not a comprehension: most tokens hit one or two clusters,
+        # and a comprehension's frame would cost more than its work
         out = []
-        for cluster_id, pos in hits:
-            if pos > limit:
-                continue
-            if time_range is not None:
-                entry = self._clusters[cluster_id]
-                start, end = time_range
-                if entry.last_time_s < start or entry.first_time_s >= end:
-                    continue
-            out.append(cluster_id)
-        return out
+        for cluster_id, pos in self._by_class.get(int(class_token), ()):
+            if pos <= limit:
+                out.append(cluster_id)
+        return out if time_range is None else self._overlapping(out, time_range)
 
     def entries(self) -> Iterable[ClusterEntry]:
-        return self._clusters.values()
+        return [self.cluster(cid) for cid in range(self.num_clusters)]
 
     # -- persistence --------------------------------------------------------
     def to_docstore(self, store: CheckpointStore) -> None:
@@ -310,38 +337,49 @@ class TopKIndex:
             {"stream": self.stream},
             {"stream": self.stream, "model": self.model_name, "k": self.k},
         )
-        for cid in self._clusters:
+        for cid in range(self.num_clusters):
             clusters.insert_one(
-                _cluster_doc(self._clusters[cid], self._members[cid], self._frames[cid])
+                _cluster_doc(self.cluster(cid), self._members[cid], self.frames(cid))
             )
         clusters.create_index("cluster_id")
 
     @classmethod
     def from_docstore(cls, store: DocumentStore, stream: str) -> "TopKIndex":
-        """Load a stream's exported index (:meth:`to_docstore`)."""
+        """Load a stream's exported index (:meth:`to_docstore`), whose
+        cluster ids must be exactly 0..n-1.  The loaded index answers
+        reads only: it holds no snapshot to extend."""
         meta = store.collection("index-meta").find_one({"stream": stream})
         if meta is None:
             raise KeyError("no index for stream %r in store" % stream)
-        index = cls(stream=stream, model_name=meta["model"], k=meta["k"])
-        for doc in sorted(
+        docs = sorted(
             store.collection("clusters:%s" % stream).find(),
             key=lambda d: d["cluster_id"],
-        ):
-            index.add_cluster(
-                _entry_from_doc(doc),
-                np.asarray(doc["members"], dtype=np.int64),
-                np.asarray(doc["frames"], dtype=np.int64),
+        )
+        if [doc["cluster_id"] for doc in docs] != list(range(len(docs))):
+            raise ValueError(
+                "stream %r: exported cluster ids are not 0..n-1, each once" % stream
             )
+        index = cls(stream=stream, model_name=meta["model"], k=meta["k"])
+        seed_rows = []
+        for cid, doc in enumerate(docs):
+            seed_rows.append(doc["centroid_row"])
+            index._seed_classes.append(doc["centroid_class"])
+            index._first.append(doc["first_time_s"])
+            index._last.append(doc["last_time_s"])
+            index._members.append(np.asarray(doc["members"], dtype=np.int64))
+            index._frame_cache[cid] = np.asarray(doc["frames"], dtype=np.int64)
+            index._link(tuple(doc["top_k"]))
+        index._seed_rows = np.asarray(seed_rows, dtype=np.int64)
         return index
 
 
-class LazyTopKIndex:
+class LazyTopKIndex(_ClusterStore):
     """Top-K index evaluated lazily per query token.
 
     Materializing explicit top-K lists costs O(clusters * K) at ingest;
     with K up to 200 and ablation configurations where every observation
     is its own cluster, that dominates runtime while queries only ever
-    touch a handful of tokens.  This variant stores the centroid
+    touch a handful of tokens.  This variant keeps the centroid
     observations and answers ``lookup`` by running the ingest model's
     (deterministic) top-K membership over all centroids at once --
     bitwise-identical across repeated calls, cached per (token, kx).
@@ -350,81 +388,30 @@ class LazyTopKIndex:
     """
 
     def __init__(self, table, model, k: int, clusters: ClusterSummary):
-        self.stream = table.stream
-        self.model_name = model.name
-        self.k = k
+        super().__init__(table.stream, model.name, k)
         self._model = model
         self._lookup_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._rebuild(table, clusters)
-
-    def _rebuild(self, table, clusters: ClusterSummary) -> None:
-        """(Re)derive every per-cluster array from a clustering snapshot.
-
-        Runs once per live-ingest refresh, so everything per-cluster is
-        vectorized (``grouped_min_max``) or deferred (member frame
-        lists materialize lazily per queried cluster)."""
-        self._clusters = clusters
-        self._table = table
-        seed_mask = np.zeros(len(table), dtype=bool)
-        seed_mask[clusters.seed_rows] = True
-        self._centroid_table = table.select(seed_mask)
-        # select() keeps row order, so the i-th centroid-table row holds
-        # the i-th smallest seed row; argsort maps each centroid-table
-        # position back to its cluster id
-        self._centroid_cluster_ids = np.argsort(clusters.seed_rows, kind="stable")
-        self._members = clusters.members_by_cluster()
-        self._frames_cache: Dict[int, np.ndarray] = {}
-        self._centroid_class = table.class_id[clusters.seed_rows]
-        self._first_time, self._last_time = grouped_min_max(
-            clusters.assignments, clusters.num_clusters, table.time_s
-        )
+        self._centroid_table = table.select(NO_ROWS.seed_rows)  # no clusters yet
+        self.refresh(table, clusters)
 
     def refresh(
         self, table, clusters: ClusterSummary
     ) -> Tuple[List[int], List[int]]:
-        """Absorb a grown table/clustering snapshot (live ingest).
+        """Absorb a grown table/clustering snapshot (live ingest):
+        :meth:`_ClusterStore._absorb`, whose contract and return this
+        shares.
 
-        ``clusters`` must extend the snapshot this index currently
-        holds: existing cluster ids keep their seed rows, new ids are
-        appended.  The per-token lookup cache is invalidated only when
-        *new centroids* appeared -- growing an existing cluster cannot
-        change any token's centroid hit list, so pure-growth refreshes
-        keep every cached lookup.
-
-        Returns ``(new_cluster_ids, grown_cluster_ids)``.
+        The per-token lookup cache is invalidated only when *new
+        centroids* appeared -- growing an existing cluster cannot change
+        any token's centroid hit list, so pure-growth refreshes keep
+        every cached lookup.
         """
-        new_ids, grown_ids = _refresh_delta(self._clusters, clusters)
-        self._rebuild(table, clusters)
+        new_ids, grown_ids = self._absorb(table, clusters)
         if new_ids:
             # a new centroid may belong to any token's top-K hit list
             self._lookup_cache.clear()
+            self._centroid_table = table.select(clusters.seed_rows)
         return new_ids, grown_ids
-
-    @property
-    def num_clusters(self) -> int:
-        return self._clusters.num_clusters
-
-    def cluster(self, cluster_id: int) -> ClusterEntry:
-        members = self._members[cluster_id]
-        return ClusterEntry(
-            cluster_id=cluster_id,
-            centroid_row=int(self._clusters.seed_rows[cluster_id]),
-            centroid_class=int(self._centroid_class[cluster_id]),
-            top_k=(),
-            size=int(len(members)),
-            first_time_s=float(self._first_time[cluster_id]),
-            last_time_s=float(self._last_time[cluster_id]),
-        )
-
-    def members(self, cluster_id: int) -> np.ndarray:
-        return self._members[cluster_id]
-
-    def frames(self, cluster_id: int) -> np.ndarray:
-        frames = self._frames_cache.get(cluster_id)
-        if frames is None:
-            frames = self._table.frame_idx[self._members[cluster_id]]
-            self._frames_cache[cluster_id] = frames
-        return frames
 
     def lookup(
         self,
@@ -433,30 +420,21 @@ class LazyTopKIndex:
         time_range: Optional[Tuple[float, float]] = None,
     ) -> List[int]:
         """Cluster ids whose centroid top-K contains ``class_token``."""
-        if kx is not None:
-            if kx < 1:
-                raise ValueError("kx must be >= 1")
-            if kx > self.k:
-                raise ValueError("kx=%d exceeds the index width K=%d" % (kx, self.k))
-        limit = self.k if kx is None else kx
+        limit = self.k if kx is None else self._limit(kx)
         cache_key = (int(class_token), limit)
         hits = self._lookup_cache.get(cache_key)
         if hits is None:
             member = self._model.topk_membership(self._centroid_table, class_token, limit)
-            hits = self._centroid_cluster_ids[member]
+            # the clusterer opens ids in row order, so the centroid
+            # table's i-th row is cluster i's seed
+            hits = np.flatnonzero(member)
             self._lookup_cache[cache_key] = hits
-        out = []
-        for cid in hits:
-            if time_range is not None:
-                start, end = time_range
-                if self._last_time[cid] < start or self._first_time[cid] >= end:
-                    continue
-            out.append(int(cid))
-        return out
+        out = hits.tolist()
+        return out if time_range is None else self._overlapping(out, time_range)
 
     def materialize(self) -> "TopKIndex":
         """Write out an explicit :class:`TopKIndex` (e.g. for export)."""
-        return TopKIndex.build(self._table, self._model, self.k, self._clusters)
+        return TopKIndex.build(self._table, self._model, self.k, self._snapshot)
 
     def to_docstore(self, store: CheckpointStore) -> None:
         """Export by materializing entries (:meth:`TopKIndex.to_docstore`)."""

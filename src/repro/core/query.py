@@ -132,7 +132,7 @@ class QueryEngine:
         true class of the centroid observation; whoever calls this is
         responsible for recording the GT-CNN cost.
         """
-        return self.index.cluster(cluster_id).centroid_class == class_id
+        return self.index.centroid_class(cluster_id) == class_id
 
     def collect(
         self,

@@ -205,15 +205,16 @@ class StreamIngestor:
     query answers trustworthy.
 
     Per-push cost: table accumulation copies only the chunk (amortized
-    doubling buffers), but neither index mode's refresh is O(chunk).  A
-    ``materialized`` refresh (:meth:`TopKIndex.refresh`) draws top-K
-    only for the chunk's new centroids, yet its grouping spans every
-    cluster id between the lowest and highest one the chunk touches,
-    and each grown cluster's whole member array is re-concatenated --
-    so a push costs more per row as the stream's history grows.
-    ``lazy`` mode skips all top-K materialization at ingest, but its
-    :meth:`LazyTopKIndex.refresh` rebuilds per-cluster arrays over the
-    accumulated window, an O(rows so far) step per push.
+    doubling buffers).  Both index modes absorb the rows past their last
+    snapshot the same way (:meth:`TopKIndex.refresh`,
+    :meth:`LazyTopKIndex.refresh`), grouping only the chunk's rows, but
+    that grouping spans every cluster id between the lowest and highest
+    one the chunk touches, and each grown cluster's whole member array
+    is re-concatenated -- so a push still costs more per row as the
+    stream's history grows.  ``materialized`` mode draws top-K for the
+    chunk's new centroids only; ``lazy`` mode draws none at ingest, but
+    re-selects its centroid table (one row per cluster) whenever new
+    centroids appeared.
     """
 
     def __init__(

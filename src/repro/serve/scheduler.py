@@ -204,7 +204,7 @@ class BatchVerificationScheduler:
         try:
             for key, engine in fresh:
                 _, cluster_id = key
-                gt_class = int(engine.index.cluster(cluster_id).centroid_class)
+                gt_class = engine.index.centroid_class(cluster_id)
                 verdicts[key] = gt_class
                 self.cache.put(self._cache_key(key), gt_class)
                 completed += 1

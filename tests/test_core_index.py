@@ -66,11 +66,6 @@ class TestMaterialized:
             assert len(members) == len(frames) == entry.size
             np.testing.assert_array_equal(tiny_table.frame_idx[members], frames)
 
-    def test_duplicate_cluster_rejected(self, built):
-        entry = next(iter(built.entries()))
-        with pytest.raises(ValueError):
-            built.add_cluster(entry, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-
     def test_docstore_round_trip(self, built):
         store = DocumentStore()
         built.to_docstore(store)
@@ -83,6 +78,21 @@ class TestMaterialized:
     def test_docstore_missing_stream(self):
         with pytest.raises(KeyError):
             TopKIndex.from_docstore(DocumentStore(), "nothing")
+
+    @pytest.mark.parametrize("edit", ["repeat", "skip"])
+    def test_docstore_refuses_ids_other_than_0_to_n(self, built, edit):
+        """An export whose cluster ids repeat or skip one is refused,
+        not loaded as an index whose ids no longer match its rows."""
+        store = DocumentStore()
+        built.to_docstore(store)
+        clusters = store.collection("clusters:%s" % built.stream)
+        if edit == "repeat":
+            doc = clusters.find_one({"cluster_id": 0})
+            clusters.insert_one({k: v for k, v in doc.items() if k != "_id"})
+        else:
+            assert clusters.delete_many({"cluster_id": 1}) == 1
+        with pytest.raises(ValueError, match="0..n-1"):
+            TopKIndex.from_docstore(store, built.stream)
 
 
 class TestLazy:
@@ -98,6 +108,21 @@ class TestLazy:
     def test_lookup_kx_narrows(self, lazy, spec_model_tiny):
         token = int(spec_model_tiny.head_classes[0])
         assert len(lazy.lookup(token, kx=1)) <= len(lazy.lookup(token))
+
+    def test_lookup_lists_ids_in_seed_row_order(
+        self, lazy, clusters, tiny_table, spec_model_tiny
+    ):
+        """The clusterer opens ids in row order, so the centroid table
+        lists seeds in id order and a lookup's hits come out as the
+        seed-row-ordered selection of the centroids would list them."""
+        assert np.all(np.diff(clusters.seed_rows) > 0)
+        seed_mask = np.zeros(len(tiny_table), dtype=bool)
+        seed_mask[clusters.seed_rows] = True
+        centroids = tiny_table.select(seed_mask)
+        by_seed_row = np.argsort(clusters.seed_rows, kind="stable")
+        for token in [-1] + [int(c) for c in spec_model_tiny.head_classes]:
+            member = spec_model_tiny.topk_membership(centroids, token, lazy.k)
+            assert lazy.lookup(token) == by_seed_row[member].tolist()
 
     def test_lookup_kx_validation(self, lazy):
         with pytest.raises(ValueError):

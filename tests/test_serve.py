@@ -353,14 +353,10 @@ class _StubIndex:
         self._classes = classes
         self._fail_on = set(fail_on)
 
-    def cluster(self, cluster_id):
+    def centroid_class(self, cluster_id):
         if cluster_id in self._fail_on:
             raise KeyError("cluster %d retired mid-round" % cluster_id)
-
-        class _Cluster:
-            centroid_class = self._classes[cluster_id]
-
-        return _Cluster()
+        return self._classes[cluster_id]
 
 
 class _StubEngine:

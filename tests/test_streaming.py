@@ -8,8 +8,9 @@ of the same prefix window.
 import numpy as np
 import pytest
 
+import repro.core.index as index_module
 from repro.cnn.zoo import resnet152
-from repro.core.clustering import IncrementalClusterer, cluster_table
+from repro.core.clustering import IncrementalClusterer, cluster_table, grouped_min_max
 from repro.core.index import IndexReader, LazyTopKIndex, TopKIndex
 from repro.core.ingest import IngestPipeline
 from repro.core.query import QueryEngine
@@ -238,13 +239,6 @@ class TestClustererAcrossChunks:
 
 
 class TestMutableIndexes:
-    def test_add_cluster_still_rejects_known_id(self, table, model, config):
-        ingested = IngestPipeline(config, index_mode="materialized").run(table)
-        index = ingested.index
-        entry = index.cluster(0)
-        with pytest.raises(ValueError, match="already indexed"):
-            index.add_cluster(entry, index.members(0), index.frames(0))
-
     @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
     def test_refresh_rejects_non_extension(self, table, model, config, index_mode):
         chunks, _ = row_chunks(table, 2)
@@ -281,6 +275,30 @@ class TestMutableIndexes:
         assert index.refresh(ingestor.table, ingestor.clusters) == ([], [])
         assert state() == before
 
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_refresh_groups_only_the_chunk(self, table, config, index_mode, monkeypatch):
+        """A refresh's time-span grouping reads the chunk's rows, not the
+        history: equal-sized chunks hand ``grouped_min_max`` as many rows
+        at 4x history as at 1x (a count, so no clock is involved)."""
+        handed = []
+
+        def counting(assignments, num_clusters, values):
+            handed.append(len(assignments))
+            return grouped_min_max(assignments, num_clusters, values)
+
+        monkeypatch.setattr(index_module, "grouped_min_max", counting)
+        ingestor = StreamIngestor(
+            config, table.stream, fps=table.fps, index_mode=index_mode
+        )
+        rows = len(table) // 5
+        per_push = []
+        for i in range(5):
+            before = len(handed)
+            ingestor.push(table.slice(i * rows, (i + 1) * rows))
+            per_push.append(sum(handed[before:]))
+        # the fifth push runs on 4x the history of the second
+        assert per_push == [rows] * 5
+
     def test_lazy_lookup_cache_survives_pure_growth(self, table, model, config):
         """Growing existing clusters keeps cached lookups; new centroids
         invalidate them."""
@@ -315,14 +333,22 @@ class TestDerivedIndex:
     def test_recovered_index_equals_live(self, table, config, index_mode):
         """A checkpoint stores no index: recovery derives one equal to
         the live session's at every checkpoint -- entries, members,
-        frames, lookups and, materialized, every class's entry order."""
-        chunks, _ = row_chunks(table, 3)
+        frames, lookups (at full K, at ``kx=1`` and over two time ranges)
+        and, materialized, every class's entry order."""
+        chunks, bounds = row_chunks(table, 3)
         store = DocumentStore()
         ingestor = StreamIngestor(
             config, table.stream, fps=table.fps, index_mode=index_mode,
             journal=IngestJournal(store, table.stream),
         )
         tokens = [int(c) for c in np.unique(table.class_id)]
+        # one range inside the stream, one straddling the first chunk
+        # boundary
+        boundary = float(table.time_s[bounds[1]])
+        time_ranges = [
+            (float(table.time_s[len(table) // 8]), float(table.time_s[len(table) // 4])),
+            (boundary - 2.0, boundary + 2.0),
+        ]
         for chunk in chunks:
             ingestor.push(chunk)
             ingestor.checkpoint(store)
@@ -336,6 +362,10 @@ class TestDerivedIndex:
                 np.testing.assert_array_equal(derived.frames(cid), live.frames(cid))
             for token in tokens:
                 assert derived.lookup(token) == live.lookup(token)
+                assert derived.lookup(token, kx=1) == live.lookup(token, kx=1)
+                for time_range in time_ranges:
+                    assert (derived.lookup(token, time_range=time_range)
+                            == live.lookup(token, time_range=time_range))
             if index_mode == "materialized":
                 assert derived._by_class == live._by_class
 
