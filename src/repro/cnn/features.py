@@ -61,29 +61,41 @@ _HARD_EPISODE_FRAMES = 6
 _APP_SCALE_RANGE = (0.35, 1.40)
 _DRIFT_SCALE_RANGE = (0.50, 1.50)
 
+#: rows per assembly step of :meth:`FeatureExtractor._extract_block`:
+#: its [rows, dim] float64 intermediates are then 256 KiB each, where a
+#: whole 1 024-row block's are 1 MiB
+_ASSEMBLY_ROWS = 256
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+
+def _unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``matrix``'s rows scaled to unit length (zero rows stay zero),
+    written to ``out``: a new array by default, ``matrix`` itself to
+    normalize in place, or a float32 view, which takes each float64
+    quotient rounded once, as ``astype`` would."""
+    # np.linalg.norm's own expression, bit for bit, minus one temporary
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
     norms[norms == 0] = 1.0
-    return matrix / norms
+    return np.divide(matrix, norms, out=out)
 
 
 def _draw_unit_rows(seed_parts, dim: int):
-    """One unit-normalized normal row per seed, one list per part.
+    """One unit-normalized normal row per seed, one view per part.
 
     A single :func:`hash_normal_matrix` call over the stacked seeds,
-    split afterwards: its fixed cost (~40 us) is paid once, not once
-    per part, and since a row depends only on its seed every output
-    bit is the same as one call per part.
+    normalized in place and split afterwards: its fixed cost (~40 us) is
+    paid once, not once per part, and since a row depends only on its
+    seed every output bit is the same as one call per part.  The parts
+    are views of the one draw, so a caller that keeps a row past the
+    block copies it first.
     """
     bounds = np.cumsum([len(part) for part in seed_parts])
     if not bounds[-1]:
         return [np.zeros((0, dim)) for _ in seed_parts]
     normals = hash_normal_matrix(np.concatenate(seed_parts), dim)
-    return [_unit_rows(rows) for rows in np.split(normals, bounds[:-1])]
+    return np.split(_unit_rows(normals, out=normals), bounds[:-1])
 
 
-# Every extraction frees one block's few MiB of intermediates.  glibc
+# Every extraction frees one block's ~3 MB of intermediates.  glibc
 # trims its heap past twice the largest mmapped chunk freed so far, so a
 # process whose biggest transient is one block hands that memory back
 # after each call and page-faults it in again on the next.  Pin
@@ -131,8 +143,10 @@ class FeatureExtractor:
     """
 
     #: rows per extraction block, and the default feature chunk of
-    #: one-shot ingest and the tuner: each of the ~25 [n, dim] float64
-    #: intermediates is then 1 MiB and stays L2-resident
+    #: one-shot ingest and the tuner.  A block draws its normals as one
+    #: [rows, dim] float64 array (1 MiB at dim 128) and assembles its
+    #: rows :data:`_ASSEMBLY_ROWS` at a time: a warm block peaks at
+    #: ~3.2 MB of live arrays, its float32 output included
     #: (docs/PERFORMANCE.md, "Feeding layers", has the measurements).
     BLOCK_ROWS = 1024
 
@@ -233,6 +247,9 @@ class FeatureExtractor:
         / ``m_app1`` those tracks' two unit appearance bases, drawn with
         the rest of the block's normals.
         """
+        # the cache keeps rows of these: copied, since a view would pin
+        # the block's whole normal draw
+        m_app0, m_app1 = m_app0.copy(), m_app1.copy()
         cache = self._track_cache
         u = len(unique_tracks)
         app0 = np.empty((u, self.dim), dtype=np.float64)
@@ -277,27 +294,28 @@ class FeatureExtractor:
     def extract(self, table: ObservationTable) -> np.ndarray:
         """Feature matrix [n, dim] (float32) for all rows of ``table``.
 
-        Internally processed in :attr:`BLOCK_ROWS` blocks: every row's
-        vector is a pure function of that row, so blocking cannot change
-        any output bit, but it keeps the ~25 elementwise intermediate
-        arrays cache-resident on large windows.
+        Internally processed in :attr:`BLOCK_ROWS` blocks, each written
+        straight into the output: every row's vector is a pure function
+        of that row, so blocking cannot change any output bit, but it
+        bounds the intermediates whatever the table's length.
         """
         n = len(table)
-        if n <= self.BLOCK_ROWS:
-            return self._extract_block(table)
         out = np.empty((n, self.dim), dtype=np.float32)
         for start in range(0, n, self.BLOCK_ROWS):
             stop = min(start + self.BLOCK_ROWS, n)
-            out[start:stop] = self._extract_block(table.slice(start, stop))
+            self._extract_block(table.slice(start, stop), out[start:stop])
         return out
 
-    def _extract_block(self, table: ObservationTable) -> np.ndarray:
-        n = len(table)
-        if n == 0:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        calib = self.calibration
+    def _extract_block(self, table: ObservationTable, out: np.ndarray) -> None:
+        """Write the feature rows of ``table`` (1..BLOCK_ROWS rows) into
+        ``out`` ([n, dim] float32).
 
-        proto = _class_prototypes(calib, table.class_id)
+        Everything drawn or gathered per track or per row stays whole
+        for the block; the [n, dim] float64 assembly runs
+        :data:`_ASSEMBLY_ROWS` rows at a time, so the block's largest
+        live array is its one stacked normal draw."""
+        n = len(table)
+        calib = self.calibration
 
         track_seeds = table.appearance_seed.astype(np.uint64)
         unique_tracks, first_row_of_track, track_inverse = np.unique(
@@ -314,12 +332,13 @@ class FeatureExtractor:
         # nearest neighbours stay same-class (Section 2.2.3) while each
         # episode still seeds its own stray cluster -- the candidate-set
         # inflation real deployments see at query time.
+        hard_rows = np.zeros(0, dtype=np.int64)
         hard_seeds = np.zeros(0, dtype=np.uint64)
         if calib.hard_example_fraction > 0:
             bucket = (table.obs_in_track // _HARD_EPISODE_FRAMES).astype(np.uint64)
             episode_seed = combine(track_seeds, bucket, np.uint64(_HARD_MASK_SALT))
-            hard = hash_uniform(episode_seed) < calib.hard_example_fraction
-            hard_seeds = combine(episode_seed[hard], np.uint64(_HARD_DIR_SALT))
+            hard_rows = np.flatnonzero(hash_uniform(episode_seed) < calib.hard_example_fraction)
+            hard_seeds = combine(episode_seed[hard_rows], np.uint64(_HARD_DIR_SALT))
         noise_scale = calib.noise_scale * self.noise_multiplier
         noise_seeds = np.zeros(0, dtype=np.uint64)
         if noise_scale > 0:
@@ -340,31 +359,47 @@ class FeatureExtractor:
             unique_tracks, track_classes, missing, m_app0, m_app1
         )
         app_scale = app_scale[:, np.newaxis]
-        confuser_w = confuser_w[:, np.newaxis]
-        confuser_protos = _class_prototypes(calib, confusers)
+        # per-track terms [tracks, dim]; each row gathers its own
+        app_cos = app_scale * (app0 * 1.0)
+        app_sin = app_scale * app1
+        confuser_term = confuser_w[:, np.newaxis] * _class_prototypes(calib, confusers)
 
         # appearance rotates drift_angle radians per 10 seconds in view
         time_in_track = table.obs_in_track / max(table.fps, 1e-9)
         theta = (
             calib.drift_angle * drift_scale[track_inverse] * time_in_track / 10.0
         )[:, np.newaxis]
-        # the assembly below fuses with out=/in-place ops on arrays this
-        # block owns; operand order matches the plain expression term by
-        # term, so every output bit is unchanged
-        appearance = (app_scale * (app0 * 1.0))[track_inverse]
-        np.multiply(appearance, np.cos(theta), out=appearance)
-        app_sin = (app_scale * app1)[track_inverse]
-        np.multiply(app_sin, np.sin(theta), out=app_sin)
-        appearance += app_sin
-
-        vectors = calib.class_weight * proto
-        vectors += (confuser_w * confuser_protos)[track_inverse]
-        np.multiply(appearance, calib.appearance_weight, out=appearance)
-        vectors += appearance
+        cos_theta, sin_theta = np.cos(theta), np.sin(theta)
         if noise_scale > 0:
-            np.multiply(noise, noise_scale, out=noise)
-            vectors += noise
-        if len(junk):
-            vectors[hard] = 0.80 * proto[hard] + 1.00 * junk
+            noise *= noise_scale
 
-        return _unit_rows(vectors).astype(np.float32)
+        # the rows' assembly, in place on arrays this loop owns; operand
+        # order matches the plain expression term by term, and every
+        # step is elementwise per row, so no output bit depends on the
+        # slicing
+        class_id = table.class_id
+        # each sub-block's slice of hard_rows, hence of junk
+        hard_bounds = np.searchsorted(
+            hard_rows, np.arange(0, n + _ASSEMBLY_ROWS, _ASSEMBLY_ROWS)
+        )
+        for i, start in enumerate(range(0, n, _ASSEMBLY_ROWS)):
+            stop = min(start + _ASSEMBLY_ROWS, n)
+            rows = track_inverse[start:stop]
+            appearance = app_cos[rows]
+            appearance *= cos_theta[start:stop]
+            rotated = app_sin[rows]
+            rotated *= sin_theta[start:stop]
+            appearance += rotated
+
+            proto = _class_prototypes(calib, class_id[start:stop])
+            vectors = calib.class_weight * proto
+            vectors += confuser_term[rows]
+            appearance *= calib.appearance_weight
+            vectors += appearance
+            if noise_scale > 0:
+                vectors += noise[start:stop]
+            lo, hi = hard_bounds[i], hard_bounds[i + 1]
+            if hi > lo:
+                hard = hard_rows[lo:hi] - start
+                vectors[hard] = 0.80 * proto[hard] + 1.00 * junk[lo:hi]
+            _unit_rows(vectors, out=out[start:stop])

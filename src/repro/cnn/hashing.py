@@ -98,8 +98,13 @@ def hash_normal_matrix(seeds: np.ndarray, dim: int, salt: int = 0) -> np.ndarray
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
     cols = (np.arange(dim, dtype=np.uint64) + np.uint64(salt + 1)).reshape(1, -1)
     grid = mix64(s ^ (cols * _GOLDEN), copy=False)  # xor result is fresh
-    u = (grid >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)  # u is fresh: clip in place
+    # as hash_uniform, with each step in place: the grid is dropped once
+    # its uniforms exist, so at most two [rows, dim] arrays are live
+    grid >>= np.uint64(11)
+    u = grid.astype(np.float64)
+    del grid
+    u *= 1.0 / (1 << 53)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     return _ndtri(u)
 
 

@@ -41,7 +41,7 @@ loop on every shipped stream profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,28 +69,25 @@ def group_slices(assignments: np.ndarray, num_clusters: int):
     return order, starts
 
 
-def group_rows_by_cluster(
-    assignments: np.ndarray, num_clusters: int
-) -> List[np.ndarray]:
-    """Row indexes grouped by cluster id (list index = cluster id).
+def group_rows_by_cluster(order: np.ndarray, starts: np.ndarray) -> List[np.ndarray]:
+    """Row indexes grouped by cluster id (list index = cluster id), from
+    a :func:`group_slices` grouping.
 
-    Ids without rows in ``assignments`` get an empty group of their
-    own; rows within a group keep their original (stream) order.
+    Ids without rows get an empty group of their own; rows within a
+    group keep their original (stream) order.
     """
-    order, starts = group_slices(assignments, num_clusters)
-    return [order[starts[c]:starts[c + 1]] for c in range(num_clusters)]
+    return [order[starts[c]:starts[c + 1]] for c in range(len(starts) - 1)]
 
 
-def grouped_min_max(
-    assignments: np.ndarray, num_clusters: int, values: np.ndarray
-):
-    """Per-cluster ``(min, max)`` of ``values`` in two reduceat passes.
+def grouped_min_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
+    """Per-cluster ``(min, max)`` of ``values`` in two reduceat passes,
+    over a :func:`group_slices` grouping of the rows ``values`` holds.
 
     Replaces the per-cluster Python loops the index layers used for
     first/last timestamps -- an O(clusters) interpreter cost paid per
     lazy-index refresh.  Empty clusters get ``(0.0, 0.0)``.
     """
-    order, starts = group_slices(assignments, num_clusters)
+    num_clusters = len(starts) - 1
     first = np.zeros(num_clusters, dtype=np.float64)
     last = np.zeros(num_clusters, dtype=np.float64)
     if not len(order):
@@ -130,21 +127,30 @@ class ClusterSummary:
     def num_observations(self) -> int:
         return len(self.assignments)
 
-    def members_by_cluster(self) -> List[np.ndarray]:
-        """Row indexes per cluster id (index = cluster id).
+    def grouping(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`group_slices` over every row's assignment.
 
-        Cached after the first call: both index variants consume this
-        grouping, and re-sorting the full assignment array per caller
-        dominates index construction on large windows.  The returned
-        arrays are shared -- treat them as read-only.
+        Cached after the first call: the index's time spans and member
+        lists both read this one sort, which dominates index
+        construction on large windows.  The arrays are shared -- treat
+        them as read-only.
         """
+        cached = self.__dict__.get("_grouping")
+        if cached is None:
+            cached = group_slices(self.assignments, self.num_clusters)
+            # frozen dataclass: stash the cache outside the declared fields
+            object.__setattr__(self, "_grouping", cached)
+        return cached
+
+    def members_by_cluster(self) -> List[np.ndarray]:
+        """Row indexes per cluster id (index = cluster id), cut from
+        :meth:`grouping`.  Cached; the returned arrays are shared --
+        treat them as read-only."""
         cached = self.__dict__.get("_members_cache")
-        if cached is not None:
-            return cached
-        out = group_rows_by_cluster(self.assignments, self.num_clusters)
-        # frozen dataclass: stash the cache outside the declared fields
-        object.__setattr__(self, "_members_cache", out)
-        return out
+        if cached is None:
+            cached = group_rows_by_cluster(*self.grouping())
+            object.__setattr__(self, "_members_cache", cached)
+        return cached
 
 
 #: the summary of no rows: where a clusterer, and a materialized index, start
@@ -603,12 +609,13 @@ def _extract_needed(extractor, chunk: ObservationTable, need: np.ndarray,
                     dim: int):
     """``(features, feature_valid)`` for :meth:`IncrementalClusterer.add`
     with only the ``need`` rows extracted (``feature_valid`` is None
-    when that is every row)."""
-    feats = np.empty((len(chunk), dim), dtype=np.float64)
+    when that is every row).  The float64 buffer is allocated once the
+    extraction's intermediates are gone, so the two never overlap."""
     if need.all():
-        feats[:] = extractor.extract(chunk)
-        return feats, None
-    feats[need] = extractor.extract(chunk.select(need))
+        return extractor.extract(chunk).astype(np.float64), None
+    rows = extractor.extract(chunk.select(need))
+    feats = np.empty((len(chunk), dim), dtype=np.float64)
+    feats[need] = rows
     return feats, need
 
 

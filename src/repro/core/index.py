@@ -138,8 +138,9 @@ class _ClusterStore:
         clusters, the same seed rows for existing ones.  Returns
         ``(new_cluster_ids, grown_cluster_ids)``.
 
-        One ``grouped_min_max`` over the new rows gives their time spans;
-        a first absorb takes the snapshot's cached grouping, a later one
+        One sort groups the new rows, and both their time spans
+        (``grouped_min_max``) and their member lists are cut from it: a
+        first absorb takes the snapshot's cached grouping, a later one
         groups the new rows with one ``group_slices``.  Besides the new
         rows, the work spans every id between the lowest and highest one
         they touch, one comparison of every cluster's size finds the
@@ -162,10 +163,11 @@ class _ClusterStore:
         lo = int(delta.min())
         local = delta - lo
         span = int(delta.max()) + 1 - lo
-        first, last = grouped_min_max(local, span, table.time_s[base:])
+        # at base 0 the new rows are every row, and local ids are the ids
+        order, starts = group_slices(local, span) if base else clusters.grouping()
+        first, last = grouped_min_max(order, starts, table.time_s[base:])
         if base:
             # owned arrays: a view would pin the whole chunk's ordering
-            order, starts = group_slices(local, span)
             groups = [order[starts[c - lo] : starts[c - lo + 1]] + base for c in grown + new]
             for cid, rows in zip(grown, groups):
                 self._first[cid] = min(self._first[cid], float(first[cid - lo]))

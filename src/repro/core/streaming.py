@@ -228,6 +228,27 @@ class StreamIngestor:
         dispatcher: Optional[IngestDispatcher] = None,
         journal: Optional[IngestJournal] = None,
     ):
+        self._configure(config, stream, fps, ledger, index_mode, dispatcher)
+        self._table = empty_observation_table(stream, fps)
+        self._start(IncrementalClusterer(
+            threshold=config.cluster_threshold,
+            dim=config.model.feature_dim,
+            max_live_clusters=max_live_clusters,
+        ))
+        if journal is not None:
+            self._attach_fresh_journal(journal)
+
+    def _configure(
+        self,
+        config: FocusConfig,
+        stream: str,
+        fps: float,
+        ledger: Optional[GPULedger],
+        index_mode: str,
+        dispatcher: Optional[IngestDispatcher],
+    ) -> None:
+        """Everything of a session but its table, clusterer and index, at
+        zero rows: ``__init__`` or :meth:`_restore_state` adds those."""
         self._build_index = index_builder(index_mode)
         self.config = config
         self.stream = stream
@@ -235,15 +256,8 @@ class StreamIngestor:
         self.ledger = ledger or GPULedger()
         self.index_mode = index_mode
         self.dispatcher = dispatcher
-        self._clusterer = IncrementalClusterer(
-            threshold=config.cluster_threshold,
-            dim=config.model.feature_dim,
-            max_live_clusters=max_live_clusters,
-        )
         self._extractor = config.model.feature_extractor()
         self._columns = _GrowingColumns()
-        self._table = empty_observation_table(stream, fps)
-        self._snapshot = self._clusterer.snapshot()
         self._watermark = 0.0
         self._last_time = float("-inf")
         self.cnn_inferences = 0
@@ -257,11 +271,17 @@ class StreamIngestor:
         self._persisted_rows = 0
         self._last_journal_seq = -1
         self.journal = None
+
+    def _start(self, clusterer: IncrementalClusterer) -> None:
+        """Take ``clusterer`` as the session's clusterer, over the rows of
+        ``self._table``, and derive the index from them."""
+        self._clusterer = clusterer
+        self._snapshot = clusterer.snapshot()
+        # the index is a pure function of the rows, their assignments
+        # and the seeds: derived here, never read back
         self._index = self._build_index(
-            self._table, config.model, config.k, self._snapshot
+            self._table, self.config.model, self.config.k, self._snapshot
         )
-        if journal is not None:
-            self._attach_fresh_journal(journal)
 
     def _attach_fresh_journal(self, journal: IngestJournal) -> None:
         """Start write-ahead journaling for a brand-new session.
@@ -703,16 +723,21 @@ class StreamIngestor:
                     "stream %r: supplied config disagrees with the journaled "
                     "session on: %s" % (stream, ", ".join(mismatches))
                 )
-        self = cls(
-            config,
-            stream,
-            fps=descriptor["fps"],
-            ledger=ledger,
-            max_live_clusters=descriptor["max_live_clusters"],
-            index_mode=descriptor["index_mode"],
-            dispatcher=None,
-        )
-        if state_doc is not None:
+        if state_doc is None:
+            self = cls(
+                config,
+                stream,
+                fps=descriptor["fps"],
+                ledger=ledger,
+                max_live_clusters=descriptor["max_live_clusters"],
+                index_mode=descriptor["index_mode"],
+            )
+        else:
+            # the checkpoint's clusterer and index are the session's
+            # first: a blank pair built only to be replaced is not made
+            self = cls.__new__(cls)
+            self._configure(config, stream, descriptor["fps"], ledger,
+                            descriptor["index_mode"], None)
             self._restore_state(store, state_doc)
         # each decoded chunk is let go once replayed, so the suffix is
         # never held decoded whole
@@ -740,9 +765,6 @@ class StreamIngestor:
         payload = state_doc["payload"]
         columns = load_state_rows(store, self.stream, payload)
         self._persisted_rows = int(payload["rows"])
-        self._clusterer = IncrementalClusterer.from_state_dict(
-            payload["clusterer"], columns["assignments"], columns["track_id"]
-        )
         self._columns.restore(columns, columns["suppressed"].astype(bool))
         self._watermark = float(payload["watermark_s"])
         last = payload["last_time_s"]
@@ -750,13 +772,10 @@ class StreamIngestor:
         self.cnn_inferences = int(payload["cnn_inferences"])
         self.ingest_gpu_seconds = float(payload["ingest_gpu_seconds"])
         self.chunks_pushed = int(payload["chunks_pushed"])
-        self._snapshot = self._clusterer.snapshot()
         self._table = self._columns.table(self.stream, self.fps, self._watermark)
-        # the index is a pure function of the rows, their assignments
-        # and the seeds: derived here, never read back
-        self._index = self._build_index(
-            self._table, self.config.model, self.config.k, self._snapshot
-        )
+        self._start(IncrementalClusterer.from_state_dict(
+            payload["clusterer"], columns["assignments"], columns["track_id"]
+        ))
         self.committed_epoch = int(state_doc["epoch"])
 
 

@@ -188,3 +188,81 @@ def test_one_normal_draw_per_block(small_table, monkeypatch):
         assert len(draws) == blocks, warm
         # every row's noise, plus appearance bases only while cold
         assert sum(draws) >= len(table)
+
+
+def _hard_rows(extractor, table):
+    """Rows whose embedding is a hard episode's junk direction."""
+    from repro.cnn import features
+    from repro.cnn.hashing import combine, hash_uniform
+
+    bucket = (table.obs_in_track // features._HARD_EPISODE_FRAMES).astype(np.uint64)
+    seeds = combine(table.appearance_seed.astype(np.uint64), bucket,
+                    np.uint64(features._HARD_MASK_SALT))
+    fraction = extractor.calibration.hard_example_fraction
+    return np.flatnonzero(hash_uniform(seeds) < fraction)
+
+
+@pytest.mark.parametrize("which", ["generic", "specialized"])
+def test_row_ranges_concatenate_bit_for_bit(which, table_factory, spec_model):
+    """Blocks are assembled in sub-blocks of rows, and every step is
+    elementwise per row: one call over a table equals, bit for bit, the
+    concatenation of calls over row ranges that start and end on either
+    side of every block and sub-block boundary."""
+    from repro.cnn.features import _ASSEMBLY_ROWS
+
+    model = cheap_cnn(1) if which == "generic" else spec_model
+    shared = model.feature_extractor()
+
+    def fresh():  # the model's extractor, with a cold track cache
+        return FeatureExtractor(shared.model_salt, shared.noise_multiplier,
+                                shared.calibration)
+
+    table = table_factory("auburn_c", 260.0, 30.0)
+    sizes = [1, 255, 256, 257, 1023, 1024, 1025, 2500]
+    cuts = np.cumsum(sizes)
+    assert cuts[-1] < len(table)
+    # hard-episode rows sit on both sides of a sub-block boundary
+    hard = _hard_rows(shared, table)
+    assert np.any((hard >= _ASSEMBLY_ROWS - 8) & (hard < _ASSEMBLY_ROWS))
+    assert np.any((hard >= _ASSEMBLY_ROWS) & (hard < _ASSEMBLY_ROWS + 8))
+
+    whole = fresh().extract(table)
+    ranged = fresh()
+    parts = [ranged.extract(table.slice(start, stop))
+             for start, stop in zip([0, *cuts], [*cuts, len(table)])]
+    assert [len(p) for p in parts[:-1]] == sizes
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def test_block_working_set(small_table):
+    """A warm 1 024-row extraction stays within ~3 MB of live arrays
+    (the output included): the per-block transient is what sets the
+    ingest paths' peak RSS."""
+    import tracemalloc
+
+    block = small_table.slice(0, FeatureExtractor.BLOCK_ROWS)
+    assert len(block) == FeatureExtractor.BLOCK_ROWS
+    extractor = cheap_cnn(1).feature_extractor()
+    extractor.extract(block)  # warm: track cache and prototypes
+    tracemalloc.start()
+    try:
+        extractor.extract(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6, peak
+
+
+def test_track_cache_pins_no_normal_draw(small_table):
+    """The block's normals are normalized in place and split into
+    views; a cached appearance row must not be one, or the cache would
+    pin the block's whole stacked draw (~1 MB) per block."""
+    block = small_table.slice(0, FeatureExtractor.BLOCK_ROWS)
+    extractor = cheap_cnn(1).feature_extractor()  # cold track cache
+    extractor.extract(block)
+    missing = len(np.unique(block.appearance_seed))
+    assert len(extractor._track_cache) == missing
+    bound = missing * extractor.dim * 8  # the block's missing-track array
+    for app0, app1, *_ in extractor._track_cache.values():
+        for row in (app0, app1):
+            assert row.base is None or row.base.nbytes <= bound

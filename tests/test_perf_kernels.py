@@ -22,6 +22,7 @@ from repro.core.clustering import (
     IncrementalClusterer,
     cluster_table,
     group_rows_by_cluster,
+    group_slices,
     grouped_min_max,
 )
 from repro.core.config import FocusConfig
@@ -201,7 +202,7 @@ class TestGrouping:
         """Regression: empty groups used to share one list-multiplied
         array object; each group must be its own array."""
         assignments = np.array([0, 3, 0, 3], dtype=np.int64)
-        groups = group_rows_by_cluster(assignments, 5)
+        groups = group_rows_by_cluster(*group_slices(assignments, 5))
         assert [len(g) for g in groups] == [2, 0, 0, 2, 0]
         empties = [groups[1], groups[2], groups[4]]
         assert len({id(g) for g in empties}) == 3
@@ -211,7 +212,7 @@ class TestGrouping:
     def test_grouped_min_max(self):
         assignments = np.array([1, 0, 1, 1], dtype=np.int64)
         values = np.array([5.0, 2.0, 7.0, 1.0])
-        first, last = grouped_min_max(assignments, 3, values)
+        first, last = grouped_min_max(*group_slices(assignments, 3), values)
         np.testing.assert_allclose(first, [2.0, 1.0, 0.0])
         np.testing.assert_allclose(last, [2.0, 7.0, 0.0])
 

@@ -8,9 +8,10 @@ of the same prefix window.
 import numpy as np
 import pytest
 
+import repro.core.clustering as clustering_module
 import repro.core.index as index_module
 from repro.cnn.zoo import resnet152
-from repro.core.clustering import IncrementalClusterer, cluster_table, grouped_min_max
+from repro.core.clustering import IncrementalClusterer, cluster_table, group_slices
 from repro.core.index import IndexReader, LazyTopKIndex, TopKIndex
 from repro.core.ingest import IngestPipeline
 from repro.core.query import QueryEngine
@@ -275,18 +276,26 @@ class TestMutableIndexes:
         assert index.refresh(ingestor.table, ingestor.clusters) == ([], [])
         assert state() == before
 
-    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
-    def test_refresh_groups_only_the_chunk(self, table, config, index_mode, monkeypatch):
-        """A refresh's time-span grouping reads the chunk's rows, not the
-        history: equal-sized chunks hand ``grouped_min_max`` as many rows
-        at 4x history as at 1x (a count, so no clock is involved)."""
+    @staticmethod
+    def _count_sorts(monkeypatch):
+        """Every ``group_slices`` sort the index or a snapshot makes, as
+        the number of rows handed to each."""
         handed = []
 
-        def counting(assignments, num_clusters, values):
+        def counting(assignments, num_clusters):
             handed.append(len(assignments))
-            return grouped_min_max(assignments, num_clusters, values)
+            return group_slices(assignments, num_clusters)
 
-        monkeypatch.setattr(index_module, "grouped_min_max", counting)
+        monkeypatch.setattr(index_module, "group_slices", counting)
+        monkeypatch.setattr(clustering_module, "group_slices", counting)
+        return handed
+
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_refresh_groups_only_the_chunk(self, table, config, index_mode, monkeypatch):
+        """A refresh's grouping reads the chunk's rows, not the history:
+        equal-sized chunks hand the sort as many rows at 4x history as
+        at 1x (a count, so no clock is involved)."""
+        handed = self._count_sorts(monkeypatch)
         ingestor = StreamIngestor(
             config, table.stream, fps=table.fps, index_mode=index_mode
         )
@@ -298,6 +307,23 @@ class TestMutableIndexes:
             per_push.append(sum(handed[before:]))
         # the fifth push runs on 4x the history of the second
         assert per_push == [rows] * 5
+
+    def test_one_shot_build_sorts_once(self, table, model, config, monkeypatch):
+        """A one-shot build cuts both the time spans and the member lists
+        from one sort of every row; a second index over the same
+        snapshot reuses it."""
+        clusters = cluster_table(table, model, threshold=config.cluster_threshold)
+        handed = self._count_sorts(monkeypatch)
+        lazy = LazyTopKIndex(table, model, config.k, clusters)
+        assert handed == [len(table)]
+        materialized = TopKIndex.build(table, model, config.k, clusters)
+        assert handed == [len(table)]
+        for index in (lazy, materialized):
+            assert index.num_clusters == clusters.num_clusters
+            for cid in range(clusters.num_clusters):
+                np.testing.assert_array_equal(
+                    index.members(cid), np.flatnonzero(clusters.assignments == cid)
+                )
 
     def test_lazy_lookup_cache_survives_pure_growth(self, table, model, config):
         """Growing existing clusters keeps cached lookups; new centroids
@@ -368,6 +394,41 @@ class TestDerivedIndex:
                             == live.lookup(token, time_range=time_range))
             if index_mode == "materialized":
                 assert derived._by_class == live._by_class
+
+    @pytest.mark.parametrize("index_mode", ["lazy", "materialized"])
+    def test_recover_builds_one_clusterer_and_index(
+        self, table, config, index_mode, monkeypatch
+    ):
+        """Recovering a checkpointed stream builds its clusterer and its
+        index once, from the checkpoint: no blank pair is made first
+        only to be replaced.  A journaled chunk past the checkpoint
+        replays onto them."""
+        chunks, _ = row_chunks(table, 3)
+        store = DocumentStore()
+        ingestor = StreamIngestor(
+            config, table.stream, fps=table.fps, index_mode=index_mode,
+            journal=IngestJournal(store, table.stream),
+        )
+        ingestor.push(chunks[0])
+        ingestor.checkpoint(store)
+        ingestor.push(chunks[1])
+        built = []
+
+        def counting(real):
+            def init(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                real(self, *args, **kwargs)
+            return init
+
+        for cls in (IncrementalClusterer, index_module._ClusterStore):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        recovered = StreamIngestor.recover(store, table.stream)
+        assert sorted(built) == sorted(
+            ["IncrementalClusterer", type(ingestor.index).__name__]
+        )
+        np.testing.assert_array_equal(
+            recovered.clusters.assignments, ingestor.clusters.assignments
+        )
 
     def test_checkpoint_without_journal_refused(self, table, config):
         chunks, _ = row_chunks(table, 3)
