@@ -220,6 +220,11 @@ def feature_rows_needed(track_ids: np.ndarray, suppressed: np.ndarray,
     return need | (first_mask & unknown[inverse])
 
 
+#: the live slots a clusterer starts with; the next live cluster widens
+#: them straight to ``max_live`` (:meth:`IncrementalClusterer._grow`)
+SLOTS_FIRST = 64
+
+
 class IncrementalClusterer:
     """Online single-pass clusterer with a live-cluster cap."""
 
@@ -243,7 +248,7 @@ class IncrementalClusterer:
         self.max_live = max_live_clusters
         self.strict = strict
 
-        capacity = max(64, max_live_clusters)
+        capacity = min(SLOTS_FIRST, max_live_clusters)
         self._sums = np.zeros((capacity, dim), dtype=np.float64)
         self._centroids = np.zeros((capacity, dim), dtype=np.float64)
         #: |centroid|^2 per slot, read by scans only: a join marks its
@@ -321,11 +326,33 @@ class IncrementalClusterer:
         self._n_live = last
         del self._slot_of_id[victim_id]
 
+    def _grow(self) -> None:
+        """Widen every slot column to ``max_live`` rows, copying the live
+        ones.  Once per clusterer, straight to the cap: a doubling ladder
+        would leave freed rungs that fragment the heap.  The lists the
+        row loop holds as locals change in place; ``_counts`` is a new
+        array, which the loop re-reads after a new cluster."""
+        n, capacity = self._n_live, self.max_live
+        for name in ("_sums", "_centroids", "_cnorm2", "_counts"):
+            old = getattr(self, name)
+            grown = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            grown[:n] = old[:n]
+            setattr(self, name, grown)
+        self._scan_buf = np.empty(capacity, dtype=np.float64)
+        more = capacity - len(self._dense)
+        self._dense.extend([0] * more)
+        self._live_ids.extend([-1] * more)
+        used = len(self._sum_rows)
+        self._sum_rows[:] = list(self._sums[:used])
+        self._centroid_rows[:] = list(self._centroids[:used])
+
     def _new_cluster(self, vector: np.ndarray, vv: float) -> int:
         """Open a cluster seeded by ``vector``; returns its id."""
         if self._n_live >= self.max_live:
             self._evict_smallest()
         slot = self._n_live
+        if slot == len(self._counts):
+            self._grow()
         if slot == len(self._sum_rows):
             self._sum_rows.append(self._sums[slot])
             self._centroid_rows.append(self._centroids[slot])
@@ -469,6 +496,7 @@ class IncrementalClusterer:
                         slot = best
             if slot is None:
                 cid = self._new_cluster(vector, vv)
+                counts = self._counts  # a new cluster may have grown the slots
             else:
                 total = sums[slot]
                 add(total, vector, total)
@@ -515,6 +543,35 @@ class IncrementalClusterer:
             "shortcut_hits": int(self.shortcut_hits),
         }
 
+    def _load_live(self, state: Dict) -> None:
+        """Put :meth:`bounded_state`'s live slots and counters in place of
+        this clusterer's (its history is the caller's): what
+        :meth:`from_state_dict` and :meth:`adopt` share.  The slots stay
+        at their first size unless ``state`` has more live clusters."""
+        n = int(state["n_live"])
+        if n > len(self._counts):
+            self._grow()
+        dim = self.dim
+        self._sums[:n] = unpack_array(state["sums"], np.float64).reshape(n, dim)
+        dense = unpack_array(state["dense"], np.int64)
+        self._dense[:n] = dense.tolist()
+        self._counts[:n] = unpack_array(state["counts"], np.int64)
+        self._live_ids[:n] = unpack_array(state["live_ids"], np.int64).tolist()
+        self._n_live = n
+        self._sum_rows = list(self._sums[:n])
+        self._centroid_rows = list(self._centroids[:n])
+        # recompute centroid = sum / dense and |centroid|^2 per slot with
+        # the row loop's expressions -- same operands, same results, so
+        # no rounding drift versus the live instance
+        np.divide(self._sums[:n], dense[:, None], out=self._centroids[:n])
+        self._stale.clear()
+        self._stale.update(range(n))
+        self._refresh_norms()
+        self._slot_of_id = {self._live_ids[i]: i for i in range(n)}
+        self._next_id = int(state["next_id"])
+        self.full_scans = int(state["full_scans"])
+        self.shortcut_hits = int(state["shortcut_hits"])
+
     @classmethod
     def from_state_dict(
         cls, state: Dict, assignments: np.ndarray, track_ids: np.ndarray
@@ -529,23 +586,7 @@ class IncrementalClusterer:
             max_live_clusters=state["max_live"],
             strict=state["strict"],
         )
-        n = int(state["n_live"])
-        dim = self.dim
-        self._sums[:n] = unpack_array(state["sums"], np.float64).reshape(n, dim)
-        dense = unpack_array(state["dense"], np.int64)
-        self._dense[:n] = dense.tolist()
-        self._counts[:n] = unpack_array(state["counts"], np.int64)
-        self._live_ids[:n] = unpack_array(state["live_ids"], np.int64).tolist()
-        self._n_live = n
-        self._sum_rows = list(self._sums[:n])
-        self._centroid_rows = list(self._centroids[:n])
-        # recompute centroid = sum / dense and |centroid|^2 per slot with
-        # the row loop's expressions -- same operands, same results, so
-        # no rounding drift versus the live instance
-        np.divide(self._sums[:n], dense[:, None], out=self._centroids[:n])
-        self._stale.update(range(n))
-        self._refresh_norms()
-        self._next_id = int(state["next_id"])
+        self._load_live(state)
         rows = int(state["rows_seen"])
         assignments = unpack_array(assignments, np.int64)
         track_ids = unpack_array(track_ids, np.int64)
@@ -556,10 +597,25 @@ class IncrementalClusterer:
         self._summary = summarize(assignments, self._next_id)
         tracks, last = np.unique(track_ids[::-1], return_index=True)
         self._track_cache = dict(zip(tracks.tolist(), assignments[::-1][last].tolist()))
-        self._slot_of_id = {self._live_ids[i]: i for i in range(n)}
-        self.full_scans = int(state["full_scans"])
-        self.shortcut_hits = int(state["shortcut_hits"])
         return self
+
+    def adopt(self, state: Dict, playback: "SnapshotPlayback", chunks) -> None:
+        """Continue where a copy of this clusterer, forked at its last
+        :meth:`snapshot`, stopped after clustering ``chunks`` -- each
+        chunk's ``(track_ids, assignments)``, in order -- elsewhere:
+        ``state`` is the copy's :meth:`bounded_state` and ``playback``
+        replayed its chunks from that snapshot.  The same clusterer as
+        :meth:`from_state_dict` over every row, in O(live clusters + the
+        chunks' rows)."""
+        summary = playback._summary
+        if summary.num_observations != int(state["rows_seen"]):
+            raise ValueError("the playback must cover the %d rows seen" % state["rows_seen"])
+        self._load_live(state)
+        # the playback's buffer is dropped with it, so it is this one's now
+        self._assign_buf, self._rows_seen = playback._assign_buf, summary.num_observations
+        self._summary = summary
+        for track_ids, assignments in chunks:
+            self._track_cache.update(zip(track_ids.tolist(), assignments.tolist()))
 
     def snapshot(self) -> ClusterSummary:
         """The clustering state so far, *without* closing the clusterer.
@@ -589,11 +645,6 @@ class SnapshotPlayback:
     def __init__(self, start: ClusterSummary):
         # never written: the first advance() outgrows it and copies
         self._assign_buf, self._summary = start.assignments, start
-
-    @property
-    def assignments(self) -> np.ndarray:
-        """Every row's cluster id so far."""
-        return self._summary.assignments
 
     def advance(self, assignments: np.ndarray, num_clusters: int) -> ClusterSummary:
         """The snapshot after one more chunk clustered to ``assignments``

@@ -885,8 +885,8 @@ class _RoundSession:
         self.final: Optional[Dict] = None
         #: the round-start ``from_state_dict`` arguments of a session clustered here
         self.start: Optional[Tuple[Dict, np.ndarray, np.ndarray]] = None
-        #: the chunks whose cluster half a plain push would have run
-        self.clustered: List[ObservationTable] = []
+        #: the chunks applied from their steps, with the steps' assignments
+        self.clustered: List[Tuple[ObservationTable, np.ndarray]] = []
         self.pushed = 0
         self.serial = False
         self._playback: Optional[SnapshotPlayback] = None
@@ -929,7 +929,7 @@ class _RoundSession:
             # the step ran past a chunk that never applies
             self._go_serial(position + 1, "journal")
             return None, exc
-        self.clustered.append(chunk)
+        self.clustered.append((chunk, step.assignments))
         if self._playback is None:
             self._playback = SnapshotPlayback(ingestor._snapshot)
         snapshot = self._playback.advance(step.assignments, step.num_clusters)
@@ -943,16 +943,17 @@ class _RoundSession:
         ingestor = self.ingestor
         if self.start is not None:
             ingestor._clusterer = IncrementalClusterer.from_state_dict(*self.start)
-        for chunk in self.clustered:
+        for chunk, _ in self.clustered:
             ingestor._cluster_chunk(chunk)
         self.serial = True
         emit("append.fallback", stream=ingestor.stream, chunk=position, reason=reason)
 
     def finish(self) -> None:
         """Install a helper's clusterer once every chunk applied as it
-        predicted (a session clustered here already holds its own)."""
+        predicted (a session clustered here already holds its own): its
+        live slots, and this round's rows only."""
         if self.serial or self.final is None or self._playback is None:
             return
-        self.ingestor._clusterer = IncrementalClusterer.from_state_dict(
-            self.final, self._playback.assignments, self.ingestor._table.track_id
-        )
+        self.ingestor._clusterer.adopt(self.final, self._playback, [
+            (chunk.track_id, assignments) for chunk, assignments in self.clustered
+        ])

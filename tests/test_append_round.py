@@ -19,9 +19,11 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.clustering as clustering_module
 import repro.core.helpers as helpers_module
 from repro.cnn.features import FeatureExtractor
 from repro.cnn.zoo import cheap_cnn
+from repro.core.clustering import IncrementalClusterer
 from repro.core.config import FocusConfig
 from repro.core.streaming import StreamIngestor, _RoundSession
 from repro.core.system import FocusSystem
@@ -235,6 +237,70 @@ def test_refused_chunks_mid_round(pair_feed, forks, events, mode):
     assert len(forks) == 1 and not events.events("append.fallback")
     same_outcomes(got, want)
     assert state_of(system, PAIR) == state_of(serial, PAIR)
+
+
+def test_installing_a_helpers_round_reads_only_that_round(forks, events, monkeypatch):
+    """Two forking rounds over one stream pair: the second round's
+    ``finish`` installs the helper's clusterer without a
+    ``from_state_dict`` rebuild, and no ``summarize`` or ``np.unique``
+    it calls is handed a row of the first round -- yet the clusterer it
+    leaves equals that rebuild, and both rounds end where one-by-one
+    appends do."""
+    feed = round_robin(PAIR, 240.0)
+    small = [i for i, (stream, _) in enumerate(feed) if stream == PAIR[1]]
+    rounds = [feed[: small[2] + 1], feed[small[2] + 1:]]
+    for round_ in rounds:  # both streams have a block to fork for
+        for name in PAIR:
+            assert sum(len(c) for s, c in round_ if s == name) >= FeatureExtractor.BLOCK_ROWS
+    serial = open_system(PAIR, "lazy")
+    one_by_one(serial.append, feed)
+    system = open_system(PAIR, "lazy")
+
+    handed, installed = [], []
+    real_finish, real_summarize, real_unique = (
+        _RoundSession.finish, clustering_module.summarize, np.unique)
+
+    def finish(session):
+        if session.final is not None:
+            installed.append(session.ingestor.stream)
+        handed.append(None)  # inside finish from here on
+        try:
+            real_finish(session)
+        finally:
+            handed.remove(None)
+
+    def summarize(assignments, num_clusters, previous=clustering_module.NO_ROWS):
+        if None in handed:
+            handed.append(("summarize", len(assignments) - previous.num_observations))
+        return real_summarize(assignments, num_clusters, previous)
+
+    def unique(ar, *args, **kwargs):
+        if None in handed:
+            handed.append(("unique", len(ar)))
+        return real_unique(ar, *args, **kwargs)
+
+    def from_state_dict(*args):
+        raise AssertionError("finish rebuilt the clusterer from every row")
+
+    system.append_outcomes(rounds[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(_RoundSession, "finish", finish)
+        patch.setattr(clustering_module, "summarize", summarize)
+        patch.setattr(np, "unique", unique)
+        patch.setattr(IncrementalClusterer, "from_state_dict", from_state_dict)
+        system.append_outcomes(rounds[1])
+    assert len(forks) == 2 and not events.events("append.fallback")
+    (stream,) = installed
+    round_rows = sum(len(c) for s, c in rounds[1] if s == stream)
+    assert all(rows <= round_rows for _, rows in handed), handed
+
+    clusterer = system.handle(stream).ingestor._clusterer
+    rebuilt = IncrementalClusterer.from_state_dict(
+        clusterer.bounded_state(), clusterer.snapshot().assignments,
+        system.handle(stream).table.track_id)
+    assert clusterer_state(clusterer) == clusterer_state(rebuilt)
+    assert state_of(system, PAIR) == state_of(serial, PAIR)
+    assert_reaped(forks, events)
 
 
 class OneFault(FaultyStore):

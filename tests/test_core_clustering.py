@@ -1,6 +1,8 @@
 """Unit tests for single-pass incremental clustering (Section 4.2)."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from repro.core.clustering import (
     feature_rows_needed,
     summarize,
 )
+from repro.cnn.zoo import cheap_cnn
+from repro.core.config import FocusConfig
 from repro.core.ingest import simulate_pixel_diff
+from repro.core.system import FocusSystem
 from repro.storage.packing import pack_array
+from repro.video.synthesis import generate_observations
 
 
 def _unit(v):
@@ -276,3 +282,60 @@ def test_restore_derives_history_from_the_rows():
     assert clusterer_state(restored) == clusterer_state(live)
     with pytest.raises(ValueError, match="rows seen"):
         IncrementalClusterer.from_state_dict(live.bounded_state(), ids, tracks)
+
+
+# -- slots on demand ---------------------------------------------------------------
+
+def _slot_rows(clusterer):
+    """The one row count every slot column has."""
+    (rows,) = {len(column) for column in (
+        clusterer._sums, clusterer._centroids, clusterer._cnorm2, clusterer._counts,
+        clusterer._scan_buf, clusterer._dense, clusterer._live_ids)}
+    return rows
+
+
+def test_slots_grow_once_from_64_to_max_live():
+    """A clusterer holds 64 slots until a 65th cluster is live at once,
+    then exactly ``max_live``; a restore sizes by its live clusters."""
+    far_apart = np.eye(70)  # every row opens a cluster
+    tracks = np.arange(70)
+    clusterer = _clusterer(dim=70, max_live_clusters=512)
+    assert _slot_rows(clusterer) == 64
+    clusterer.add(far_apart[:64], tracks[:64])
+    assert (clusterer._n_live, _slot_rows(clusterer)) == (64, 64)
+    restored = IncrementalClusterer.from_state_dict(
+        clusterer.bounded_state(), clusterer.snapshot().assignments, tracks[:64])
+    assert _slot_rows(restored) == 64
+    for c in (clusterer, restored):
+        c.add(far_apart[64:65], tracks[64:65])
+        assert (c._n_live, _slot_rows(c)) == (65, 512)
+    assert clusterer_state(restored) == clusterer_state(clusterer)
+    assert _slot_rows(IncrementalClusterer.from_state_dict(
+        clusterer.bounded_state(), clusterer.snapshot().assignments, tracks[:65])) == 512
+    assert _slot_rows(_clusterer(max_live_clusters=5)) == 5
+
+
+def test_a_stream_holds_slots_for_its_live_clusters():
+    """Opening a stream and appending 500 rows holds at most 0.4 MB
+    (traced): two ``max_live`` x 128 float64 slot arrays alone were 1 MiB."""
+    config = FocusConfig(cheap_cnn(1), k=4, cluster_threshold=0.4)
+    chunk = generate_observations("auburn_c", 60.0, 10.0).slice(0, 500)
+    systems = [FocusSystem(), FocusSystem()]
+
+    def open_and_append(system):
+        system.open_stream("auburn_c", fps=10.0, config=config)
+        system.append("auburn_c", chunk)
+
+    open_and_append(systems[0])  # process-wide caches: class prototypes, imports
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        open_and_append(systems[1])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held <= 0.4e6

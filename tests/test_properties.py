@@ -135,53 +135,65 @@ def test_clustering_threshold_monotonicity(stream):
     assert counts[2] >= 1
 
 
+def _tracky_stream(rng, tracks, dim, threshold, spread, sup_rate):
+    """Rows near their track's anchor, a tenth of them jumping away, and
+    a ``sup_rate`` share suppressed."""
+    n = len(tracks)
+    anchors = rng.normal(size=(tracks.max() + 1, dim)) * threshold
+    feats = anchors[tracks] + rng.normal(scale=spread, size=(n, dim))
+    jump = rng.uniform(size=n) < 0.1
+    feats[jump] += rng.normal(scale=2 * threshold, size=(int(jump.sum()), dim))
+    return feats, tracks, rng.uniform(size=n) < sup_rate
+
+
 @st.composite
 def _kernel_case(draw):
     """A tracky stream with suppression, cut into chunks, for a
     clusterer small enough to evict; ``hop`` is the chunk before which
-    the clusterer is swapped for a ``from_state_dict`` copy of itself."""
+    the clusterer is swapped for a ``from_state_dict`` copy of itself.
+    A wide case has more than 64 clusters live at once, so its slots
+    grow past their first 64 rows (and, under a cap of 66 or 80, evict
+    after growing)."""
     rng = np.random.RandomState(draw(st.integers(min_value=0, max_value=10 ** 6)))
-    dim = draw(st.integers(min_value=1, max_value=19))
-    n = draw(st.integers(min_value=8, max_value=160))
-    n_tracks = draw(st.integers(min_value=1, max_value=10))
+    wide = draw(st.booleans())
+    dim = draw(st.integers(min_value=4 if wide else 1, max_value=19))
+    n = draw(st.integers(min_value=240, max_value=360) if wide
+             else st.integers(min_value=8, max_value=160))
+    n_tracks = draw(st.integers(min_value=70, max_value=110) if wide
+                    else st.integers(min_value=1, max_value=10))
     threshold = draw(st.sampled_from([0.04, 0.09, 0.16, 0.4]))
     # spread set against T so a run holds hits, scans that join and
     # scans that open a cluster
     spread = threshold * draw(st.sampled_from([0.1, 0.3, 0.6])) / np.sqrt(dim)
-    tracks = rng.randint(0, n_tracks, size=n)
-    anchors = rng.normal(size=(n_tracks, dim)) * threshold
-    feats = anchors[tracks] + rng.normal(scale=spread, size=(n, dim))
-    jump = rng.uniform(size=n) < 0.1
-    feats[jump] += rng.normal(scale=2 * threshold, size=(int(jump.sum()), dim))
-    sup = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    feats, tracks, sup = _tracky_stream(
+        rng, rng.randint(0, n_tracks, size=n), dim, threshold, spread,
+        draw(st.sampled_from([0.0, 0.3, 0.7])))
     cuts = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=4))
     bounds = [0] + sorted(set(cuts)) + [n]
     return dict(
         feats=feats, tracks=tracks, sup=sup, threshold=threshold, bounds=bounds,
-        max_live=draw(st.sampled_from([1, 2, 3, 5, 64])),
+        max_live=draw(st.sampled_from([66, 80, 512] if wide else [1, 2, 3, 5, 64])),
         strict=draw(st.booleans()),
         hop=draw(st.integers(min_value=0, max_value=len(bounds) - 2)),
     )
 
 
-@_slow
-@given(_kernel_case())
-def test_row_loop_matches_reference_primitives(case):
-    """The inlined row loop (lazy norms, int-held counts, hoisted
-    locals) against the straight-line primitives it replaced: identical
-    assignments *and* identical live state after every chunk -- through
-    eviction, ``strict``, a checkpoint hop, and rows the caller never
-    extracted (every row ``feature_rows_needed`` leaves out holds NaN,
-    as on the live ingest path)."""
+def _check_row_loop(case):
+    """Run ``case`` through the clusterer and the reference, comparing
+    assignments and live state after every chunk; returns the
+    clusterer's ``(live clusters, slot rows)`` before each chunk and
+    after the last."""
     feats, tracks, sup = case["feats"], case["tracks"], case["sup"]
     dim = feats.shape[1]
     args = (case["threshold"], dim, case["max_live"], case["strict"])
     real, ref = IncrementalClusterer(*args), ReferenceClusterer(*args)
+    sizes = []
     for chunk, (a, b) in enumerate(zip(case["bounds"], case["bounds"][1:])):
         if chunk == case["hop"]:
             real = IncrementalClusterer.from_state_dict(
                 json.loads(json.dumps(real.bounded_state())),
                 real.snapshot().assignments, tracks[:a])
+        sizes.append((real._n_live, len(real._counts)))
         need = real.feature_rows_needed(tracks[a:b], sup[a:b])
         given_feats = np.where(need[:, None], feats[a:b], np.nan)
         with np.errstate(all="raise"):
@@ -202,6 +214,44 @@ def test_row_loop_matches_reference_primitives(case):
             (real._counts, ref.counts), (real._live_ids, ref.live_ids),
         ):
             assert np.asarray(mine[:n]).tobytes() == theirs[:n].tobytes()
+    sizes.append((real._n_live, len(real._counts)))
+    return sizes
+
+
+@_slow
+@given(_kernel_case())
+def test_row_loop_matches_reference_primitives(case):
+    """The inlined row loop (lazy norms, int-held counts, hoisted
+    locals, slots grown on demand) against the straight-line
+    primitives it replaced: identical assignments *and* identical live
+    state after every chunk -- through eviction, ``strict``, slot
+    growth, a checkpoint hop, and rows the caller never extracted
+    (every row ``feature_rows_needed`` leaves out holds NaN, as on the
+    live ingest path)."""
+    _check_row_loop(case)
+
+
+@pytest.mark.parametrize("bounds, hop, max_live, before_hop", [
+    ([0, 40, 130, 300], 1, 80, 40),   # restored small, grows mid-chunk, evicts
+    ([0, 64, 130, 300], 1, 80, 64),   # restored full at 64, grows on the next
+    ([0, 40, 130, 300], 2, 80, 80),   # restored past 64: max_live rows at once
+    ([0, 50, 300], 1, 66, 50),        # grows mid-chunk, then evicts for long
+])
+def test_row_loop_matches_reference_across_growth(bounds, hop, max_live, before_hop):
+    """The growth step, placed: 100 tracks opened in order, so the
+    65th live cluster arrives at a known row, on each side of a
+    ``from_state_dict`` hop."""
+    rng = np.random.RandomState(52)
+    tracks = np.concatenate([np.arange(100), rng.randint(0, 100, size=200)])
+    feats, tracks, sup = _tracky_stream(rng, tracks, 8, 0.4, 0.01, 0.3)
+    sup[:100] = False  # every track's first row opens its cluster
+    sizes = _check_row_loop(dict(
+        feats=feats, tracks=tracks, sup=sup, threshold=0.4, bounds=bounds,
+        max_live=max_live, strict=False, hop=hop))
+    assert sizes[0] == (0, 64)
+    assert sizes[hop][0] == before_hop
+    assert sizes[hop][1] == (64 if before_hop <= 64 else max_live)
+    assert sizes[-1] == (max_live, max_live)
 
 
 # -- metrics ----------------------------------------------------------------
